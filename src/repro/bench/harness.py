@@ -128,6 +128,10 @@ class BenchObs:
         self.transient_every = 101
 
     def reset(self, tracing: bool = None) -> None:
+        # Unhook the samplers too: a caller that keeps one ``obs`` for its
+        # metrics must not keep that cluster's resources alive through it.
+        for _kind, obs in self.collected:
+            obs.stop_sampling()
         self.collected.clear()
         if tracing is not None:
             self.tracing = tracing

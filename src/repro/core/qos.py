@@ -155,6 +155,9 @@ class WFQResource(Resource):
         req.finish = finish
 
     def request_wfq(self, tenant: Optional[str], cost: float = 1.0) -> WFQRequest:
+        watch = self._watch
+        if watch is not None:
+            watch.add(self)
         req = WFQRequest(self)
         self._tag(req, tenant, cost)
         if self._in_use < self.capacity and not self._heap:
@@ -175,6 +178,9 @@ class WFQResource(Resource):
         return self.request_wfq(None, 1.0)
 
     def release(self, req: Request) -> None:
+        watch = self._watch
+        if watch is not None:
+            watch.add(self)
         if not req.granted:
             if req.cancelled or req._value is not _PENDING:
                 raise SimulationError("releasing a request never granted/queued")

@@ -17,9 +17,11 @@ time.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Dict, List, Tuple
 
-__all__ = ["Counter", "Gauge", "Histogram", "Series", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "SampleClock", "Series",
+           "MetricsRegistry"]
 
 
 class Counter:
@@ -204,35 +206,94 @@ class Histogram:
         }
 
 
+class SampleClock:
+    """The tick times of one periodic sampler, decimated to a bounded sketch.
+
+    Everything sampled on the same ticks shares one clock, so a tick costs
+    one call here however many series follow it. Once ``Series.MAX_POINTS``
+    ticks are kept, every other one is dropped and the stride doubles:
+    an arbitrarily long run keeps an evenly spread ~thousand-point sketch.
+    """
+
+    __slots__ = ("times", "ticks", "n", "_stride")
+
+    def __init__(self):
+        self.times: List[float] = []   # time of each kept tick
+        self.ticks: List[int] = []     # its 1-based index, ascending
+        self.n = 0                     # ticks counted so far
+        self._stride = 1
+
+    def tick(self, t: float) -> int:
+        """Count one tick at time ``t``; returns its index if the sketch
+        keeps it, else 0."""
+        n = self.n = self.n + 1
+        if n % self._stride:
+            return 0
+        self.times.append(t)
+        self.ticks.append(n)
+        if len(self.times) >= Series.MAX_POINTS:
+            self.times = self.times[::2]
+            self.ticks = self.ticks[::2]
+            self._stride *= 2
+        return n
+
+
 class Series:
     """A decimating time series of ``(t, value)`` samples.
 
-    Memory is bounded: once ``MAX_POINTS`` samples accumulate, every other
-    point is dropped and the sampling stride doubles, so an arbitrarily
-    long run keeps an evenly spread ~thousand-point sketch.
+    Stored as *runs* over a :class:`SampleClock`: ``(first_tick, value,
+    ...)`` tuples, ascending, each holding from its tick until the next
+    run's. ``times`` / ``values`` expand the runs at the ticks the clock
+    still keeps, so an unchanged stretch costs one tuple, not one point
+    per tick. Runs are only ever recorded at kept ticks; decimation can
+    strand some at ticks dropped later (expansion skips them), so a run
+    list grows by at most ``MAX_POINTS / 2`` tuples each time the run's
+    length doubles.
+
+    A series built by hand owns a private clock and takes points through
+    :meth:`add`; the resource sampler instead points many series at one
+    shared clock and at per-resource run lists (:meth:`sample_from`).
     """
 
-    __slots__ = ("name", "times", "values", "_stride", "_tick")
+    __slots__ = ("name", "_clock", "_runs", "_col")
 
     MAX_POINTS = 2048
 
     def __init__(self, name: str):
         self.name = name
-        self.times: List[float] = []
-        self.values: List[float] = []
-        self._stride = 1
-        self._tick = 0
+        self._clock = SampleClock()
+        self._runs: List[tuple] = []
+        self._col = 1
+
+    def sample_from(self, clock: SampleClock, runs: List[tuple],
+                    col: int) -> None:
+        """Read column ``col`` of ``runs``, a run list that someone else
+        appends to on the ticks of ``clock``."""
+        self._clock = clock
+        self._runs = runs
+        self._col = col
 
     def add(self, t: float, v: float) -> None:
-        self._tick += 1
-        if self._tick % self._stride:
-            return
-        self.times.append(t)
-        self.values.append(v)
-        if len(self.times) >= Series.MAX_POINTS:
-            self.times = self.times[::2]
-            self.values = self.values[::2]
-            self._stride *= 2
+        n = self._clock.tick(t)
+        if n:
+            self._runs.append((n, v))
+
+    @property
+    def times(self) -> List[float]:
+        return self._clock.times
+
+    @property
+    def values(self) -> List[float]:
+        ticks, runs, col = self._clock.ticks, self._runs, self._col
+        out: List[float] = []
+        lo = 0
+        for run, nxt in zip(runs, runs[1:]):
+            hi = bisect_left(ticks, nxt[0], lo)
+            out += [run[col]] * (hi - lo)
+            lo = hi
+        if runs:
+            out += [runs[-1][col]] * (len(ticks) - lo)
+        return out
 
     def to_dict(self) -> Dict[str, List[float]]:
         return {"t": self.times, "v": self.values}

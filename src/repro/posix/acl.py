@@ -229,6 +229,21 @@ def check_perm(
     creds: Credentials,
     want: int,
 ) -> bool:
-    """Access check for an inode: uses its ACL if extended, else mode bits."""
-    effective = acl if acl is not None else Acl.from_mode(mode)
-    return effective.check(creds, want, owner_uid=uid, owner_gid=gid)
+    """Access check for an inode: its ACL if it has one, else mode bits.
+
+    The mode-bit branch is :meth:`Acl.check` specialised to the minimal ACL
+    ``Acl.from_mode(mode)`` (no named entries, no mask), decided without
+    building one: this runs for every path component of every operation.
+    """
+    if acl is not None:
+        return acl.check(creds, want, owner_uid=uid, owner_gid=gid)
+    if creds.uid == 0:  # creds.is_root, without the property call
+        # Root bypasses rw checks; needs at least one x bit for exec.
+        return not (want & X_OK) or bool(mode & 0o111)
+    if creds.uid == uid:
+        perm = mode >> 6
+    elif creds.in_group(gid):
+        perm = mode >> 3  # group class matched: OTHER is not consulted
+    else:
+        perm = mode
+    return (perm & 7 & want) == want

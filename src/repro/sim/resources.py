@@ -9,9 +9,10 @@ Hot-path notes (DESIGN.md §10): the uncontended zero-hold acquisition in
 :meth:`Resource.use` short-circuits the whole request/grant/release Event
 round-trip when the kernel can prove the grant would be processed
 immediately anyway (``Simulator._inline_ok``); never-granted requests are
-*lazily* cancelled instead of removed from the FIFO in O(n); and the
+*lazily* cancelled instead of removed from the FIFO in O(n); the
 Request/Timeout objects used internally by ``use`` are recycled through
-small freelists.
+small freelists; and a sampled resource tells the sampler when its state
+changed (``Resource._watch``) instead of being polled every tick.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ class Resource:
         self._queue: Deque[Request] = deque()
         self._n_cancelled = 0
         self._pool: list[Request] = []
+        # The resource sampler's dirty set while this resource is sampled
+        # (``repro.obs``), else None: every method that changes ``in_use``
+        # or ``queue_length`` adds ``self`` to it.
+        self._watch: Optional[set] = None
 
     @property
     def in_use(self) -> int:
@@ -88,6 +93,9 @@ class Resource:
         return len(self._queue) - self._n_cancelled
 
     def request(self) -> Request:
+        watch = self._watch
+        if watch is not None:
+            watch.add(self)
         req = Request(self)
         if self._in_use < self.capacity:
             self._grant(req)
@@ -98,6 +106,9 @@ class Resource:
     def _request_pooled(self) -> Request:
         """Internal variant of :meth:`request` for :meth:`use`: may return a
         recycled Request object (never exposed to user code)."""
+        watch = self._watch
+        if watch is not None:
+            watch.add(self)
         pool = self._pool
         if pool:
             req = pool.pop()
@@ -116,6 +127,9 @@ class Resource:
         return req
 
     def release(self, req: Request) -> None:
+        watch = self._watch
+        if watch is not None:
+            watch.add(self)
         if not req.granted:
             # Cancelling a queued request (e.g. the holder-to-be crashed).
             # Lazy: flag it and let the grant loop skip it when it surfaces;

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import BENCH_OBS
 from repro.core import build_arkfs
 from repro.posix import Credentials, ROOT_CREDS, SyncFS
 from repro.sim import Simulator
@@ -9,6 +10,16 @@ from repro.sim import Simulator
 
 USER = Credentials(uid=1000, gid=1000)
 OTHER = Credentials(uid=2000, gid=2000)
+
+
+@pytest.fixture(autouse=True)
+def _release_bench_clusters():
+    """Every harness ``build`` parks its ``Observability`` (and through it
+    the simulation and the whole cluster) in the process-wide ``BENCH_OBS``
+    until someone resets it; no test may leave that to the next one."""
+    BENCH_OBS.reset()
+    yield
+    BENCH_OBS.reset()
 
 
 @pytest.fixture

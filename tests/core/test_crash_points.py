@@ -9,6 +9,7 @@ Two tests seed deliberate recovery bugs and assert the checker CATCHES
 them — a checker that can't fail is not a checker.
 """
 
+import json
 import os
 
 import pytest
@@ -130,9 +131,15 @@ def test_seeded_tier_drain_reorder_bug_is_caught():
     assert report.violations
 
 
-def test_cli_exit_codes():
+def test_cli_exit_codes(tmp_path):
     """The module CLI returns 0 on a clean sweep and 1 when the checker
-    finds violations (here: under a seeded bug)."""
+    finds violations (here: under a seeded bug), and writes the failing
+    points' flight-recorder dumps where ``--flight`` says."""
     assert crashcheck_main(["--workload", "checkpoint", "--stride", "5"]) == 0
+    flight = tmp_path / "flight.json"
     assert crashcheck_main(["--workload", "rename", "--stride", "37",
-                            "--bug", "pretend-fsync"]) == 1
+                            "--bug", "pretend-fsync",
+                            "--flight", str(flight)]) == 1
+    dump = json.loads(flight.read_text())
+    assert dump["workload"] == "rename"
+    assert dump["points"] and all(p["flight"] for p in dump["points"])

@@ -182,6 +182,23 @@ def test_check_perm_helper_uses_mode_when_no_acl():
     assert not check_perm(None, 0o600, 100, 100, STRANGER, R_OK)
 
 
+def test_check_perm_mode_bits_agree_with_minimal_acl():
+    """The mode-bit branch never builds an ``Acl``; it must still decide
+    exactly as the minimal ACL of that mode does — for every mode, every
+    class of caller (supplementary groups included) and every request."""
+    in_supp = Credentials(uid=102, gid=300, groups=(7, 100))
+    callers = (OWNER, GROUPMATE, in_supp, STRANGER, ROOT)
+    for mode in range(0o1000):
+        acl = Acl.from_mode(mode)
+        for type_bits in (0, 0o100000 | 0o4000):   # S_IFREG | S_ISUID
+            for creds in callers:
+                for want in range(8):
+                    assert check_perm(None, mode | type_bits, 100, 100,
+                                      creds, want) \
+                        == acl.check(creds, want, 100, 100), \
+                        (oct(mode), creds, want)
+
+
 def test_perm_str():
     assert perm_str(7) == "rwx"
     assert perm_str(5) == "r-x"
