@@ -45,13 +45,10 @@ def _compact_series(snapshot):
 
 
 def _obs_header():
-    """The observability header recorded in every BENCH_*.json: which
-    kernel ran and what tracing/sampling was active, so walls from
-    different configurations are never compared blind."""
-    from repro.sim.engine import DEFAULT_FAST
-
+    """The observability header recorded in every BENCH_*.json: what
+    tracing/sampling was active, so walls from different configurations
+    are never compared blind."""
     return {
-        "kernel_mode": "fast" if DEFAULT_FAST else "heap",
         "sample_rate": 1.0 if BENCH_OBS.tracing else BENCH_OBS.sample_rate,
         "tracing": BENCH_OBS.tracing,
         "slowlog": BENCH_OBS.slowlog,

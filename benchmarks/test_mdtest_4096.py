@@ -1,7 +1,7 @@
 """A 4096-client mdtest-easy CREATE point — the paper's full client scale.
 
-Fig. 4's x-axis tops out at 4096 clients; until the fast kernel landed this
-point was too slow for CI. It now builds + runs in ~20 s at small
+Fig. 4's x-axis tops out at 4096 clients; before the two-queue scheduler
+this point was too slow for CI. It now builds + runs in ~20 s at small
 files-per-client, so the bench-smoke budget can afford one full-scale
 sample. The simulated creation rate lands in ``BENCH_mdtest4096.json``.
 """

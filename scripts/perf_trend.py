@@ -1,10 +1,9 @@
 #!/usr/bin/env python
 """Perf-trend observatory: track benchmark trajectories, flag regressions.
 
-Generalizes ``scripts/perf_gate.py`` (which gates the two kernel-microbench
-speedup ratios) into a baseline registry over every benchmark JSON the CI
-produces — fig4/fig6/table2 walls and their deterministic simulation
-counters, the kernel microbench, mdtest — plus an append-only trajectory
+A baseline registry over every benchmark JSON the CI produces —
+fig4/fig6/table2 walls and their deterministic simulation counters, the
+kernel event counts, mdtest — plus an append-only trajectory
 file that accumulates one line per run, so drift is visible over time
 rather than only at the moment it crosses a gate.
 
@@ -25,7 +24,9 @@ artifact so the history survives across runs when seeded back in).
 * **exact** — deterministic quantities (simulated-event counts, journal
   commits, sampled-op counts...). The simulation is seeded and
   deterministic, so these must match bit-for-bit at the recorded scale;
-  any difference is a real behavior change and fails the check.
+  any difference is a real behavior change and fails the check, in
+  either direction: a pinned key missing from the results, or a gated
+  key in the results that the baseline does not pin yet.
 * **wall** — wall-clock references are advisory: hosts differ, so drift
   beyond ``wall_tolerance`` prints a warning but does not fail unless
   ``--strict-wall`` is given.
@@ -54,7 +55,7 @@ DEFAULT_TREND = "perf_trend.jsonl"
 #: key space (see :func:`extract`). Everything else still lands in the
 #: trajectory file; only these are pinned exactly in the baseline.
 GATED_PATTERNS = [
-    r"^(fast|legacy)\.(loop_events|heap_pushes|inline_events)$",
+    r"^kernel\.(loop_events|heap_pushes|inline_events)$",
     r"\.journal\.commits$",
     r"\.cache\.flushes$",
     r"\.pack\.seals$",
@@ -170,12 +171,17 @@ def check(results_paths, baseline_path: str, strict_wall: bool) -> int:
             print(f"{name}: not in results, skipped")
             continue
         checked += 1
-        for key, want in entry.get("exact", {}).items():
+        exact = entry.get("exact", {})
+        for key, want in exact.items():
             have = got["scalars"].get(key)
             if have != want:
                 failures.append(f"{name}: {key} = {have!r}, baseline {want!r}")
             else:
                 print(f"{name}: {key} = {have} ok")
+        for key, have in _gated(got["scalars"]).items():
+            if key not in exact:
+                failures.append(f"{name}: {key} = {have!r}, gated key not "
+                                f"in baseline — run update")
         ref = entry.get("wall_s_reference")
         wall = got["wall_s"]
         if ref and wall:

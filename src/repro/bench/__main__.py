@@ -174,8 +174,8 @@ def main(argv) -> None:
         BENCH_OBS.sample_rate = sample_rate
     BENCH_OBS.fault_mode = fault_mode
     if trace_path is not None:
-        print("[--trace: full tracing disables fast-kernel event elision; "
-              "wall-clock times are NOT comparable to untraced runs]")
+        print("[--trace: full tracing allocates a span per instrumented "
+              "step; wall-clock times are NOT comparable to untraced runs]")
     targets = args or ["all"]
     if "all" in targets:
         targets = list(TARGETS)

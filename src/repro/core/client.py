@@ -87,16 +87,13 @@ class ArkFSClient(LeaderOps, VFSClient):
                  params: ArkFSParams, lease_service,
                  alloc: InoAllocator):
         """``lease_service`` routes lease RPCs: anything with a
-        ``node_for(dir_ino) -> Node`` method (a single LeaseManager, a
-        LeaseManagerCluster, or a bare Node for backward compatibility)."""
+        ``node_for(dir_ino) -> Node`` method (a single LeaseManager or a
+        LeaseManagerCluster)."""
         self.sim = sim
         self.node = node
         self.prt = prt
         self.params = params
-        if isinstance(lease_service, Node):
-            self._lease_node_for = lambda _ino, n=lease_service: n
-        else:
-            self._lease_node_for = lease_service.node_for
+        self._lease_node_for = lease_service.node_for
         self.alloc = alloc
         self.name = node.name
         self.alive = True

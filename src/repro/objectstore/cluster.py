@@ -389,18 +389,20 @@ class ClusterObjectStore(ObjectStore):
         sp = _span(self.sim, "store.delete_many", "store")
         present = [k for k in keys if k in self.backing]
         tenant = self._tenant(src)
-        deletes = []
-        for k in present:
-            gen = self._service(self.osd_for(k), self.profile.delete_latency,
-                                0, tenant)
-            if tr is not None:
-                gen = tr.wrap("store.delete", gen, "store", key=k)
-            deletes.append(self.sim.process(gen, name=f"mdel:{k}"))
-        if deletes:
-            yield self.sim.all_of(deletes)
-        else:
-            yield self.sim.timeout(0)
-        sp.close()
+        try:
+            deletes = []
+            for k in present:
+                gen = self._service(self.osd_for(k),
+                                    self.profile.delete_latency, 0, tenant)
+                if tr is not None:
+                    gen = tr.wrap("store.delete", gen, "store", key=k)
+                deletes.append(self.sim.process(gen, name=f"mdel:{k}"))
+            if deletes:
+                yield self.sim.all_of(deletes)
+            else:
+                yield self.sim.timeout(0)
+        finally:
+            sp.close()
         removed = 0
         for key in present:
             if key in self.backing:  # not raced away while we waited

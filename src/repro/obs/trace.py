@@ -4,13 +4,8 @@ A :class:`Span` is pure bookkeeping: opening one reads ``sim.now`` and
 pushes it onto a per-process stack; closing it reads ``sim.now`` again and
 appends the finished span to the tracer. No events are scheduled and no
 process state is touched, so *enabling tracing can never perturb simulated
-time*: every timestamp, result, and the relative order of user-visible
-actions is identical with tracing on or off. The raw event *count* may
-differ, though — the fast kernel's elision short-circuits (zero-hold
-``Resource.use``, instant sends, zero-duration transfers; DESIGN.md §10)
-are gated on ``sim._tracer is None`` so each elided round-trip can instead
-materialize as real events carrying their spans. An untraced run processes
-a subset of a traced run's events, never a reordering.
+time*: every timestamp, result, and the order of events is identical with
+tracing on or off.
 
 With tracing disabled (``sim._tracer is None``, the default) instrumented
 hot paths pay a single attribute check; the :func:`span` helper returns a
@@ -20,8 +15,8 @@ shared no-op context manager, so no span objects are allocated at all.
 ``sim._sample_tracer`` and a deterministic per-root-op hash decides which
 operations trace (:class:`RootOpObserver`). ``Process._step`` then makes
 ``sim._tracer`` context-local — non-``None`` exactly while stepping a
-process inside a sampled op — so sampled ops get full spans and real
-(elision-free) events while every other op keeps the untraced fast path.
+process inside a sampled op — so sampled ops get full spans while every
+other op pays only the single attribute check.
 
 Parenting across fan-outs: the engine records which process spawned which
 (:attr:`Process.parent_proc`) and which process is currently being stepped
@@ -243,12 +238,10 @@ class RootOpObserver:
     deterministic decision, so two runs of the same workload sample the
     same ops. A sampled op sets the current process's ``trace_on`` bit for
     its duration (spawned children inherit it), which makes
-    ``sim._tracer`` context-local via ``Process._step``: every span and
-    elision site below keeps its single attribute check, pays the trace /
-    elision cost only inside sampled ops, and unsampled ops keep the full
-    PR 6 fast path. Spans never schedule events and the elision
-    short-circuits are order-preserving, so simulated results are
-    bit-identical with sampling on or off.
+    ``sim._tracer`` context-local via ``Process._step``: every span site
+    below keeps its single attribute check and pays the trace cost only
+    inside sampled ops. Spans never schedule events, so simulated results
+    are bit-identical with sampling on or off.
     """
 
     __slots__ = ("sim", "tracer", "threshold", "rate", "slowlog", "recorder",

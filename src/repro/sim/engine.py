@@ -18,13 +18,12 @@ Typical use::
     sim.run()
     assert proc.value == "done" and sim.now == 1.5
 
-Scheduler structure (DESIGN.md §10). The reference scheduler is a single
-``(time, seq, event)`` heap: every triggered or due event is pushed and
-popped through ``heapq``, and ``seq`` breaks same-time ties in scheduling
-order. Profiling shows the vast majority of events in the file-system
-models are scheduled at delay 0 (process kick-offs, ``succeed``/``fail``,
-resource grants, store hand-offs), so the default scheduler splits the
-event set in two:
+Scheduler structure (DESIGN.md §10). The semantics are those of a single
+``(time, seq, event)`` heap: events fire in due-time order, and ``seq``
+breaks same-time ties in scheduling order. The vast majority of events in
+the file-system models are scheduled at delay 0 (process kick-offs,
+``succeed``/``fail``, resource grants, store hand-offs), so the scheduler
+splits the event set in two:
 
 * a FIFO *ready deque* holding events due exactly at ``now`` — appended
   and popped in O(1) with no heap traffic. Heap entries at time ``now``
@@ -32,8 +31,8 @@ event set in two:
   positive delay lands strictly in the future), so they carry smaller
   ``seq`` values than anything in the deque and are drained first; deque
   entries then fire in append (= ``seq``) order. The pop order is
-  therefore *identical* to the reference heap's.
-* the heap, now touched only by events with a strictly-future due time.
+  therefore *identical* to a single heap's.
+* the heap, touched only by events with a strictly-future due time.
 
 On top of that, :meth:`Process._step` consumes a yielded event *inline*
 (continuing the generator without returning to the run loop) exactly when
@@ -41,18 +40,19 @@ that event is provably the next one the run loop would pop: it is at the
 front of the ready deque, the heap holds nothing due at ``now``, and no
 enclosing callback pass has callbacks still pending (``_cb_pending``).
 Under those conditions inlining is a pure constant-folding of the run
-loop and cannot reorder anything.
+loop and cannot reorder anything. That test is the only place an event
+may skip the run loop; resources and the network always go through
+request/grant/timeout events.
 
-``Simulator(fast=False)`` — or ``REPRO_SIM_KERNEL=heap`` in the
-environment — selects the reference heap-only scheduler; the bit-identity
-pins in ``tests/sim/test_kernel_identity.py`` replay the paper figures on
-both and require identical output.
+The heap-only scheduler these rules are equivalent to lives in
+``tests/sim/reference_kernel.py`` as a test oracle;
+``tests/sim/test_kernel_identity.py`` replays randomized workloads and the
+paper figures on both and requires identical output.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -65,16 +65,10 @@ __all__ = [
     "Interrupt",
     "Simulator",
     "SimulationError",
-    "DEFAULT_FAST",
 ]
 
 # A simulated operation: a generator that yields Events and returns a value.
 SimGen = Generator["Event", Any, Any]
-
-#: Default scheduler for new Simulators. ``REPRO_SIM_KERNEL=heap`` forces
-#: the reference single-heap scheduler everywhere (bit-identity pins and
-#: the perf gate use it as the comparison baseline).
-DEFAULT_FAST = os.environ.get("REPRO_SIM_KERNEL", "fast") != "heap"
 
 #: Bounds for the internal object freelists (timeouts / requests). Small:
 #: the pools only need to cover the per-hop working set, not the backlog.
@@ -149,12 +143,7 @@ class Event:
         self._value = value
         if not self._scheduled:
             self._scheduled = True
-            sim = self.sim
-            if sim._fast:
-                sim._ready.append(self)
-            else:
-                sim._seq += 1
-                heapq.heappush(sim._heap, (sim.now, sim._seq, self))
+            self.sim._ready.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -167,12 +156,7 @@ class Event:
         self._value = exc
         if not self._scheduled:
             self._scheduled = True
-            sim = self.sim
-            if sim._fast:
-                sim._ready.append(self)
-            else:
-                sim._seq += 1
-                heapq.heappush(sim._heap, (sim.now, sim._seq, self))
+            self.sim._ready.append(self)
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -236,15 +220,11 @@ class Process(Event):
         # Kick off at the current time. The kick-off event is invisible to
         # user code, so it is drawn from (and recycled into) a freelist
         # (its callbacks slot is left None in the pool; the list literal
-        # below refreshes it) and, on the fast kernel, appended to the
-        # ready deque directly — a delay-0 schedule lands there anyway.
-        if sim._fast:
-            start = sim._start_pool.pop() if sim._start_pool else Event(sim)
-            start._scheduled = True
-            sim._ready.append(start)
-        else:
-            start = Event(sim)
-            sim._schedule(start, 0)
+        # below refreshes it) and appended to the ready deque directly —
+        # a delay-0 schedule lands there anyway.
+        start = sim._start_pool.pop() if sim._start_pool else Event(sim)
+        start._scheduled = True
+        sim._ready.append(start)
         start.callbacks = [self._kickoff]
         self._waiting_on = start
 
@@ -286,7 +266,7 @@ class Process(Event):
         :meth:`interrupt` keeps a recycled object from satisfying a stale
         interrupt aimed at a previous spawn."""
         sim = self.sim
-        if sim._fast and len(sim._start_pool) < _START_POOL_MAX:
+        if len(sim._start_pool) < _START_POOL_MAX:
             # callbacks stays None and _scheduled True: the spawn path
             # overwrites both when it reuses the object.
             event._value = Event._PENDING
@@ -311,13 +291,12 @@ class Process(Event):
         sim._active_proc = self
         # Sampled tracing: with a sampling tracer installed, ``sim._tracer``
         # is *context-local* — synced here from the per-process bit so every
-        # instrumentation and elision site keeps its single ``sim._tracer``
-        # check yet sees the tracer only inside sampled operations. One
+        # instrumentation site keeps its single ``sim._tracer`` check yet
+        # sees the tracer only inside sampled operations. One
         # attribute load + branch when sampling is off (the common case).
         st = sim._sample_tracer
         if st is not None:
             sim._tracer = st if self.trace_on else None
-        fast = sim._fast
         ready = sim._ready
         heap = sim._heap
         PENDING = Event._PENDING
@@ -347,13 +326,13 @@ class Process(Event):
                     self.fail(
                         SimulationError("yielded event belongs to another simulator"))
                     return
-                # Immediate-resume fast path: the yielded event is exactly
-                # the next one the run loop would process (front of the
-                # ready deque, nothing due at ``now`` on the heap, and no
-                # enclosing callback pass mid-flight). Consuming it here is
-                # a pure inlining of the run loop: the reference (time,
-                # seq) order is preserved event-for-event.
-                if (fast and ready and ready[0] is target
+                # Immediate resume: the yielded event is exactly the next
+                # one the run loop would process (front of the ready deque,
+                # nothing due at ``now`` on the heap, and no enclosing
+                # callback pass mid-flight). Consuming it here is a pure
+                # inlining of the run loop: (time, seq) order is preserved
+                # event-for-event.
+                if (ready and ready[0] is target
                         and not sim._cb_pending
                         and not (heap and heap[0][0] <= sim.now)):
                     ready.popleft()
@@ -474,11 +453,7 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """The event loop: a ready deque for now-events plus a time-ordered heap.
-
-    ``fast=None`` (the default) follows :data:`DEFAULT_FAST`; ``fast=False``
-    runs the reference heap-only scheduler with byte-identical semantics.
-    """
+    """The event loop: a ready deque for now-events plus a time-ordered heap."""
 
     # Span tracer hook (set by repro.obs when tracing is enabled). A class
     # attribute so instrumented hot paths can read ``sim._tracer`` without
@@ -496,19 +471,17 @@ class Simulator:
     # it via ``rec = sim._recorder; if rec is not None: rec.record(...)``.
     _recorder = None
 
-    def __init__(self, fast: Optional[bool] = None):
+    def __init__(self):
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._ready: deque[Event] = deque()
         self._seq = 0
-        self._fast = DEFAULT_FAST if fast is None else bool(fast)
         # Process currently being stepped (i.e. whose generator frame is on
         # the Python stack). Spawning a Process inside it records the chain.
         self._active_proc: Optional[Process] = None
         # Number of callbacks still pending in enclosing multi-callback
-        # passes. Non-zero blocks every inline fast path: the reference
-        # scheduler would run those callbacks before any freshly-queued
-        # event.
+        # passes. Non-zero blocks the inline resume: (time, seq) order runs
+        # those callbacks before any freshly-queued event.
         self._cb_pending = 0
         # Freelist of engine-owned Timeout objects (resource holds, link
         # latency); see _timeout_acquire/_timeout_release.
@@ -526,7 +499,7 @@ class Simulator:
             raise SimulationError("event already scheduled")
         event._scheduled = True
         t = self.now + delay
-        if self._fast and t == self.now:
+        if t == self.now:
             # Due right now (delay 0, or a positive delay absorbed by float
             # rounding): FIFO ready queue, no heap traffic. Routing by the
             # *effective* time keeps the heap free of now-events scheduled
@@ -536,19 +509,6 @@ class Simulator:
         else:
             self._seq += 1
             heapq.heappush(self._heap, (t, self._seq, event))
-
-    def _queue_event(self, event: Event) -> None:
-        """Queue an externally-triggered (succeed/fail) event for processing."""
-        if not event._scheduled:
-            self._schedule(event, 0)
-
-    def _inline_ok(self) -> bool:
-        """True iff an event queued *now* would be the very next thing the
-        run loop processes — the condition under which short-circuiting an
-        Event round-trip (zero-hold resource use, zero-latency hop)
-        preserves the reference event order exactly."""
-        return (self._fast and not self._ready and not self._cb_pending
-                and not (self._heap and self._heap[0][0] <= self.now))
 
     # -- internal object reuse --------------------------------------------
 
@@ -571,8 +531,7 @@ class Simulator:
         return Timeout(self, delay)
 
     def _timeout_release(self, t: Timeout) -> None:
-        if (self._fast and t.callbacks is None
-                and len(self._timeout_pool) < _TIMEOUT_POOL_MAX):
+        if t.callbacks is None and len(self._timeout_pool) < _TIMEOUT_POOL_MAX:
             self._timeout_pool.append(t)
 
     # -- public API --------------------------------------------------------
@@ -608,8 +567,8 @@ class Simulator:
 
     def _run_multi(self, event: Event, callbacks: list) -> None:
         # While callback i runs, the callbacks after it are "pending":
-        # every inline fast path stays disabled so the freshly-queued
-        # events they produce cannot jump ahead of the rest of this pass.
+        # the inline resume stays disabled so the freshly-queued events
+        # they produce cannot jump ahead of the rest of this pass.
         base = self._cb_pending
         n = len(callbacks)
         try:
@@ -625,7 +584,7 @@ class Simulator:
         heap = self._heap
         # Heap entries due at ``now`` were scheduled before the clock got
         # here and carry smaller seq values than anything in the deque:
-        # drain them first (identical to reference (time, seq) order).
+        # drain them first (identical to single-heap (time, seq) order).
         if ready and not (heap and heap[0][0] <= self.now):
             event = ready.popleft()
         else:

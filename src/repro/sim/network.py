@@ -2,10 +2,11 @@
 
 Nodes own a CPU :class:`~repro.sim.resources.Resource` and a NIC
 :class:`~repro.sim.resources.BandwidthPipe`. Messages pay one-way latency
-plus serialization time through both endpoints' NICs; RPCs run a registered
-handler coroutine on the destination node. This models what the paper calls
-"network round-trip overheads between clients and metadata servers" and the
-gRPC traffic between ArkFS clients.
+plus serialization time through both endpoints' NICs — the same three
+scheduled segments whatever the size or the link's latency; RPCs run a
+registered handler coroutine on the destination node. This models what the
+paper calls "network round-trip overheads between clients and metadata
+servers" and the gRPC traffic between ArkFS clients.
 """
 
 from __future__ import annotations
@@ -149,8 +150,7 @@ class Node:
             result = yield sim.process(handler(*args), name=name)
             return result
         net = self.net
-        if not net.try_instant_send(self, target, req_size):
-            yield from net.send(self, target, req_size)
+        yield from net.send(self, target, req_size)
         if not target.alive:
             # Model the caller burning its RPC timeout discovering the death.
             yield self.sim.timeout(self.net.params.rpc_timeout_s)
@@ -168,8 +168,7 @@ class Node:
         if not target.alive:
             yield sim.timeout(net.params.rpc_timeout_s)
             raise NodeDown(f"rpc {method!r}: node {target.name} died mid-call")
-        if not net.try_instant_send(target, self, resp_size):
-            yield from net.send(target, self, resp_size)
+        yield from net.send(target, self, resp_size)
         return result
 
 
@@ -179,9 +178,6 @@ class Network:
     def __init__(self, sim: Simulator, params: Optional[NetParams] = None):
         self.sim = sim
         self.params = params or NetParams()
-        # Params are frozen; cache the zero-latency check the instant-send
-        # fast path makes on every message.
-        self._lat0 = self.params.latency_s == 0.0
         self.nodes: Dict[str, Node] = {}
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -197,33 +193,6 @@ class Network:
 
     def node(self, name: str) -> Node:
         return self.nodes[name]
-
-    def try_instant_send(self, src: Node, dst: Node, size: int) -> bool:
-        """Non-generator fast path for :meth:`send`: deliver instantly and
-        return True iff every segment (both NIC serializations and the
-        latency hop) would individually short-circuit — zero latency, idle
-        NICs, zero serialization time, no faults/tracer, nothing else
-        runnable. All conditions are checked before any accounting so the
-        elision is all-or-nothing; on False the caller pays :meth:`send`.
-
-        Equivalent to ``send`` because when all three segments
-        short-circuit, ``send`` completes without a single yield — the
-        kernel state the conditions depend on cannot change mid-way."""
-        sim = self.sim
-        if (self._lat0 and size >= 0 and self.faults is None
-                and sim._tracer is None and sim._inline_ok()):
-            sp, dp = src.nic, dst.nic
-            sres, dres = sp._res, dp._res
-            if (sres._in_use < sres.capacity
-                    and dres._in_use < dres.capacity
-                    and size * sres.capacity / sp.bytes_per_sec == 0.0
-                    and size * dres.capacity / dp.bytes_per_sec == 0.0):
-                self.messages_sent += 1
-                self.bytes_sent += size
-                sp.bytes_moved += size
-                dp.bytes_moved += size
-                return True
-        return False
 
     def send(self, src: Node, dst: Node, size: int) -> SimGen:
         """Move ``size`` bytes from ``src`` to ``dst``: NIC serialization at
@@ -248,12 +217,6 @@ class Network:
         if tr is not None:
             with tr.span("net.lat", "net"):
                 yield sim.timeout(lat)
-        elif lat == 0.0:
-            # Zero-latency hop: skip the timeout round-trip entirely when
-            # nothing else is runnable right now (order-identical); fall
-            # back to a plain zero timeout otherwise.
-            if not sim._inline_ok():
-                yield sim.timeout(0.0)
         else:
             t = sim._timeout_acquire(lat)
             yield t

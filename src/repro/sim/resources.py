@@ -5,14 +5,13 @@ CPU cores at metadata servers and clients (:class:`Resource`), storage and
 network bandwidth (:class:`BandwidthPipe`), message queues (:class:`Store`),
 and mutual exclusion such as the FUSE lookup lock (:class:`Mutex`).
 
-Hot-path notes (DESIGN.md §10): the uncontended zero-hold acquisition in
-:meth:`Resource.use` short-circuits the whole request/grant/release Event
-round-trip when the kernel can prove the grant would be processed
-immediately anyway (``Simulator._inline_ok``); never-granted requests are
-*lazily* cancelled instead of removed from the FIFO in O(n); the
-Request/Timeout objects used internally by ``use`` are recycled through
-small freelists; and a sampled resource tells the sampler when its state
-changed (``Resource._watch``) instead of being polled every tick.
+Hot-path notes (DESIGN.md §10): never-granted requests are *lazily*
+cancelled instead of removed from the FIFO in O(n); the Request/Timeout
+objects used internally by ``use`` are recycled through small freelists;
+and a sampled resource tells the sampler when its state changed
+(``Resource._watch``) instead of being polled every tick. Every ``use``,
+zero-hold or not, goes through the request/grant events — whether the
+grant may skip the run loop is the scheduler's call (``Process._step``).
 """
 
 from __future__ import annotations
@@ -166,13 +165,6 @@ class Resource:
         yielded event sequence is identical either way."""
         sim = self.sim
         tr = sim._tracer
-        if (tr is None and hold_time == 0.0 and self._in_use < self.capacity
-                and sim._inline_ok()):
-            # Uncontended zero-hold acquisition with nothing else runnable
-            # right now: the reference kernel would grant, immediately
-            # process the grant event, and release without any intervening
-            # action — elide the Event round-trip entirely.
-            return
         req = self._request_pooled()
         if tr is not None and not req.granted:
             with tr.span(self._wait_name, "queue"):
@@ -193,7 +185,7 @@ class Resource:
             # Recycle only fully-consumed requests: processed (popped off
             # the queues, callbacks run) and not parked cancelled in the
             # FIFO. Anything else may still be referenced by the scheduler.
-            if (sim._fast and req.callbacks is None and not req.cancelled
+            if (req.callbacks is None and not req.cancelled
                     and len(self._pool) < _REQ_POOL_MAX):
                 self._pool.append(req)
 
@@ -266,21 +258,6 @@ class BandwidthPipe:
             self._res.span_cat = "media"
         self.bytes_moved = 0
 
-    def try_instant(self, nbytes: int) -> bool:
-        """Non-generator fast path: account ``nbytes`` and return True iff
-        the transfer would be elided entirely (zero serialization time,
-        idle lane, nothing else runnable). Callers fall back to
-        :meth:`transfer` on False. Saves the generator frame that
-        :meth:`transfer`'s own short-circuit would still pay."""
-        res = self._res
-        sim = self.sim
-        if (nbytes >= 0 and res._in_use < res.capacity
-                and nbytes * res.capacity / self.bytes_per_sec == 0.0
-                and sim._tracer is None and sim._inline_ok()):
-            self.bytes_moved += nbytes
-            return True
-        return False
-
     def transfer(self, nbytes: int) -> SimGen:
         """Generator: move ``nbytes`` through the pipe, modelling queueing."""
         if nbytes < 0:
@@ -289,12 +266,6 @@ class BandwidthPipe:
         res = self._res
         # Each lane serves at the per-lane share of the aggregate rate.
         duration = nbytes * res.capacity / self.bytes_per_sec
-        sim = self.sim
-        if (duration == 0.0 and res._in_use < res.capacity
-                and sim._tracer is None and sim._inline_ok()):
-            # Zero-serialization hop through an idle pipe: same elision as
-            # the zero-hold Resource.use fast path, minus a generator frame.
-            return
         yield from res.use(duration)
 
     @property

@@ -18,6 +18,8 @@ from repro.obs import Observability
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
 
+from ..core.test_off_identity import fingerprint
+
 
 def _workload(cluster, sim):
     """A small but layer-crossing workload: dirs, fsync'd files, renames,
@@ -32,21 +34,6 @@ def _workload(cluster, sim):
     for client in cluster.clients:
         sim.run_process(client.sync())
     sim.run(until=sim.now + 3)
-
-
-def _fingerprint(sim, cluster):
-    # The realistic ClusterObjectStore keeps its bytes (and sync_* helpers)
-    # on an in-memory backing store; the functional build IS that store.
-    store = cluster.store
-    backing = getattr(store, "backing", store)
-    content = {k: bytes(backing.sync_get(k)) for k in backing.sync_list("")}
-    return {
-        "now": sim.now,
-        "messages": cluster.net.messages_sent,
-        "bytes": cluster.net.bytes_sent,
-        "store_ops": dict(backing.op_counts),
-        "content": content,
-    }
 
 
 def test_harness_installs_no_shim_when_faults_disabled():
@@ -66,7 +53,7 @@ def test_no_fault_runs_bit_identical_on_realistic_store():
         sim = Simulator()
         cluster = build_arkfs(sim, n_clients=2, seed=0)
         _workload(cluster, sim)
-        prints.append(_fingerprint(sim, cluster))
+        prints.append(fingerprint(sim, cluster))
     assert prints[0] == prints[1]
 
 
@@ -79,7 +66,7 @@ def test_empty_armed_plan_changes_nothing_observable():
         cluster = build_arkfs(sim, n_clients=2, functional=True,
                               faults=faults)
         _workload(cluster, sim)
-        prints.append(_fingerprint(sim, cluster))
+        prints.append(fingerprint(sim, cluster))
     assert prints[0] == prints[1]
 
 

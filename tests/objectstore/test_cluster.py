@@ -12,7 +12,8 @@ from repro.objectstore import (
     EBS_GP_1GBS,
     StoreProfile,
 )
-from repro.sim import NetParams, Network, Node, Simulator
+from repro.obs import Observability
+from repro.sim import Interrupt, NetParams, Network, Node, Simulator
 
 
 SMALL = StoreProfile(
@@ -168,6 +169,34 @@ def test_contains_and_len(cluster):
     run(sim, s.put("k", b"v"))
     assert "k" in s
     assert len(s) == 1
+
+
+def test_interrupted_delete_many_closes_its_span(cluster):
+    """A caller interrupted while waiting on the scatter (a client crash
+    under tracing) must not leave ``store.delete_many`` open on the
+    tracer's per-process stack."""
+    sim, s = cluster
+    tracer = Observability.of(sim).enable_tracing(pid_name="t")
+    keys = [f"k{i}" for i in range(6)]
+    run(sim, s.put_many([(k, b"v") for k in keys]))
+
+    def deleter():
+        try:
+            yield from s.delete_many(keys)
+        except Interrupt:
+            return "interrupted"
+
+    proc = sim.process(deleter())
+    sim.run(until=sim.now + SMALL.delete_latency / 2)  # parked on all_of
+    proc.interrupt("client crash")
+    sim.run()
+    assert proc.value == "interrupted"
+    open_names = [sp.name for stack in tracer._stacks.values()
+                  for sp in stack]
+    assert "store.delete_many" not in open_names
+    [closed] = [sp for sp in tracer.spans if sp.name == "store.delete_many"]
+    assert closed.end == pytest.approx(closed.start
+                                       + SMALL.delete_latency / 2)
 
 
 def test_local_disk_read_write_cost():

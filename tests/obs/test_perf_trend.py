@@ -32,7 +32,7 @@ EXTRA = {
     "workload": "fio",
     "write_mbps": 812.5,
     "wall_s": 3.2,
-    "obs": {"kernel_mode": "fast", "sample_rate": 0.01},
+    "obs": {"sample_rate": 0.01, "tracing": False},
     "metrics": [
         {"kind": "arkfs", "metrics": {"counters": {
             "journal.commits": 17,
@@ -45,13 +45,20 @@ EXTRA = {
 }
 
 
+def _with_counters(tmp_path, fname, counters):
+    """EXTRA with its arkfs metric counters replaced."""
+    info = dict(EXTRA)
+    info["metrics"] = [{"kind": "arkfs", "metrics": {"counters": counters}}]
+    return _bench_json(tmp_path / fname, extra_info=info)
+
+
 class TestExtract:
     def test_flattens_scalars_and_metric_counters(self, trend, tmp_path):
         out = trend.extract(_bench_json(tmp_path / "b.json",
                                         extra_info=dict(EXTRA)))
         b = out["test_x"]
         assert b["wall_s"] == 1.5
-        assert b["obs"] == {"kernel_mode": "fast", "sample_rate": 0.01}
+        assert b["obs"] == {"sample_rate": 0.01, "tracing": False}
         s = b["scalars"]
         assert s["write_mbps"] == 812.5
         assert s["metrics.arkfs.journal.commits"] == 17
@@ -97,11 +104,47 @@ class TestCheck:
         res = _bench_json(tmp_path / "b.json", extra_info=dict(EXTRA))
         base = str(tmp_path / "baseline.json")
         trend.update([res], base)
-        info = dict(EXTRA)
-        info["metrics"] = [{"kind": "arkfs", "metrics": {"counters": {
-            "journal.commits": 18}}}]
-        res2 = _bench_json(tmp_path / "b2.json", extra_info=info)
+        res2 = _with_counters(tmp_path, "b2.json", {"journal.commits": 18})
         assert trend.check([res2], base, strict_wall=False) == 1
+
+    def test_pinned_key_missing_from_results_fails(self, trend, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        res = _bench_json(tmp_path / "b.json", extra_info=dict(EXTRA))
+        base = str(tmp_path / "baseline.json")
+        trend.update([res], base)
+        counters = dict(EXTRA["metrics"][0]["metrics"]["counters"])
+        del counters["cache.flushes"]
+        res2 = _with_counters(tmp_path, "b2.json", counters)
+        assert trend.check([res2], base, strict_wall=False) == 1
+        assert ("metrics.arkfs.cache.flushes = None, baseline 4"
+                in capsys.readouterr().err)
+
+    def test_gated_key_missing_from_baseline_fails(self, trend, tmp_path,
+                                                   monkeypatch, capsys):
+        """A deterministic counter that matches a gated pattern but is new
+        in the results must not pass unpinned."""
+        monkeypatch.setenv("REPRO_SCALE", "small")
+        res = _bench_json(tmp_path / "b.json", extra_info=dict(EXTRA))
+        base = str(tmp_path / "baseline.json")
+        trend.update([res], base)
+        counters = dict(EXTRA["metrics"][0]["metrics"]["counters"])
+        counters["pack.seals"] = 3          # gated pattern, not in baseline
+        counters["client3.pack.seals"] = 1  # per-instance: never gated
+        counters["something.else"] = 5      # not a gated pattern
+        res2 = _with_counters(tmp_path, "b2.json", counters)
+        assert trend.check([res2], base, strict_wall=False) == 1
+        err = capsys.readouterr().err
+        assert "metrics.arkfs.pack.seals = 3, gated key not in baseline" in err
+        assert "client3" not in err and "something.else" not in err
+        # ...and only for benchmarks the baseline knows: an unknown
+        # benchmark's gated keys are not a failure.
+        other = _bench_json(tmp_path / "o.json", name="test_other",
+                            extra_info=dict(EXTRA))
+        assert trend.check([other], base, strict_wall=False) == 0
+        # Re-recording the baseline pins the new key.
+        trend.update([res2], base)
+        assert trend.check([res2], base, strict_wall=False) == 0
 
     def test_scale_mismatch_skips_exact_gates(self, trend, tmp_path,
                                               monkeypatch):
@@ -110,10 +153,7 @@ class TestCheck:
         base = str(tmp_path / "baseline.json")
         trend.update([res], base)
         monkeypatch.setenv("REPRO_SCALE", "default")
-        info = dict(EXTRA)
-        info["metrics"] = [{"kind": "arkfs", "metrics": {"counters": {
-            "journal.commits": 999}}}]
-        res2 = _bench_json(tmp_path / "b2.json", extra_info=info)
+        res2 = _with_counters(tmp_path, "b2.json", {"journal.commits": 999})
         assert trend.check([res2], base, strict_wall=False) == 0
 
     def test_wall_drift_advisory_unless_strict(self, trend, tmp_path,

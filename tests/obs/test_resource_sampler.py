@@ -65,11 +65,11 @@ def full_scan_loop(sim, sampled, series, interval):
 def _client(sim, target, start, hold, patience, tenant):
     yield sim.timeout(start)
     if isinstance(target, BandwidthPipe):
-        # hold doubles as the byte count; 0 takes the elided fast path.
+        # hold doubles as the byte count; 0 is a zero-duration transfer.
         yield from target.transfer(int(hold * 1e6))
         return
     if patience is None and tenant is None:
-        yield from target.use(hold)  # pooled requests, zero-hold elision
+        yield from target.use(hold)  # pooled requests, zero holds included
         return
     if isinstance(target, WFQResource):
         req = target.request_wfq(tenant, 1.0 + hold)

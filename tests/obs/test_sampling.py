@@ -2,9 +2,8 @@
 
 The contract under test (DESIGN.md §7): a deterministic hash of the
 sequential root-op id decides which ops trace; sampled ops get full spans
-(and real, elision-free events below them) while unsampled ops keep the
-untraced fast path; and simulated results are bit-identical with sampling
-on, off, or at any rate.
+while unsampled ops allocate none; and simulated results are bit-identical
+with sampling on, off, or at any rate.
 """
 
 import pytest
@@ -103,8 +102,7 @@ class TestSampledRuns:
                  if s.cat == trace_mod.ROOT_CAT and s.args
                  and "op" in s.args]
         assert len(roots) == ob.n_sampled
-        # Each sampled root got primitive children: its events ran in
-        # full (elision off inside the op), so attribution works.
+        # Each sampled root got primitive children, so attribution works.
         child_cats = {s.cat for s in obs.tracer.spans if s.parent is not None}
         assert child_cats & set(PRIMITIVE_CATS)
 

@@ -1,0 +1,49 @@
+"""Heap-only reference scheduler: the identity oracle for ``sim/engine.py``.
+
+Every event — due now or later — goes through one ``(time, seq, event)``
+heap, nothing is resumed inline, and no engine-owned object is recycled.
+This is the textbook scheduler the production two-queue kernel claims to
+be equivalent to; ``test_kernel_identity.py`` holds it to that, trace for
+trace. Nothing ships on it.
+"""
+
+import heapq
+
+from repro.sim import Simulator
+
+
+class _HeapSink:
+    """Stands in for the ready deque: ``append`` pushes onto the heap at
+    ``now`` with the next ``seq``; always empty (falsy), so the run loop
+    only ever pops the heap and ``Process._step`` never finds a front
+    event to consume inline."""
+
+    def __init__(self, sim):
+        self._sim = sim
+
+    def __bool__(self):
+        return False
+
+    def append(self, event):
+        sim = self._sim
+        sim._seq += 1
+        heapq.heappush(sim._heap, (sim.now, sim._seq, event))
+
+
+class _NoPool(list):
+    """A freelist that never keeps anything."""
+
+    def append(self, item):
+        pass
+
+
+class ReferenceSimulator(Simulator):
+    """``Simulator`` with the single-heap scheduler and pooling off."""
+
+    def __init__(self):
+        super().__init__()
+        self._ready = _HeapSink(self)
+        self._start_pool = _NoPool()
+
+    def _timeout_release(self, t):
+        pass
