@@ -7,7 +7,10 @@ Two benchmarks drive the fig6a arkfs leg with the Simulator in hand:
   and ``scripts/perf_trend.py`` pins them exactly — any change to what the
   kernel schedules, or to how much of it resumes inline, moves them;
 * the always-on observability tier is run on vs. off and must leave the
-  simulated results bit-identical at <=5% wall cost.
+  simulated results bit-identical; its wall-clock ratio is recorded, not
+  asserted — the enforced budget is the ledger's ``obs.host_share`` in CI
+  ``ledger-smoke`` (a best-of-3 wall ratio read 0.84-1.04 on one host, and
+  a cheaper kernel only makes the tier's fixed cost a larger share).
 
 Host cost of the scheduler itself (``host_us_per_op``,
 ``host_pycalls_per_op``, ``sim.engine.host_share``) is the performance
@@ -68,9 +71,9 @@ def _set_obs(monkeypatch, on: bool) -> None:
 
 def test_observability_overhead_and_sampling(benchmark, monkeypatch):
     """The always-on tier (1% sampled tracing + slowlog + recorder) must
-    cost <=5% of untraced wall time, keep simulated results bit-identical,
-    and actually export the deterministically sampled fraction of root-op
-    spans."""
+    keep simulated results bit-identical and actually export the
+    deterministically sampled fraction of root-op spans; its wall-clock
+    cost against the untraced run is recorded as ``fig6a_obs_ratio``."""
 
     def measure():
         # Full data path: fig6a arkfs, tier on vs. fully off. The configs
@@ -125,6 +128,3 @@ def test_observability_overhead_and_sampling(benchmark, monkeypatch):
                    if e["ph"] == "X" and e["cat"] == ROOT_CAT
                    and e["args"].get("op") is not None]
     assert len(root_events) == ob.n_sampled
-
-    # <=5% overhead on the data path.
-    assert fig6a_ratio >= 0.95, f"fig6a with obs at {fig6a_ratio:.3f}x"

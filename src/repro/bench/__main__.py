@@ -15,10 +15,6 @@ deterministic fault plan beneath the arkfs builds: every Nth store
 operation fails with a retryable error, and the run prints the retry
 counters and backoff totals the clients accumulated absorbing them.
 
-Pass ``--profile`` (or ``--profile=30`` for more rows) to run everything
-under cProfile and print the top functions by cumulative time — the first
-stop when hunting simulator hot spots before reaching for the span tracer.
-
 Observability defaults to the always-on tier: 1% deterministic sampling,
 slow-op log, flight recorder. ``--sample-rate R`` changes the sampling
 rate (``--trace`` implies full tracing and wins); ``--slowlog[=PATH]``
@@ -120,7 +116,6 @@ def format_fault_report(collected) -> str:
 def main(argv) -> None:
     args = []
     trace_path = None
-    profile_rows = 0
     sample_rate = None
     slowlog_path = None
     want_slowlog = False
@@ -140,13 +135,6 @@ def main(argv) -> None:
                 raise SystemExit("--faults requires a mode (transient)")
         elif a.startswith("--faults="):
             fault_mode = a.split("=", 1)[1]
-        elif a == "--profile":
-            profile_rows = 20
-        elif a.startswith("--profile="):
-            try:
-                profile_rows = int(a.split("=", 1)[1])
-            except ValueError:
-                raise SystemExit("--profile=N needs an integer row count")
         elif a == "--sample-rate" or a.startswith("--sample-rate="):
             raw = a.split("=", 1)[1] if "=" in a else next(it, None)
             try:
@@ -179,12 +167,6 @@ def main(argv) -> None:
     targets = args or ["all"]
     if "all" in targets:
         targets = list(TARGETS)
-    profiler = None
-    if profile_rows:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     try:
         for name in targets:
             run_target(name, scale)
@@ -192,14 +174,6 @@ def main(argv) -> None:
             print(format_fault_report(BENCH_OBS.collected))
     finally:
         BENCH_OBS.fault_mode = None
-        if profiler is not None:
-            import pstats
-
-            profiler.disable()
-            print(f"\ncProfile — top {profile_rows} by cumulative time")
-            stats = pstats.Stats(profiler, stream=sys.stdout)
-            stats.strip_dirs().sort_stats("cumulative").print_stats(
-                profile_rows)
     if trace_path is not None:
         from ..obs import write_chrome_trace
 

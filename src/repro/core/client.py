@@ -198,10 +198,10 @@ class ArkFSClient(LeaderOps, VFSClient):
     # ------------------------------------------------------------------ costs
 
     def _charge_md_op(self) -> SimGen:
-        yield from self.node.work(self.params.md_op_cpu)
+        return self.node.work(self.params.md_op_cpu)
 
     def _charge_lookup(self) -> SimGen:
-        yield from self.node.work(self.params.lookup_cpu)
+        return self.node.work(self.params.lookup_cpu)
 
     def _charge_journal(self, n_entries: int,
                         dir_ino: Optional[int] = None) -> SimGen:

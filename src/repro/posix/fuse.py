@@ -111,9 +111,13 @@ class _MountBase(VFSClient):
         return req
 
     def _globally_locked(self, gen: SimGen) -> SimGen:
-        """Run ``gen`` under the client-global mutex (ceph-fuse style)."""
+        """Run ``gen`` under the client-global mutex (ceph-fuse style);
+        without one, ``gen`` itself is what the caller iterates."""
         if self._global_lock is None:
-            return (yield from gen)
+            return gen
+        return self._under_global_lock(gen)
+
+    def _under_global_lock(self, gen: SimGen) -> SimGen:
         req = yield from self._lock(self._global_lock)
         try:
             yield from self.node.work(self.params.global_lock_service)

@@ -9,6 +9,7 @@ entries in LOOKUP traffic.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Tuple
 
 from .errors import InvalidArgument, NameTooLong
@@ -24,6 +25,9 @@ __all__ = [
 ]
 
 NAME_MAX = 255
+
+#: Distinct path strings whose parse is remembered (a few hundred KiB).
+_PARSE_CACHE_SIZE = 4096
 
 
 def validate_name(name: str) -> str:
@@ -41,8 +45,18 @@ def split_path(path: str) -> List[str]:
     """``"/a/b/c"`` → ``["a", "b", "c"]``; ``"/"`` → ``[]``.
 
     Requires an absolute path; resolves ``.`` and ``..`` lexically;
-    validates every component.
+    validates every component. Returns a fresh list every call.
     """
+    return list(_parse(path))
+
+
+@lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse(path: str) -> Tuple[str, ...]:
+    """The validated parse behind :func:`split_path`. One POSIX call
+    parses the same string at every layer it crosses (FUSE walk,
+    ``parent_and_name``, ``vfs.lookup``, the client's resolvers), so
+    successful parses are memoised; a bad path raises on every call
+    (``lru_cache`` does not keep exceptions)."""
     if not path or path[0] != "/":
         raise InvalidArgument(path, "path must be absolute")
     if "\x00" in path:
@@ -58,7 +72,7 @@ def split_path(path: str) -> List[str]:
         if len(comp.encode("utf-8", "surrogateescape")) > NAME_MAX:
             raise NameTooLong(comp)
         parts.append(comp)
-    return parts
+    return tuple(parts)
 
 
 def normalize(path: str) -> str:

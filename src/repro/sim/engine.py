@@ -34,15 +34,26 @@ splits the event set in two:
   therefore *identical* to a single heap's.
 * the heap, touched only by events with a strictly-future due time.
 
-On top of that, :meth:`Process._step` consumes a yielded event *inline*
-(continuing the generator without returning to the run loop) exactly when
-that event is provably the next one the run loop would pop: it is at the
-front of the ready deque, the heap holds nothing due at ``now``, and no
-enclosing callback pass has callbacks still pending (``_cb_pending``).
-Under those conditions inlining is a pure constant-folding of the run
-loop and cannot reorder anything. That test is the only place an event
-may skip the run loop; resources and the network always go through
-request/grant/timeout events.
+On top of that, an event may be consumed *inline* — without a trip through
+the run loop — exactly when it is provably the next one the run loop would
+pop: it is at the front of the ready deque, and
+:meth:`Simulator._front_is_next` holds (the heap has nothing due at
+``now``, and no enclosing callback pass has callbacks still pending,
+``_cb_pending``). Under those conditions inlining is a pure
+constant-folding of the run loop and cannot reorder anything. That
+predicate is the only place the decision is made, and it has two users:
+:meth:`Process._step`, which continues the generator that yielded the
+event, and :meth:`Simulator._hold`.
+
+``_hold`` is the *hold primitive* behind ``Resource.use``. A resource hold
+is two events — the grant, then a timeout — but the process only cares
+about the second: ``_hold(grant, delay)`` arms an unscheduled, engine-owned
+Timeout that the grant event's callback schedules, so the process yields
+once and is resumed once, when the hold ends. The grant remains a real
+queued event and the timeout is scheduled at the point in (time, seq) order
+where the resumed process would have created it; the schedule is the
+two-yield schedule, event for event. Resources and the network otherwise
+always go through request/grant/timeout events.
 
 The heap-only scheduler these rules are equivalent to lives in
 ``tests/sim/reference_kernel.py`` as a test oracle;
@@ -54,7 +65,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Union
 
 __all__ = [
     "Event",
@@ -170,7 +181,7 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` time units after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "_holder")
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
@@ -179,6 +190,20 @@ class Timeout(Event):
         self.delay = delay
         self._auto_value = value
         sim._schedule(self, delay)
+
+    def _start(self, _gate: Event) -> None:
+        """Gate callback of a timeout armed by :meth:`Simulator._hold`:
+        the clock starts when the gate is processed — if the process that
+        armed it is still waiting (it may have been interrupted away; an
+        unfired timeout is never recycled, so identity is proof)."""
+        proc = self._holder
+        if proc._waiting_on is self:
+            # The process has moved from waiting for the gate to waiting
+            # out the hold, exactly as if the gate had resumed it: an
+            # interrupt requested before this point and not yet delivered
+            # is stale (see Process.interrupt).
+            proc._wait_epoch += 1
+            self.sim._schedule(self, self.delay)
 
 
 class Process(Event):
@@ -248,6 +273,10 @@ class Process(Event):
                 if (self._value is Event._PENDING
                         and self._waiting_on is target
                         and self._wait_epoch == epoch):
+                    # Take this wait's callback off the abandoned event:
+                    # left behind, it would resume the process ahead of
+                    # its turn if it ever waits on the same event again.
+                    target.callbacks.remove(self._resume)
                     self._waiting_on = None
                     self._step(Interrupt(cause), throw=True)
 
@@ -298,7 +327,6 @@ class Process(Event):
         if st is not None:
             sim._tracer = st if self.trace_on else None
         ready = sim._ready
-        heap = sim._heap
         PENDING = Event._PENDING
         try:
             while True:
@@ -328,13 +356,10 @@ class Process(Event):
                     return
                 # Immediate resume: the yielded event is exactly the next
                 # one the run loop would process (front of the ready deque,
-                # nothing due at ``now`` on the heap, and no enclosing
-                # callback pass mid-flight). Consuming it here is a pure
-                # inlining of the run loop: (time, seq) order is preserved
-                # event-for-event.
-                if (ready and ready[0] is target
-                        and not sim._cb_pending
-                        and not (heap and heap[0][0] <= sim.now)):
+                # and the run loop would pop the ready deque next).
+                # Consuming it here is a pure inlining of the run loop:
+                # (time, seq) order is preserved event-for-event.
+                if ready and ready[0] is target and sim._front_is_next():
                     ready.popleft()
                     sim._n_inline += 1
                     if target._value is PENDING:
@@ -510,6 +535,17 @@ class Simulator:
             self._seq += 1
             heapq.heappush(self._heap, (t, self._seq, event))
 
+    def _front_is_next(self) -> bool:
+        """The inline rule — the one place that decides whether an event
+        may be consumed without a run-loop trip: the event at the front of
+        the ready deque is provably the next one the run loop would pop
+        when no enclosing callback pass still has callbacks to run and the
+        heap holds nothing due at ``now`` (such entries carry smaller
+        ``seq`` values than anything in the deque). Callers test
+        ``ready and ready[0] is event`` first."""
+        heap = self._heap
+        return not self._cb_pending and not (heap and heap[0][0] <= self.now)
+
     # -- internal object reuse --------------------------------------------
 
     def _timeout_acquire(self, delay: float) -> Timeout:
@@ -521,18 +557,54 @@ class Simulator:
         pool = self._timeout_pool
         if pool:
             t = pool.pop()
-            t._value = Event._PENDING
-            t._ok = None
-            t._scheduled = False
-            t.callbacks = []
             t.delay = delay
             self._schedule(t, delay)
             return t
         return Timeout(self, delay)
 
     def _timeout_release(self, t: Timeout) -> None:
+        # Only a timeout that has fired: one still on the heap (its waiter
+        # was interrupted away) would fire into whoever reused it.
         if t.callbacks is None and len(self._timeout_pool) < _TIMEOUT_POOL_MAX:
+            t._value = Event._PENDING
+            t._ok = None
+            t._scheduled = False
+            t.callbacks = []
             self._timeout_pool.append(t)
+
+    def _hold(self, gate: Event, delay: float) -> Timeout:
+        """The hold primitive behind ``Resource.use``: an engine-owned
+        Timeout (hand it back via :meth:`_timeout_release`) whose clock
+        starts when ``gate`` — an event nobody else waits on and only
+        ``succeed`` schedules, i.e. a pooled resource grant, already
+        triggered or still queued — is *processed*. The calling process
+        yields the timeout at once and is resumed when the hold ends,
+        instead of once for the gate and once more for the timeout.
+
+        The gate stays a real event: it keeps its place in the queues, and
+        the timeout is scheduled from its callback, i.e. at the point in
+        (time, seq) order where a process resumed by the gate would have
+        created it. If the gate is the very next event the run loop would
+        pop, it is consumed here exactly as :meth:`Process._step` consumes
+        a yielded event inline."""
+        pool = self._timeout_pool
+        if pool:
+            t = pool.pop()
+        else:
+            # Timeout.__init__ would schedule it right away.
+            t = Timeout.__new__(Timeout)
+            Event.__init__(t, self)
+        t.delay = delay
+        ready = self._ready
+        if ready and ready[0] is gate and self._front_is_next():
+            ready.popleft()
+            self._n_inline += 1
+            gate.callbacks = None
+            self._schedule(t, delay)
+        else:
+            t._holder = self._active_proc
+            gate.callbacks.append(t._start)
+        return t
 
     # -- public API --------------------------------------------------------
 
@@ -599,15 +671,26 @@ class Simulator:
             event._value = event._auto_value
         self._run_callbacks(event)
 
-    def run(self, until: Optional[float] = None) -> None:
-        """Run until the queues drain or simulated time reaches ``until``."""
-        if until is not None and until < self.now:
-            raise SimulationError("cannot run backwards in time")
+    def run(self, until: Union[None, float, Event] = None) -> None:
+        """Run until the queues drain, simulated time reaches ``until`` (a
+        number), or ``until`` (an :class:`Event`) has triggered.
+
+        The event form stops before processing the first event after the
+        trigger, and also returns — with ``until`` still pending — if the
+        queues drain first; the caller decides what a drained queue means.
+        """
+        if isinstance(until, Event):
+            stop, until = until, None
+        else:
+            # Runs to the end (of the queues, or of time): never triggers.
+            stop = Event(self)
+            if until is not None and until < self.now:
+                raise SimulationError("cannot run backwards in time")
         ready = self._ready
         heap = self._heap
         pop = heapq.heappop
         PENDING = Event._PENDING
-        while ready or heap:
+        while stop._value is PENDING and (ready or heap):
             if ready and not (heap and heap[0][0] <= self.now):
                 event = ready.popleft()
             else:
@@ -636,12 +719,8 @@ class Simulator:
         events continue to be processed as needed.
         """
         proc = self.process(gen, name=name)
-        ready = self._ready
-        heap = self._heap
-        PENDING = Event._PENDING
-        while proc._value is PENDING and (ready or heap):
-            self.step()
-        if proc._value is PENDING:
+        self.run(until=proc)
+        if proc._value is Event._PENDING:
             raise SimulationError(
                 f"process {proc.name!r} deadlocked: no more events"
             )

@@ -46,6 +46,12 @@ class NetParams:
     rpc_timeout_s: float = 1.0        # time wasted detecting a dead peer
 
 
+def _no_work() -> SimGen:
+    """``Node.work(0)``: finishes without yielding."""
+    return
+    yield  # pragma: no cover - marks this as a generator
+
+
 class Node:
     """A machine in the cluster: CPU cores, a NIC, and an RPC dispatch table."""
 
@@ -75,9 +81,13 @@ class Node:
         return f"<Node {self.name} alive={self.alive}>"
 
     def work(self, seconds: float) -> SimGen:
-        """Consume this node's CPU for ``seconds`` (queueing if contended)."""
+        """Consume this node's CPU for ``seconds`` (queueing if contended).
+
+        Like :meth:`call`, returns the generator to iterate rather than
+        wrapping it in a frame of its own."""
         if seconds > 0:
-            yield from self.cpu.use(seconds)
+            return self.cpu.use(seconds)
+        return _no_work()
 
     def register(self, method: str, handler: Callable[..., SimGen]) -> None:
         """Register an RPC handler: a generator function ``handler(*args)``."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from ..sim.engine import SimGen, Simulator
+from ..sim.engine import SimGen, SimulationError, Simulator
 from ..sim.stats import PhaseRecorder, PhaseResult
 
 __all__ = ["WorkloadRunner", "run_phase"]
@@ -22,9 +22,15 @@ def run_phase(sim: Simulator, procs: Sequence) -> None:
     """Advance the simulation until every process completes (background
     processes — journal threads, lease keepers, MDS rebalancers — keep the
     event heap non-empty forever, so a bare ``run()`` is not usable)."""
-    done = sim.all_of(list(procs))
-    while not done.triggered:
-        sim.step()
+    procs = list(procs)
+    done = sim.all_of(procs)
+    sim.run(until=done)
+    if not done.triggered:
+        stuck = [getattr(p, "name", repr(p)) for p in procs
+                 if not p.triggered]
+        raise SimulationError(
+            f"phase deadlocked: no more events, {len(stuck)} of "
+            f"{len(procs)} processes unfinished: {', '.join(stuck)}")
     if not done.ok:
         raise done.value
 

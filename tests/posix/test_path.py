@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from repro.posix import InvalidArgument, NameTooLong
 from repro.posix.path import (
+    _PARSE_CACHE_SIZE,
+    _parse,
     is_ancestor,
     join,
     normalize,
@@ -143,3 +145,47 @@ def test_parent_name_recompose(parts):
     p = "/" + "/".join(parts)
     parent, name = parent_and_name(p)
     assert join(parent, name) == normalize(p)
+
+
+# -- the memoised parse ---------------------------------------------------
+
+#: Paths as they arrive from outside: valid names, dot entries, empty
+#: components (``//``), NUL, and components on both sides of NAME_MAX.
+_raw_component = st.one_of(
+    name_st,
+    st.sampled_from(["", ".", "..", "a\x00b", "x" * 255, "x" * 256,
+                     "あ" * 85, "あ" * 86]),
+)
+_raw_path = st.builds(
+    lambda lead, comps: lead + "/".join(comps),
+    st.sampled_from(["/", "", "//"]), st.lists(_raw_component, max_size=6))
+
+
+def _outcome(fn, path):
+    try:
+        return list(fn(path))
+    except (InvalidArgument, NameTooLong) as exc:
+        return type(exc), exc.args
+
+
+@given(_raw_path)
+def test_split_path_equals_the_uncached_parse(path):
+    """Cold, warm, and never-cached parses agree — on the result and on
+    the error, which a bad path raises on *every* call."""
+    expected = _outcome(_parse.__wrapped__, path)
+    assert _outcome(split_path, path) == expected
+    assert _outcome(split_path, path) == expected
+
+
+def test_split_path_result_is_the_callers_to_mutate():
+    first = split_path("/a/b/c")
+    first.append("d")
+    del first[0]
+    assert split_path("/a/b/c") == ["a", "b", "c"]
+    assert split_path("/a/b/c") is not split_path("/a/b/c")
+
+
+def test_split_path_cache_is_bounded():
+    for i in range(_PARSE_CACHE_SIZE + 50):
+        split_path(f"/bounded/{i}")
+    assert _parse.cache_info().currsize <= _PARSE_CACHE_SIZE

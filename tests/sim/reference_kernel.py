@@ -5,11 +5,16 @@ heap, nothing is resumed inline, and no engine-owned object is recycled.
 This is the textbook scheduler the production two-queue kernel claims to
 be equivalent to; ``test_kernel_identity.py`` holds it to that, trace for
 trace. Nothing ships on it.
+
+``textbook_use`` is the companion oracle for ``Resource.use``: it routes
+every call through the two-yield definition the one-resume-per-hold body
+claims to be equivalent to.
 """
 
 import heapq
+from contextlib import contextmanager
 
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
 
 
 class _HeapSink:
@@ -47,3 +52,18 @@ class ReferenceSimulator(Simulator):
 
     def _timeout_release(self, t):
         pass
+
+
+@contextmanager
+def textbook_use(enabled=True):
+    """While active, every ``Resource.use`` (pipes and nodes included) runs
+    ``Resource._use_textbook``, whatever the hold or the tracer.
+    ``enabled=False`` leaves the production choice in place, so a test can
+    be parametrized over both bodies."""
+    chooser = Resource.use
+    if enabled:
+        Resource.use = Resource._use_textbook
+    try:
+        yield
+    finally:
+        Resource.use = chooser

@@ -295,6 +295,55 @@ def test_run_until_past_is_error():
         sim.run(until=1)
 
 
+def _ticking_sim():
+    sim = Simulator()
+
+    def ticker(period):
+        while True:
+            yield sim.timeout(period)
+
+    def worker():
+        for _ in range(7):
+            yield sim.timeout(0.3)
+        return "done"
+
+    sim.process(ticker(0.25))
+    sim.process(ticker(1.0))
+    return sim, sim.process(worker())
+
+
+def test_run_until_event_stops_where_single_stepping_would():
+    """``run(until=event)`` is the ``while not event.triggered: step()``
+    loop: same last event, same clock, same number of loop trips."""
+    sim_a, proc_a = _ticking_sim()
+    sim_a.run(until=proc_a)
+    sim_b, proc_b = _ticking_sim()
+    while not proc_b.triggered:
+        sim_b.step()
+    assert proc_a.triggered and proc_a.value == "done"
+    assert not proc_a.processed       # stops at the trigger, not after it
+    assert sim_a.now == sim_b.now == pytest.approx(2.1)
+    assert sim_a._n_steps == sim_b._n_steps
+    assert sim_a._n_inline == sim_b._n_inline
+    assert sim_a._seq == sim_b._seq
+
+
+def test_run_until_triggered_event_processes_nothing():
+    sim, proc = _ticking_sim()
+    sim.run(until=proc)
+    steps = sim._n_steps
+    sim.run(until=proc)
+    assert sim._n_steps == steps
+
+
+def test_run_until_event_returns_when_the_queues_drain_first():
+    sim = Simulator()
+    never = sim.event()
+    sim.timeout(3)
+    sim.run(until=never)
+    assert sim.now == 3 and not never.triggered
+
+
 def test_run_process_detects_deadlock():
     sim = Simulator()
 

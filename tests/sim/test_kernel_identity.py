@@ -13,11 +13,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import (BandwidthPipe, NetParams, Network, Node, Resource,
-                       Simulator, Store)
+from repro.sim import (BandwidthPipe, Interrupt, NetParams, Network, Node,
+                       Resource, Simulator, Store)
 from repro.sim.stats import kernel_counters
 
-from .reference_kernel import ReferenceSimulator
+from .reference_kernel import ReferenceSimulator, textbook_use
 
 
 def _fifo_trace(make_sim, n_procs, n_rounds):
@@ -190,6 +190,106 @@ def test_immediate_resume_fires_and_matches_reference():
     assert ref_inline == 0       # reference kernel never inlines
 
 
+def test_timed_use_consumes_an_uncontended_grant_inline():
+    """A lone process's grant is the next event the loop would pop: the
+    hold primitive consumes it in place — one inline event and one heap
+    push per ``use``, as with the two-yield body — and the oracle, whose
+    ready sink is always empty, never does."""
+    def run(make_sim):
+        sim = make_sim()
+        res = Resource(sim, capacity=1)
+
+        def w():
+            for _ in range(50):
+                yield from res.use(1e-3)
+
+        sim.run_process(w())
+        return sim.now, kernel_counters(sim)
+
+    now, fused = run(Simulator)
+    assert fused["inline_events"] == 50
+    assert fused["heap_pushes"] == 50
+    with textbook_use():
+        assert run(Simulator) == (now, fused)
+    assert run(ReferenceSimulator)[1]["inline_events"] == 0
+
+
+def test_nothing_is_consumed_inline_inside_a_multi_callback_pass():
+    """Two processes wake on one event. The first yields a grant that sits
+    at the front of the ready deque, but the second waiter's wake-up is
+    still pending in the same callback pass and comes first in (time, seq)
+    order."""
+
+    def run(make_sim):
+        sim = make_sim()
+        res = Resource(sim, capacity=2)
+        gong = sim.event()
+        order = []
+
+        def waiter(k):
+            yield gong
+            order.append(("woke", k))
+            yield from res.use(0.0)
+            order.append(("used", k))
+
+        def ringer():
+            yield sim.timeout(1.0)
+            gong.succeed()
+            # Keep this process's own completion event out of the ready
+            # deque, so the first waiter's grant really is at its front.
+            yield sim.timeout(1.0)
+
+        for k in range(2):
+            sim.process(waiter(k))
+        sim.process(ringer())
+        sim.run()
+        return order
+
+    assert run(Simulator) == run(ReferenceSimulator) == [
+        ("woke", 0), ("woke", 1), ("used", 0), ("used", 1)]
+
+
+def test_rewaiting_on_an_event_after_an_interrupt_keeps_its_turn():
+    """A process interrupted away from an event and later waiting on the
+    same event again is resumed in the order of its *second* wait. (Its
+    first wait's callback used to stay on the event: the heap scheduler then
+    resumed it ahead of earlier waiters, while the inline resume, which
+    runs the other waiters first, did not.)"""
+
+    def run(make_sim):
+        sim = make_sim()
+        gong = sim.event()
+        order = []
+
+        def fickle():
+            try:
+                yield gong
+            except Interrupt:
+                order.append("interrupted")
+            yield sim.timeout(1.0)
+            yield gong                  # triggered, not yet processed
+            order.append("fickle")
+
+        def steady():
+            yield gong
+            order.append("steady")
+
+        def director():
+            yield sim.timeout(0)
+            first.interrupt()
+            yield sim.timeout(1.0)      # due at 1.0, ahead of fickle's
+            gong.succeed()
+
+        first = sim.process(fickle())
+        sim.process(steady())
+        sim.process(director())
+        sim.run()
+        return order
+
+    assert run(Simulator) == run(ReferenceSimulator) == [
+        "interrupted", "steady", "fickle"]
+
+
 _FIGURES = ["fig4", "fig6a", "table2"]
 
 
@@ -218,3 +318,101 @@ def test_small_scale_figures_bit_identical_production_vs_reference(
     assert prod == ref
     # The substitution reached the simulators the figure built.
     assert built
+
+
+# -- one resume per hold (DESIGN.md §10) --------------------------------------
+#
+# Random programs run with the fused ``Resource.use`` and with its textbook
+# two-yield definition, on the production scheduler and on the oracle.
+
+_T = [0.0, 0.5e-3, 1e-3, 1.5e-3, 2e-3]       # one lattice: instants collide
+
+_STEP = st.one_of(
+    st.tuples(st.just("use"), st.integers(0, 2), st.sampled_from(_T)),
+    st.tuples(st.just("sleep"), st.sampled_from(_T)),
+    st.tuples(st.just("xfer"), st.sampled_from([0, 500, 1000])),
+    st.tuples(st.just("gong")),
+)
+_STEPS = st.lists(_STEP, max_size=5)
+_PROGRAM = st.lists(
+    st.one_of(_STEP, st.tuples(st.just("spawn"), _STEPS, st.booleans())),
+    max_size=6)
+
+
+def _run_program(make_sim, programs, interrupts, gong_at):
+    sim = make_sim()
+    trace = []
+    shared = [Resource(sim, capacity=c, name=f"r{c}.cpu") for c in (1, 2, 3)]
+    pipe = BandwidthPipe(sim, 1e6, name="disk")     # 1000 B = 1e-3 s
+    gong = sim.event()
+
+    def observe():
+        return tuple((r.in_use, r.queue_length) for r in shared + [pipe._res])
+
+    def run(label, steps):
+        for i, step in enumerate(steps):
+            try:
+                if step[0] == "use":
+                    yield from shared[step[1]].use(step[2])
+                elif step[0] == "sleep":
+                    yield sim.timeout(step[1])
+                elif step[0] == "xfer":
+                    yield from pipe.transfer(step[1])
+                elif step[0] == "gong":
+                    # Several waiters on one event: a multi-callback pass,
+                    # during which nothing may be consumed inline.
+                    yield gong
+                else:
+                    child = sim.process(run(f"{label}.{i}", step[1]))
+                    if step[2]:
+                        yield child
+                trace.append((sim.now, label, i, observe()))
+            except Interrupt:
+                trace.append((sim.now, label, i, "interrupted", observe()))
+
+    procs = [sim.process(run(str(k), steps))
+             for k, steps in enumerate(programs)]
+
+    def striker(at, victim):
+        yield sim.timeout(at)
+        procs[victim % len(procs)].interrupt()
+
+    def ringer():
+        yield sim.timeout(gong_at)
+        gong.succeed()
+
+    # After the programs: their first timeouts (and holds) get the lower
+    # ``seq``, so same-instant strikes land in every window of a ``use``.
+    for at, victim in interrupts:
+        sim.process(striker(at, victim))
+    sim.process(ringer())
+    sim.run()
+    assert all(r.in_use == 0 and r.queue_length == 0 for r in shared)
+    return trace, sim.now, kernel_counters(sim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_PROGRAM, min_size=1, max_size=6),
+       st.lists(st.tuples(st.sampled_from(_T + [2.5e-3, 3e-3, 4e-3]),
+                          st.integers(0, 5)), max_size=6),
+       st.sampled_from(_T))
+def test_fused_use_is_the_textbook_use(programs, interrupts, gong_at):
+    """Property: processes mixing timed and zero-hold ``use`` on shared
+    resources of capacity 1-3 with timeouts, pipe transfers, a shared
+    event, spawned children and interrupts at colliding instants log the
+    same ``(time, process, step)`` trace and the same ``in_use`` /
+    ``queue_length`` at every observation whether ``use`` resumes them once
+    per hold or twice — with the same loop/inline/heap counts on the
+    production scheduler, and nothing inlined on the oracle."""
+    fused = _run_program(Simulator, programs, interrupts, gong_at)
+    fused_oracle = _run_program(ReferenceSimulator, programs, interrupts,
+                                gong_at)
+    with textbook_use():
+        textbook = _run_program(Simulator, programs, interrupts, gong_at)
+        oracle = _run_program(ReferenceSimulator, programs, interrupts,
+                              gong_at)
+    assert fused == textbook                        # counters included
+    assert fused[:2] == oracle[:2] == fused_oracle[:2]
+    assert oracle[2]["inline_events"] == 0
+    assert fused_oracle[2]["inline_events"] == 0
+    assert fused_oracle[2] == oracle[2]

@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.sim import BandwidthPipe, Mutex, Resource, SimulationError, Simulator, Store, serve
+from repro.sim import (BandwidthPipe, Interrupt, Mutex, Resource,
+                       SimulationError, Simulator, Store, serve)
+from repro.sim.stats import kernel_counters
+
+from .reference_kernel import ReferenceSimulator, textbook_use
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -237,3 +241,227 @@ def test_cancelled_queue_head_popped_eagerly():
     res.release(q1)                # head: pops itself AND the dead q2 run
     assert len(res._queue) == 1 and res.queue_length == 1
     assert res._queue[0] is q3
+
+
+# -- one resume per hold: the fused ``use`` against its textbook definition ---
+
+BODIES = pytest.mark.parametrize("body", ["fused", "textbook"])
+
+
+def _interrupt_scenario(body, interrupt_at, make_sim=Simulator):
+    """A capacity-1 resource with a holder (0 → 1.0), a victim queued behind
+    it asking for a 5.0 hold, and a waiter queued behind the victim asking
+    for 1.0. The victim is interrupted at ``interrupt_at``; returns what
+    everybody saw, when the last event fired, and the kernel's counters."""
+    with textbook_use(body == "textbook"):
+        sim = make_sim()
+        res = Resource(sim, capacity=1, name="r.cpu")
+        log = []
+
+        def state():
+            return (sim.now, res.in_use, res.queue_length)
+
+        def interrupter():
+            # Spawned first, so at ``interrupt_at`` its timeout fires before
+            # any hold timeout armed later for the same instant.
+            yield sim.timeout(interrupt_at)
+            victim.interrupt("crash")
+
+        def user(tag, hold):
+            try:
+                yield from res.use(hold)
+                log.append((tag, "done") + state())
+            except Interrupt:
+                log.append((tag, "interrupted") + state())
+
+        sim.process(interrupter())
+        sim.process(user("holder", 1.0))
+        victim = sim.process(user("victim", 5.0))
+        sim.process(user("waiter", 1.0))
+        sim.run()
+        assert (res.in_use, res.queue_length) == (0, 0)
+        return log, sim.now, kernel_counters(sim)
+
+
+@BODIES
+def test_use_interrupted_while_queued_cancels_the_request(body):
+    log, end, _ = _interrupt_scenario(body, interrupt_at=0.5)
+    assert log == [
+        # Cancelled on the spot: the holder still holds, only the waiter queues.
+        ("victim", "interrupted", 0.5, 1, 1),
+        ("holder", "done", 1.0, 1, 0),      # its release granted the waiter
+        ("waiter", "done", 2.0, 0, 0),
+    ]
+    assert end == 2.0                       # the victim's hold never started
+
+
+@BODIES
+def test_use_interrupted_between_grant_and_its_processing_returns_the_slot(body):
+    """At 1.0 the interrupt is queued, then the holder's release grants the
+    victim (its grant event joins the ready deque behind the interrupt):
+    the victim owns a slot its process never learns about."""
+    log, end, _ = _interrupt_scenario(body, interrupt_at=1.0)
+    assert log == [
+        ("holder", "done", 1.0, 1, 1),      # victim granted, waiter queued
+        # The slot went back exactly once and straight on to the waiter.
+        ("victim", "interrupted", 1.0, 1, 0),
+        ("waiter", "done", 2.0, 0, 0),
+    ]
+    # The victim's grant event still fires (it was queued), but it must not
+    # start a 5.0 hold nobody waits for.
+    assert end == 2.0
+
+
+@BODIES
+def test_use_interrupted_during_the_hold_releases_once(body):
+    log, end, _ = _interrupt_scenario(body, interrupt_at=1.5)
+    assert log == [
+        ("holder", "done", 1.0, 1, 1),
+        ("victim", "interrupted", 1.5, 1, 0),   # waiter granted at 1.5
+        ("waiter", "done", 2.5, 0, 0),
+    ]
+    # The abandoned hold timeout stays on the heap until it is due, firing
+    # into nobody; had it been recycled early, the waiter's hold would have
+    # reused it while armed.
+    assert end == 6.0
+
+
+@pytest.mark.parametrize("interrupt_at", [0.5, 1.0, 1.5])
+def test_fused_use_runs_the_textbook_schedule_under_interrupts(interrupt_at):
+    """Event for event: same log, same loop/inline/heap counts, on the
+    production scheduler; and on the heap-only oracle nothing is inlined."""
+    fused = _interrupt_scenario("fused", interrupt_at)
+    assert fused == _interrupt_scenario("textbook", interrupt_at)
+    oracle = _interrupt_scenario("fused", interrupt_at, ReferenceSimulator)
+    assert oracle[:2] == fused[:2]
+    assert oracle[2]["inline_events"] == 0
+
+
+def test_abandoned_hold_timeout_is_not_reused_while_armed():
+    """A hold the caller was interrupted out of leaves its timeout on the
+    heap until it is due (10.0 here). Recycled before then, it would carry
+    a later hold — and end it at 10.0."""
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    ends = []
+
+    def victim():
+        try:
+            yield from res.use(10.0)
+        except Interrupt:
+            ends.append(("interrupted", sim.now))
+        for hold in (1.0, 20.0, 1.0):
+            yield from res.use(hold)
+            ends.append((hold, sim.now))
+
+    proc = sim.process(victim())
+
+    def interrupter():
+        yield sim.timeout(0.5)
+        proc.interrupt()
+
+    sim.process(interrupter())
+    sim.run()
+    assert ends == [("interrupted", 0.5), (1.0, 1.5), (20.0, 21.5),
+                    (1.0, 22.5)]
+
+
+@BODIES
+def test_interrupt_overtaken_by_a_queued_grant_is_stale(body):
+    """``Process.interrupt`` is delivered by an event of its own and dropped
+    if its target resumed in the meantime. A grant already waiting in the
+    ready deque ahead of that event counts: the textbook body resumes on
+    it and moves on to the hold, so the fused body — which is not resumed —
+    must treat the interrupt as stale all the same."""
+    with textbook_use(body == "textbook"):
+        sim = Simulator()
+        res = Resource(sim, capacity=1)
+        log = []
+
+        def victim():
+            try:
+                # Granted at once, but the striker's kick-off is ahead of
+                # the grant event in the ready deque: no inline resume.
+                yield from res.use(1.0)
+                log.append(("done", sim.now))
+            except Interrupt:
+                log.append(("interrupted", sim.now))
+
+        def striker():
+            proc.interrupt()        # its wake-up queues *behind* the grant
+            yield sim.timeout(0)
+
+        proc = sim.process(victim())
+        sim.process(striker())
+        sim.run()
+        assert log == [("done", 1.0)]
+        assert res.in_use == 0
+
+
+def test_use_samples_its_request_and_release():
+    """A sampled resource marks itself dirty when ``use`` requests and when
+    it releases — whichever body runs."""
+    for body in ("fused", "textbook"):
+        with textbook_use(body == "textbook"):
+            sim = Simulator()
+            res = Resource(sim, capacity=1)
+            res._watch = dirty = set()
+            seen = []
+
+            def user():
+                yield from res.use(1.0)
+
+            def watcher():
+                seen.append(bool(dirty))        # t=0, after the request
+                dirty.clear()
+                yield sim.timeout(0.5)
+                seen.append(bool(dirty))        # mid-hold: nothing changed
+                yield sim.timeout(1.0)
+                seen.append(bool(dirty))        # after the release
+
+            sim.process(user())
+            sim.process(watcher())
+            sim.run()
+            assert seen == [True, False, True], body
+
+
+def test_wfq_tags_and_grant_order_unchanged_through_use():
+    """``WFQResource`` supplies its own request/release; ``use`` must route
+    through them (default-tenant tag at cost 1.0, lowest finish tag first)
+    identically in both bodies."""
+    from repro.core.qos import WFQResource
+
+    def run(body):
+        with textbook_use(body == "textbook"):
+            sim = Simulator()
+            res = WFQResource(sim, capacity=1, name="osd.q",
+                              weight_of=lambda t: 4.0 if t == "gold" else 1.0)
+            order = []
+
+            def untagged(i):
+                yield from res.use(1e-3)
+                order.append((sim.now, "-", i))
+
+            def tagged(i):
+                yield from res.use_wfq(1e-3, "gold", 1.0)
+                order.append((sim.now, "gold", i))
+
+            for i in range(4):
+                sim.process(untagged(i))
+                sim.process(tagged(i))
+            sim.run()
+            return order, dict(res._last_finish), res._vtime, \
+                kernel_counters(sim)
+
+    fused, textbook = run("fused"), run("textbook")
+    assert fused == textbook
+    order, last_finish, _vtime, _ = fused
+    # Untagged calls were tagged as the default tenant, one cost unit each.
+    assert last_finish[None] == 4.0 and last_finish["gold"] == 1.0
+    # First come is served at once; then gold's four cheap tags (0.25 each)
+    # are dispatched ahead of the rest of the default tenant's.
+    assert [who for _, who, _ in order] == \
+        ["-", "gold", "gold", "gold", "gold", "-", "-", "-"]
+    # FIFO within each tenant.
+    assert [i for _, who, i in order if who == "-"] == [0, 1, 2, 3]
+    assert [i for _, who, i in order if who == "gold"] == [0, 1, 2, 3]
