@@ -29,21 +29,38 @@ __all__ = ["CacheEntry", "ReadAheadState", "DataObjectCache"]
 
 
 class CacheEntry:
-    """One cached data object (at most ``entry_size`` bytes).
+    """One cached data object (at most ``entry_size`` bytes; ``size`` of
+    them valid), held so that the host copies a byte only where the model
+    charges a copy. Three states, chosen by what the code observes:
 
-    ``data`` is a capacity buffer and ``size`` the count of valid bytes in
-    it: growing a multi-megabyte bytearray 128 KiB at a time forces a
-    realloc+copy on nearly every extension once many entries are live
-    (in-place realloc almost never succeeds with interleaved writers), so
-    the buffer instead grows geometrically and writes land as equal-length
-    slice assignments. Bytes past ``size`` are never observable — reads and
-    writebacks clip at ``size`` and extension gaps are re-zeroed."""
+    * **tail** — ``data`` is an immutable ``bytes`` base (``b""`` on a
+      fresh entry) and ``tail`` the immutable pieces appended after it: a
+      sequential writer's payloads, *borrowed* (a reference, no copy).
+    * **immutable** — ``data`` is one ``bytes`` and ``tail`` is empty: what
+      a fetch got from the store, what a tail folded into, or the snapshot
+      a writeback took. The same object may be held by the store, the
+      caller of ``read`` and the cache at once; nobody can change it.
+    * **in place** — ``data`` is a private ``bytearray`` capacity buffer
+      that grows geometrically and takes writes as equal-length slice
+      assignments. Bytes past ``size`` are zero (``size`` never shrinks,
+      so a gap write finds its gap zeroed) and never observable: reads
+      and snapshots clip at ``size``.
 
-    __slots__ = ("index", "data", "size", "dirty", "loading", "backed")
+    Appends at ``size`` onto the first two states extend the tail; any
+    other write copies the entry into the in-place state (copy-on-write);
+    the first read of a tail joins it into one ``bytes``, and a tail that
+    grew on an earlier join goes in place instead, so alternating appends
+    and reads stay linear; a writeback (``DataObjectCache._writeback``)
+    leaves the entry immutable and ships the very object it keeps (see
+    DESIGN "One copy per byte")."""
+
+    __slots__ = ("index", "data", "tail", "size", "dirty", "loading",
+                 "backed")
 
     def __init__(self, index: int):
         self.index = index
-        self.data = bytearray()
+        self.data = b""
+        self.tail: list = []
         self.size = 0
         self.dirty = False
         self.loading: Optional[Event] = None  # set while a fetch is in flight
@@ -53,6 +70,33 @@ class CacheEntry:
     @property
     def ready(self) -> bool:
         return self.loading is None
+
+    def fold(self, entry_size: int) -> None:
+        """Make a tail contiguous for a reader. With no base yet this is
+        the one join of a sequentially written entry; a tail on top of a
+        base has been read (or stored) before and will be again, so it
+        moves in place with room to double instead of re-joining the
+        whole entry on every append/read round."""
+        if self.data:
+            self.unshare(min(2 * self.size, entry_size))
+        else:
+            self.data = b"".join(self.tail)
+            self.tail.clear()
+
+    def unshare(self, cap: int) -> bytearray:
+        """Copy-on-write: move the bytes into a private zero-padded
+        ``bytearray`` of ``cap`` bytes (the in-place state)."""
+        buf = bytearray(cap)
+        d = self.data
+        pos = len(d)
+        buf[:pos] = d
+        for piece in self.tail:
+            end = pos + len(piece)
+            buf[pos:end] = piece
+            pos = end
+        self.tail.clear()
+        self.data = buf
+        return buf
 
 
 @dataclass
@@ -76,6 +120,11 @@ class ReadAheadState:
             self.window = entry_size  # random access: shrink back
         self.started = True
         self.next_offset = offset + size
+
+
+def _turn(sim: Simulator) -> SimGen:
+    """A free copy: nothing to charge, one ``timeout(0)`` all the same."""
+    yield sim.timeout(0)
 
 
 class _FileCache:
@@ -190,11 +239,21 @@ class DataObjectCache:
         self._lru[(ino, entry.index)] = entry
         self._lru.move_to_end((ino, entry.index))
 
+    def _room(self, have: int, need: int) -> int:
+        """Capacity for an in-place buffer of ``have`` bytes that must hold
+        ``need``: geometric (clipped to the entry's natural size), so a
+        sequential fill costs O(1) reallocs amortized instead of one
+        realloc+copy per write."""
+        return min(max(need, 2 * have), max(need, self.entry_size))
+
     def _copy_cost(self, nbytes: int) -> SimGen:
+        """The one memcpy the model charges per ``read``/``write``. Like
+        ``Node.work``, returns the generator to iterate rather than
+        wrapping it in a frame of its own; without a node (or bytes) the
+        caller still takes one scheduler turn."""
         if self.node is not None and nbytes > 0:
-            yield from self.node.work(nbytes / self.copy_bw)
-        else:
-            yield self.sim.timeout(0)
+            return self.node.work(nbytes / self.copy_bw)
+        return _turn(self.sim)
 
     def _make_room(self, need: int = 1) -> SimGen:
         need = min(max(1, need), self.capacity)
@@ -237,7 +296,20 @@ class DataObjectCache:
         # Clear the flag before the PUT: a write landing mid-flush re-dirties
         # the entry rather than getting silently marked clean.
         entry.dirty = False
-        snapshot = bytes(memoryview(entry.data)[:entry.size])
+        # The valid bytes as one immutable object — at most one copy: none
+        # for an immutable entry or a single borrowed piece, one join for a
+        # longer tail, one for an in-place buffer. The entry keeps that
+        # object as its data, so the store shares it with the cache, and a
+        # write landing mid-flush appends to it or copies it: it cannot
+        # reach the PUT.
+        snapshot = entry.data
+        if entry.tail:
+            snapshot = b"".join([snapshot, *entry.tail] if snapshot
+                                else entry.tail)
+            entry.tail.clear()
+        elif type(snapshot) is not bytes:
+            snapshot = bytes(memoryview(snapshot)[:entry.size])
+        entry.data = snapshot
         if self._pack is not None and self._pack.wants(len(snapshot)):
             # Sub-threshold chunk: append into the open container buffer
             # (a memcpy) instead of an individual PUT; durability comes
@@ -335,32 +407,37 @@ class DataObjectCache:
         finally:
             sp.close()
             self._g_inflight_gets.add(-1)
-        entry.data = bytearray(data)
+        # Keep the store's own immutable object (``ObjectStore.get`` may
+        # return what it holds); anything else is copied once, here.
+        entry.data = data if type(data) is bytes else bytes(data)
         entry.size = len(data)
         entry.backed = backed
         ev, entry.loading = entry.loading, None
         ev.succeed(entry)
         return entry
 
-    def _fetch_missing(self, ino: int, indices) -> SimGen:
+    def _fetch_missing(self, ino: int, tree: RadixTree, indices) -> SimGen:
         """Scatter phase of a demand read: collect every entry the request
         misses up front and fetch them concurrently, ``fetch_parallel`` GETs
         at a time. Entries another reader or the read-ahead already has in
         flight are skipped — their ``loading`` events are shared during
-        assembly, so no GET is ever duplicated."""
-        fc = self._file(ino)
-        missing = [i for i in indices if fc.tree.get(i) is None]
+        assembly, so no GET is ever duplicated. ``tree`` is the file's
+        index as of the call; it is looked up again after every yield."""
+        missing = [i for i in indices if tree.get(i) is None]
         if not missing:
             return frozenset()
         self._c_misses.inc(len(missing))
         limit = min(self.fetch_parallel, self.capacity)
         for start in range(0, len(missing), limit):
             batch = missing[start:start + limit]
-            # Entries may have appeared (prefetch raced us) while an earlier
-            # batch was in flight.
-            batch = [i for i in batch if fc.tree.get(i) is None]
-            if not batch:
-                continue
+            if start:
+                # Entries may have appeared (prefetch raced us) while the
+                # earlier batch was in flight — and an eviction may have
+                # dropped the file's ``_FileCache`` itself: look it up again.
+                tree = self._file(ino).tree
+                batch = [i for i in batch if tree.get(i) is None]
+                if not batch:
+                    continue
             yield from self._make_room(len(batch))
             if len(batch) == 1:
                 self._c_serial_gets.inc()
@@ -378,8 +455,7 @@ class DataObjectCache:
 
     def _get_entry(self, ino: int, index: int, fetch: bool = True) -> SimGen:
         """Return a ready entry, fetching on miss."""
-        fc = self._file(ino)
-        entry: Optional[CacheEntry] = fc.tree.get(index)
+        entry: Optional[CacheEntry] = self._file(ino).tree.get(index)
         if entry is not None:
             if entry.loading is not None:
                 yield from self._wait(entry.loading)
@@ -387,16 +463,24 @@ class DataObjectCache:
             self._touch(ino, entry)
             return entry
         self._c_misses.inc()
-        if not fetch:
-            # Caller will fully overwrite: a blank entry suffices.
-            yield from self._make_room()
+        yield from self._make_room()
+        if fetch:
+            self._c_serial_gets.inc()
+            entry = yield from self._fetch(ino, index)
+            return entry
+        # Caller will fully overwrite: a blank entry suffices. Nothing looked
+        # up before ``_make_room`` holds across its yields: the victim may
+        # have been this file's last entry (its ``_FileCache`` is gone from
+        # ``_files``, and an entry installed there would be unreachable and
+        # never flushed), or a fetch may have installed ``index`` meanwhile.
+        fc = self._file(ino)
+        entry = fc.tree.get(index)
+        if entry is None:
             entry = CacheEntry(index)
             fc.tree.set(index, entry)
-            self._touch(ino, entry)
-            return entry
-        yield from self._make_room()
-        self._c_serial_gets.inc()
-        entry = yield from self._fetch(ino, index)
+        elif entry.loading is not None:
+            yield from self._wait(entry.loading)
+        self._touch(ino, entry)
         return entry
 
     # -- public API -----------------------------------------------------------------
@@ -416,6 +500,9 @@ class DataObjectCache:
             return b""
         sp = _span(self.sim, "cache.read", "cache")
         try:
+            # Valid until the first yield; looked up again after each one
+            # (an eviction may drop the file's ``_FileCache`` meanwhile).
+            tree = self._file(ino).tree
             if ra is not None:
                 ra.on_read(offset, length, self.entry_size, self.max_readahead)
                 # Kick prefetches for the window beyond this read. Slots are
@@ -425,12 +512,11 @@ class DataObjectCache:
                 end_idx = (offset + length - 1) // self.entry_size
                 ra_end = offset + length + ra.window
                 ra_last_idx = (ra_end - 1) // self.entry_size
-                fc = self._file(ino)
                 budget = self.capacity - len(self._lru) - self._reserved
                 for idx in range(end_idx + 1, ra_last_idx + 1):
                     if budget <= 0:
                         break
-                    if fc.tree.get(idx) is None:
+                    if tree.get(idx) is None:
                         budget -= 1
                         self._reserved += 1
                         self._c_prefetches.inc()
@@ -438,11 +524,12 @@ class DataObjectCache:
                                          name=f"ra:{ino:x}:{idx}")
             pieces = self.prt.chunk_range(offset, length)
             fetched = yield from self._fetch_missing(
-                ino, [p[0] for p in pieces])
-            out = bytearray()
-            fc = self._file(ino)
+                ino, tree, [p[0] for p in pieces])
+            if fetched:
+                tree = self._file(ino).tree
+            parts = []
             for idx, off, n in pieces:
-                entry = fc.tree.get(idx)
+                entry = tree.get(idx)
                 if entry is None:
                     # Evicted between the scatter phase and assembly (only
                     # possible when the request is larger than the cache).
@@ -450,6 +537,7 @@ class DataObjectCache:
                     self._c_misses.inc()
                     self._c_serial_gets.inc()
                     entry = yield from self._fetch(ino, idx)
+                    tree = self._file(ino).tree
                 elif entry.loading is not None:
                     yield from self._wait(entry.loading)
                     if idx not in fetched:
@@ -457,17 +545,20 @@ class DataObjectCache:
                 elif idx not in fetched:
                     self._c_hits.inc()
                 self._touch(ino, entry)
+                if entry.tail:
+                    entry.fold(self.entry_size)
+                d = entry.data
                 avail = entry.size - off
-                if avail >= n:
-                    out += memoryview(entry.data)[off : off + n]
-                else:
-                    if avail > 0:
-                        out += memoryview(entry.data)[off : off + avail]
-                    out += b"\x00" * (n - max(avail, 0))
+                take = n if avail >= n else max(avail, 0)
+                # The one host copy of a read: a slice of immutable bytes,
+                # or of the in-place buffer through a view.
+                part = (d[off : off + take] if type(d) is bytes
+                        else bytes(memoryview(d)[off : off + take]))
+                parts.append(part if take == n else part + bytes(n - take))
             yield from self._copy_cost(length)
         finally:
             sp.close()
-        return bytes(out)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def _prefetch_one(self, ino: int, index: int) -> SimGen:
         try:
@@ -488,9 +579,13 @@ class DataObjectCache:
         (to decide whether a partial entry needs read-modify-write)."""
         sp = _span(self.sim, "cache.write", "cache")
         try:
+            if type(data) is not bytes:
+                # Only immutable bytes may be borrowed: a caller's
+                # bytearray or memoryview is copied once, at the boundary.
+                data = bytes(data)
             pos = 0
             for idx, off, n in self.prt.chunk_range(offset, len(data)):
-                piece = data[pos : pos + n]
+                piece = data[pos : pos + n]  # ``data`` itself when it fits
                 pos += n
                 entry_base = idx * self.entry_size
                 covers_existing = off == 0 and entry_base + n >= min(
@@ -502,17 +597,17 @@ class DataObjectCache:
                 )
                 d = entry.data
                 end = off + n
-                if len(d) < end:
-                    # Grow capacity geometrically (clipped to the entry's
-                    # natural size) so a sequential fill costs O(1) reallocs
-                    # amortized instead of one realloc+copy per write.
-                    cap = min(max(end, 2 * len(d)), max(end, self.entry_size))
-                    d += bytes(cap - len(d))
-                if entry.size < off:
-                    # Zero any stale capacity bytes in the gap so they can't
-                    # leak into reads once ``size`` moves past them.
-                    d[entry.size:off] = bytes(off - entry.size)
-                d[off:end] = piece
+                if type(d) is bytes and off == entry.size:
+                    # Sequential append onto shared bytes: borrow the piece.
+                    entry.tail.append(piece)
+                else:
+                    if type(d) is bytes:
+                        # Overwrite or gap write: copy-on-write, in place
+                        # from here on.
+                        d = entry.unshare(self._room(entry.size, end))
+                    elif len(d) < end:
+                        d += bytes(self._room(len(d), end) - len(d))
+                    d[off:end] = piece  # a gap before ``off`` is zeros
                 if entry.size < end:
                     entry.size = end
                 entry.dirty = True

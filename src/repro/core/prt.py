@@ -248,7 +248,7 @@ class PRT:
         if self.pack_enabled:
             extents = yield from self.read_extent_index(ino, src=src)
         sp = _span(self.sim, "prt.read_data", "prt")
-        out = bytearray()
+        parts = []
         try:
             for idx, off, n in self.chunk_range(offset, length):
                 ext = extents.get(idx)
@@ -262,11 +262,13 @@ class PRT:
                 except NoSuchKey:
                     piece = b""
                 if len(piece) < n:
-                    piece = piece + b"\x00" * (n - len(piece))
-                out += piece
+                    piece = piece + bytes(n - len(piece))
+                parts.append(piece)
         finally:
             sp.close()
-        return bytes(out)
+        # The store's ranged GET already made the one copy: a single piece
+        # passes through, several are joined once.
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def write_data(self, ino: int, offset: int, data: bytes,
                    src: Optional[Node] = None) -> SimGen:
@@ -280,6 +282,9 @@ class PRT:
         extents: Dict[int, PackExtent] = {}
         if self.pack_enabled:
             extents = yield from self.read_extent_index(ino, src=src)
+        if type(data) is not bytes:
+            # ``put`` may retain what it is given: hand it immutable bytes.
+            data = bytes(data)
         sp = _span(self.sim, "prt.write_data", "prt")
         unpacked: List[int] = []
         try:
@@ -300,11 +305,9 @@ class PRT:
                         old = b""
                 else:
                     old = yield from self.read_object(ino, idx, src=src)
-                buf = bytearray(old)
-                if len(buf) < off:
-                    buf += b"\x00" * (off - len(buf))
-                buf[off : off + n] = piece
-                yield from self.write_object(ino, idx, bytes(buf), src=src)
+                merged = b"".join((old[:off].ljust(off, b"\x00"), piece,
+                                   old[off + n :]))
+                yield from self.write_object(ino, idx, merged, src=src)
             if unpacked:
                 yield from self.apply_extent_delta(ino, del_list=unpacked,
                                                    src=src)

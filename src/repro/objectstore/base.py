@@ -23,11 +23,19 @@ class ObjectStore(ABC):
     ``src`` on each operation names the calling node so implementations can
     charge client-side network costs; ``None`` means "do not model the client
     network leg" (used by unit tests and by server-internal traffic).
+
+    Values are immutable ``bytes``, and that is what lets them be shared
+    instead of copied: ``put`` may retain the very object it is given, and
+    ``get`` may return the object the store holds. A caller that has a
+    ``bytearray`` or ``memoryview`` converts it before the call; nobody can
+    alter a value after handing it over or after receiving it. (The data
+    object cache relies on both halves — see DESIGN "One copy per byte".)
     """
 
     @abstractmethod
     def get(self, key: str, src: Optional[Node] = None) -> SimGen:
-        """Return the full object value as ``bytes``. Raises NoSuchKey."""
+        """Return the full object value as ``bytes`` — possibly the stored
+        object itself, never a view of something mutable. Raises NoSuchKey."""
 
     @abstractmethod
     def get_range(
@@ -37,7 +45,8 @@ class ObjectStore(ABC):
 
     @abstractmethod
     def put(self, key: str, data: bytes, src: Optional[Node] = None) -> SimGen:
-        """Create or overwrite an object."""
+        """Create or overwrite an object. ``data`` is immutable ``bytes``;
+        the store may keep that object rather than a copy of it."""
 
     @abstractmethod
     def delete(self, key: str, src: Optional[Node] = None) -> SimGen:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.posix import BadFileHandle, OpenFlags
+from repro.core import DEFAULT_PARAMS, build_arkfs
+from repro.posix import BadFileHandle, OpenFlags, ROOT_CREDS, SyncFS
 from repro.core.filelease import DIRECT, WRITE
+from repro.sim import Simulator
 
 
 OSZ_HINT = 2 * 1024 * 1024  # default data object size
@@ -128,6 +130,22 @@ class TestTruncate:
         assert fs.read_file("/f") == b"q" * (osz + 10)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "path truncate neither revokes file leases nor reaches open handles: "
+    "OpenState.size stays stale and cached bytes past the new EOF survive "
+    "(needs an open-handles-by-ino registry + lease revocation, ROADMAP "
+    "item 1)"))
+def test_truncate_under_open_handle(fs):
+    h = fs.open("/f", OpenFlags.O_CREAT | OpenFlags.O_RDWR)
+    h.write(b"A" * 100)
+    fs.truncate("/f", 10)
+    h.write(b"B", offset=50)
+    try:
+        assert h.read(100, offset=0) == b"A" * 10 + b"\x00" * 40 + b"B"
+    finally:
+        h.close()
+
+
 class TestDurability:
     def test_fsync_persists_data_to_store(self, fs, cluster):
         h = fs.create("/f")
@@ -149,6 +167,30 @@ class TestDurability:
         # ... but a sync() pushes it out.
         fs._run(cluster.client(0).sync())
         assert cluster.prt.key_data(ino, 0) in cluster.store
+
+    def test_acknowledged_fsync_under_cache_pressure(self):
+        """Two files written alternately through a two-entry cache: the
+        eviction that makes room for /a's second object takes /a's first —
+        its only cached entry — and the new one must stay reachable."""
+        blk = 64 * 1024
+        sim = Simulator()
+        cluster = build_arkfs(
+            sim, n_clients=1, functional=True,
+            params=DEFAULT_PARAMS.with_(data_object_size=blk,
+                                        cache_capacity_bytes=2 * blk))
+        fs = SyncFS(cluster.client(0), ROOT_CREDS)
+        ha = fs.open("/a", OpenFlags.O_CREAT | OpenFlags.O_RDWR)
+        hb = fs.open("/b", OpenFlags.O_CREAT | OpenFlags.O_RDWR)
+        ha.write(b"a" * blk)
+        hb.write(b"b" * blk)
+        ha.write(b"A" * blk)
+        assert ha.read(4, offset=blk) == b"AAAA"
+        ha.fsync()
+        key = cluster.prt.key_data(ha.handle.ino, 1)
+        assert key in cluster.store
+        assert cluster.store.sync_get(key) == b"A" * blk
+        ha.close()
+        hb.close()
 
     def test_journal_commit_interval_flushes_metadata(self, fs, sim, cluster):
         fs.create("/f").close()
