@@ -1,25 +1,19 @@
 #!/usr/bin/env python
-"""Perf-trend observatory: track benchmark trajectories, flag regressions.
+"""Perf-trend gate: flag benchmark regressions against a committed baseline.
 
 A baseline registry over every benchmark JSON the CI produces —
 fig4/fig6/table2 walls and their deterministic simulation counters, the
-kernel event counts, mdtest — plus an append-only trajectory
-file that accumulates one line per run, so drift is visible over time
-rather than only at the moment it crosses a gate.
+kernel event counts, mdtest.
 
 Usage::
 
-    python scripts/perf_trend.py append BENCH_*.json [--trend perf_trend.jsonl]
     python scripts/perf_trend.py check  BENCH_*.json [--baseline PATH]
     python scripts/perf_trend.py update BENCH_*.json [--baseline PATH]
 
-``append`` extracts each benchmark's wall clock, its ``extra_info``
-scalars, and its deterministic simulation counters, and appends one JSON
-line to the trajectory file (created on first use; CI uploads it as an
-artifact so the history survives across runs when seeded back in).
-
-``check`` compares the same extraction against the committed baseline in
-``benchmarks/perf_baseline.json``. Two classes of comparison:
+``check`` extracts each benchmark's wall clock, its ``extra_info``
+scalars, and its deterministic simulation counters, and compares them
+against the committed baseline in ``benchmarks/perf_baseline.json``. Two
+classes of comparison:
 
 * **exact** — deterministic quantities (simulated-event counts, journal
   commits, sampled-op counts...). The simulation is seeded and
@@ -45,15 +39,13 @@ import json
 import os
 import re
 import sys
-import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BASELINE = os.path.join(REPO, "benchmarks", "perf_baseline.json")
-DEFAULT_TREND = "perf_trend.jsonl"
 
 #: Deterministic-counter keys worth gating, as regexes over the flattened
-#: key space (see :func:`extract`). Everything else still lands in the
-#: trajectory file; only these are pinned exactly in the baseline.
+#: key space (see :func:`extract`); only these are pinned exactly in the
+#: baseline.
 GATED_PATTERNS = [
     r"^kernel\.(loop_events|heap_pushes|inline_events)$",
     r"\.journal\.commits$",
@@ -126,31 +118,6 @@ def _gated(scalars: dict) -> dict:
     return {k: v for k, v in sorted(scalars.items())
             if not _NONDET.search(k) and not _PER_INSTANCE.search(k)
             and any(p.search(k) for p in _GATED)}
-
-
-def append(results_paths, trend_path: str, label: str) -> int:
-    benches = extract_all(results_paths)
-    if not benches:
-        print(f"no benchmarks found in {results_paths}", file=sys.stderr)
-        return 1
-    record = {
-        "t": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "label": label,
-        "scale": os.environ.get("REPRO_SCALE", "default"),
-        "benchmarks": {
-            # Per-instance scopes stay out of the trajectory for the same
-            # reason they stay out of the baseline; the full per-client
-            # detail lives in the BENCH_*.json artifacts.
-            name: {"wall_s": b["wall_s"], "obs": b["obs"],
-                   "scalars": {k: v for k, v in sorted(b["scalars"].items())
-                               if not _PER_INSTANCE.search(k)}}
-            for name, b in sorted(benches.items())
-        },
-    }
-    with open(trend_path, "a") as f:
-        f.write(json.dumps(record, allow_nan=False) + "\n")
-    print(f"appended {len(benches)} benchmark(s) to {trend_path}")
-    return 0
 
 
 def check(results_paths, baseline_path: str, strict_wall: bool) -> int:
@@ -245,19 +212,13 @@ def update(results_paths, baseline_path: str) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("mode", choices=("append", "check", "update"))
+    parser.add_argument("mode", choices=("check", "update"))
     parser.add_argument("results", nargs="+",
                         help="pytest-benchmark JSON file(s)")
     parser.add_argument("--baseline", default=DEFAULT_BASELINE)
-    parser.add_argument("--trend", default=DEFAULT_TREND,
-                        help="trajectory file for append (JSONL)")
-    parser.add_argument("--label", default="local",
-                        help="free-form run label recorded in the trend")
     parser.add_argument("--strict-wall", action="store_true",
                         help="fail check on wall-clock drift too")
     args = parser.parse_args(argv)
-    if args.mode == "append":
-        return append(args.results, args.trend, args.label)
     if args.mode == "update":
         return update(args.results, args.baseline)
     return check(args.results, args.baseline, args.strict_wall)

@@ -172,12 +172,7 @@ class MDSCluster:
                 root = self.mds[0]
                 yield from self._hop()
                 root.active_sessions += 1
-                req0 = root.slots.request()
-                if tr is not None and not req0.granted:
-                    with tr.span(root.slots._wait_name, "queue"):
-                        yield req0
-                else:
-                    yield req0
+                req0 = yield from root.slots.acquire()
                 try:
                     # Same lock/journal contention inflation as a local op:
                     # the root authority degrades as the whole cluster leans
@@ -189,12 +184,7 @@ class MDSCluster:
                     root.slots.release(req0)
                     root.active_sessions -= 1
             target.active_sessions += 1
-            req = target.slots.request()
-            if tr is not None and not req.granted:
-                with tr.span(target.slots._wait_name, "queue"):
-                    yield req
-            else:
-                yield req
+            req = yield from target.slots.acquire()
             try:
                 yield from _svc_timeout(self.sim, tr,
                                         f"mds{target.index}.svc",

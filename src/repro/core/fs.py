@@ -10,6 +10,7 @@ mount it that way).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional
 
 from ..objectstore.base import ObjectStore
@@ -22,10 +23,12 @@ from ..posix.fuse import FUSE_DEFAULTS, FuseMount, MountParams
 from ..posix.types import FileType
 from ..sim.engine import Simulator
 from ..sim.network import NetParams, Network, Node
+from ..sim.resources import Resource
 from .client import ArkFSClient
 from .lease import LeaseManager, LeaseManagerCluster
 from .params import ArkFSParams, DEFAULT_PARAMS
 from .prt import PRT
+from .qos import QosManager, WFQResource
 from .retry import RetryPolicy
 from .types import Inode, InoAllocator, ROOT_INO
 
@@ -98,14 +101,15 @@ def build_arkfs(
     parameter.
     """
     net = Network(sim, net_params or NetParams())
-    # Multi-tenant QoS plane: built first so the stores' OSD queues and the
-    # lease managers' CPUs come up tenant-weighted. ``None`` (the default)
-    # leaves every queue/dispatch path structurally identical to a build
-    # without the subsystem.
+    # Multi-tenant QoS plane: built first, because it decides the queue
+    # discipline the stores' OSD queues and the lease managers' CPUs are
+    # built with — tenant-weighted fair queueing instead of the default
+    # FIFO. Nothing downstream asks which one it got.
     qos = None
+    queue = Resource
     if params.qos_enabled:
-        from .qos import QosManager
         qos = QosManager(sim, params)
+        queue = partial(WFQResource, weight_of=qos.weight_of)
     if store is None and params.tier_enabled:
         # Hot/cold tiered backend: a fast RADOS-like tier fronting a cold
         # capacity store. The fault shim wraps *each* tier so every
@@ -117,9 +121,9 @@ def build_arkfs(
             cold: ObjectStore = InMemoryObjectStore(sim)
         else:
             hot = ClusterObjectStore(sim, store_profile or RADOS_PROFILE,
-                                     net=net, qos=qos)
+                                     net=net, queue=queue)
             cold = ClusterObjectStore(sim, cold_profile or S3_COLD_PROFILE,
-                                      net=net, qos=qos)
+                                      net=net, queue=queue)
         if faults is not None:
             from ..faults.store import FaultyObjectStore
             hot = FaultyObjectStore(hot, faults)
@@ -144,7 +148,7 @@ def build_arkfs(
             else:
                 store = ClusterObjectStore(sim,
                                            store_profile or RADOS_PROFILE,
-                                           net=net, qos=qos)
+                                           net=net, queue=queue)
         if faults is not None:
             from ..faults.store import FaultyObjectStore
             store = FaultyObjectStore(store, faults)
@@ -156,28 +160,23 @@ def build_arkfs(
     mkfs(sim, store)
 
     if n_lease_managers <= 1:
-        mgr_node = Node(sim, "lease-mgr", cores=4, net=net)
+        mgr_node = Node(sim, "lease-mgr", cores=4, net=net, queue=queue)
         service = LeaseManager(sim, mgr_node, params)
         first = service
     else:
         # The paper's future-work extension: a hash-partitioned manager
         # cluster (see LeaseManagerCluster).
-        mgr_nodes = [Node(sim, f"lease-mgr{i}", cores=4, net=net)
+        mgr_nodes = [Node(sim, f"lease-mgr{i}", cores=4, net=net,
+                          queue=queue)
                      for i in range(n_lease_managers)]
         service = LeaseManagerCluster(sim, mgr_nodes, params)
         first = service.managers[0]
 
     if qos is not None:
-        # Tenant-weighted WFQ replaces the FIFO CPU queue at every lease
-        # manager; handlers attribute their work via the client name on
-        # the lease RPC (QosManager.tenant_of).
-        from .qos import WFQResource
-        managers = getattr(service, "managers", None) or [service]
-        for m in managers:
-            m.qos = qos
-            m.node.cpu = WFQResource(sim, capacity=m.node.cpu.capacity,
-                                     name=m.node.cpu.name,
-                                     weight_of=qos.weight_of)
+        # Handlers tag their CPU work with the tenant of the client named
+        # on the lease RPC.
+        for m in getattr(service, "managers", None) or [service]:
+            m.tenants = qos.client_tenant
 
     alloc = InoAllocator(seed=seed)
     cluster = ArkFSCluster(sim=sim, net=net, store=store, prt=prt,

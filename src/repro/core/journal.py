@@ -284,19 +284,6 @@ class JournalManager:
             "commit_max_fanout": self._g_commit_fanout.max_value,
         }
 
-    def _acquire(self, lock: Mutex) -> SimGen:
-        """Request a journal lock, attributing a contended wait when traced.
-
-        Returns the granted request (caller must release it)."""
-        tr = self.sim._tracer
-        req = lock.request()
-        if tr is not None and not req.granted:
-            with tr.span(lock._wait_name, "queue"):
-                yield req
-        else:
-            yield req
-        return req
-
     # -- lifecycle -----------------------------------------------------------
 
     def start_threads(self) -> None:
@@ -487,7 +474,7 @@ class JournalManager:
             rec.record("journal.fenced", dir=dj.dir_ino)
 
     def _commit_and_checkpoint(self, dj: _DirJournal) -> SimGen:
-        req = yield from self._acquire(dj.commit_lock)
+        req = yield from dj.commit_lock.acquire()
         try:
             yield from self._commit_locked(dj)
         except StaleEpochError:
@@ -499,7 +486,7 @@ class JournalManager:
         yield from self._bg_checkpoint(dj)
 
     def _bg_checkpoint(self, dj: _DirJournal) -> SimGen:
-        req = yield from self._acquire(dj.ckpt_lock)
+        req = yield from dj.ckpt_lock.acquire()
         try:
             yield from self._checkpoint_locked(dj)
         finally:
@@ -522,7 +509,7 @@ class JournalManager:
         # serializing one PUT each.
         target = dj.ops_recorded
         while dj.ops_committed < target:
-            req = yield from self._acquire(dj.commit_lock)
+            req = yield from dj.commit_lock.acquire()
             try:
                 if dj.ops_committed < target:
                     yield from self._commit_locked(dj)
@@ -567,7 +554,7 @@ class JournalManager:
         """
         dj = self.journal_for(dir_ino)
         yield from self._commit_and_checkpoint(dj)  # drain older state
-        req = yield from self._acquire(dj.commit_lock)
+        req = yield from dj.commit_lock.acquire()
         try:
             token = self._fence_check(dir_ino)
             seq = dj.next_seq
@@ -589,7 +576,7 @@ class JournalManager:
                         commit: bool) -> SimGen:
         """Checkpoint (commit=True) or discard (commit=False) a prepared txn."""
         dj = self.journal_for(dir_ino)
-        req = yield from self._acquire(dj.ckpt_lock)
+        req = yield from dj.ckpt_lock.acquire()
         try:
             if commit:
                 n = yield from self._retry.call(

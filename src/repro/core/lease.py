@@ -158,10 +158,10 @@ class LeaseManager:
         self.cluster = cluster
         self.index = index
         self.leases: Dict[int, _LeaseState] = {}
-        # QoS plane (build_arkfs installs it when qos_enabled): when set,
-        # handler CPU is a tenant-weighted WFQ and ops are attributed to
-        # the requesting client's tenant.
-        self.qos = None
+        # Client name -> tenant, tagging handler CPU for a tenant-weighted
+        # ``node.cpu`` (build_arkfs shares the QoS plane's registry; an
+        # unlisted client is its own tenant, and a FIFO ignores the tag).
+        self.tenants: Dict[str, str] = {}
         self._boot_time = sim.now
         self._restarted = False  # the startup gate applies only to restarts
         self.stats = {"acquire": 0, "extend": 0, "redirect": 0, "release": 0,
@@ -185,12 +185,8 @@ class LeaseManager:
     # -- handlers ------------------------------------------------------------------
 
     def _work(self, client: Optional[str] = None) -> SimGen:
-        qos = self.qos
-        if qos is None:
-            yield from self.node.work(self.params.lease_op_cpu)
-        else:
-            cpu = self.params.lease_op_cpu
-            yield from self.node.cpu.use_wfq(cpu, qos.tenant_of(client), cpu)
+        cpu = self.params.lease_op_cpu
+        return self.node.cpu.use(cpu, self.tenants.get(client, client), cpu)
 
     def _grant(self, dir_ino: int, st: _LeaseState, rs, fresh: bool,
                needs_recovery: bool) -> LeaseGrant:
@@ -397,9 +393,6 @@ class LeaseManagerCluster:
 
     def holder_of(self, dir_ino: int) -> Optional[str]:
         return self.shard_of(dir_ino).holder_of(dir_ino)
-
-    def epoch_of(self, dir_ino: int) -> int:
-        return self.range_for(dir_ino).epoch
 
     # -- failover --------------------------------------------------------------
 

@@ -53,12 +53,6 @@ class Metatable:
     def is_shard(self) -> bool:
         return self.auth_ino is not None
 
-    @property
-    def journal_ino(self) -> int:
-        """The ino keying this table's journal stream and lease."""
-        return self.auth_ino if self.auth_ino is not None \
-            else self.dir_inode.ino
-
     # -- lookups ----------------------------------------------------------------
 
     def lookup(self, name: str) -> Dentry:

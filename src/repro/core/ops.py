@@ -87,9 +87,6 @@ class LeaderOps:
         while (dir_ino, name) in self._pending_names:
             yield self.sim.timeout(0.001)
 
-    def _journal_dir_inode(self, mt) -> None:
-        self.journal.record(mt.dir_ino, ops_put_inode(mt.dir_inode))
-
     def _touch_dir(self, mt) -> None:
         # Shard tables hold a *copy* of the parent inode: mutating or
         # journaling it from every shard would make the parent inode a
@@ -537,12 +534,6 @@ class LeaderOps:
         grant = yield from self.fleases.acquire(ino, requester or self.name,
                                                 mode)
         return grant
-
-    def _op_flease_release(self, creds: Credentials, dir_ino: int, ino: int,
-                           requester: str = "") -> SimGen:
-        yield self.sim.timeout(0)
-        self.fleases.release(ino, requester or self.name)
-        return True
 
     # -- rename ----------------------------------------------------------------------------------------------
 

@@ -309,8 +309,7 @@ class PackWriter:
         """Seal the open container: one big PUT, then commit the extent
         deltas, then purge the stale plain objects. Serialized; concurrent
         callers coalesce (the second finds an empty buffer)."""
-        req = self._seal_lock.request()
-        yield req
+        req = yield from self._seal_lock.acquire()
         try:
             if not self._pending:
                 return

@@ -215,23 +215,6 @@ class PRT:
             return b""
         return data
 
-    def read_objects(self, ino: int, indices: List[int],
-                     src: Optional[Node] = None) -> SimGen:
-        """Scatter-gather read of whole data objects; missing read as empty.
-
-        Returns ``{index: data}``; one batched GET instead of one RTT per
-        object (the cold-read fast path when the cache fans out misses)."""
-        if not indices:
-            return {}
-        sp = _span(self.sim, "prt.read_objects", "prt")
-        try:
-            keys = [self.key_data(ino, idx) for idx in indices]
-            raws = yield from self.store.get_many(keys, src=src)
-        finally:
-            sp.close()
-        return {idx: (raw if raw is not None else b"")
-                for idx, raw in zip(indices, raws)}
-
     def write_object(self, ino: int, index: int, data: bytes,
                      src: Optional[Node] = None) -> SimGen:
         if len(data) > self.data_object_size:

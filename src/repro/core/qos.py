@@ -15,17 +15,17 @@ tenants). This module supplies the three classic mechanisms:
   whose queue is ordered by start-time fair queueing (SFQ) finish tags
   instead of FIFO. Per-tenant order is preserved (tags within a tenant
   are strictly increasing) while backlogged tenants share capacity in
-  proportion to their weights. Used for the OSD service queues and the
-  lease-manager CPU when ``qos_enabled``.
+  proportion to their weights. ``build_arkfs`` builds the OSD service
+  queues and the lease-manager CPUs from it when ``qos_enabled``.
 * :class:`QosManager` — pure cluster bookkeeping (no events of its own,
   like ``FencingRegistry``): tenant registry, weights, buckets, bounded
   per-tenant in-flight ops. Admission overflow raises :class:`TenantBusy`
   (EAGAIN) which the client surfaces through its retry policy.
 
 Everything here is built only when ``ArkFSParams.qos_enabled`` is True;
-the default-off configuration leaves ``client.qos``/``store.qos``/
-``manager.qos`` as ``None`` and is pinned bit-identical by
-``tests/core/test_qos_off_identity.py``.
+the default-off configuration builds plain FIFO queues, leaves
+``client.qos`` as ``None`` and is pinned bit-identical by
+``tests/core/test_off_identity.py``.
 """
 
 from __future__ import annotations
@@ -116,9 +116,11 @@ class WFQResource(Resource):
     * continuously-backlogged tenants receive capacity in proportion to
       their weights.
 
-    Untagged :meth:`request`/:meth:`use` calls (and internal pooled
-    requests) map to the default tenant ``None`` at cost 1.0, so code that
-    is unaware of tenants keeps working against a WFQResource.
+    Tags arrive through the base class's own verbs —
+    ``request(tenant, cost)`` and ``use(hold, tenant, cost)``; untagged
+    calls (``acquire`` included) map to the default tenant ``None`` at cost
+    1.0, so code that is unaware of tenants keeps working against a
+    WFQResource.
     """
 
     def __init__(
@@ -154,11 +156,34 @@ class WFQResource(Resource):
         req.start = start
         req.finish = finish
 
-    def request_wfq(self, tenant: Optional[str], cost: float = 1.0) -> WFQRequest:
+    def request(self, tenant: Optional[str] = None,
+                cost: float = 1.0) -> WFQRequest:
+        return self._enqueue(WFQRequest(self), tenant, cost)
+
+    def _request_pooled(self, tenant: Optional[str] = None,
+                        cost: Optional[float] = None) -> WFQRequest:
+        """Where ``Resource.use`` hands over its tags; an untagged ``use``
+        costs 1.0. Recycled requests are re-tagged like fresh ones (the
+        reset is inlined as in the base class: a shared helper would add a
+        Python call to every ``use``)."""
+        pool = self._pool
+        if pool:
+            req = pool.pop()
+            req._value = _PENDING
+            req._ok = None
+            req._scheduled = False
+            req.callbacks = []
+            req.granted = False
+            req.cancelled = False
+        else:
+            req = WFQRequest(self)
+        return self._enqueue(req, tenant, 1.0 if cost is None else cost)
+
+    def _enqueue(self, req: WFQRequest, tenant: Optional[str],
+                 cost: float) -> WFQRequest:
         watch = self._watch
         if watch is not None:
             watch.add(self)
-        req = WFQRequest(self)
         self._tag(req, tenant, cost)
         if self._in_use < self.capacity and not self._heap:
             if req.start > self._vtime:
@@ -168,14 +193,6 @@ class WFQResource(Resource):
             self._seq += 1
             heapq.heappush(self._heap, (req.finish, self._seq, req))
         return req
-
-    def request(self) -> WFQRequest:
-        return self.request_wfq(None, 1.0)
-
-    # ``Resource.use`` recycles plain Requests through a freelist; tags
-    # would go stale on reuse, so the WFQ variant just allocates.
-    def _request_pooled(self) -> WFQRequest:
-        return self.request_wfq(None, 1.0)
 
     def release(self, req: Request) -> None:
         watch = self._watch
@@ -198,23 +215,6 @@ class WFQResource(Resource):
             if nxt.start > self._vtime:
                 self._vtime = nxt.start
             self._grant(nxt)
-
-    def use_wfq(self, hold_time: float, tenant: Optional[str],
-                cost: Optional[float] = None) -> SimGen:
-        """Tenant-tagged acquire / hold / release (cf. ``Resource.use``)."""
-        sim = self.sim
-        req = self.request_wfq(tenant, hold_time if cost is None else cost)
-        tr = sim._tracer
-        if tr is not None and not req.granted:
-            with tr.span(self._wait_name, "queue"):
-                yield req
-        else:
-            yield req
-        try:
-            if hold_time > 0:
-                yield sim.timeout(hold_time)
-        finally:
-            self.release(req)
 
 
 class _TenantState:
@@ -242,7 +242,9 @@ class QosManager:
         self.sim = sim
         self.params = params
         self._tenants: Dict[Optional[str], _TenantState] = {}
-        self._client_tenant: Dict[str, str] = {}
+        # Client name -> tenant; the lease managers share this dict to
+        # attribute lease RPCs (an unlisted client is its own tenant).
+        self.client_tenant: Dict[str, str] = {}
         from ..obs import Observability
 
         registry = Observability.of(sim).metrics
@@ -273,18 +275,10 @@ class QosManager:
     def register_client(self, client_name: str, tenant: str,
                         weight: Optional[float] = None) -> None:
         """Bind ``client_name`` to ``tenant`` (for lease-RPC attribution)."""
-        self._client_tenant[client_name] = tenant
+        self.client_tenant[client_name] = tenant
         st = self.state(tenant)
         if weight is not None:
             st.weight = float(weight)
-
-    def set_weight(self, tenant: str, weight: float) -> None:
-        self.state(tenant).weight = float(weight)
-
-    def tenant_of(self, client_name: Optional[str]) -> Optional[str]:
-        if client_name is None:
-            return None
-        return self._client_tenant.get(client_name, client_name)
 
     def weight_of(self, tenant: Optional[str]) -> float:
         st = self._tenants.get(tenant)

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .types import ino_hex
 
@@ -136,7 +136,3 @@ class ShardMap:
 
     def with_state(self, state: str) -> "ShardMap":
         return ShardMap(self.dir_ino, state, self.shards)
-
-
-def parse_shard_map(raw: Optional[bytes]) -> Optional[ShardMap]:
-    return None if raw is None else ShardMap.from_bytes(raw)

@@ -15,7 +15,7 @@ staging volume in the archiving workload and the S3FS disk cache.
 from __future__ import annotations
 
 import zlib
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.trace import span as _span
 from ..sim.engine import SimGen, Simulator
@@ -39,41 +39,33 @@ def _timed(sim: Simulator, delay: float, name: str, cat: str) -> SimGen:
 
 
 class _OSD:
-    """One storage daemon: a service-slot queue plus a media pipe.
-
-    With the QoS plane installed the service queue is a tenant-weighted
-    :class:`~repro.core.qos.WFQResource` instead of a FIFO."""
+    """One storage daemon: a service-slot queue plus a media pipe."""
 
     def __init__(self, sim: Simulator, index: int, profile: StoreProfile,
-                 qos=None):
+                 queue: Callable[..., Resource] = Resource):
         self.index = index
-        if qos is None:
-            self.queue = Resource(sim, capacity=profile.osd_queue_depth,
-                                  name=f"osd{index}.q")
-        else:
-            from ..core.qos import WFQResource
-
-            self.queue = WFQResource(sim, capacity=profile.osd_queue_depth,
-                                     name=f"osd{index}.q",
-                                     weight_of=qos.weight_of)
+        self.queue = queue(sim, capacity=profile.osd_queue_depth,
+                           name=f"osd{index}.q")
         # FIFO at full rate: a lone stream gets the whole device, while the
         # aggregate under contention still caps at media_bw.
         self.media = BandwidthPipe(sim, profile.media_bw,
                                    name=f"osd{index}.media")
-        self.wait_name = f"wait:osd{index}.q"
-        self.svc_name = f"osd{index}.svc"
         self.alive = True
 
 
 class ClusterObjectStore(ObjectStore):
-    """An object store sharded over ``profile.n_osds`` simulated OSDs."""
+    """An object store sharded over ``profile.n_osds`` simulated OSDs.
+
+    ``queue`` is the OSD service queues' discipline: a
+    :class:`~repro.sim.resources.Resource` class or factory (FIFO by
+    default; tenant-weighted when the QoS plane builds the store)."""
 
     def __init__(
         self,
         sim: Simulator,
         profile: StoreProfile,
         net: Optional[Network] = None,
-        qos=None,
+        queue: Callable[..., Resource] = Resource,
     ):
         self.sim = sim
         self.profile = profile
@@ -81,9 +73,8 @@ class ClusterObjectStore(ObjectStore):
         # time-to-first-byte (0.0 on warm profiles — timing-identical).
         self._get_fixed = profile.get_latency + profile.first_byte_latency
         self.net = net
-        self.qos = qos
         self.backing = InMemoryObjectStore(sim)
-        self.osds = [_OSD(sim, i, profile, qos=qos)
+        self.osds = [_OSD(sim, i, profile, queue)
                      for i in range(profile.n_osds)]
         self.bytes_read = 0
         self.bytes_written = 0
@@ -109,13 +100,6 @@ class ClusterObjectStore(ObjectStore):
         return [self.osds[(h + i) % n] for i in range(k + m)]
 
     # -- cost helpers ---------------------------------------------------------
-
-    def _tenant(self, src: Optional[Node]) -> Optional[str]:
-        """The requesting node's tenant, for WFQ attribution. ``None`` (the
-        default tenant) without the QoS plane or for infrastructure ops."""
-        if self.qos is None or src is None:
-            return None
-        return src.tenant
 
     def _client_leg(self, src: Optional[Node], nbytes: int) -> SimGen:
         """Charge the calling node's NIC for moving ``nbytes``; plus the
@@ -155,30 +139,15 @@ class ClusterObjectStore(ObjectStore):
                                   "stream.cap", "net")
 
     def _service(self, osd: _OSD, fixed: float, nbytes: int,
-                 tenant: Optional[str] = None) -> SimGen:
-        """Occupy an OSD service slot for the request, then move data
-        through its media pipe."""
-        tr = self.sim._tracer
-        if self.qos is not None:
-            # WFQ cost: slot time plus the media time this request induces.
-            cost = fixed + (nbytes / self.profile.media_bw if nbytes else 0.0)
-            req = osd.queue.request_wfq(tenant, cost)
-        else:
-            req = osd.queue.request()
-        if tr is not None and not req.granted:
-            with tr.span(osd.wait_name, "queue"):
-                yield req
-        else:
-            yield req
-        try:
-            if fixed > 0:
-                if tr is not None:
-                    with tr.span(osd.svc_name, "svc"):
-                        yield self.sim.timeout(fixed)
-                else:
-                    yield self.sim.timeout(fixed)
-        finally:
-            osd.queue.release(req)
+                 src: Optional[Node] = None) -> SimGen:
+        """Occupy an OSD service slot for ``fixed`` seconds, then move
+        ``nbytes`` through its media pipe."""
+        # Tags for a fair-queueing OSD (a FIFO ignores them): the calling
+        # node's tenant (``None``, the default tenant, for infrastructure
+        # ops), at a cost of slot time plus the media time induced.
+        tenant = src.tenant if src is not None else None
+        cost = fixed + (nbytes / self.profile.media_bw if nbytes else 0.0)
+        yield from osd.queue.use(fixed, tenant, cost)
         if nbytes > 0:
             yield from osd.media.transfer(nbytes)
 
@@ -188,13 +157,12 @@ class ClusterObjectStore(ObjectStore):
         data = self.backing.sync_get(key)  # raise NoSuchKey before paying cost
         sp = _span(self.sim, "store.get", "store")
         try:
-            tenant = self._tenant(src)
             if self.profile.erasure is not None:
-                yield from self._ec_gather(key, len(data), tenant)
+                yield from self._ec_gather(key, len(data), src)
             else:
                 osd = self.osd_for(key)
                 yield from self._service(osd, self._get_fixed,
-                                         len(data), tenant)
+                                         len(data), src)
             yield from self._client_leg(src, len(data))
         finally:
             sp.close()
@@ -203,13 +171,13 @@ class ClusterObjectStore(ObjectStore):
         return data
 
     def _ec_gather(self, key: str, nbytes: int,
-                   tenant: Optional[str] = None) -> SimGen:
+                   src: Optional[Node] = None) -> SimGen:
         """Read the k data shards in parallel and decode the stripe."""
         k, _m = self.profile.erasure
         shard = -(-nbytes // k)
         reads = [
             self.sim.process(
-                self._service(osd, self._get_fixed, shard, tenant),
+                self._service(osd, self._get_fixed, shard, src),
                 name=f"ec-read{osd.index}")
             for osd in self.shards_for(key)[:k]
         ]
@@ -225,8 +193,7 @@ class ClusterObjectStore(ObjectStore):
         sp = _span(self.sim, "store.get_range", "store")
         try:
             osd = self.osd_for(key)
-            yield from self._service(osd, self._get_fixed, len(data),
-                                     self._tenant(src))
+            yield from self._service(osd, self._get_fixed, len(data), src)
             yield from self._client_leg(src, len(data))
         finally:
             sp.close()
@@ -238,12 +205,12 @@ class ClusterObjectStore(ObjectStore):
         sp = _span(self.sim, "store.put", "store")
         try:
             yield from self._client_leg(src, len(data))
-            yield from self._server_put(key, data, self._tenant(src))
+            yield from self._server_put(key, data, src)
         finally:
             sp.close()
 
     def _server_put(self, key: str, data: bytes,
-                    tenant: Optional[str] = None) -> SimGen:
+                    src: Optional[Node] = None) -> SimGen:
         """Backend side of a PUT (replication / EC fan-out, no client leg)."""
         if self.profile.erasure is not None:
             k, m = self.profile.erasure
@@ -252,8 +219,7 @@ class ClusterObjectStore(ObjectStore):
                               "ec.encode", "cpu")
             writes = [
                 self.sim.process(
-                    self._service(osd, self.profile.put_latency, shard,
-                                  tenant),
+                    self._service(osd, self.profile.put_latency, shard, src),
                     name=f"ec-write{osd.index}",
                 )
                 for osd in self.shards_for(key)
@@ -264,7 +230,7 @@ class ClusterObjectStore(ObjectStore):
             writes = [
                 self.sim.process(
                     self._service(osd, self.profile.put_latency, len(data),
-                                  tenant),
+                                  src),
                     name=f"put-replica{osd.index}",
                 )
                 for osd in self.replicas_for(key)
@@ -279,8 +245,7 @@ class ClusterObjectStore(ObjectStore):
         sp = _span(self.sim, "store.delete", "store")
         try:
             osd = self.osd_for(key)
-            yield from self._service(osd, self.profile.delete_latency, 0,
-                                     self._tenant(src))
+            yield from self._service(osd, self.profile.delete_latency, 0, src)
         finally:
             sp.close()
         self.backing.sync_delete(key)
@@ -291,8 +256,7 @@ class ClusterObjectStore(ObjectStore):
         sp = _span(self.sim, "store.head", "store")
         try:
             osd = self.osd_for(key)
-            yield from self._service(osd, self.profile.head_latency, 0,
-                                     self._tenant(src))
+            yield from self._service(osd, self.profile.head_latency, 0, src)
         finally:
             sp.close()
         self.backing.op_counts["head"] += 1
@@ -316,8 +280,7 @@ class ClusterObjectStore(ObjectStore):
         try:
             if key in self.backing or key in self._pending_creates:
                 osd = self.osd_for(key)
-                yield from self._service(osd, self.profile.put_latency, 0,
-                                         self._tenant(src))
+                yield from self._service(osd, self.profile.put_latency, 0, src)
                 return False
             self._pending_creates.add(key)
             try:
@@ -339,17 +302,16 @@ class ClusterObjectStore(ObjectStore):
         tr = self.sim._tracer
         sp = _span(self.sim, "store.get_many", "store")
         values = [self.backing._data.get(k) for k in keys]
-        tenant = self._tenant(src)
         try:
             reads = []
             for key, data in zip(keys, values):
                 if data is None:
                     continue
                 if self.profile.erasure is not None:
-                    gen = self._ec_gather(key, len(data), tenant)
+                    gen = self._ec_gather(key, len(data), src)
                 else:
                     gen = self._service(self.osd_for(key),
-                                        self._get_fixed, len(data), tenant)
+                                        self._get_fixed, len(data), src)
                 if tr is not None:
                     # Per-item span inside the scatter-gather batch.
                     gen = tr.wrap("store.get", gen, "store", key=key)
@@ -372,10 +334,9 @@ class ClusterObjectStore(ObjectStore):
         sp = _span(self.sim, "store.put_many", "store")
         try:
             yield from self._client_leg_many(src, [len(d) for _k, d in items])
-            tenant = self._tenant(src)
             writes = []
             for k, d in items:
-                gen = self._server_put(k, d, tenant)
+                gen = self._server_put(k, d, src)
                 if tr is not None:
                     gen = tr.wrap("store.put", gen, "store", key=k)
                 writes.append(self.sim.process(gen, name=f"mput:{k}"))
@@ -388,12 +349,11 @@ class ClusterObjectStore(ObjectStore):
         tr = self.sim._tracer
         sp = _span(self.sim, "store.delete_many", "store")
         present = [k for k in keys if k in self.backing]
-        tenant = self._tenant(src)
         try:
             deletes = []
             for k in present:
                 gen = self._service(self.osd_for(k),
-                                    self.profile.delete_latency, 0, tenant)
+                                    self.profile.delete_latency, 0, src)
                 if tr is not None:
                     gen = tr.wrap("store.delete", gen, "store", key=k)
                 deletes.append(self.sim.process(gen, name=f"mdel:{k}"))

@@ -520,8 +520,7 @@ class TieredObjectStore(ObjectStore):
             yield from self._drain_rounds(src=src, drain_all=True)
 
     def _drain_rounds(self, src: Optional[Node], drain_all: bool) -> SimGen:
-        req = self._drain_lock.request()
-        yield req
+        req = yield from self._drain_lock.acquire()
         try:
             while self._dirty:
                 n = yield from self._drain_batch(src)

@@ -44,13 +44,12 @@ from .trace import (
     is_sampled,
     sample_threshold,
     span,
-    wrap,
 )
 
 __all__ = [
     "Observability",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "Series",
-    "SpanTracer", "Span", "span", "wrap", "NULL_SPAN", "ROOT_CAT",
+    "SpanTracer", "Span", "span", "NULL_SPAN", "ROOT_CAT",
     "RootOpObserver", "sample_threshold", "is_sampled",
     "SlowOpLog", "SLOWLOG_SCHEMA",
     "FlightRecorder", "RECORDER_SCHEMA",
@@ -117,17 +116,6 @@ class Observability:
         if self.slowlog is not None:
             self.slowlog.tracer = self.tracer
         return self.tracer
-
-    def disable_tracing(self) -> None:
-        self.sim._tracer = None
-        self.sim._sample_tracer = None
-        self.tracer = None
-        self.sample_rate = 0.0
-        ob = self._op_observer
-        if ob is not None:
-            ob.tracer = None
-            ob.threshold = 0
-            ob.rate = 0.0
 
     # -- slow-op log / flight recorder ----------------------------------------
 

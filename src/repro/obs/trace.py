@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "SpanTracer", "span", "wrap", "NULL_SPAN", "ROOT_CAT",
+__all__ = ["Span", "SpanTracer", "span", "NULL_SPAN", "ROOT_CAT",
            "RootOpObserver", "sample_threshold", "is_sampled"]
 
 #: Category that marks operation root spans (one per VFS op).
@@ -215,14 +215,6 @@ def span(sim, name: str, cat: str = ""):
     if tr is None:
         return NULL_SPAN
     return tr.span(name, cat)
-
-
-def wrap(sim, gen, name: str, cat: str = ""):
-    """Wrap a generator in a span; returns ``gen`` unchanged when disabled."""
-    tr = sim._tracer
-    if tr is None:
-        return gen
-    return tr.wrap(name, gen, cat)
 
 
 class RootOpObserver:

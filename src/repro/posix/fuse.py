@@ -98,18 +98,6 @@ class _MountBase(VFSClient):
         if self.params.dispatch_cpu > 0:
             yield from self.node.work(self.params.dispatch_cpu)
 
-    def _lock(self, lock: Mutex) -> SimGen:
-        """Request ``lock``, attributing a contended wait when traced;
-        returns the granted request (caller releases it)."""
-        tr = self.sim._tracer
-        req = lock.request()
-        if tr is not None and not req.granted:
-            with tr.span(lock._wait_name, "queue"):
-                yield req
-        else:
-            yield req
-        return req
-
     def _globally_locked(self, gen: SimGen) -> SimGen:
         """Run ``gen`` under the client-global mutex (ceph-fuse style);
         without one, ``gen`` itself is what the caller iterates."""
@@ -118,7 +106,7 @@ class _MountBase(VFSClient):
         return self._under_global_lock(gen)
 
     def _under_global_lock(self, gen: SimGen) -> SimGen:
-        req = yield from self._lock(self._global_lock)
+        req = yield from self._global_lock.acquire()
         try:
             yield from self.node.work(self.params.global_lock_service)
             return (yield from gen)
@@ -167,7 +155,7 @@ class _MountBase(VFSClient):
 
         if hold_dir_lock:
             lock = self._dir_lock(parent)
-            req = yield from self._lock(lock)
+            req = yield from lock.acquire()
             try:
                 result = yield from self._globally_locked(resolve())
             finally:
@@ -210,7 +198,7 @@ class _MountBase(VFSClient):
         if lock_parent:
             parent, _name = pathmod.parent_and_name(path)
             lock = self._dir_lock(parent)
-            req = yield from self._lock(lock)
+            req = yield from lock.acquire()
             try:
                 return (yield from self._globally_locked(gen))
             finally:
@@ -290,7 +278,7 @@ class _MountBase(VFSClient):
         ceph-fuse bulk data movement collapses under multiple processes."""
         yield from self._request()
         if self._global_lock is not None:
-            req = yield from self._lock(self._global_lock)
+            req = yield from self._global_lock.acquire()
             try:
                 yield from self.node.work(self.params.effective_data_lock)
             finally:

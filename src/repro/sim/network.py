@@ -62,16 +62,19 @@ class Node:
         cores: int = 1,
         net: Optional["Network"] = None,
         nic_bps: Optional[float] = None,
+        queue: Callable[..., Resource] = Resource,
     ):
         self.sim = sim
         self.name = name
-        self.cpu = Resource(sim, capacity=cores, name=f"{name}.cpu")
+        # ``queue`` is the CPU's queue discipline (a Resource class/factory).
+        self.cpu = queue(sim, capacity=cores, name=f"{name}.cpu")
         self.net = net
         bw = nic_bps if nic_bps is not None else (net.params.bandwidth_bps if net else 10e9 / 8)
         self.nic = BandwidthPipe(sim, bw, name=f"{name}.nic")
         self.alive = True
-        # QoS tenant attribution: set by build_arkfs / bind_tenant when the
-        # QoS plane is enabled; stores read it only when qos is installed.
+        # QoS tenant attribution: set by bind_tenant when the QoS plane is
+        # enabled; tags this node's store requests for tenant-weighted OSD
+        # queues (a FIFO ignores it).
         self.tenant: Optional[str] = None
         self._handlers: Dict[str, Callable[..., SimGen]] = {}
         if net is not None:

@@ -11,6 +11,13 @@ objects used internally by ``use`` are recycled through small freelists;
 and a sampled resource tells the sampler when its state changed
 (``Resource._watch``) instead of being polled every tick.
 
+This module is the only place that knows how to wait for and hold a queue:
+``Resource.use`` for a timed hold, ``Resource.acquire`` for a hold across
+arbitrary work. The queue discipline (FIFO here, tenant-weighted fair
+queueing in ``repro.core.qos.WFQResource``) is the resource's class, chosen
+where the resource is built; callers tag every ``use`` and a FIFO ignores
+the tags.
+
 ``Resource.use`` — 60 % of all scheduled events in the metadata workloads
 are its grant + hold — has two bodies with one schedule. ``_use_textbook``
 is the definition: yield the request, then yield a timeout. It runs when a
@@ -113,9 +120,11 @@ class Resource:
             self._queue.append(req)
         return req
 
-    def _request_pooled(self) -> Request:
+    def _request_pooled(self, tenant: Optional[str] = None,
+                        cost: Optional[float] = None) -> Request:
         """Internal variant of :meth:`request` for :meth:`use`: may return a
-        recycled Request object (never exposed to user code)."""
+        recycled Request object (never exposed to user code). A FIFO has no
+        use for the tenant tags."""
         watch = self._watch
         if watch is not None:
             watch.add(self)
@@ -168,24 +177,49 @@ class Resource:
         req.granted = True
         req.succeed(req)
 
-    def use(self, hold_time: float) -> SimGen:
+    def acquire(self) -> SimGen:
+        """Generator helper for a hold across arbitrary work: wait for a
+        slot (a contended wait gets a queue span when traced) and return
+        the granted request, which the caller passes to :meth:`release`
+        in a ``finally``. Interrupted before it returns — still queued, or
+        granted but not yet resumed — it cancels the request or gives the
+        slot straight back, so a dead waiter never holds the resource."""
+        req = self.request()
+        tr = self.sim._tracer
+        try:
+            if tr is None or req.granted:
+                yield req
+            else:
+                with tr.span(self._wait_name, "queue"):
+                    yield req
+        except BaseException:
+            self.release(req)
+            raise
+        return req
+
+    def use(self, hold_time: float, tenant: Optional[str] = None,
+            cost: Optional[float] = None) -> SimGen:
         """Generator helper: acquire, hold for ``hold_time``, release.
+
+        ``tenant`` and ``cost`` tag the request for a fair-queueing
+        discipline; a FIFO ignores them.
 
         Returns one of two generators with the same schedule (same events,
         same order): the textbook request/hold pair when a tracer is active
         (each step gets its span) or there is nothing to hold, otherwise
         the fused form that resumes the caller once."""
         if hold_time > 0 and self.sim._tracer is None:
-            return self._use_fused(hold_time)
-        return self._use_textbook(hold_time)
+            return self._use_fused(hold_time, tenant, cost)
+        return self._use_textbook(hold_time, tenant, cost)
 
-    def _use_textbook(self, hold_time: float) -> SimGen:
+    def _use_textbook(self, hold_time: float, tenant: Optional[str] = None,
+                      cost: Optional[float] = None) -> SimGen:
         """The definition of ``use``: wait for the grant, then for the hold.
 
         With tracing on, a contended acquisition gets a queue-wait span and
         the hold gets a span in the resource's attribution category."""
         sim = self.sim
-        req = self._request_pooled()
+        req = self._request_pooled(tenant, cost)
         try:
             if req.granted:
                 yield req
@@ -206,13 +240,14 @@ class Resource:
                     and len(self._pool) < _REQ_POOL_MAX):
                 self._pool.append(req)
 
-    def _use_fused(self, hold_time: float) -> SimGen:
+    def _use_fused(self, hold_time: float, tenant: Optional[str],
+                   cost: Optional[float]) -> SimGen:
         """``_use_textbook`` with one resume instead of two: the caller
         waits on the hold timeout alone, and the grant event starts that
         timeout's clock when the scheduler processes it
         (``Simulator._hold``). Untraced, positive holds only."""
         sim = self.sim
-        req = self._request_pooled()
+        req = self._request_pooled(tenant, cost)
         t = sim._hold(req, hold_time)
         try:
             yield t

@@ -21,10 +21,17 @@ Three behaviors the crashcheck sweeps and property tests don't pin:
    (flushing dirty write-back data) while the parent is still the sole
    authority, so no client survives the split with a grant the new shard
    leaders never heard about.
+
+4. ``rmdir`` of a split directory: empty iff every shard is; removing it
+   surrenders every shard lease and retires the shard map
+   (``LeaderOps._surrender_child``'s ``"sharded"`` branch).
 """
 
-from repro.core import DEFAULT_PARAMS, build_arkfs
+import pytest
+
+from repro.core import DEFAULT_PARAMS, build_arkfs, fsck
 from repro.posix import ROOT_CREDS, SyncFS
+from repro.posix.errors import DirectoryNotEmpty
 from repro.sim import Simulator
 
 SHARD_PARAMS = dict(shards_enabled=True, shard_split_threshold=6,
@@ -154,3 +161,44 @@ class TestSplitMovesFileLeases:
         assert d_ino in cluster.client(0)._shard_maps
         # A third client (fresh cache) must see client1's write.
         assert fs2.read_file("/d/target") == b"new-bytes"
+
+
+class TestRmdirOfAShardedDirectory:
+    @staticmethod
+    def _shard_state(cluster, d_ino, smap):
+        svc = cluster.lease_service
+        return (cluster.prt.key_shard_map(d_ino) in cluster.store,
+                [svc.holder_of(si) for si in smap.shard_inos()])
+
+    def test_non_empty_is_enotempty_and_stays_sharded(self):
+        sim, cluster, d_ino = _split_dir_setup(n_clients=3)
+        fs0 = SyncFS(cluster.client(0), ROOT_CREDS)
+        fs1 = SyncFS(cluster.client(1), ROOT_CREDS)
+        with pytest.raises(DirectoryNotEmpty):
+            fs1.rmdir("/d")
+        assert fs0.readdir("/d") == sorted(f"f{i}" for i in range(10))
+        assert fs1.read_file("/d/f3") == bytes([4]) * 16
+        assert cluster.prt.key_shard_map(d_ino) in cluster.store
+
+    def test_empty_is_removed_with_its_map_and_shard_leases(self):
+        sim, cluster, d_ino = _split_dir_setup(n_clients=3)
+        smap = cluster.client(0)._shard_maps[d_ino]
+        fs0 = SyncFS(cluster.client(0), ROOT_CREDS)
+        fs1 = SyncFS(cluster.client(1), ROOT_CREDS)
+        assert self._shard_state(cluster, d_ino, smap)[0]
+        for i in range(10):                 # emptied through another client
+            fs1.unlink(f"/d/f{i}")
+        assert fs0.readdir("/d") == []
+        fs1.rmdir("/d")
+        assert fs0.readdir("/") == [] and fs1.readdir("/") == []
+        assert self._shard_state(cluster, d_ino, smap) == (False, [None] * 4)
+        assert cluster.lease_service.holder_of(d_ino) is None
+        # The name is free again, and the new directory starts unsharded.
+        fs0.mkdir("/d")
+        fs0.write_file("/d/again", b"fresh")
+        assert fs1.read_file("/d/again") == b"fresh"
+        for client in cluster.clients:
+            sim.run_process(client.sync())
+        sim.run(until=sim.now + 3)          # let checkpoints drain
+        report = sim.run_process(fsck(cluster.prt))
+        assert report.clean, report.errors

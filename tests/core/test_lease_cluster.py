@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import build_arkfs
+from repro.core.fsck import fsck
 from repro.core.lease import (LeaseGrant, LeaseManager, LeaseManagerCluster,
                               LeaseWait)
 from repro.core.params import DEFAULT_PARAMS
@@ -161,6 +162,66 @@ class TestPerRangeRestartFence:
         resp = sim.run_process(mgr._h_acquire(0x2, "c"))
         assert isinstance(resp, LeaseWait)
         assert resp.reason == "manager-restarted"
+
+
+class TestFencedBackgroundCommit:
+    def test_commit_that_loses_the_race_with_a_failover_drops_its_stream(self):
+        """The one schedule on which a *background* commit meets a newer
+        authority (``JournalManager._discard_fenced``): the leader records
+        an op in the last instants of a lease granted just before its
+        range failed over, a second client is granted the directory the
+        moment the range fence lifts, and the commit thread ticks before
+        the leader's lease keeper has noticed the lapse. The stale stream
+        must be dropped, not committed; the deposed leader carries on as
+        a follower; nothing acknowledged is lost."""
+        sim = Simulator()
+        # A thin renew margin keeps the lease keeper from abdicating a
+        # whole second early; commit ticks stay on whole seconds.
+        params = DEFAULT_PARAMS.with_(lease_renew_margin=0.01)
+        cluster = build_arkfs(sim, n_clients=2, functional=True,
+                              n_lease_managers=3, params=params)
+        svc = cluster.lease_service
+        old, new = cluster.client(0), cluster.client(1)
+        fs_old, fs_new = SyncFS(old, ROOT_CREDS), SyncFS(new, ROOT_CREDS)
+        fs_old.mkdir("/d")
+        sim.run(until=0.96)             # lease [0.96, 5.96): tick at 6.0
+        fs_old.write_file("/d/acked", b"durable", do_fsync=True)
+        ino = fs_old.stat("/d").st_ino
+        expires = old.metatables[ino].lease_expires
+        rs = svc.range_for(ino)
+        svc.fail_over(rs.index)
+        assert expires < rs.fence_until < 6.0
+        stale = svc.fencing.max_granted[ino]
+
+        sim.run(until=expires - 0.005)
+        fs_old.write_file("/d/unacked", b"buffered")
+        assert old.journal.journals[ino].running    # still the leader
+
+        sim.run(until=rs.fence_until)
+        fs_new.write_file("/d/successor", b"new epoch", do_fsync=True)
+        assert svc.fencing.max_granted[ino] > stale
+        assert old.journal.journals[ino].running    # zombie stream, unflushed
+        commits = old.journal.commits
+
+        sim.run(until=6.0 + 1e-4)                   # the commit thread's tick
+        assert svc.fencing.rejected == 1
+        assert ino not in old.journal.journals
+        assert old.journal.commits == commits       # nothing stale landed
+        assert svc.fencing.drain_breaches() == []
+
+        # Later ops on the deposed client re-resolve the authority.
+        fs_old.write_file("/d/later", b"follower", do_fsync=True)
+        for fs in (fs_old, fs_new):
+            assert fs.readdir("/d") == ["acked", "later", "successor"]
+            assert fs.read_file("/d/acked") == b"durable"
+        sim.run_process(old.sync())
+        sim.run_process(new.sync())
+        sim.run(until=sim.now + 3)                  # let checkpoints drain
+        # A fenced stream is a crashed leader's (its cached bytes for the
+        # dropped create are crash garbage), so fsck judges it as one.
+        report = sim.run_process(fsck(cluster.prt, after_crash=True))
+        assert report.clean, report.errors
+        assert svc.fencing.drain_breaches() == []
 
 
 class TestManagerScalability:

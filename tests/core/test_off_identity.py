@@ -249,13 +249,12 @@ def _tier_on_control(off_store, tier):
 
 def _qos_absent(cluster, sim):
     assert cluster.qos is None
-    assert cluster.store.qos is None
     for client in cluster.clients:
         assert client.qos is None and client.tenant is None
     # FIFO queues everywhere: plain Resources, never the WFQ subclass.
     mgr_cpu = cluster.lease_manager.node.cpu
     assert type(mgr_cpu) is Resource and not isinstance(mgr_cpu, WFQResource)
-    assert cluster.lease_manager.qos is None
+    assert cluster.lease_manager.tenants == {}
     for osd in cluster.store.osds:
         assert type(osd.queue) is Resource
     assert not [k for k in _metrics(sim)["counters"] if k.startswith("qos.")]
@@ -271,6 +270,7 @@ def _qos_on_control(off, on):
     on_cluster, on_sim = on
     assert isinstance(on_cluster.qos, QosManager)
     assert isinstance(on_cluster.lease_manager.node.cpu, WFQResource)
+    assert on_cluster.lease_manager.tenants is on_cluster.qos.client_tenant
     assert _metrics(on_sim)["counters"]["qos.admitted"] > 0
     assert off[0].qos is None
 

@@ -109,7 +109,7 @@ def test_wfq_never_reorders_within_a_tenant(schedule, capacity):
     granted = []
 
     def holder(i, tenant, cost):
-        req = res.request_wfq(tenant, cost)
+        req = res.request(tenant, cost)
         yield req
         granted.append((tenant, i))
         yield sim.timeout(cost)
@@ -150,7 +150,7 @@ def test_wfq_share_converges_to_weights(weights):
 
     def backlog(tenant):
         while sim.now < HORIZON:
-            yield from res.use_wfq(HOLD, tenant, HOLD)
+            yield from res.use(HOLD, tenant, HOLD)
             served[tenant] += HOLD
 
     # Two closed-loop streams per tenant: with a single outstanding

@@ -199,6 +199,43 @@ def test_interrupted_delete_many_closes_its_span(cluster):
                                        + SMALL.delete_latency / 2)
 
 
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("verb", ["delete", "get"])
+def test_interrupted_while_queued_for_an_osd_slot_leaves_no_holder(
+        verb, traced):
+    """A process interrupted while it waits for an OSD service slot (a
+    crashed client's commit thread) must not own the slot once the holder
+    ahead of it finishes: on a depth-1 OSD the hand-rolled wait this
+    replaced left ``in_use == 1`` for good."""
+    sim = Simulator()
+    prof = StoreProfile(**{**SMALL.__dict__, "n_osds": 1, "replication": 1,
+                           "osd_queue_depth": 1})
+    s = ClusterObjectStore(sim, prof)
+    if traced:
+        Observability.of(sim).enable_tracing(pid_name="t")
+    run(sim, s.put_many([(k, b"v") for k in ("held", "victim", "after")]))
+    queue = s.osds[0].queue
+    seen = []
+
+    def victim():
+        try:
+            yield from getattr(s, verb)("victim")
+        except Interrupt:
+            seen.append(("interrupted", queue.in_use, queue.queue_length))
+
+    sim.process(s.delete("held"))
+    proc = sim.process(victim())
+    sim.run(until=sim.now + prof.delete_latency / 2)
+    assert (queue.in_use, queue.queue_length) == (1, 1)   # victim is queued
+    proc.interrupt("client crash")
+    sim.run()
+    assert seen == [("interrupted", 1, 0)]
+    assert (queue.in_use, queue.queue_length) == (0, 0)
+    assert "held" not in s and "victim" in s
+    run(sim, s.delete("after"))                 # the slot is there to take
+    assert "after" not in s
+
+
 def test_local_disk_read_write_cost():
     sim = Simulator()
     disk = LocalDisk(sim, EBS_GP_1GBS)

@@ -168,21 +168,3 @@ class TestCheck:
         assert trend.check([res2], base, strict_wall=False) == 0
         assert trend.check([res2], base, strict_wall=True) == 1
 
-
-class TestAppend:
-    def test_append_writes_jsonl_without_per_instance(self, trend, tmp_path,
-                                                      monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "small")
-        res = _bench_json(tmp_path / "b.json", extra_info=dict(EXTRA))
-        out = str(tmp_path / "trend.jsonl")
-        assert trend.append([res], out, "unit@test") == 0
-        rows = [json.loads(l) for l in open(out)]
-        assert len(rows) == 1
-        row = rows[0]
-        assert row["label"] == "unit@test"
-        assert row["scale"] == "small"
-        b = row["benchmarks"]["test_x"]
-        assert b["obs"]["sample_rate"] == 0.01
-        assert "metrics.arkfs.journal.commits" in b["scalars"]
-        assert not any("client0" in k or "ceph-client7" in k
-                       for k in b["scalars"])

@@ -72,7 +72,7 @@ def _client(sim, target, start, hold, patience, tenant):
         yield from target.use(hold)  # pooled requests, zero holds included
         return
     if isinstance(target, WFQResource):
-        req = target.request_wfq(tenant, 1.0 + hold)
+        req = target.request(tenant, 1.0 + hold)
     else:
         req = target.request()
     if not req.granted:

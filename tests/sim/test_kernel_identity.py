@@ -13,6 +13,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.qos import WFQResource
 from repro.sim import (BandwidthPipe, Interrupt, NetParams, Network, Node,
                        Resource, Simulator, Store)
 from repro.sim.stats import kernel_counters
@@ -329,6 +330,9 @@ _T = [0.0, 0.5e-3, 1e-3, 1.5e-3, 2e-3]       # one lattice: instants collide
 
 _STEP = st.one_of(
     st.tuples(st.just("use"), st.integers(0, 2), st.sampled_from(_T)),
+    # A tagged use on the tenant-weighted queue: (tenant, hold, cost).
+    st.tuples(st.just("fair"), st.sampled_from([None, "a", "b"]),
+              st.sampled_from(_T), st.sampled_from([None, 0.5, 1.0, 3.0])),
     st.tuples(st.just("sleep"), st.sampled_from(_T)),
     st.tuples(st.just("xfer"), st.sampled_from([0, 500, 1000])),
     st.tuples(st.just("gong")),
@@ -343,6 +347,9 @@ def _run_program(make_sim, programs, interrupts, gong_at):
     sim = make_sim()
     trace = []
     shared = [Resource(sim, capacity=c, name=f"r{c}.cpu") for c in (1, 2, 3)]
+    fair = WFQResource(sim, capacity=2, name="osd.q",
+                       weight_of={"a": 1.0, "b": 4.0}.get)
+    shared.append(fair)
     pipe = BandwidthPipe(sim, 1e6, name="disk")     # 1000 B = 1e-3 s
     gong = sim.event()
 
@@ -354,6 +361,8 @@ def _run_program(make_sim, programs, interrupts, gong_at):
             try:
                 if step[0] == "use":
                     yield from shared[step[1]].use(step[2])
+                elif step[0] == "fair":
+                    yield from fair.use(step[2], step[1], step[3])
                 elif step[0] == "sleep":
                     yield sim.timeout(step[1])
                 elif step[0] == "xfer":
@@ -388,7 +397,9 @@ def _run_program(make_sim, programs, interrupts, gong_at):
     sim.process(ringer())
     sim.run()
     assert all(r.in_use == 0 and r.queue_length == 0 for r in shared)
-    return trace, sim.now, kernel_counters(sim)
+    # The fair queue's tags are its grant order: same tags, same order.
+    return (trace, (sim.now, dict(fair._last_finish), fair._vtime),
+            kernel_counters(sim))
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,7 +409,8 @@ def _run_program(make_sim, programs, interrupts, gong_at):
        st.sampled_from(_T))
 def test_fused_use_is_the_textbook_use(programs, interrupts, gong_at):
     """Property: processes mixing timed and zero-hold ``use`` on shared
-    resources of capacity 1-3 with timeouts, pipe transfers, a shared
+    FIFO resources of capacity 1-3 and tenant-tagged ``use`` (random
+    tenant, hold and cost) on a weighted fair queue with timeouts, pipe transfers, a shared
     event, spawned children and interrupts at colliding instants log the
     same ``(time, process, step)`` trace and the same ``in_use`` /
     ``queue_length`` at every observation whether ``use`` resumes them once

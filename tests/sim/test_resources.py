@@ -248,14 +248,31 @@ def test_cancelled_queue_head_popped_eagerly():
 BODIES = pytest.mark.parametrize("body", ["fused", "textbook"])
 
 
-def _interrupt_scenario(body, interrupt_at, make_sim=Simulator):
+def _via_use(res, tag, hold):
+    return res.use(hold)
+
+
+def _via_tagged_use(res, tag, hold):
+    return res.use(hold, tag, hold)
+
+
+def _via_acquire(res, tag, hold):
+    req = yield from res.acquire()
+    try:
+        yield res.sim.timeout(hold)
+    finally:
+        res.release(req)
+
+
+def _interrupt_scenario(body, interrupt_at, make_sim=Simulator,
+                        make_res=Resource, via=_via_use):
     """A capacity-1 resource with a holder (0 → 1.0), a victim queued behind
     it asking for a 5.0 hold, and a waiter queued behind the victim asking
     for 1.0. The victim is interrupted at ``interrupt_at``; returns what
     everybody saw, when the last event fired, and the kernel's counters."""
     with textbook_use(body == "textbook"):
         sim = make_sim()
-        res = Resource(sim, capacity=1, name="r.cpu")
+        res = make_res(sim, capacity=1, name="r.cpu")
         log = []
 
         def state():
@@ -269,7 +286,7 @@ def _interrupt_scenario(body, interrupt_at, make_sim=Simulator):
 
         def user(tag, hold):
             try:
-                yield from res.use(hold)
+                yield from via(res, tag, hold)
                 log.append((tag, "done") + state())
             except Interrupt:
                 log.append((tag, "interrupted") + state())
@@ -335,6 +352,80 @@ def test_fused_use_runs_the_textbook_schedule_under_interrupts(interrupt_at):
     oracle = _interrupt_scenario("fused", interrupt_at, ReferenceSimulator)
     assert oracle[:2] == fused[:2]
     assert oracle[2]["inline_events"] == 0
+
+
+def _wfq(sim, capacity, name):
+    from repro.core.qos import WFQResource
+
+    return WFQResource(sim, capacity=capacity, name=name,
+                       weight_of=lambda tenant: 1.0)
+
+
+#: The two windows in which a process waiting for a slot can be interrupted,
+#: and what everybody must see: still queued behind the holder (0.5), and
+#: granted by the holder's release but not yet resumed (1.0). Either way the
+#: victim never holds the slot and the waiter behind it is served.
+_WAIT_WINDOWS = pytest.mark.parametrize("interrupt_at, log", [
+    (0.5, [("victim", "interrupted", 0.5, 1, 1),
+           ("holder", "done", 1.0, 1, 0),
+           ("waiter", "done", 2.0, 0, 0)]),
+    (1.0, [("holder", "done", 1.0, 1, 1),
+           ("victim", "interrupted", 1.0, 1, 0),
+           ("waiter", "done", 2.0, 0, 0)]),
+])
+
+
+@_WAIT_WINDOWS
+@pytest.mark.parametrize("make_res", [Resource, _wfq])
+def test_acquire_interrupted_while_waiting_never_holds_the_mutex(
+        make_res, interrupt_at, log):
+    """``acquire`` hands the request to its caller only by returning, so an
+    interrupt before that must cancel it or give the slot back itself — the
+    caller has no ``finally`` yet. (The hand-rolled copies this replaced
+    left the mutex held by the dead waiter.) The waiter's own ``acquire``
+    is granted, and the scenario ends with ``in_use == queue_length == 0``."""
+    seen, end, _ = _interrupt_scenario("textbook", interrupt_at,
+                                       make_res=make_res, via=_via_acquire)
+    assert seen == log
+    assert end == 2.0
+
+
+def test_acquire_interrupted_while_holding_is_the_callers_release():
+    seen, end, _ = _interrupt_scenario("textbook", 1.5, via=_via_acquire)
+    assert seen == [("holder", "done", 1.0, 1, 1),
+                    ("victim", "interrupted", 1.5, 1, 0),
+                    ("waiter", "done", 2.5, 0, 0)]
+
+
+@BODIES
+@_WAIT_WINDOWS
+def test_tagged_use_on_wfq_interrupted_while_waiting(body, interrupt_at, log):
+    """The same two windows for ``use(hold, tenant, cost)`` on a
+    ``WFQResource``: both bodies cancel or hand back, and agree event for
+    event (``use_wfq``, which this replaced, leaked the slot)."""
+    result = _interrupt_scenario(body, interrupt_at, make_res=_wfq,
+                                 via=_via_tagged_use)
+    assert result[0] == log and result[1] == 2.0
+    assert result == _interrupt_scenario("textbook", interrupt_at,
+                                         make_res=_wfq, via=_via_tagged_use)
+
+
+def test_wfq_recycles_use_requests_with_fresh_tags():
+    """``use`` on a WFQResource drains the request freelist it fills, and a
+    recycled request carries the new call's tags."""
+    sim = Simulator()
+    res = _wfq(sim, 1, "osd.q")
+
+    def user():
+        yield from res.use(1.0, "a", 2.0)
+        first = res._pool[-1]
+        assert (first.tenant, first.cost) == ("a", 2.0)
+        yield from res.use(1.0, "b", 3.0)
+        assert res._pool == [first]
+        assert (first.tenant, first.cost, first.start) == ("b", 3.0, 0.0)
+
+    sim.run_process(user())
+    assert len(res._pool) == 1 and res.in_use == 0
 
 
 def test_abandoned_hold_timeout_is_not_reused_while_armed():
@@ -443,7 +534,7 @@ def test_wfq_tags_and_grant_order_unchanged_through_use():
                 order.append((sim.now, "-", i))
 
             def tagged(i):
-                yield from res.use_wfq(1e-3, "gold", 1.0)
+                yield from res.use(1e-3, "gold", 1.0)
                 order.append((sim.now, "gold", i))
 
             for i in range(4):
