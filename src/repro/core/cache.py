@@ -698,6 +698,18 @@ class DataObjectCache:
         writebacks fan out across files, not one file at a time."""
         yield from self.invalidate_many(list(self._files))
 
+    def discard(self, inos) -> None:
+        """Lose these files' cached bytes, dirty or not: their leader was
+        fenced out before the metadata naming them became durable, so a
+        later flush must write nothing for them."""
+        for ino in inos:
+            fc = self._files.pop(ino, None)
+            if fc is not None:
+                for idx, _entry in fc.tree.items():
+                    self._lru.pop((ino, idx), None)
+        if self._pack is not None:
+            self._pack.drop_inos(inos)
+
     def discard_all(self) -> None:
         """Crash: lose every cached byte, dirty or not."""
         self._files.clear()

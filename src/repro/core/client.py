@@ -47,7 +47,7 @@ from ..sim.network import MessageDropped, Node, NodeDown
 from .cache import DataObjectCache, ReadAheadState
 from .filelease import DIRECT, FileLeaseGrant, READ, WRITE, FileLeaseService
 from .journal import JournalManager
-from .lease import LeaseGrant, LeaseRedirect, LeaseWait
+from .lease import LeaseGrant, LeaseRedirect, LeaseWait, StaleEpochError
 from .metatable import Metatable, RemoteTable, load_metatable
 from .ops import LeaderOps, RedirectError
 from .pack import PackWriter
@@ -85,15 +85,17 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def __init__(self, sim: Simulator, node: Node, prt: PRT,
                  params: ArkFSParams, lease_service,
-                 alloc: InoAllocator):
-        """``lease_service`` routes lease RPCs: anything with a
-        ``node_for(dir_ino) -> Node`` method (a single LeaseManager or a
-        LeaseManagerCluster)."""
+                 alloc: InoAllocator, retry: Optional[RetryPolicy] = None):
+        """``lease_service`` is the lease-manager ring (or, for a ring of
+        one, its only member): ``node_for(dir_ino)`` routes lease RPCs and
+        ``fencing`` is the registry journal commits are checked against.
+        ``retry`` is the cluster's shared store retry policy."""
         self.sim = sim
         self.node = node
         self.prt = prt
         self.params = params
         self._lease_node_for = lease_service.node_for
+        self._fencing = lease_service.fencing
         self.alloc = alloc
         self.name = node.name
         self.alive = True
@@ -104,8 +106,8 @@ class ArkFSClient(LeaderOps, VFSClient):
         self.pcache: Dict[int, Tuple[Inode, float]] = {}
         self.pcache_dentries: Dict[Tuple[int, str], Tuple[Dentry, float]] = {}
 
-        self._retry = RetryPolicy.from_params(sim, params)
-        self.journal = JournalManager(sim, prt, params, node, self.name)
+        self._retry = retry or RetryPolicy.from_params(sim, params)
+        self.journal = self._new_journal()
         # Packed small-file containers (off by default: self.pack stays
         # None and every data path is structurally unchanged).
         self.pack: Optional[PackWriter] = None
@@ -147,10 +149,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         self._splitters: Dict[int, Any] = {}   # dir ino -> split process
         self._dir_inflight: Dict[int, int] = {}
         self._mgr_epoch_seen: Dict[int, int] = {}
-        # Epoch fencing (lease-manager cluster mode): stale-authority journal
-        # commits are refused against the cluster's fencing registry.
-        self._fencing = getattr(lease_service, "fencing", None)
-        self._wire_fencing()
 
         # Multi-tenant QoS plane (off by default: both stay None and every
         # dispatch/data path is structurally unchanged; build_arkfs installs
@@ -181,19 +179,61 @@ class ArkFSClient(LeaderOps, VFSClient):
         mt = self.metatables.get(dir_ino)
         return mt is not None and mt.lease_expires > self.sim.now
 
-    def _wire_fencing(self) -> None:
-        if self._fencing is not None:
-            self.journal.fencing = self._fencing
-            self.journal.token_of = self._fence_token
+    def _new_journal(self) -> JournalManager:
+        """Journal commits are refused against the lease service's fencing
+        registry once a newer authority exists; a refusal deposes us."""
+        return JournalManager(self.sim, self.prt, self.params, self.node,
+                              self.name, self._fencing, self._fence_token,
+                              self._stop_leading, self._retry)
 
     def _fence_token(self, dir_ino: int) -> Tuple[int, int]:
         """Our fencing token for a directory's journal stream: the
         (manager-range epoch, directory epoch) of the lease we believe we
-        hold. Lexicographically below any grant issued after a failover."""
+        hold. Lexicographically below any grant issued after a failover,
+        and below every grant when we hold no lease at all."""
         mt = self.metatables.get(dir_ino)
         if mt is None:
             return (0, 0)
         return (mt.mgr_epoch, mt.epoch)
+
+    def _stop_leading(self, dir_ino: int) -> Optional[Metatable]:
+        """The one way out of leading a directory: metatable, journal
+        stream and the file leases we issued all go together.
+
+        Callers that still hold the lease they were granted flush first
+        (:meth:`_hand_back_dir`), so nothing is left to lose here. Everyone
+        else — deposed, lapsed, a split that retired the range — is a
+        zombie for this directory: whatever its journal still buffers was
+        never acknowledged as durable and is dropped, with the cached data
+        of the files those ops would have created, exactly as if we had
+        crashed. Plain function: safe to call from the journal's fence
+        check."""
+        mt = self.metatables.pop(dir_ino, None)
+        lost = self.journal.discard(dir_ino)
+        if lost:
+            self.cache.discard(lost)
+        if mt is not None:
+            for ino in mt.inodes:
+                self.fleases.forget_file(ino)
+        return mt
+
+    def _hand_back_dir(self, dir_ino: int) -> SimGen:
+        """Stop leading cleanly: commit and checkpoint the journal while
+        our token is still the one the lease was granted under, then let
+        go. Leaves the journal empty, so the next leader can be given a
+        no-recovery grant and load the base objects directly."""
+        try:
+            yield from self.journal.flush(dir_ino, full=True)
+            while (self.journal.is_dirty(dir_ino)
+                   and not self.params.single_journal):
+                # Ops that slipped in behind the flush (we still led). The
+                # shared journal of ablation A1 is other directories' too,
+                # outlives this one and is not ours to wait clean.
+                yield from self.journal.flush(dir_ino, full=True)
+        except StaleEpochError:
+            return None  # deposed mid-flush: the fence check already let go
+        self.journal.drop(dir_ino)
+        return self._stop_leading(dir_ino)
 
     # ------------------------------------------------------------------ costs
 
@@ -436,7 +476,7 @@ class ArkFSClient(LeaderOps, VFSClient):
                 if isinstance(resp, LeaseGrant) and not resp.fresh:
                     mt.lease_expires = resp.expires_at
                 elif isinstance(resp, LeaseRedirect):
-                    self.metatables.pop(dir_ino, None)
+                    self._stop_leading(dir_ino)  # deposed
                     raise RedirectError(dir_ino, resp.leader)
             return mt
         kind, who = yield from self._acquire_dir(dir_ino)
@@ -521,7 +561,8 @@ class ArkFSClient(LeaderOps, VFSClient):
                     who, opname, creds=creds, dir_ino=dir_ino, **kwargs)
                 return result, who, dir_ino
             except RedirectError as e:
-                self.metatables.pop(dir_ino, None)
+                if not self._leads_dir(dir_ino):
+                    self._stop_leading(dir_ino)
                 if e.leader and e.leader != self.name:
                     self.remotes[dir_ino] = RemoteTable(
                         dir_ino, e.leader,
@@ -699,8 +740,7 @@ class ArkFSClient(LeaderOps, VFSClient):
                 # Success or not, the parent range is retired: drop our
                 # parent state so the next acquire re-resolves (and, if the
                 # activation PUT never landed, rolls the split forward).
-                self.metatables.pop(d, None)
-                self.journal.drop(d)
+                self._stop_leading(d)
                 try:
                     yield from self._mgr("lease.release", d, self.name, True)
                 except NodeDown:
@@ -1235,8 +1275,7 @@ class ArkFSClient(LeaderOps, VFSClient):
                     if remaining <= 0:
                         # Lapsed: too late to safely write anything (a new
                         # leader may already exist). Discard local state.
-                        self.metatables.pop(dir_ino, None)
-                        self.journal.journals.pop(dir_ino, None)
+                        self._stop_leading(dir_ino)
                         continue
                     in_use = (
                         self.journal.is_dirty(dir_ino)
@@ -1258,9 +1297,14 @@ class ArkFSClient(LeaderOps, VFSClient):
                         sp.close()
                         if isinstance(resp, LeaseGrant):
                             mt.lease_expires = resp.expires_at
+                        elif isinstance(resp, LeaseRedirect):
+                            self._stop_leading(dir_ino)  # deposed
                         else:
+                            # The manager will not extend (its range is
+                            # fenced or moved), but nobody else can be
+                            # granted before our lease lapses: hand back.
                             yield from self._flush_dir_state(dir_ino)
-                            self.metatables.pop(dir_ino, None)
+                            yield from self._hand_back_dir(dir_ino)
                     else:
                         yield from self._release_dir(dir_ino)
         except Interrupt:
@@ -1276,15 +1320,10 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def _release_dir(self, dir_ino: int) -> SimGen:
         """Cleanly flush and surrender a directory we lead."""
-        mt = self.metatables.pop(dir_ino, None)
-        if mt is None:
+        if dir_ino not in self.metatables:
             return
-        # A clean release must leave the journal empty: the next leader gets
-        # a no-recovery grant and loads the base objects directly.
-        yield from self.journal.flush(dir_ino, full=True)
-        self.journal.drop(dir_ino)
-        for ino in list(mt.inodes):
-            self.fleases.forget_file(ino)
+        if (yield from self._hand_back_dir(dir_ino)) is None:
+            return  # deposed mid-flush: the lease is no longer ours to release
         sp = _span(self.sim, "lease.release", "lease")
         try:
             yield from self._mgr("lease.release", dir_ino, self.name, True)
@@ -1351,9 +1390,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         """Bring the crashed client back with empty caches."""
         self.alive = True
         self.node.restart()
-        self.journal = JournalManager(self.sim, self.prt, self.params,
-                                      self.node, self.name)
-        self._wire_fencing()
+        self.journal = self._new_journal()
         self.journal.start_threads()
         if self.pack is not None:
             self.pack.restart(self.journal)

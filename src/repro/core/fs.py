@@ -1,10 +1,10 @@
 """ArkFS cluster assembly.
 
 Wires together the pieces the paper's Figure 2 shows: an object-storage
-backend (RADOS-like or S3-like), a lease manager on one node, and N client
-nodes each running an :class:`~repro.core.client.ArkFSClient` (optionally
-behind a FUSE mount model — ArkFS is implemented with FUSE, so benchmarks
-mount it that way).
+backend (RADOS-like or S3-like), the lease service (a ring of manager
+nodes; one, as in the paper, by default), and N client nodes each running
+an :class:`~repro.core.client.ArkFSClient` (optionally behind a FUSE mount
+model — ArkFS is implemented with FUSE, so benchmarks mount it that way).
 """
 
 from __future__ import annotations
@@ -45,18 +45,22 @@ def mkfs(sim: Simulator, store: ObjectStore, mode: int = 0o777) -> None:
 
 @dataclass
 class ArkFSCluster:
-    """A built ArkFS deployment: clients, mounts, manager, and the backend."""
+    """A built ArkFS deployment: clients, mounts, lease ring, backend."""
 
     sim: Simulator
     net: Network
     store: ObjectStore
     prt: PRT
     params: ArkFSParams
-    lease_manager: LeaseManager          # the first (or only) manager
-    lease_service: object = None         # LeaseManager or LeaseManagerCluster
+    lease_service: LeaseManagerCluster   # the manager ring (>= 1 members)
     qos: object = None                   # QosManager when params.qos_enabled
     clients: List[ArkFSClient] = field(default_factory=list)
     mounts: List[FuseMount] = field(default_factory=list)
+
+    @property
+    def lease_manager(self) -> LeaseManager:
+        """The ring's first member — the paper's single lease manager."""
+        return self.lease_service.managers[0]
 
     def client(self, i: int = 0) -> ArkFSClient:
         return self.clients[i]
@@ -85,14 +89,14 @@ def build_arkfs(
 
     ``functional=True`` uses the zero-latency in-memory store (for semantic
     tests); otherwise a :class:`ClusterObjectStore` with ``store_profile``
-    (RADOS-like by default). The lease manager is deployed on one of the
-    client nodes, as in the paper's evaluation setup.
+    (RADOS-like by default).
 
-    ``n_lease_managers > 1`` deploys a :class:`LeaseManagerCluster`:
-    directories hash-partition across managers, authority carries a
-    monotonic per-range epoch, and every client wires its journal to the
-    cluster's fencing registry so a deposed leader's stale-epoch commits
-    are refused (see ``repro.core.lease``).
+    The lease service is a :class:`LeaseManagerCluster` of
+    ``n_lease_managers`` nodes (one, as in the paper's evaluation setup, by
+    default): directories hash-partition across managers, authority carries
+    a monotonic per-range epoch, and every client checks its journal
+    commits against the ring's fencing registry so a deposed leader's
+    stale-epoch commits are refused (see ``repro.core.lease``).
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) slides a fault-injection
     shim beneath the store and the network. When it is ``None`` — the
@@ -110,28 +114,33 @@ def build_arkfs(
     if params.qos_enabled:
         qos = QosManager(sim, params)
         queue = partial(WFQResource, weight_of=qos.weight_of)
+    # One retry policy for everything that talks to the store.
+    retry = RetryPolicy.from_params(sim, params)
+
+    def backend(profile: StoreProfile) -> ObjectStore:
+        if functional:
+            return InMemoryObjectStore(sim)
+        return ClusterObjectStore(sim, profile, net=net, queue=queue)
+
+    def shim(inner: ObjectStore) -> ObjectStore:
+        if faults is None:
+            return inner
+        from ..faults.store import FaultyObjectStore
+        return FaultyObjectStore(inner, faults)
+
+    if faults is not None:
+        net.faults = faults
+        faults.attach(sim)
     if store is None and params.tier_enabled:
         # Hot/cold tiered backend: a fast RADOS-like tier fronting a cold
         # capacity store. The fault shim wraps *each* tier so every
         # stage/drain/promote/demote store op is a crash point, while the
         # tier itself stays unwrapped — crashcheck reaches lose_hot() and
         # the dirty-key bookkeeping directly on ``cluster.store``.
-        if functional:
-            hot: ObjectStore = InMemoryObjectStore(sim)
-            cold: ObjectStore = InMemoryObjectStore(sim)
-        else:
-            hot = ClusterObjectStore(sim, store_profile or RADOS_PROFILE,
-                                     net=net, queue=queue)
-            cold = ClusterObjectStore(sim, cold_profile or S3_COLD_PROFILE,
-                                      net=net, queue=queue)
-        if faults is not None:
-            from ..faults.store import FaultyObjectStore
-            hot = FaultyObjectStore(hot, faults)
-            cold = FaultyObjectStore(cold, faults)
-            net.faults = faults
-            faults.attach(sim)
         store = TieredObjectStore(
-            sim, hot, cold,
+            sim,
+            shim(backend(store_profile or RADOS_PROFILE)),
+            shim(backend(cold_profile or S3_COLD_PROFILE)),
             hot_capacity=params.tier_hot_capacity,
             high_watermark=params.tier_high_watermark,
             low_watermark=params.tier_low_watermark,
@@ -139,52 +148,36 @@ def build_arkfs(
             drain_interval=params.tier_drain_interval,
             drain_batch=params.tier_drain_batch,
             promote_max=params.tier_promote_max,
-            retry=RetryPolicy.from_params(sim, params),
+            retry=retry,
         )
     else:
         if store is None:
-            if functional:
-                store = InMemoryObjectStore(sim)
-            else:
-                store = ClusterObjectStore(sim,
-                                           store_profile or RADOS_PROFILE,
-                                           net=net, queue=queue)
-        if faults is not None:
-            from ..faults.store import FaultyObjectStore
-            store = FaultyObjectStore(store, faults)
-            net.faults = faults
-            faults.attach(sim)
-    prt = PRT(store, params.data_object_size,
-              retry=RetryPolicy.from_params(sim, params),
+            store = backend(store_profile or RADOS_PROFILE)
+        store = shim(store)
+    prt = PRT(store, params.data_object_size, retry=retry,
               pack_enabled=params.pack_enabled)
     mkfs(sim, store)
 
-    if n_lease_managers <= 1:
-        mgr_node = Node(sim, "lease-mgr", cores=4, net=net, queue=queue)
-        service = LeaseManager(sim, mgr_node, params)
-        first = service
-    else:
-        # The paper's future-work extension: a hash-partitioned manager
-        # cluster (see LeaseManagerCluster).
-        mgr_nodes = [Node(sim, f"lease-mgr{i}", cores=4, net=net,
-                          queue=queue)
-                     for i in range(n_lease_managers)]
-        service = LeaseManagerCluster(sim, mgr_nodes, params)
-        first = service.managers[0]
-
+    # The paper's one manager is "lease-mgr"; more (its stated future work)
+    # are numbered.
+    mgr_names = (["lease-mgr"] if n_lease_managers <= 1 else
+                 [f"lease-mgr{i}" for i in range(n_lease_managers)])
+    service = LeaseManagerCluster(
+        sim, [Node(sim, name, cores=4, net=net, queue=queue)
+              for name in mgr_names], params)
     if qos is not None:
         # Handlers tag their CPU work with the tenant of the client named
         # on the lease RPC.
-        for m in getattr(service, "managers", None) or [service]:
+        for m in service.managers:
             m.tenants = qos.client_tenant
 
     alloc = InoAllocator(seed=seed)
     cluster = ArkFSCluster(sim=sim, net=net, store=store, prt=prt,
-                           params=params, lease_manager=first,
-                           lease_service=service, qos=qos)
+                           params=params, lease_service=service, qos=qos)
     for i in range(n_clients):
         node = Node(sim, f"client{i}", cores=client_cores, net=net)
-        client = ArkFSClient(sim, node, prt, params, service, alloc)
+        client = ArkFSClient(sim, node, prt, params, service, alloc,
+                             retry=retry)
         if qos is not None:
             # Default tenancy: one tenant per client, named after the
             # client node; workloads rebind via client.bind_tenant().

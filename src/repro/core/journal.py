@@ -20,7 +20,7 @@ participants in doubt forever).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
@@ -28,7 +28,7 @@ from ..obs.trace import span as _span
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import Node
 from ..sim.resources import Mutex
-from .lease import StaleEpochError
+from .lease import FencingRegistry, StaleEpochError
 from .params import ArkFSParams
 from .prt import PRT
 from .retry import RetryPolicy
@@ -226,7 +226,9 @@ class JournalManager:
     """All journals of one ArkFS client, plus its commit/checkpoint threads."""
 
     def __init__(self, sim: Simulator, prt: PRT, params: ArkFSParams,
-                 node: Node, client_name: str):
+                 node: Node, client_name: str, fencing: FencingRegistry,
+                 token_of: Callable[[int], Tuple[int, int]],
+                 on_fenced: Callable[[int], None], retry: RetryPolicy):
         self.sim = sim
         self.prt = prt
         self.params = params
@@ -236,14 +238,17 @@ class JournalManager:
         self._txn_counter = 0
         self._threads: List = []
         self._stopped = False
-        self._retry = RetryPolicy.from_params(sim, params)
-        # Epoch fencing (lease-manager-cluster mode). ``fencing`` is the
-        # shared FencingRegistry the journal stream heads consult before
-        # accepting a commit; ``token_of`` maps dir_ino -> the client's
-        # current (mgr_epoch, dir_epoch) authority token. Both stay None in
-        # single-manager builds — no check runs, no events change.
-        self.fencing = None
-        self.token_of = None
+        self._retry = retry
+        # Epoch fencing. ``fencing`` is the lease service's registry, which
+        # the journal stream heads consult before accepting a commit;
+        # ``token_of`` maps dir_ino -> the client's current (mgr_epoch,
+        # dir_epoch) authority token; ``on_fenced`` tells the client a
+        # commit was refused — it has been deposed and must stop leading
+        # the directory (which discards the stream, see :meth:`discard`).
+        # Pure dictionary state: no check costs a simulation event.
+        self.fencing = fencing
+        self.token_of = token_of
+        self.on_fenced = on_fenced
         self.fencing_enforce = True
         # Commit/checkpoint counters and fan-out observability (how parallel
         # the checkpoint/commit paths actually ran) live in the sim-wide
@@ -379,17 +384,16 @@ class JournalManager:
 
     # -- commit / checkpoint ------------------------------------------------------
 
-    def _fence_check(self, dir_ino: int):
-        """Epoch fence at the journal stream head (cluster mode only).
+    def _fence_check(self, dir_ino: int) -> Tuple[int, int]:
+        """Epoch fence at the journal stream head.
 
-        Returns the commit's fencing token (``None`` when fencing is off).
-        Raises :class:`StaleEpochError` when a newer authority has been
-        granted for the directory — the caller's buffered state is a
-        zombie's and must not land."""
-        if self.fencing is None:
-            return None
-        token = self.token_of(dir_ino) if self.token_of is not None else (0, 0)
+        Returns the commit's fencing token. When a newer authority has been
+        granted for the directory the caller's buffered state is a zombie's
+        and must not land: the client is told to stop leading (which drops
+        the stream) and :class:`StaleEpochError` is raised."""
+        token = self.token_of(dir_ino)
         if self.fencing_enforce and not self.fencing.admit(dir_ino, token):
+            self.on_fenced(dir_ino)
             raise StaleEpochError(
                 f"dir {dir_ino:x}",
                 f"commit token {token} below granted authority")
@@ -417,10 +421,9 @@ class JournalManager:
         dj.pending_seqs.append(seq)
         dj.ops_committed = covered
         self._c_commits.inc()
-        if self.fencing is not None:
-            # Independent audit: every commit that actually landed reports
-            # its token, whether or not enforcement was consulted.
-            self.fencing.audit_commit(dj.dir_ino, token)
+        # Independent audit: every commit that actually landed reports its
+        # token, whether or not enforcement was consulted.
+        self.fencing.audit_commit(dj.dir_ino, token)
         rec = self.sim._recorder
         if rec is not None:
             rec.record("journal.commit", dir=dj.dir_ino, seq=seq,
@@ -457,30 +460,15 @@ class JournalManager:
             del self._checkpoint_txns[(dj.dir_ino, seq)]
             self._c_checkpoints.inc()
 
-    def _discard_fenced(self, dj: _DirJournal) -> None:
-        """A fenced-out journal stream is a zombie's: its never-acknowledged
-        buffered ops are dropped and the journal forgotten — the same
-        outcome as the leader having crashed, which semantically it has.
-        Already-durable journal objects stay on storage for the new
-        authority's replay."""
-        dj.running.clear()
-        dj.ops_committed = dj.ops_recorded
-        for seq in dj.pending_seqs:
-            self._checkpoint_txns.pop((dj.dir_ino, seq), None)
-        dj.pending_seqs.clear()
-        self.journals.pop(dj.dir_ino, None)
-        rec = self.sim._recorder
-        if rec is not None:
-            rec.record("journal.fenced", dir=dj.dir_ino)
-
     def _commit_and_checkpoint(self, dj: _DirJournal) -> SimGen:
         req = yield from dj.commit_lock.acquire()
         try:
             yield from self._commit_locked(dj)
         except StaleEpochError:
             # Background commit raced a takeover: a newer authority exists
-            # for this directory (our lease has lapsed). Drop the stream.
-            self._discard_fenced(dj)
+            # for this directory (our lease has lapsed); the fence check
+            # already had the client drop the stream.
+            pass
         finally:
             dj.commit_lock.release(req)
         yield from self._bg_checkpoint(dj)
@@ -536,12 +524,39 @@ class JournalManager:
         yield self.sim.all_of(procs)
 
     def drop(self, dir_ino: int) -> None:
-        """Forget a (fully flushed) journal, e.g. after releasing the lease."""
-        if self.params.single_journal:
-            return  # the shared journal outlives individual directories
-        dj = self.journals.pop(dir_ino, None)
-        if dj is not None and (dj.running or dj.pending_seqs):
+        """Forget a fully flushed journal (clean release: the next leader
+        gets a no-recovery grant, so nothing may be left behind)."""
+        if self.is_dirty(dir_ino) and not self.params.single_journal:
             raise RuntimeError("dropping a dirty journal")
+        self.discard(dir_ino)
+
+    def discard(self, dir_ino: int) -> List[int]:
+        """Forget a directory's journal stream: its leader stops leading.
+
+        After a full flush there is nothing to lose. Otherwise the stream
+        is a zombie's (deposed, lapsed): its never-acknowledged buffered
+        ops are dropped — the same outcome as the leader having crashed,
+        which semantically it has — while already-durable journal objects
+        stay on storage for the new authority's replay. Returns the inos
+        whose ``put_inode`` records were dropped, so the caller can drop
+        the cached data of files that now never existed."""
+        if self.params.single_journal:
+            return []  # the shared journal outlives individual directories
+        dj = self.journals.pop(dir_ino, None)
+        if dj is None:
+            return []
+        lost = [int(op["inode"]["ino"], 16) for op in dj.running
+                if op["op"] == "put_inode"]
+        if dj.running or dj.pending_seqs:
+            rec = self.sim._recorder
+            if rec is not None:
+                rec.record("journal.fenced", dir=dir_ino)
+        dj.running.clear()
+        dj.ops_committed = dj.ops_recorded
+        for seq in dj.pending_seqs:
+            self._checkpoint_txns.pop((dir_ino, seq), None)
+        dj.pending_seqs.clear()
+        return lost
 
     # -- two-phase commit (cross-directory RENAME) ----------------------------------
 
@@ -566,8 +581,7 @@ class JournalManager:
             yield from self._retry.call(
                 lambda: self.prt.store.put(jkey, raw, src=self.node))
             self._c_commits.inc()
-            if self.fencing is not None:
-                self.fencing.audit_commit(dir_ino, token)
+            self.fencing.audit_commit(dir_ino, token)
             return seq
         finally:
             dj.commit_lock.release(req)

@@ -1,10 +1,20 @@
 """Directory lease management (Section III-B).
 
-A single lease manager issues per-directory leases first-come-first-served.
+The lease service issues per-directory leases first-come-first-served.
 The holder of a directory's lease (its *directory leader*) is the only party
 allowed to modify that directory's metadata; other clients are redirected to
 the leader. Re-acquisition by the same leader before expiry is an
 *extension* — the leader's metatable stays valid and need not be reloaded.
+
+The service is a ring of one or more managers
+(:class:`LeaseManagerCluster`; the paper runs one and leaves more as future
+work) that hash-partitions directories over its members. Each ring slot is
+a *range* whose authority carries a monotonic **epoch**, starting at 1.
+Every grant is stamped with a ``(mgr_epoch, dir_epoch)`` fencing token, the
+ring's :class:`FencingRegistry` tracks the highest token ever granted per
+directory, and journal streams reject any commit carrying a lower token — a
+deposed leader (a "zombie": still alive, believes its lease valid) can
+therefore never overwrite state the new authority owns.
 
 Fault handling (Section III-E):
 
@@ -13,20 +23,12 @@ Fault handling (Section III-E):
   full lease period past the expiry so read/write leases issued by the dead
   leader have lapsed, then lets the new leader replay the journal; other
   clients wait until the new leader reports recovery complete.
-* If the (standalone) manager itself crashes, a restart refuses all grants
-  for one lease period (so no two clients can ever believe they lead the
-  same directory).
-
-Scale-out (:class:`LeaseManagerCluster`) hash-partitions directories over a
-ring of managers. Each ring slot is a *range* whose authority carries a
-monotonic **epoch**; on manager death the ring successor takes the range
-over at ``epoch + 1`` behind a *per-range* fence window (one lease period —
-only the affected range refuses grants; a restarted manager's other ranges
-keep serving). Every grant is stamped with a ``(mgr_epoch, dir_epoch)``
-fencing token, the shared :class:`FencingRegistry` tracks the highest token
-ever granted per directory, and journal streams reject any commit carrying
-a lower token — a deposed leader (a "zombie": still alive, believes its
-lease valid) can therefore never overwrite state the new authority owns.
+* If a manager dies, the ring successor takes its ranges over at
+  ``epoch + 1``; when it restarts it reclaims its range the same way. Either
+  way the range refuses grants for one lease period (so no two clients can
+  ever believe they lead the same directory) and the first grant of each
+  directory under the new epoch replays its journal. Only the affected
+  range waits — which for a ring of one is every directory.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class LeaseGrant:
     epoch: int
     fresh: bool            # True: must (re)load the metatable from storage
     needs_recovery: bool   # True: scan/replay the journal before serving
-    mgr_epoch: int = 0     # range-authority epoch (0 = standalone manager)
+    mgr_epoch: int = 1     # range-authority epoch the grant was issued under
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class _LeaseState:
 
 
 class FencingRegistry:
-    """The per-directory fencing-token high-water mark (cluster mode).
+    """The per-directory fencing-token high-water mark.
 
     Models the check each journal stream head performs on a commit: pure
     dictionary state, zero simulation events — installing it changes no
@@ -142,11 +144,12 @@ class FencingRegistry:
 
 
 class LeaseManager:
-    """One lease manager service (standalone, or one ring member).
+    """One member of the lease-manager ring.
 
     Runs on ``node``; clients reach it through RPC methods ``lease.acquire``,
     ``lease.release`` and ``lease.recovered``. All handlers are cheap
     ("acquiring/extending a lease is a very lightweight operation").
+    ``LeaseManager(sim, node, params)`` on its own is a ring of one.
     """
 
     def __init__(self, sim: Simulator, node: Node, params: ArkFSParams,
@@ -155,32 +158,34 @@ class LeaseManager:
         self.sim = sim
         self.node = node
         self.params = params
-        self.cluster = cluster
+        self.cluster = cluster or LeaseManagerCluster(sim, [node], params,
+                                                      managers=[self])
         self.index = index
         self.leases: Dict[int, _LeaseState] = {}
         # Client name -> tenant, tagging handler CPU for a tenant-weighted
         # ``node.cpu`` (build_arkfs shares the QoS plane's registry; an
         # unlisted client is its own tenant, and a FIFO ignores the tag).
         self.tenants: Dict[str, str] = {}
-        self._boot_time = sim.now
-        self._restarted = False  # the startup gate applies only to restarts
         self.stats = {"acquire": 0, "extend": 0, "redirect": 0, "release": 0,
                       "wait": 0, "recovery_grants": 0}
         node.register("lease.acquire", self._h_acquire)
         node.register("lease.release", self._h_release)
         node.register("lease.recovered", self._h_recovered)
 
-    # -- failure injection ------------------------------------------------------
+    # -- the ring, seen from one member ----------------------------------------
+
+    @property
+    def fencing(self) -> FencingRegistry:
+        return self.cluster.fencing
+
+    def node_for(self, dir_ino: int) -> Node:
+        return self.cluster.node_for(dir_ino)
 
     def crash(self) -> None:
-        self.node.crash()
+        self.cluster.crash_manager(self.index)
 
     def restart(self) -> None:
-        """Restart with empty state; refuse grants for one lease period."""
-        self.node.restart()
-        self.leases.clear()
-        self._boot_time = self.sim.now
-        self._restarted = True
+        self.cluster.restart_manager(self.index)
 
     # -- handlers ------------------------------------------------------------------
 
@@ -188,41 +193,30 @@ class LeaseManager:
         cpu = self.params.lease_op_cpu
         return self.node.cpu.use(cpu, self.tenants.get(client, client), cpu)
 
-    def _grant(self, dir_ino: int, st: _LeaseState, rs, fresh: bool,
-               needs_recovery: bool) -> LeaseGrant:
-        me = rs.epoch if rs is not None else 0
-        if rs is not None:
-            self.cluster.fencing.note_grant(dir_ino, (me, st.epoch))
+    def _grant(self, dir_ino: int, st: _LeaseState, rs: "_RangeState",
+               fresh: bool, needs_recovery: bool) -> LeaseGrant:
+        self.cluster.fencing.note_grant(dir_ino, (rs.epoch, st.epoch))
         return LeaseGrant(dir_ino, st.expires_at, st.epoch, fresh=fresh,
-                          needs_recovery=needs_recovery, mgr_epoch=me)
+                          needs_recovery=needs_recovery, mgr_epoch=rs.epoch)
 
     def _h_acquire(self, dir_ino: int, client: str) -> SimGen:
         yield from self._work(client)
         now = self.sim.now
-        rs = None
-        if self.cluster is None:
-            startup_gate = self._boot_time + self.params.lease_period
-            if self._restarted and now < startup_gate:
-                # Freshly restarted manager: old leases may still be live.
-                self.stats["wait"] += 1
-                return LeaseWait(dir_ino, startup_gate, "manager-restarted")
-        else:
-            rs = self.cluster.range_for(dir_ino)
-            if rs.owner != self.index:
-                # Deposed (or mis-routed): the client must re-resolve the
-                # range owner and retry there.
-                self.stats["wait"] += 1
-                return LeaseWait(dir_ino,
-                                 now + self.params.lease_retry_delay,
-                                 "not-range-owner")
-            if now < rs.fence_until:
-                # Per-range fence after a takeover/restart: leases issued
-                # by the previous authority may still be live. Only THIS
-                # range waits — the manager's other ranges keep serving.
-                self.stats["wait"] += 1
-                return LeaseWait(dir_ino, rs.fence_until, "range-fenced")
+        rs = self.cluster.range_for(dir_ino)
+        if rs.owner != self.index:
+            # Deposed (or mis-routed): the client must re-resolve the
+            # range owner and retry there.
+            self.stats["wait"] += 1
+            return LeaseWait(dir_ino, now + self.params.lease_retry_delay,
+                             "not-range-owner")
+        if now < rs.fence_until:
+            # Per-range fence after a takeover/restart: leases issued by
+            # the previous authority may still be live. Only THIS range
+            # waits — the manager's other ranges keep serving.
+            self.stats["wait"] += 1
+            return LeaseWait(dir_ino, rs.fence_until, "range-fenced")
         st = self.leases.setdefault(dir_ino, _LeaseState())
-        if rs is not None and st.seen_epoch < rs.epoch:
+        if st.seen_epoch < rs.epoch:
             # First touch of this directory under a new range epoch: lease
             # state predating the takeover is void (the range fence already
             # let its holders lapse), and the new authority must replay the
@@ -293,8 +287,7 @@ class LeaseManager:
 
     def _h_release(self, dir_ino: int, client: str, clean: bool) -> SimGen:
         yield from self._work(client)
-        if (self.cluster is not None
-                and self.cluster.range_for(dir_ino).owner != self.index):
+        if self.cluster.range_for(dir_ino).owner != self.index:
             return False  # deposed: this manager's state for the dir is void
         st = self.leases.get(dir_ino)
         if st is None or st.holder != client:
@@ -309,8 +302,7 @@ class LeaseManager:
     def _h_recovered(self, dir_ino: int, client: str) -> SimGen:
         """The recovering leader finished journal replay; renew its lease."""
         yield from self._work(client)
-        if (self.cluster is not None
-                and self.cluster.range_for(dir_ino).owner != self.index):
+        if self.cluster.range_for(dir_ino).owner != self.index:
             return False
         st = self.leases.get(dir_ino)
         if st is None or st.recovering_by != client:
@@ -329,11 +321,6 @@ class LeaseManager:
             return None
         return st.holder
 
-    # -- routing interface (shared with LeaseManagerCluster) ------------------
-
-    def node_for(self, dir_ino: int) -> Node:
-        return self.node
-
 
 @dataclass
 class _RangeState:
@@ -346,32 +333,34 @@ class _RangeState:
 
 
 class LeaseManagerCluster:
-    """Distributed lease coordination — the paper's stated future work.
+    """The lease service: a ring of N >= 1 managers.
 
-    "A single lease manager may become a performance bottleneck in certain
-    situations and it would be beneficial to implement distributed
-    coordination using a cluster of lease managers. We leave this as future
-    work." (Section III-B.)
+    The paper runs one manager and names the rest as future work: "A single
+    lease manager may become a performance bottleneck in certain situations
+    and it would be beneficial to implement distributed coordination using
+    a cluster of lease managers." (Section III-B.) One is N = 1 here, not a
+    different code path.
 
-    Directories are hash-partitioned across N independent managers; a
-    directory's lease state lives at exactly one manager, so no agreement
-    protocol between managers is needed — each inherits the single-manager
-    semantics (FCFS, fencing, recovery coordination) for its range. Range
-    authority is epoch-fenced: failover/restart bumps the range epoch and
-    fences only that range for one lease period (not the whole cluster),
-    and every grant carries a ``(range epoch, directory epoch)`` token the
-    journal layer checks commits against (:class:`FencingRegistry`).
+    Directories are hash-partitioned across the managers; a directory's
+    lease state lives at exactly one manager, so no agreement protocol
+    between managers is needed — each runs the single-manager semantics
+    (FCFS, fencing, recovery coordination) for its range. Range authority
+    is epoch-fenced: failover/restart bumps the range epoch and fences only
+    that range for one lease period, and every grant carries a ``(range
+    epoch, directory epoch)`` token the journal layer checks commits
+    against (:class:`FencingRegistry`).
     """
 
-    def __init__(self, sim: Simulator, nodes, params: ArkFSParams):
+    def __init__(self, sim: Simulator, nodes, params: ArkFSParams,
+                 managers: Optional[List[LeaseManager]] = None):
         if not nodes:
             raise ValueError("need at least one manager node")
         self.sim = sim
         self.params = params
         self.fencing = FencingRegistry()
-        self.managers = [LeaseManager(sim, node, params, cluster=self,
-                                      index=i)
-                         for i, node in enumerate(nodes)]
+        self.managers = managers or [
+            LeaseManager(sim, node, params, cluster=self, index=i)
+            for i, node in enumerate(nodes)]
         self.ranges = [_RangeState(index=i, owner=i)
                        for i in range(len(nodes))]
         self._down: set = set()
@@ -379,8 +368,10 @@ class LeaseManagerCluster:
     # -- routing ---------------------------------------------------------------
 
     def range_index(self, dir_ino: int) -> int:
-        h = zlib.crc32(f"{dir_ino:032x}".encode())
-        return h % len(self.managers)
+        n = len(self.managers)
+        if n == 1:
+            return 0
+        return zlib.crc32(f"{dir_ino:032x}".encode()) % n
 
     def range_for(self, dir_ino: int) -> _RangeState:
         return self.ranges[self.range_index(dir_ino)]
@@ -408,51 +399,57 @@ class LeaseManagerCluster:
                 return j
         raise ValueError("no live successor manager")
 
+    def _hand_range(self, rs: _RangeState, owner: int) -> None:
+        """New authority for a range: next epoch, behind a fence window of
+        one lease period, by which time every lease the old authority
+        granted has lapsed. The first acquire of each directory under the
+        new epoch is a recovery grant (journal replay)."""
+        rs.epoch += 1
+        rs.owner = owner
+        rs.fence_until = self.sim.now + self.params.lease_period
+
     def fail_over(self, range_index: int) -> int:
         """Hand range ``range_index`` to the ring successor at epoch + 1.
-
-        The new owner serves the range only after a per-range fence window
-        of one lease period, by which time every lease the old authority
-        granted has lapsed; the first acquire of each directory under the
-        new epoch is a recovery grant (journal replay). Returns the new
-        owner's index."""
+        Returns the new owner's index."""
         rs = self.ranges[range_index]
         succ = self._successor(rs.owner if rs.owner not in self._down
                                else range_index)
-        rs.epoch += 1
-        rs.owner = succ
-        rs.fence_until = self.sim.now + self.params.lease_period
+        self._hand_range(rs, succ)
         return succ
 
     def crash_manager(self, idx: int) -> None:
-        """Crash one manager node and fail over every range it served."""
+        """Crash one manager node and fail over every range it served.
+        With no live manager left the ranges stay put, unserved, until a
+        restart reclaims them."""
         self._down.add(idx)
         self.managers[idx].node.crash()
-        for rs in self.ranges:
-            if rs.owner == idx:
-                self.fail_over(rs.index)
+        if len(self._down) < len(self.managers):
+            for rs in self.ranges:
+                if rs.owner == idx:
+                    self.fail_over(rs.index)
 
     def restart_manager(self, idx: int) -> None:
-        """Restart a manager; it reclaims its home range at a new epoch.
-
-        Only the reclaimed range is fenced (for one lease period) — the
-        cluster's other ranges keep serving throughout, which is the
-        per-range scoping of the old global restart refusal."""
+        """The one restart path: the manager reclaims its home range at a
+        new epoch. A manager that was down comes back with empty state and
+        also re-opens, the same way, any range nobody could take from it
+        meanwhile. Only those ranges are fenced (for one lease period); the
+        ring's other ranges keep serving throughout — for a ring of one,
+        that is "refuse all grants for one lease period"."""
         m = self.managers[idx]
-        if idx in self._down:
+        was_down = idx in self._down
+        if was_down:
             m.node.restart()
             self._down.discard(idx)
-        m.leases.clear()
-        m._boot_time = self.sim.now
-        rs = self.ranges[idx]
-        rs.epoch += 1
-        rs.owner = idx
-        rs.fence_until = self.sim.now + self.params.lease_period
+            m.leases.clear()
+        for rs in self.ranges:
+            if rs.index == idx or (was_down and rs.owner == idx):
+                self._hand_range(rs, idx)
 
     def crash(self) -> None:
-        for i, m in enumerate(self.managers):
-            self._down.add(i)
-            m.crash()
+        """The whole service at once: nobody is left to fail over to."""
+        self._down.update(range(len(self.managers)))
+        for m in self.managers:
+            m.node.crash()
 
     def restart(self) -> None:
         for i in range(len(self.managers)):

@@ -38,7 +38,7 @@ class Metatable:
     lease_expires: float = 0.0
     epoch: int = 0
     last_used: float = 0.0  # drives lease extension vs clean release
-    mgr_epoch: int = 0      # range-authority epoch of the grant (cluster mode)
+    mgr_epoch: int = 0      # range-authority epoch of the grant (always >= 1)
     # Shard tables: ``auth_ino`` is the ino whose e<>/j<> key ranges and
     # lease this table is authoritative for; ``dir_inode`` is then a copy of
     # the *parent* directory's inode (shards have no inode object of their

@@ -552,7 +552,7 @@ class LeaderOps:
         existing = mt.dentries.get(dst_name)
         if existing is not None:
             yield from self._check_overwrite(mt, dentry, existing)
-            yield from self._remove_overwritten(mt, existing)
+            yield from self._remove_overwritten(mt, dir_ino, existing)
         moved = Dentry(name=dst_name, ino=dentry.ino, ftype=dentry.ftype)
         inode = mt.inodes.get(dentry.ino)
         mt.remove(src_name)
@@ -583,15 +583,18 @@ class LeaderOps:
                      dst_dentry.name)
             yield self.sim.timeout(0)
 
-    def _remove_overwritten(self, mt, dentry: Dentry) -> SimGen:
-        """Unlink the entry being replaced by a rename."""
+    def _remove_overwritten(self, mt, dir_ino: int,
+                            dentry: Dentry) -> SimGen:
+        """Unlink the entry being replaced by a rename. ``dir_ino`` is the
+        authority whose journal takes the record — for a shard table that
+        is the shard, not the parent directory ``mt.dir_ino`` names."""
         inode = mt.inodes.get(dentry.ino)
         mt.remove(dentry.name)
         ops = [ops_del_inode(dentry.ino)]
         if (self.prt.pack_enabled and inode is not None
                 and inode.ftype is FileType.REGULAR):
             ops.append(ops_clear_extents(dentry.ino))
-        self.journal.record(mt.dir_ino, *ops)
+        self.journal.record(dir_ino, *ops)
         if inode is not None and inode.ftype is FileType.REGULAR and inode.size:
             yield from self._revoke_all_holders(dentry.ino, deleted=True)
             yield from self._retry.call(
@@ -704,7 +707,7 @@ class LeaderOps:
             else:
                 existing = pend.get("existing")
                 if existing is not None:
-                    yield from self._remove_overwritten(mt, existing)
+                    yield from self._remove_overwritten(mt, dir_ino, existing)
                 mt.add(pend["dentry"], pend["inode"])
                 if not mt.is_shard:
                     mt.dir_inode.nlink = pend["dir_copy"].nlink

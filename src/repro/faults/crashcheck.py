@@ -29,13 +29,13 @@ The method is the classic "crash at every store operation" sweep:
      name) exists, with the original content;
    * no 2PC decision record was ever overwritten with a different value
      or re-created after deletion (audited live by the FaultPlan);
-   * no commit ever landed under a stale authority epoch (audited live by
-     the lease cluster's FencingRegistry — the ``epoch_handoff`` workload
-     deposes every manager range mid-run to exercise this), and a crashed
-     or interrupted directory split recovers to exactly one authoritative
-     layout (checked structurally by fsck's shard-map rules — the
-     ``shard_split`` workload lands crash points across the whole
-     two-phase split).
+   * no commit ever landed under a stale authority epoch (audited live, in
+     every workload, by the lease service's FencingRegistry — the
+     ``epoch_handoff`` workload deposes every manager range mid-run to
+     exercise this), and a crashed or interrupted directory split recovers
+     to exactly one authoritative layout (checked structurally by fsck's
+     shard-map rules — the ``shard_split`` workload lands crash points
+     across the whole two-phase split).
 
 Run it from the command line::
 
@@ -110,7 +110,7 @@ class Workload:
     steps: List[Step]
     invariants: Optional[Callable] = None   # (SyncFS, violations) -> None
     params: Optional[ArkFSParams] = None    # cluster params override
-    n_lease_managers: int = 1               # >1 builds a LeaseManagerCluster
+    n_lease_managers: int = 1               # size of the lease-manager ring
     # Factory ``cluster -> handler()`` replacing the default crash action
     # (victim.crash). The tier workload uses it to also lose the volatile
     # hot tier at the crash instant — node RAM and fast-tier media go
@@ -828,6 +828,7 @@ class CrashPointResult:
     fired: bool                # did the crash actually trigger?
     completed_steps: int
     violations: List[str] = field(default_factory=list)
+    audited_commits: int = 0   # journal commits the fencing auditor saw
     # Flight-recorder dump captured when violations were found (the last
     # ~512 structured events before/around the failure), else None.
     flight: Optional[dict] = None
@@ -845,6 +846,10 @@ class CrashCheckReport:
         return [(r.index, v) for r in self.points for v in r.violations]
 
     @property
+    def audited_commits(self) -> int:
+        return sum(r.audited_commits for r in self.points)
+
+    @property
     def ok(self) -> bool:
         # A step failing in the *fault-free* profiling run is the strongest
         # possible finding: the workload broke before any crash was injected.
@@ -855,7 +860,8 @@ class CrashCheckReport:
                   else f"{len(self.violations)} VIOLATIONS")
         lines = [f"crashcheck[{self.workload}]: {status} — "
                  f"{len(self.points)} crash points checked "
-                 f"of {self.total_ops} victim store ops"]
+                 f"of {self.total_ops} victim store ops, "
+                 f"{self.audited_commits} journal commits fencing-audited"]
         if self.profile_failure:
             lines.append(f"  profiling stopped early: {self.profile_failure}")
         for idx, v in self.violations:
@@ -917,9 +923,8 @@ def _drain_breaches(cluster, sink: List[str]) -> None:
     client-side enforcement (it compares every commit that actually landed
     against the highest token ever granted), so it catches zombie leaders
     even when a seeded bug disables the in-path check."""
-    fencing = getattr(cluster.lease_service, "fencing", None)
-    if fencing is not None:
-        sink.extend(f"fencing: {b}" for b in fencing.drain_breaches())
+    sink.extend(f"fencing: {b}"
+                for b in cluster.lease_service.fencing.drain_breaches())
 
 
 def profile(workload: Workload,
@@ -1049,9 +1054,10 @@ def check_point(workload: Workload, k: int, milestones: List[int],
         rec = sim._recorder
         if rec is not None:
             flight = rec.to_dict()
-    return CrashPointResult(index=k, fired=plan.crashed,
-                            completed_steps=completed,
-                            violations=violations, flight=flight)
+    return CrashPointResult(
+        index=k, fired=plan.crashed, completed_steps=completed,
+        violations=violations, flight=flight,
+        audited_commits=cluster.lease_service.fencing.commits)
 
 
 def _walk(fs: SyncFS, path: str) -> None:

@@ -20,18 +20,11 @@ from .engine import (
 )
 from .network import NetParams, Network, Node, NodeDown, RpcError
 from .resources import BandwidthPipe, Mutex, Request, Resource, Store, serve
-from .stats import (
-    BandwidthMeter,
-    OpStats,
-    PhaseRecorder,
-    PhaseResult,
-    kernel_counters,
-)
+from .stats import PhaseRecorder, PhaseResult, kernel_counters
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BandwidthMeter",
     "BandwidthPipe",
     "Event",
     "Interrupt",
@@ -40,7 +33,6 @@ __all__ = [
     "Network",
     "Node",
     "NodeDown",
-    "OpStats",
     "PhaseRecorder",
     "PhaseResult",
     "Process",

@@ -1,4 +1,4 @@
-"""Measurement helpers: operation counters, phase timing, throughput.
+"""Measurement helpers: phase timing, throughput, scheduler counters.
 
 Benchmarks report *simulated* time; these helpers turn raw completion counts
 into the ops/sec and MB/s figures the paper's tables and plots use.
@@ -6,15 +6,12 @@ into the ops/sec and MB/s figures the paper's tables and plots use.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..obs.metrics import Histogram
 from .engine import Simulator
 
-__all__ = ["OpStats", "PhaseResult", "PhaseRecorder", "BandwidthMeter",
-           "kernel_counters"]
+__all__ = ["PhaseResult", "PhaseRecorder", "kernel_counters"]
 
 
 def kernel_counters(sim: Simulator) -> Dict[str, int]:
@@ -31,40 +28,6 @@ def kernel_counters(sim: Simulator) -> Dict[str, int]:
         "inline_events": sim._n_inline,
         "heap_pushes": sim._seq,
     }
-
-
-class OpStats:
-    """Per-operation-type latency/count accumulator.
-
-    Backed by :class:`repro.obs.Histogram` so the unified metrics layer is
-    the single implementation of latency accumulation; this class keeps the
-    historical attribute names (``count`` / ``total_time`` / ``max_time``)
-    and adds percentile access through ``hist``.
-    """
-
-    __slots__ = ("hist",)
-
-    def __init__(self):
-        self.hist = Histogram("")
-
-    def record(self, elapsed: float) -> None:
-        self.hist.observe(elapsed)
-
-    @property
-    def count(self) -> int:
-        return self.hist.count
-
-    @property
-    def total_time(self) -> float:
-        return self.hist.sum
-
-    @property
-    def max_time(self) -> float:
-        return self.hist.max
-
-    @property
-    def mean_time(self) -> float:
-        return self.hist.mean
 
 
 @dataclass
@@ -97,12 +60,11 @@ class PhaseResult:
 
 
 class PhaseRecorder:
-    """Collects phase results and per-op stats for a benchmark run."""
+    """Collects the phase results of a benchmark run."""
 
     def __init__(self, sim: Simulator):
         self.sim = sim
         self.phases: List[PhaseResult] = []
-        self.ops: Dict[str, OpStats] = defaultdict(OpStats)
         self._open: Optional[dict] = None
 
     def begin(self, name: str) -> None:
@@ -136,23 +98,3 @@ class PhaseRecorder:
             if p.name == name:
                 return p
         return None
-
-
-@dataclass
-class BandwidthMeter:
-    """Tracks bytes moved through a component over simulated time."""
-
-    sim: Simulator
-    bytes_total: int = 0
-    _t0: float = field(default=0.0)
-
-    def __post_init__(self) -> None:
-        self._t0 = self.sim.now
-
-    def add(self, nbytes: int) -> None:
-        self.bytes_total += nbytes
-
-    @property
-    def mbps(self) -> float:
-        dt = self.sim.now - self._t0
-        return self.bytes_total / dt / 1e6 if dt > 0 else 0.0

@@ -59,6 +59,10 @@ def test_bounded_sweep_no_violations(name, stride):
     assert report.points, "sweep checked no crash points"
     assert all(r.fired for r in report.points), \
         "some crash points never fired"
+    # The stale-epoch audit covers every workload, not only the one that
+    # deposes managers: each build is fenced, so each commit was compared
+    # against the highest token granted (report.ok: none was below it).
+    assert report.audited_commits > 0
 
 
 @pytest.mark.skipif(not SLOW, reason="exhaustive sweep; set REPRO_SLOW=1")

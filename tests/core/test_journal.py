@@ -12,7 +12,9 @@ from repro.core import (
     ops_put_inode,
 )
 from repro.core.journal import JournalManager, _coalesce
+from repro.core.lease import FencingRegistry
 from repro.core.params import DEFAULT_PARAMS
+from repro.core.retry import RetryPolicy
 from repro.core.types import Dentry, Inode
 from repro.objectstore import InMemoryObjectStore
 from repro.posix import FileType
@@ -24,7 +26,11 @@ def make_env(params=DEFAULT_PARAMS):
     net = Network(sim)
     node = Node(sim, "jnode", cores=4, net=net)
     prt = PRT(InMemoryObjectStore(sim), params.data_object_size)
-    jm = JournalManager(sim, prt, params, node, "jnode")
+    # No lease service here: an empty registry admits every commit.
+    jm = JournalManager(sim, prt, params, node, "jnode", FencingRegistry(),
+                        token_of=lambda dir_ino: (1, 1),
+                        on_fenced=lambda dir_ino: None,
+                        retry=RetryPolicy.from_params(sim, params))
     return sim, prt, jm
 
 

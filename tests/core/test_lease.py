@@ -1,24 +1,34 @@
-"""Lease manager protocol: FCFS, extension, redirect, fencing, restart."""
+"""Lease protocol: FCFS, extension, redirect, fencing, restart.
+
+Every class runs against a ring of one manager (the paper's deployment) and,
+through its ``OnRingOfThree`` subclass at the bottom, against a ring of
+three — the protocol a client sees is the same.
+"""
 
 import pytest
 
-from repro.core.lease import LeaseGrant, LeaseManager, LeaseRedirect, LeaseWait
+from repro.core.lease import (LeaseGrant, LeaseManagerCluster, LeaseRedirect,
+                              LeaseWait)
 from repro.core.params import DEFAULT_PARAMS
 from repro.sim import Network, Node, Simulator
 
 
 @pytest.fixture
-def env():
+def env(request):
+    """``(sim, svc, svc, client_node)``: the service is both the thing tests
+    inspect and the destination ``call`` routes lease RPCs through."""
     sim = Simulator()
     net = Network(sim)
-    mgr_node = Node(sim, "mgr", net=net)
-    client_node = Node(sim, "c", net=net)
-    mgr = LeaseManager(sim, mgr_node, DEFAULT_PARAMS)
-    return sim, mgr, mgr_node, client_node
+    size = getattr(request.cls, "RING", 1)
+    svc = LeaseManagerCluster(
+        sim, [Node(sim, f"mgr{i}", net=net) for i in range(size)],
+        DEFAULT_PARAMS)
+    return sim, svc, svc, Node(sim, "c", net=net)
 
 
-def call(sim, src, dst, method, *args):
-    return sim.run_process(src.call(dst, method, *args))
+def call(sim, src, svc, method, dir_ino, *args):
+    return sim.run_process(
+        src.call(svc.node_for(dir_ino), method, dir_ino, *args))
 
 
 class TestAcquire:
@@ -38,6 +48,7 @@ class TestAcquire:
         assert not g2.fresh
         assert g2.expires_at >= g1.expires_at
         assert g2.epoch == g1.epoch
+        assert g2.mgr_epoch == g1.mgr_epoch >= 1
 
     def test_lease_duration_matches_params(self, env):
         sim, mgr, mnode, cnode = env
@@ -132,7 +143,8 @@ class TestManagerRestart:
         mgr.restart()
         w = call(sim, cnode, mnode, "lease.acquire", 42, "bob")
         assert isinstance(w, LeaseWait)
-        assert w.reason == "manager-restarted"
+        assert w.reason == "range-fenced"
+        assert w.retry_at == pytest.approx(2.0 + DEFAULT_PARAMS.lease_period)
         sim.run(until=w.retry_at + 0.1)
         g = call(sim, cnode, mnode, "lease.acquire", 42, "bob")
         assert isinstance(g, LeaseGrant)
@@ -162,3 +174,19 @@ class TestIntrospection:
         assert mgr.stats["acquire"] == 1
         assert mgr.stats["extend"] == 1
         assert mgr.stats["redirect"] == 1
+
+
+class TestAcquireOnRingOfThree(TestAcquire):
+    RING = 3
+
+
+class TestRecoveryProtocolOnRingOfThree(TestRecoveryProtocol):
+    RING = 3
+
+
+class TestManagerRestartOnRingOfThree(TestManagerRestart):
+    RING = 3
+
+
+class TestIntrospectionOnRingOfThree(TestIntrospection):
+    RING = 3

@@ -98,10 +98,9 @@ class TestFileSystemOnCluster:
 
 class TestPerRangeRestartFence:
     """Regression for the stale-lease edge where a restarted manager
-    refused ALL grants for one lease period. In cluster mode the refusal
-    is scoped to the recovered range: directories on the restarted
-    manager's OTHER serving ranges — and on every other manager — grant
-    immediately."""
+    refused ALL grants for one lease period. The refusal is scoped to the
+    recovered range: directories on the restarted manager's OTHER serving
+    ranges — and on every other manager — grant immediately."""
 
     @staticmethod
     def _svc(n=4):
@@ -151,17 +150,20 @@ class TestPerRangeRestartFence:
         assert isinstance(resp, LeaseGrant), resp
 
     def test_standalone_restart_still_gates_globally(self):
-        """The single-manager build keeps the conservative global gate —
-        the per-range scoping is a cluster-mode property."""
+        """A manager built on its own is a ring of one: its one range is
+        every directory, so the per-range fence refuses all grants for one
+        lease period after a restart."""
         sim = Simulator()
         net = Network(sim)
         mgr = LeaseManager(sim, Node(sim, "m0", net=net), DEFAULT_PARAMS)
         grant = sim.run_process(mgr._h_acquire(0x1, "c"))
-        assert isinstance(grant, LeaseGrant)
+        assert isinstance(grant, LeaseGrant) and grant.mgr_epoch == 1
         mgr.restart()
+        restarted_at = sim.now
         resp = sim.run_process(mgr._h_acquire(0x2, "c"))
         assert isinstance(resp, LeaseWait)
-        assert resp.reason == "manager-restarted"
+        assert resp.reason == "range-fenced"
+        assert resp.retry_at == restarted_at + DEFAULT_PARAMS.lease_period
 
 
 class TestFencedBackgroundCommit:
@@ -217,9 +219,10 @@ class TestFencedBackgroundCommit:
         sim.run_process(old.sync())
         sim.run_process(new.sync())
         sim.run(until=sim.now + 3)                  # let checkpoints drain
-        # A fenced stream is a crashed leader's (its cached bytes for the
-        # dropped create are crash garbage), so fsck judges it as one.
-        report = sim.run_process(fsck(cluster.prt, after_crash=True))
+        # The fenced-out leader dropped the cached bytes of the create it
+        # lost along with the stream, so its sync wrote nothing for an
+        # inode that never existed: fsck is clean without crash allowances.
+        report = sim.run_process(fsck(cluster.prt))
         assert report.clean, report.errors
         assert svc.fencing.drain_breaches() == []
 

@@ -1,22 +1,8 @@
-"""PhaseRecorder / OpStats / BandwidthMeter accounting."""
+"""PhaseRecorder accounting."""
 
 import pytest
 
-from repro.sim import BandwidthMeter, OpStats, PhaseRecorder, Simulator
-
-
-def test_op_stats_accumulate():
-    s = OpStats()
-    s.record(1.0)
-    s.record(3.0)
-    assert s.count == 2
-    assert s.total_time == 4.0
-    assert s.mean_time == 2.0
-    assert s.max_time == 3.0
-
-
-def test_op_stats_empty_mean():
-    assert OpStats().mean_time == 0.0
+from repro.sim import PhaseRecorder, Simulator
 
 
 def test_phase_recorder_basic():
@@ -75,18 +61,3 @@ def test_nested_phase_rejected():
     rec.begin("a")
     with pytest.raises(RuntimeError):
         rec.begin("b")
-
-
-def test_bandwidth_meter():
-    sim = Simulator()
-    m = BandwidthMeter(sim)
-    m.add(10_000_000)
-    sim.run(until=2.0)
-    assert m.mbps == pytest.approx(5.0)
-
-
-def test_bandwidth_meter_zero_time():
-    sim = Simulator()
-    m = BandwidthMeter(sim)
-    m.add(100)
-    assert m.mbps == 0.0
