@@ -907,7 +907,7 @@ def _run_step(sim: Simulator, cluster, step: Step) -> None:
     client = cluster.client(1 if step.survivor else 0)
     deadline = sim.now + STEP_BOUND_S
     proc = sim.process(step.gen(client), name=f"step:{step.name}")
-    while not proc.triggered and sim._heap and sim._heap[0][0] <= deadline:
+    while not proc.triggered and sim.peek() <= deadline:
         sim.step()
     if not proc.triggered:
         raise _StepWedged(

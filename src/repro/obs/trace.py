@@ -13,7 +13,7 @@ shared no-op context manager, so no span objects are allocated at all.
 
 *Sampled* tracing sits between the two: the tracer is installed as
 ``sim._sample_tracer`` and a deterministic per-root-op hash decides which
-operations trace (:class:`RootOpObserver`). ``Process._step`` then makes
+operations trace (:class:`RootOpObserver`). ``Process._resume`` then makes
 ``sim._tracer`` context-local — non-``None`` exactly while stepping a
 process inside a sampled op — so sampled ops get full spans while every
 other op pays only the single attribute check.
@@ -230,7 +230,7 @@ class RootOpObserver:
     deterministic decision, so two runs of the same workload sample the
     same ops. A sampled op sets the current process's ``trace_on`` bit for
     its duration (spawned children inherit it), which makes
-    ``sim._tracer`` context-local via ``Process._step``: every span site
+    ``sim._tracer`` context-local via ``Process._resume``: every span site
     below keeps its single attribute check and pays the trace cost only
     inside sampled ops. Spans never schedule events, so simulated results
     are bit-identical with sampling on or off.

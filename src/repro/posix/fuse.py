@@ -148,21 +148,15 @@ class _MountBase(VFSClient):
                           name: str) -> SimGen:
         """One LOOKUP request: cost + (optionally locked) daemon-side resolve."""
         yield from self._request()
-        hold_dir_lock = self.params.lookup_locked
-
-        def resolve() -> SimGen:
-            return (yield from self.inner.lookup(creds, parent, name))
-
-        if hold_dir_lock:
-            lock = self._dir_lock(parent)
-            req = yield from lock.acquire()
-            try:
-                result = yield from self._globally_locked(resolve())
-            finally:
-                lock.release(req)
-        else:
-            result = yield from self._globally_locked(resolve())
-        return result
+        resolve = self._globally_locked(self.inner.lookup(creds, parent, name))
+        if not self.params.lookup_locked:
+            return (yield from resolve)
+        lock = self._dir_lock(parent)
+        req = yield from lock.acquire()
+        try:
+            return (yield from resolve)
+        finally:
+            lock.release(req)
 
     def _walk(self, creds: Credentials, path: str,
               include_final: bool = True) -> SimGen:
@@ -208,7 +202,7 @@ class _MountBase(VFSClient):
     # -- VFS implementation ------------------------------------------------------------
 
     def lookup(self, creds: Credentials, dir_path: str, name: str) -> SimGen:
-        return (yield from self.inner.lookup(creds, dir_path, name))
+        return self.inner.lookup(creds, dir_path, name)
 
     def mkdir(self, creds: Credentials, path: str, mode: int = 0o777) -> SimGen:
         result = yield from self._pathop(
@@ -247,16 +241,13 @@ class _MountBase(VFSClient):
         return result
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(creds, path,
-                                        self.inner.stat(creds, path)))
+        return self._pathop(creds, path, self.inner.stat(creds, path))
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(creds, path,
-                                        self.inner.lstat(creds, path)))
+        return self._pathop(creds, path, self.inner.lstat(creds, path))
 
     def readdir(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(creds, path,
-                                        self.inner.readdir(creds, path)))
+        return self._pathop(creds, path, self.inner.readdir(creds, path))
 
     def rename(self, creds: Credentials, src: str, dst: str) -> SimGen:
         yield from self._walk(creds, src)

@@ -139,7 +139,7 @@ class VFSClient(ABC):
         with cheaper single-component resolution override this."""
         from .path import join
 
-        return (yield from self.lstat(creds, join(dir_path, name)))
+        return self.lstat(creds, join(dir_path, name))
 
     # -- conveniences built on the primitives -------------------------------------
 

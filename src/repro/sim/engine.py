@@ -40,20 +40,23 @@ pop: it is at the front of the ready deque, and
 :meth:`Simulator._front_is_next` holds (the heap has nothing due at
 ``now``, and no enclosing callback pass has callbacks still pending,
 ``_cb_pending``). Under those conditions inlining is a pure
-constant-folding of the run loop and cannot reorder anything. That
-predicate is the only place the decision is made, and it has two users:
-:meth:`Process._step`, which continues the generator that yielded the
-event, and :meth:`Simulator._hold`.
+constant-folding of the run loop and cannot reorder anything. The rule
+lives in this module only, and has two users: :meth:`Process._resume` —
+the one step body, entered alike by a kick-off, an awaited event and an
+interrupt's failed wake-up event — which continues the generator that
+yielded the event, and the *hold primitive* behind ``Resource.use``.
 
-``_hold`` is the *hold primitive* behind ``Resource.use``. A resource hold
-is two events — the grant, then a timeout — but the process only cares
-about the second: ``_hold(grant, delay)`` arms an unscheduled, engine-owned
-Timeout that the grant event's callback schedules, so the process yields
-once and is resumed once, when the hold ends. The grant remains a real
-queued event and the timeout is scheduled at the point in (time, seq) order
-where the resumed process would have created it; the schedule is the
-two-yield schedule, event for event. Resources and the network otherwise
-always go through request/grant/timeout events.
+A resource hold is two events — the grant, then a timeout — but the
+process only cares about the second, so it yields once and is resumed
+once, when the hold ends. The primitive has two arms. ``_hold(grant,
+delay)`` arms an unscheduled, engine-owned Timeout that the queued grant
+event's callback schedules, at the point in (time, seq) order where the
+resumed process would have created it. ``_hold_unobserved(delay)`` is for
+a free slot whose grant would be the very next event popped: nothing
+could observe that grant's place in the queue, so it is not created at
+all — it is counted as the inline event it would have been and only the
+end of the hold is scheduled. Either way the schedule is the two-yield
+schedule, event for event and count for count.
 
 The heap-only scheduler these rules are equivalent to lives in
 ``tests/sim/reference_kernel.py`` as a test oracle;
@@ -240,7 +243,7 @@ class Process(Event):
         # Per-process "tracing active" bit for sampled tracing: inherited
         # from the spawner so every process in a sampled operation's fan-out
         # keeps tracing. Only consulted while a sampling tracer is installed
-        # (``sim._sample_tracer``); see Process._step.
+        # (``sim._sample_tracer``); see Process._resume.
         self.trace_on = False if parent is None else parent.trace_on
         # Kick off at the current time. The kick-off event is invisible to
         # user code, so it is drawn from (and recycled into) a freelist
@@ -265,7 +268,7 @@ class Process(Event):
             target = self._waiting_on
             epoch = self._wait_epoch
 
-            def deliver(_ev: Event, self=self, cause=cause) -> None:
+            def deliver(wake: Event, self=self) -> None:
                 # The process may have resumed (or died) through its awaited
                 # event in the meantime; only interrupt if still waiting.
                 # The epoch guards against the awaited event *object* being
@@ -277,23 +280,26 @@ class Process(Event):
                     # left behind, it would resume the process ahead of
                     # its turn if it ever waits on the same event again.
                     target.callbacks.remove(self._resume)
-                    self._waiting_on = None
-                    self._step(Interrupt(cause), throw=True)
+                    # The wake-up is a failed event carrying the Interrupt:
+                    # the process resumes on it like on any other.
+                    self._waiting_on = wake
+                    self._resume(wake)
 
             wake = Event(self.sim)
-            self.sim._schedule(wake, 0)
             wake.callbacks.append(deliver)
+            wake.fail(Interrupt(cause))
 
     # -- internal ---------------------------------------------------------
 
     def _kickoff(self, event: Event) -> None:
-        """First resume, via the pooled kick-off event.
+        """First resume, via the pooled kick-off event (it succeeded with
+        its auto value ``None``).
 
         The run loop never touches an event after its callbacks fire, so
-        the kick-off can be reset and recycled right here. A kick-off
-        always succeeds with value ``None``; the epoch guard in
-        :meth:`interrupt` keeps a recycled object from satisfying a stale
-        interrupt aimed at a previous spawn."""
+        the kick-off can be reset and recycled right here; the epoch guard
+        in :meth:`interrupt` keeps a recycled object from satisfying a
+        stale interrupt aimed at a previous spawn."""
+        self._resume(event)
         sim = self.sim
         if len(sim._start_pool) < _START_POOL_MAX:
             # callbacks stays None and _scheduled True: the spawn path
@@ -301,19 +307,17 @@ class Process(Event):
             event._value = Event._PENDING
             event._ok = None
             sim._start_pool.append(event)
-        if self._value is Event._PENDING and self._waiting_on is event:
-            self._waiting_on = None
-            self._step(None, throw=False)
 
     def _resume(self, event: Event) -> None:
+        """The step body — every way into the generator (kick-off, awaited
+        event, interrupt) is a resume on the event the process waits on."""
         if self._value is not Event._PENDING or self._waiting_on is not event:
             # Process finished, or was interrupted away from this event and is
             # now waiting on something else: this wake-up is stale.
             return
         self._waiting_on = None
-        self._step(event._value, throw=not event._ok)
-
-    def _step(self, value: Any, throw: bool) -> None:
+        value = event._value
+        throw = not event._ok
         sim = self.sim
         gen = self._gen
         prev_active = sim._active_proc
@@ -484,7 +488,7 @@ class Simulator:
     # attribute so instrumented hot paths can read ``sim._tracer`` without
     # getattr defaults; ``None`` means tracing is off. With *sampled*
     # tracing the installed tracer lives in ``_sample_tracer`` and
-    # ``_tracer`` becomes context-local: Process._step points it at the
+    # ``_tracer`` becomes context-local: Process._resume points it at the
     # tracer only while stepping a process whose ``trace_on`` bit is set.
     _tracer = None
     # The tracer installed in sampling mode (None = not sampling).
@@ -515,7 +519,7 @@ class Simulator:
         self._start_pool: list[Event] = []
         # Kernel counters (see repro.sim.stats.kernel_counters).
         self._n_steps = 0    # events processed through the run loop
-        self._n_inline = 0   # events consumed inline by Process._step
+        self._n_inline = 0   # events consumed inline, uncreated grants included
 
     # -- scheduling --------------------------------------------------------
 
@@ -585,7 +589,7 @@ class Simulator:
         the timeout is scheduled from its callback, i.e. at the point in
         (time, seq) order where a process resumed by the gate would have
         created it. If the gate is the very next event the run loop would
-        pop, it is consumed here exactly as :meth:`Process._step` consumes
+        pop, it is consumed here exactly as :meth:`Process._resume` consumes
         a yielded event inline."""
         pool = self._timeout_pool
         if pool:
@@ -604,6 +608,31 @@ class Simulator:
         else:
             t._holder = self._active_proc
             gate.callbacks.append(t._start)
+        return t
+
+    def _hold_unobserved(self, delay: float) -> Optional[Timeout]:
+        """The hold primitive's grant-less arm, for a resource with a free
+        slot. The grant it would trigger now would join an *empty* ready
+        deque and, the inline rule holding (:meth:`_front_is_next`, applied
+        here to an event not yet created), be consumed by :meth:`_hold` one
+        line later: nothing can observe its place in the queue. So it is
+        not created — only counted, as the inline event it would have been
+        — and this call schedules the end of the hold (``delay > 0``; hand
+        the timeout back via :meth:`_timeout_release`). ``None``: the grant
+        could be observed, so request, and arm the hold with :meth:`_hold`."""
+        heap = self._heap
+        if (self._ready or self._cb_pending
+                or (heap and heap[0][0] <= self.now)):
+            return None
+        pool = self._timeout_pool
+        if pool:
+            t = pool.pop()
+        else:
+            t = Timeout.__new__(Timeout)
+            Event.__init__(t, self)
+        t.delay = delay
+        self._n_inline += 1
+        self._schedule(t, delay)
         return t
 
     # -- public API --------------------------------------------------------

@@ -23,10 +23,16 @@ are its grant + hold — has two bodies with one schedule. ``_use_textbook``
 is the definition: yield the request, then yield a timeout. It runs when a
 tracer is active (each step gets its span) or the hold is zero.
 ``_use_fused`` runs otherwise and resumes the calling process once per
-hold instead of twice, through the scheduler's hold primitive
-(``Simulator._hold``): every ``use`` still goes through the request/grant
-events, and whether a grant may skip the run loop stays the scheduler's
-call. ``Node.work``, ``BandwidthPipe.transfer`` and ``serve`` are plain
+hold instead of twice, through the scheduler's hold primitive. It asks
+the scheduler one question — could anything observe the grant a free slot
+would trigger now (``Simulator._hold_unobserved``)? If not, there is no
+request and no grant event: the slot is taken, the hold's end is already
+scheduled, and the ``finally`` gives the slot back as ``release`` would.
+If so (or the resource is full) it requests, and the grant event starts
+the hold (``Simulator._hold``). Whether a grant may skip the run loop, or
+need not exist, stays the scheduler's call; a discipline that must see
+every request (``WFQResource``) overrides ``_use_fused`` to always request.
+``Node.work``, ``BandwidthPipe.transfer`` and ``serve`` are plain
 functions returning that generator, so a hold adds one frame, not three,
 to the ``yield from`` chain every resume re-enters.
 """
@@ -164,6 +170,12 @@ class Resource:
             return
         req.granted = False
         self._in_use -= 1
+        if self._queue:
+            self._grant_waiters()
+
+    def _grant_waiters(self) -> None:
+        """A slot came back: grant queued requests, in order, while slots
+        are free."""
         q = self._queue
         while q and self._in_use < self.capacity:
             nxt = q.popleft()
@@ -243,10 +255,30 @@ class Resource:
     def _use_fused(self, hold_time: float, tenant: Optional[str],
                    cost: Optional[float]) -> SimGen:
         """``_use_textbook`` with one resume instead of two: the caller
-        waits on the hold timeout alone, and the grant event starts that
-        timeout's clock when the scheduler processes it
-        (``Simulator._hold``). Untraced, positive holds only."""
+        waits on the hold timeout alone. Untraced, positive holds only."""
         sim = self.sim
+        if self._in_use < self.capacity:
+            t = sim._hold_unobserved(hold_time)
+            if t is not None:
+                # Nothing could observe this grant: no request, no grant
+                # event. Take the slot; give it back as ``release`` does.
+                watch = self._watch
+                if watch is not None:
+                    watch.add(self)
+                self._in_use += 1
+                try:
+                    yield t
+                finally:
+                    watch = self._watch
+                    if watch is not None:
+                        watch.add(self)
+                    self._in_use -= 1
+                    if self._queue:
+                        self._grant_waiters()
+                    sim._timeout_release(t)
+                return
+        # The grant event starts the timeout's clock when the scheduler
+        # processes it.
         req = self._request_pooled(tenant, cost)
         t = sim._hold(req, hold_time)
         try:

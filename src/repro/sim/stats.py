@@ -19,7 +19,8 @@ def kernel_counters(sim: Simulator) -> Dict[str, int]:
 
     ``loop_events`` counts events dispatched through the run loop,
     ``inline_events`` those consumed by the immediate resume without a
-    loop round-trip (DESIGN.md §10), and ``heap_pushes`` the
+    loop round-trip — a grant the hold primitive proved unobservable and
+    did not create counts as one (DESIGN.md §10) — and ``heap_pushes`` the
     timed events that actually paid a heapq push — the three numbers that
     explain where a workload's kernel time goes.
     """

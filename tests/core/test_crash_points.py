@@ -16,7 +16,11 @@ import pytest
 
 from repro.faults.crashcheck import (
     SEEDED_BUGS,
+    STEP_BOUND_S,
     WORKLOADS,
+    Step,
+    _run_step,
+    _StepWedged,
     check_point,
     main as crashcheck_main,
     profile,
@@ -44,6 +48,36 @@ def test_fault_free_profile_is_clean(name):
     # Determinism: a second profile counts the identical op stream.
     total2, milestones2, _ = profile(WORKLOADS[name]())
     assert (total2, milestones2) == (total, milestones)
+
+
+def test_run_step_steps_events_due_now_with_nothing_on_the_heap():
+    """A step whose remaining events are all due *now* sit in the ready
+    deque, not on the heap: it must be stepped to the end, not reported
+    wedged (in the sweeps a lease keeper's timer is always on the heap,
+    which hid a loop that only looked there). A step that really outlives
+    the bound still is."""
+    from types import SimpleNamespace
+
+    from repro.sim import Simulator
+
+    sim = Simulator()
+    cluster = SimpleNamespace(client=lambda index: None)
+    ran = []
+
+    def all_due_now(_client):
+        for _ in range(3):
+            yield sim.timeout(0)
+        ran.append(sim.now)
+
+    _run_step(sim, cluster, Step("due-now", gen=all_due_now))
+    assert ran == [0.0]
+
+    def too_long(_client):
+        yield sim.timeout(2 * STEP_BOUND_S)
+
+    with pytest.raises(_StepWedged):
+        _run_step(sim, cluster, Step("wedged", gen=too_long))
+    assert sim.now == 0.0
 
 
 def test_rename_workload_has_hundreds_of_crash_points():

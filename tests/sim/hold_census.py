@@ -1,0 +1,37 @@
+"""Counts, from outside the kernel, which arm each ``Resource.use`` took.
+
+``grantless`` is the number of holds the production scheduler agreed to
+start without a grant event (``Simulator._hold_unobserved`` returned a
+timeout) and ``oracle_grantless`` the same for any subclass of it — the
+heap-only oracle must never agree; ``requests`` is the number of
+``Request`` objects constructed, ``WFQRequest`` included (a pooled request
+is constructed once).
+"""
+
+from contextlib import contextmanager
+
+from repro.sim import Simulator
+from repro.sim.resources import Request
+
+
+@contextmanager
+def hold_census():
+    seen = {"grantless": 0, "oracle_grantless": 0, "requests": 0}
+    ask, init = Simulator._hold_unobserved, Request.__init__
+
+    def counting_ask(sim, delay):
+        t = ask(sim, delay)
+        if t is not None:
+            seen["grantless" if type(sim) is Simulator
+                 else "oracle_grantless"] += 1
+        return t
+
+    def counting_init(req, resource):
+        seen["requests"] += 1
+        init(req, resource)
+
+    Simulator._hold_unobserved, Request.__init__ = counting_ask, counting_init
+    try:
+        yield seen
+    finally:
+        Simulator._hold_unobserved, Request.__init__ = ask, init

@@ -53,6 +53,11 @@ class ReferenceSimulator(Simulator):
     def _timeout_release(self, t):
         pass
 
+    def _hold_unobserved(self, delay):
+        # Never inline: the always-empty ready sink must not pass for an
+        # empty ready deque; every hold walks request -> grant -> timeout.
+        return None
+
 
 @contextmanager
 def textbook_use(enabled=True):

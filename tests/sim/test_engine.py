@@ -379,3 +379,73 @@ def test_peek_reports_next_event_time():
     assert sim.peek() == float("inf")
     sim.timeout(7)
     assert sim.peek() == 7
+
+
+# -- one step body: every way into a generator is ``Process._resume`` ---------
+
+def _entries(monkeypatch, drive):
+    """Run the kick-off / resume / interrupt / stale-wake-up script under
+    ``drive(sim, proc)``; returns what the generator logged, every entry
+    into ``Process._resume`` as ``(kind of event, event ok?, process
+    advanced?)``, and the kernel's counters."""
+    from repro.sim.engine import Process
+
+    sim = Simulator()
+    ran, entries = [], []
+    real = Process._resume
+
+    def recording(proc, event):
+        before = len(ran)
+        real(proc, event)
+        if proc is victim:
+            entries.append((type(event).__name__, event._ok,
+                            len(ran) > before))
+
+    monkeypatch.setattr(Process, "_resume", recording)
+
+    def sleeper():
+        ran.append("kick-off")
+        yield sim.timeout(1)
+        ran.append("resumed")
+        try:
+            yield sim.timeout(10)
+            ran.append("never")
+        except Interrupt as i:
+            ran.append(f"interrupted:{i.cause}")
+        yield sim.timeout(50)
+        ran.append("done")
+        return "ok"
+
+    def killer():
+        yield sim.timeout(2)
+        victim.interrupt("crash")
+        # A wake-up from an event the victim is not waiting on.
+        sim.timeout(3).callbacks.append(victim._resume)
+
+    victim = sim.process(sleeper())
+    sim.process(killer())
+    drive(sim, victim)
+    assert victim.value == "ok" and sim.now == 52
+    return ran, entries, (sim._n_steps, sim._n_inline, sim._seq)
+
+
+def test_every_entry_into_a_generator_is_the_one_step_body(monkeypatch):
+    ran, entries, _ = _entries(monkeypatch, lambda sim, proc: sim.run())
+    assert ran == ["kick-off", "resumed", "interrupted:crash", "done"]
+    assert entries == [
+        ("Event", True, True),          # kick-off, via the pooled start event
+        ("Timeout", True, True),        # normal resume
+        ("Event", False, True),         # interrupt: a failed wake-up event
+        ("Timeout", True, False),       # stale: dropped by the prologue
+        ("Timeout", True, True),
+    ]
+
+
+def test_run_until_event_and_single_stepping_enter_the_same_step_body(
+        monkeypatch):
+    def stepping(sim, proc):
+        while not proc.triggered:
+            sim.step()
+
+    assert (_entries(monkeypatch, lambda sim, proc: sim.run(until=proc))
+            == _entries(monkeypatch, stepping))

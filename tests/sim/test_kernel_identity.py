@@ -18,6 +18,7 @@ from repro.sim import (BandwidthPipe, Interrupt, NetParams, Network, Node,
                        Resource, Simulator, Store)
 from repro.sim.stats import kernel_counters
 
+from .hold_census import hold_census
 from .reference_kernel import ReferenceSimulator, textbook_use
 
 
@@ -102,23 +103,31 @@ def _run_plan(make_sim, plan):
     return trace, moved, kernel_counters(sim)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.lists(
-    st.tuples(st.sampled_from([0.0, 1e-3, 2e-3, 5e-3]),
-              st.lists(_ACTIONS, max_size=6)),
-    min_size=1, max_size=12))
-def test_production_and_reference_schedulers_produce_identical_traces(plan):
+def test_production_and_reference_schedulers_produce_identical_traces():
     """Property: arbitrary mixes of zero-delay chains, timed waits,
     zero-hold and timed resource holds, zero-byte and real transfers, and
     zero-latency RPCs execute in the same order, at the same times, moving
-    the same bytes, under both kernels — and the oracle never inlines."""
-    p_trace, p_moved, _p_counters = _run_plan(Simulator, plan)
-    r_trace, r_moved, r_counters = _run_plan(ReferenceSimulator, plan)
-    assert p_trace == r_trace
-    assert p_moved == r_moved
-    assert r_counters["inline_events"] == 0
-    # Single heap: every event the oracle dispatched paid a heap push.
-    assert r_counters["heap_pushes"] >= r_counters["loop_events"]
+    the same bytes, under both kernels — and the oracle never inlines.
+    Over the run, production holds do take the grant-less arm, the
+    oracle's never."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from([0.0, 1e-3, 2e-3, 5e-3]),
+                  st.lists(_ACTIONS, max_size=6)),
+        min_size=1, max_size=12))
+    def check(plan):
+        p_trace, p_moved, _p_counters = _run_plan(Simulator, plan)
+        r_trace, r_moved, r_counters = _run_plan(ReferenceSimulator, plan)
+        assert p_trace == r_trace
+        assert p_moved == r_moved
+        assert r_counters["inline_events"] == 0
+        # Single heap: every event the oracle dispatched paid a heap push.
+        assert r_counters["heap_pushes"] >= r_counters["loop_events"]
+
+    with hold_census() as seen:
+        check()
+    assert seen["grantless"] > 0 and seen["oracle_grantless"] == 0
 
 
 def test_mixed_resource_store_workload_identical():
@@ -402,12 +411,7 @@ def _run_program(make_sim, programs, interrupts, gong_at):
             kernel_counters(sim))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(_PROGRAM, min_size=1, max_size=6),
-       st.lists(st.tuples(st.sampled_from(_T + [2.5e-3, 3e-3, 4e-3]),
-                          st.integers(0, 5)), max_size=6),
-       st.sampled_from(_T))
-def test_fused_use_is_the_textbook_use(programs, interrupts, gong_at):
+def test_fused_use_is_the_textbook_use():
     """Property: processes mixing timed and zero-hold ``use`` on shared
     FIFO resources of capacity 1-3 and tenant-tagged ``use`` (random
     tenant, hold and cost) on a weighted fair queue with timeouts, pipe transfers, a shared
@@ -415,16 +419,29 @@ def test_fused_use_is_the_textbook_use(programs, interrupts, gong_at):
     same ``(time, process, step)`` trace and the same ``in_use`` /
     ``queue_length`` at every observation whether ``use`` resumes them once
     per hold or twice — with the same loop/inline/heap counts on the
-    production scheduler, and nothing inlined on the oracle."""
-    fused = _run_program(Simulator, programs, interrupts, gong_at)
-    fused_oracle = _run_program(ReferenceSimulator, programs, interrupts,
-                                gong_at)
-    with textbook_use():
-        textbook = _run_program(Simulator, programs, interrupts, gong_at)
-        oracle = _run_program(ReferenceSimulator, programs, interrupts,
-                              gong_at)
-    assert fused == textbook                        # counters included
-    assert fused[:2] == oracle[:2] == fused_oracle[:2]
-    assert oracle[2]["inline_events"] == 0
-    assert fused_oracle[2]["inline_events"] == 0
-    assert fused_oracle[2] == oracle[2]
+    production scheduler, and nothing inlined on the oracle. Over the run,
+    fused holds on the production scheduler do take the grant-less arm;
+    on the oracle none does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_PROGRAM, min_size=1, max_size=6),
+           st.lists(st.tuples(st.sampled_from(_T + [2.5e-3, 3e-3, 4e-3]),
+                              st.integers(0, 5)), max_size=6),
+           st.sampled_from(_T))
+    def check(programs, interrupts, gong_at):
+        fused = _run_program(Simulator, programs, interrupts, gong_at)
+        fused_oracle = _run_program(ReferenceSimulator, programs, interrupts,
+                                    gong_at)
+        with textbook_use():
+            textbook = _run_program(Simulator, programs, interrupts, gong_at)
+            oracle = _run_program(ReferenceSimulator, programs, interrupts,
+                                  gong_at)
+        assert fused == textbook                        # counters included
+        assert fused[:2] == oracle[:2] == fused_oracle[:2]
+        assert oracle[2]["inline_events"] == 0
+        assert fused_oracle[2]["inline_events"] == 0
+        assert fused_oracle[2] == oracle[2]
+
+    with hold_census() as seen:
+        check()
+    assert seen["grantless"] > 0 and seen["oracle_grantless"] == 0

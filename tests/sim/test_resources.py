@@ -6,6 +6,7 @@ from repro.sim import (BandwidthPipe, Interrupt, Mutex, Resource,
                        SimulationError, Simulator, Store, serve)
 from repro.sim.stats import kernel_counters
 
+from .hold_census import hold_census
 from .reference_kernel import ReferenceSimulator, textbook_use
 
 
@@ -264,12 +265,19 @@ def _via_acquire(res, tag, hold):
         res.release(req)
 
 
+#: ``_interrupt_scenario`` without the holder: the victim arrives alone at
+#: an idle instant — its fused hold is grant-less — and the waiter queues
+#: behind it.
+_ALONE = {"victim": 1.0, "waiter": 1.2}
+
+
 def _interrupt_scenario(body, interrupt_at, make_sim=Simulator,
-                        make_res=Resource, via=_via_use):
+                        make_res=Resource, via=_via_use, starts=None):
     """A capacity-1 resource with a holder (0 → 1.0), a victim queued behind
     it asking for a 5.0 hold, and a waiter queued behind the victim asking
     for 1.0. The victim is interrupted at ``interrupt_at``; returns what
-    everybody saw, when the last event fired, and the kernel's counters."""
+    everybody saw, when the last event fired, and the kernel's counters.
+    ``starts`` replaces the cast: who takes part, and when each arrives."""
     with textbook_use(body == "textbook"):
         sim = make_sim()
         res = make_res(sim, capacity=1, name="r.cpu")
@@ -284,17 +292,22 @@ def _interrupt_scenario(body, interrupt_at, make_sim=Simulator,
             yield sim.timeout(interrupt_at)
             victim.interrupt("crash")
 
-        def user(tag, hold):
+        def user(tag, hold, start):
             try:
+                if start:
+                    yield sim.timeout(start)
                 yield from via(res, tag, hold)
                 log.append((tag, "done") + state())
             except Interrupt:
                 log.append((tag, "interrupted") + state())
 
         sim.process(interrupter())
-        sim.process(user("holder", 1.0))
-        victim = sim.process(user("victim", 5.0))
-        sim.process(user("waiter", 1.0))
+        cast = {"holder": 0.0, "victim": 0.0, "waiter": 0.0} \
+            if starts is None else starts
+        procs = {tag: sim.process(user(tag, 5.0 if tag == "victim" else 1.0,
+                                       start))
+                 for tag, start in cast.items()}
+        victim = procs["victim"]
         sim.run()
         assert (res.in_use, res.queue_length) == (0, 0)
         return log, sim.now, kernel_counters(sim)
@@ -343,15 +356,37 @@ def test_use_interrupted_during_the_hold_releases_once(body):
     assert end == 6.0
 
 
+@BODIES
+def test_use_interrupted_during_a_grantless_hold_releases_once(body):
+    """Window 3 on the other arm: the victim took a free slot at an idle
+    instant, so its fused hold has no request to release — the slot still
+    goes back once, straight on to the waiter, and the unfired timeout is
+    left on the heap (end == 6.0), not recycled."""
+    with hold_census() as seen:
+        log, end, _ = _interrupt_scenario(body, 1.5, starts=_ALONE)
+    assert log == [
+        ("victim", "interrupted", 1.5, 1, 0),   # waiter granted at 1.5
+        ("waiter", "done", 2.5, 0, 0),
+    ]
+    assert end == 6.0
+    # The victim's hold and nobody else's: the waiter had to queue.
+    assert seen["grantless"] == (1 if body == "fused" else 0)
+    assert seen["requests"] == (1 if body == "fused" else 2)
+
+
 @pytest.mark.parametrize("interrupt_at", [0.5, 1.0, 1.5])
 def test_fused_use_runs_the_textbook_schedule_under_interrupts(interrupt_at):
     """Event for event: same log, same loop/inline/heap counts, on the
-    production scheduler; and on the heap-only oracle nothing is inlined."""
-    fused = _interrupt_scenario("fused", interrupt_at)
-    assert fused == _interrupt_scenario("textbook", interrupt_at)
-    oracle = _interrupt_scenario("fused", interrupt_at, ReferenceSimulator)
-    assert oracle[:2] == fused[:2]
-    assert oracle[2]["inline_events"] == 0
+    production scheduler; and on the heap-only oracle nothing is inlined.
+    Both arms of the fused body: granted by a release, and grant-less."""
+    for starts in (None, _ALONE):
+        fused = _interrupt_scenario("fused", interrupt_at, starts=starts)
+        assert fused == _interrupt_scenario("textbook", interrupt_at,
+                                            starts=starts)
+        oracle = _interrupt_scenario("fused", interrupt_at,
+                                     ReferenceSimulator, starts=starts)
+        assert oracle[:2] == fused[:2]
+        assert oracle[2]["inline_events"] == 0
 
 
 def _wfq(sim, capacity, name):
@@ -432,29 +467,38 @@ def test_abandoned_hold_timeout_is_not_reused_while_armed():
     """A hold the caller was interrupted out of leaves its timeout on the
     heap until it is due (10.0 here). Recycled before then, it would carry
     a later hold — and end it at 10.0."""
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    ends = []
+    # Arriving with the interrupter's kick-off still queued, the victim's
+    # first hold goes through a grant event; arriving alone, it is grant-less
+    # (as the last two always are; the one after the interrupt shares its
+    # instant with the interrupter's completion event).
+    for arrival, grantless in ((0.0, 2), (0.1, 3)):
+        sim = Simulator()
+        res = Resource(sim, capacity=2)
+        ends = []
 
-    def victim():
-        try:
-            yield from res.use(10.0)
-        except Interrupt:
-            ends.append(("interrupted", sim.now))
-        for hold in (1.0, 20.0, 1.0):
-            yield from res.use(hold)
-            ends.append((hold, sim.now))
+        def victim():
+            try:
+                if arrival:
+                    yield sim.timeout(arrival)
+                yield from res.use(10.0)
+            except Interrupt:
+                ends.append(("interrupted", sim.now))
+            for hold in (1.0, 20.0, 1.0):
+                yield from res.use(hold)
+                ends.append((hold, sim.now))
 
-    proc = sim.process(victim())
+        proc = sim.process(victim())
 
-    def interrupter():
-        yield sim.timeout(0.5)
-        proc.interrupt()
+        def interrupter():
+            yield sim.timeout(0.5)
+            proc.interrupt()
 
-    sim.process(interrupter())
-    sim.run()
-    assert ends == [("interrupted", 0.5), (1.0, 1.5), (20.0, 21.5),
-                    (1.0, 22.5)]
+        sim.process(interrupter())
+        with hold_census() as seen:
+            sim.run()
+        assert ends == [("interrupted", 0.5), (1.0, 1.5), (20.0, 21.5),
+                        (1.0, 22.5)]
+        assert seen["grantless"] == grantless
 
 
 @BODIES
@@ -491,29 +535,40 @@ def test_interrupt_overtaken_by_a_queued_grant_is_stale(body):
 
 def test_use_samples_its_request_and_release():
     """A sampled resource marks itself dirty when ``use`` requests and when
-    it releases — whichever body runs."""
-    for body in ("fused", "textbook"):
-        with textbook_use(body == "textbook"):
+    it releases — whichever body runs, and (``arrival`` 0.25: the user is
+    alone at that instant) when a grant-less hold takes the slot and gives
+    it back."""
+    for body, arrival, grantless in (("fused", 0.0, 0), ("textbook", 0.0, 0),
+                                     ("fused", 0.25, 1)):
+        with textbook_use(body == "textbook"), hold_census() as census:
             sim = Simulator()
             res = Resource(sim, capacity=1)
             res._watch = dirty = set()
             seen = []
 
             def user():
+                if arrival:
+                    yield sim.timeout(arrival)
                 yield from res.use(1.0)
 
             def watcher():
-                seen.append(bool(dirty))        # t=0, after the request
+                if arrival:
+                    seen.append(bool(dirty))    # t=0: nothing happened yet
+                    yield sim.timeout(arrival + 0.05)
+                seen.append(bool(dirty))        # after the request / take
                 dirty.clear()
                 yield sim.timeout(0.5)
                 seen.append(bool(dirty))        # mid-hold: nothing changed
                 yield sim.timeout(1.0)
                 seen.append(bool(dirty))        # after the release
+                assert (res.in_use, res.queue_length) == (0, 0)
 
             sim.process(user())
             sim.process(watcher())
             sim.run()
-            assert seen == [True, False, True], body
+            assert seen[-3:] == [True, False, True], (body, arrival)
+            assert seen[:-3] == ([False] if arrival else [])
+            assert census["grantless"] == grantless
 
 
 def test_wfq_tags_and_grant_order_unchanged_through_use():
@@ -556,3 +611,176 @@ def test_wfq_tags_and_grant_order_unchanged_through_use():
     # FIFO within each tenant.
     assert [i for _, who, i in order if who == "-"] == [0, 1, 2, 3]
     assert [i for _, who, i in order if who == "gold"] == [0, 1, 2, 3]
+
+
+# -- the grant-less arm: taken only when nothing could observe the grant ------
+
+def _alone(body, make_sim=Simulator, capacity=1, users=((1.0, 1.0),)):
+    """``users`` — (arrival, hold) pairs — each ``use`` a fresh resource at
+    instants when nothing else is queued; returns finish times, counters
+    and the census."""
+    with textbook_use(body == "textbook"), hold_census() as seen:
+        sim = make_sim()
+        res = Resource(sim, capacity=capacity, name="r.cpu")
+        done = []
+
+        def user(k, arrival, hold):
+            yield sim.timeout(arrival)
+            yield from res.use(hold)
+            done.append((k, sim.now, res.in_use, res.queue_length))
+
+        for k, (arrival, hold) in enumerate(users):
+            sim.process(user(k, arrival, hold))
+        sim.run()
+        assert (res.in_use, res.queue_length) == (0, 0)
+        return done, kernel_counters(sim), dict(seen)
+
+
+def test_uncontended_use_on_an_idle_simulator_constructs_no_request():
+    done, counters, seen = _alone("fused")
+    assert done == [(0, 2.0, 0, 0)]
+    assert seen == {"grantless": 1, "oracle_grantless": 0, "requests": 0}
+    # The grant that was not created is counted as the inline event the
+    # textbook body consumes: same loop / inline / heap numbers.
+    textbook = _alone("textbook")
+    assert (done, counters) == textbook[:2]
+    assert textbook[2] == {"grantless": 0, "oracle_grantless": 0,
+                           "requests": 1}
+    assert counters["inline_events"] == 1
+    # The oracle walks request -> grant -> timeout and inlines nothing.
+    oracle = _alone("fused", ReferenceSimulator)
+    assert oracle[0] == done and oracle[1]["inline_events"] == 0
+    assert oracle[2] == textbook[2]
+
+
+def test_grantless_holds_on_a_multi_slot_resource_queue_the_overflow():
+    """Capacity 2: two holders arrive alone and take a slot each without a
+    grant; the third finds the resource full, queues, and is granted by the
+    first give-back — at that instant."""
+    users = ((1.0, 2.0), (1.5, 2.0), (2.0, 0.5))
+    done, counters, seen = _alone("fused", capacity=2, users=users)
+    assert done == [(0, 3.0, 2, 0), (1, 3.5, 1, 0), (2, 3.5, 0, 0)]
+    assert (seen["grantless"], seen["requests"]) == (2, 1)
+    assert (done, counters) == _alone("textbook", capacity=2, users=users)[:2]
+    assert done == _alone("fused", ReferenceSimulator, 2, users)[0]
+
+
+def _rivalry(body, observer, make_sim=Simulator):
+    """At 1.0 a user starts a 1.0 hold on a free slot while a rival is, in
+    one way or another, ahead of the grant in (time, seq) order; the rival
+    then sleeps 1.0 as well. Whoever armed their timeout first wakes first
+    at 2.0 — and by the textbook schedule that is the rival."""
+    with textbook_use(body == "textbook"), hold_census() as seen:
+        sim = make_sim()
+        res = Resource(sim, capacity=1, name="r.cpu")
+        order = []
+
+        def rival(wake=None):
+            if wake is not None:
+                yield wake
+            yield sim.timeout(1.0)
+            order.append(("rival", sim.now))
+
+        def user(wake):
+            yield wake
+            if observer == "queued-at-now":
+                sim.process(rival())        # its kick-off is in the deque
+            yield from res.use(1.0)
+            order.append(("user", sim.now))
+
+        if observer == "callback-pending":
+            # One event, two waiters: the rival's wake-up is the callback
+            # still pending while the user runs.
+            gong = sim.event()
+            sim.process(user(gong))
+            sim.process(rival(gong))
+
+            def ringer():
+                yield sim.timeout(1.0)
+                gong.succeed()
+                yield sim.timeout(5.0)      # keeps its own end out of 1.0
+
+            sim.process(ringer())
+        else:
+            sim.process(user(sim.timeout(1.0)))
+            if observer == "heap-due-now":
+                # Armed after the user's: still on the heap, due at 1.0,
+                # when the user runs.
+                sim.process(rival(sim.timeout(1.0)))
+        sim.run()
+        return order, kernel_counters(sim), seen["grantless"]
+
+
+@pytest.mark.parametrize("observer", ["queued-at-now", "callback-pending",
+                                      "heap-due-now"])
+def test_grantless_arm_not_taken_when_the_grant_could_be_observed(observer):
+    """One guard of the scheduler's rule each. Dropping it arms the user's
+    timeout ahead of the rival's and flips the order at 2.0."""
+    order, counters, grantless = _rivalry("fused", observer)
+    assert order == [("rival", 2.0), ("user", 2.0)]
+    assert grantless == 0
+    assert (order, counters, 0) == _rivalry("textbook", observer)
+    assert order == _rivalry("fused", observer, ReferenceSimulator)[0]
+
+
+def test_grantless_arm_not_taken_on_a_full_resource():
+    users = ((0.5, 2.0), (1.0, 1.0))
+    done, counters, seen = _alone("fused", users=users)
+    assert done == [(0, 2.5, 1, 0), (1, 3.5, 0, 0)]     # not (1, 2.0, ...)
+    assert (seen["grantless"], seen["requests"]) == (1, 1)
+    assert (done, counters) == _alone("textbook", users=users)[:2]
+
+
+def test_grantless_arm_never_taken_on_a_fair_queue():
+    """A ``WFQResource`` tags every hold — alone on an idle simulator
+    included — so its finish tags and virtual time advance as they always
+    did, and the next arrivals are ordered against them."""
+    def run(body):
+        with textbook_use(body == "textbook"), hold_census() as seen:
+            sim = Simulator()
+            res = _wfq(sim, 1, "osd.q")
+            tags = []
+
+            def user(arrival, tenant, cost):
+                yield sim.timeout(arrival)
+                yield from res.use(1.0, tenant, cost)
+                tags.append((sim.now, tenant, dict(res._last_finish),
+                             res._vtime))
+
+            sim.process(user(1.0, "a", 2.0))
+            sim.process(user(3.0, "a", 2.0))
+            sim.process(user(5.0, "b", 1.0))
+            sim.run()
+            return tags, kernel_counters(sim), dict(seen)
+
+    tags, counters, seen = run("fused")
+    assert tags == [(2.0, "a", {"a": 2.0}, 0.0),
+                    (4.0, "a", {"a": 4.0}, 2.0),
+                    (6.0, "b", {"a": 4.0, "b": 3.0}, 2.0)]
+    assert seen["grantless"] == 0 and seen["requests"] == 1     # pooled
+    assert (tags, counters) == run("textbook")[:2]
+
+
+def test_grantless_arm_not_taken_for_a_traced_op_or_a_zero_hold():
+    """``use`` picks the textbook body for both: a traced hold gets its
+    span, and a zero hold is the grant alone — one inline event, no timer."""
+    from repro.obs import Observability
+
+    with hold_census() as seen:
+        sim = Simulator()
+        tracer = Observability.of(sim).enable_tracing(pid_name="t")
+        res = Resource(sim, capacity=1, name="r.cpu")
+
+        def traced():
+            yield sim.timeout(1.0)
+            yield from res.use(1.0)
+
+        sim.run_process(traced())
+        assert [(s.name, s.cat) for s in tracer.spans] == [("r.cpu", "cpu")]
+        assert seen == {"grantless": 0, "oracle_grantless": 0, "requests": 1}
+
+    done, counters, seen = _alone("fused", users=((1.0, 0.0),))
+    assert done == [(0, 1.0, 0, 0)]
+    assert seen["grantless"] == 0 and seen["requests"] == 1
+    assert counters == _alone("textbook", users=((1.0, 0.0),))[1]
+    assert (counters["inline_events"], counters["heap_pushes"]) == (1, 1)
