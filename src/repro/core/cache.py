@@ -23,7 +23,6 @@ from ..sim.engine import Event, SimGen, Simulator
 from ..sim.network import Node
 from .prt import PRT
 from .radix import RadixTree
-from .retry import RetryPolicy
 
 __all__ = ["CacheEntry", "ReadAheadState", "DataObjectCache"]
 
@@ -142,14 +141,12 @@ class DataObjectCache:
     def __init__(self, sim: Simulator, prt: PRT, node: Optional[Node],
                  entry_size: int, capacity_bytes: int, max_readahead: int,
                  copy_bw: float = 8e9, writeback_parallel: int = 8,
-                 fetch_parallel: int = 16, retry: Optional[RetryPolicy] = None,
-                 pack=None):
+                 fetch_parallel: int = 16, pack=None):
         if entry_size != prt.data_object_size:
             raise ValueError("cache entry size must equal the PRT object size")
         self.sim = sim
         self.prt = prt
         self.node = node
-        self._retry = retry or RetryPolicy(sim)
         # Optional PackWriter: sub-threshold writebacks append to a shared
         # container instead of issuing their own PUT. None keeps every code
         # path structurally identical to a build without the pack subsystem.
@@ -324,9 +321,8 @@ class DataObjectCache:
         self._g_inflight_puts.add(1)
         sp = _span(self.sim, "cache.writeback", "cache")
         try:
-            yield from self._retry.call(
-                lambda: self.prt.write_object(ino, entry.index, snapshot,
-                                              src=self.node))
+            yield from self.prt.write_object(ino, entry.index, snapshot,
+                                             src=self.node)
         except Exception:
             entry.dirty = True
             raise
@@ -396,8 +392,8 @@ class DataObjectCache:
                 # buffer, in-flight seal, or a ranged GET on a container).
                 data = yield from self._pack.fetch_chunk(ino, index)
             if data is None:
-                data = yield from self._retry.call(
-                    lambda: self.prt.read_object(ino, index, src=self.node))
+                data = yield from self.prt.read_object(ino, index,
+                                                       src=self.node)
                 backed = len(data) > 0
         except Exception as exc:
             fc.tree.delete(index)

@@ -89,7 +89,9 @@ class ArkFSClient(LeaderOps, VFSClient):
         """``lease_service`` is the lease-manager ring (or, for a ring of
         one, its only member): ``node_for(dir_ino)`` routes lease RPCs and
         ``fencing`` is the registry journal commits are checked against.
-        ``retry`` is the cluster's shared store retry policy."""
+        ``retry`` is the cluster's one retry policy, used here only for what
+        is not a store verb: lease RPCs, QoS admission, and counting the
+        whole-op redispatch (store verbs are retried beneath ``prt.store``)."""
         self.sim = sim
         self.node = node
         self.prt = prt
@@ -113,8 +115,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         self.pack: Optional[PackWriter] = None
         if params.pack_enabled:
             self.pack = PackWriter(sim, prt, self.journal, node, params,
-                                   self.name, self._leads_dir,
-                                   retry=self._retry)
+                                   self.name, self._leads_dir)
         self.cache = DataObjectCache(
             sim, prt, node,
             entry_size=params.data_object_size,
@@ -123,7 +124,6 @@ class ArkFSClient(LeaderOps, VFSClient):
             copy_bw=params.cache_copy_bw,
             fetch_parallel=params.fetch_parallel,
             writeback_parallel=params.writeback_parallel,
-            retry=self._retry,
             pack=self.pack,
         )
         self.fleases = FileLeaseService(sim, params.file_lease_period,
@@ -184,7 +184,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         registry once a newer authority exists; a refusal deposes us."""
         return JournalManager(self.sim, self.prt, self.params, self.node,
                               self.name, self._fencing, self._fence_token,
-                              self._stop_leading, self._retry)
+                              self._stop_leading)
 
     def _fence_token(self, dir_ino: int) -> Tuple[int, int]:
         """Our fencing token for a directory's journal stream: the
@@ -401,11 +401,8 @@ class ArkFSClient(LeaderOps, VFSClient):
                     continue
                 self._mgr_epoch_seen[dir_ino] = resp.mgr_epoch
                 if resp.needs_recovery:
-                    # Journal replay is idempotent, so transient store errors
-                    # mid-recovery are absorbed by re-running it.
-                    yield from self._retry.call(
-                        lambda: recover_directory(self.prt, dir_ino,
-                                                  src=self.node))
+                    yield from recover_directory(self.prt, dir_ino,
+                                                 src=self.node)
                     yield from self._mgr("lease.recovered", dir_ino, self.name)
                 if not resp.fresh and mt is not None:
                     mt.lease_expires = resp.expires_at
@@ -418,33 +415,30 @@ class ArkFSClient(LeaderOps, VFSClient):
                 shome = self._shard_home.get(dir_ino)
                 base_ino = shome[0] if shome is not None else dir_ino
                 try:
-                    dir_inode = yield from self._retry.call(
-                        lambda: self.prt.get_inode(base_ino, src=self.node))
+                    dir_inode = yield from self.prt.get_inode(base_ino,
+                                                              src=self.node)
                 except NoSuchKey:
                     yield from self._mgr("lease.release", dir_ino, self.name,
                                          True)
                     raise NotFound(f"dir {dir_ino:x}", "directory removed")
                 if self._split_busy is not None and shome is None:
-                    smap = yield from self._retry.call(
-                        lambda: self.prt.get_shard_map(dir_ino,
-                                                       src=self.node))
+                    smap = yield from self.prt.get_shard_map(dir_ino,
+                                                             src=self.node)
                     if smap is not None:
                         if not smap.active:
                             # Interrupted split: we hold the parent lease
                             # (and recovery already ran), so roll forward.
-                            smap = yield from self._retry.call(
-                                lambda: roll_forward_split(self.prt, smap,
-                                                           src=self.node))
+                            smap = yield from roll_forward_split(
+                                self.prt, smap, src=self.node)
                         self._cache_shard_map(smap)
                         yield from self._mgr("lease.release", dir_ino,
                                              self.name, True)
                         return ("sharded", smap)
-                mt = yield from self._retry.call(
-                    lambda: load_metatable(
-                        self.prt, dir_inode, self.node,
-                        resp.expires_at, resp.epoch,
-                        list_ino=(dir_ino if shome is not None else None),
-                        mgr_epoch=resp.mgr_epoch))
+                mt = yield from load_metatable(
+                    self.prt, dir_inode, self.node,
+                    resp.expires_at, resp.epoch,
+                    list_ino=(dir_ino if shome is not None else None),
+                    mgr_epoch=resp.mgr_epoch)
                 self.metatables[dir_ino] = mt
                 self.remotes.pop(dir_ino, None)
                 self.pcache.pop(dir_ino, None)
@@ -580,9 +574,8 @@ class ArkFSClient(LeaderOps, VFSClient):
                         # the lease to learn the map) and can exhaust the
                         # attempt budget under a concurrent split.
                         try:
-                            smap = yield from self._retry.call(
-                                lambda: self.prt.get_shard_map(
-                                    dir_ino, src=self.node))
+                            smap = yield from self.prt.get_shard_map(
+                                dir_ino, src=self.node)
                         except TransientError:
                             smap = None
                         if smap is not None and smap.active:
@@ -592,8 +585,8 @@ class ArkFSClient(LeaderOps, VFSClient):
                 yield self.sim.timeout(backoff)
                 backoff = min(backoff * 2.0, self.params.lease_period)
             except TransientError:
-                # The op-level retries (journal/cache/PRT) already gave up:
-                # the outage outlasted one inner backoff ladder. Wait longer
+                # The store's retry layer already gave up: the outage
+                # outlasted one backoff ladder of some verb. Wait longer
                 # and re-dispatch. Like any at-most-once RPC retry this can
                 # observe the first attempt's partial effect (e.g. mkdir →
                 # EEXIST), which callers must treat as success-ambiguity.
@@ -721,12 +714,11 @@ class ArkFSClient(LeaderOps, VFSClient):
             smap = ShardMap(d, ShardMap.SPLITTING, shards)
             # Phase 1: publish the splitting map (parent still authoritative,
             # but its range is frozen from here on).
-            yield from self._retry.call(
-                lambda: self.prt.put_shard_map(smap, src=self.node))
+            yield from self.prt.put_shard_map(smap, src=self.node)
             published = True
             # Phase 2 + commit: migrate ranges, then activate atomically.
-            smap = yield from self._retry.call(
-                lambda: roll_forward_split(self.prt, smap, src=self.node))
+            smap = yield from roll_forward_split(self.prt, smap,
+                                                 src=self.node)
             self._cache_shard_map(smap)
         except (FSError, TransientError, MessageDropped, NodeDown,
                 Interrupt):
@@ -952,19 +944,16 @@ class ArkFSClient(LeaderOps, VFSClient):
                 dp, "rename_prepare_dst", creds, name=dname, payload=payload,
                 txid=txid, decision_key=dkey)
         except FSError:
-            yield from self._retry.call(
-                lambda: self.prt.store.put_if_absent(dkey, DECISION_ABORT,
-                                                     src=self.node))
+            yield from self.prt.store.put_if_absent(dkey, DECISION_ABORT,
+                                                    src=self.node)
             yield from self._finish_participant(sp, src_leader, txid, False)
             raise
-        won = yield from self._retry.call(
-            lambda: self.prt.store.put_if_absent(dkey, DECISION_COMMIT,
-                                                 src=self.node))
+        won = yield from self.prt.store.put_if_absent(dkey, DECISION_COMMIT,
+                                                      src=self.node)
         if won:
             commit = True
         else:
-            value = yield from self._retry.call(
-                lambda: self.prt.store.get(dkey, src=self.node))
+            value = yield from self.prt.store.get(dkey, src=self.node)
             commit = value == DECISION_COMMIT
         src_done = yield from self._finish_participant(sp, src_leader, txid,
                                                        commit)
@@ -977,8 +966,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         # "abort" after the other side already committed.
         if src_done and dst_done:
             try:
-                yield from self._retry.call(
-                    lambda: self.prt.store.delete(dkey, src=self.node))
+                yield from self.prt.store.delete(dkey, src=self.node)
             except NoSuchKey:
                 pass
         if not commit:

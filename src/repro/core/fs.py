@@ -18,6 +18,7 @@ from ..objectstore.cluster import ClusterObjectStore
 from ..objectstore.memory import InMemoryObjectStore
 from ..objectstore.profiles import (RADOS_PROFILE, S3_COLD_PROFILE,
                                     StoreProfile)
+from ..objectstore.retrying import RetryingObjectStore
 from ..objectstore.tiered import TieredObjectStore
 from ..posix.fuse import FUSE_DEFAULTS, FuseMount, MountParams
 from ..posix.types import FileType
@@ -99,10 +100,12 @@ def build_arkfs(
     stale-epoch commits are refused (see ``repro.core.lease``).
 
     ``faults`` (a :class:`repro.faults.FaultPlan`) slides a fault-injection
-    shim beneath the store and the network. When it is ``None`` — the
-    default — no wrapper is installed at all, so fault-free runs are
-    structurally guaranteed to be bit-identical to a build without this
-    parameter.
+    shim beneath the store and the network, and directly above each store
+    shim the :class:`RetryingObjectStore` that absorbs its transients under
+    ``params.store_retry_*``. When it is ``None`` — the default — no
+    wrapper is installed at all around a built-in backend, so fault-free
+    runs are structurally guaranteed to be bit-identical to a build without
+    this parameter. A caller-supplied ``store`` always gets the retry layer.
     """
     net = Network(sim, net_params or NetParams())
     # Multi-tenant QoS plane: built first, because it decides the queue
@@ -114,7 +117,9 @@ def build_arkfs(
     if params.qos_enabled:
         qos = QosManager(sim, params)
         queue = partial(WFQResource, weight_of=qos.weight_of)
-    # One retry policy for everything that talks to the store.
+    # The cluster's one retry policy (``store_retry_*``). Store verbs get
+    # it as a store layer, below; clients keep it for what is not a store
+    # verb (lease RPCs, QoS admission).
     retry = RetryPolicy.from_params(sim, params)
 
     def backend(profile: StoreProfile) -> ObjectStore:
@@ -122,21 +127,27 @@ def build_arkfs(
             return InMemoryObjectStore(sim)
         return ClusterObjectStore(sim, profile, net=net, queue=queue)
 
-    def shim(inner: ObjectStore) -> ObjectStore:
-        if faults is None:
+    def shim(inner: ObjectStore, foreign: bool = False) -> ObjectStore:
+        """The fault shim and, riding directly above it, the retry layer
+        that absorbs the transients it injects. A built-in backend never
+        raises one by itself; a caller's (``foreign``) backend may."""
+        if faults is not None:
+            from ..faults.store import FaultyObjectStore
+            inner = FaultyObjectStore(inner, faults)
+        elif not foreign:
             return inner
-        from ..faults.store import FaultyObjectStore
-        return FaultyObjectStore(inner, faults)
+        return RetryingObjectStore(inner, retry)
 
     if faults is not None:
         net.faults = faults
         faults.attach(sim)
     if store is None and params.tier_enabled:
         # Hot/cold tiered backend: a fast RADOS-like tier fronting a cold
-        # capacity store. The fault shim wraps *each* tier so every
-        # stage/drain/promote/demote store op is a crash point, while the
-        # tier itself stays unwrapped — crashcheck reaches lose_hot() and
-        # the dirty-key bookkeeping directly on ``cluster.store``.
+        # capacity store. The fault shim (and its retry layer) wraps *each*
+        # tier so every stage/drain/promote/demote store op is a crash
+        # point and a retried verb, while the tier itself stays unwrapped —
+        # crashcheck reaches lose_hot() and the dirty-key bookkeeping
+        # directly on ``cluster.store``.
         store = TieredObjectStore(
             sim,
             shim(backend(store_profile or RADOS_PROFILE)),
@@ -148,13 +159,12 @@ def build_arkfs(
             drain_interval=params.tier_drain_interval,
             drain_batch=params.tier_drain_batch,
             promote_max=params.tier_promote_max,
-            retry=retry,
         )
+    elif store is None:
+        store = shim(backend(store_profile or RADOS_PROFILE))
     else:
-        if store is None:
-            store = backend(store_profile or RADOS_PROFILE)
-        store = shim(store)
-    prt = PRT(store, params.data_object_size, retry=retry,
+        store = shim(store, foreign=True)
+    prt = PRT(store, params.data_object_size,
               pack_enabled=params.pack_enabled)
     mkfs(sim, store)
 

@@ -31,7 +31,6 @@ from ..sim.resources import Mutex
 from .lease import FencingRegistry, StaleEpochError
 from .params import ArkFSParams
 from .prt import PRT
-from .retry import RetryPolicy
 from .types import Dentry, Inode, ino_hex
 
 __all__ = ["JournalOp", "Transaction", "JournalManager", "apply_ops",
@@ -228,7 +227,7 @@ class JournalManager:
     def __init__(self, sim: Simulator, prt: PRT, params: ArkFSParams,
                  node: Node, client_name: str, fencing: FencingRegistry,
                  token_of: Callable[[int], Tuple[int, int]],
-                 on_fenced: Callable[[int], None], retry: RetryPolicy):
+                 on_fenced: Callable[[int], None]):
         self.sim = sim
         self.prt = prt
         self.params = params
@@ -238,7 +237,6 @@ class JournalManager:
         self._txn_counter = 0
         self._threads: List = []
         self._stopped = False
-        self._retry = retry
         # Epoch fencing. ``fencing`` is the lease service's registry, which
         # the journal stream heads consult before accepting a commit;
         # ``token_of`` maps dir_ino -> the client's current (mgr_epoch,
@@ -414,8 +412,7 @@ class JournalManager:
                               _coalesce(ops))
             raw = txn.to_bytes()
             jkey = self.prt.key_journal(dj.dir_ino, seq)
-            yield from self._retry.call(
-                lambda: self.prt.store.put(jkey, raw, src=self.node))
+            yield from self.prt.store.put(jkey, raw, src=self.node)
         finally:
             sp.close()
         dj.pending_seqs.append(seq)
@@ -440,18 +437,16 @@ class JournalManager:
                 break
             sp = _span(self.sim, "journal.ckpt", "journal")
             try:
-                n = yield from self._retry.call(
-                    lambda: apply_ops(self.prt, txn.ops, src=self.node))
+                n = yield from apply_ops(self.prt, txn.ops, src=self.node)
                 self._note_ckpt_fanout(n)
                 # The invalidating DELETE must stick: a silently-skipped one
                 # leaves a stale journal object that a later leader (whose
                 # seq counter restarts at 0) would replay over newer state.
-                # Transient failures are retried; only true absence passes.
+                # Transient failures are retried beneath the store surface;
+                # only true absence passes.
                 try:
-                    yield from self._retry.call(
-                        lambda: self.prt.store.delete(
-                            self.prt.key_journal(dj.dir_ino, seq),
-                            src=self.node))
+                    yield from self.prt.store.delete(
+                        self.prt.key_journal(dj.dir_ino, seq), src=self.node)
                 except NoSuchKey:
                     pass
             finally:
@@ -578,8 +573,7 @@ class JournalManager:
                               decision_key=decision_key)
             raw = txn.to_bytes()
             jkey = self.prt.key_journal(dir_ino, seq)
-            yield from self._retry.call(
-                lambda: self.prt.store.put(jkey, raw, src=self.node))
+            yield from self.prt.store.put(jkey, raw, src=self.node)
             self._c_commits.inc()
             self.fencing.audit_commit(dir_ino, token)
             return seq
@@ -593,14 +587,12 @@ class JournalManager:
         req = yield from dj.ckpt_lock.acquire()
         try:
             if commit:
-                n = yield from self._retry.call(
-                    lambda: apply_ops(self.prt, ops, src=self.node))
+                n = yield from apply_ops(self.prt, ops, src=self.node)
                 self._note_ckpt_fanout(n)
                 self._c_checkpoints.inc()
             try:
-                yield from self._retry.call(
-                    lambda: self.prt.store.delete(
-                        self.prt.key_journal(dir_ino, seq), src=self.node))
+                yield from self.prt.store.delete(
+                    self.prt.key_journal(dir_ino, seq), src=self.node)
             except NoSuchKey:
                 pass
         finally:

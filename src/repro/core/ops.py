@@ -99,6 +99,31 @@ class LeaderOps:
         mt.dir_inode.mtime = now
         mt.dir_inode.ctime = now
 
+    def _journal_dir_change(self, mt, dir_ino: int, ops: List[Dict[str, Any]],
+                            after=(), nlink: int = 0) -> SimGen:
+        """The epilogue of every op that adds or removes an entry: stamp
+        the directory changed, journal ``ops`` + the directory inode +
+        ``after`` as one record, and hand back the journal-CPU charge for
+        the caller to ``yield from``.
+
+        ``dir_ino`` is the authority whose journal takes the record — for a
+        shard table that is the shard, never the parent ``mt.dir_ino``
+        names — and a shard table's copy of the parent inode is neither
+        changed nor journaled (see ``_touch_dir``). ``nlink`` is the
+        link-count change of mkdir/rmdir.
+        """
+        if not mt.is_shard:
+            inode = mt.dir_inode
+            inode.nlink += nlink
+            # mkdir/rmdir have always journaled the inode as it stood
+            # *before* the stamp; the ledger's byte counts pin that.
+            unstamped = ops_put_inode(inode) if nlink else None
+            inode.mtime = inode.ctime = self.sim.now
+            ops.append(unstamped or ops_put_inode(inode))
+        ops.extend(after)
+        self.journal.record(dir_ino, *ops)
+        return self._charge_journal(len(ops), dir_ino)
+
     # -- lookup / getattr -----------------------------------------------------------
 
     def _op_lookup(self, creds: Credentials, dir_ino: int, name: str,
@@ -172,12 +197,8 @@ class LeaderOps:
             )
             dentry = Dentry(name=name, ino=ino, ftype=FileType.REGULAR)
             mt.add(dentry, inode)
-            self._touch_dir(mt)
-            ops = [ops_put_inode(inode), ops_put_dentry(dir_ino, dentry)]
-            if not mt.is_shard:
-                ops.append(ops_put_inode(mt.dir_inode))
-            self.journal.record(dir_ino, *ops)
-            yield from self._charge_journal(len(ops), dir_ino)
+            yield from self._journal_dir_change(mt, dir_ino, [
+                ops_put_inode(inode), ops_put_dentry(dir_ino, dentry)])
             self._maybe_split(mt)
             created = True
         else:
@@ -253,28 +274,19 @@ class LeaderOps:
         _require(dentry.ftype is not FileType.DIRECTORY, IsADirectory, name)
         inode = mt.child_inode(dentry.ino)
         mt.remove(name)
-        self._touch_dir(mt)
-        ops = [
-            ops_del_dentry(dir_ino, name),
-            ops_del_inode(dentry.ino),
-        ]
-        if not mt.is_shard:
-            ops.append(ops_put_inode(mt.dir_inode))
+        after = []
         if self.prt.pack_enabled and dentry.ftype is FileType.REGULAR:
             # Without this a committed-but-uncheckpointed extent set in the
             # same journal would recreate the index after the purge below.
-            ops.append(ops_clear_extents(dentry.ino))
-        self.journal.record(dir_ino, *ops)
-        yield from self._charge_journal(len(ops), dir_ino)
+            after.append(ops_clear_extents(dentry.ino))
+        yield from self._journal_dir_change(mt, dir_ino, [
+            ops_del_dentry(dir_ino, name), ops_del_inode(dentry.ino)], after)
         if inode.ftype is FileType.REGULAR and inode.size > 0:
             yield from self._revoke_all_holders(dentry.ino, deleted=True)
             # Data objects are purged asynchronously (UUID inode numbers mean
             # a re-created name can never collide with the dying objects).
-            ino_ = dentry.ino
-            self.sim.process(
-                self._retry.call(
-                    lambda: self._purge_file_data(ino_)),
-                name=f"purge:{ino_:x}")
+            self.sim.process(self._purge_file_data(dentry.ino),
+                             name=f"purge:{dentry.ino:x}")
         self.fleases.forget_file(dentry.ino)
         return dentry.ino
 
@@ -297,13 +309,8 @@ class LeaderOps:
         )
         dentry = Dentry(name=name, ino=ino, ftype=FileType.DIRECTORY)
         mt.add(dentry, None)  # child dir inode lives in its own metatable
-        ops = [ops_put_inode(child), ops_put_dentry(dir_ino, dentry)]
-        if not mt.is_shard:
-            mt.dir_inode.nlink += 1
-            ops.append(ops_put_inode(mt.dir_inode))
-        self._touch_dir(mt)
-        self.journal.record(dir_ino, *ops)
-        yield from self._charge_journal(len(ops), dir_ino)
+        yield from self._journal_dir_change(mt, dir_ino, [
+            ops_put_inode(child), ops_put_dentry(dir_ino, dentry)], nlink=+1)
         self._maybe_split(mt)
         # The child's inode object must be durable before anyone can acquire
         # the new directory's lease (lease acquisition loads it from
@@ -328,13 +335,9 @@ class LeaderOps:
         _require(dentry.ftype is FileType.DIRECTORY, NotADirectory, name)
         yield from self._surrender_child(dentry.ino)
         mt.remove(name)
-        ops = [ops_del_dentry(dir_ino, name), ops_del_inode(dentry.ino)]
-        if not mt.is_shard:
-            mt.dir_inode.nlink -= 1
-            ops.append(ops_put_inode(mt.dir_inode))
-        self._touch_dir(mt)
-        self.journal.record(dir_ino, *ops)
-        yield from self._charge_journal(len(ops), dir_ino)
+        yield from self._journal_dir_change(mt, dir_ino, [
+            ops_del_dentry(dir_ino, name), ops_del_inode(dentry.ino)],
+            nlink=-1)
         self._drop_authority_hints(dentry.ino)
         return True
 
@@ -358,9 +361,8 @@ class LeaderOps:
                 for si in who.shard_inos():
                     yield from self._surrender_child(si)
                 self._drop_shard_map(child_ino)
-                yield from self._retry.call(
-                    lambda: self.prt.delete_shard_map(child_ino,
-                                                      src=self.node))
+                yield from self.prt.delete_shard_map(child_ino,
+                                                     src=self.node)
                 continue
             if kind == "local":
                 mt = self.metatables[child_ino]
@@ -506,12 +508,8 @@ class LeaderOps:
                       symlink_target=target)
         dentry = Dentry(name=name, ino=ino, ftype=FileType.SYMLINK)
         mt.add(dentry, inode)
-        self._touch_dir(mt)
-        ops = [ops_put_inode(inode), ops_put_dentry(dir_ino, dentry)]
-        if not mt.is_shard:
-            ops.append(ops_put_inode(mt.dir_inode))
-        self.journal.record(dir_ino, *ops)
-        yield from self._charge_journal(len(ops), dir_ino)
+        yield from self._journal_dir_change(mt, dir_ino, [
+            ops_put_inode(inode), ops_put_dentry(dir_ino, dentry)])
         self._maybe_split(mt)
         return inode.to_dict()
 
@@ -557,18 +555,13 @@ class LeaderOps:
         inode = mt.inodes.get(dentry.ino)
         mt.remove(src_name)
         mt.add(moved, inode)
-        self._touch_dir(mt)
-        ops = [
-            ops_del_dentry(dir_ino, src_name),
-            ops_put_dentry(dir_ino, moved),
-        ]
-        if not mt.is_shard:
-            ops.append(ops_put_inode(mt.dir_inode))
+        after = []
         if inode is not None:
             inode.ctime = self.sim.now
-            ops.append(ops_put_inode(inode))
-        self.journal.record(dir_ino, *ops)
-        yield from self._charge_journal(len(ops), dir_ino)
+            after.append(ops_put_inode(inode))
+        yield from self._journal_dir_change(mt, dir_ino, [
+            ops_del_dentry(dir_ino, src_name),
+            ops_put_dentry(dir_ino, moved)], after)
         return True
 
     def _check_overwrite(self, mt, src_dentry: Dentry,
@@ -597,8 +590,7 @@ class LeaderOps:
         self.journal.record(dir_ino, *ops)
         if inode is not None and inode.ftype is FileType.REGULAR and inode.size:
             yield from self._revoke_all_holders(dentry.ino, deleted=True)
-            yield from self._retry.call(
-                lambda: self._purge_file_data(dentry.ino))
+            yield from self._purge_file_data(dentry.ino)
         else:
             yield self.sim.timeout(0)
         self.fleases.forget_file(dentry.ino)
@@ -699,19 +691,19 @@ class LeaderOps:
             if pend["role"] == "src":
                 if mt.has(pend["name"]):
                     mt.remove(pend["name"])
-                if pend["dentry"].ftype is FileType.DIRECTORY \
-                        and not mt.is_shard:
-                    mt.dir_inode.nlink -= 1
-                self._touch_dir(mt)
+                nlink = mt.dir_inode.nlink
+                if pend["dentry"].ftype is FileType.DIRECTORY:
+                    nlink -= 1
                 self._drop_authority_hints(pend["dentry"].ino)
             else:
                 existing = pend.get("existing")
                 if existing is not None:
                     yield from self._remove_overwritten(mt, dir_ino, existing)
                 mt.add(pend["dentry"], pend["inode"])
-                if not mt.is_shard:
-                    mt.dir_inode.nlink = pend["dir_copy"].nlink
-                self._touch_dir(mt)
+                nlink = pend["dir_copy"].nlink
+            if not mt.is_shard:
+                mt.dir_inode.nlink = nlink
+            self._touch_dir(mt)
         yield from self.journal.finish_prepared(dir_ino, pend["seq"],
                                                 pend["ops"], commit)
         return True

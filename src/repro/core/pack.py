@@ -45,7 +45,6 @@ from ..sim.resources import Mutex
 from .journal import JournalManager, ops_del_extents, ops_set_extents
 from .params import ArkFSParams
 from .prt import PRT
-from .retry import RetryPolicy
 from .types import PackExtent
 
 __all__ = ["PackWriter"]
@@ -56,7 +55,7 @@ class PackWriter:
 
     def __init__(self, sim: Simulator, prt: PRT, journal: JournalManager,
                  node: Optional[Node], params: ArkFSParams,
-                 client_name: str, leads, retry: Optional[RetryPolicy] = None):
+                 client_name: str, leads):
         """``leads(dir_ino) -> bool`` tells whether this client currently
         leads a directory (extent deltas then ride its journal; otherwise
         they are applied directly to the index object)."""
@@ -67,7 +66,6 @@ class PackWriter:
         self.params = params
         self.client_name = client_name
         self._leads = leads
-        self._retry = retry or RetryPolicy(sim)
 
         # -- open container buffer -----------------------------------------
         self._buf = bytearray()
@@ -131,9 +129,6 @@ class PackWriter:
             "containers_purged": self._c_containers_purged.value,
             "max_open_buffer": self._g_open_buffer.max_value,
         }
-
-    def _call(self, factory) -> SimGen:
-        return (yield from self._retry.call(factory))
 
     # -- bookkeeping hooks (plain functions: safe inside other coroutines) --
 
@@ -231,8 +226,8 @@ class PackWriter:
             self.journal.record(dir_ino, ops_del_extents(ino, [index]))
         else:
             self.sim.process(
-                self._call(lambda: self.prt.apply_extent_delta(
-                    ino, del_list=[index], src=self.node)),
+                self.prt.apply_extent_delta(
+                    ino, del_list=[index], src=self.node),
                 name=f"xdel:{ino:x}:{index}")
 
     def _drop_pending(self, inos) -> None:
@@ -316,9 +311,8 @@ class PackWriter:
             sp = _span(self.sim, "pack.seal", "pack")
             try:
                 pack_id, data, set_maps, had_plain = self._snapshot()
-                yield from self._call(
-                    lambda: self.prt.store.put(self.prt.key_pack(pack_id),
-                                               data, src=self.node))
+                yield from self.prt.store.put(self.prt.key_pack(pack_id),
+                                              data, src=self.node)
                 del self._sealing_bufs[pack_id]
                 yield from self._commit_deltas(set_maps)
                 if had_plain:
@@ -347,9 +341,8 @@ class PackWriter:
                                     ops_set_extents(ino, set_maps[ino]))
                 flush_dirs.add(dir_ino)
             else:
-                yield from self._call(
-                    lambda i=ino: self.prt.apply_extent_delta(
-                        i, set_map=set_maps[i], src=self.node))
+                yield from self.prt.apply_extent_delta(
+                    ino, set_map=set_maps[ino], src=self.node)
         for dir_ino in sorted(flush_dirs):
             yield from self.journal.flush(dir_ino)
 
@@ -383,8 +376,8 @@ class PackWriter:
             return bytes(self._buf[off:off + ln])
         ext = self._extents.get(ino, {}).get(index)
         if ext is None and ino not in self._index_loaded:
-            stored = yield from self._call(
-                lambda: self.prt.read_extent_index(ino, src=self.node))
+            stored = yield from self.prt.read_extent_index(ino,
+                                                           src=self.node)
             self._index_loaded.add(ino)
             mem = self._extents.setdefault(ino, {})
             for idx, st_ext in stored.items():
@@ -402,20 +395,18 @@ class PackWriter:
             self._c_buffer_reads.inc()
             return bytes(buf[ext.offset:ext.offset + ext.length])
         try:
-            data = yield from self._call(
-                lambda: self.prt.read_extent(ext, src=self.node))
+            data = yield from self.prt.read_extent(ext, src=self.node)
         except NoSuchKey:
             # Container compacted/purged under us: the stored index is
             # authoritative — reload once and retry.
             self._extents.get(ino, {}).pop(index, None)
-            stored = yield from self._call(
-                lambda: self.prt.read_extent_index(ino, src=self.node))
+            stored = yield from self.prt.read_extent_index(ino,
+                                                           src=self.node)
             ext2 = stored.get(index)
             if ext2 is None:
                 return None
             try:
-                data = yield from self._call(
-                    lambda: self.prt.read_extent(ext2, src=self.node))
+                data = yield from self.prt.read_extent(ext2, src=self.node)
             except NoSuchKey:
                 return None
             self._extents.setdefault(ino, {})[index] = ext2
@@ -477,9 +468,8 @@ class PackWriter:
         sp = _span(self.sim, "pack.compact", "pack")
         try:
             try:
-                data = yield from self._call(
-                    lambda: self.prt.store.get(self.prt.key_pack(pack_id),
-                                               src=self.node))
+                data = yield from self.prt.store.get(
+                    self.prt.key_pack(pack_id), src=self.node)
             except NoSuchKey:
                 return
             stored_cache: Dict[int, Dict[int, PackExtent]] = {}
@@ -490,9 +480,9 @@ class PackWriter:
                 ext = self._extents.get(ino, {}).get(idx)
                 if ext is None and ino not in self._index_loaded:
                     if ino not in stored_cache:
-                        stored_cache[ino] = yield from self._call(
-                            lambda i=ino: self.prt.read_extent_index(
-                                i, src=self.node))
+                        stored_cache[ino] = (
+                            yield from self.prt.read_extent_index(
+                                ino, src=self.node))
                     ext = stored_cache[ino].get(idx)
                 if ext is None or ext.pack != pack_id:
                     continue

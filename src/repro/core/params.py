@@ -28,7 +28,6 @@ class ArkFSParams:
                                            # 0 = commit synchronously per op
                                            # (ablation A2: no compounding)
     n_commit_threads: int = 4              # journals statically mapped by ino
-    n_checkpoint_threads: int = 4
     single_journal: bool = False           # ablation A1: one global journal
                                            # instead of per-directory ones
                                            # (breaks per-dir recovery; for

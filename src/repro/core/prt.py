@@ -32,7 +32,6 @@ from ..obs import Observability
 from ..obs.trace import span as _span
 from ..sim.engine import SimGen
 from ..sim.network import Node
-from .retry import RetryPolicy
 from .types import Dentry, Inode, PackExtent, ino_hex
 
 __all__ = ["PRT"]
@@ -42,14 +41,12 @@ class PRT:
     """Key schema + chunked data path over one object-storage backend."""
 
     def __init__(self, store: ObjectStore, data_object_size: int,
-                 retry: Optional[RetryPolicy] = None,
                  pack_enabled: bool = False):
         if data_object_size <= 0:
             raise ValueError("data_object_size must be positive")
         self.store = store
         self.sim = store.sim
         self.data_object_size = data_object_size
-        self._retry = retry
         self.pack_enabled = pack_enabled
         # Purge fan-out observability (unlink / truncate / container reclaim
         # all funnel through ``_purge``).
@@ -58,13 +55,6 @@ class PRT:
         self._c_serial_deletes = m.counter("serial_deletes")
         self._c_purge_batches = m.counter("batches")
         self._g_purge_batch = m.gauge("batch")
-
-    def _call(self, factory) -> SimGen:
-        """Run a store op under the client retry policy when one is wired
-        (zero extra sim events on success — no-fault runs stay identical)."""
-        if self._retry is not None:
-            return (yield from self._retry.call(factory))
-        return (yield from factory())
 
     # -- key construction ------------------------------------------------------
 
@@ -174,14 +164,13 @@ class PRT:
     def put_shard_map(self, smap, src: Optional[Node] = None) -> SimGen:
         """One atomic PUT — this is the split protocol's commit point when
         the map carries state ``"active"``."""
-        yield from self._call(lambda: self.store.put(
-            self.key_shard_map(smap.dir_ino), smap.to_bytes(), src=src))
+        yield from self.store.put(self.key_shard_map(smap.dir_ino),
+                                  smap.to_bytes(), src=src)
 
     def delete_shard_map(self, dir_ino: int,
                          src: Optional[Node] = None) -> SimGen:
         try:
-            yield from self._call(lambda: self.store.delete(
-                self.key_shard_map(dir_ino), src=src))
+            yield from self.store.delete(self.key_shard_map(dir_ino), src=src)
         except NoSuchKey:
             pass
 
@@ -338,7 +327,7 @@ class PRT:
         return n
 
     def _purge(self, keys: List[str], src: Optional[Node] = None) -> SimGen:
-        """Batched deletion under the store retry policy.
+        """Batched deletion.
 
         Every purge path (unlink, truncate, dead-container reclaim) funnels
         here so deletions ride ``delete_many`` fan-out instead of one RTT
@@ -351,9 +340,7 @@ class PRT:
             self._c_purge_batches.inc()
             self._c_batched_deletes.inc(len(keys))
             self._g_purge_batch.track(len(keys))
-        n = yield from self._call(
-            lambda: self.store.delete_many(keys, src=src))
-        return n
+        return (yield from self.store.delete_many(keys, src=src))
 
     # -- packed extents ----------------------------------------------------------
 

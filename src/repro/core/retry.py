@@ -1,18 +1,28 @@
 """Bounded exponential backoff for retryable storage / transport failures.
 
 Object stores fail transiently (S3 503 SlowDown, RADOS EAGAIN); a real
-client SDK absorbs those with capped exponential backoff. Every component
-that talks to the store (journal commit/checkpoint, cache writeback and
-fetch, the 2PC coordinator, recovery driven from lease acquisition) wraps
-its store calls in a :class:`RetryPolicy` so an injected
-:class:`~repro.objectstore.errors.TransientError` never kills a background
-thread or leaks out of a VFS call — it costs backoff time instead.
+client SDK absorbs those with capped exponential backoff. A cluster has one
+:class:`RetryPolicy` (``ArkFSParams.store_retry_*``, read once in
+``build_arkfs``) and it is applied in exactly two places:
+
+* **Store verbs** — by :class:`~repro.objectstore.retrying.RetryingObjectStore`,
+  a store layer the builder installs directly above whatever can raise
+  :class:`~repro.objectstore.errors.TransientError` (each fault shim, a
+  caller-supplied backend). Nothing above that layer wraps a store call:
+  journal, cache, pack, PRT, tier and client call plain verbs, so a path
+  cannot forget the wrapper, and a transient costs backoff time instead of
+  killing a background thread or leaking out of a VFS call.
+* **What is not a store verb** — by the client itself: lease RPCs that a
+  fault plan dropped (``MessageDropped``), QoS admission (``TenantBusy``),
+  and :meth:`RetryPolicy.note_retry` for the whole-op redispatch that
+  follows a verb exhausting its budget.
 
 Retries are observable: every retry increments ``store.retry.attempts`` and
 records the backoff slept in the ``store.retry.backoff`` histogram (one
 registry-wide pair, so BENCH output shows the aggregate when faults are
-enabled). Without faults no TransientError is ever raised and the wrapper
-adds zero simulation events — no-fault runs stay bit-identical.
+enabled). A success adds zero simulation events, and a fault-free build on
+a built-in backend has no retry layer at all — no-fault runs stay
+bit-identical.
 """
 
 from __future__ import annotations
@@ -65,9 +75,10 @@ class RetryPolicy:
              ) -> SimGen:
         """Run ``factory()`` (a fresh coroutine per attempt) to completion.
 
-        The factory must be idempotent: ArkFS store ops qualify (PUTs carry
-        full state, deletes tolerate absence, decision creates are
-        exclusive), which is what makes blind retry safe."""
+        The factory must be idempotent: store verbs qualify (PUTs carry
+        full state, an injected transient means the op did not apply,
+        batches settle every item before raising), which is what makes
+        blind retry safe."""
         delay = self.base
         for attempt in range(self.limit + 1):
             try:

@@ -1,9 +1,12 @@
 """An object-store wrapper that injects the faults a :class:`FaultPlan` asks for.
 
-Sits directly beneath the PRT (``build_arkfs(faults=plan)`` installs it
-around whichever backend the cluster uses), so every store operation of
-every client flows through :meth:`FaultPlan.before_op` — which is what
-makes "the Nth store operation" a well-defined, replayable crash point.
+``build_arkfs(faults=plan)`` installs it around whichever backend the
+cluster uses (each tier's, when tiered), so every store operation of every
+client flows through :meth:`FaultPlan.before_op` — which is what makes "the
+Nth store operation" a well-defined, replayable crash point. Directly above
+it rides the :class:`~repro.objectstore.retrying.RetryingObjectStore` that
+absorbs the transients injected here; a retried verb passes through
+``before_op`` again, so each attempt is a store operation of its own.
 
 Batched operations are decomposed into per-item operations here (each item
 consults the plan, then hits the backend individually), so a crash point
@@ -13,10 +16,10 @@ non-atomicity a real batch PUT against S3/RADOS exposes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..objectstore.base import ObjectStore
-from ..objectstore.errors import NoSuchKey, TransientError
+from ..objectstore.errors import TransientError
 from ..sim.engine import SimGen
 from ..sim.network import Node
 from .plan import FaultPlan
@@ -95,7 +98,7 @@ class FaultyObjectStore(ObjectStore):
         if partial is not None:
             # Non-atomic batch PUT: a prefix of the items lands, the rest
             # don't, and the caller sees a retryable failure. Re-putting the
-            # whole batch is idempotent, so a retrying caller converges.
+            # whole batch is idempotent, so the retry layer above converges.
             for key, data in items[:partial]:
                 yield from self.put(key, data, src=src)
             raise TransientError(
@@ -103,17 +106,5 @@ class FaultyObjectStore(ObjectStore):
                 f"items applied")
         yield from ObjectStore.put_many(self, items, src=src)
 
-    # get_many / delete_many inherit the base-class per-item fan-out, which
-    # routes through our wrapped get()/delete() above.
-
-    def delete_prefix(self, prefix: str, src: Optional[Node] = None) -> SimGen:
-        keys: List[str] = yield from self.list(prefix, src=src)
-        n = yield from self.delete_many(keys, src=src)
-        return n
-
-    def exists(self, key: str, src: Optional[Node] = None) -> SimGen:
-        try:
-            yield from self.head(key, src=src)
-        except NoSuchKey:
-            return False
-        return True
+    # get_many / delete_many / exists / delete_prefix inherit the base-class
+    # bodies, which route through our wrapped get()/delete()/head()/list().

@@ -4,6 +4,8 @@
 * :class:`ClusterObjectStore` — sharded OSD cluster with a queueing cost
   model, parameterized by :class:`StoreProfile` (RADOS-like or S3-like).
 * :class:`LocalDisk` — block-device model (EBS) for staging volumes.
+* :class:`TieredObjectStore` / :class:`RetryingObjectStore` — layers over
+  the same surface: hot/cold tiering, and the SDK's bounded-backoff retry.
 """
 
 from .base import ObjectStore
@@ -11,6 +13,7 @@ from .cluster import ClusterObjectStore, LocalDisk
 from .errors import NoSuchKey, ObjectStoreError, StoreUnavailable
 from .memory import InMemoryObjectStore
 from .rest import RestAPIRegistry, RestObjectStore
+from .retrying import RetryingObjectStore
 from .tiered import TieredObjectStore
 from .profiles import (
     EBS_GP_1GBS,
@@ -43,6 +46,7 @@ __all__ = [
     "RADOS_PROFILE",
     "RestAPIRegistry",
     "RestObjectStore",
+    "RetryingObjectStore",
     "S3_COLD_PROFILE",
     "S3_PROFILE",
     "StoreProfile",

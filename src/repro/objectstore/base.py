@@ -85,9 +85,8 @@ class ObjectStore(ABC):
     # non-failing sub-operation is applied. On error, the first failure in
     # key order is raised once all keys settle. Batches are therefore
     # idempotent under whole-batch retry: a retry re-applies already-applied
-    # items and converges, which is what lets callers layering a
-    # ``RetryPolicy`` over a batch (the tiered store's drain, the cache
-    # writeback) compose with ``store_retry_*`` without double-wrapping.
+    # items and converges, which is what lets ``RetryingObjectStore`` retry
+    # a batched verb whole.
 
     def _settle(self, gens_by_key) -> SimGen:
         """Run ``(key, gen)`` pairs concurrently; settle every one. Returns

@@ -31,12 +31,14 @@ only once drained to cold; ``fsync``/``sync`` force a drain barrier
 (fsck + crashcheck) treats the hot tier as lost (:meth:`lose_hot`) and must
 recover from cold + journal alone.
 
-Retry composition: the tier itself performs no ad-hoc retries. The cold leg
-of the drain runs through the ``RetryPolicy`` handed in by the cluster
-builder (the same ``store_retry_*`` parameters every other store path
-uses), and the base-class batched fallbacks settle every sub-operation
-before raising, so a whole-batch retry is idempotent and converges — no
-double-wrapping.
+Retry composition: the tier performs no retries and knows no retry policy.
+Where transient errors can originate (a fault shim, a caller-supplied
+store), the cluster builder wraps *that leg* in a
+:class:`~repro.objectstore.retrying.RetryingObjectStore`, so every verb the
+tier issues on ``hot``/``cold`` — not only the drain — is already retried
+beneath it. The base-class batched fallbacks settle every sub-operation
+before raising, so the whole-batch retry that layer performs is idempotent
+and converges.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class TieredObjectStore(ObjectStore):
                  high_watermark: float = 0.9, low_watermark: float = 0.7,
                  dirty_max: int = 32 * 1024 * 1024,
                  drain_interval: float = 0.5, drain_batch: int = 32,
-                 promote_max: int = 8 * 1024 * 1024, retry=None):
+                 promote_max: int = 8 * 1024 * 1024):
         self.sim = sim
         self.hot = hot
         self.cold = cold
@@ -82,7 +84,6 @@ class TieredObjectStore(ObjectStore):
         self.drain_interval = float(drain_interval)
         self.drain_batch = max(1, int(drain_batch))
         self.promote_max = int(promote_max)
-        self._retry = retry
 
         # Hot-resident objects, LRU order (oldest first), key -> size.
         self._resident: "OrderedDict[str, int]" = OrderedDict()
@@ -549,11 +550,7 @@ class TieredObjectStore(ObjectStore):
             self._inflight[key] = ev
         try:
             keys = [k for k, _ in batch]
-            if self._retry is not None:
-                values = yield from self._retry.call(
-                    lambda: self.hot.get_many(keys, src=src))
-            else:
-                values = yield from self.hot.get_many(keys, src=src)
+            values = yield from self.hot.get_many(keys, src=src)
             items = [(k, v) for (k, _), v in zip(batch, values)
                      if v is not None]
             if items:
@@ -578,15 +575,9 @@ class TieredObjectStore(ObjectStore):
 
     def _drain_cold_put(self, items: Sequence[Tuple[str, bytes]],
                         src: Optional[Node]) -> SimGen:
-        """The cold leg of the drain, under the cluster retry policy.
-
-        ``cold.put_many`` settles every item before raising (base-class
-        contract), so retrying the whole batch is idempotent."""
-        if self._retry is not None:
-            yield from self._retry.call(
-                lambda: self.cold.put_many(items, src=src))
-        else:
-            yield from self.cold.put_many(items, src=src)
+        """The cold leg of the drain: the point where staged bytes become
+        durable (crashcheck's seeded drain-reorder bug replaces it)."""
+        return self.cold.put_many(items, src=src)
 
     def _demote(self, src: Optional[Node] = None) -> SimGen:
         """Evict clean LRU objects down to the low watermark."""

@@ -30,6 +30,7 @@ Three behaviors the crashcheck sweeps and property tests don't pin:
 import pytest
 
 from repro.core import DEFAULT_PARAMS, build_arkfs, fsck
+from repro.core.types import ino_hex
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.posix.errors import DirectoryNotEmpty
 from repro.sim import Simulator
@@ -202,3 +203,87 @@ class TestRmdirOfAShardedDirectory:
         sim.run(until=sim.now + 3)          # let checkpoints drain
         report = sim.run_process(fsck(cluster.prt))
         assert report.clean, report.errors
+
+
+# -- 5. a shard table never writes the parent inode ---------------------------
+#
+# A shard table holds a *copy* of the parent directory's inode; journaling
+# that copy from a shard, or recording a shard's ops under the parent's ino
+# (``mt.dir_ino``), makes the parent inode a multi-writer object whose last
+# checkpoint wins. Every mutating leader op funnels its epilogue through
+# ``LeaderOps._journal_dir_change``; this pins the rule op by op.
+
+
+def _names_by_shard(smap, prefix, want=2):
+    """``want`` fresh names routing to one shard, and one routing elsewhere."""
+    by = {}
+    for i in range(200):
+        by.setdefault(smap.route(f"{prefix}{i}"), []).append(f"{prefix}{i}")
+    same = next(v for v in by.values() if len(v) >= want)[:want]
+    other = next(v for v in by.values() if v[0] not in same)[0]
+    return same, other
+
+
+SHARD_MUTATIONS = {
+    "create": lambda fs, a, b, x: fs.write_file(f"/d/{a}", b"new"),
+    "unlink": lambda fs, a, b, x: fs.unlink("/d/f0"),
+    "mkdir": lambda fs, a, b, x: fs.mkdir(f"/d/{a}"),
+    "rmdir": lambda fs, a, b, x: (fs.mkdir(f"/d/{a}"),
+                                     fs.rmdir(f"/d/{a}")),
+    "symlink": lambda fs, a, b, x: fs.symlink("/d/f1", f"/d/{a}"),
+    "rename_same_shard": lambda fs, a, b, x: (
+        fs.write_file(f"/d/{a}", b"1"), fs.rename(f"/d/{a}", f"/d/{b}")),
+    "rename_overwrite": lambda fs, a, b, x: (
+        fs.write_file(f"/d/{a}", b"1"), fs.write_file(f"/d/{b}", b"22"),
+        fs.rename(f"/d/{a}", f"/d/{b}")),
+    "rename_dir_same_shard": lambda fs, a, b, x: (
+        fs.mkdir(f"/d/{a}"), fs.rename(f"/d/{a}", f"/d/{b}")),
+    "rename_cross_shard": lambda fs, a, b, x: (
+        fs.write_file(f"/d/{a}", b"1"), fs.rename(f"/d/{a}", f"/d/{x}")),
+    "rename_dir_cross_shard_overwrite": lambda fs, a, b, x: (
+        fs.mkdir(f"/d/{a}"), fs.mkdir(f"/d/{x}"),
+        fs.rename(f"/d/{a}", f"/d/{x}")),
+    "truncate": lambda fs, a, b, x: fs.truncate("/d/f2", 4),
+}
+
+
+@pytest.mark.parametrize("op", sorted(SHARD_MUTATIONS))
+def test_no_op_on_a_shard_table_journals_the_parent_inode(op):
+    sim, cluster, d_ino = _split_dir_setup(n_clients=1)
+    client = cluster.client(0)
+    fs = SyncFS(client, ROOT_CREDS)
+    smap = client._shard_maps[d_ino]
+    shard_inos = set(smap.shard_inos())
+    (a, b), x = _names_by_shard(smap, f"{op}-")
+
+    records = []        # (journal dir_ino, op) of everything journaled
+    journal = client.journal
+    real_record, real_prepare = journal.record, journal.prepare
+
+    def record(dir_ino, *ops):
+        records.extend((dir_ino, o) for o in ops)
+        return real_record(dir_ino, *ops)
+
+    def prepare(dir_ino, txid, ops, decision_key):
+        records.extend((dir_ino, o) for o in ops)
+        return real_prepare(dir_ino, txid, ops, decision_key)
+
+    journal.record, journal.prepare = record, prepare
+    SHARD_MUTATIONS[op](fs, a, b, x)
+
+    on_shards = [(j, o) for j, o in records if j in shard_inos]
+    assert on_shards, "the op must have journaled on a shard table"
+    assert all(j != d_ino for j, _ in records), \
+        "a shard's ops recorded under the parent directory's ino"
+    parent_hex = ino_hex(d_ino)
+    for j, o in on_shards:
+        if o["op"] == "put_inode":
+            assert o["inode"]["ino"] != parent_hex, \
+                f"shard {j:x} journaled the parent inode: {o}"
+        elif o["op"] == "del_inode":
+            assert o["ino"] != parent_hex
+    # ... and none changed its copy of it either.
+    copies = [client.metatables[si].dir_inode for si in shard_inos
+              if si in client.metatables]
+    assert copies and all(ci.ino == d_ino for ci in copies)
+    assert len({(ci.nlink, ci.mtime, ci.ctime) for ci in copies}) == 1

@@ -14,7 +14,6 @@ from repro.core import (
 from repro.core.journal import JournalManager, _coalesce
 from repro.core.lease import FencingRegistry
 from repro.core.params import DEFAULT_PARAMS
-from repro.core.retry import RetryPolicy
 from repro.core.types import Dentry, Inode
 from repro.objectstore import InMemoryObjectStore
 from repro.posix import FileType
@@ -29,8 +28,7 @@ def make_env(params=DEFAULT_PARAMS):
     # No lease service here: an empty registry admits every commit.
     jm = JournalManager(sim, prt, params, node, "jnode", FencingRegistry(),
                         token_of=lambda dir_ino: (1, 1),
-                        on_fenced=lambda dir_ino: None,
-                        retry=RetryPolicy.from_params(sim, params))
+                        on_fenced=lambda dir_ino: None)
     return sim, prt, jm
 
 

@@ -14,6 +14,7 @@ from repro.bench.harness import BENCH_OBS, build as bench_build
 from repro.core import build_arkfs
 from repro.faults import FaultPlan
 from repro.faults.store import FaultyObjectStore
+from repro.objectstore import RetryingObjectStore
 from repro.obs import Observability
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
@@ -40,7 +41,8 @@ def test_harness_installs_no_shim_when_faults_disabled():
     assert BENCH_OBS.fault_mode is None, "default must be no faults"
     sim = Simulator()
     cluster, _mounts = bench_build("arkfs", sim, n_clients=2)
-    assert not isinstance(cluster.store, FaultyObjectStore)
+    assert not isinstance(cluster.store,
+                          (FaultyObjectStore, RetryingObjectStore))
     assert cluster.net.faults is None
 
 
@@ -79,7 +81,9 @@ def test_transient_fault_mode_metrics_reach_bench_output():
     try:
         sim = Simulator()
         cluster, _mounts = bench_build("arkfs", sim, n_clients=2)
-        assert isinstance(cluster.store, FaultyObjectStore)
+        # The fault shim sits directly under the retry layer.
+        assert isinstance(cluster.store, RetryingObjectStore)
+        assert isinstance(cluster.store.inner, FaultyObjectStore)
         _workload(cluster, sim)
     finally:
         BENCH_OBS.fault_mode = None

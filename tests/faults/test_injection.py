@@ -10,7 +10,7 @@ loop, and a full control-plane partition by lease expiry + takeover.
 import pytest
 
 from repro.core import build_arkfs, fsck
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, FaultyObjectStore
 from repro.obs import Observability
 from repro.objectstore.errors import TransientError
 from repro.posix import ROOT_CREDS, SyncFS
@@ -64,21 +64,33 @@ def test_persistently_flaky_key_exhausts_retries():
 
 def test_partial_batch_put_converges_on_retry():
     """A batch PUT that applies a prefix then fails is repaired by simply
-    re-putting the whole batch (ArkFS store writes are idempotent)."""
+    re-putting the whole batch (ArkFS store writes are idempotent) — which
+    is what the retry layer riding above the shim does."""
     sim = Simulator()
     plan = FaultPlan().fail_batch_put(1, apply_items=2)
     cluster = build_arkfs(sim, n_clients=1, functional=True, faults=plan)
     store = cluster.store
+    shim = store.inner           # the raw FaultyObjectStore, no retry
+    assert isinstance(shim, FaultyObjectStore)
     src = cluster.client(0).node
     items = [(f"zz/{i}", bytes([i])) for i in range(5)]
 
     with pytest.raises(TransientError):
-        sim.run_process(store.put_many(items, src=src))
+        sim.run_process(shim.put_many(items, src=src))
     assert store.sync_list("zz/") == ["zz/0", "zz/1"], \
         "exactly the configured prefix must have landed"
     sim.run_process(store.put_many(items, src=src))
     assert sorted(store.sync_list("zz/")) == [k for k, _ in items]
     assert metrics(sim)["counters"]["faults.batch_partial"] == 1
+
+    # Through the layered store the same fault never surfaces: the partial
+    # batch is re-put whole, once.
+    plan.fail_batch_put(plan.batches_seen + 1, apply_items=2)
+    more = [(f"yy/{i}", bytes([i])) for i in range(5)]
+    sim.run_process(store.put_many(more, src=src))
+    assert sorted(store.sync_list("yy/")) == [k for k, _ in more]
+    assert metrics(sim)["counters"]["faults.batch_partial"] == 2
+    assert metrics(sim)["counters"]["store.retry.attempts"] == 1
 
 
 def test_dropped_lease_rpc_retried_not_fatal():

@@ -13,6 +13,7 @@ from repro.core.retry import RetryPolicy
 from repro.objectstore import (
     InMemoryObjectStore,
     NoSuchKey,
+    RetryingObjectStore,
     TieredObjectStore,
 )
 from repro.objectstore.base import ObjectStore
@@ -309,8 +310,8 @@ class TestRetryInterplay:
 
         cold.put_many = flaky_put_many
         retry = RetryPolicy(sim, limit=4, base=1e-3, cap=8e-3)
-        tier = TieredObjectStore(sim, hot, cold, drain_interval=0,
-                                 retry=retry)
+        tier = TieredObjectStore(sim, hot, RetryingObjectStore(cold, retry),
+                                 drain_interval=0)
         sim.run_process(tier.put("d0001/0000000000", b"x" * 10))
         sim.run_process(tier.tier_drain_all())
         assert fail["left"] == 0
@@ -329,8 +330,8 @@ class TestRetryInterplay:
 
         cold.put_many = always_fail
         retry = RetryPolicy(sim, limit=1, base=1e-3, cap=2e-3)
-        tier = TieredObjectStore(sim, hot, cold, drain_interval=0,
-                                 retry=retry)
+        tier = TieredObjectStore(sim, hot, RetryingObjectStore(cold, retry),
+                                 drain_interval=0)
         sim.run_process(tier.put("d0001/0000000000", b"x"))
         with pytest.raises(TransientError):
             sim.run_process(tier.tier_drain_all())
