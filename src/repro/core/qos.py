@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..posix.errors import FSError
 from ..sim.engine import SimGen, Simulator, SimulationError
-from ..sim.resources import Request, Resource, _PENDING, _REQ_POOL_MAX
+from ..sim.resources import Request, Resource, _PENDING
 
 __all__ = [
     "QosManager",
@@ -123,6 +123,10 @@ class WFQResource(Resource):
     WFQResource.
     """
 
+    # Every hold is a tagged request, so the finish tags and the virtual
+    # time always advance.
+    _grantless_holds = False
+
     def __init__(
         self,
         sim: Simulator,
@@ -178,21 +182,6 @@ class WFQResource(Resource):
         else:
             req = WFQRequest(self)
         return self._enqueue(req, tenant, 1.0 if cost is None else cost)
-
-    def _use_fused(self, hold_time: float, tenant: Optional[str],
-                   cost: Optional[float]) -> SimGen:
-        """The FIFO body less its grant-less arm: every hold is a tagged
-        request, so the finish tags and the virtual time always advance."""
-        sim = self.sim
-        req = self._request_pooled(tenant, cost)
-        t = sim._hold(req, hold_time)
-        try:
-            yield t
-        finally:
-            self.release(req)
-            sim._timeout_release(t)
-            if req.callbacks is None and len(self._pool) < _REQ_POOL_MAX:
-                self._pool.append(req)
 
     def _enqueue(self, req: WFQRequest, tenant: Optional[str],
                  cost: float) -> WFQRequest:

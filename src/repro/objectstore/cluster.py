@@ -86,18 +86,31 @@ class ClusterObjectStore(ObjectStore):
         h = zlib.crc32(key.encode("utf-8", "surrogateescape"))
         return self.osds[h % len(self.osds)]
 
+    # The list builders below are plain loops, not comprehensions: in
+    # CPython 3.11 a comprehension is a nested function call, and one in a
+    # generator turns every local it reads into a cell object that each
+    # suspended frame keeps alive.
+
     def replicas_for(self, key: str) -> List[_OSD]:
         h = zlib.crc32(key.encode("utf-8", "surrogateescape"))
-        n = len(self.osds)
-        return [self.osds[(h + i) % n] for i in range(self.profile.replication)]
+        osds = self.osds
+        n = len(osds)
+        replicas = []
+        for i in range(self.profile.replication):
+            replicas.append(osds[(h + i) % n])
+        return replicas
 
     def shards_for(self, key: str) -> List[_OSD]:
         """Erasure coding: the k+m OSDs holding this object's shards."""
         assert self.profile.erasure is not None
         k, m = self.profile.erasure
         h = zlib.crc32(key.encode("utf-8", "surrogateescape"))
-        n = len(self.osds)
-        return [self.osds[(h + i) % n] for i in range(k + m)]
+        osds = self.osds
+        n = len(osds)
+        shards = []
+        for i in range(k + m):
+            shards.append(osds[(h + i) % n])
+        return shards
 
     # -- cost helpers ---------------------------------------------------------
 
@@ -175,12 +188,11 @@ class ClusterObjectStore(ObjectStore):
         """Read the k data shards in parallel and decode the stripe."""
         k, _m = self.profile.erasure
         shard = -(-nbytes // k)
-        reads = [
-            self.sim.process(
+        reads = []
+        for osd in self.shards_for(key)[:k]:
+            reads.append(self.sim.process(
                 self._service(osd, self._get_fixed, shard, src),
-                name=f"ec-read{osd.index}")
-            for osd in self.shards_for(key)[:k]
-        ]
+                name=f"ec-read{osd.index}"))
         yield self.sim.all_of(reads)
         yield from _timed(self.sim, self.profile.ec_encode_latency,
                           "ec.decode", "cpu")
@@ -212,29 +224,24 @@ class ClusterObjectStore(ObjectStore):
     def _server_put(self, key: str, data: bytes,
                     src: Optional[Node] = None) -> SimGen:
         """Backend side of a PUT (replication / EC fan-out, no client leg)."""
+        writes = []
         if self.profile.erasure is not None:
             k, m = self.profile.erasure
             shard = -(-len(data) // k)
             yield from _timed(self.sim, self.profile.ec_encode_latency,
                               "ec.encode", "cpu")
-            writes = [
-                self.sim.process(
+            for osd in self.shards_for(key):
+                writes.append(self.sim.process(
                     self._service(osd, self.profile.put_latency, shard, src),
-                    name=f"ec-write{osd.index}",
-                )
-                for osd in self.shards_for(key)
-            ]
+                    name=f"ec-write{osd.index}"))
         else:
             # Primary-copy replication: all replicas written in parallel,
             # the request completes when the slowest acknowledges.
-            writes = [
-                self.sim.process(
+            for osd in self.replicas_for(key):
+                writes.append(self.sim.process(
                     self._service(osd, self.profile.put_latency, len(data),
                                   src),
-                    name=f"put-replica{osd.index}",
-                )
-                for osd in self.replicas_for(key)
-            ]
+                    name=f"put-replica{osd.index}"))
         yield self.sim.all_of(writes)
         self.backing.sync_put(key, data)
         self.bytes_written += len(data)

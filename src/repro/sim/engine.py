@@ -49,14 +49,16 @@ yielded the event, and the *hold primitive* behind ``Resource.use``.
 A resource hold is two events — the grant, then a timeout — but the
 process only cares about the second, so it yields once and is resumed
 once, when the hold ends. The primitive has two arms. ``_hold(grant,
-delay)`` arms an unscheduled, engine-owned Timeout that the queued grant
-event's callback schedules, at the point in (time, seq) order where the
-resumed process would have created it. ``_hold_unobserved(delay)`` is for
-a free slot whose grant would be the very next event popped: nothing
-could observe that grant's place in the queue, so it is not created at
-all — it is counted as the inline event it would have been and only the
-end of the hold is scheduled. Either way the schedule is the two-yield
-schedule, event for event and count for count.
+delay)`` returns the grant itself, and the grant doubles as the hold's
+timer: when it is processed — inline, or by the run loop, at its own
+place in (time, seq) order — it is re-scheduled for ``delay`` instead of
+resuming the process, exactly where the resumed process would have
+created its timeout. ``_hold_unobserved(delay)`` is for a free slot whose
+grant would be the very next event popped: nothing could observe that
+grant's place in the queue, so it is not created at all — it is counted
+as the inline event it would have been and only the end of the hold is
+scheduled. Either way the schedule is the two-yield schedule, event for
+event and count for count.
 
 The heap-only scheduler these rules are equivalent to lives in
 ``tests/sim/reference_kernel.py`` as a test oracle;
@@ -182,31 +184,19 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
 
-    __slots__ = ("delay", "_holder")
+    :meth:`Simulator.timeout` builds and schedules one without running this
+    constructor (same fields, same routing)."""
+
+    __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay!r}")
         super().__init__(sim)
-        self.delay = delay
         self._auto_value = value
         sim._schedule(self, delay)
-
-    def _start(self, _gate: Event) -> None:
-        """Gate callback of a timeout armed by :meth:`Simulator._hold`:
-        the clock starts when the gate is processed — if the process that
-        armed it is still waiting (it may have been interrupted away; an
-        unfired timeout is never recycled, so identity is proof)."""
-        proc = self._holder
-        if proc._waiting_on is self:
-            # The process has moved from waiting for the gate to waiting
-            # out the hold, exactly as if the gate had resumed it: an
-            # interrupt requested before this point and not yet delivered
-            # is stale (see Process.interrupt).
-            proc._wait_epoch += 1
-            self.sim._schedule(self, self.delay)
 
 
 class Process(Event):
@@ -216,8 +206,8 @@ class Process(Event):
     generator's return value) or raises (failure, with the exception).
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_wait_epoch", "name", "parent_proc",
-                 "trace_on")
+    __slots__ = ("_gen", "_waiting_on", "_wait_epoch", "_gate_hold", "name",
+                 "parent_proc", "trace_on")
 
     def __init__(self, sim: "Simulator", gen: SimGen, name: str = ""):
         # Event.__init__ is inlined: process spawns are the hottest
@@ -235,6 +225,10 @@ class Process(Event):
         # pooled event object reused for a later wait of the same process
         # can never satisfy a stale interrupt.
         self._wait_epoch = 0
+        # The hold still owed on the queued grant the process waits on
+        # (Simulator._hold), 0 when none: processing that grant re-arms it
+        # as the hold's timer instead of resuming the generator.
+        self._gate_hold = 0
         self.name = name or getattr(gen, "__name__", "process")
         # The process that spawned this one (None for top-level processes).
         # Observability uses the chain to parent spans across fan-outs.
@@ -280,6 +274,8 @@ class Process(Event):
                     # left behind, it would resume the process ahead of
                     # its turn if it ever waits on the same event again.
                     target.callbacks.remove(self._resume)
+                    # A hold queued on that event is called off with it.
+                    self._gate_hold = 0
                     # The wake-up is a failed event carrying the Interrupt:
                     # the process resumes on it like on any other.
                     self._waiting_on = wake
@@ -310,15 +306,35 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """The step body — every way into the generator (kick-off, awaited
-        event, interrupt) is a resume on the event the process waits on."""
+        event, interrupt) is a resume on the event the process waits on.
+        One exception: the grant of a queued hold (:meth:`Simulator._hold`)
+        is re-armed as the hold's timer instead."""
         if self._value is not Event._PENDING or self._waiting_on is not event:
             # Process finished, or was interrupted away from this event and is
             # now waiting on something else: this wake-up is stale.
             return
+        sim = self.sim
+        hold = self._gate_hold
+        if hold:
+            # The process moves on to waiting out the hold — on the same
+            # object, scheduled here, where a process resumed by the grant
+            # would have created its timeout. As after a resume, an
+            # interrupt requested before this point and not yet delivered
+            # is stale (see interrupt).
+            self._gate_hold = 0
+            self._wait_epoch += 1
+            event.callbacks = [self._resume]
+            now = sim.now
+            at = now + hold
+            if at == now:
+                sim._ready.append(event)
+            else:
+                sim._seq += 1
+                heapq.heappush(sim._heap, (at, sim._seq, event))
+            return
         self._waiting_on = None
         value = event._value
         throw = not event._ok
-        sim = self.sim
         gen = self._gen
         prev_active = sim._active_proc
         sim._active_proc = self
@@ -331,6 +347,7 @@ class Process(Event):
         if st is not None:
             sim._tracer = st if self.trace_on else None
         ready = sim._ready
+        heap = sim._heap
         PENDING = Event._PENDING
         try:
             while True:
@@ -360,10 +377,12 @@ class Process(Event):
                     return
                 # Immediate resume: the yielded event is exactly the next
                 # one the run loop would process (front of the ready deque,
-                # and the run loop would pop the ready deque next).
-                # Consuming it here is a pure inlining of the run loop:
-                # (time, seq) order is preserved event-for-event.
-                if ready and ready[0] is target and sim._front_is_next():
+                # and Simulator._front_is_next, written out here: one call
+                # fewer per inline event). Consuming it here is a pure
+                # inlining of the run loop: (time, seq) order is preserved
+                # event-for-event.
+                if (ready and ready[0] is target and not sim._cb_pending
+                        and not (heap and heap[0][0] <= sim.now)):
                     ready.popleft()
                     sim._n_inline += 1
                     if target._value is PENDING:
@@ -561,10 +580,9 @@ class Simulator:
         pool = self._timeout_pool
         if pool:
             t = pool.pop()
-            t.delay = delay
             self._schedule(t, delay)
             return t
-        return Timeout(self, delay)
+        return self.timeout(delay)
 
     def _timeout_release(self, t: Timeout) -> None:
         # Only a timeout that has fired: one still on the heap (its waiter
@@ -576,39 +594,31 @@ class Simulator:
             t.callbacks = []
             self._timeout_pool.append(t)
 
-    def _hold(self, gate: Event, delay: float) -> Timeout:
-        """The hold primitive behind ``Resource.use``: an engine-owned
-        Timeout (hand it back via :meth:`_timeout_release`) whose clock
-        starts when ``gate`` — an event nobody else waits on and only
-        ``succeed`` schedules, i.e. a pooled resource grant, already
-        triggered or still queued — is *processed*. The calling process
-        yields the timeout at once and is resumed when the hold ends,
-        instead of once for the gate and once more for the timeout.
+    def _hold(self, gate: Event, delay: float) -> Event:
+        """The hold primitive behind ``Resource.use``: returns ``gate`` — a
+        pooled resource grant, already triggered or still queued, that
+        nobody else waits on and only ``succeed`` schedules — for the
+        calling process to yield once; it is resumed when the hold ends,
+        not once for the grant and once more for a timeout.
 
-        The gate stays a real event: it keeps its place in the queues, and
-        the timeout is scheduled from its callback, i.e. at the point in
-        (time, seq) order where a process resumed by the gate would have
-        created it. If the gate is the very next event the run loop would
-        pop, it is consumed here exactly as :meth:`Process._resume` consumes
-        a yielded event inline."""
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-        else:
-            # Timeout.__init__ would schedule it right away.
-            t = Timeout.__new__(Timeout)
-            Event.__init__(t, self)
-        t.delay = delay
+        The gate is its own timer. It stays a real event and keeps its
+        place in the queues; when it is processed it is scheduled again,
+        ``delay`` later, at the point in (time, seq) order where a process
+        resumed by the grant would have created its timeout. If the gate is
+        the very next event the run loop would pop, it is consumed here,
+        exactly as :meth:`Process._resume` consumes a yielded event inline,
+        and re-armed at once. Otherwise the process records the hold, and
+        its step re-arms the gate when the run loop processes it
+        (:meth:`Process._resume`)."""
         ready = self._ready
         if ready and ready[0] is gate and self._front_is_next():
             ready.popleft()
             self._n_inline += 1
-            gate.callbacks = None
-            self._schedule(t, delay)
+            gate._scheduled = False
+            self._schedule(gate, delay)
         else:
-            t._holder = self._active_proc
-            gate.callbacks.append(t._start)
-        return t
+            self._active_proc._gate_hold = delay
+        return gate
 
     def _hold_unobserved(self, delay: float) -> Optional[Timeout]:
         """The hold primitive's grant-less arm, for a resource with a free
@@ -618,21 +628,25 @@ class Simulator:
         line later: nothing can observe its place in the queue. So it is
         not created — only counted, as the inline event it would have been
         — and this call schedules the end of the hold (``delay > 0``; hand
-        the timeout back via :meth:`_timeout_release`). ``None``: the grant
-        could be observed, so request, and arm the hold with :meth:`_hold`."""
+        the timeout back via :meth:`_timeout_release`), as
+        :meth:`timeout` does. ``None``: the grant could be observed, so
+        request, and arm the hold with :meth:`_hold`."""
         heap = self._heap
-        if (self._ready or self._cb_pending
-                or (heap and heap[0][0] <= self.now)):
+        now = self.now
+        if self._ready or self._cb_pending or (heap and heap[0][0] <= now):
             return None
-        pool = self._timeout_pool
-        if pool:
-            t = pool.pop()
-        else:
-            t = Timeout.__new__(Timeout)
-            Event.__init__(t, self)
-        t.delay = delay
         self._n_inline += 1
-        self._schedule(t, delay)
+        pool = self._timeout_pool
+        if not pool:
+            return self.timeout(delay)
+        t = pool.pop()
+        t._scheduled = True
+        at = now + delay
+        if at == now:
+            self._ready.append(t)
+        else:
+            self._seq += 1
+            heapq.heappush(heap, (at, self._seq, t))
         return t
 
     # -- public API --------------------------------------------------------
@@ -641,7 +655,25 @@ class Simulator:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value)
+        # Timeout.__init__, Event.__init__ and _schedule written out: the
+        # same fields and the same routing, three Python calls fewer.
+        if delay < 0:
+            raise SimulationError(f"negative timeout delay: {delay!r}")
+        t = Timeout.__new__(Timeout)
+        t.sim = self
+        t.callbacks = []
+        t._value = Event._PENDING
+        t._ok = None
+        t._scheduled = True
+        t._auto_value = value
+        now = self.now
+        at = now + delay
+        if at == now:
+            self._ready.append(t)
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (at, self._seq, t))
+        return t
 
     def process(self, gen: SimGen, name: str = "") -> Process:
         return Process(self, gen, name=name)

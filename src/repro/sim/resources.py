@@ -8,8 +8,10 @@ and mutual exclusion such as the FUSE lookup lock (:class:`Mutex`).
 Hot-path notes (DESIGN.md §10): never-granted requests are *lazily*
 cancelled instead of removed from the FIFO in O(n); the Request/Timeout
 objects used internally by ``use`` are recycled through small freelists;
-and a sampled resource tells the sampler when its state changed
-(``Resource._watch``) instead of being polled every tick.
+a grant carries no value, so a request nobody holds is freed by reference
+counting, not by the cyclic collector; and a sampled resource tells the
+sampler when its state changed (``Resource._watch``) instead of being
+polled every tick.
 
 This module is the only place that knows how to wait for and hold a queue:
 ``Resource.use`` for a timed hold, ``Resource.acquire`` for a hold across
@@ -21,20 +23,20 @@ the tags.
 ``Resource.use`` — 60 % of all scheduled events in the metadata workloads
 are its grant + hold — has two bodies with one schedule. ``_use_textbook``
 is the definition: yield the request, then yield a timeout. It runs when a
-tracer is active (each step gets its span) or the hold is zero.
-``_use_fused`` runs otherwise and resumes the calling process once per
-hold instead of twice, through the scheduler's hold primitive. It asks
-the scheduler one question — could anything observe the grant a free slot
+tracer is active (each step gets its span) or the hold is zero. ``use``
+itself is the other body, and resumes the calling process once per hold
+instead of twice, through the scheduler's hold primitive. It asks the
+scheduler one question — could anything observe the grant a free slot
 would trigger now (``Simulator._hold_unobserved``)? If not, there is no
 request and no grant event: the slot is taken, the hold's end is already
 scheduled, and the ``finally`` gives the slot back as ``release`` would.
-If so (or the resource is full) it requests, and the grant event starts
-the hold (``Simulator._hold``). Whether a grant may skip the run loop, or
-need not exist, stays the scheduler's call; a discipline that must see
-every request (``WFQResource``) overrides ``_use_fused`` to always request.
+If so (or the resource is full) it requests, and the grant event becomes
+the hold's timer (``Simulator._hold``). Whether a grant may skip the run
+loop, or need not exist, stays the scheduler's call; a discipline that
+must see every request (``WFQResource``) turns the grant-less arm off.
 ``Node.work``, ``BandwidthPipe.transfer`` and ``serve`` are plain
-functions returning that generator, so a hold adds one frame, not three,
-to the ``yield from`` chain every resume re-enters.
+functions returning that generator, so a hold adds one frame to the
+``yield from`` chain every resume re-enters.
 """
 
 from __future__ import annotations
@@ -67,14 +69,21 @@ def _span_cat(name: str) -> str:
 class Request(Event):
     """A pending claim on a :class:`Resource` slot.
 
-    Triggers (with value ``self``) once the resource grants a slot. Must be
+    Triggers (with value ``None``) once the resource grants a slot. Must be
     passed back to :meth:`Resource.release`.
     """
 
     __slots__ = ("resource", "granted", "cancelled")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.sim)
+        # Event.__init__ written out: one Python call fewer for every
+        # ``acquire`` and every freelist miss.
+        self.sim = resource.sim
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = None
+        self._scheduled = False
+        self._auto_value = None
         self.resource = resource
         self.granted = False
         # Lazily-cancelled queued request: skipped (and dropped) when it
@@ -89,6 +98,12 @@ class Resource:
     This is the building block for CPU cores, MDS service slots, and disk
     queue depth.
     """
+
+    #: Whether ``use`` may take a free slot without a request when the
+    #: scheduler proves nobody could observe the grant. A discipline that
+    #: must see every request (``WFQResource``: its tags advance on every
+    #: hold) says no.
+    _grantless_holds = True
 
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -187,7 +202,9 @@ class Resource:
     def _grant(self, req: Request) -> None:
         self._in_use += 1
         req.granted = True
-        req.succeed(req)
+        # No value: ``req.succeed(req)`` would make every request a
+        # reference cycle that only the cyclic collector frees.
+        req.succeed()
 
     def acquire(self) -> SimGen:
         """Generator helper for a hold across arbitrary work: wait for a
@@ -216,13 +233,47 @@ class Resource:
         ``tenant`` and ``cost`` tag the request for a fair-queueing
         discipline; a FIFO ignores them.
 
-        Returns one of two generators with the same schedule (same events,
-        same order): the textbook request/hold pair when a tracer is active
-        (each step gets its span) or there is nothing to hold, otherwise
-        the fused form that resumes the caller once."""
-        if hold_time > 0 and self.sim._tracer is None:
-            return self._use_fused(hold_time, tenant, cost)
-        return self._use_textbook(hold_time, tenant, cost)
+        Resumes the caller once, when the hold ends: the schedule (same
+        events, same order) of :meth:`_use_textbook`, which it runs instead
+        when a tracer is active (each step gets its span) or there is
+        nothing to hold."""
+        sim = self.sim
+        if not hold_time > 0 or sim._tracer is not None:
+            yield from self._use_textbook(hold_time, tenant, cost)
+            return
+        if self._in_use < self.capacity and self._grantless_holds:
+            t = sim._hold_unobserved(hold_time)
+            if t is not None:
+                # Nothing could observe this grant: no request, no grant
+                # event. Take the slot; give it back as ``release`` does.
+                watch = self._watch
+                if watch is not None:
+                    watch.add(self)
+                self._in_use += 1
+                try:
+                    yield t
+                finally:
+                    watch = self._watch
+                    if watch is not None:
+                        watch.add(self)
+                    self._in_use -= 1
+                    if self._queue:
+                        self._grant_waiters()
+                    sim._timeout_release(t)
+                return
+        req = self._request_pooled(tenant, cost)
+        try:
+            # The grant is the hold's timer: processed, it is re-armed.
+            yield sim._hold(req, hold_time)
+        finally:
+            # Interrupted before the grant was processed, this cancels the
+            # queued request or gives the just-granted slot straight back,
+            # and the hold never starts. Only requests that have fired as
+            # timers are recycled: anything else may still be referenced
+            # by the scheduler.
+            self.release(req)
+            if req.callbacks is None and len(self._pool) < _REQ_POOL_MAX:
+                self._pool.append(req)
 
     def _use_textbook(self, hold_time: float, tenant: Optional[str] = None,
                       cost: Optional[float] = None) -> SimGen:
@@ -250,48 +301,6 @@ class Resource:
             # FIFO. Anything else may still be referenced by the scheduler.
             if (req.callbacks is None and not req.cancelled
                     and len(self._pool) < _REQ_POOL_MAX):
-                self._pool.append(req)
-
-    def _use_fused(self, hold_time: float, tenant: Optional[str],
-                   cost: Optional[float]) -> SimGen:
-        """``_use_textbook`` with one resume instead of two: the caller
-        waits on the hold timeout alone. Untraced, positive holds only."""
-        sim = self.sim
-        if self._in_use < self.capacity:
-            t = sim._hold_unobserved(hold_time)
-            if t is not None:
-                # Nothing could observe this grant: no request, no grant
-                # event. Take the slot; give it back as ``release`` does.
-                watch = self._watch
-                if watch is not None:
-                    watch.add(self)
-                self._in_use += 1
-                try:
-                    yield t
-                finally:
-                    watch = self._watch
-                    if watch is not None:
-                        watch.add(self)
-                    self._in_use -= 1
-                    if self._queue:
-                        self._grant_waiters()
-                    sim._timeout_release(t)
-                return
-        # The grant event starts the timeout's clock when the scheduler
-        # processes it.
-        req = self._request_pooled(tenant, cost)
-        t = sim._hold(req, hold_time)
-        try:
-            yield t
-        finally:
-            # Interrupted before the grant was processed, this cancels the
-            # queued request or gives the just-granted slot straight back,
-            # and the hold never starts (``Timeout._start``). Only fired
-            # timeouts and processed requests are recycled; anything else
-            # may still be referenced by the scheduler.
-            self.release(req)
-            sim._timeout_release(t)
-            if req.callbacks is None and len(self._pool) < _REQ_POOL_MAX:
                 self._pool.append(req)
 
 

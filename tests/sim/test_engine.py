@@ -52,6 +52,24 @@ def test_zero_timeout_runs_in_fifo_order():
     assert order == ["a", "b", "c"]
 
 
+def test_a_delay_absorbed_by_rounding_is_due_now_in_fifo_order():
+    """At ``now`` = 1e9 a 1e-9 timeout rounds to ``now``: it is due now and
+    waits its turn behind a zero timeout scheduled before it, instead of
+    taking the heap, which is drained first."""
+    sim = Simulator()
+    order = []
+
+    def proc(tag, delay):
+        yield sim.timeout(1e9)
+        yield sim.timeout(delay)
+        order.append(tag)
+
+    sim.process(proc("zero", 0.0))
+    sim.process(proc("tiny", 1e-9))
+    sim.run()
+    assert order == ["zero", "tiny"] and sim.now == 1e9
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []

@@ -1,5 +1,7 @@
 """Tests for Resource/Mutex/Store/BandwidthPipe queueing semantics."""
 
+import gc
+
 import pytest
 
 from repro.sim import (BandwidthPipe, Interrupt, Mutex, Resource,
@@ -464,14 +466,17 @@ def test_wfq_recycles_use_requests_with_fresh_tags():
 
 
 def test_abandoned_hold_timeout_is_not_reused_while_armed():
-    """A hold the caller was interrupted out of leaves its timeout on the
-    heap until it is due (10.0 here). Recycled before then, it would carry
-    a later hold — and end it at 10.0."""
+    """A hold the caller was interrupted out of leaves its timer on the
+    heap until it is due (10.0 here) — the grant re-armed as the timer, or
+    the grant-less arm's timeout. Recycled before then, it would carry a
+    later hold — and end it at 10.0."""
     # Arriving with the interrupter's kick-off still queued, the victim's
     # first hold goes through a grant event; arriving alone, it is grant-less
     # (as the last two always are; the one after the interrupt shares its
-    # instant with the interrupter's completion event).
-    for arrival, grantless in ((0.0, 2), (0.1, 3)):
+    # instant with the interrupter's completion event). Either way the
+    # abandoned timer is not recycled: the next hold on that arm
+    # constructs its own.
+    for arrival, census in ((0.0, (2, 2, 2)), (0.1, (3, 1, 4))):
         sim = Simulator()
         res = Resource(sim, capacity=2)
         ends = []
@@ -498,7 +503,97 @@ def test_abandoned_hold_timeout_is_not_reused_while_armed():
             sim.run()
         assert ends == [("interrupted", 0.5), (1.0, 1.5), (20.0, 21.5),
                         (1.0, 22.5)]
-        assert seen["grantless"] == grantless
+        assert (seen["grantless"], seen["requests"],
+                seen["timeouts"]) == census
+
+
+# -- a queued hold's grant is its own timer -----------------------------------
+
+def test_queued_holds_construct_no_timeout_and_recycle_every_request():
+    """Holds queued on a capacity-1 resource: each grant, processed by the
+    run loop, is re-armed as its hold's timer, so no ``Timeout`` is built,
+    and every request goes back to the freelist — a second round of holds
+    constructs none."""
+    n = 8
+    with hold_census() as seen:
+        sim = Simulator()
+        res = Resource(sim, capacity=1, name="r.cpu")
+        done = []
+
+        def user(k):
+            yield from res.use(1.0)
+            done.append((k, sim.now))
+
+        for _ in range(2):
+            for k in range(n):
+                sim.process(user(k))
+            sim.run()
+    assert done == [(i % n, float(i + 1)) for i in range(2 * n)]
+    assert (seen["grantless"], seen["timeouts"], seen["requests"]) == (0, 0, n)
+    assert len(res._pool) == n and (res.in_use, res.queue_length) == (0, 0)
+
+
+#: GC-tracked objects one parked ``use`` keeps alive: its process and the
+#: process's callback list, the process's and ``use``'s generators, the
+#: request, its callback list and the bound ``_resume`` in it (7) — plus a
+#: share of the kick-off freelist. A timer armed beside the request while
+#: it queues adds three more.
+_TRACKED_PER_PARKED_HOLD = 7.3
+
+
+def test_a_parked_hold_keeps_no_timer_alive():
+    """1 000 holds queued behind a busy slot add no more GC-tracked objects
+    per waiter than the request arm needs: no ``Timeout``, callback list or
+    bound method waits beside each request for its grant."""
+    sim = Simulator()
+    res = Resource(sim, capacity=1, name="osd.q")
+
+    def user():
+        yield from res.use(1.0)
+
+    sim.process(user())
+    sim.run(until=0.5)                  # the slot is busy until 1.0
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for _ in range(1000):
+            sim.process(user())
+        sim.run(until=0.75)
+        gc.collect()
+        per_waiter = (len(gc.get_objects()) - before) / 1000
+    finally:
+        gc.enable()
+    assert res.queue_length == 1000
+    assert per_waiter <= _TRACKED_PER_PARKED_HOLD, per_waiter
+
+
+def test_released_requests_are_freed_by_reference_counting():
+    """A grant carries no reference to its request, so a request its holder
+    released and let go of is freed at once: after ``acquire``/``release``
+    rounds, granted at once and queued, the cyclic collector finds
+    nothing."""
+    sim = Simulator()
+    lock = Mutex(sim, name="dir.lock")
+
+    def user():
+        for _ in range(50):
+            req = yield from lock.acquire()
+            try:
+                yield sim.timeout(1e-3)
+            finally:
+                lock.release(req)
+
+    for _ in range(3):
+        sim.process(user())
+    gc.collect()
+    gc.disable()
+    try:
+        sim.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert (lock.in_use, lock.queue_length) == (0, 0)
 
 
 @BODIES
@@ -637,20 +732,23 @@ def _alone(body, make_sim=Simulator, capacity=1, users=((1.0, 1.0),)):
 
 
 def test_uncontended_use_on_an_idle_simulator_constructs_no_request():
+    # Two timeouts each: the user's arrival, and the end of the hold.
     done, counters, seen = _alone("fused")
     assert done == [(0, 2.0, 0, 0)]
-    assert seen == {"grantless": 1, "oracle_grantless": 0, "requests": 0}
+    assert seen == {"grantless": 1, "oracle_grantless": 0, "requests": 0,
+                    "timeouts": 2}
     # The grant that was not created is counted as the inline event the
     # textbook body consumes: same loop / inline / heap numbers.
     textbook = _alone("textbook")
     assert (done, counters) == textbook[:2]
     assert textbook[2] == {"grantless": 0, "oracle_grantless": 0,
-                           "requests": 1}
+                           "requests": 1, "timeouts": 2}
     assert counters["inline_events"] == 1
-    # The oracle walks request -> grant -> timeout and inlines nothing.
+    # The oracle walks request -> grant -> timer and inlines nothing; the
+    # timer is the grant itself.
     oracle = _alone("fused", ReferenceSimulator)
     assert oracle[0] == done and oracle[1]["inline_events"] == 0
-    assert oracle[2] == textbook[2]
+    assert oracle[2] == dict(textbook[2], timeouts=1)
 
 
 def test_grantless_holds_on_a_multi_slot_resource_queue_the_overflow():
@@ -723,6 +821,42 @@ def test_grantless_arm_not_taken_when_the_grant_could_be_observed(observer):
     assert order == _rivalry("fused", observer, ReferenceSimulator)[0]
 
 
+@pytest.mark.parametrize("users, grantless", [(1, 2), (2, 0)])
+def test_a_hold_absorbed_by_rounding_ends_in_the_ready_deque(users,
+                                                             grantless):
+    """At ``now`` = 1e9 a 1e-9 hold rounds away: its end is due now, so it
+    joins the ready deque as the textbook body's timeout does — scheduled
+    by the grant-less arm with a recycled timeout (one user), or by the
+    re-armed grant (two users: neither grant can be consumed inline) —
+    at the same place, with the same heap pushes. One count moves, and no
+    event: the re-armed grant, due now and next, is popped by the run loop
+    where the textbook body consumes its timeout inline."""
+    def run(body):
+        with textbook_use(body == "textbook"), hold_census() as seen:
+            sim = Simulator()
+            res = Resource(sim, capacity=1, name="r.cpu")
+            order = []
+
+            def user(k):
+                yield from res.use(1.0)         # fills the timeout freelist
+                yield sim.timeout(1e9 - sim.now)
+                yield from res.use(1e-9)
+                order.append((k, sim.now))
+
+            for k in range(users):
+                sim.process(user(k))
+            sim.run()
+            return order, kernel_counters(sim), seen["grantless"]
+
+    (order, counters, taken), textbook = run("fused"), run("textbook")
+    assert order == textbook[0] == [(k, 1e9) for k in range(users)]
+    assert taken == grantless
+    assert counters["heap_pushes"] == textbook[1]["heap_pushes"]
+    moved = {"loop_events": 1, "inline_events": -1} if users == 2 else {}
+    assert counters == {k: v + moved.get(k, 0)
+                        for k, v in textbook[1].items()}
+
+
 def test_grantless_arm_not_taken_on_a_full_resource():
     users = ((0.5, 2.0), (1.0, 1.0))
     done, counters, seen = _alone("fused", users=users)
@@ -777,7 +911,8 @@ def test_grantless_arm_not_taken_for_a_traced_op_or_a_zero_hold():
 
         sim.run_process(traced())
         assert [(s.name, s.cat) for s in tracer.spans] == [("r.cpu", "cpu")]
-        assert seen == {"grantless": 0, "oracle_grantless": 0, "requests": 1}
+        assert seen == {"grantless": 0, "oracle_grantless": 0, "requests": 1,
+                        "timeouts": 2}
 
     done, counters, seen = _alone("fused", users=((1.0, 0.0),))
     assert done == [(0, 1.0, 0, 0)]
