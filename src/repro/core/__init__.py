@@ -11,7 +11,8 @@
   extent index, background compaction).
 * :mod:`filelease` — read/write leases on file data (leader-issued).
 * :mod:`qos` — multi-tenant QoS: token buckets, WFQ, admission control.
-* :mod:`client` / :mod:`ops` — the ArkFS client and its leader-side ops.
+* :mod:`client` / :mod:`ops` — the ArkFS client and its leader-side ops;
+  :mod:`sharded_client` — the client with :mod:`shards` (splits) enabled.
 * :mod:`recovery` — journal replay after client / manager failures.
 * :mod:`fs` — cluster assembly (:func:`build_arkfs`).
 """

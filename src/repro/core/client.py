@@ -19,7 +19,6 @@ rest before they lapse.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Set, Tuple
 
@@ -40,7 +39,8 @@ from ..posix.errors import (
     TooManySymlinks,
     UnsupportedOperation,
 )
-from ..posix.types import Credentials, FileType, OpenFlags, F_OK, X_OK
+from ..posix.types import (Credentials, FileType, OpenFlags, StatFSResult,
+                           F_OK, X_OK)
 from ..posix.vfs import FileHandle, VFSClient
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import MessageDropped, Node, NodeDown
@@ -54,15 +54,9 @@ from .pack import PackWriter
 from .params import ArkFSParams
 from .prt import PRT
 from .qos import TenantBusy
-from .recovery import (
-    DECISION_ABORT,
-    DECISION_COMMIT,
-    recover_directory,
-    roll_forward_split,
-)
+from .recovery import DECISION_ABORT, DECISION_COMMIT, recover_directory
 from .retry import RetryPolicy
-from .shards import ShardMap, ShardRange, make_ranges
-from .types import Dentry, Inode, InoAllocator, ROOT_INO, ino_hex
+from .types import Dentry, Inode, InoAllocator, ROOT_INO
 
 __all__ = ["ArkFSClient", "OpenState"]
 
@@ -141,21 +135,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         self._pending_names: Set[Tuple[int, str]] = set()
         self._pending_renames: Dict[Tuple[str, int], Dict[str, Any]] = {}
         self._rename_counter = 0
-        self.op_stats: Dict[str, int] = {}
-
-        # Elastic metadata plane (directory sharding). ``_split_busy`` is
-        # None when shards are disabled, which keeps every dispatch path
-        # structurally identical to a build without the shard subsystem.
-        self._shard_maps: Dict[int, ShardMap] = {}    # parent ino -> map
-        self._shard_home: Dict[int, Tuple[int, int]] = {}  # shard -> (parent, home)
-        # Client population for shard-lease placement (set by build_arkfs;
-        # empty = first-touch acquisition only). Names, not objects, so a
-        # crashed-and-restarted peer stays addressable.
-        self.peers: list = []
-        self._split_busy: Optional[Dict[int, Any]] = \
-            {} if params.shards_enabled else None
-        self._splitters: Dict[int, Any] = {}   # dir ino -> split process
-        self._dir_inflight: Dict[int, int] = {}
         self._mgr_epoch_seen: Dict[int, int] = {}
 
         # Multi-tenant QoS plane (off by default: both stay None and every
@@ -264,40 +243,11 @@ class ArkFSClient(LeaderOps, VFSClient):
     def _h_dispatch(self, opname: str, kwargs: Dict[str, Any]) -> SimGen:
         """Leader-side entry point for forwarded operations."""
         yield from self.node.work(self.params.rpc_handler_cpu)
-        ctx = kwargs.pop("shard_ctx", None)
-        if ctx is not None:
-            # The caller routed this op to one of a sharded directory's
-            # shards: learn the shard's identity (parent ino, home shard)
-            # before the lease path tries to load an inode it doesn't have.
-            self._shard_home.setdefault(kwargs["dir_ino"], tuple(ctx))
         return (yield from self._run_op(opname, kwargs))
 
     def _run_op(self, opname: str, kwargs: Dict[str, Any]) -> SimGen:
-        """Invoke a leader-side op handler, honoring the split gate.
-
-        With shards disabled this is a plain call — no events, no state.
-        With shards enabled, ops on a directory whose split is migrating
-        dentries wait for the split to finish, and in-flight ops are
-        counted so the splitter can drain them before freezing the range.
-        """
-        handler = getattr(self, "_op_" + opname)
-        if self._split_busy is None:
-            return (yield from handler(**kwargs))
-        d = kwargs.get("dir_ino")
-        while True:
-            gate = self._split_busy.get(d)
-            if gate is None:
-                break
-            yield gate
-        self._dir_inflight[d] = self._dir_inflight.get(d, 0) + 1
-        try:
-            return (yield from handler(**kwargs))
-        finally:
-            n = self._dir_inflight.get(d, 1)
-            if n <= 1:
-                self._dir_inflight.pop(d, None)
-            else:
-                self._dir_inflight[d] = n - 1
+        """The leader-side handler's generator (no frame of its own)."""
+        return getattr(self, "_op_" + opname)(**kwargs)
 
     def _h_cache_invalidate(self, ino: int, deleted: bool = False) -> SimGen:
         """A leader revokes our cached data for a file (flush + drop).
@@ -311,9 +261,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         if target is None:
             raise NodeDown(f"unknown leader {leader}")
         kwargs.setdefault("requester", self.name)
-        d = kwargs.get("dir_ino")
-        if d is not None and d in self._shard_home:
-            kwargs.setdefault("shard_ctx", self._shard_home[d])
         result = yield from self.node.call(target, "arkfs", opname, kwargs)
         return result
 
@@ -331,75 +278,50 @@ class ArkFSClient(LeaderOps, VFSClient):
     # ------------------------------------------------------- lease acquisition
 
     def _acquire_dir(self, dir_ino: int) -> SimGen:
-        """Become (or find) the directory's leader.
-
-        Returns ``("local", metatable)``, ``("remote", leader_name)``, or —
-        for a directory with an active shard map — ``("sharded", map)``:
-        the caller must re-route the operation to one of the shards.
-        """
-        while True:
-            now = self.sim.now
-            if self._split_busy is not None:
-                smap = self._shard_maps.get(dir_ino)
-                if smap is not None:
-                    return ("sharded", smap)
-            mt = self.metatables.get(dir_ino)
-            if mt is not None and mt.lease_expires > now:
-                return ("local", mt)
-            rt = self.remotes.get(dir_ino)
-            if rt is not None and rt.valid(now):
-                return ("remote", rt.leader)
-            # Only one acquisition per directory may be in flight: a second
-            # concurrent load could otherwise overwrite a metatable that has
-            # already absorbed local mutations.
-            latch = self._acquiring.get(dir_ino)
-            if latch is not None:
-                tr = self.sim._tracer
-                if tr is not None:
-                    with tr.span("lease.wait", "queue"):
-                        yield latch
-                else:
+        """Become (or find) the directory's leader: ``("local", mt)``,
+        ``("remote", leader)``, or a subclass's own kind (``_reroute``)."""
+        now = self.sim.now
+        mt = self.metatables.get(dir_ino)
+        if mt is not None and mt.lease_expires > now:
+            return ("local", mt)
+        rt = self.remotes.get(dir_ino)
+        if rt is not None and rt.valid(now):
+            return ("remote", rt.leader)
+        # Only one acquisition per directory may be in flight: a second
+        # concurrent load could otherwise overwrite a metatable that has
+        # already absorbed local mutations.
+        latch = self._acquiring.get(dir_ino)
+        if latch is not None:
+            tr = self.sim._tracer
+            if tr is not None:
+                with tr.span("lease.wait", "queue"):
                     yield latch
-                continue
-            latch = self.sim.event()
-            self._acquiring[dir_ino] = latch
-            try:
-                return (yield from self._acquire_dir_locked(dir_ino))
-            finally:
-                del self._acquiring[dir_ino]
-                latch.succeed()
-
-    def _acquire_dir_locked(self, dir_ino: int) -> SimGen:
+            else:
+                yield latch
+            # Start over through the (possibly overridden) entry point.
+            return (yield from self._acquire_dir(dir_ino))
+        latch = self.sim.event()
+        self._acquiring[dir_ino] = latch
         sp = _span(self.sim, "lease.acquire", "lease")
         try:
             return (yield from self._acquire_dir_inner(dir_ino))
         finally:
             sp.close()
+            del self._acquiring[dir_ino]
+            latch.succeed()
 
     def _acquire_dir_inner(self, dir_ino: int) -> SimGen:
         while True:
+            hint = self._lease_hint(dir_ino)
+            if hint is not None:
+                return hint
             now = self.sim.now
-            if self._split_busy is not None and dir_ino in self._shard_maps:
-                return ("sharded", self._shard_maps[dir_ino])
             mt = self.metatables.get(dir_ino)
             if mt is not None and mt.lease_expires > now:
                 return ("local", mt)
             rt = self.remotes.get(dir_ino)
             if rt is not None and rt.valid(now):
                 return ("remote", rt.leader)
-            if dir_ino in self._shard_home:
-                # Shard-lease placement: route first-touch leadership by
-                # consistent hash over the client population instead of
-                # self-acquiring. Without this, the client that performs
-                # the split (it alone already holds the map in memory)
-                # wins the acquisition race for every shard and the
-                # directory's metadata load stays on one node — exactly
-                # the single-owner ceiling the split exists to break. A
-                # known current holder (the remotes check above, or the
-                # redirect below) always wins over the placement hint.
-                pref = self._preferred_shard_leader(dir_ino)
-                if pref is not None and pref != self.name:
-                    return ("remote", pref)
             resp = yield from self._mgr("lease.acquire", dir_ino, self.name)
             if isinstance(resp, LeaseGrant):
                 if resp.mgr_epoch < self._mgr_epoch_seen.get(dir_ino, 0):
@@ -417,35 +339,20 @@ class ArkFSClient(LeaderOps, VFSClient):
                     mt.epoch = resp.epoch
                     mt.mgr_epoch = resp.mgr_epoch
                     return ("local", mt)
-                # Shard tables have no inode of their own: the parent
-                # directory's inode is the identity, the shard's key range
-                # holds the dentries.
-                shome = self._shard_home.get(dir_ino)
-                base_ino = shome[0] if shome is not None else dir_ino
+                inode_ino, list_ino = self._dir_objects(dir_ino)
                 try:
-                    dir_inode = yield from self.prt.get_inode(base_ino,
+                    dir_inode = yield from self.prt.get_inode(inode_ino,
                                                               src=self.node)
                 except NoSuchKey:
                     yield from self._mgr("lease.release", dir_ino, self.name,
                                          True)
                     raise DirectoryRemoved(dir_ino)
-                if self._split_busy is not None and shome is None:
-                    smap = yield from self.prt.get_shard_map(dir_ino,
-                                                             src=self.node)
-                    if smap is not None:
-                        if not smap.active:
-                            # Interrupted split: we hold the parent lease
-                            # (and recovery already ran), so roll forward.
-                            smap = yield from roll_forward_split(
-                                self.prt, smap, src=self.node)
-                        self._cache_shard_map(smap)
-                        yield from self._mgr("lease.release", dir_ino,
-                                             self.name, True)
-                        return ("sharded", smap)
+                moved = yield from self._granted_elsewhere(dir_ino, list_ino)
+                if moved is not None:
+                    return moved
                 mt = yield from load_metatable(
                     self.prt, dir_inode, self.node,
-                    resp.expires_at, resp.epoch,
-                    list_ino=(dir_ino if shome is not None else None),
+                    resp.expires_at, resp.epoch, list_ino=list_ino,
                     mgr_epoch=resp.mgr_epoch)
                 self.metatables[dir_ino] = mt
                 self.remotes.pop(dir_ino, None)
@@ -460,6 +367,24 @@ class ArkFSClient(LeaderOps, VFSClient):
                 max(resp.retry_at - self.sim.now,
                     self.params.lease_retry_delay)
             )
+
+    # Hooks run once per lease attempt, grant, leaderless redirect or
+    # crash: empty here, ShardedClient's otherwise.
+
+    def _lease_hint(self, dir_ino: int) -> Optional[Tuple[str, Any]]:
+        return None
+
+    def _dir_objects(self, dir_ino: int) -> Tuple[int, Optional[int]]:
+        return dir_ino, None
+
+    def _granted_elsewhere(self, dir_ino: int, list_ino) -> SimGen:
+        yield from ()
+
+    def _leaderless_redirect(self, dir_ino: int) -> SimGen:
+        yield from ()
+
+    def _crash_layers(self) -> None:
+        pass
 
     def _ensure_leader(self, dir_ino: int) -> SimGen:
         """Leader-side revalidation; raises RedirectError if we are not it."""
@@ -484,10 +409,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         kind, who = yield from self._acquire_dir(dir_ino)
         if kind == "local":
             return who
-        if kind == "sharded":
-            # The directory split under us: callers re-route to a shard.
-            raise RedirectError(dir_ino, None)
-        raise RedirectError(dir_ino, who)
+        raise RedirectError(dir_ino, who if kind == "remote" else None)
 
     def _authority_op(self, dir_ino: int, opname: str,
                       creds: Optional[Credentials], **kwargs: Any) -> SimGen:
@@ -527,6 +449,7 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def _authority_op_core(self, dir_ino: int, opname: str,
                            creds: Optional[Credentials],
+                           route_name: Optional[str] = None,
                            **kwargs: Any) -> SimGen:
         """Run an op at the directory's authority; retries across leader
         changes. Returns (result, leader_name_or_None_if_local, dir_ino
@@ -534,13 +457,11 @@ class ArkFSClient(LeaderOps, VFSClient):
         directory is sharded, so a 2PC coordinator can address phase 2 to
         the same participant its prepare landed on).
 
-        ``route_name`` (popped, never forwarded) routes ino-keyed ops on a
-        sharded directory to the shard that owns the given name."""
-        self.op_stats[opname] = self.op_stats.get(opname, 0) + 1
-        route_name = kwargs.pop("route_name", None)
-        # Unreachable peers and transient store errors back off exponentially
-        # (bounded by the attempt budget); redirects retry immediately, since
-        # they carry fresh routing information.
+        ``route_name`` (never forwarded) names the entry an ino-keyed op
+        concerns, for a subclass that routes by name."""
+        # Unreachable leaders and transient store errors back off
+        # exponentially (bounded by the attempt budget); redirects retry
+        # immediately, since they carry fresh routing information.
         backoff = self.params.lease_retry_delay
         for _attempt in range(16):
             try:
@@ -550,23 +471,21 @@ class ArkFSClient(LeaderOps, VFSClient):
                                                              creds)
                 continue
             try:
-                if kind == "sharded":
-                    done = yield from self._route_sharded(who, opname, creds,
-                                                          kwargs)
-                    if done is not None:
-                        return (*done, dir_ino)
-                    name = route_name or kwargs.get("name")
-                    dir_ino = who.route(name) if name is not None \
-                        else who.home_ino()
-                    continue
                 if kind == "local":
                     result = yield from self._run_op(opname, dict(
                         creds=creds, dir_ino=dir_ino, requester=self.name,
                         **kwargs))
                     return result, None, dir_ino
-                result = yield from self._peer_call(
-                    who, opname, creds=creds, dir_ino=dir_ino, **kwargs)
-                return result, who, dir_ino
+                if kind == "remote":
+                    result = yield from self._peer_call(
+                        who, opname, creds=creds, dir_ino=dir_ino, **kwargs)
+                    return result, who, dir_ino
+                # A subclass's own kind: it finishes the op, or names the
+                # directory to re-dispatch to (ShardedClient._reroute).
+                done, dir_ino = yield from self._reroute(
+                    who, dir_ino, opname, creds, route_name, kwargs)
+                if done is not None:
+                    return (*done, dir_ino)
             except RedirectError as e:
                 if not self._leads_dir(dir_ino):
                     self._stop_leading(dir_ino)
@@ -576,23 +495,7 @@ class ArkFSClient(LeaderOps, VFSClient):
                         self.sim.now + self.params.lease_period)
                 else:
                     self.remotes.pop(dir_ino, None)
-                    if (self._split_busy is not None
-                            and dir_ino not in self._shard_maps):
-                        # A leaderless redirect usually means "the directory
-                        # split under me". The ACTIVE shard map is immutable
-                        # and readable without the parent lease, so resolve
-                        # it from the store directly — chasing the manager
-                        # instead points us at a parade of transient
-                        # parent-lease holders (every client briefly takes
-                        # the lease to learn the map) and can exhaust the
-                        # attempt budget under a concurrent split.
-                        try:
-                            smap = yield from self.prt.get_shard_map(
-                                dir_ino, src=self.node)
-                        except TransientError:
-                            smap = None
-                        if smap is not None and smap.active:
-                            self._cache_shard_map(smap)
+                    yield from self._leaderless_redirect(dir_ino)
             except DirectoryRemoved as e:
                 # The leader we forwarded to found it gone.
                 dir_ino = yield from self._reresolve_removed(e, dir_ino,
@@ -611,153 +514,6 @@ class ArkFSClient(LeaderOps, VFSClient):
                 yield self.sim.timeout(backoff)
                 backoff = min(backoff * 2.0, self.params.lease_period)
         raise IOFailure(detail=f"no stable authority for dir {dir_ino:x}")
-
-    # -------------------------------------------------- directory sharding
-
-    def _route_sharded(self, smap: ShardMap, opname: str,
-                       creds: Optional[Credentials],
-                       kwargs: Dict[str, Any]) -> SimGen:
-        """Handle the ops that span a sharded directory's shards. Returns a
-        finished ``(result, where)`` pair, or None when the op routes to a
-        single shard (the caller re-dispatches there)."""
-        if opname == "readdir":
-            names: list = []
-            for si in smap.shard_inos():
-                part = yield from self._authority_op(si, "readdir", creds)
-                names.extend(part)
-            return (sorted(names), None)
-        if opname == "rename_local":
-            src_name, dst_name = kwargs["src_name"], kwargs["dst_name"]
-            s_shard = smap.route(src_name)
-            d_shard = smap.route(dst_name)
-            if s_shard == d_shard:
-                result = yield from self._authority_op(
-                    s_shard, "rename_local", creds, src_name=src_name,
-                    dst_name=dst_name)
-                return (result, None)
-            # The names hash to different shards: reuse the cross-directory
-            # rename machinery (each shard has its own journal + lease).
-            yield from self._rename_2pc(creds, s_shard, src_name,
-                                        d_shard, dst_name)
-            return (True, None)
-        return None
-
-    def _preferred_shard_leader(self, shard_ino: int) -> Optional[str]:
-        """Placement for a shard's first-touch lease: the first live client
-        walking a consistent-hash ring of the population (Ceph's
-        dirfrag-to-MDS assignment, client-driven). Deterministic, so every
-        client forwards a given shard's traffic to the same peer and the
-        fanout spreads one hot directory's load across the fleet; a dead
-        peer is skipped (the lease manager's FCFS grant remains the only
-        authority — this is a routing hint, never a grant)."""
-        peers = self.peers
-        if not peers:
-            return None
-        start = zlib.crc32(ino_hex(shard_ino).encode()) % len(peers)
-        for k in range(len(peers)):
-            name = peers[(start + k) % len(peers)]
-            if name == self.name:
-                return name
-            node = self.node.net.nodes.get(name)
-            if node is not None and node.alive:
-                return name
-        return None
-
-    def _cache_shard_map(self, smap: ShardMap) -> None:
-        self._shard_maps[smap.dir_ino] = smap
-        home = smap.home_ino()
-        for r in smap.shards:
-            self._shard_home[r.ino] = (smap.dir_ino, home)
-
-    def _drop_shard_map(self, dir_ino: int) -> None:
-        smap = self._shard_maps.pop(dir_ino, None)
-        if smap is not None:
-            for si in smap.shard_inos():
-                self._shard_home.pop(si, None)
-
-    def _maybe_split(self, mt: Metatable) -> None:
-        """Create-path hook: kick off a background split once a directory
-        we lead crosses the dentry threshold. Synchronous and a no-op
-        unless shards are enabled."""
-        if (self._split_busy is None or mt.is_shard
-                or len(mt.dentries) < self.params.shard_split_threshold
-                or mt.dir_ino in self._split_busy
-                or mt.dir_ino in self._shard_maps):
-            return
-        d = mt.dir_ino
-        self._split_busy[d] = self.sim.event()
-        self._splitters[d] = self.sim.process(
-            self._split_dir(d), name=f"{self.name}.split:{d:x}")
-
-    def _split_dir(self, d: int) -> SimGen:
-        """The two-phase directory split (see :mod:`repro.core.shards`).
-
-        Runs under the parent lease we already hold. The ``_split_busy``
-        gate (set by :meth:`_maybe_split`) holds new operations on the
-        directory while in-flight ones drain; from the splitting-map PUT
-        onward the parent range is frozen, so a failure anywhere after that
-        point simply abandons the parent (the next lease holder rolls the
-        split forward). Failures before the map PUT abort cleanly: the
-        parent stays authoritative and nothing was published.
-        """
-        published = False
-        try:
-            while self._dir_inflight.get(d, 0) > 0:
-                yield self.sim.timeout(0.0005)
-            mt = self.metatables.get(d)
-            now = self.sim.now
-            if (mt is None
-                    or mt.lease_expires - now < 2 * self.params.lease_renew_margin
-                    or len(mt.dentries) < self.params.shard_split_threshold
-                    or d in self._shard_maps
-                    or any(di == d for _tx, di in self._pending_renames)
-                    or any(di == d for di, _n in self._pending_names)):
-                return
-            # File leases move with the files to the shard leaders — the
-            # same contract as cross-directory rename (see
-            # ``_op_rename_prepare_src``). Revoke every holder while the
-            # parent is still the sole authority: that flushes their dirty
-            # write-back data, so no client survives the split holding a
-            # grant (and stale cached bytes) the shard leaders never hear
-            # about.
-            for dn in list(mt.dentries.values()):
-                if dn.ftype is FileType.REGULAR:
-                    yield from self._revoke_all_holders(dn.ino)
-                    self.fleases.forget_file(dn.ino)
-            # Phase 0: store == metatable for this directory.
-            yield from self.journal.flush(d, full=True)
-            shards = [ShardRange(self.alloc.new(), lo, hi)
-                      for lo, hi in make_ranges(self.params.shard_fanout)]
-            smap = ShardMap(d, ShardMap.SPLITTING, shards)
-            # Phase 1: publish the splitting map (parent still authoritative,
-            # but its range is frozen from here on).
-            yield from self.prt.put_shard_map(smap, src=self.node)
-            published = True
-            # Phase 2 + commit: migrate ranges, then activate atomically.
-            smap = yield from roll_forward_split(self.prt, smap,
-                                                 src=self.node)
-            self._cache_shard_map(smap)
-        except (FSError, TransientError, MessageDropped, NodeDown,
-                Interrupt):
-            # Abort (pre-publish: parent keeps serving), abandon
-            # (post-publish: the next lease holder rolls forward), or die
-            # with the client (crash interrupts the splitter).
-            pass
-        finally:
-            self._splitters.pop(d, None)
-            if published and self.alive:
-                # Success or not, the parent range is retired: drop our
-                # parent state so the next acquire re-resolves (and, if the
-                # activation PUT never landed, rolls the split forward).
-                self._stop_leading(d)
-                try:
-                    yield from self._mgr("lease.release", d, self.name, True)
-                except NodeDown:
-                    pass
-            if self._split_busy is not None:
-                ev = self._split_busy.pop(d, None)
-                if ev is not None and not ev.triggered:
-                    ev.succeed()
 
     # ------------------------------------------------------------- resolution
 
@@ -886,7 +642,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         """Forget everything we believed about a removed/moved directory."""
         self.remotes.pop(dir_ino, None)
         self.pcache.pop(dir_ino, None)
-        self._drop_shard_map(dir_ino)
         for key in [k for k in self.pcache_dentries if k[0] == dir_ino]:
             del self.pcache_dentries[key]
 
@@ -1265,8 +1020,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         bsize = 4096
         total_blocks = capacity // bsize
         used_blocks = -(-used // bsize)
-        from ..posix.types import StatFSResult
-
         return StatFSResult(f_bsize=bsize, f_blocks=total_blocks,
                             f_bfree=max(0, total_blocks - used_blocks),
                             f_files=n_objects)
@@ -1392,18 +1145,8 @@ class ArkFSClient(LeaderOps, VFSClient):
             if not latch.triggered:
                 latch.succeed()
         self._acquiring.clear()
-        self._shard_maps.clear()
-        self._shard_home.clear()
         self._mgr_epoch_seen.clear()
-        self._dir_inflight.clear()
-        for proc in list(self._splitters.values()):
-            proc.interrupt("crash")
-        self._splitters.clear()
-        if self._split_busy is not None:
-            for ev in self._split_busy.values():
-                if not ev.triggered:
-                    ev.succeed()
-            self._split_busy.clear()
+        self._crash_layers()
         self.fleases.files.clear()
         if self.qos is not None:
             # Ops abandoned mid-throttle never reach their exit_op; drop

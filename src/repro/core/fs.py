@@ -31,6 +31,7 @@ from .params import ArkFSParams, DEFAULT_PARAMS
 from .prt import PRT
 from .qos import QosManager, WFQResource
 from .retry import RetryPolicy
+from .sharded_client import ShardedClient
 from .types import Inode, InoAllocator, ROOT_INO
 
 __all__ = ["ArkFSCluster", "build_arkfs", "mkfs"]
@@ -184,10 +185,15 @@ def build_arkfs(
     alloc = InoAllocator(seed=seed)
     cluster = ArkFSCluster(sim=sim, net=net, store=store, prt=prt,
                            params=params, lease_service=service, qos=qos)
-    for i in range(n_clients):
-        node = Node(sim, f"client{i}", cores=client_cores, net=net)
-        client = ArkFSClient(sim, node, prt, params, service, alloc,
-                             retry=retry)
+    names = [f"client{i}" for i in range(n_clients)]
+    # Directory sharding is a client class, chosen once; shard-lease
+    # placement hashes over the same population everywhere.
+    client_class = (partial(ShardedClient, peers=names)
+                    if params.shards_enabled else ArkFSClient)
+    for name in names:
+        node = Node(sim, name, cores=client_cores, net=net)
+        client = client_class(sim, node, prt, params, service, alloc,
+                              retry=retry)
         if qos is not None:
             # Default tenancy: one tenant per client, named after the
             # client node; workloads rebind via client.bind_tenant().
@@ -195,10 +201,4 @@ def build_arkfs(
             client.bind_tenant(node.name)
         cluster.clients.append(client)
         cluster.mounts.append(FuseMount(client, node, mount_params))
-    # Every client knows the population, so shard-lease placement hashes
-    # over the same ring everywhere (names, not objects: a restarted peer
-    # stays addressable).
-    names = [c.name for c in cluster.clients]
-    for c in cluster.clients:
-        c.peers = names
     return cluster

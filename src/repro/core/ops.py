@@ -32,6 +32,7 @@ from ..posix.errors import (
 )
 from ..posix.types import Credentials, FileType, OpenFlags, R_OK, W_OK, X_OK
 from ..sim.engine import SimGen
+from ..sim.network import NodeDown
 from .filelease import FileLeaseGrant
 from .journal import (
     ops_clear_extents,
@@ -86,6 +87,9 @@ class LeaderOps:
         """Block while a 2PC rename holds this name prepared."""
         while (dir_ino, name) in self._pending_names:
             yield self.sim.timeout(0.001)
+
+    def _maybe_split(self, mt) -> None:  # growth hook: ShardedClient
+        pass
 
     def _touch_dir(self, mt) -> None:
         # Shard tables hold a *copy* of the parent inode: mutating or
@@ -350,19 +354,11 @@ class LeaderOps:
         leader to verify emptiness and surrender. Never trusts raw storage
         while someone may hold uncommitted state in memory.
         """
-        from ..sim.network import NodeDown
-
         for _attempt in range(16):
             kind, who = yield from self._acquire_dir(child_ino)
-            if kind == "sharded":
-                # A sharded directory is empty iff every shard is. Surrender
-                # the shards (one-level splits: the recursion terminates),
-                # retire the map, then fall through to the parent range.
-                for si in who.shard_inos():
-                    yield from self._surrender_child(si)
-                self._drop_shard_map(child_ino)
-                yield from self.prt.delete_shard_map(child_ino,
-                                                     src=self.node)
+            if kind not in ("local", "remote"):
+                # A subclass's own kind (a split directory): empty it first.
+                yield from self._surrender_layout(child_ino, who)
                 continue
             if kind == "local":
                 mt = self.metatables[child_ino]

@@ -24,12 +24,16 @@ Three behaviors the crashcheck sweeps and property tests don't pin:
 
 4. ``rmdir`` of a split directory: empty iff every shard is; removing it
    surrenders every shard lease and retires the shard map
-   (``LeaderOps._surrender_child``'s ``"sharded"`` branch).
+   (``ShardedClient._surrender_layout``).
+
+Sharding is a client class chosen once, at construction: with
+``shards_enabled`` every client is a :class:`ShardedClient`.
 """
 
 import pytest
 
-from repro.core import DEFAULT_PARAMS, build_arkfs, fsck
+from repro.core import DEFAULT_PARAMS, ArkFSClient, build_arkfs, fsck
+from repro.core.sharded_client import ShardedClient
 from repro.core.types import ino_hex
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.posix.errors import DirectoryNotEmpty
@@ -203,6 +207,35 @@ class TestRmdirOfAShardedDirectory:
         sim.run(until=sim.now + 3)          # let checkpoints drain
         report = sim.run_process(fsck(cluster.prt))
         assert report.clean, report.errors
+
+
+class TestClassChoice:
+    def test_shards_enabled_builds_only_sharded_clients(self):
+        sim = Simulator()
+        cluster = build_arkfs(sim, n_clients=3, functional=True,
+                              params=DEFAULT_PARAMS.with_(**SHARD_PARAMS))
+        assert {type(c) for c in cluster.clients} == {ShardedClient}
+        assert all(c.peers == ["client0", "client1", "client2"]
+                   for c in cluster.clients)
+        off = build_arkfs(Simulator(), n_clients=3, functional=True)
+        assert {type(c) for c in off.clients} == {ArkFSClient}
+
+    def test_crash_and_restart_keeps_working_on_a_sharded_directory(self):
+        sim, cluster, d_ino = _split_dir_setup(n_clients=2)
+        victim = cluster.client(0)
+        sim.run_process(victim.sync())      # unsynced data dies with it
+        victim.crash()
+        assert not victim._shard_maps and not victim._splitters
+        sim.run(until=sim.now + 2 * victim.params.lease_period)
+        victim.restart()
+        fs0 = SyncFS(victim, ROOT_CREDS)
+        fs0.write_file("/d/after", b"restarted")
+        assert fs0.readdir("/d") == sorted(
+            ["after"] + [f"f{i}" for i in range(10)])
+        assert d_ino in victim._shard_maps
+        fs1 = SyncFS(cluster.client(1), ROOT_CREDS)
+        assert fs1.read_file("/d/after") == b"restarted"
+        assert fs1.read_file("/d/f7") == bytes([8]) * 16
 
 
 # -- 5. a shard table never writes the parent inode ---------------------------

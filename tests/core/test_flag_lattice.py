@@ -16,6 +16,7 @@ import pytest
 from repro.core import build_arkfs
 from repro.core.fsck import fsck
 from repro.core.params import DEFAULT_PARAMS, KiB
+from repro.core.sharded_client import ShardedClient
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
 
@@ -63,7 +64,8 @@ def run_script(flags) -> dict:
     assert fs1.readdir("/a") == ["f0", "f3"]
     for i in range(10):                         # crosses the split threshold
         fs1.write_file(f"/a/burst{i}", _blob(5 + i, 2 * KiB + i))
-    assert any(c._shard_maps for c in cluster.clients) == ("shards" in flags)
+    assert any(c._shard_maps for c in cluster.clients
+               if isinstance(c, ShardedClient)) == ("shards" in flags)
     fs0.write_file("/a/f0", _blob(15, 50 * KiB), do_fsync=True)  # overwrite
     for c in cluster.clients:
         sim.run_process(c.sync())

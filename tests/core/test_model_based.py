@@ -28,6 +28,8 @@ from repro.core.params import DEFAULT_PARAMS
 from repro.posix import FSError, OpenFlags, ROOT_CREDS, SyncFS
 from repro.sim import Simulator
 
+from .test_flag_lattice import FLAGS, ROWS
+
 
 DIRS = ["/d0", "/d1", "/d0/sub"]
 FILES = ["f0", "f1", "f2"]
@@ -391,6 +393,50 @@ def test_seeded_random_sequences_sharded(seed):
         # vacuously pass below the threshold.
         assert _split_happened(cluster), \
             f"seed {seed} never split a directory"
+
+
+# The flag lattice under the oracle: every row of the composition smoke
+# (six pairs and all four together) plus pack and tier alone, which no
+# other seeded mode runs. Its parameters, except a split threshold low
+# enough for these small directories to split.
+#
+# Every row with pack fails the strict fsck: a container whose extents all
+# died at the hands of the *other* client is never purged ("container ...
+# has no referenced extents"), because only the sealing client keeps its
+# live ledger. One client alone, or 30 s more settling, does not change it.
+# Reproduce (strict xfail; ROADMAP 1(vii)):
+#   REPRO_SEED=1 pytest tests/core/test_model_based.py -k "flags and pack"
+PACK_GC_LEAK = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="cross-client pack container GC: a container whose extents "
+           "another client killed is never purged (ROADMAP 1(vii))")
+LATTICE_ROWS = [pytest.param(row, marks=PACK_GC_LEAK) if "pack" in row
+                else row for row in [*ROWS, ("pack",), ("tier",)]]
+
+
+def _lattice_params(flags):
+    params = DEFAULT_PARAMS
+    for name in flags:
+        params = params.with_(**FLAGS[name])
+    if "shards" in flags:
+        params = params.with_(shard_split_threshold=3)
+    return params
+
+
+@pytest.mark.parametrize("seed", _seeds()[:2])
+@pytest.mark.parametrize("flags", LATTICE_ROWS, ids="+".join)
+def test_seeded_random_sequences_flags(flags, seed):
+    """Seeded long sequences with optional subsystems on together: the
+    same flat oracle and fsck, so no combination may change semantics.
+    Replay with ``REPRO_SEED=<seed> pytest -k "flags and <row>"``."""
+    ops = random_ops(random.Random(seed), 120)
+    try:
+        run_sequence(ops, params=_lattice_params(flags))
+    except AssertionError as e:
+        e.add_note(f"replay with REPRO_SEED={seed} pytest "
+                   f"tests/core/test_model_based.py -k 'flags and "
+                   f"{'+'.join(flags)}'")
+        raise
 
 
 def _qos_throttled(cluster) -> bool:

@@ -4,9 +4,10 @@
 all default to ``False``, and a default build must stay structurally
 identical to one that predates the subsystem — the same pattern
 ``faults=None`` pins for fault injection. Off means *absent*, not idle: no
-:class:`PackWriter`, split gate, :class:`TieredObjectStore` or
+:class:`PackWriter`, :class:`ShardedClient`, :class:`TieredObjectStore` or
 :class:`QosManager` is constructed, and every hook is a single ``is None``
-check that adds zero simulation events. Pinned from four angles:
+check (or, for shards, a plain-client method) that adds zero simulation
+events. Pinned from four angles:
 
 * repeated default builds replay to identical clocks, network totals,
   store op counts and store *bytes* on the realistic store — on the three
@@ -26,7 +27,8 @@ from typing import Any, Callable, Dict
 
 import pytest
 
-from repro.core import DEFAULT_PARAMS, QosManager, WFQResource, build_arkfs
+from repro.core import (DEFAULT_PARAMS, ArkFSClient, QosManager, WFQResource,
+                        build_arkfs)
 from repro.obs import Observability
 from repro.objectstore import TieredObjectStore
 from repro.posix import ROOT_CREDS, SyncFS
@@ -194,21 +196,23 @@ def _pack_on_control(off_kinds, on_kinds):
     assert "d" not in on_kinds   # everything was sub-threshold
 
 
+#: What only a ShardedClient carries.
+SHARD_ATTRS = ("_shard_maps", "_shard_home", "_split_busy", "_splitters",
+               "_dir_inflight", "peers")
+
+
 def _shards_absent(cluster, sim):
     for client in cluster.clients:
-        assert client._split_busy is None
-        assert not client._splitters
-        assert not client._shard_maps
+        assert type(client) is ArkFSClient
+        assert [a for a in SHARD_ATTRS if hasattr(client, a)] == []
 
 
 def _shards_no_artifacts(cluster, sim):
-    """No shard-map (``s``) objects in the store and no splitter processes
-    — even though the directory grew far past what a test-scale split
-    threshold would be."""
+    """No shard-map (``s``) objects in the store and no shard client — even
+    though the directory grew far past what a test-scale split threshold
+    would be."""
     assert not [k for k in backing_of(cluster).sync_list("s")]
-    for client in cluster.clients:
-        assert not client._shard_maps
-        assert not client._splitters
+    _shards_absent(cluster, sim)
 
 
 def _shards_read_back(fs):
