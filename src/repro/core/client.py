@@ -20,6 +20,7 @@ rest before they lapse.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..objectstore.errors import NoSuchKey, TransientError
@@ -53,7 +54,6 @@ from .ops import LeaderOps, RedirectError
 from .pack import PackWriter
 from .params import ArkFSParams
 from .prt import PRT
-from .qos import TenantBusy
 from .recovery import DECISION_ABORT, DECISION_COMMIT, recover_directory
 from .retry import RetryPolicy
 from .types import Dentry, Inode, InoAllocator, ROOT_INO
@@ -137,13 +137,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         self._rename_counter = 0
         self._mgr_epoch_seen: Dict[int, int] = {}
 
-        # Multi-tenant QoS plane (off by default: both stay None and every
-        # dispatch/data path is structurally unchanged; build_arkfs installs
-        # the manager and a tenant when qos_enabled).
-        self.qos = None
-        self.tenant: Optional[str] = None
-        self._qos_depth = 0  # admission applies to top-level ops only
-
         node.register("arkfs", self._h_dispatch)
         node.register("arkfs.cache_invalidate", self._h_cache_invalidate)
         self.journal.start_threads()
@@ -153,12 +146,9 @@ class ArkFSClient(LeaderOps, VFSClient):
     def bind_tenant(self, tenant: str) -> None:
         """Attribute subsequent ops from this client to ``tenant`` (the
         gateway model: one client fronting many tenants, switching between
-        ops). Requires the QoS plane; per-op rebinding is safe as long as
-        the client issues one foreground op at a time."""
-        self.tenant = tenant
+        ops). Here it only tags the node's store requests; the QoS layer
+        (:class:`~repro.core.qos.QosClient`) also meters the client's ops."""
         self.node.tenant = tenant
-        if self.qos is not None:
-            self.qos.register_client(self.name, tenant)
 
     def _leads_dir(self, dir_ino: int) -> bool:
         """Do we currently hold this directory's metatable lease? (Extent
@@ -270,10 +260,10 @@ class ArkFSClient(LeaderOps, VFSClient):
         Lost messages (fault injection) are retried with bounded exponential
         backoff — a dropped lease RPC must not surface as a dead manager.
         A genuinely dead manager still raises NodeDown immediately."""
-        target = self._lease_node_for(args[0])
-        return (yield from self._retry.call(
-            lambda: self.node.call(target, method, *args),
-            retry_on=(MessageDropped,)))
+        return self._retry.call(
+            partial(self.node.call, self._lease_node_for(args[0]), method,
+                    *args),
+            retry_on=(MessageDropped,))
 
     # ------------------------------------------------------- lease acquisition
 
@@ -412,50 +402,11 @@ class ArkFSClient(LeaderOps, VFSClient):
         raise RedirectError(dir_ino, who if kind == "remote" else None)
 
     def _authority_op(self, dir_ino: int, opname: str,
-                      creds: Optional[Credentials], **kwargs: Any) -> SimGen:
-        result, _where, _at = yield from self._authority_op_where(
-            dir_ino, opname, creds, **kwargs)
-        return result
-
-    def _authority_op_where(self, dir_ino: int, opname: str,
-                            creds: Optional[Credentials],
-                            **kwargs: Any):
-        """Dispatch an authority op, applying QoS admission + throttling to
-        top-level ops when the QoS plane is installed. Plain function
-        returning the generator to ``yield from`` (zero overhead off)."""
-        if self.qos is None or self._qos_depth:
-            return self._authority_op_core(dir_ino, opname, creds, **kwargs)
-        return self._authority_op_qos(dir_ino, opname, creds, kwargs)
-
-    def _authority_op_qos(self, dir_ino: int, opname: str,
-                          creds: Optional[Credentials],
-                          kwargs: Dict[str, Any]) -> SimGen:
-        """QoS wrapper: ops token bucket + bounded in-flight admission
-        (TenantBusy → EAGAIN, retried through the client retry policy),
-        with the op's latency attributed to the tenant."""
-        qos, tenant = self.qos, self.tenant
-        yield from self._retry.call(lambda: qos.enter_op(tenant),
-                                    retry_on=(TenantBusy,))
-        t0 = self.sim.now
-        self._qos_depth += 1
-        try:
-            result = yield from self._authority_op_core(
-                dir_ino, opname, creds, **kwargs)
-        finally:
-            self._qos_depth -= 1
-            qos.exit_op(tenant)
-            qos.observe_op(tenant, self.sim.now - t0)
-        return result
-
-    def _authority_op_core(self, dir_ino: int, opname: str,
-                           creds: Optional[Credentials],
-                           route_name: Optional[str] = None,
-                           **kwargs: Any) -> SimGen:
-        """Run an op at the directory's authority; retries across leader
-        changes. Returns (result, leader_name_or_None_if_local, dir_ino
-        the op actually ran against — the hash-routed shard when the
-        directory is sharded, so a 2PC coordinator can address phase 2 to
-        the same participant its prepare landed on).
+                      creds: Optional[Credentials],
+                      route_name: Optional[str] = None,
+                      **kwargs: Any) -> SimGen:
+        """Run an op at the directory's authority and return its result;
+        retries across leader changes.
 
         ``route_name`` (never forwarded) names the entry an ino-keyed op
         concerns, for a subclass that routes by name."""
@@ -472,20 +423,18 @@ class ArkFSClient(LeaderOps, VFSClient):
                 continue
             try:
                 if kind == "local":
-                    result = yield from self._run_op(opname, dict(
+                    return (yield from self._run_op(opname, dict(
                         creds=creds, dir_ino=dir_ino, requester=self.name,
-                        **kwargs))
-                    return result, None, dir_ino
+                        **kwargs)))
                 if kind == "remote":
-                    result = yield from self._peer_call(
-                        who, opname, creds=creds, dir_ino=dir_ino, **kwargs)
-                    return result, who, dir_ino
+                    return (yield from self._peer_call(
+                        who, opname, creds=creds, dir_ino=dir_ino, **kwargs))
                 # A subclass's own kind: it finishes the op, or names the
                 # directory to re-dispatch to (ShardedClient._reroute).
-                done, dir_ino = yield from self._reroute(
+                result, dir_ino = yield from self._reroute(
                     who, dir_ino, opname, creds, route_name, kwargs)
-                if done is not None:
-                    return (*done, dir_ino)
+                if result is not None:
+                    return result
             except RedirectError as e:
                 if not self._leads_dir(dir_ino):
                     self._stop_leading(dir_ino)
@@ -726,20 +675,20 @@ class ArkFSClient(LeaderOps, VFSClient):
         self._rename_counter += 1
         txid = f"{self.name}-rn-{self._rename_counter:06d}"
         dkey = self.prt.key_decision(txid)
-        # Capture the ino each prepare actually ran against: on a sharded
-        # directory that is the hash-routed shard, and phase 2 must address
-        # the SAME participant (its journal holds the prepared txn).
-        payload, src_leader, sp = yield from self._authority_op_where(
+        # Each prepare's reply names the leader and the ino it ran against:
+        # on a sharded directory that is the hash-routed shard, and phase 2
+        # must address the SAME participant (its journal holds the txn).
+        src_prep = yield from self._authority_op(
             sp, "rename_prepare_src", creds, name=sname, txid=txid,
             decision_key=dkey)
         try:
-            _dst, dst_leader, dp = yield from self._authority_op_where(
-                dp, "rename_prepare_dst", creds, name=dname, payload=payload,
+            dst_prep = yield from self._authority_op(
+                dp, "rename_prepare_dst", creds, name=dname, payload=src_prep,
                 txid=txid, decision_key=dkey)
         except FSError:
             yield from self.prt.store.put_if_absent(dkey, DECISION_ABORT,
                                                     src=self.node)
-            yield from self._finish_participant(sp, src_leader, txid, False)
+            yield from self._finish_participant(src_prep, txid, False)
             raise
         won = yield from self.prt.store.put_if_absent(dkey, DECISION_COMMIT,
                                                       src=self.node)
@@ -748,10 +697,8 @@ class ArkFSClient(LeaderOps, VFSClient):
         else:
             value = yield from self.prt.store.get(dkey, src=self.node)
             commit = value == DECISION_COMMIT
-        src_done = yield from self._finish_participant(sp, src_leader, txid,
-                                                       commit)
-        dst_done = yield from self._finish_participant(dp, dst_leader, txid,
-                                                       commit)
+        src_done = yield from self._finish_participant(src_prep, txid, commit)
+        dst_done = yield from self._finish_participant(dst_prep, txid, commit)
         # The decision record may only die once nothing can consult it. If a
         # participant's phase 2 failed (leader churn), its journal still
         # holds the prepared transaction — recovery will resolve it against
@@ -765,13 +712,14 @@ class ArkFSClient(LeaderOps, VFSClient):
         if not commit:
             raise IOFailure(detail=f"rename {txid} aborted by recovery")
 
-    def _finish_participant(self, dir_ino: int, leader: Optional[str],
-                            txid: str, commit: bool) -> SimGen:
-        """Phase 2 at one participant; tolerant of leader churn (the journal
-        + decision record make recovery reach the same outcome). Returns
-        True when the participant definitely resolved its prepared txn."""
+    def _finish_participant(self, prepared: Dict[str, Any], txid: str,
+                            commit: bool) -> SimGen:
+        """Phase 2 at the participant that sent ``prepared``; tolerant of
+        leader churn (journal + decision record make recovery agree).
+        Returns True when it definitely resolved its prepared txn."""
+        leader, dir_ino = prepared["leader"], prepared["dir_ino"]
         try:
-            if leader is None:
+            if leader == self.name:
                 yield from self._run_op("rename_finish", dict(
                     creds=None, dir_ino=dir_ino, txid=txid, commit=commit,
                     requester=self.name))
@@ -839,8 +787,10 @@ class ArkFSClient(LeaderOps, VFSClient):
         if handle.closed or not isinstance(handle.impl, OpenState):
             raise BadFileHandle(detail="handle closed or foreign")
 
-    def _file_lease(self, handle: FileHandle, want: str) -> SimGen:
-        """Ensure a valid (and sufficient) data lease for this handle."""
+    def _file_lease(self, handle: FileHandle, want: str,
+                    nbytes: int) -> SimGen:
+        """Ensure a valid (and sufficient) data lease for this handle; the
+        data op's one admission point (``nbytes`` is for the QoS layer)."""
         st: OpenState = handle.impl
         g = st.lease
         now = self.sim.now
@@ -870,10 +820,8 @@ class ArkFSClient(LeaderOps, VFSClient):
             raise BadFileHandle(detail="not open for reading")
         st: OpenState = handle.impl
         pos = handle.pos if offset is None else offset
-        grant = yield from self._file_lease(handle, READ)
         eff = max(0, min(size, st.size - pos))
-        if self.qos is not None:
-            yield from self.qos.throttle_bytes(self.tenant, eff)
+        grant = yield from self._file_lease(handle, READ, eff)
         if eff == 0:
             data = b""
         elif grant.mode == DIRECT:
@@ -895,9 +843,7 @@ class ArkFSClient(LeaderOps, VFSClient):
             pos = st.size
         else:
             pos = handle.pos if offset is None else offset
-        grant = yield from self._file_lease(handle, WRITE)
-        if self.qos is not None:
-            yield from self.qos.throttle_bytes(self.tenant, len(data))
+        grant = yield from self._file_lease(handle, WRITE, len(data))
         if grant.mode == DIRECT:
             yield from self.prt.write_data(handle.ino, pos, data,
                                            src=self.node)
@@ -1148,11 +1094,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         self._mgr_epoch_seen.clear()
         self._crash_layers()
         self.fleases.files.clear()
-        if self.qos is not None:
-            # Ops abandoned mid-throttle never reach their exit_op; drop
-            # the tenant's in-flight accounting so recovery isn't starved.
-            self.qos.release_tenant(self.tenant)
-            self._qos_depth = 0
         self._keeper.interrupt("crash")
 
     def restart(self) -> None:

@@ -29,7 +29,7 @@ from .client import ArkFSClient
 from .lease import LeaseManager, LeaseManagerCluster
 from .params import ArkFSParams, DEFAULT_PARAMS
 from .prt import PRT
-from .qos import QosManager, WFQResource
+from .qos import QosManager, WFQResource, qos_layer
 from .retry import RetryPolicy
 from .sharded_client import ShardedClient
 from .types import Inode, InoAllocator, ROOT_INO
@@ -186,19 +186,17 @@ def build_arkfs(
     cluster = ArkFSCluster(sim=sim, net=net, store=store, prt=prt,
                            params=params, lease_service=service, qos=qos)
     names = [f"client{i}" for i in range(n_clients)]
-    # Directory sharding is a client class, chosen once; shard-lease
-    # placement hashes over the same population everywhere.
-    client_class = (partial(ShardedClient, peers=names)
-                    if params.shards_enabled else ArkFSClient)
+    # Directory sharding and QoS tenancy are client classes, chosen once;
+    # shard-lease placement hashes over the same population everywhere.
+    client_class, layers = ArkFSClient, {}
+    if params.shards_enabled:
+        client_class, layers["peers"] = ShardedClient, names
+    if qos is not None:
+        client_class, layers["qos"] = qos_layer(client_class), qos
     for name in names:
         node = Node(sim, name, cores=client_cores, net=net)
         client = client_class(sim, node, prt, params, service, alloc,
-                              retry=retry)
-        if qos is not None:
-            # Default tenancy: one tenant per client, named after the
-            # client node; workloads rebind via client.bind_tenant().
-            client.qos = qos
-            client.bind_tenant(node.name)
+                              retry=retry, **layers)
         cluster.clients.append(client)
         cluster.mounts.append(FuseMount(client, node, mount_params))
     return cluster

@@ -602,7 +602,8 @@ class LeaderOps:
                                requester: str = "") -> SimGen:
         """Participant 1: validate the source side and force-commit a
         PREPARE transaction removing the entry. Returns the payload the
-        destination side needs, plus our journal seq."""
+        destination side needs, plus our journal seq and where phase 2
+        must find this participant (leader, and the ino it ran against)."""
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
         self._check_dir_perm(mt, creds, W_OK | X_OK)
@@ -631,14 +632,15 @@ class LeaderOps:
         return {
             "dentry": dentry.to_dict(),
             "inode": inode.to_dict() if inode is not None else None,
-            "seq": seq,
+            "seq": seq, "leader": self.name, "dir_ino": dir_ino,
         }
 
     def _op_rename_prepare_dst(self, creds: Credentials, dir_ino: int,
                                name: str, payload: Dict[str, Any], txid: str,
                                decision_key: str, requester: str = "") -> SimGen:
         """Participant 2: validate the destination side and force-commit a
-        PREPARE transaction inserting the entry."""
+        PREPARE transaction inserting the entry. Replies like participant 1
+        (seq, leader, ino)."""
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
         self._check_dir_perm(mt, creds, W_OK | X_OK)
@@ -672,7 +674,7 @@ class LeaderOps:
             "dentry": moved, "inode": moved_inode, "existing": existing,
             "dir_copy": dir_copy,
         }
-        return {"seq": seq}
+        return {"seq": seq, "leader": self.name, "dir_ino": dir_ino}
 
     def _op_rename_finish(self, creds: Credentials, dir_ino: int, txid: str,
                           commit: bool, requester: str = "") -> SimGen:

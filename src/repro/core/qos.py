@@ -20,11 +20,14 @@ tenants). This module supplies the three classic mechanisms:
 * :class:`QosManager` — pure cluster bookkeeping (no events of its own,
   like ``FencingRegistry``): tenant registry, weights, buckets, bounded
   per-tenant in-flight ops. Admission overflow raises :class:`TenantBusy`
-  (EAGAIN) which the client surfaces through its retry policy.
+  (EAGAIN) which the client layer retries through its retry policy.
+* :class:`QosClient` — the client layer that meters one gateway client's
+  ops against the manager: admission of top-level authority ops and the
+  byte throttle of each data op.
 
 Everything here is built only when ``ArkFSParams.qos_enabled`` is True;
-the default-off configuration builds plain FIFO queues, leaves
-``client.qos`` as ``None`` and is pinned bit-identical by
+the default-off configuration builds plain FIFO queues and clients
+without the :class:`QosClient` layer, and is pinned bit-identical by
 ``tests/core/test_off_identity.py``.
 """
 
@@ -32,18 +35,21 @@ from __future__ import annotations
 
 import errno as _errno
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..posix.errors import FSError
 from ..sim.engine import SimGen, Simulator, SimulationError
 from ..sim.resources import Request, Resource, _PENDING
 
 __all__ = [
+    "QosClient",
     "QosManager",
     "TenantBusy",
     "TokenBucket",
     "WFQRequest",
     "WFQResource",
+    "qos_layer",
 ]
 
 
@@ -222,11 +228,9 @@ class WFQResource(Resource):
 
 
 class _TenantState:
-    __slots__ = ("tenant", "weight", "ops", "bytes", "inflight")
+    __slots__ = ("weight", "ops", "bytes", "inflight")
 
-    def __init__(self, tenant: Optional[str], weight: float,
-                 ops: TokenBucket, bytes_: TokenBucket):
-        self.tenant = tenant
+    def __init__(self, weight: float, ops: TokenBucket, bytes_: TokenBucket):
         self.weight = weight
         self.ops = ops
         self.bytes = bytes_
@@ -259,7 +263,7 @@ class QosManager:
         self._c_throttle_ops = scope.counter("throttle_ops")
         self._c_throttle_bytes = scope.counter("throttle_bytes")
         self._h_wait = scope.histogram("throttle_wait")
-        self._tenant_hists: Dict[Tuple[str, str], object] = {}
+        self._tenant_hists: Dict[Optional[str], object] = {}
 
     # -- tenant registry --------------------------------------------------
 
@@ -268,7 +272,6 @@ class QosManager:
         if st is None:
             p = self.params
             st = _TenantState(
-                tenant,
                 p.qos_default_weight,
                 TokenBucket(p.qos_ops_rate, p.qos_ops_burst),
                 TokenBucket(p.qos_bytes_rate, p.qos_bytes_burst),
@@ -276,13 +279,10 @@ class QosManager:
             self._tenants[tenant] = st
         return st
 
-    def register_client(self, client_name: str, tenant: str,
-                        weight: Optional[float] = None) -> None:
+    def register_client(self, client_name: str, tenant: str) -> None:
         """Bind ``client_name`` to ``tenant`` (for lease-RPC attribution)."""
         self.client_tenant[client_name] = tenant
-        st = self.state(tenant)
-        if weight is not None:
-            st.weight = float(weight)
+        self.state(tenant)
 
     def weight_of(self, tenant: Optional[str]) -> float:
         st = self._tenants.get(tenant)
@@ -335,17 +335,74 @@ class QosManager:
         if st is not None:
             st.inflight = 0
 
-    # -- per-tenant metrics ------------------------------------------------
-
-    def tenant_histogram(self, tenant: Optional[str], name: str = "lat"):
-        """Lazily-created per-tenant histogram (``tenant.<tid>.<name>``)."""
-        key = (tenant or "?", name)
-        h = self._tenant_hists.get(key)
+    def observe_op(self, tenant: Optional[str], seconds: float) -> None:
+        """An admitted op's latency, into ``tenant.<tid>.md_lat``."""
+        h = self._tenant_hists.get(tenant)
         if h is None:
-            h = self.metrics.histogram(f"tenant.{key[0]}.{name}")
-            self._tenant_hists[key] = h
-        return h
+            h = self._tenant_hists[tenant] = self.metrics.histogram(
+                f"tenant.{tenant or '?'}.md_lat")
+        h.observe(seconds)
 
-    def observe_op(self, tenant: Optional[str], seconds: float,
-                   name: str = "md_lat") -> None:
-        self.tenant_histogram(tenant, name).observe(seconds)
+
+class QosClient:
+    """The QoS layer, composed once by ``build_arkfs`` (:func:`qos_layer`)
+    over ``ArkFSClient`` or ``ShardedClient``.
+
+    A top-level authority op is admitted (``enter_op``, ``TenantBusy``
+    retried through the client's retry policy) and observed as
+    ``tenant.<tid>.md_lat``. The depth rule is client-wide: while any op of
+    this client is admitted, every authority op it starts counts as nested
+    and skips admission — right for the ops one fs op fans into, wrong for
+    a second concurrent top-level op (ROADMAP 1, bug (viii)). A data op's
+    bytes are throttled after its file lease, before the cache."""
+
+    def __init__(self, *args: Any, qos: QosManager, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self.qos = qos
+        self._qos_depth = 0
+        # Default tenancy: one tenant per client, named after its node.
+        self.bind_tenant(self.name)
+
+    def bind_tenant(self, tenant: str) -> None:
+        super().bind_tenant(tenant)
+        self.qos.register_client(self.name, tenant)
+
+    def _authority_op(self, dir_ino: int, opname: str, creds,
+                      **kwargs: Any) -> SimGen:
+        if self._qos_depth:
+            return super()._authority_op(dir_ino, opname, creds, **kwargs)
+        return self._admitted_op(dir_ino, opname, creds, kwargs)
+
+    def _admitted_op(self, dir_ino: int, opname: str, creds,
+                     kwargs: Dict[str, Any]) -> SimGen:
+        qos, tenant = self.qos, self.node.tenant
+        yield from self._retry.call(partial(qos.enter_op, tenant),
+                                    retry_on=(TenantBusy,))
+        t0 = self.sim.now
+        self._qos_depth += 1
+        try:
+            return (yield from super()._authority_op(dir_ino, opname, creds,
+                                                     **kwargs))
+        finally:
+            self._qos_depth -= 1
+            qos.exit_op(tenant)
+            qos.observe_op(tenant, self.sim.now - t0)
+
+    def _file_lease(self, handle, want: str, nbytes: int) -> SimGen:
+        grant = yield from super()._file_lease(handle, want, nbytes)
+        yield from self.qos.throttle_bytes(self.node.tenant, nbytes)
+        return grant
+
+    def crash(self) -> None:
+        super().crash()
+        # Ops abandoned mid-throttle never reach their exit_op; drop the
+        # tenant's in-flight accounting so recovery isn't starved.
+        self.qos.release_tenant(self.node.tenant)
+        self._qos_depth = 0
+
+
+@lru_cache(maxsize=None)
+def qos_layer(base: type) -> type:
+    """The client class ``base`` with the :class:`QosClient` layer on top
+    (one class per base, however many clusters are built)."""
+    return type("Qos" + base.__name__, (QosClient, base), {})

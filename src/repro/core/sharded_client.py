@@ -70,14 +70,14 @@ class ShardedClient(ArkFSClient):
 
     def _reroute(self, smap: ShardMap, dir_ino: int, opname: str, creds,
                  route_name: Optional[str], kwargs: Dict[str, Any]) -> SimGen:
-        """Finish an op spanning a split directory's shards (``(result,
-        where), dir_ino``), or name the shard to re-dispatch to (``None``)."""
+        """Finish an op spanning a split directory's shards (``result,
+        dir_ino``), or name the shard to re-dispatch to (``None, shard``)."""
         if opname == "readdir":
             names: list = []
             for si in smap.shard_inos():
                 part = yield from self._authority_op(si, "readdir", creds)
                 names.extend(part)
-            return (sorted(names), None), dir_ino
+            return sorted(names), dir_ino
         if opname == "rename_local":
             src_name, dst_name = kwargs["src_name"], kwargs["dst_name"]
             s_shard, d_shard = smap.route(src_name), smap.route(dst_name)
@@ -85,11 +85,11 @@ class ShardedClient(ArkFSClient):
                 result = yield from self._authority_op(
                     s_shard, "rename_local", creds, src_name=src_name,
                     dst_name=dst_name)
-                return (result, None), dir_ino
+                return result, dir_ino
             # Across shards: the cross-directory 2PC, shard to shard.
             yield from self._rename_2pc(creds, s_shard, src_name,
                                         d_shard, dst_name)
-            return (True, None), dir_ino
+            return True, dir_ino
         name = route_name or kwargs.get("name")
         return None, (smap.route(name) if name is not None
                       else smap.home_ino())

@@ -72,9 +72,9 @@ class Node:
         bw = nic_bps if nic_bps is not None else (net.params.bandwidth_bps if net else 10e9 / 8)
         self.nic = BandwidthPipe(sim, bw, name=f"{name}.nic")
         self.alive = True
-        # QoS tenant attribution: set by bind_tenant when the QoS plane is
-        # enabled; tags this node's store requests for tenant-weighted OSD
-        # queues (a FIFO ignores it).
+        # QoS tenant attribution: set by the client's bind_tenant; tags this
+        # node's store requests for tenant-weighted OSD queues (a FIFO
+        # ignores it) and names the tenant the QoS client layer meters.
         self.tenant: Optional[str] = None
         self._handlers: Dict[str, Callable[..., SimGen]] = {}
         if net is not None:

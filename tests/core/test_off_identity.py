@@ -6,8 +6,8 @@ identical to one that predates the subsystem — the same pattern
 ``faults=None`` pins for fault injection. Off means *absent*, not idle: no
 :class:`PackWriter`, :class:`ShardedClient`, :class:`TieredObjectStore` or
 :class:`QosManager` is constructed, and every hook is a single ``is None``
-check (or, for shards, a plain-client method) that adds zero simulation
-events. Pinned from four angles:
+check (or, for shards and QoS, a plain-client method) that adds zero
+simulation events. Pinned from four angles:
 
 * repeated default builds replay to identical clocks, network totals,
   store op counts and store *bytes* on the realistic store — on the three
@@ -29,6 +29,7 @@ import pytest
 
 from repro.core import (DEFAULT_PARAMS, ArkFSClient, QosManager, WFQResource,
                         build_arkfs)
+from repro.core.qos import QosClient
 from repro.obs import Observability
 from repro.objectstore import TieredObjectStore
 from repro.posix import ROOT_CREDS, SyncFS
@@ -251,10 +252,15 @@ def _tier_on_control(off_store, tier):
     assert not isinstance(off_store, TieredObjectStore)
 
 
+#: What only a client with the QoS layer carries.
+QOS_ATTRS = ("qos", "_qos_depth")
+
+
 def _qos_absent(cluster, sim):
     assert cluster.qos is None
     for client in cluster.clients:
-        assert client.qos is None and client.tenant is None
+        assert not isinstance(client, QosClient)
+        assert [a for a in QOS_ATTRS if hasattr(client, a)] == []
     # FIFO queues everywhere: plain Resources, never the WFQ subclass.
     mgr_cpu = cluster.lease_manager.node.cpu
     assert type(mgr_cpu) is Resource and not isinstance(mgr_cpu, WFQResource)
@@ -273,6 +279,7 @@ def _qos_no_artifacts(cluster, sim):
 def _qos_on_control(off, on):
     on_cluster, on_sim = on
     assert isinstance(on_cluster.qos, QosManager)
+    assert all(isinstance(c, QosClient) for c in on_cluster.clients)
     assert isinstance(on_cluster.lease_manager.node.cpu, WFQResource)
     assert on_cluster.lease_manager.tenants is on_cluster.qos.client_tenant
     assert _metrics(on_sim)["counters"]["qos.admitted"] > 0
