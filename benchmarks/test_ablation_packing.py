@@ -131,8 +131,7 @@ def test_large_file_path_unaffected_by_packing(bench_once, scale):
         run_phase(sim, [sim.process(worker())])
         run_phase(sim, [sim.process(cluster.client(0).sync())])
         bw = size / (sim.now - t0)
-        packed = (cluster.client(0).pack.stats["chunks_packed"]
-                  if cluster.client(0).pack is not None else 0)
+        packed = cluster.client(0).pack.stats["chunks_packed"] if pack else 0
         return bw, packed
 
     def run():

@@ -7,8 +7,8 @@
 * :mod:`metatable` — per-directory metadata tables and remote pointers.
 * :mod:`journal` — per-directory compound-transaction journaling + 2PC.
 * :mod:`cache` — the write-back data object cache with adaptive read-ahead.
-* :mod:`pack` — packed small-file containers (log-structured packing,
-  extent index, background compaction).
+* :mod:`pack` — packed small-file containers: the writer, and the cache,
+  PRT and client layers :func:`build_arkfs` picks once.
 * :mod:`filelease` — read/write leases on file data (leader-issued).
 * :mod:`qos` — multi-tenant QoS: token buckets, WFQ, admission control.
 * :mod:`client` / :mod:`ops` — the ArkFS client and its leader-side ops;
@@ -37,7 +37,7 @@ from .journal import (
 from .lease import LeaseGrant, LeaseManager, LeaseRedirect, LeaseWait
 from .metatable import Metatable, RemoteTable, load_metatable
 from .ops import RedirectError
-from .pack import PackWriter
+from .pack import PackClient, PackedCache, PackedPRT, PackWriter
 from .params import DEFAULT_PARAMS, ArkFSParams
 from .prt import PRT
 from .qos import QosManager, TenantBusy, TokenBucket, WFQResource
@@ -66,8 +66,11 @@ __all__ = [
     "Metatable",
     "OpenState",
     "PRT",
+    "PackClient",
     "PackExtent",
     "PackWriter",
+    "PackedCache",
+    "PackedPRT",
     "QosManager",
     "READ",
     "ROOT_INO",

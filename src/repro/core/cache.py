@@ -64,7 +64,7 @@ class CacheEntry:
         self.dirty = False
         self.loading: Optional[Event] = None  # set while a fetch is in flight
         self.backed = False  # a plain ``d`` object exists for this chunk
-                             # (the pack layer must purge it after a seal)
+                             # (kept by a packing cache: a seal purges it)
 
     @property
     def ready(self) -> bool:
@@ -141,16 +141,14 @@ class DataObjectCache:
     def __init__(self, sim: Simulator, prt: PRT, node: Optional[Node],
                  entry_size: int, capacity_bytes: int, max_readahead: int,
                  copy_bw: float = 8e9, writeback_parallel: int = 8,
-                 fetch_parallel: int = 16, pack=None):
+                 fetch_parallel: int = 16):
         if entry_size != prt.data_object_size:
             raise ValueError("cache entry size must equal the PRT object size")
         self.sim = sim
         self.prt = prt
         self.node = node
-        # Optional PackWriter: sub-threshold writebacks append to a shared
-        # container instead of issuing their own PUT. None keeps every code
-        # path structurally identical to a build without the pack subsystem.
-        self._pack = pack
+        # Where a fetch finds a chunk: bound once, so a layer costs no call.
+        self._read_chunk = prt.read_object
         self.entry_size = entry_size
         self.capacity = max(1, capacity_bytes // entry_size)
         self.max_readahead = max_readahead
@@ -307,17 +305,6 @@ class DataObjectCache:
         elif type(snapshot) is not bytes:
             snapshot = bytes(memoryview(snapshot)[:entry.size])
         entry.data = snapshot
-        if self._pack is not None and self._pack.wants(len(snapshot)):
-            # Sub-threshold chunk: append into the open container buffer
-            # (a memcpy) instead of an individual PUT; durability comes
-            # from the seal, which flush/fsync paths force.
-            full = self._pack.append(ino, entry.index, snapshot,
-                                     had_plain=entry.backed)
-            entry.backed = False
-            yield from self._copy_cost(len(snapshot))
-            if full:
-                yield from self._pack.seal()
-            return
         self._g_inflight_puts.add(1)
         sp = _span(self.sim, "cache.writeback", "cache")
         try:
@@ -329,10 +316,6 @@ class DataObjectCache:
         finally:
             sp.close()
             self._g_inflight_puts.add(-1)
-        entry.backed = True
-        if self._pack is not None:
-            # The chunk outgrew the threshold: any packed copy is stale now.
-            self._pack.note_plain_write(ino, entry.index)
         self._c_flushes.inc()
         rec = self.sim._recorder
         if rec is not None:
@@ -385,16 +368,7 @@ class DataObjectCache:
         self._g_inflight_gets.add(1)
         sp = _span(self.sim, "cache.fetch", "cache")
         try:
-            backed = False
-            data = None
-            if self._pack is not None:
-                # Packed chunks resolve through the extent index (open
-                # buffer, in-flight seal, or a ranged GET on a container).
-                data = yield from self._pack.fetch_chunk(ino, index)
-            if data is None:
-                data = yield from self.prt.read_object(ino, index,
-                                                       src=self.node)
-                backed = len(data) > 0
+            data = yield from self._read_chunk(ino, index, src=self.node)
         except Exception as exc:
             fc.tree.delete(index)
             self._lru.pop((ino, index), None)
@@ -407,7 +381,6 @@ class DataObjectCache:
         # return what it holds); anything else is copied once, here.
         entry.data = data if type(data) is bytes else bytes(data)
         entry.size = len(data)
-        entry.backed = backed
         ev, entry.loading = entry.loading, None
         ev.succeed(entry)
         return entry
@@ -637,10 +610,6 @@ class DataObjectCache:
         serializing file by file."""
         pairs = yield from self._collect_dirty(inos)
         yield from self._writeback_many(pairs)
-        if self._pack is not None:
-            # fsync contract: chunks the writebacks appended to the open
-            # container must be durable before flush returns.
-            yield from self._pack.flush_inos(inos)
         drain = getattr(self.prt.store, "tier_drain_all", None)
         if drain is not None:
             # Tiered backend: writebacks only staged the objects hot; the
@@ -657,7 +626,7 @@ class DataObjectCache:
         Dirty entries go through the same batched writeback the eviction
         path uses — a lease revocation of a heavily written file must not
         serialize one PUT per entry. ``deleted`` marks a revocation that
-        precedes an unlink purge: the pack layer then retires the file's
+        precedes an unlink purge: a packing cache then retires the file's
         extents instead of publishing them."""
         yield from self.invalidate_many([ino], flush_dirty=flush_dirty,
                                         deleted=deleted)
@@ -679,15 +648,6 @@ class DataObjectCache:
                     # Re-dirtied (or fetched-then-written) while we flushed.
                     yield from self._writeback(ino, entry)
                 self._lru.pop((ino, idx), None)
-        if self._pack is not None:
-            if deleted:
-                self._pack.kill_inos(inos)
-            elif flush_dirty:
-                # Revocation hand-off: seal and push the extent-index
-                # deltas out so the next lease holder reads our bytes.
-                yield from self._pack.publish(inos)
-            else:
-                self._pack.drop_inos(inos)
 
     def drop_all(self) -> SimGen:
         """Flush and drop everything (e.g. fio's cache drop between phases);
@@ -703,8 +663,6 @@ class DataObjectCache:
             if fc is not None:
                 for idx, _entry in fc.tree.items():
                     self._lru.pop((ino, idx), None)
-        if self._pack is not None:
-            self._pack.drop_inos(inos)
 
     def discard_all(self) -> None:
         """Crash: lose every cached byte, dirty or not."""

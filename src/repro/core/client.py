@@ -51,7 +51,6 @@ from .journal import JournalManager
 from .lease import LeaseGrant, LeaseRedirect, LeaseWait, StaleEpochError
 from .metatable import Metatable, RemoteTable, load_metatable
 from .ops import LeaderOps, RedirectError
-from .pack import PackWriter
 from .params import ArkFSParams
 from .prt import PRT
 from .recovery import DECISION_ABORT, DECISION_COMMIT, recover_directory
@@ -85,6 +84,9 @@ class OpenState:
 class ArkFSClient(LeaderOps, VFSClient):
     """One ArkFS client (typically one per client node)."""
 
+    # The data object cache class, or a client layer's factory for its own.
+    _new_cache = DataObjectCache
+
     def __init__(self, sim: Simulator, node: Node, prt: PRT,
                  params: ArkFSParams, lease_service,
                  alloc: InoAllocator, retry: Optional[RetryPolicy] = None):
@@ -112,13 +114,7 @@ class ArkFSClient(LeaderOps, VFSClient):
 
         self._retry = retry or RetryPolicy.from_params(sim, params)
         self.journal = self._new_journal()
-        # Packed small-file containers (off by default: self.pack stays
-        # None and every data path is structurally unchanged).
-        self.pack: Optional[PackWriter] = None
-        if params.pack_enabled:
-            self.pack = PackWriter(sim, prt, self.journal, node, params,
-                                   self.name, self._leads_dir)
-        self.cache = DataObjectCache(
+        self.cache = self._new_cache(
             sim, prt, node,
             entry_size=params.data_object_size,
             capacity_bytes=params.cache_capacity_bytes,
@@ -126,7 +122,6 @@ class ArkFSClient(LeaderOps, VFSClient):
             copy_bw=params.cache_copy_bw,
             fetch_parallel=params.fetch_parallel,
             writeback_parallel=params.writeback_parallel,
-            pack=self.pack,
         )
         self.fleases = FileLeaseService(sim, params.file_lease_period,
                                         self._revoke_holder)
@@ -151,8 +146,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         self.node.tenant = tenant
 
     def _leads_dir(self, dir_ino: int) -> bool:
-        """Do we currently hold this directory's metatable lease? (Extent
-        deltas ride its journal when true; direct index RMW otherwise.)"""
+        """Do we currently hold this directory's metatable lease?"""
         mt = self.metatables.get(dir_ino)
         return mt is not None and mt.lease_expires > self.sim.now
 
@@ -358,8 +352,8 @@ class ArkFSClient(LeaderOps, VFSClient):
                     self.params.lease_retry_delay)
             )
 
-    # Hooks run once per lease attempt, grant, leaderless redirect or
-    # crash: empty here, ShardedClient's otherwise.
+    # Hooks run once per lease attempt, grant, leaderless redirect, crash
+    # or restart: empty here, a client layer's otherwise.
 
     def _lease_hint(self, dir_ino: int) -> Optional[Tuple[str, Any]]:
         return None
@@ -374,6 +368,9 @@ class ArkFSClient(LeaderOps, VFSClient):
         yield from ()
 
     def _crash_layers(self) -> None:
+        pass
+
+    def _restart_layers(self) -> None:
         pass
 
     def _ensure_leader(self, dir_ino: int) -> SimGen:
@@ -770,8 +767,6 @@ class ArkFSClient(LeaderOps, VFSClient):
                     cur_path = base.rstrip("/") + "/" + target
                 continue
             inode = Inode.from_dict(info["inode"])
-            if self.pack is not None and inode.ftype is FileType.REGULAR:
-                self.pack.note_file_dir(inode.ino, parent)
             handle = FileHandle(inode.ino, flags, creds)
             handle.impl = OpenState(
                 parent_ino=parent, name=name, size=inode.size,
@@ -1078,8 +1073,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         self.node.crash()
         self.journal.stop()
         self.cache.discard_all()
-        if self.pack is not None:
-            self.pack.discard()
         self.metatables.clear()
         self.remotes.clear()
         self.pcache.clear()
@@ -1102,7 +1095,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         self.node.restart()
         self.journal = self._new_journal()
         self.journal.start_threads()
-        if self.pack is not None:
-            self.pack.restart(self.journal)
+        self._restart_layers()
         self._keeper = self.sim.process(self._lease_keeper(),
                                         name=f"{self.name}.keeper")

@@ -27,6 +27,7 @@ from ..sim.network import NetParams, Network, Node
 from ..sim.resources import Resource
 from .client import ArkFSClient
 from .lease import LeaseManager, LeaseManagerCluster
+from .pack import PackedPRT, pack_layer
 from .params import ArkFSParams, DEFAULT_PARAMS
 from .prt import PRT
 from .qos import QosManager, WFQResource, qos_layer
@@ -165,8 +166,8 @@ def build_arkfs(
         store = shim(backend(store_profile or RADOS_PROFILE))
     else:
         store = shim(store, foreign=True)
-    prt = PRT(store, params.data_object_size,
-              pack_enabled=params.pack_enabled)
+    prt = (PackedPRT if params.pack_enabled else PRT)(
+        store, params.data_object_size)
     mkfs(sim, store)
 
     # The paper's one manager is "lease-mgr"; more (its stated future work)
@@ -186,11 +187,13 @@ def build_arkfs(
     cluster = ArkFSCluster(sim=sim, net=net, store=store, prt=prt,
                            params=params, lease_service=service, qos=qos)
     names = [f"client{i}" for i in range(n_clients)]
-    # Directory sharding and QoS tenancy are client classes, chosen once;
-    # shard-lease placement hashes over the same population everywhere.
+    # Directory sharding, packing and QoS tenancy are client classes, chosen
+    # once; shard-lease placement hashes over the same population everywhere.
     client_class, layers = ArkFSClient, {}
     if params.shards_enabled:
         client_class, layers["peers"] = ShardedClient, names
+    if params.pack_enabled:
+        client_class = pack_layer(client_class)
     if qos is not None:
         client_class, layers["qos"] = qos_layer(client_class), qos
     for name in names:

@@ -35,7 +35,6 @@ from ..sim.engine import SimGen
 from ..sim.network import NodeDown
 from .filelease import FileLeaseGrant
 from .journal import (
-    ops_clear_extents,
     ops_del_dentry,
     ops_del_inode,
     ops_put_dentry,
@@ -65,7 +64,11 @@ class LeaderOps:
 
     # The client provides: sim, node, prt, params, metatables, journal,
     # fleases, alloc, _ensure_leader(), _charge_md_op(), _pending_names,
-    # cache, pack, name.
+    # cache, name.
+
+    # Journal ops a client layer adds to the record deleting a regular
+    # file's inode (unlink, rename-overwrite); a tuple costs no call.
+    _file_death_ops: tuple = ()
 
     # -- shared helpers ---------------------------------------------------------
 
@@ -237,26 +240,14 @@ class LeaderOps:
     def _truncate_file_data(self, ino: int, old_size: int,
                             new_size: int) -> SimGen:
         """Drop a file's data past new EOF: revoke holder caches, then
-        delete the backing objects (and trim the extent index)."""
+        delete the backing objects."""
         yield from self._revoke_all_holders(ino)
-        if self.prt.pack_enabled:
-            killed = yield from self.prt.truncate_extents(ino, new_size,
-                                                          src=self.node)
-            if self.pack is not None:
-                for idx, ext, keep in killed:
-                    self.pack.note_dead_extent(ino, idx, ext, keep=keep)
         yield from self.prt.truncate_data(ino, old_size, new_size,
                                           src=self.node)
 
     def _purge_file_data(self, ino: int) -> SimGen:
-        """Delete a dead file's backing objects. When packing is on, the
-        stored extent index is read first so the pack layer's live-byte
-        accounting learns which container bytes just died (that is what
-        drives container reclaim and compaction)."""
-        if self.pack is not None:
-            exts = yield from self.prt.read_extent_index(ino, src=self.node)
-            self.pack.note_dead_extents(ino, exts)
-        yield from self.prt.delete_data(ino, src=self.node)
+        """Delete a dead file's backing objects."""
+        return self.prt.delete_data(ino, src=self.node)
 
     def _revoke_all_holders(self, ino: int, deleted: bool = False) -> SimGen:
         st = self.fleases.files.get(ino)
@@ -279,10 +270,9 @@ class LeaderOps:
         inode = mt.child_inode(dentry.ino)
         mt.remove(name)
         after = []
-        if self.prt.pack_enabled and dentry.ftype is FileType.REGULAR:
-            # Without this a committed-but-uncheckpointed extent set in the
-            # same journal would recreate the index after the purge below.
-            after.append(ops_clear_extents(dentry.ino))
+        if dentry.ftype is FileType.REGULAR:
+            for death_op in self._file_death_ops:
+                after.append(death_op(dentry.ino))
         yield from self._journal_dir_change(mt, dir_ino, [
             ops_del_dentry(dir_ino, name), ops_del_inode(dentry.ino)], after)
         if inode.ftype is FileType.REGULAR and inode.size > 0:
@@ -580,9 +570,9 @@ class LeaderOps:
         inode = mt.inodes.get(dentry.ino)
         mt.remove(dentry.name)
         ops = [ops_del_inode(dentry.ino)]
-        if (self.prt.pack_enabled and inode is not None
-                and inode.ftype is FileType.REGULAR):
-            ops.append(ops_clear_extents(dentry.ino))
+        if inode is not None and inode.ftype is FileType.REGULAR:
+            for death_op in self._file_death_ops:
+                ops.append(death_op(dentry.ino))
         self.journal.record(dir_ino, *ops)
         if inode is not None and inode.ftype is FileType.REGULAR and inode.size:
             yield from self._revoke_all_holders(dentry.ino, deleted=True)

@@ -34,7 +34,8 @@ reclamation costs bounded, amortised I/O.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from functools import lru_cache
+from typing import Any, Dict, Optional, Set, Tuple
 
 from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
@@ -42,12 +43,15 @@ from ..obs.trace import span as _span
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import Node
 from ..sim.resources import Mutex
-from .journal import JournalManager, ops_del_extents, ops_set_extents
+from .cache import CacheEntry, DataObjectCache
+from .journal import (JournalManager, ops_clear_extents, ops_del_extents,
+                      ops_set_extents)
 from .params import ArkFSParams
 from .prt import PRT
 from .types import PackExtent
 
-__all__ = ["PackWriter"]
+__all__ = ["PackClient", "PackWriter", "PackedCache", "PackedPRT",
+           "pack_layer"]
 
 
 class PackWriter:
@@ -61,24 +65,33 @@ class PackWriter:
         they are applied directly to the index object)."""
         self.sim = sim
         self.prt = prt
-        self.journal = journal
         self.node = node
         self.params = params
         self.client_name = client_name
         self._leads = leads
+        # Container ids must stay unique across crash/restart of this
+        # client (old containers may still hold live extents), so the
+        # sequence is never reset.
+        self._seq = 0
+        self._lose_memory()
+        self._seal_lock = Mutex(sim, name=f"packseal:{client_name}")
+        m = Observability.of(sim).metrics.scope(client_name + ".pack")
+        self._c = {name: m.counter(name) for name in (
+            "chunks_packed", "bytes_packed", "packs_sealed", "buffer_reads",
+            "packed_reads", "dead_bytes", "compactions", "compacted_bytes",
+            "reclaimed_bytes", "containers_purged")}
+        self._g_open_buffer = m.gauge("open_buffer")
+        self.start(journal)
 
+    def _lose_memory(self) -> None:
+        """Nothing buffered or mirrored: a new writer, or a crashed one."""
         # -- open container buffer -----------------------------------------
         self._buf = bytearray()
-        self._buf_dead = 0            # bytes superseded while still buffered
         self._open_since: Optional[float] = None
         # (ino, chunk index) -> (offset, length) inside the open buffer
         self._pending: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # chunks whose stale plain ``d`` object must die after the seal
         self._had_plain: Set[Tuple[int, int]] = set()
-        # Container ids must stay unique across crash/restart of this
-        # client (old containers may still hold live extents), so the
-        # sequence is never reset.
-        self._seq = 0
 
         # -- sealed-state mirrors ------------------------------------------
         # In-memory extent maps (lazily merged with the stored index).
@@ -98,54 +111,23 @@ class PackWriter:
         self._live_total: Dict[str, int] = {}    # pack id -> container size
         self._live_exts: Dict[str, Dict[Tuple[int, int], int]] = {}
 
-        self._seal_lock = Mutex(sim, name=f"packseal:{client_name}")
-        m = Observability.of(sim).metrics.scope(client_name + ".pack")
-        self._c_chunks = m.counter("chunks_packed")
-        self._c_bytes = m.counter("bytes_packed")
-        self._c_seals = m.counter("packs_sealed")
-        self._c_buffer_reads = m.counter("buffer_reads")
-        self._c_packed_reads = m.counter("packed_reads")
-        self._c_dead_bytes = m.counter("dead_bytes")
-        self._c_compactions = m.counter("compactions")
-        self._c_compacted_bytes = m.counter("compacted_bytes")
-        self._c_reclaimed_bytes = m.counter("reclaimed_bytes")
-        self._c_containers_purged = m.counter("containers_purged")
-        self._g_open_buffer = m.gauge("open_buffer")
-        self._ticker = sim.process(self._tick_loop(),
-                                   name=f"{client_name}.packer")
-
     @property
     def stats(self) -> Dict[str, int]:
-        return {
-            "chunks_packed": self._c_chunks.value,
-            "bytes_packed": self._c_bytes.value,
-            "packs_sealed": self._c_seals.value,
-            "buffer_reads": self._c_buffer_reads.value,
-            "packed_reads": self._c_packed_reads.value,
-            "dead_bytes": self._c_dead_bytes.value,
-            "compactions": self._c_compactions.value,
-            "compacted_bytes": self._c_compacted_bytes.value,
-            "reclaimed_bytes": self._c_reclaimed_bytes.value,
-            "containers_purged": self._c_containers_purged.value,
-            "max_open_buffer": self._g_open_buffer.max_value,
-        }
+        return {**{name: c.value for name, c in self._c.items()},
+                "max_open_buffer": self._g_open_buffer.max_value}
 
     # -- bookkeeping hooks (plain functions: safe inside other coroutines) --
-
-    def wants(self, nbytes: int) -> bool:
-        """Should this writeback be packed instead of PUT individually?"""
-        return 0 < nbytes < self.params.pack_threshold
 
     def note_file_dir(self, ino: int, dir_ino: int) -> None:
         """Remember a file's parent directory (journal routing for deltas)."""
         self._dirs[ino] = dir_ino
 
-    def _note_dead(self, ino: int, index: int, pack_id: str,
-                   keep: int = 0) -> None:
-        """Mark a chunk's container bytes dead, exactly once. ``keep``
-        leaves that many bytes live (truncate trimming a boundary chunk).
-        Containers this client didn't seal are ignored — each client
-        reclaims only its own."""
+    def note_dead(self, ino: int, index: int, pack_id: str,
+                  keep: int = 0) -> None:
+        """Mark a chunk's container bytes dead (an overwrite, unlink or
+        truncate killed it), exactly once. ``keep`` leaves that many bytes
+        live (truncate trimming a boundary chunk). Containers this client
+        didn't seal are ignored — each client reclaims only its own."""
         live = self._live_exts.get(pack_id)
         if live is None:
             return
@@ -157,18 +139,7 @@ class PackWriter:
             live[key] = keep
         else:
             del live[key]
-        self._c_dead_bytes.inc(ln - keep)
-
-    def note_dead_extents(self, ino: int, exts: Dict[int, PackExtent]) -> None:
-        """A whole file's extents just died (unlink purge read the stored
-        index before deleting it)."""
-        for idx, ext in exts.items():
-            self._note_dead(ino, idx, ext.pack)
-
-    def note_dead_extent(self, ino: int, index: int, ext: PackExtent,
-                         keep: int = 0) -> None:
-        """One extent died (or was trimmed to ``keep`` bytes): truncate."""
-        self._note_dead(ino, index, ext.pack, keep=keep)
+        self._c["dead_bytes"].inc(ln - keep)
 
     def append(self, ino: int, index: int, data: bytes,
                had_plain: bool = False) -> bool:
@@ -180,20 +151,19 @@ class PackWriter:
         if old is not None:
             # Same chunk rewritten while still buffered: the old segment
             # becomes dead weight in the log.
-            self._buf_dead += old[1]
-            self._c_dead_bytes.inc(old[1])
+            self._c["dead_bytes"].inc(old[1])
         else:
             ext = self._extents.get(ino, {}).get(index)
             if ext is not None:
                 # sealed copy superseded by this rewrite
-                self._note_dead(ino, index, ext.pack)
+                self.note_dead(ino, index, ext.pack)
             elif ino not in self._index_loaded:
                 # The mirror was forgotten (a lease hand-off, e.g. a
                 # directory split): a container we sealed may still count
                 # the superseded copy live.
                 for pack_id, live in self._live_exts.items():
                     if key in live:
-                        self._note_dead(ino, index, pack_id)
+                        self.note_dead(ino, index, pack_id)
         off = len(self._buf)
         self._buf += data
         self._pending[key] = (off, len(data))
@@ -201,8 +171,8 @@ class PackWriter:
             self._had_plain.add(key)
         if self._open_since is None:
             self._open_since = self.sim.now
-        self._c_chunks.inc()
-        self._c_bytes.inc(len(data))
+        self._c["chunks_packed"].inc()
+        self._c["bytes_packed"].inc(len(data))
         self._g_open_buffer.set(len(self._buf))
         return len(self._buf) >= self.params.pack_target_size
 
@@ -213,21 +183,15 @@ class PackWriter:
         key = (ino, index)
         seg = self._pending.pop(key, None)
         if seg is not None:
-            self._buf_dead += seg[1]
-            self._c_dead_bytes.inc(seg[1])
+            self._c["dead_bytes"].inc(seg[1])
             self._had_plain.discard(key)
         ext = self._extents.get(ino, {}).pop(index, None)
-        if ext is None and ino not in self._index_loaded:
-            # A stored index entry may exist that we never loaded; the
-            # delta below handles both cases (deleting a missing entry is
-            # a no-op).
-            ext_known = False
-        else:
-            ext_known = ext is not None
         if ext is not None:
-            self._note_dead(ino, index, ext.pack)
-        if not ext_known and ino in self._index_loaded:
+            self.note_dead(ino, index, ext.pack)
+        elif ino in self._index_loaded:
             return  # index known, chunk was never packed: nothing to drop
+        # Else the stored index may hold an entry we never loaded: the
+        # delta below handles both cases (deleting a missing one is a no-op).
         dir_ino = self._dirs.get(ino)
         if dir_ino is not None and self._leads(dir_ino):
             self.journal.record(dir_ino, ops_del_extents(ino, [index]))
@@ -237,32 +201,24 @@ class PackWriter:
                     ino, del_list=[index], src=self.node),
                 name=f"xdel:{ino:x}:{index}")
 
-    def _drop_pending(self, inos) -> None:
+    def drop_inos(self, inos, killed: bool = False) -> None:
+        """The caller is discarding these files' cached data unflushed:
+        buffered segments become dead weight, memory extent mirrors are
+        forgotten. After a lease lapse the files still exist — their
+        *sealed* extents stay live. ``killed`` files are being deleted
+        (unlink/overwrite revocation): every sealed extent this client
+        knows of dies too. This is what lets the sealer's reclaim see
+        deaths whose index deltas still sit in a journal (the stored index
+        — all the unlinking leader can read — lags until checkpoint, and
+        the unlink's clear op means those entries never surface there)."""
         for key in [k for k in self._pending if k[0] in inos]:
-            off, ln = self._pending.pop(key)
-            self._buf_dead += ln
-            self._c_dead_bytes.inc(ln)
+            _off, ln = self._pending.pop(key)
+            self._c["dead_bytes"].inc(ln)
             self._had_plain.discard(key)
-
-    def drop_inos(self, inos) -> None:
-        """The caller is discarding these files' cached data unflushed
-        (lease lapse): buffered segments become dead weight, memory
-        extent mirrors are forgotten. The files still exist — their
-        *sealed* extents stay live."""
-        self._drop_pending(inos)
-        self.forget(inos)
-
-    def kill_inos(self, inos) -> None:
-        """These files are being deleted (unlink/overwrite revocation):
-        buffered segments AND every sealed extent this client knows of
-        die now. This is what lets the sealer's reclaim see deaths whose
-        index deltas still sit in a journal (the stored index — all the
-        unlinking leader can read — lags until checkpoint, and the
-        unlink's clear op means those entries never surface there)."""
-        self._drop_pending(inos)
-        for ino in inos:
-            for idx, ext in self._extents.get(ino, {}).items():
-                self._note_dead(ino, idx, ext.pack)
+        if killed:
+            for ino in inos:
+                for idx, ext in self._extents.get(ino, {}).items():
+                    self.note_dead(ino, idx, ext.pack)
         self.forget(inos)
 
     def forget(self, inos) -> None:
@@ -289,11 +245,9 @@ class PackWriter:
         data = bytes(self._buf)
         pending = self._pending
         had_plain = self._had_plain
-        dead = self._buf_dead
         self._buf = bytearray()
         self._pending = {}
         self._had_plain = set()
-        self._buf_dead = 0
         self._open_since = None
         self._g_open_buffer.set(0)
         self._sealing_bufs[pack_id] = data
@@ -327,7 +281,7 @@ class PackWriter:
                         sorted(self.prt.key_data(ino, idx)
                                for ino, idx in had_plain),
                         src=self.node)
-                self._c_seals.inc()
+                self._c["packs_sealed"].inc()
                 rec = self.sim._recorder
                 if rec is not None:
                     rec.record("pack.seal", pack=pack_id, bytes=len(data))
@@ -362,8 +316,7 @@ class PackWriter:
         """Lease-revocation path: beyond durability, the stored extent
         index must reflect our deltas before another client reads it, so
         journaled deltas are checkpointed, not merely committed."""
-        if any(key[0] in inos for key in self._pending):
-            yield from self.seal()
+        yield from self.flush_inos(inos)
         dirs = {self._dirs[ino] for ino in inos if ino in self._dirs}
         for dir_ino in sorted(dirs):
             if self._leads(dir_ino):
@@ -376,30 +329,26 @@ class PackWriter:
         """Resolve a chunk through the pack layer: open-buffer hit, else a
         ranged GET through the extent index. Returns ``None`` when the
         chunk isn't packed (caller falls through to the plain object)."""
-        seg = self._pending.get((ino, index))
-        if seg is not None:
-            self._c_buffer_reads.inc()
-            off, ln = seg
-            return bytes(self._buf[off:off + ln])
-        ext = self._extents.get(ino, {}).get(index)
-        if ext is None and ino not in self._index_loaded:
+        key = (ino, index)
+        if (key not in self._pending and ino not in self._index_loaded
+                and index not in self._extents.get(ino, {})):
             stored = yield from self.prt.read_extent_index(ino,
                                                            src=self.node)
             self._index_loaded.add(ino)
             mem = self._extents.setdefault(ino, {})
             for idx, st_ext in stored.items():
                 mem.setdefault(idx, st_ext)   # memory (newer) wins
-            seg = self._pending.get((ino, index))
-            if seg is not None:               # appended while we loaded
-                self._c_buffer_reads.inc()
-                off, ln = seg
-                return bytes(self._buf[off:off + ln])
-            ext = mem.get(index)
+        seg = self._pending.get(key)          # (or appended while we loaded)
+        if seg is not None:
+            self._c["buffer_reads"].inc()
+            off, ln = seg
+            return bytes(self._buf[off:off + ln])
+        ext = self._extents.get(ino, {}).get(index)
         if ext is None:
             return None
         buf = self._sealing_bufs.get(ext.pack)
         if buf is not None:
-            self._c_buffer_reads.inc()
+            self._c["buffer_reads"].inc()
             return bytes(buf[ext.offset:ext.offset + ext.length])
         try:
             data = yield from self.prt.read_extent(ext, src=self.node)
@@ -417,7 +366,7 @@ class PackWriter:
             except NoSuchKey:
                 return None
             self._extents.setdefault(ino, {})[index] = ext2
-        self._c_packed_reads.inc()
+        self._c["packed_reads"].inc()
         return data
 
     # -- background maintenance ----------------------------------------------
@@ -448,8 +397,8 @@ class PackWriter:
                 self._live_exts.pop(pack_id, None)
                 yield from self.prt._purge([self.prt.key_pack(pack_id)],
                                            src=self.node)
-                self._c_containers_purged.inc()
-                self._c_reclaimed_bytes.inc(total)
+                self._c["containers_purged"].inc()
+                self._c["reclaimed_bytes"].inc(total)
             elif total and live / total < self.params.pack_compact_live_ratio:
                 yield from self.compact(pack_id)
 
@@ -495,13 +444,13 @@ class PackWriter:
                 yield from self.seal()
             yield from self.prt._purge([self.prt.key_pack(pack_id)],
                                        src=self.node)
-            self._c_compactions.inc()
+            self._c["compactions"].inc()
             rec = self.sim._recorder
             if rec is not None:
                 rec.record("pack.compact", pack=pack_id, moved=moved)
-            self._c_compacted_bytes.inc(moved)
-            self._c_containers_purged.inc()
-            self._c_reclaimed_bytes.inc(max(0, len(data) - moved))
+            self._c["compacted_bytes"].inc(moved)
+            self._c["containers_purged"].inc()
+            self._c["reclaimed_bytes"].inc(max(0, len(data) - moved))
         finally:
             sp.close()
 
@@ -510,23 +459,177 @@ class PackWriter:
     def discard(self) -> None:
         """Client crash: every buffered byte and in-memory mirror is lost
         (sealed-but-uncommitted containers become post-crash garbage)."""
-        self._buf = bytearray()
-        self._buf_dead = 0
-        self._open_since = None
-        self._pending.clear()
-        self._had_plain.clear()
-        self._extents.clear()
-        self._index_loaded.clear()
-        self._dirs.clear()
-        self._sealing_bufs.clear()
-        self._live_total.clear()
-        self._live_exts.clear()
+        self._lose_memory()
         self._g_open_buffer.set(0)
         self._ticker.interrupt("crash")
 
-    def restart(self, journal: JournalManager) -> None:
-        """Client restart: bind the rebuilt journal manager and resume the
-        maintenance ticker (the container id sequence keeps counting)."""
+    def start(self, journal: JournalManager) -> None:
+        """Bind the client's journal manager and start the maintenance
+        ticker: at construction, and again after a crash (the container id
+        sequence keeps counting)."""
         self.journal = journal
         self._ticker = self.sim.process(
             self._tick_loop(), name=f"{self.client_name}.packer")
+
+
+class PackedCache(DataObjectCache):
+    """A data object cache whose sub-threshold writebacks go to a
+    :class:`PackWriter`, which a fetch also asks first."""
+
+    def __init__(self, *args: Any, pack: PackWriter, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self.pack = pack
+        self._read_chunk = self._fetch_packed
+
+    def _fetch_packed(self, ino: int, index: int, src=None) -> SimGen:
+        """Unpacked chunks come from their plain object (the entry
+        ``_fetch`` fills is then backed)."""
+        entry = self._files[ino].tree.get(index)
+        data = yield from self.pack.fetch_chunk(ino, index)
+        if data is None:
+            data = yield from self.prt.read_object(ino, index, src=src)
+            entry.backed = len(data) > 0
+        return data
+
+    def _writeback(self, ino: int, entry: CacheEntry) -> SimGen:
+        if not entry.dirty:
+            return
+        if not 0 < entry.size < self.pack.params.pack_threshold:
+            yield from super()._writeback(ino, entry)
+            # The chunk outgrew the threshold: any packed copy is stale now.
+            entry.backed = True
+            self.pack.note_plain_write(ino, entry.index)
+            return
+        # A memcpy into the open container instead of a PUT; durability
+        # comes from the seal, which flush/fsync paths force.
+        entry.dirty = False
+        snapshot = entry.data = b"".join(
+            [entry.data, *entry.tail])[:entry.size]
+        entry.tail.clear()
+        full = self.pack.append(ino, entry.index, snapshot,
+                                had_plain=entry.backed)
+        entry.backed = False
+        yield from self._copy_cost(len(snapshot))
+        if full:
+            yield from self.pack.seal()
+
+    def flush_many(self, inos) -> SimGen:
+        """fsync: seal what the writebacks appended, then drain the tier."""
+        pairs = yield from self._collect_dirty(inos)
+        yield from self._writeback_many(pairs)
+        yield from self.pack.flush_inos(inos)
+        drain = getattr(self.prt.store, "tier_drain_all", None)
+        if drain is not None:
+            yield from drain(src=self.node)
+
+    def invalidate_many(self, inos, flush_dirty: bool = True,
+                        deleted: bool = False) -> SimGen:
+        yield from super().invalidate_many(inos, flush_dirty)
+        if flush_dirty and not deleted:
+            # Revocation hand-off: seal and push the extent-index deltas
+            # out so the next lease holder reads our bytes.
+            yield from self.pack.publish(inos)
+        else:
+            self.pack.drop_inos(inos, killed=deleted)
+
+    def discard(self, inos) -> None:
+        super().discard(inos)
+        self.pack.drop_inos(inos)
+
+    def discard_all(self) -> None:
+        super().discard_all()
+        self.pack.discard()
+
+
+class PackedPRT(PRT):
+    """The PRT of a packing cluster: the DIRECT data path and deletion see
+    each file's extent index."""
+
+    def read_data(self, ino: int, offset: int, length: int, file_size: int,
+                  src: Optional[Node] = None) -> SimGen:
+        extents = None
+        if offset < file_size:
+            extents = yield from self.read_extent_index(ino, src=src)
+        return (yield from super().read_data(ino, offset, length, file_size,
+                                             src, extents))
+
+    def write_data(self, ino: int, offset: int, data: bytes,
+                   src: Optional[Node] = None) -> SimGen:
+        """A rewritten packed chunk becomes a plain object, then loses its
+        index entry (the index must never shadow a newer plain object)."""
+        extents = yield from self.read_extent_index(ino, src=src)
+        yield from super().write_data(ino, offset, data, src, extents)
+        unpacked = [idx for idx, _o, _n in self.chunk_range(offset, len(data))
+                    if idx in extents]
+        if unpacked:
+            yield from self.apply_extent_delta(ino, del_list=unpacked,
+                                               src=src)
+
+    def delete_data(self, ino: int, src: Optional[Node] = None) -> SimGen:
+        return super().delete_data(ino, src, also=[self.key_extent_index(ino)])
+
+    def truncate_extents(self, ino: int, new_size: int,
+                         src: Optional[Node] = None) -> SimGen:
+        """Drop extents past the new EOF, shorten the boundary one; returns
+        the ``(chunk index, old extent, kept bytes)`` the truncate killed."""
+        cur = yield from self.read_extent_index(ino, src=src)
+        bidx, kept = divmod(new_size, self.data_object_size)
+        first_dead = bidx + (kept > 0)
+        killed = [(idx, ext, 0) for idx, ext in cur.items()
+                  if idx >= first_dead]
+        ext = cur.get(bidx)
+        if kept and ext is not None and ext.length > kept:
+            killed.append((bidx, ext, kept))
+        if killed:
+            yield from self.apply_extent_delta(
+                ino, del_list=[idx for idx, _ext, keep in killed if not keep],
+                set_map={idx: PackExtent(e.pack, e.offset, keep)
+                         for idx, e, keep in killed if keep}, src=src)
+        return killed
+
+
+class PackClient:
+    """The pack layer ``build_arkfs`` composes (:func:`pack_layer`) over
+    either client class: it owns the writer and tells it each opened file's
+    directory and the extents a truncate or an unlink kills."""
+
+    # Without this a committed-but-uncheckpointed extent set in the same
+    # journal would recreate the index after the unlink's purge.
+    _file_death_ops = (ops_clear_extents,)
+
+    def _new_cache(self, *args: Any, **kwargs: Any) -> PackedCache:
+        self.pack = PackWriter(self.sim, self.prt, self.journal, self.node,
+                               self.params, self.name, self._leads_dir)
+        return PackedCache(*args, pack=self.pack, **kwargs)
+
+    def _restart_layers(self) -> None:
+        super()._restart_layers()
+        self.pack.start(self.journal)
+
+    def open(self, creds, path: str, flags, mode: int = 0o666) -> SimGen:
+        handle = yield from super().open(creds, path, flags, mode)
+        self.pack.note_file_dir(handle.ino, handle.impl.parent_ino)
+        return handle
+
+    def _truncate_file_data(self, ino: int, old_size: int,
+                            new_size: int) -> SimGen:
+        yield from self._revoke_all_holders(ino)
+        killed = yield from self.prt.truncate_extents(ino, new_size,
+                                                      src=self.node)
+        for idx, ext, keep in killed:
+            self.pack.note_dead(ino, idx, ext.pack, keep=keep)
+        yield from self.prt.truncate_data(ino, old_size, new_size,
+                                          src=self.node)
+
+    def _purge_file_data(self, ino: int) -> SimGen:
+        # The stored index, read before the purge, names what dies.
+        exts = yield from self.prt.read_extent_index(ino, src=self.node)
+        for idx, ext in exts.items():
+            self.pack.note_dead(ino, idx, ext.pack)
+        yield from super()._purge_file_data(ino)
+
+
+@lru_cache(maxsize=None)
+def pack_layer(base: type) -> type:
+    """``base`` with the :class:`PackClient` layer on top (one per base)."""
+    return type("Pack" + base.__name__, (PackClient, base), {})

@@ -40,14 +40,12 @@ __all__ = ["PRT"]
 class PRT:
     """Key schema + chunked data path over one object-storage backend."""
 
-    def __init__(self, store: ObjectStore, data_object_size: int,
-                 pack_enabled: bool = False):
+    def __init__(self, store: ObjectStore, data_object_size: int):
         if data_object_size <= 0:
             raise ValueError("data_object_size must be positive")
         self.store = store
         self.sim = store.sim
         self.data_object_size = data_object_size
-        self.pack_enabled = pack_enabled
         # Purge fan-out observability (unlink / truncate / container reclaim
         # all funnel through ``_purge``).
         m = Observability.of(self.sim).metrics.scope("prt.purge")
@@ -211,19 +209,18 @@ class PRT:
         yield from self.store.put(self.key_data(ino, index), data, src=src)
 
     def read_data(self, ino: int, offset: int, length: int, file_size: int,
-                  src: Optional[Node] = None) -> SimGen:
-        """Translate a POSIX read into ranged GETs; zero-fills holes."""
+                  src: Optional[Node] = None,
+                  extents: Optional[Dict[int, PackExtent]] = None) -> SimGen:
+        """Translate a POSIX read into ranged GETs; zero-fills holes. A
+        chunk in ``extents`` is read from its container instead."""
         if offset >= file_size:
             return b""
         length = min(length, file_size - offset)
-        extents: Dict[int, PackExtent] = {}
-        if self.pack_enabled:
-            extents = yield from self.read_extent_index(ino, src=src)
         sp = _span(self.sim, "prt.read_data", "prt")
         parts = []
         try:
             for idx, off, n in self.chunk_range(offset, length):
-                ext = extents.get(idx)
+                ext = extents.get(idx) if extents else None
                 try:
                     if ext is not None:
                         piece = yield from self.read_extent(ext, off, n,
@@ -243,33 +240,24 @@ class PRT:
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def write_data(self, ino: int, offset: int, data: bytes,
-                   src: Optional[Node] = None) -> SimGen:
+                   src: Optional[Node] = None,
+                   extents: Optional[Dict[int, PackExtent]] = None) -> SimGen:
         """Translate a POSIX write into object PUTs (read-modify-write at
         the edges when a piece only partially covers an existing object).
-
-        Chunks that currently live as packed extents are converted back to
-        plain objects: the extent supplies the RMW base and its index entry
-        is dropped afterwards (the extent index must never shadow a newer
-        plain object)."""
-        extents: Dict[int, PackExtent] = {}
-        if self.pack_enabled:
-            extents = yield from self.read_extent_index(ino, src=src)
+        A chunk in ``extents`` takes its RMW base from its container."""
         if type(data) is not bytes:
             # ``put`` may retain what it is given: hand it immutable bytes.
             data = bytes(data)
         sp = _span(self.sim, "prt.write_data", "prt")
-        unpacked: List[int] = []
         try:
             pos = 0
             for idx, off, n in self.chunk_range(offset, len(data)):
                 piece = data[pos : pos + n]
                 pos += n
-                ext = extents.get(idx)
-                if ext is not None:
-                    unpacked.append(idx)
                 if off == 0 and n == self.data_object_size:
                     yield from self.write_object(ino, idx, piece, src=src)
                     continue
+                ext = extents.get(idx) if extents else None
                 if ext is not None:
                     try:
                         old = yield from self.read_extent(ext, src=src)
@@ -280,9 +268,6 @@ class PRT:
                 merged = b"".join((old[:off].ljust(off, b"\x00"), piece,
                                    old[off + n :]))
                 yield from self.write_object(ino, idx, merged, src=src)
-            if unpacked:
-                yield from self.apply_extent_delta(ino, del_list=unpacked,
-                                                   src=src)
         finally:
             sp.close()
 
@@ -309,19 +294,15 @@ class PRT:
         finally:
             sp.close()
 
-    def delete_data(self, ino: int, src: Optional[Node] = None) -> SimGen:
-        """Remove every data object of a file; returns count deleted.
-
-        With packing enabled the file's extent index object rides in the
-        same batched purge (the container bytes it pointed at become dead
-        and are reclaimed by the compactor)."""
+    def delete_data(self, ino: int, src: Optional[Node] = None,
+                    also=()) -> SimGen:
+        """Remove every data object of a file, and the keys in ``also`` in
+        the same batched purge; returns count deleted."""
         sp = _span(self.sim, "prt.delete_data", "prt")
         try:
-            keys = list((yield from self.store.list(
-                self.key_data_prefix(ino), src=src)))
-            if self.pack_enabled:
-                keys.append(self.key_extent_index(ino))
-            n = yield from self._purge(keys, src=src)
+            keys = yield from self.store.list(self.key_data_prefix(ino),
+                                              src=src)
+            n = yield from self._purge([*keys, *also], src=src)
         finally:
             sp.close()
         return n
@@ -407,33 +388,3 @@ class PRT:
             except NoSuchKey:
                 pass
         return cur
-
-    def truncate_extents(self, ino: int, new_size: int,
-                         src: Optional[Node] = None) -> SimGen:
-        """Pack analogue of :meth:`truncate_data`: drop extents wholly past
-        the new EOF and shorten the boundary chunk's extent (extents cover
-        chunk prefixes, so a prefix trim keeps surviving bytes intact).
-
-        Returns what the truncate killed as ``(chunk index, old extent,
-        kept bytes)`` tuples (``kept`` nonzero only for the trimmed
-        boundary chunk), so the caller can feed the pack layer's keyed
-        live-byte accounting (which drives reclaim and compaction)."""
-        cur = yield from self.read_extent_index(ino, src=src)
-        if not cur:
-            return []
-        osz = self.data_object_size
-        first_dead = -(-new_size // osz)
-        dead = [idx for idx in cur if idx >= first_dead]
-        killed = [(idx, cur[idx], 0) for idx in dead]
-        set_map: Dict[int, PackExtent] = {}
-        if new_size % osz:
-            bidx = new_size // osz
-            ext = cur.get(bidx)
-            if ext is not None and ext.length > new_size % osz:
-                kept = new_size % osz
-                set_map[bidx] = PackExtent(ext.pack, ext.offset, kept)
-                killed.append((bidx, ext, kept))
-        if dead or set_map:
-            yield from self.apply_extent_delta(
-                ino, set_map=set_map, del_list=dead, src=src)
-        return killed

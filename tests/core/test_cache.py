@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import PRT, DataObjectCache, ReadAheadState
+from repro.core import PRT, DataObjectCache, PackedCache, ReadAheadState
 from repro.objectstore import InMemoryObjectStore
 from repro.objectstore.errors import StoreUnavailable
 from repro.sim import Simulator
@@ -486,9 +486,8 @@ def test_fetch_copies_what_is_not_immutable():
             handed.append(bytearray(b"p" * ESZ))
             return handed[-1]
 
-    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
-                            capacity_bytes=8 * ESZ, max_readahead=0,
-                            pack=Pack())
+    cache = PackedCache(sim, prt, node=None, entry_size=ESZ,
+                        capacity_bytes=8 * ESZ, max_readahead=0, pack=Pack())
     first = run(sim, cache.read(1, 0, ESZ))
     handed[0][:] = b"!" * ESZ
     assert type(first) is bytes and first == b"p" * ESZ

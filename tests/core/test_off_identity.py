@@ -4,10 +4,10 @@
 all default to ``False``, and a default build must stay structurally
 identical to one that predates the subsystem — the same pattern
 ``faults=None`` pins for fault injection. Off means *absent*, not idle: no
-:class:`PackWriter`, :class:`ShardedClient`, :class:`TieredObjectStore` or
-:class:`QosManager` is constructed, and every hook is a single ``is None``
-check (or, for shards and QoS, a plain-client method) that adds zero
-simulation events. Pinned from four angles:
+pack layer (:class:`PackClient`, ``PackedCache``, ``PackedPRT``),
+:class:`ShardedClient`, :class:`TieredObjectStore` or :class:`QosManager`
+is constructed, and what the plain classes keep of them is an empty hook
+that adds zero simulation events. Pinned from four angles:
 
 * repeated default builds replay to identical clocks, network totals,
   store op counts and store *bytes* on the realistic store — on the three
@@ -27,8 +27,8 @@ from typing import Any, Callable, Dict
 
 import pytest
 
-from repro.core import (DEFAULT_PARAMS, ArkFSClient, QosManager, WFQResource,
-                        build_arkfs)
+from repro.core import (DEFAULT_PARAMS, PRT, ArkFSClient, DataObjectCache,
+                        PackClient, QosManager, WFQResource, build_arkfs)
 from repro.core.qos import QosClient
 from repro.obs import Observability
 from repro.objectstore import TieredObjectStore
@@ -177,10 +177,11 @@ class Subsystem:
 
 
 def _pack_absent(cluster, sim):
+    assert type(cluster.prt) is PRT
     for client in cluster.clients:
-        assert client.pack is None
-        assert client.cache._pack is None
-    assert cluster.prt.pack_enabled is False
+        assert type(client.cache) is DataObjectCache
+        assert not isinstance(client, PackClient)
+        assert not hasattr(client, "pack")
 
 
 def _pack_no_artifacts(cluster, sim):

@@ -17,14 +17,20 @@ import pytest
 from repro.core import (
     DEFAULT_PARAMS,
     PRT,
+    PackClient,
+    PackedCache,
     PackExtent,
+    PackedPRT,
     build_arkfs,
     fsck,
+    ino_hex,
     ops_clear_extents,
     ops_del_extents,
     ops_set_extents,
 )
 from repro.core.journal import _coalesce
+from repro.core.qos import QosClient
+from repro.core.sharded_client import ShardedClient
 from repro.objectstore.memory import InMemoryObjectStore
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
@@ -340,6 +346,86 @@ def test_crash_restart_keeps_container_ids_unique():
     assert fs.read_file("/a/f1") == b"\x02" * 50_000
 
 
+def test_restarted_writer_seals_into_the_new_journal():
+    """After crash and restart, an unsynced small write reaches the open
+    container by eviction and is sealed by the ticker alone; its extent
+    delta rides the journal the restart built, the other client reads the
+    bytes, and a strict fsck is clean. (A writer still bound to the old,
+    stopped journal never commits the delta; one without a ticker never
+    seals.)"""
+    params = _params(cache_capacity_bytes=120_000)
+    sim, cluster = _build(n_clients=2, params=params)
+    c0, c1 = cluster.client(0), cluster.client(1)
+    fs0, fs1 = SyncFS(c0, ROOT_CREDS), SyncFS(c1, ROOT_CREDS)
+    fs0.mkdir("/a")
+    fs0.write_file("/a/pre", b"\x01" * 50_000, do_fsync=True)
+    c0.crash()
+    sim.run(until=sim.now + 2 * cluster.params.lease_period + 1)
+    c0.restart()
+    assert c0.pack.journal is c0.journal
+    deltas = []
+    record = c0.journal.record
+
+    def spy(dir_ino, *ops):
+        deltas.extend(op for op in ops if op["op"] == "extents")
+        return record(dir_ino, *ops)
+
+    c0.journal.record = spy
+    payloads = {f"/a/f{i}": bytes([i + 2]) * 50_000 for i in range(4)}
+    for path, data in payloads.items():
+        fs0.write_file(path, data)          # no fsync: eviction fills the
+    sealed = c0.pack.stats["packs_sealed"]  # open container
+    assert c0.pack._pending
+    sim.run(until=sim.now + 2 * cluster.params.pack_seal_age)
+    assert not c0.pack._pending
+    assert c0.pack.stats["packs_sealed"] > sealed
+    evicted = fs1.stat("/a/f0").st_ino
+    assert any(op.get("set") and op["ino"] == ino_hex(evicted)
+               for op in deltas)
+    for path, data in payloads.items():
+        assert fs1.read_file(path) == data
+    _settle(sim, cluster)
+    report = sim.run_process(fsck(cluster.prt))
+    assert report.clean, report.summary()
+
+
+def test_fsync_seals_before_the_tier_drain():
+    """fsync with pack and tier both on: the container the writeback
+    appended to is sealed before the fsync's drain, so nothing packed is
+    left hot-only (the tier ticker is off: only fsync drains)."""
+    params = _params(tier_enabled=True, tier_drain_interval=0,
+                     pack_seal_age=30.0)
+    sim, cluster = _build(params=params)
+    client = cluster.client(0)
+    fs = SyncFS(client, ROOT_CREDS)
+    fs.mkdir("/a")
+    fs.write_file("/a/f0", b"\x09" * 40_000, do_fsync=True)
+    assert client.pack.stats["packs_sealed"] == 1
+    assert [k for k in cluster.store.tier_dirty_keys() if k[0] == "p"] == []
+    assert fs.read_file("/a/f0") == b"\x09" * 40_000
+
+
+def test_pack_shards_qos_client_is_all_three_layers():
+    """Packing is a layer over whichever client the other flags picked:
+    with shards and QoS on, one class carries all three, over the packing
+    cache and PRT, and data written by one client reads back at the
+    other."""
+    params = _params(shards_enabled=True, qos_enabled=True)
+    sim, cluster = _build(n_clients=2, params=params)
+    assert type(cluster.prt) is PackedPRT
+    for client in cluster.clients:
+        assert isinstance(client, PackClient)
+        assert isinstance(client, ShardedClient)
+        assert isinstance(client, QosClient)
+        assert type(client.cache) is PackedCache
+    fs0 = SyncFS(cluster.client(0), ROOT_CREDS)
+    fs0.mkdir("/a")
+    fs0.write_file("/a/f0", b"\x07" * 20_000, do_fsync=True)
+    assert cluster.client(0).pack.stats["chunks_packed"] == 1
+    fs1 = SyncFS(cluster.client(1), ROOT_CREDS)
+    assert fs1.read_file("/a/f0") == b"\x07" * 20_000
+
+
 def test_direct_io_reads_and_writes_extents():
     """The DIRECT (contended) data path bypasses the cache: PRT itself
     must resolve and maintain the extent index."""
@@ -400,7 +486,7 @@ def test_apply_extent_delta_is_idempotent():
     converge (and delete the index object when it empties)."""
     sim = Simulator()
     store = InMemoryObjectStore(sim)
-    prt = PRT(store, 2 * 1024 * 1024, pack_enabled=True)
+    prt = PackedPRT(store, 2 * 1024 * 1024)
     ino = 0x1234
 
     def apply(**kw):
@@ -423,7 +509,7 @@ def test_apply_extent_delta_is_idempotent():
 def test_read_extent_clips_to_extent_bounds():
     sim = Simulator()
     store = InMemoryObjectStore(sim)
-    prt = PRT(store, 2 * 1024 * 1024, pack_enabled=True)
+    prt = PackedPRT(store, 2 * 1024 * 1024)
     sim.run_process(store.put("pc-1", b"0123456789"))
     ext = PackExtent("c-1", 2, 6)   # bytes "234567"
     assert sim.run_process(prt.read_extent(ext)) == b"234567"
@@ -440,7 +526,7 @@ def _mini_fs(sim, store):
     so each fsck case can break exactly one invariant)."""
     from repro.core import Dentry, Inode, ROOT_INO, mkfs
     from repro.posix.types import FileType
-    prt = PRT(store, 2 * 1024 * 1024, pack_enabled=True)
+    prt = PackedPRT(store, 2 * 1024 * 1024)
     mkfs(sim, store)
     ino = 0xabcd
     inode = Inode(ino=ino, ftype=FileType.REGULAR, mode=0o644, uid=0, gid=0,
