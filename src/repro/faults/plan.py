@@ -114,9 +114,10 @@ class FaultPlan:
 
     # -- configuration helpers ------------------------------------------------
 
-    def crash_at(self, victim: str, at_op: int,
+    def crash_at(self, victim: str, at_op: Optional[int],
                  handler: Optional[Callable[[], None]] = None) -> "FaultPlan":
-        """Kill ``victim`` instead of executing its ``at_op``-th store op."""
+        """Kill ``victim`` instead of executing its ``at_op``-th store op
+        (``None``: only count its ops)."""
         self.crash_victim = victim
         self.crash_at_op = at_op
         if handler is not None:

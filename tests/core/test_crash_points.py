@@ -1,16 +1,12 @@
 """Crash-point enumeration via ``repro.faults.crashcheck``.
 
-Tier-1 runs a *bounded* sweep (strided crash points) over every
-workload — fast, but still crossing every phase of each one. The
-exhaustive rename sweep (every one of the ~220 store-op crash indices,
-the headline acceptance criterion) is gated behind ``REPRO_SLOW=1``.
-
-Two tests seed deliberate recovery bugs and assert the checker CATCHES
-them — a checker that can't fail is not a checker.
+Every workload is swept exhaustively (a crash at each of the victim's
+store ops) and its point count is pinned, so a change cannot silently
+shorten a workload. Every seeded recovery bug has a row that must be
+caught: a checker that can't fail is not a checker.
 """
 
 import json
-import os
 
 import pytest
 
@@ -21,19 +17,35 @@ from repro.faults.crashcheck import (
     Step,
     _run_step,
     _StepWedged,
-    check_point,
     main as crashcheck_main,
     profile,
     sweep,
 )
 
-SLOW = bool(os.environ.get("REPRO_SLOW"))
+# Victim store ops, hence crash points, per workload.
+POINTS = {"mkdir": 61, "checkpoint": 32, "rename": 223, "pack": 93,
+          "shard_split": 90, "epoch_handoff": 30, "tier_drain": 109,
+          "qos_backlog": 60, "all_on": 234}
 
-# Strides chosen so each tier-1 sweep checks ~7 points spread across the
-# whole workload (including the recovery-heavy tail).
-BOUNDED = [("mkdir", 9), ("rename", 37), ("checkpoint", 5), ("pack", 11),
-           ("shard_split", 16), ("epoch_handoff", 5), ("tier_drain", 16),
-           ("qos_backlog", 13)]
+
+class KnownViolation(Exception):
+    """The sweep found exactly the violations a recorded, unfixed bug
+    produces, and nothing else. Not an ``AssertionError``, so an expected
+    failure on it absorbs no other finding."""
+
+
+# Pack compaction over the tier: the compactor commits a file's extent
+# move to a fresh container that is still only staged in the hot tier,
+# then deletes the old one. A crash there loses the hot tier, and with it
+# the only copy of f9's synced bytes (ROADMAP 1(ix)).
+KNOWN = {"all_on": [
+    (k, "durability of completed step 'sync-1' broken: "
+        "/x/f9 holds 23900 bytes != expected") for k in (233, 234)]}
+SWEPT = [pytest.param(name, marks=pytest.mark.xfail(
+             raises=KnownViolation, strict=True,
+             reason="compaction publishes an undrained container "
+                    "(ROADMAP 1(ix))"))
+         if name in KNOWN else name for name in sorted(WORKLOADS)]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -86,87 +98,70 @@ def test_rename_workload_has_hundreds_of_crash_points():
     assert total >= 200, total
 
 
-@pytest.mark.parametrize("name,stride", BOUNDED)
+@pytest.mark.parametrize("name,stride", [("rename", 37)])
 def test_bounded_sweep_no_violations(name, stride):
+    """A strided sweep checks exactly every ``stride``-th point, from the
+    first to the workload's tail, and those points are clean too."""
     report = sweep(name, stride=stride)
     assert report.ok, report.summary()
-    assert report.points, "sweep checked no crash points"
+    assert [r.index for r in report.points] == \
+        list(range(1, POINTS[name] + 1, stride))
+    assert all(r.fired for r in report.points), \
+        "some crash points never fired"
+    assert report.audited_commits > 0
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_exhaustive_sweep(name):
+    report = sweep(name)
+    assert report.total_ops == len(report.points) == POINTS[name]
     assert all(r.fired for r in report.points), \
         "some crash points never fired"
     # The stale-epoch audit covers every workload, not only the one that
     # deposes managers: each build is fenced, so each commit was compared
-    # against the highest token granted (report.ok: none was below it).
+    # against the highest token granted.
     assert report.audited_commits > 0
-
-
-@pytest.mark.skipif(not SLOW, reason="exhaustive sweep; set REPRO_SLOW=1")
-def test_full_rename_sweep_every_store_op():
-    """Acceptance criterion: enumerate EVERY store-op crash index of the
-    rename-heavy (cross-directory 2PC) workload with zero violations."""
-    report = sweep("rename", stride=1)
-    assert report.ok, report.summary()
-    assert len(report.points) >= 200, len(report.points)
-    assert all(r.fired for r in report.points)
-
-
-@pytest.mark.skipif(not SLOW, reason="exhaustive sweep; set REPRO_SLOW=1")
-@pytest.mark.parametrize("name", ["mkdir", "checkpoint", "pack",
-                                  "shard_split", "epoch_handoff",
-                                  "tier_drain"])
-def test_full_sweep_other_workloads(name):
-    report = sweep(name, stride=1)
+    if report.profile_failure is None and \
+            report.violations == KNOWN.get(name):
+        raise KnownViolation(report.summary())
     assert report.ok, report.summary()
 
 
-def test_seeded_lost_commit_bug_is_caught():
-    """A journal manager that marks ops committed without writing the
-    journal object breaks mkdir durability — caught in the *fault-free*
-    profiling run (the strongest possible finding)."""
-    assert "lost-commit" in SEEDED_BUGS
-    report = sweep("mkdir", stride=9, bug="lost-commit")
+# bug: (workload, stride, caught in the fault-free profile?, substring of
+# the report's summary)
+CAUGHT = {
+    # The journal marks ops committed without writing the journal object:
+    # mkdir durability breaks before any crash.
+    "lost-commit": ("mkdir", 9, True,
+                    "profiling stopped early: step 'mkdir:/m0/s0': "
+                    "DirectoryRemoved"),
+    # A zombie leader commits under a deposed epoch; the FencingRegistry
+    # audit flags it with in-path enforcement off.
+    "fence-blind": ("epoch_handoff", 16, True,
+                    "profiling stopped early: fencing: stale-epoch commit"),
+    # Writeback reports done without the PUT: the victim reads its own
+    # cache, so only a crash exposes the lost fsync'd bytes.
+    "pretend-fsync": ("rename", 37, False, "crash@1: rename content for f0"),
+    # The drain marks a batch clean one round before its cold PUT: only a
+    # crash that also wipes the hot tier loses it this early.
+    "tier-drain-reorder": ("tier_drain", 7, False,
+                           "crash@8: durability of completed step "
+                           "'fsync:f0' broken"),
+}
+
+
+def test_every_seeded_bug_has_a_must_be_caught_row():
+    assert sorted(CAUGHT) == sorted(SEEDED_BUGS)
+
+
+@pytest.mark.parametrize("bug", sorted(SEEDED_BUGS))
+def test_seeded_bug_is_caught(bug):
+    workload, stride, in_profile, expected = CAUGHT[bug]
+    report = sweep(workload, stride=stride, bug=bug)
     assert not report.ok
-    assert report.profile_failure is not None
-
-
-def test_seeded_pretend_fsync_bug_is_caught():
-    """A cache that reports writeback done without the PUT survives the
-    fault-free run (data still served from cache) but loses fsync'd file
-    content across a crash — caught by the durability milestones and the
-    rename workload's content invariants."""
-    assert "pretend-fsync" in SEEDED_BUGS
-    report = sweep("rename", stride=37, bug="pretend-fsync")
-    assert not report.ok
-    assert report.profile_failure is None, \
-        "bug should survive the fault-free run and only bite post-crash"
-    assert report.violations
-    text = "\n".join(v for _, v in report.violations)
-    assert "durability" in text or "invariant" in text or "holds" in text
-
-
-def test_seeded_fence_blind_bug_is_caught():
-    """A zombie leader — fencing enforcement off plus an inflated lease
-    belief — keeps committing under a deposed authority's epoch after the
-    epoch_handoff workload fails every manager range over. The
-    FencingRegistry audit (independent of the disabled in-path check)
-    must flag the stale-epoch commits already in the fault-free run."""
-    assert "fence-blind" in SEEDED_BUGS
-    report = sweep("epoch_handoff", stride=16, bug="fence-blind")
-    assert not report.ok
-    assert report.profile_failure is not None
-    assert "stale-epoch commit" in report.profile_failure
-
-
-def test_seeded_tier_drain_reorder_bug_is_caught():
-    """A drain that reports durability one batch ahead of the cold PUTs
-    survives the fault-free run (reads still hit the hot tier) but loses
-    fsync'd data when a crash wipes the hot tier with the held batch not
-    yet in cold — caught by the tier_drain durability milestones."""
-    assert "tier-drain-reorder" in SEEDED_BUGS
-    report = sweep("tier_drain", stride=7, bug="tier-drain-reorder")
-    assert not report.ok
-    assert report.profile_failure is None, \
-        "bug should survive the fault-free run and only bite post-crash"
-    assert report.violations
+    # A bug caught post-crash must survive the fault-free run.
+    assert (report.profile_failure is not None) == in_profile
+    assert expected in report.summary(), report.summary()
 
 
 def test_cli_exit_codes(tmp_path):
