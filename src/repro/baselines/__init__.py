@@ -2,10 +2,12 @@
 
 * :mod:`cephfs` — CephFS with 1..N MDSs, kernel (-K) and FUSE (-F) mounts.
 * :mod:`marfs` — MarFS's interactive FUSE mount over two metadata nodes.
-* :mod:`s3fs` — s3fs-fuse: path-keyed objects, whole-object rewrites,
-  slow disk staging cache.
-* :mod:`goofys` — goofys: streaming multipart writes, 400 MB read-ahead,
-  relaxed POSIX.
+* :mod:`s3common` — the path-keyed namespace (``PathKeyedClient``: full-path
+  keys, a HEAD per lookup, LIST-based readdir) that the next two share.
+* :mod:`s3fs` — s3fs-fuse's data path: whole-object rewrites through a
+  slow disk staging cache, O(subtree) directory renames.
+* :mod:`goofys` — goofys's data path: streaming multipart writes, 400 MB
+  read-ahead, relaxed POSIX.
 * :mod:`mds` / :mod:`namespace` — the centralized metadata substrate the
   first two share.
 """
@@ -80,57 +82,42 @@ class S3Cluster:
         return self.mounts[i]
 
 
-def _make_s3_env(sim, store, store_profile, net_params, functional):
+def _mount_bucket(
+    client_cls: type,
+    client_args: tuple,
+    sim: Simulator,
+    n_clients: int,
+    store: Optional[ObjectStore] = None,
+    store_profile: Optional[StoreProfile] = None,
+    net_params: Optional[NetParams] = None,
+    mount_params: MountParams = FUSE_DEFAULTS,
+    client_cores: int = 32,
+    functional: bool = False,
+) -> S3Cluster:
+    """Assemble N ``client_cls(sim, node, bucket, *client_args)`` mounts of
+    one bucket (a timed S3-profile cluster store, or an in-memory one when
+    ``functional``)."""
     net = Network(sim, net_params or NetParams())
     if store is None:
-        if functional:
-            store = InMemoryObjectStore(sim)
-        else:
-            store = ClusterObjectStore(sim, store_profile or S3_PROFILE,
-                                       net=net)
-    return net, store, Bucket(store)
-
-
-def build_s3fs(
-    sim: Simulator,
-    n_clients: int = 1,
-    store: Optional[ObjectStore] = None,
-    store_profile: Optional[StoreProfile] = None,
-    net_params: Optional[NetParams] = None,
-    mount_params: MountParams = FUSE_DEFAULTS,
-    client_cores: int = 32,
-    functional: bool = False,
-) -> S3Cluster:
-    """Assemble N s3fs mounts of one bucket."""
-    net, store, bucket = _make_s3_env(sim, store, store_profile, net_params,
-                                      functional)
+        store = (InMemoryObjectStore(sim) if functional else
+                 ClusterObjectStore(sim, store_profile or S3_PROFILE, net=net))
+    bucket = Bucket(store)
     cluster = S3Cluster(sim=sim, net=net, store=store, bucket=bucket)
     for i in range(n_clients):
-        node = Node(sim, f"s3fs-client{i}", cores=client_cores, net=net)
-        client = S3FSClient(sim, node, bucket)
+        node = Node(sim, f"{client_cls.FS}-client{i}", cores=client_cores,
+                    net=net)
+        client = client_cls(sim, node, bucket, *client_args)
         cluster.clients.append(client)
         cluster.mounts.append(FuseMount(client, node, mount_params))
     return cluster
 
 
-def build_goofys(
-    sim: Simulator,
-    n_clients: int = 1,
-    params: GoofysParams = GoofysParams(),
-    store: Optional[ObjectStore] = None,
-    store_profile: Optional[StoreProfile] = None,
-    net_params: Optional[NetParams] = None,
-    mount_params: MountParams = FUSE_DEFAULTS,
-    client_cores: int = 32,
-    functional: bool = False,
-) -> S3Cluster:
-    """Assemble N goofys mounts of one bucket."""
-    net, store, bucket = _make_s3_env(sim, store, store_profile, net_params,
-                                      functional)
-    cluster = S3Cluster(sim=sim, net=net, store=store, bucket=bucket)
-    for i in range(n_clients):
-        node = Node(sim, f"goofys-client{i}", cores=client_cores, net=net)
-        client = GoofysClient(sim, node, bucket, params)
-        cluster.clients.append(client)
-        cluster.mounts.append(FuseMount(client, node, mount_params))
-    return cluster
+def build_s3fs(sim: Simulator, n_clients: int = 1, **kw) -> S3Cluster:
+    """Assemble N s3fs mounts of one bucket (options: ``_mount_bucket``)."""
+    return _mount_bucket(S3FSClient, (), sim, n_clients, **kw)
+
+
+def build_goofys(sim: Simulator, n_clients: int = 1,
+                 params: GoofysParams = GoofysParams(), **kw) -> S3Cluster:
+    """Assemble N goofys mounts of one bucket (options: ``_mount_bucket``)."""
+    return _mount_bucket(GoofysClient, (params,), sim, n_clients, **kw)

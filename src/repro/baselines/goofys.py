@@ -1,6 +1,8 @@
 """goofys baseline: a high-throughput, relaxed-POSIX S3 file system.
 
-goofys trades POSIX fidelity for streaming performance (Section IV-B):
+The namespace is :class:`~repro.baselines.s3common.PathKeyedClient`'s
+(full-path keys, a HEAD per lookup, LIST-based readdir). goofys trades
+POSIX fidelity for streaming performance on the data path (Section IV-B):
 
 * reads are pipelined ranged GETs with a read-ahead window of up to
   **400 MB** — 50x ArkFS's default — which is why its sequential READ
@@ -8,7 +10,9 @@ goofys trades POSIX fidelity for streaming performance (Section IV-B):
   Fig. 6(b);
 * writes are streaming multipart uploads: parts ship to S3 as the
   application writes, so there is no slow disk staging like s3fs;
-* random writes, appends to existing objects and ACLs are unsupported.
+* random writes, appends to existing objects, truncation to a non-zero
+  size, directory renames, symlinks and ACLs are unsupported, and modes
+  are fixed.
 """
 
 from __future__ import annotations
@@ -16,23 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..objectstore.errors import NoSuchKey
-from ..posix import path as pathmod
-from ..posix.errors import (
-    AlreadyExists,
-    BadFileHandle,
-    DirectoryNotEmpty,
-    InvalidArgument,
-    IsADirectory,
-    NotADirectory,
-    NotFound,
-    UnsupportedOperation,
-)
-from ..posix.types import Credentials, FileType, OpenFlags, StatResult
-from ..posix.vfs import FileHandle, VFSClient
+from ..posix.errors import BadFileHandle, UnsupportedOperation
+from ..posix.types import Credentials, FileType, OpenFlags
+from ..posix.vfs import FileHandle
 from ..sim.engine import Event, SimGen, Simulator
 from ..sim.network import Node
-from .s3common import Bucket, FileAttrs, dir_key_of, key_of, list_names
+from .s3common import Bucket, FileAttrs, PathKeyedClient, key_of
 
 __all__ = ["GoofysClient", "GoofysParams"]
 
@@ -71,141 +64,51 @@ class _ReadState:
         self.next_chunk = 0
 
 
-class GoofysClient(VFSClient):
+class GoofysClient(PathKeyedClient):
     """One goofys mount of a bucket."""
+
+    FS = "goofys"
+    #: goofys has no mode headers: every object without attrs (directories
+    #: included) shows this fixed mode, and chmod/chown/utimens are no-ops.
+    DEFAULT_MODE = 0o755
 
     def __init__(self, sim: Simulator, node: Node, bucket: Bucket,
                  params: GoofysParams = GoofysParams()):
-        self.sim = sim
-        self.node = node
-        self.bucket = bucket
-        self.store = bucket.store
+        super().__init__(sim, node, bucket, params.op_cpu)
         self.params = params
-        self.name = node.name
 
-    # -- helpers -------------------------------------------------------------------
+    def _new_attrs(self, key: str, ftype: FileType, creds: Credentials,
+                   mode: int, target=None) -> None:
+        """goofys writes no headers for a new directory."""
 
-    def _cpu(self) -> SimGen:
-        yield from self.node.work(self.params.op_cpu)
+    def _rename_dir(self, src: str, dst: str) -> SimGen:
+        # Raises as the caller's ``yield from`` starts it: no extra event.
+        raise UnsupportedOperation(src, "goofys cannot rename directories")
 
-    def _head(self, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-        if not parts:
-            yield self.sim.timeout(0)
-            return "", 0, FileType.DIRECTORY
-        key = key_of(path)
-        try:
-            size = yield from self.store.head(key, src=self.node)
-            a = self.bucket.attrs.get(key)
-            return key, size, (a.ftype if a else FileType.REGULAR)
-        except NoSuchKey:
-            pass
-        dkey = dir_key_of(path)
-        try:
-            yield from self.store.head(dkey, src=self.node)
-            return dkey, 0, FileType.DIRECTORY
-        except NoSuchKey:
-            raise NotFound(path) from None
+    def _setattr(self, path: str, **changes) -> SimGen:
+        yield self.sim.timeout(0)  # accepted and ignored, like goofys
 
-    def _stat_of(self, key: str, size: int, ftype: FileType) -> StatResult:
-        a = self.bucket.attrs.get(key) or FileAttrs(ftype, 0o755, 0, 0,
-                                                    self.sim.now)
-        return StatResult(
-            st_ino=hash(key) & 0x7FFFFFFF, st_mode=ftype.mode_bits | a.mode,
-            st_nlink=1, st_uid=a.uid, st_gid=a.gid, st_size=size,
-            st_atime=a.mtime, st_mtime=a.mtime, st_ctime=a.mtime,
-        )
-
-    # -- namespace -----------------------------------------------------------------------
-
-    def lookup(self, creds: Credentials, dir_path: str, name: str) -> SimGen:
-        return (yield from self.stat(creds, pathmod.join(dir_path, name)))
-
-    def stat(self, creds: Credentials, path: str) -> SimGen:
-        yield from self._cpu()
-        key, size, ftype = yield from self._head(path)
-        return self._stat_of(key, size, ftype)
-
-    lstat = stat
-
-    def mkdir(self, creds: Credentials, path: str, mode: int = 0o777) -> SimGen:
-        yield from self._cpu()
-        if not pathmod.split_path(path):
-            raise AlreadyExists("/")
-        try:
-            yield from self._head(path)
-            raise AlreadyExists(path)
-        except NotFound:
-            pass
-        yield from self.store.put(dir_key_of(path), b"", src=self.node)
-
-    def rmdir(self, creds: Credentials, path: str) -> SimGen:
-        yield from self._cpu()
-        if not pathmod.split_path(path):
-            raise InvalidArgument("/")
-        key, _sz, ftype = yield from self._head(path)
-        if ftype is not FileType.DIRECTORY:
-            raise NotADirectory(path)
-        marker = dir_key_of(path)
-        children = yield from self.store.list(marker, src=self.node)
-        if [k for k in children if k != marker]:
-            raise DirectoryNotEmpty(path)
-        yield from self.store.delete(key, src=self.node)
-
-    def readdir(self, creds: Credentials, path: str) -> SimGen:
-        yield from self._cpu()
-        _key, _sz, ftype = yield from self._head(path)
-        if ftype is not FileType.DIRECTORY:
-            raise NotADirectory(path)
-        prefix = dir_key_of(path)
-        keys = yield from self.store.list(prefix, src=self.node)
-        return list_names(keys, prefix)
-
-    def unlink(self, creds: Credentials, path: str) -> SimGen:
-        yield from self._cpu()
-        key, _sz, ftype = yield from self._head(path)
-        if ftype is FileType.DIRECTORY:
-            raise IsADirectory(path)
-        yield from self.store.delete(key, src=self.node)
-        self.bucket.attrs.pop(key, None)
-
-    def rename(self, creds: Credentials, src: str, dst: str) -> SimGen:
-        yield from self._cpu()
-        key, size, ftype = yield from self._head(src)
-        if ftype is FileType.DIRECTORY:
-            raise UnsupportedOperation(src, "goofys cannot rename directories")
-        data = yield from self.store.get(key, src=self.node)
-        yield from self.store.put(key_of(dst), data, src=self.node)
-        yield from self.store.delete(key, src=self.node)
+    def access(self, creds: Credentials, path: str, want: int) -> SimGen:
+        yield from self._head(path)
+        return True
 
     # -- data: streaming writes --------------------------------------------------------------
 
     def open(self, creds: Credentials, path: str, flags: OpenFlags,
              mode: int = 0o666) -> SimGen:
-        yield from self._cpu()
-        key = key_of(path)
-        size = 0
-        exists = True
-        try:
-            _k, size, ftype = yield from self._head(path)
-            if ftype is FileType.DIRECTORY:
-                raise IsADirectory(path)
-            if flags & OpenFlags.O_CREAT and flags & OpenFlags.O_EXCL:
-                raise AlreadyExists(path)
-        except NotFound:
-            exists = False
-            if not flags & OpenFlags.O_CREAT:
-                raise
-        if flags.wants_write and exists and not flags & OpenFlags.O_TRUNC:
+        key, size = yield from self._open_head(path, flags)
+        if flags.wants_write and size is not None and \
+                not flags & OpenFlags.O_TRUNC:
             raise UnsupportedOperation(
                 path, "goofys cannot modify existing objects in place")
-        impl = {"key": key, "size": 0 if flags & OpenFlags.O_TRUNC else size}
+        if size is None or flags & OpenFlags.O_TRUNC:
+            size = 0
+        impl = {"key": key, "size": size}
         if flags.wants_write:
             impl["upload"] = _UploadState()
         if flags.wants_read:
             impl["reader"] = _ReadState()
-        handle = FileHandle(hash(key) & 0x7FFFFFFF, flags, creds, impl=impl)
-        return handle
+        return FileHandle(hash(key) & 0x7FFFFFFF, flags, creds, impl=impl)
 
     def write(self, handle: FileHandle, data: bytes,
               offset: Optional[int] = None) -> SimGen:
@@ -289,6 +192,12 @@ class GoofysClient(VFSClient):
             yield self.sim.timeout(0)
         handle.closed = True
 
+    def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
+        yield self.sim.timeout(0)
+        if size != 0:
+            raise UnsupportedOperation(path, "goofys: truncate only to 0")
+        yield from self.store.put(key_of(path), b"", src=self.node)
+
     # -- data: pipelined reads ------------------------------------------------------------------
 
     def read(self, handle: FileHandle, size: int,
@@ -365,47 +274,3 @@ class GoofysClient(VFSClient):
         rd.inflight -= 1
         rd.chunks[idx] = data
         ev.succeed(data)
-
-    # -- attributes & the rest -----------------------------------------------------------------------
-
-    def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
-        yield self.sim.timeout(0)
-        if size != 0:
-            raise UnsupportedOperation(path, "goofys: truncate only to 0")
-        yield from self.store.put(key_of(path), b"", src=self.node)
-
-    def chmod(self, creds: Credentials, path: str, mode: int) -> SimGen:
-        yield self.sim.timeout(0)  # accepted and ignored, like goofys
-
-    def chown(self, creds: Credentials, path: str, uid: int, gid: int) -> SimGen:
-        yield self.sim.timeout(0)
-
-    def utimens(self, creds: Credentials, path: str, atime: float,
-                mtime: float) -> SimGen:
-        yield self.sim.timeout(0)
-
-    def access(self, creds: Credentials, path: str, want: int) -> SimGen:
-        yield from self._head(path)
-        return True
-
-    def symlink(self, creds: Credentials, target: str, linkpath: str) -> SimGen:
-        yield self.sim.timeout(0)
-        raise UnsupportedOperation(linkpath, "goofys does not support symlinks")
-
-    def readlink(self, creds: Credentials, path: str) -> SimGen:
-        yield self.sim.timeout(0)
-        raise UnsupportedOperation(path)
-
-    def getfacl(self, creds: Credentials, path: str) -> SimGen:
-        yield self.sim.timeout(0)
-        raise UnsupportedOperation(path, "goofys does not support ACLs")
-
-    def setfacl(self, creds: Credentials, path: str, acl) -> SimGen:
-        yield self.sim.timeout(0)
-        raise UnsupportedOperation(path, "goofys does not support ACLs")
-
-    def sync(self) -> SimGen:
-        yield self.sim.timeout(0)
-
-    def drop_caches(self) -> SimGen:
-        yield self.sim.timeout(0)

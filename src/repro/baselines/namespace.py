@@ -71,36 +71,10 @@ class Namespace:
     # -- resolution -------------------------------------------------------------
 
     def resolve(self, creds: Optional[Credentials], parts: List[str],
-                follow_final: bool = True, _depth: int = 0) -> int:
-        """Walk components from the root; returns the final ino."""
-        if _depth > 40:
-            raise TooManySymlinks("/".join(parts))
-        cur = ROOT_INO
-        for i, name in enumerate(parts):
-            d = self._dir(cur)
-            self._check(d.inode, creds, X_OK)
-            child_ino = d.children.get(name)
-            if child_ino is None:
-                raise NotFound(name)
-            child = self.node(child_ino)
-            is_final = i == len(parts) - 1
-            if child.inode.is_symlink and (not is_final or follow_final):
-                target = child.inode.symlink_target or ""
-                tparts = [c for c in target.split("/") if c and c != "."]
-                if target.startswith("/"):
-                    rebased = tparts + parts[i + 1:]
-                    return self.resolve(creds, rebased, follow_final,
-                                        _depth + 1)
-                # Relative: resolve against the current directory.
-                rebased = tparts + parts[i + 1:]
-                sub = self.resolve_from(creds, cur, rebased, follow_final,
-                                        _depth + 1)
-                return sub
-            cur = child_ino
-        return cur
-
-    def resolve_from(self, creds, base: int, parts: List[str],
-                     follow_final: bool, _depth: int) -> int:
+                follow_final: bool = True, base: int = ROOT_INO,
+                _depth: int = 0) -> int:
+        """Walk components from ``base`` (the root by default); returns the
+        final ino."""
         if _depth > 40:
             raise TooManySymlinks("/".join(parts))
         cur = base
@@ -115,12 +89,11 @@ class Namespace:
             if child.inode.is_symlink and (not is_final or follow_final):
                 target = child.inode.symlink_target or ""
                 tparts = [c for c in target.split("/") if c and c != "."]
-                rebased = tparts + parts[i + 1:]
-                if target.startswith("/"):
-                    return self.resolve(creds, rebased, follow_final,
-                                        _depth + 1)
-                return self.resolve_from(creds, cur, rebased, follow_final,
-                                         _depth + 1)
+                # An absolute target restarts at the root, a relative one
+                # at the link's directory.
+                start = ROOT_INO if target.startswith("/") else cur
+                return self.resolve(creds, tparts + parts[i + 1:],
+                                    follow_final, start, _depth + 1)
             cur = child_ino
         return cur
 
