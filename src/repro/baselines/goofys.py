@@ -154,7 +154,7 @@ class GoofysClient(PathKeyedClient):
             # Part uploads were launched by earlier write() calls; the wait
             # for them to drain is queueing charged to this flush.
             wait = self.sim.all_of(up.uploads)
-            tr = self.sim._tracer
+            tr = self.sim._active_proc.tracer
             if tr is not None:
                 with tr.span("goofys.upload.wait", "queue"):
                     yield wait
@@ -244,7 +244,7 @@ class GoofysClient(PathKeyedClient):
                 # The fetch may have been launched by an earlier read() call
                 # (read-ahead), so its spans belong to that op; attribute the
                 # wait itself as queueing on this one.
-                tr = self.sim._tracer
+                tr = self.sim._active_proc.tracer
                 if tr is not None:
                     with tr.span("goofys.ra.wait", "queue"):
                         chunk = yield chunk

@@ -23,7 +23,6 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, List
 
-from ..obs.trace import span as _span
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import Network, Node
 from ..sim.resources import Resource
@@ -153,62 +152,58 @@ class MDSCluster:
         FS errors raised by ``mutate`` propagate to the caller after the
         response trip, like any RPC error.
         """
-        tr = self.sim._tracer
+        tr = self.sim._active_proc.tracer
         target = self.auth_mds(dir_key)
-        sp = _span(self.sim, "mds.call", "mds")
-        try:
-            # Client -> MDS request.
-            yield from self.net.send(client_node, target.node,
-                                     self.params.rpc_bytes)
-            if len(self.mds) > 1 and self._rand() < self.params.forward_prob:
-                # Wrong MDS: pay a forwarding hop to the authoritative one.
-                yield from self._hop()
-                yield from self.net.send(target.node, target.node, 0)
-            if (len(self.mds) > 1 and target is not self.mds[0]
-                    and self._rand() < self.params.peer_lock_prob):
-                # Hierarchical locking: take the distributed lock at the
-                # near-root authority before mutating — the shared bottleneck
-                # that keeps multi-MDS clusters far from linear scaling.
-                root = self.mds[0]
-                yield from self._hop()
-                root.active_sessions += 1
-                req0 = yield from root.slots.acquire()
-                try:
-                    # Same lock/journal contention inflation as a local op:
-                    # the root authority degrades as the whole cluster leans
-                    # on it.
-                    yield from _svc_timeout(
-                        self.sim, tr, f"mds{root.index}.svc",
-                        root.service_time() * self.params.peer_lock_weight)
-                finally:
-                    root.slots.release(req0)
-                    root.active_sessions -= 1
-            target.active_sessions += 1
-            req = yield from target.slots.acquire()
+        # Client -> MDS request.
+        yield from self.net.send(client_node, target.node,
+                                 self.params.rpc_bytes)
+        if len(self.mds) > 1 and self._rand() < self.params.forward_prob:
+            # Wrong MDS: pay a forwarding hop to the authoritative one.
+            yield from self._hop()
+            yield from self.net.send(target.node, target.node, 0)
+        if (len(self.mds) > 1 and target is not self.mds[0]
+                and self._rand() < self.params.peer_lock_prob):
+            # Hierarchical locking: take the distributed lock at the
+            # near-root authority before mutating — the shared bottleneck
+            # that keeps multi-MDS clusters far from linear scaling.
+            root = self.mds[0]
+            yield from self._hop()
+            root.active_sessions += 1
+            req0 = yield from root.slots.acquire()
             try:
-                yield from _svc_timeout(self.sim, tr,
-                                        f"mds{target.index}.svc",
-                                        target.service_time() * op_weight)
-                target.ops_served += 1
-                result = mutate()
-                error = None
-            except Exception as exc:  # noqa: BLE001 - surfaces below
-                result, error = None, exc
+                # Same lock/journal contention inflation as a local op:
+                # the root authority degrades as the whole cluster leans
+                # on it.
+                yield from _svc_timeout(
+                    self.sim, tr, f"mds{root.index}.svc",
+                    root.service_time() * self.params.peer_lock_weight)
             finally:
-                target.slots.release(req)
-                target.active_sessions -= 1
-            # MDS -> client response.
-            yield from self.net.send(target.node, client_node,
-                                     self.params.rpc_bytes)
+                root.slots.release(req0)
+                root.active_sessions -= 1
+        target.active_sessions += 1
+        req = yield from target.slots.acquire()
+        try:
+            yield from _svc_timeout(self.sim, tr,
+                                    f"mds{target.index}.svc",
+                                    target.service_time() * op_weight)
+            target.ops_served += 1
+            result = mutate()
+            error = None
+        except Exception as exc:  # noqa: BLE001 - surfaces below
+            result, error = None, exc
         finally:
-            sp.close()
+            target.slots.release(req)
+            target.active_sessions -= 1
+        # MDS -> client response.
+        yield from self.net.send(target.node, client_node,
+                                 self.params.rpc_bytes)
         if error is not None:
             raise error
         return result
 
     def _hop(self) -> SimGen:
         """A forwarding hop, attributed as network time when traced."""
-        tr = self.sim._tracer
+        tr = self.sim._active_proc.tracer
         if tr is not None:
             with tr.span("mds.forward", "net"):
                 yield self.sim.timeout(self.params.forward_hop)

@@ -23,7 +23,8 @@ from ..baselines import (
     GoofysParams,
 )
 from ..core import DEFAULT_PARAMS, build_arkfs
-from ..obs import DEFAULT_SAMPLE_INTERVAL, Observability, Series
+from ..obs import (DEFAULT_SAMPLE_INTERVAL, Observability, Series,
+                   install_layer_spans)
 from ..objectstore.profiles import (KiB, MiB, RADOS_PROFILE, S3_COLD_PROFILE,
                                     S3_PROFILE)
 from ..sim.engine import Simulator
@@ -156,13 +157,16 @@ BENCH_OBS = BenchObs()
 
 
 def _attach_obs(kind: str, sim: Simulator, cluster) -> None:
-    """Attach tracing/sampling per BENCH_OBS and record the build."""
+    """Attach tracing/sampling per BENCH_OBS and record the build; under
+    full tracing, install the layer boundaries on the built cluster."""
     obs = Observability.of(sim)
     if BENCH_OBS.tracing:
         obs.enable_tracing(pid=len(BENCH_OBS.collected) + 1, pid_name=kind)
     elif BENCH_OBS.sample_rate > 0:
         obs.enable_tracing(pid=len(BENCH_OBS.collected) + 1, pid_name=kind,
                            sample_rate=BENCH_OBS.sample_rate)
+    if sim.tracer is not None:
+        install_layer_spans(cluster)
     if BENCH_OBS.slowlog:
         obs.enable_slowlog()
     if BENCH_OBS.recorder:
@@ -211,7 +215,11 @@ def build(kind: str, sim: Simulator, n_clients: int,
     """Build a named configuration; returns (cluster, mounts).
 
     Also attaches per-:data:`BENCH_OBS` observability (resource sampling
-    always; span tracing when enabled for the run)."""
+    always; span tracing when enabled for the run). Full tracing is enabled
+    before the build, so the build's background processes are traced."""
+    if BENCH_OBS.tracing:
+        Observability.of(sim).enable_tracing(
+            pid=len(BENCH_OBS.collected) + 1, pid_name=kind)
     cluster, mounts = _build(kind, sim, n_clients, net, cache_capacity,
                              client_cores)
     _attach_obs(kind, sim, cluster)

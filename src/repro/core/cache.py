@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..obs import Observability
-from ..obs.trace import span as _span
 from ..sim.engine import Event, SimGen, Simulator
 from ..sim.network import Node
 from .prt import PRT
@@ -216,7 +215,7 @@ class DataObjectCache:
 
     def _wait(self, ev: Event) -> SimGen:
         """Wait on an in-flight fetch, attributed as queueing when traced."""
-        tr = self.sim._tracer
+        tr = self.sim._active_proc.tracer
         if tr is not None:
             with tr.span("cache.wait", "queue"):
                 yield ev
@@ -306,7 +305,6 @@ class DataObjectCache:
             snapshot = bytes(memoryview(snapshot)[:entry.size])
         entry.data = snapshot
         self._g_inflight_puts.add(1)
-        sp = _span(self.sim, "cache.writeback", "cache")
         try:
             yield from self.prt.write_object(ino, entry.index, snapshot,
                                              src=self.node)
@@ -314,7 +312,6 @@ class DataObjectCache:
             entry.dirty = True
             raise
         finally:
-            sp.close()
             self._g_inflight_puts.add(-1)
         self._c_flushes.inc()
         rec = self.sim._recorder
@@ -366,7 +363,6 @@ class DataObjectCache:
         fc.tree.set(index, entry)
         self._touch(ino, entry)
         self._g_inflight_gets.add(1)
-        sp = _span(self.sim, "cache.fetch", "cache")
         try:
             data = yield from self._read_chunk(ino, index, src=self.node)
         except Exception as exc:
@@ -375,7 +371,6 @@ class DataObjectCache:
             entry.loading.fail(exc)
             raise
         finally:
-            sp.close()
             self._g_inflight_gets.add(-1)
         # Keep the store's own immutable object (``ObjectStore.get`` may
         # return what it holds); anything else is copied once, here.
@@ -467,66 +462,62 @@ class DataObjectCache:
         if length <= 0:
             yield self.sim.timeout(0)
             return b""
-        sp = _span(self.sim, "cache.read", "cache")
-        try:
-            # Valid until the first yield; looked up again after each one
-            # (an eviction may drop the file's ``_FileCache`` meanwhile).
+        # Valid until the first yield; looked up again after each one
+        # (an eviction may drop the file's ``_FileCache`` meanwhile).
+        tree = self._file(ino).tree
+        if ra is not None:
+            ra.on_read(offset, length, self.entry_size, self.max_readahead)
+            # Kick prefetches for the window beyond this read. Slots are
+            # reserved as prefetches are scheduled (``_reserved``), so a
+            # burst of read-ahead cannot overshoot the cache capacity
+            # before its processes have installed their entries.
+            end_idx = (offset + length - 1) // self.entry_size
+            ra_end = offset + length + ra.window
+            ra_last_idx = (ra_end - 1) // self.entry_size
+            budget = self.capacity - len(self._lru) - self._reserved
+            for idx in range(end_idx + 1, ra_last_idx + 1):
+                if budget <= 0:
+                    break
+                if tree.get(idx) is None:
+                    budget -= 1
+                    self._reserved += 1
+                    self._c_prefetches.inc()
+                    self.sim.process(self._prefetch_one(ino, idx),
+                                     name=f"ra:{ino:x}:{idx}")
+        pieces = self.prt.chunk_range(offset, length)
+        fetched = yield from self._fetch_missing(
+            ino, tree, [p[0] for p in pieces])
+        if fetched:
             tree = self._file(ino).tree
-            if ra is not None:
-                ra.on_read(offset, length, self.entry_size, self.max_readahead)
-                # Kick prefetches for the window beyond this read. Slots are
-                # reserved as prefetches are scheduled (``_reserved``), so a
-                # burst of read-ahead cannot overshoot the cache capacity
-                # before its processes have installed their entries.
-                end_idx = (offset + length - 1) // self.entry_size
-                ra_end = offset + length + ra.window
-                ra_last_idx = (ra_end - 1) // self.entry_size
-                budget = self.capacity - len(self._lru) - self._reserved
-                for idx in range(end_idx + 1, ra_last_idx + 1):
-                    if budget <= 0:
-                        break
-                    if tree.get(idx) is None:
-                        budget -= 1
-                        self._reserved += 1
-                        self._c_prefetches.inc()
-                        self.sim.process(self._prefetch_one(ino, idx),
-                                         name=f"ra:{ino:x}:{idx}")
-            pieces = self.prt.chunk_range(offset, length)
-            fetched = yield from self._fetch_missing(
-                ino, tree, [p[0] for p in pieces])
-            if fetched:
+        parts = []
+        for idx, off, n in pieces:
+            entry = tree.get(idx)
+            if entry is None:
+                # Evicted between the scatter phase and assembly (only
+                # possible when the request is larger than the cache).
+                yield from self._make_room()
+                self._c_misses.inc()
+                self._c_serial_gets.inc()
+                entry = yield from self._fetch(ino, idx)
                 tree = self._file(ino).tree
-            parts = []
-            for idx, off, n in pieces:
-                entry = tree.get(idx)
-                if entry is None:
-                    # Evicted between the scatter phase and assembly (only
-                    # possible when the request is larger than the cache).
-                    yield from self._make_room()
-                    self._c_misses.inc()
-                    self._c_serial_gets.inc()
-                    entry = yield from self._fetch(ino, idx)
-                    tree = self._file(ino).tree
-                elif entry.loading is not None:
-                    yield from self._wait(entry.loading)
-                    if idx not in fetched:
-                        self._c_hits.inc()
-                elif idx not in fetched:
+            elif entry.loading is not None:
+                yield from self._wait(entry.loading)
+                if idx not in fetched:
                     self._c_hits.inc()
-                self._touch(ino, entry)
-                if entry.tail:
-                    entry.fold(self.entry_size)
-                d = entry.data
-                avail = entry.size - off
-                take = n if avail >= n else max(avail, 0)
-                # The one host copy of a read: a slice of immutable bytes,
-                # or of the in-place buffer through a view.
-                part = (d[off : off + take] if type(d) is bytes
-                        else bytes(memoryview(d)[off : off + take]))
-                parts.append(part if take == n else part + bytes(n - take))
-            yield from self._copy_cost(length)
-        finally:
-            sp.close()
+            elif idx not in fetched:
+                self._c_hits.inc()
+            self._touch(ino, entry)
+            if entry.tail:
+                entry.fold(self.entry_size)
+            d = entry.data
+            avail = entry.size - off
+            take = n if avail >= n else max(avail, 0)
+            # The one host copy of a read: a slice of immutable bytes,
+            # or of the in-place buffer through a view.
+            part = (d[off : off + take] if type(d) is bytes
+                    else bytes(memoryview(d)[off : off + take]))
+            parts.append(part if take == n else part + bytes(n - take))
+        yield from self._copy_cost(length)
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def _prefetch_one(self, ino: int, index: int) -> SimGen:
@@ -546,43 +537,39 @@ class DataObjectCache:
               old_size: int) -> SimGen:
         """Write-back write. ``old_size`` is the file size before this write
         (to decide whether a partial entry needs read-modify-write)."""
-        sp = _span(self.sim, "cache.write", "cache")
-        try:
-            if type(data) is not bytes:
-                # Only immutable bytes may be borrowed: a caller's
-                # bytearray or memoryview is copied once, at the boundary.
-                data = bytes(data)
-            pos = 0
-            for idx, off, n in self.prt.chunk_range(offset, len(data)):
-                piece = data[pos : pos + n]  # ``data`` itself when it fits
-                pos += n
-                entry_base = idx * self.entry_size
-                covers_existing = off == 0 and entry_base + n >= min(
-                    old_size, entry_base + self.entry_size
-                )
-                entry = yield from self._get_entry(
-                    ino, idx,
-                    fetch=not covers_existing and entry_base < old_size
-                )
-                d = entry.data
-                end = off + n
-                if type(d) is bytes and off == entry.size:
-                    # Sequential append onto shared bytes: borrow the piece.
-                    entry.tail.append(piece)
-                else:
-                    if type(d) is bytes:
-                        # Overwrite or gap write: copy-on-write, in place
-                        # from here on.
-                        d = entry.unshare(self._room(entry.size, end))
-                    elif len(d) < end:
-                        d += bytes(self._room(len(d), end) - len(d))
-                    d[off:end] = piece  # a gap before ``off`` is zeros
-                if entry.size < end:
-                    entry.size = end
-                entry.dirty = True
-            yield from self._copy_cost(len(data))
-        finally:
-            sp.close()
+        if type(data) is not bytes:
+            # Only immutable bytes may be borrowed: a caller's
+            # bytearray or memoryview is copied once, at the boundary.
+            data = bytes(data)
+        pos = 0
+        for idx, off, n in self.prt.chunk_range(offset, len(data)):
+            piece = data[pos : pos + n]  # ``data`` itself when it fits
+            pos += n
+            entry_base = idx * self.entry_size
+            covers_existing = off == 0 and entry_base + n >= min(
+                old_size, entry_base + self.entry_size
+            )
+            entry = yield from self._get_entry(
+                ino, idx,
+                fetch=not covers_existing and entry_base < old_size
+            )
+            d = entry.data
+            end = off + n
+            if type(d) is bytes and off == entry.size:
+                # Sequential append onto shared bytes: borrow the piece.
+                entry.tail.append(piece)
+            else:
+                if type(d) is bytes:
+                    # Overwrite or gap write: copy-on-write, in place
+                    # from here on.
+                    d = entry.unshare(self._room(entry.size, end))
+                elif len(d) < end:
+                    d += bytes(self._room(len(d), end) - len(d))
+                d[off:end] = piece  # a gap before ``off`` is zeros
+            if entry.size < end:
+                entry.size = end
+            entry.dirty = True
+        yield from self._copy_cost(len(data))
 
     def _collect_dirty(self, inos) -> SimGen:
         """Quiesce in-flight fetches for the given files and return their

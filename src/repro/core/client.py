@@ -24,7 +24,6 @@ from functools import partial
 from typing import Any, Dict, Optional, Set, Tuple
 
 from ..objectstore.errors import NoSuchKey, TransientError
-from ..obs.trace import span as _span
 from ..posix import path as pathmod
 from ..posix.acl import Acl, check_perm
 from ..posix.errors import (
@@ -276,7 +275,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         # already absorbed local mutations.
         latch = self._acquiring.get(dir_ino)
         if latch is not None:
-            tr = self.sim._tracer
+            tr = self.sim._active_proc.tracer
             if tr is not None:
                 with tr.span("lease.wait", "queue"):
                     yield latch
@@ -286,11 +285,9 @@ class ArkFSClient(LeaderOps, VFSClient):
             return (yield from self._acquire_dir(dir_ino))
         latch = self.sim.event()
         self._acquiring[dir_ino] = latch
-        sp = _span(self.sim, "lease.acquire", "lease")
         try:
             return (yield from self._acquire_dir_inner(dir_ino))
         finally:
-            sp.close()
             del self._acquiring[dir_ino]
             latch.succeed()
 
@@ -381,12 +378,8 @@ class ArkFSClient(LeaderOps, VFSClient):
             mt.last_used = now
             mt_margin = mt.lease_expires - now
             if mt_margin < self.params.lease_renew_margin:
-                sp = _span(self.sim, "lease.renew", "lease")
-                try:
-                    resp = yield from self._mgr("lease.acquire", dir_ino,
-                                                self.name)
-                finally:
-                    sp.close()
+                resp = yield from self._mgr("lease.acquire", dir_ino,
+                                            self.name)
                 if isinstance(resp, LeaseGrant) and not resp.fresh:
                     mt.lease_expires = resp.expires_at
                 elif isinstance(resp, LeaseRedirect):
@@ -792,13 +785,9 @@ class ArkFSClient(LeaderOps, VFSClient):
         if (g is not None and g.expires_at > now
                 and not (want == WRITE and g.mode == READ)):
             return g
-        sp = _span(self.sim, "lease.file", "lease")
-        try:
-            resp = yield from self._authority_op(
-                st.parent_ino, "flease", None, ino=handle.ino, mode=want,
-                route_name=st.name)
-        finally:
-            sp.close()
+        resp = yield from self._authority_op(
+            st.parent_ino, "flease", None, ino=handle.ino, mode=want,
+            route_name=st.name)
         grant: FileLeaseGrant = resp if isinstance(resp, FileLeaseGrant) \
             else resp["grant"]
         if g is None or grant.version != g.version:
@@ -1003,18 +992,15 @@ class ArkFSClient(LeaderOps, VFSClient):
                         or now - mt.last_used < self.params.lease_period
                     )
                     if in_use:
-                        sp = _span(self.sim, "lease.renew", "lease")
                         try:
                             resp = yield from self._mgr("lease.acquire",
                                                         dir_ino, self.name)
                         except NodeDown:
-                            sp.close()
                             # Manager unreachable: "do its best to
                             # synchronize all the updates in memory before
                             # the lease is expired" (Section III-E).
                             yield from self._flush_dir_state(dir_ino)
                             continue
-                        sp.close()
                         if isinstance(resp, LeaseGrant):
                             mt.lease_expires = resp.expires_at
                         elif isinstance(resp, LeaseRedirect):
@@ -1044,13 +1030,10 @@ class ArkFSClient(LeaderOps, VFSClient):
             return
         if (yield from self._hand_back_dir(dir_ino)) is None:
             return  # deposed mid-flush: the lease is no longer ours to release
-        sp = _span(self.sim, "lease.release", "lease")
         try:
             yield from self._mgr("lease.release", dir_ino, self.name, True)
         except NodeDown:
             pass  # manager down: the lease will simply lapse
-        finally:
-            sp.close()
 
     def _revoke_holder(self, holder: str, ino: int,
                        deleted: bool = False) -> SimGen:

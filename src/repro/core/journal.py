@@ -24,7 +24,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
-from ..obs.trace import span as _span
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import Node
 from ..sim.resources import Mutex
@@ -402,19 +401,15 @@ class JournalManager:
         if not dj.running:
             return
         token = self._fence_check(dj.dir_ino)
-        sp = _span(self.sim, "journal.commit", "journal")
-        try:
-            ops, dj.running = dj.running, []
-            covered = dj.ops_recorded  # everything recorded so far is in ops
-            seq = dj.next_seq
-            dj.next_seq += 1
-            txn = Transaction(self.new_txid(), dj.dir_ino, "update",
-                              _coalesce(ops))
-            raw = txn.to_bytes()
-            jkey = self.prt.key_journal(dj.dir_ino, seq)
-            yield from self.prt.store.put(jkey, raw, src=self.node)
-        finally:
-            sp.close()
+        ops, dj.running = dj.running, []
+        covered = dj.ops_recorded  # everything recorded so far is in ops
+        seq = dj.next_seq
+        dj.next_seq += 1
+        txn = Transaction(self.new_txid(), dj.dir_ino, "update",
+                          _coalesce(ops))
+        raw = txn.to_bytes()
+        jkey = self.prt.key_journal(dj.dir_ino, seq)
+        yield from self.prt.store.put(jkey, raw, src=self.node)
         dj.pending_seqs.append(seq)
         dj.ops_committed = covered
         self._c_commits.inc()
@@ -435,22 +430,18 @@ class JournalManager:
             txn = self._checkpoint_txns.get((dj.dir_ino, seq))
             if txn is None:
                 break
-            sp = _span(self.sim, "journal.ckpt", "journal")
+            n = yield from apply_ops(self.prt, txn.ops, src=self.node)
+            self._note_ckpt_fanout(n)
+            # The invalidating DELETE must stick: a silently-skipped one
+            # leaves a stale journal object that a later leader (whose
+            # seq counter restarts at 0) would replay over newer state.
+            # Transient failures are retried beneath the store surface;
+            # only true absence passes.
             try:
-                n = yield from apply_ops(self.prt, txn.ops, src=self.node)
-                self._note_ckpt_fanout(n)
-                # The invalidating DELETE must stick: a silently-skipped one
-                # leaves a stale journal object that a later leader (whose
-                # seq counter restarts at 0) would replay over newer state.
-                # Transient failures are retried beneath the store surface;
-                # only true absence passes.
-                try:
-                    yield from self.prt.store.delete(
-                        self.prt.key_journal(dj.dir_ino, seq), src=self.node)
-                except NoSuchKey:
-                    pass
-            finally:
-                sp.close()
+                yield from self.prt.store.delete(
+                    self.prt.key_journal(dj.dir_ino, seq), src=self.node)
+            except NoSuchKey:
+                pass
             dj.pending_seqs.pop(0)
             del self._checkpoint_txns[(dj.dir_ino, seq)]
             self._c_checkpoints.inc()

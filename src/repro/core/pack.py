@@ -39,7 +39,6 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
-from ..obs.trace import span as _span
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import Node
 from ..sim.resources import Mutex
@@ -269,24 +268,20 @@ class PackWriter:
         try:
             if not self._pending:
                 return
-            sp = _span(self.sim, "pack.seal", "pack")
-            try:
-                pack_id, data, set_maps, had_plain = self._snapshot()
-                yield from self.prt.store.put(self.prt.key_pack(pack_id),
-                                              data, src=self.node)
-                del self._sealing_bufs[pack_id]
-                yield from self._commit_deltas(set_maps)
-                if had_plain:
-                    yield from self.prt._purge(
-                        sorted(self.prt.key_data(ino, idx)
-                               for ino, idx in had_plain),
-                        src=self.node)
-                self._c["packs_sealed"].inc()
-                rec = self.sim._recorder
-                if rec is not None:
-                    rec.record("pack.seal", pack=pack_id, bytes=len(data))
-            finally:
-                sp.close()
+            pack_id, data, set_maps, had_plain = self._snapshot()
+            yield from self.prt.store.put(self.prt.key_pack(pack_id),
+                                          data, src=self.node)
+            del self._sealing_bufs[pack_id]
+            yield from self._commit_deltas(set_maps)
+            if had_plain:
+                yield from self.prt._purge(
+                    sorted(self.prt.key_data(ino, idx)
+                           for ino, idx in had_plain),
+                    src=self.node)
+            self._c["packs_sealed"].inc()
+            rec = self.sim._recorder
+            if rec is not None:
+                rec.record("pack.seal", pack=pack_id, bytes=len(data))
         finally:
             self._seal_lock.release(req)
 
@@ -416,43 +411,39 @@ class PackWriter:
         live = self._live_exts.pop(pack_id, {})
         if total is None:
             return
-        sp = _span(self.sim, "pack.compact", "pack")
         try:
-            try:
-                data = yield from self.prt.store.get(
-                    self.prt.key_pack(pack_id), src=self.node)
-            except NoSuchKey:
-                return
-            stored_cache: Dict[int, Dict[int, PackExtent]] = {}
-            moved = 0
-            for ino, idx in sorted(live):
-                if (ino, idx) in self._pending:
-                    continue   # freshly rewritten; old bytes are dead
-                ext = self._extents.get(ino, {}).get(idx)
-                if ext is None and ino not in self._index_loaded:
-                    if ino not in stored_cache:
-                        stored_cache[ino] = (
-                            yield from self.prt.read_extent_index(
-                                ino, src=self.node))
-                    ext = stored_cache[ino].get(idx)
-                if ext is None or ext.pack != pack_id:
-                    continue
-                self.append(ino, idx,
-                            bytes(data[ext.offset:ext.offset + ext.length]))
-                moved += ext.length
-            if self._pending:
-                yield from self.seal()
-            yield from self.prt._purge([self.prt.key_pack(pack_id)],
-                                       src=self.node)
-            self._c["compactions"].inc()
-            rec = self.sim._recorder
-            if rec is not None:
-                rec.record("pack.compact", pack=pack_id, moved=moved)
-            self._c["compacted_bytes"].inc(moved)
-            self._c["containers_purged"].inc()
-            self._c["reclaimed_bytes"].inc(max(0, len(data) - moved))
-        finally:
-            sp.close()
+            data = yield from self.prt.store.get(
+                self.prt.key_pack(pack_id), src=self.node)
+        except NoSuchKey:
+            return
+        stored_cache: Dict[int, Dict[int, PackExtent]] = {}
+        moved = 0
+        for ino, idx in sorted(live):
+            if (ino, idx) in self._pending:
+                continue   # freshly rewritten; old bytes are dead
+            ext = self._extents.get(ino, {}).get(idx)
+            if ext is None and ino not in self._index_loaded:
+                if ino not in stored_cache:
+                    stored_cache[ino] = (
+                        yield from self.prt.read_extent_index(
+                            ino, src=self.node))
+                ext = stored_cache[ino].get(idx)
+            if ext is None or ext.pack != pack_id:
+                continue
+            self.append(ino, idx,
+                        bytes(data[ext.offset:ext.offset + ext.length]))
+            moved += ext.length
+        if self._pending:
+            yield from self.seal()
+        yield from self.prt._purge([self.prt.key_pack(pack_id)],
+                                   src=self.node)
+        self._c["compactions"].inc()
+        rec = self.sim._recorder
+        if rec is not None:
+            rec.record("pack.compact", pack=pack_id, moved=moved)
+        self._c["compacted_bytes"].inc(moved)
+        self._c["containers_purged"].inc()
+        self._c["reclaimed_bytes"].inc(max(0, len(data) - moved))
 
     # -- failure handling -----------------------------------------------------
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 from ..objectstore.base import ObjectStore
 from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
-from ..obs.trace import span as _span
 from ..sim.engine import SimGen
 from ..sim.network import Node
 from .types import Dentry, Inode, PackExtent, ino_hex
@@ -216,25 +215,20 @@ class PRT:
         if offset >= file_size:
             return b""
         length = min(length, file_size - offset)
-        sp = _span(self.sim, "prt.read_data", "prt")
         parts = []
-        try:
-            for idx, off, n in self.chunk_range(offset, length):
-                ext = extents.get(idx) if extents else None
-                try:
-                    if ext is not None:
-                        piece = yield from self.read_extent(ext, off, n,
-                                                            src=src)
-                    else:
-                        piece = yield from self.store.get_range(
-                            self.key_data(ino, idx), off, n, src=src)
-                except NoSuchKey:
-                    piece = b""
-                if len(piece) < n:
-                    piece = piece + bytes(n - len(piece))
-                parts.append(piece)
-        finally:
-            sp.close()
+        for idx, off, n in self.chunk_range(offset, length):
+            ext = extents.get(idx) if extents else None
+            try:
+                if ext is not None:
+                    piece = yield from self.read_extent(ext, off, n, src=src)
+                else:
+                    piece = yield from self.store.get_range(
+                        self.key_data(ino, idx), off, n, src=src)
+            except NoSuchKey:
+                piece = b""
+            if len(piece) < n:
+                piece = piece + bytes(n - len(piece))
+            parts.append(piece)
         # The store's ranged GET already made the one copy: a single piece
         # passes through, several are joined once.
         return parts[0] if len(parts) == 1 else b"".join(parts)
@@ -248,63 +242,51 @@ class PRT:
         if type(data) is not bytes:
             # ``put`` may retain what it is given: hand it immutable bytes.
             data = bytes(data)
-        sp = _span(self.sim, "prt.write_data", "prt")
-        try:
-            pos = 0
-            for idx, off, n in self.chunk_range(offset, len(data)):
-                piece = data[pos : pos + n]
-                pos += n
-                if off == 0 and n == self.data_object_size:
-                    yield from self.write_object(ino, idx, piece, src=src)
-                    continue
-                ext = extents.get(idx) if extents else None
-                if ext is not None:
-                    try:
-                        old = yield from self.read_extent(ext, src=src)
-                    except NoSuchKey:
-                        old = b""
-                else:
-                    old = yield from self.read_object(ino, idx, src=src)
-                merged = b"".join((old[:off].ljust(off, b"\x00"), piece,
-                                   old[off + n :]))
-                yield from self.write_object(ino, idx, merged, src=src)
-        finally:
-            sp.close()
+        pos = 0
+        for idx, off, n in self.chunk_range(offset, len(data)):
+            piece = data[pos : pos + n]
+            pos += n
+            if off == 0 and n == self.data_object_size:
+                yield from self.write_object(ino, idx, piece, src=src)
+                continue
+            ext = extents.get(idx) if extents else None
+            if ext is not None:
+                try:
+                    old = yield from self.read_extent(ext, src=src)
+                except NoSuchKey:
+                    old = b""
+            else:
+                old = yield from self.read_object(ino, idx, src=src)
+            merged = b"".join((old[:off].ljust(off, b"\x00"), piece,
+                               old[off + n :]))
+            yield from self.write_object(ino, idx, merged, src=src)
 
     def truncate_data(self, ino: int, old_size: int, new_size: int,
                       src: Optional[Node] = None) -> SimGen:
         """Drop objects past the new EOF and trim the boundary object."""
         if new_size >= old_size:
             return
-        sp = _span(self.sim, "prt.truncate_data", "prt")
-        try:
-            osz = self.data_object_size
-            first_dead = -(-new_size // osz)  # ceil: first wholly-dead index
-            last = (old_size - 1) // osz if old_size else -1
-            dead = [self.key_data(ino, idx)
-                    for idx in range(first_dead, last + 1)]
-            if dead:
-                yield from self._purge(dead, src=src)
-            if new_size % osz:
-                idx = new_size // osz
-                old = yield from self.read_object(ino, idx, src=src)
-                if len(old) > new_size % osz:
-                    yield from self.write_object(
-                        ino, idx, old[: new_size % osz], src=src)
-        finally:
-            sp.close()
+        osz = self.data_object_size
+        first_dead = -(-new_size // osz)  # ceil: first wholly-dead index
+        last = (old_size - 1) // osz if old_size else -1
+        dead = [self.key_data(ino, idx)
+                for idx in range(first_dead, last + 1)]
+        if dead:
+            yield from self._purge(dead, src=src)
+        if new_size % osz:
+            idx = new_size // osz
+            old = yield from self.read_object(ino, idx, src=src)
+            if len(old) > new_size % osz:
+                yield from self.write_object(
+                    ino, idx, old[: new_size % osz], src=src)
 
     def delete_data(self, ino: int, src: Optional[Node] = None,
                     also=()) -> SimGen:
         """Remove every data object of a file, and the keys in ``also`` in
         the same batched purge; returns count deleted."""
-        sp = _span(self.sim, "prt.delete_data", "prt")
-        try:
-            keys = yield from self.store.list(self.key_data_prefix(ino),
-                                              src=src)
-            n = yield from self._purge([*keys, *also], src=src)
-        finally:
-            sp.close()
+        keys = yield from self.store.list(self.key_data_prefix(ino),
+                                          src=src)
+        n = yield from self._purge([*keys, *also], src=src)
         return n
 
     def _purge(self, keys: List[str], src: Optional[Node] = None) -> SimGen:

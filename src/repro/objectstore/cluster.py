@@ -17,7 +17,6 @@ from __future__ import annotations
 import zlib
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..obs.trace import span as _span
 from ..sim.engine import SimGen, Simulator
 from ..sim.network import Network, Node
 from ..sim.resources import BandwidthPipe, Resource
@@ -29,8 +28,9 @@ __all__ = ["ClusterObjectStore", "LocalDisk"]
 
 
 def _timed(sim: Simulator, delay: float, name: str, cat: str) -> SimGen:
-    """A timeout, wrapped in an attribution span when tracing is on."""
-    tr = sim._tracer
+    """A timeout, wrapped in an attribution span when the running process
+    is traced."""
+    tr = sim._active_proc.tracer
     if tr is not None:
         with tr.span(name, cat):
             yield sim.timeout(delay)
@@ -168,17 +168,12 @@ class ClusterObjectStore(ObjectStore):
 
     def get(self, key: str, src: Optional[Node] = None) -> SimGen:
         data = self.backing.sync_get(key)  # raise NoSuchKey before paying cost
-        sp = _span(self.sim, "store.get", "store")
-        try:
-            if self.profile.erasure is not None:
-                yield from self._ec_gather(key, len(data), src)
-            else:
-                osd = self.osd_for(key)
-                yield from self._service(osd, self._get_fixed,
-                                         len(data), src)
-            yield from self._client_leg(src, len(data))
-        finally:
-            sp.close()
+        if self.profile.erasure is not None:
+            yield from self._ec_gather(key, len(data), src)
+        else:
+            osd = self.osd_for(key)
+            yield from self._service(osd, self._get_fixed, len(data), src)
+        yield from self._client_leg(src, len(data))
         self.bytes_read += len(data)
         self.backing.op_counts["get"] += 1
         return data
@@ -202,24 +197,16 @@ class ClusterObjectStore(ObjectStore):
     ) -> SimGen:
         whole = self.backing.sync_get(key)
         data = whole[offset : offset + length]
-        sp = _span(self.sim, "store.get_range", "store")
-        try:
-            osd = self.osd_for(key)
-            yield from self._service(osd, self._get_fixed, len(data), src)
-            yield from self._client_leg(src, len(data))
-        finally:
-            sp.close()
+        osd = self.osd_for(key)
+        yield from self._service(osd, self._get_fixed, len(data), src)
+        yield from self._client_leg(src, len(data))
         self.bytes_read += len(data)
         self.backing.op_counts["get"] += 1
         return data
 
     def put(self, key: str, data: bytes, src: Optional[Node] = None) -> SimGen:
-        sp = _span(self.sim, "store.put", "store")
-        try:
-            yield from self._client_leg(src, len(data))
-            yield from self._server_put(key, data, src)
-        finally:
-            sp.close()
+        yield from self._client_leg(src, len(data))
+        yield from self._server_put(key, data, src)
 
     def _server_put(self, key: str, data: bytes,
                     src: Optional[Node] = None) -> SimGen:
@@ -249,23 +236,15 @@ class ClusterObjectStore(ObjectStore):
 
     def delete(self, key: str, src: Optional[Node] = None) -> SimGen:
         self.backing.sync_head(key)  # existence check (NoSuchKey)
-        sp = _span(self.sim, "store.delete", "store")
-        try:
-            osd = self.osd_for(key)
-            yield from self._service(osd, self.profile.delete_latency, 0, src)
-        finally:
-            sp.close()
+        osd = self.osd_for(key)
+        yield from self._service(osd, self.profile.delete_latency, 0, src)
         self.backing.sync_delete(key)
         self.backing.op_counts["delete"] += 1
 
     def head(self, key: str, src: Optional[Node] = None) -> SimGen:
         size = self.backing.sync_head(key)
-        sp = _span(self.sim, "store.head", "store")
-        try:
-            osd = self.osd_for(key)
-            yield from self._service(osd, self.profile.head_latency, 0, src)
-        finally:
-            sp.close()
+        osd = self.osd_for(key)
+        yield from self._service(osd, self.profile.head_latency, 0, src)
         self.backing.op_counts["head"] += 1
         return size
 
@@ -283,20 +262,16 @@ class ClusterObjectStore(ObjectStore):
         # The primary OSD arbitrates atomically. The reservation below makes
         # the existence check and the claim a single simulation step, so two
         # concurrent exclusive creates cannot both win.
-        sp = _span(self.sim, "store.put_if_absent", "store")
+        if key in self.backing or key in self._pending_creates:
+            osd = self.osd_for(key)
+            yield from self._service(osd, self.profile.put_latency, 0, src)
+            return False
+        self._pending_creates.add(key)
         try:
-            if key in self.backing or key in self._pending_creates:
-                osd = self.osd_for(key)
-                yield from self._service(osd, self.profile.put_latency, 0, src)
-                return False
-            self._pending_creates.add(key)
-            try:
-                yield from self.put(key, data, src=src)
-            finally:
-                self._pending_creates.discard(key)
-            return True
+            yield from self.put(key, data, src=src)
         finally:
-            sp.close()
+            self._pending_creates.discard(key)
+        return True
 
     # -- batched operations ----------------------------------------------------
     #
@@ -306,29 +281,21 @@ class ClusterObjectStore(ObjectStore):
 
     def get_many(self, keys: Sequence[str],
                  src: Optional[Node] = None) -> SimGen:
-        tr = self.sim._tracer
-        sp = _span(self.sim, "store.get_many", "store")
         values = [self.backing._data.get(k) for k in keys]
-        try:
-            reads = []
-            for key, data in zip(keys, values):
-                if data is None:
-                    continue
-                if self.profile.erasure is not None:
-                    gen = self._ec_gather(key, len(data), src)
-                else:
-                    gen = self._service(self.osd_for(key),
-                                        self._get_fixed, len(data), src)
-                if tr is not None:
-                    # Per-item span inside the scatter-gather batch.
-                    gen = tr.wrap("store.get", gen, "store", key=key)
-                reads.append(self.sim.process(gen, name=f"mget:{key}"))
-            if reads:
-                yield self.sim.all_of(reads)
-            sizes = [len(d) for d in values if d is not None]
-            yield from self._client_leg_many(src, sizes)
-        finally:
-            sp.close()
+        reads = []
+        for key, data in zip(keys, values):
+            if data is None:
+                continue
+            if self.profile.erasure is not None:
+                gen = self._ec_gather(key, len(data), src)
+            else:
+                gen = self._service(self.osd_for(key),
+                                    self._get_fixed, len(data), src)
+            reads.append(self.sim.process(gen, name=f"mget:{key}"))
+        if reads:
+            yield self.sim.all_of(reads)
+        sizes = [len(d) for d in values if d is not None]
+        yield from self._client_leg_many(src, sizes)
         self.bytes_read += sum(sizes)
         self.backing.op_counts["get"] += len(sizes)
         return values
@@ -337,39 +304,25 @@ class ClusterObjectStore(ObjectStore):
                  src: Optional[Node] = None) -> SimGen:
         if not items:
             return
-        tr = self.sim._tracer
-        sp = _span(self.sim, "store.put_many", "store")
-        try:
-            yield from self._client_leg_many(src, [len(d) for _k, d in items])
-            writes = []
-            for k, d in items:
-                gen = self._server_put(k, d, src)
-                if tr is not None:
-                    gen = tr.wrap("store.put", gen, "store", key=k)
-                writes.append(self.sim.process(gen, name=f"mput:{k}"))
-            yield self.sim.all_of(writes)
-        finally:
-            sp.close()
+        yield from self._client_leg_many(src, [len(d) for _k, d in items])
+        writes = []
+        for k, d in items:
+            gen = self._server_put(k, d, src)
+            writes.append(self.sim.process(gen, name=f"mput:{k}"))
+        yield self.sim.all_of(writes)
 
     def delete_many(self, keys: Sequence[str],
                     src: Optional[Node] = None) -> SimGen:
-        tr = self.sim._tracer
-        sp = _span(self.sim, "store.delete_many", "store")
         present = [k for k in keys if k in self.backing]
-        try:
-            deletes = []
-            for k in present:
-                gen = self._service(self.osd_for(k),
-                                    self.profile.delete_latency, 0, src)
-                if tr is not None:
-                    gen = tr.wrap("store.delete", gen, "store", key=k)
-                deletes.append(self.sim.process(gen, name=f"mdel:{k}"))
-            if deletes:
-                yield self.sim.all_of(deletes)
-            else:
-                yield self.sim.timeout(0)
-        finally:
-            sp.close()
+        deletes = []
+        for k in present:
+            gen = self._service(self.osd_for(k),
+                                self.profile.delete_latency, 0, src)
+            deletes.append(self.sim.process(gen, name=f"mdel:{k}"))
+        if deletes:
+            yield self.sim.all_of(deletes)
+        else:
+            yield self.sim.timeout(0)
         removed = 0
         for key in present:
             if key in self.backing:  # not raced away while we waited

@@ -2,21 +2,23 @@
 
 Usage::
 
-    from repro.obs import Observability
+    from repro.obs import Observability, install_layer_spans
 
     sim = Simulator()
     obs = Observability.of(sim)           # lazy-attached, one per sim
     obs.enable_tracing(pid_name="arkfs")  # spans from here on
-    ... build cluster, run workload ...
+    cluster = build_arkfs(sim, ...)
+    install_layer_spans(cluster)          # store/PRT/cache/journal spans
+    ... run workload ...
     write_chrome_trace("out.json", [obs.tracer])
     print(format_attribution("read latency", attribute_latency(obs.tracer)))
 
 Components find the shared :class:`MetricsRegistry` through
 ``Observability.of(sim).metrics`` and pre-bind their counters; the span
-tracer is only consulted through ``sim._tracer`` (``None`` while disabled),
-so untraced runs pay one attribute check per instrumentation site.
-Instrumentation never schedules events — enabling it cannot perturb the
-simulated schedule.
+tracer is only reached through the running process's ``tracer`` field
+(``None`` while untraced), so untraced runs pay one attribute check per
+primitive span site (``repro.obs.trace``). Instrumentation never schedules
+events — enabling it cannot perturb the simulated schedule.
 """
 
 from __future__ import annotations
@@ -36,21 +38,23 @@ from .metrics import (Counter, Gauge, Histogram, MetricsRegistry, SampleClock,
 from .recorder import RECORDER_SCHEMA, FlightRecorder
 from .slowlog import SLOWLOG_SCHEMA, SlowOpLog
 from .trace import (
-    NULL_SPAN,
+    LAYER_SPANS,
     ROOT_CAT,
     RootOpObserver,
     Span,
     SpanTracer,
+    install_layer_spans,
     is_sampled,
+    remove_layer_spans,
     sample_threshold,
-    span,
 )
 
 __all__ = [
     "Observability",
     "MetricsRegistry", "Counter", "Gauge", "Histogram", "Series",
-    "SpanTracer", "Span", "span", "NULL_SPAN", "ROOT_CAT",
+    "SpanTracer", "Span", "ROOT_CAT",
     "RootOpObserver", "sample_threshold", "is_sampled",
+    "LAYER_SPANS", "install_layer_spans", "remove_layer_spans",
     "SlowOpLog", "SLOWLOG_SCHEMA",
     "FlightRecorder", "RECORDER_SCHEMA",
     "chrome_trace_events", "write_chrome_trace",
@@ -92,27 +96,23 @@ class Observability:
                        sample_rate: float = 1.0) -> SpanTracer:
         """Install a span tracer.
 
-        ``sample_rate >= 1`` is *full* tracing: every span site is active
-        (``sim._tracer`` set globally), exactly the pre-sampling behavior.
-        ``0 < sample_rate < 1`` is *sampled* tracing: the tracer goes in as
-        ``sim._sample_tracer`` and only root ops picked by the
-        deterministic hash (and their child processes) see a non-``None``
-        ``sim._tracer``. Idempotent: an already-installed tracer is never
-        replaced (in particular a full tracer is never downgraded to a
-        sampled one by a later default-rate call).
+        Root ops picked by the deterministic hash at ``sample_rate`` are
+        traced, with the processes they spawn (:class:`RootOpObserver`).
+        ``sample_rate >= 1`` is *full* tracing: every root op, and every
+        process started from here on (``sim.tracer``) — install the layer
+        boundaries with :func:`install_layer_spans` once the cluster is
+        built. Idempotent: an already-installed tracer is never replaced
+        (in particular a full tracer is never downgraded to a sampled one
+        by a later default-rate call).
         """
         if self.tracer is None:
             self.tracer = SpanTracer(self.sim, pid=pid, pid_name=pid_name)
-            if sample_rate >= 1.0:
-                self.sample_rate = 1.0
-                self.sim._tracer = self.tracer
-            else:
-                self.sample_rate = float(sample_rate)
-                ob = self._ensure_op_observer()
-                ob.tracer = self.tracer
-                ob.rate = self.sample_rate
-                ob.threshold = sample_threshold(self.sample_rate)
-                self.sim._sample_tracer = self.tracer
+            self.sample_rate = min(float(sample_rate), 1.0)
+            ob = self._ensure_op_observer()
+            ob.tracer = self.tracer
+            ob.threshold = sample_threshold(self.sample_rate)
+            if self.sample_rate == 1.0:
+                self.sim.tracer = self.tracer
         if self.slowlog is not None:
             self.slowlog.tracer = self.tracer
         return self.tracer

@@ -7,31 +7,40 @@ process state is touched, so *enabling tracing can never perturb simulated
 time*: every timestamp, result, and the order of events is identical with
 tracing on or off.
 
-With tracing disabled (``sim._tracer is None``, the default) instrumented
-hot paths pay a single attribute check; the :func:`span` helper returns a
-shared no-op context manager, so no span objects are allocated at all.
+The only tracing state is one field of the running process,
+``Process.tracer``: the tracer it records into, or ``None``. A spawned
+process inherits its spawner's; a top-level one starts with the sim's
+full-trace tracer (``Simulator.tracer``, ``None`` unless full tracing is
+on). The root-op observer sets the field for the duration of a sampled
+operation (:class:`RootOpObserver`), and :meth:`SpanTracer.wrap` does the
+same for a bare generator. Full tracing is sampling at rate 1.
 
-*Sampled* tracing sits between the two: the tracer is installed as
-``sim._sample_tracer`` and a deterministic per-root-op hash decides which
-operations trace (:class:`RootOpObserver`). ``Process._resume`` then makes
-``sim._tracer`` context-local — non-``None`` exactly while stepping a
-process inside a sampled op — so sampled ops get full spans while every
-other op pays only the single attribute check.
+Spans are recorded in two places. *Primitive* spans — CPU holds,
+transfers, network latency, queue waits, service, the FUSE crossing, the
+categories latency attribution reads — are opened by the few ``repro.sim``
+primitives and waits that alone can tell queueing from service; each reads
+``sim._active_proc.tracer`` and, untraced, allocates nothing. *Layer*
+spans are recorded from outside the code they time: :data:`LAYER_SPANS`
+names each layer boundary, and :func:`install_layer_spans` puts a
+dispatcher on every such method of a built cluster's instances (with full
+tracing the bench harness does so for every build). A sampled operation
+records its root and primitive spans only.
 
 Parenting across fan-outs: the engine records which process spawned which
 (:attr:`Process.parent_proc`) and which process is currently being stepped
 (:attr:`Simulator._active_proc`). A span opened in a process whose own
 stack is empty parents onto the innermost open span of its spawner (cached
-at first use), so the per-item spans inside a ``get_many`` scatter still
-hang off the VFS read that caused them.
+at first use), so the per-key work inside a ``get_many`` scatter still
+hangs off the VFS read that caused them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-__all__ = ["Span", "SpanTracer", "span", "NULL_SPAN", "ROOT_CAT",
-           "RootOpObserver", "sample_threshold", "is_sampled"]
+__all__ = ["Span", "SpanTracer", "ROOT_CAT", "RootOpObserver",
+           "sample_threshold", "is_sampled", "LAYER_SPANS",
+           "install_layer_spans", "remove_layer_spans"]
 
 #: Category that marks operation root spans (one per VFS op).
 ROOT_CAT = "vfs"
@@ -56,24 +65,6 @@ def sample_threshold(rate: float) -> int:
 def is_sampled(opid: int, threshold: int) -> bool:
     """The sampling decision for root-op ``opid`` (deterministic)."""
     return ((opid * _HASH_MULT) & _HASH_MASK) < threshold
-
-
-class _NullSpan:
-    """Shared no-op stand-in used while tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-    def close(self) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
 
 
 class Span:
@@ -204,46 +195,43 @@ class SpanTracer:
     # -- convenience --------------------------------------------------------
 
     def wrap(self, name: str, gen, cat: str = ROOT_CAT, **args):
-        """Drive ``gen`` to completion inside a span (generator helper)."""
-        with self.span(name, cat, **args):
-            return (yield from gen)
-
-
-def span(sim, name: str, cat: str = ""):
-    """Open a span on ``sim``'s tracer, or the shared no-op when disabled."""
-    tr = sim._tracer
-    if tr is None:
-        return NULL_SPAN
-    return tr.span(name, cat)
+        """Drive ``gen`` to completion inside a span, with the running
+        process traced into this tracer meanwhile (generator helper)."""
+        proc = self.sim._active_proc
+        prev = proc.tracer
+        proc.tracer = self
+        try:
+            with self.span(name, cat, **args):
+                return (yield from gen)
+        finally:
+            proc.tracer = prev
 
 
 class RootOpObserver:
     """The per-root-op pipeline behind always-on observability.
 
     Installed as ``sim._obs_ops`` (by :class:`repro.obs.Observability`)
-    when any of sampled tracing, the slow-op log, or the flight recorder is
+    when any of tracing, the slow-op log, or the flight recorder is
     enabled; the mount layer's VFS-op wrapper then routes every root
-    operation through :meth:`observe` instead of the plain span wrapper.
+    operation through :meth:`observe`.
 
     Sampling contract: each root op draws a sequential id and is sampled
     iff ``hash(id) < rate * 2^32`` (see :func:`is_sampled`) — a
     deterministic decision, so two runs of the same workload sample the
-    same ops. A sampled op sets the current process's ``trace_on`` bit for
-    its duration (spawned children inherit it), which makes
-    ``sim._tracer`` context-local via ``Process._resume``: every span site
-    below keeps its single attribute check and pays the trace cost only
-    inside sampled ops. Spans never schedule events, so simulated results
-    are bit-identical with sampling on or off.
+    same ops; at rate 1 (full tracing) every op is. A sampled op gets a
+    root span and sets the running process's ``tracer`` for its duration
+    (spawned children inherit it), so the primitives under it record
+    spans and nothing outside it does. Spans never schedule events, so
+    simulated results are bit-identical at any rate.
     """
 
-    __slots__ = ("sim", "tracer", "threshold", "rate", "slowlog", "recorder",
+    __slots__ = ("sim", "tracer", "threshold", "slowlog", "recorder",
                  "_c_root", "_c_sampled")
 
     def __init__(self, sim, c_root, c_sampled):
         self.sim = sim
-        self.tracer: Optional[SpanTracer] = None  # sampling tracer
+        self.tracer: Optional[SpanTracer] = None
         self.threshold = 0
-        self.rate = 0.0
         self.slowlog = None       # repro.obs.slowlog.SlowOpLog
         self.recorder = None      # repro.obs.recorder.FlightRecorder
         self._c_root = c_root         # Counter: obs.root_ops
@@ -270,24 +258,13 @@ class RootOpObserver:
         c.value = opid + 1
         tr = self.tracer
         span = None
-        proc = None
-        prev = False
-        if tr is not None:
-            if ((opid * _HASH_MULT) & _HASH_MASK) < self.threshold:
-                self._c_sampled.value += 1
-                proc = sim._active_proc
-                if proc is not None:
-                    prev = proc.trace_on
-                    proc.trace_on = True
-                sim._tracer = tr
-                span = tr.span(name, ROOT_CAT, op=opid)
-        else:
-            ftr = sim._tracer
-            if ftr is not None:
-                # Full (unsampled) tracing installed alongside slowlog /
-                # recorder: open the root span exactly as the plain
-                # wrapper would.
-                span = ftr.span(name, ROOT_CAT)
+        if (tr is not None
+                and ((opid * _HASH_MULT) & _HASH_MASK) < self.threshold):
+            self._c_sampled.value += 1
+            proc = sim._active_proc
+            prev = proc.tracer
+            proc.tracer = tr
+            span = tr.span(name, ROOT_CAT, op=opid)
         rec = self.recorder
         if rec is not None:
             # FlightRecorder.record() inlined (here and for op.end): these
@@ -308,9 +285,7 @@ class RootOpObserver:
             end = sim.now
             if span is not None:
                 span.close()
-            if proc is not None:
-                proc.trace_on = prev
-                sim._tracer = tr if prev else None
+                proc.tracer = prev
             if rec is not None:
                 rec.recorded += 1
                 rec.events.append((end, "op.end",
@@ -318,3 +293,92 @@ class RootOpObserver:
                                     "dur": end - start}))
             if self.slowlog is not None:
                 self.slowlog.observe(name, start, end, ok, span)
+
+
+# -- layer spans, recorded from outside ----------------------------------------
+
+#: The layer boundaries a full trace records: ``(component, category,
+#: {method: span name})``. A component is an attribute of the built cluster
+#: or, after ``clients.``, of each of its clients; a build without it skips
+#: the row. Every node's ``Node.call`` is one more boundary, spanned
+#: ``rpc:<method>``.
+LAYER_SPANS = (
+    ("store", "store", {verb: "store." + verb for verb in (
+        "get", "get_range", "put", "delete", "head", "put_if_absent",
+        "get_many", "put_many", "delete_many")}),
+    ("mds", "mds", {"call": "mds.call"}),
+    ("clients.prt", "prt", {m: "prt." + m for m in (
+        "read_data", "write_data", "truncate_data", "delete_data")}),
+    ("clients.cache", "cache", {"read": "cache.read", "write": "cache.write",
+                                "_fetch": "cache.fetch",
+                                "_writeback": "cache.writeback"}),
+    ("clients.journal", "journal", {"_commit_locked": "journal.commit",
+                                    "_checkpoint_locked": "journal.ckpt"}),
+    ("clients.pack", "pack", {"seal": "pack.seal",
+                              "compact": "pack.compact"}),
+)
+
+
+def _components(cluster, where: str) -> List[Any]:
+    """The distinct objects a :data:`LAYER_SPANS` row names on ``cluster``."""
+    owner, _, attr = where.rpartition(".")
+    owners = getattr(cluster, "clients", ()) if owner else (cluster,)
+    found = [getattr(o, attr, None) for o in owners]
+    return list({id(o): o for o in found if o is not None}.values())
+
+
+def _dispatcher(sim, orig, name: str, cat: str):
+    """``orig``'s generator as is for an untraced process, else inside a
+    span on the process's tracer."""
+
+    def dispatch(*args, **kwargs):
+        proc = sim._active_proc
+        tr = sim.tracer if proc is None else proc.tracer
+        if tr is None:
+            return orig(*args, **kwargs)
+        return tr.wrap(name, orig(*args, **kwargs), cat)
+
+    return dispatch
+
+
+def _rpc_dispatcher(sim, orig):
+    """:func:`_dispatcher` for ``Node.call``: spanned ``rpc:<method>``."""
+
+    def dispatch(target, method, *args, **kwargs):
+        proc = sim._active_proc
+        tr = sim.tracer if proc is None else proc.tracer
+        if tr is None:
+            return orig(target, method, *args, **kwargs)
+        return tr.wrap("rpc:" + method, orig(target, method, *args, **kwargs),
+                       "rpc", dst=target.name)
+
+    return dispatch
+
+
+def install_layer_spans(cluster) -> List[Tuple[Any, str]]:
+    """Put a dispatcher on every :data:`LAYER_SPANS` method of a built
+    cluster's instances, and on every node's ``call``.
+
+    A method the table names and a component lacks raises
+    ``AttributeError`` here. Returns the ``(object, method)`` pairs
+    installed, for :func:`remove_layer_spans`. Objects a component creates
+    later (a restarted client's journal) are not covered."""
+    sim = cluster.sim
+    installed = []
+    for where, cat, methods in LAYER_SPANS:
+        for obj in _components(cluster, where):
+            for attr, name in methods.items():
+                setattr(obj, attr, _dispatcher(sim, getattr(obj, attr),
+                                               name, cat))
+                installed.append((obj, attr))
+    net = getattr(cluster, "net", None)
+    for node in (net.nodes.values() if net is not None else ()):
+        node.call = _rpc_dispatcher(sim, node.call)
+        installed.append((node, "call"))
+    return installed
+
+
+def remove_layer_spans(installed: List[Tuple[Any, str]]) -> None:
+    """Delete the dispatchers again: the class methods show through."""
+    for obj, attr in installed:
+        delattr(obj, attr)

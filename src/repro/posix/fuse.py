@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..obs.trace import ROOT_CAT
 from ..sim.engine import SimGen
 from ..sim.network import Node
 from ..sim.resources import Mutex
@@ -89,7 +88,7 @@ class _MountBase(VFSClient):
         """Cost of shipping one request through the mount boundary."""
         self.request_count += 1
         if self.params.crossing_latency > 0:
-            tr = self.sim._tracer
+            tr = self.sim._active_proc.tracer
             if tr is not None:
                 with tr.span("fuse.crossing", "fuse"):
                     yield self.sim.timeout(self.params.crossing_latency)
@@ -338,11 +337,12 @@ class _MountBase(VFSClient):
             creds, path, self.inner.setfacl(creds, path, acl)))
 
 
-# Every public VFS op gets a root span ("vfs.<op>") so cross-layer latency
-# attribution has one top-level interval per operation, across ArkFS and
-# every baseline alike (they all sit behind a mount). The wrapper returns
-# the raw generator untouched while tracing is disabled — zero allocations,
-# one attribute check — and the span names are precomputed at import time.
+# Every public VFS op is a root op ("vfs.<op>"): with any observability
+# installed it runs under the root-op observer, which samples it, opens its
+# root span, and feeds the slow-op log and flight recorder, across ArkFS
+# and every baseline alike (they all sit behind a mount). Without one the
+# wrapper returns the raw generator untouched — one attribute check — and
+# the names are precomputed at import time.
 _VFS_OPS = (
     "lookup", "mkdir", "rmdir", "open", "close", "unlink", "stat", "lstat",
     "readdir", "rename", "read", "write", "fsync", "truncate", "chmod",
@@ -351,21 +351,15 @@ _VFS_OPS = (
 )
 
 
-def _with_root_span(op: str, fn):
+def _as_root_op(op: str, fn):
     name = "vfs." + op
 
     def method(self, *args, **kwargs):
         gen = fn(self, *args, **kwargs)
-        sim = self.sim
-        ob = sim._obs_ops
-        if ob is not None:
-            # Sampling / slow-op log / flight recorder installed: route the
-            # root op through the observer (which opens the span itself).
-            return ob.observe(name, gen)
-        tr = sim._tracer
-        if tr is None:
+        ob = self.sim._obs_ops
+        if ob is None:
             return gen
-        return tr.wrap(name, gen, ROOT_CAT)
+        return ob.observe(name, gen)
 
     method.__name__ = fn.__name__
     method.__qualname__ = fn.__qualname__
@@ -374,7 +368,7 @@ def _with_root_span(op: str, fn):
 
 
 for _op in _VFS_OPS:
-    setattr(_MountBase, _op, _with_root_span(_op, getattr(_MountBase, _op)))
+    setattr(_MountBase, _op, _as_root_op(_op, getattr(_MountBase, _op)))
 del _op
 
 

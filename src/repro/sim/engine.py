@@ -207,7 +207,7 @@ class Process(Event):
     """
 
     __slots__ = ("_gen", "_waiting_on", "_wait_epoch", "_gate_hold", "name",
-                 "parent_proc", "trace_on")
+                 "parent_proc", "tracer")
 
     def __init__(self, sim: "Simulator", gen: SimGen, name: str = ""):
         # Event.__init__ is inlined: process spawns are the hottest
@@ -234,11 +234,11 @@ class Process(Event):
         # Observability uses the chain to parent spans across fan-outs.
         parent = sim._active_proc
         self.parent_proc: Optional["Process"] = parent
-        # Per-process "tracing active" bit for sampled tracing: inherited
-        # from the spawner so every process in a sampled operation's fan-out
-        # keeps tracing. Only consulted while a sampling tracer is installed
-        # (``sim._sample_tracer``); see Process._resume.
-        self.trace_on = False if parent is None else parent.trace_on
+        # The span tracer this process records into, or None: the only
+        # tracing state (repro.obs). Inherited from the spawner, so a traced
+        # operation's fan-out stays traced; a top-level process starts with
+        # the sim's full-trace tracer.
+        self.tracer = sim.tracer if parent is None else parent.tracer
         # Kick off at the current time. The kick-off event is invisible to
         # user code, so it is drawn from (and recycled into) a freelist
         # (its callbacks slot is left None in the pool; the list literal
@@ -338,14 +338,6 @@ class Process(Event):
         gen = self._gen
         prev_active = sim._active_proc
         sim._active_proc = self
-        # Sampled tracing: with a sampling tracer installed, ``sim._tracer``
-        # is *context-local* — synced here from the per-process bit so every
-        # instrumentation site keeps its single ``sim._tracer`` check yet
-        # sees the tracer only inside sampled operations. One
-        # attribute load + branch when sampling is off (the common case).
-        st = sim._sample_tracer
-        if st is not None:
-            sim._tracer = st if self.trace_on else None
         ready = sim._ready
         heap = sim._heap
         PENDING = Event._PENDING
@@ -421,9 +413,6 @@ class Process(Event):
                 return
         finally:
             sim._active_proc = prev_active
-            if st is not None:
-                sim._tracer = (st if prev_active is not None
-                               and prev_active.trace_on else None)
 
 
 class _Condition(Event):
@@ -503,15 +492,9 @@ class AnyOf(_Condition):
 class Simulator:
     """The event loop: a ready deque for now-events plus a time-ordered heap."""
 
-    # Span tracer hook (set by repro.obs when tracing is enabled). A class
-    # attribute so instrumented hot paths can read ``sim._tracer`` without
-    # getattr defaults; ``None`` means tracing is off. With *sampled*
-    # tracing the installed tracer lives in ``_sample_tracer`` and
-    # ``_tracer`` becomes context-local: Process._resume points it at the
-    # tracer only while stepping a process whose ``trace_on`` bit is set.
-    _tracer = None
-    # The tracer installed in sampling mode (None = not sampling).
-    _sample_tracer = None
+    # The full-trace tracer (set by repro.obs), which a top-level process
+    # starts with as its ``tracer``; None unless full tracing is on.
+    tracer = None
     # Root-op observer (repro.obs: sampling decision + slow-op log + flight
     # recorder feed); consulted by the mount layer's VFS-op wrapper only.
     _obs_ops = None

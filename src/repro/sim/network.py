@@ -86,8 +86,8 @@ class Node:
     def work(self, seconds: float) -> SimGen:
         """Consume this node's CPU for ``seconds`` (queueing if contended).
 
-        Like :meth:`call`, returns the generator to iterate rather than
-        wrapping it in a frame of its own."""
+        Returns the generator to iterate rather than wrapping it in a frame
+        of its own."""
         if seconds > 0:
             return self.cpu.use(seconds)
         return _no_work()
@@ -116,51 +116,15 @@ class Node:
         Application-level exceptions raised by the handler propagate to the
         caller (after paying the response network cost), mirroring how a gRPC
         error status travels back. Transport failures raise :class:`RpcError`.
-
-        Not itself a generator function: it returns the underlying RPC
-        generator so the untraced hot path costs a single frame under
-        ``yield from``. Callers iterate it exactly as before.
         """
-        if self.sim._tracer is None:
-            return self._call(target, method, *args,
-                              req_size=req_size, resp_size=resp_size)
-        return self._traced_call(target, method, *args,
-                                 req_size=req_size, resp_size=resp_size)
-
-    def _traced_call(
-        self,
-        target: "Node",
-        method: str,
-        *args: Any,
-        req_size: int = 256,
-        resp_size: int = 256,
-    ) -> SimGen:
-        with self.sim._tracer.span("rpc:" + method, "rpc", dst=target.name):
-            return (yield from self._call(target, method, *args,
-                                          req_size=req_size,
-                                          resp_size=resp_size))
-
-    def _call(
-        self,
-        target: "Node",
-        method: str,
-        *args: Any,
-        req_size: int = 256,
-        resp_size: int = 256,
-    ) -> SimGen:
         assert self.net is not None, "node not attached to a network"
         sim = self.sim
-        # The qualified span name only matters when tracing; skip the
-        # per-RPC f-string otherwise (the bare method still names the
-        # process for debugging).
-        name = (f"{method}@{target.name}" if sim._tracer is not None
-                else method)
         if not self.alive:
             raise NodeDown(f"caller {self.name} is down")
         if target is self:
             # Local dispatch: no network, but still runs the handler.
             handler = target._handlers[method]
-            result = yield sim.process(handler(*args), name=name)
+            result = yield sim.process(handler(*args), name=method)
             return result
         net = self.net
         yield from net.send(self, target, req_size)
@@ -173,7 +137,7 @@ class Node:
         except KeyError:
             raise RpcError(f"node {target.name} has no handler {method!r}") from None
         try:
-            result = yield sim.process(handler(*args), name=name)
+            result = yield sim.process(handler(*args), name=method)
         except Exception:
             if target.alive and self.alive:
                 yield from net.send(target, self, resp_size)
@@ -225,7 +189,7 @@ class Network:
                 yield self.sim.timeout(delay)
         yield from src.nic.transfer(size)
         sim = self.sim
-        tr = sim._tracer
+        tr = sim._active_proc.tracer
         lat = self.params.latency_s
         if tr is not None:
             with tr.span("net.lat", "net"):

@@ -22,12 +22,12 @@ the tags.
 
 ``Resource.use`` — 60 % of all scheduled events in the metadata workloads
 are its grant + hold — has two bodies with one schedule. ``_use_textbook``
-is the definition: yield the request, then yield a timeout. It runs when a
-tracer is active (each step gets its span) or the hold is zero. ``use``
-itself is the other body, and resumes the calling process once per hold
-instead of twice, through the scheduler's hold primitive. It asks the
-scheduler one question — could anything observe the grant a free slot
-would trigger now (``Simulator._hold_unobserved``)? If not, there is no
+is the definition: yield the request, then yield a timeout. It runs when
+the running process is traced (each step gets its span) or the hold is
+zero. ``use`` itself is the other body, and resumes the calling process
+once per hold instead of twice, through the scheduler's hold primitive. It
+asks the scheduler one question — could anything observe the grant a free
+slot would trigger now (``Simulator._hold_unobserved``)? If not, there is no
 request and no grant event: the slot is taken, the hold's end is already
 scheduled, and the ``finally`` gives the slot back as ``release`` would.
 If so (or the resource is full) it requests, and the grant event becomes
@@ -44,7 +44,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from ..obs.trace import span as _span
 from .engine import Event, SimGen, Simulator, SimulationError
 
 __all__ = ["Request", "Resource", "Mutex", "Store", "BandwidthPipe", "serve"]
@@ -214,7 +213,7 @@ class Resource:
         granted but not yet resumed — it cancels the request or gives the
         slot straight back, so a dead waiter never holds the resource."""
         req = self.request()
-        tr = self.sim._tracer
+        tr = self.sim._active_proc.tracer
         try:
             if tr is None or req.granted:
                 yield req
@@ -235,10 +234,10 @@ class Resource:
 
         Resumes the caller once, when the hold ends: the schedule (same
         events, same order) of :meth:`_use_textbook`, which it runs instead
-        when a tracer is active (each step gets its span) or there is
-        nothing to hold."""
+        when the running process is traced (each step gets its span) or
+        there is nothing to hold."""
         sim = self.sim
-        if not hold_time > 0 or sim._tracer is not None:
+        if not hold_time > 0 or sim._active_proc.tracer is not None:
             yield from self._use_textbook(hold_time, tenant, cost)
             return
         if self._in_use < self.capacity and self._grantless_holds:
@@ -282,16 +281,20 @@ class Resource:
         With tracing on, a contended acquisition gets a queue-wait span and
         the hold gets a span in the resource's attribution category."""
         sim = self.sim
+        tr = sim._active_proc.tracer
         req = self._request_pooled(tenant, cost)
         try:
-            if req.granted:
+            if req.granted or tr is None:
                 yield req
             else:
-                with _span(sim, self._wait_name, "queue"):
+                with tr.span(self._wait_name, "queue"):
                     yield req
             if hold_time > 0:
-                with _span(sim, self.name or "hold", self.span_cat):
+                if tr is None:
                     yield sim.timeout(hold_time)
+                else:
+                    with tr.span(self.name or "hold", self.span_cat):
+                        yield sim.timeout(hold_time)
         finally:
             # Interrupted while waiting for the grant, this cancels the
             # queued request or gives the just-granted slot straight back.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+from ..obs import Observability
 from ..sim.engine import SimGen, SimulationError, Simulator
 from ..sim.stats import PhaseRecorder, PhaseResult
 
@@ -57,12 +58,10 @@ class WorkloadRunner:
             drop = getattr(mount, "invalidate_dcache", None)
             if drop is not None:
                 drop()
-        tracer = self.sim._tracer or self.sim._sample_tracer
+        tracer = Observability.of(self.sim).tracer
         if tracer is not None:
             # Spans opened during this phase carry its name, which is what
-            # the latency-attribution report groups by. Under sampled
-            # tracing the main context sees ``sim._tracer is None``, so
-            # reach for the sampling tracer too.
+            # the latency-attribution report groups by.
             tracer.phase = name
         self.recorder.begin(name)
         procs = [self.sim.process(f(), name=f"{name}[{i}]")

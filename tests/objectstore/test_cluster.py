@@ -1,6 +1,8 @@
 """Cluster object store: functional parity with the memory store plus
 timing/queueing behaviour."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.objectstore import (
@@ -12,7 +14,7 @@ from repro.objectstore import (
     EBS_GP_1GBS,
     StoreProfile,
 )
-from repro.obs import Observability
+from repro.obs import Observability, install_layer_spans
 from repro.sim import Interrupt, NetParams, Network, Node, Simulator
 
 
@@ -177,6 +179,7 @@ def test_interrupted_delete_many_closes_its_span(cluster):
     tracer's per-process stack."""
     sim, s = cluster
     tracer = Observability.of(sim).enable_tracing(pid_name="t")
+    install_layer_spans(SimpleNamespace(sim=sim, store=s))
     keys = [f"k{i}" for i in range(6)]
     run(sim, s.put_many([(k, b"v") for k in keys]))
 
@@ -213,6 +216,7 @@ def test_interrupted_while_queued_for_an_osd_slot_leaves_no_holder(
     s = ClusterObjectStore(sim, prof)
     if traced:
         Observability.of(sim).enable_tracing(pid_name="t")
+        install_layer_spans(SimpleNamespace(sim=sim, store=s))
     run(sim, s.put_many([(k, b"v") for k in ("held", "victim", "after")]))
     queue = s.osds[0].queue
     seen = []

@@ -1,9 +1,10 @@
-"""Sampled tracing: determinism, bit-identity, and the context-local tracer.
+"""Sampled tracing: determinism, bit-identity, and the per-process tracer.
 
 The contract under test (DESIGN.md §7): a deterministic hash of the
-sequential root-op id decides which ops trace; sampled ops get full spans
-while unsampled ops allocate none; and simulated results are bit-identical
-with sampling on, off, or at any rate.
+sequential root-op id decides which ops trace; a sampled op's processes
+carry the tracer and record its root and primitive spans, unsampled ops
+allocate none; and simulated results are bit-identical with sampling on,
+off, or at any rate.
 """
 
 import pytest
@@ -39,8 +40,15 @@ def _workload(fs):
     out = []
     for i in range(8):
         out.append(fs.read_file(f"/d/f{i}"))
+    fs.truncate("/d/f0", 1000)
+    out.append(fs.read_file("/d/f0"))
     out.append(tuple(sorted(fs.readdir("/d"))))
     return out
+
+
+#: Layer-span categories (``LAYER_SPANS``): a full trace records them, a
+#: sampled op only its root and primitive spans.
+LAYER_CATS = ("store", "cache", "journal", "prt", "rpc")
 
 
 def _run(obs_off, rate, slowlog=False, recorder=False):
@@ -102,15 +110,46 @@ class TestSampledRuns:
                  if s.cat == trace_mod.ROOT_CAT and s.args
                  and "op" in s.args]
         assert len(roots) == ob.n_sampled
-        # Each sampled root got primitive children, so attribution works.
+        # Each sampled root got primitive children, so attribution works;
+        # nothing else is recorded.
         child_cats = {s.cat for s in obs.tracer.spans if s.parent is not None}
         assert child_cats & set(PRIMITIVE_CATS)
+        assert child_cats <= set(PRIMITIVE_CATS)
+
+    def test_full_tracing_adds_layer_spans(self, obs_off):
+        _sim, sampled, _ = _run(obs_off, 0.05)
+        _sim, full, _ = _run(obs_off, 1.0)
+        ob = full._op_observer
+        assert ob.n_sampled == ob.n_root > 0
+        cats = [{s.cat for s in obs.tracer.spans} for obs in (sampled, full)]
+        assert cats[1] - cats[0] == set(LAYER_CATS)
 
     def test_tracer_context_local_outside_sampled_ops(self, obs_off):
-        sim, obs, _ = _run(obs_off, 0.05)
-        # After the run the main context must be untraced again.
-        assert sim._tracer is None
-        assert sim._sample_tracer is obs.tracer
+        sim = Simulator()
+        obs = Observability.of(sim)
+        obs.enable_tracing(pid_name="arkfs", sample_rate=0.05)
+        _cluster, mounts = build("arkfs", sim, n_clients=1, net=NET_50G)
+        seen = []
+
+        def ops():
+            # Op 0 always samples; at 5 % the next three do not.
+            for i in range(4):
+                yield from mounts[0].mkdir(ROOT_CREDS, f"/d{i}")
+                seen.append(sim._active_proc.tracer)
+
+        sim.run_process(ops())
+        assert obs._op_observer.n_sampled == 1
+        # The sampled op gave its process the tracer only for its duration,
+        # and top-level processes start untraced.
+        assert seen == [None] * 4
+        assert sim.tracer is None
+        # Every span belongs to the sampled op: nothing outside it traced.
+        roots = [s for s in obs.tracer.spans if s.cat == trace_mod.ROOT_CAT]
+        assert [r.name for r in roots] == ["vfs.mkdir"]
+        for s in obs.tracer.spans:
+            while s.parent is not None:
+                s = s.parent
+            assert s is roots[0]
 
     def test_zero_span_allocations_when_rate_zero(self, obs_off, monkeypatch):
         calls = []
@@ -133,5 +172,6 @@ class TestSampledRuns:
         obs = Observability.of(sim)
         tr = obs.enable_tracing(pid_name="full")          # full tracing
         assert obs.enable_tracing(sample_rate=0.01) is tr  # no downgrade
-        assert sim._tracer is tr
+        assert sim.tracer is tr
+        assert obs._op_observer.threshold == 1 << 32      # every op
         assert obs.sample_rate == 1.0

@@ -8,6 +8,7 @@ run must not allocate a single Span.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.obs import (
     Observability,
     attribute_latency,
     chrome_trace_events,
+    install_layer_spans,
     write_chrome_trace,
 )
 from repro.obs import trace as trace_mod
@@ -81,14 +83,16 @@ class TestSpanCoverage:
             assert covered >= 0.95, (phase, covered)
 
     def test_get_many_fanout_per_item_spans(self):
-        """Each item of a batched GET gets its own span, parented (through
-        the spawned per-key process) under the caller's root span."""
+        """Each item of a batched GET gets its own OSD service span,
+        parented (through the spawned per-key process) under the batch's
+        layer span and the caller's root span."""
         from repro.objectstore.cluster import ClusterObjectStore
         from repro.objectstore.profiles import RADOS_PROFILE
 
         sim = Simulator()
         tracer = Observability.of(sim).enable_tracing(pid_name="store")
         store = ClusterObjectStore(sim, RADOS_PROFILE)
+        install_layer_spans(SimpleNamespace(sim=sim, store=store))
         keys = [f"k{i}" for i in range(4)]
 
         def root():
@@ -98,7 +102,9 @@ class TestSpanCoverage:
 
         values = sim.run_process(tracer.wrap("vfs.op", root(), "vfs"))
         assert values == [b"x" * 4096] * 4
-        gets = [s for s in tracer.spans if s.name == "store.get"]
+        [batch] = [s for s in tracer.spans if s.name == "store.get_many"]
+        gets = [s for s in tracer.spans if s.cat == "svc"
+                and batch in set(_ancestors(s))]
         assert len(gets) == 4
         for g in gets:
             names = {a.name for a in _ancestors(g)}
@@ -114,12 +120,39 @@ class TestSpanCoverage:
         assert fs.readdir("/d") == ["f"]
         names = {s.name for s in tracer.spans}
         for expected in ("vfs.mkdir", "vfs.stat", "vfs.readdir",
-                         "lease.acquire", "journal.commit", "store.put"):
+                         "rpc:lease.acquire", "journal.commit",
+                         "store.put"):
             assert expected in names
         attrib = attribute_latency(tracer)
         total = sum(r["total_s"] for r in attrib.values())
         covered = sum(r["attributed_s"] for r in attrib.values())
         assert covered >= 0.95 * total
+
+    def test_wrap_traces_a_bare_generator_for_its_duration(self):
+        """Without full tracing, ``wrap`` gives the running process the
+        tracer while ``gen`` runs, so the primitives under it record
+        spans, and takes it back afterwards."""
+        from repro.sim.resources import Resource
+
+        sim = Simulator()
+        tracer = Observability.of(sim).enable_tracing(pid_name="t",
+                                                      sample_rate=0.0)
+        res = Resource(sim, capacity=1, name="r.cpu")
+        seen = []
+
+        def work():
+            seen.append(sim._active_proc.tracer)
+            yield from res.use(1.0)
+
+        def main():
+            yield from tracer.wrap("vfs.op", work())
+            seen.append(sim._active_proc.tracer)
+            yield from res.use(1.0)
+
+        sim.run_process(main())
+        assert seen == [tracer, None]
+        assert [(s.name, s.parent.name) for s in tracer.spans
+                if s.parent is not None] == [("r.cpu", "vfs.op")]
 
 
 class TestChromeExport:
@@ -175,5 +208,6 @@ class TestDisabledTracing:
         fs.mkdir("/q")
         fs.write_file("/q/f", b"z" * MiB, do_fsync=True)
         assert fs.read_file("/q/f") == b"z" * MiB
-        assert sim._tracer is None
+        assert sim.tracer is None
+        assert sim._obs_ops.tracer is None
         assert calls == []

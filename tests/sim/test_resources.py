@@ -906,6 +906,8 @@ def test_grantless_arm_not_taken_for_a_traced_op_or_a_zero_hold():
         res = Resource(sim, capacity=1, name="r.cpu")
 
         def traced():
+            # Full tracing: a top-level process starts with the tracer.
+            assert sim._active_proc.tracer is tracer
             yield sim.timeout(1.0)
             yield from res.use(1.0)
 
