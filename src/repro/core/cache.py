@@ -589,7 +589,7 @@ class DataObjectCache:
     def flush(self, ino: int) -> SimGen:
         """Write every dirty entry of a file back to object storage,
         ``writeback_parallel`` PUTs at a time."""
-        yield from self.flush_many([ino])
+        return self.flush_many([ino])
 
     def flush_many(self, inos) -> SimGen:
         """Flush several files' dirty entries through one flusher-pool run,
@@ -615,8 +615,8 @@ class DataObjectCache:
         serialize one PUT per entry. ``deleted`` marks a revocation that
         precedes an unlink purge: a packing cache then retires the file's
         extents instead of publishing them."""
-        yield from self.invalidate_many([ino], flush_dirty=flush_dirty,
-                                        deleted=deleted)
+        return self.invalidate_many([ino], flush_dirty=flush_dirty,
+                                    deleted=deleted)
 
     def invalidate_many(self, inos, flush_dirty: bool = True,
                         deleted: bool = False) -> SimGen:

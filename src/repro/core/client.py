@@ -240,12 +240,13 @@ class ArkFSClient(LeaderOps, VFSClient):
         return True
 
     def _peer_call(self, leader: str, opname: str, **kwargs: Any) -> SimGen:
+        """Forward an op to the directory's leader: the RPC's generator,
+        with no frame of its own."""
         target = self.node.net.nodes.get(leader)
         if target is None:
             raise NodeDown(f"unknown leader {leader}")
         kwargs.setdefault("requester", self.name)
-        result = yield from self.node.call(target, "arkfs", opname, kwargs)
-        return result
+        return self.node.call(target, "arkfs", opname, kwargs)
 
     def _mgr(self, method: str, *args: Any) -> SimGen:
         """Call the lease manager responsible for args[0] (a dir ino).
@@ -532,41 +533,49 @@ class ArkFSClient(LeaderOps, VFSClient):
         return parent, parts[-1]
 
     def _getattr_inode(self, creds: Optional[Credentials], path: str,
-                       follow: bool, depth: int = 0) -> SimGen:
-        """The full Inode of the path's final target (stat/lstat core)."""
+                       follow: bool, depth: int = 0,
+                       as_stat: bool = False) -> SimGen:
+        """The full Inode of the path's final target, or with ``as_stat``
+        its StatResult: ``stat``/``lstat`` return this generator as is, so
+        it is their only client frame."""
         parts = pathmod.split_path(path)
         if not parts:
             d = yield from self._authority_op(ROOT_INO, "getattr_dir", creds)
-            return Inode.from_dict(d)
-        parent, name = yield from self._resolve_parent(creds, path)
-        for _hop in range(4):
-            dentry = yield from self._lookup_component(creds, parent, name)
-            if dentry.ftype is FileType.DIRECTORY:
-                d = yield from self._authority_op(dentry.ino, "getattr_dir",
-                                                  creds)
-                return Inode.from_dict(d)
-            if dentry.ftype is FileType.SYMLINK and follow:
-                if depth >= self.params.symlink_max_follow:
-                    raise TooManySymlinks(path)
-                target = yield from self._authority_op(
-                    parent, "readlink", creds, name=name)
-                tparts, base = self._expand_symlink(target, parent)
-                if not tparts:
-                    d = yield from self._authority_op(base, "getattr_dir",
-                                                      creds)
-                    return Inode.from_dict(d)
-                parent = yield from self._walk_dirs_from(creds, base,
-                                                         tparts[:-1])
-                name = tparts[-1]
-                depth += 1
-                continue
-            d = yield from self._authority_op(parent, "getattr_child", creds,
-                                              name=name)
-            if isinstance(d, dict) and "redirect_dir" in d:
-                d = yield from self._authority_op(d["redirect_dir"],
-                                                  "getattr_dir", creds)
-            return Inode.from_dict(d)
-        raise TooManySymlinks(path)
+        else:
+            parent = yield from self._walk_dirs(creds, parts[:-1])
+            name = parts[-1]
+            for _hop in range(4):
+                dentry = yield from self._lookup_component(creds, parent,
+                                                           name)
+                if dentry.ftype is FileType.DIRECTORY:
+                    d = yield from self._authority_op(dentry.ino,
+                                                      "getattr_dir", creds)
+                    break
+                if dentry.ftype is FileType.SYMLINK and follow:
+                    if depth >= self.params.symlink_max_follow:
+                        raise TooManySymlinks(path)
+                    target = yield from self._authority_op(
+                        parent, "readlink", creds, name=name)
+                    tparts, base = self._expand_symlink(target, parent)
+                    if not tparts:
+                        d = yield from self._authority_op(
+                            base, "getattr_dir", creds)
+                        break
+                    parent = yield from self._walk_dirs_from(creds, base,
+                                                             tparts[:-1])
+                    name = tparts[-1]
+                    depth += 1
+                    continue
+                d = yield from self._authority_op(parent, "getattr_child",
+                                                  creds, name=name)
+                if isinstance(d, dict) and "redirect_dir" in d:
+                    d = yield from self._authority_op(d["redirect_dir"],
+                                                      "getattr_dir", creds)
+                break
+            else:
+                raise TooManySymlinks(path)
+        inode = Inode.from_dict(d)
+        return inode.stat() if as_stat else inode
 
     def _walk_dirs_from(self, creds, base: int, parts: list) -> SimGen:
         cur = base
@@ -724,12 +733,10 @@ class ArkFSClient(LeaderOps, VFSClient):
     # -------------------------------------------------------------- VFS: stat
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        inode = yield from self._getattr_inode(creds, path, follow=True)
-        return inode.stat()
+        return self._getattr_inode(creds, path, follow=True, as_stat=True)
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        inode = yield from self._getattr_inode(creds, path, follow=False)
-        return inode.stat()
+        return self._getattr_inode(creds, path, follow=False, as_stat=True)
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
         inode = yield from self._getattr_inode(creds, path, follow=True)

@@ -114,39 +114,31 @@ class ClusterObjectStore(ObjectStore):
 
     # -- cost helpers ---------------------------------------------------------
 
-    def _client_leg(self, src: Optional[Node], nbytes: int) -> SimGen:
-        """Charge the calling node's NIC for moving ``nbytes``; plus the
-        per-stream bandwidth cap (dominant on S3)."""
-        if src is not None and src.net is not None:
-            yield from src.nic.transfer(nbytes)
-            yield from _timed(self.sim, src.net.params.latency_s,
-                              "net.lat", "net")
-        if nbytes > 0 and self.profile.per_stream_bw > 0:
-            stream_time = nbytes / self.profile.per_stream_bw
-            nic_time = (
-                nbytes / src.nic.bytes_per_sec if src is not None else 0.0
-            )
-            # The stream is jointly limited by NIC and per-stream cap; the
-            # NIC leg above already billed nic_time, pay only the excess.
-            if stream_time > nic_time:
-                yield from _timed(self.sim, stream_time - nic_time,
-                                  "stream.cap", "net")
-
-    def _client_leg_many(self, src: Optional[Node],
-                         sizes: Sequence[int]) -> SimGen:
-        """Client-side cost of one *batched* request: the NIC still moves
-        every byte, but the batch pays one stack latency (one enqueue), and
-        the per-stream cap applies per concurrent stream, not to the sum."""
+    def _client_leg(self, src: Optional[Node], sizes: Sequence[int]) -> SimGen:
+        """Client-side cost of one request moving ``sizes`` (one size per
+        key of a batch): the calling node's NIC moves every byte, the
+        request pays one stack latency (one enqueue), and the per-stream
+        bandwidth cap (dominant on S3) applies per concurrent stream, not
+        to the sum."""
         total = sum(sizes)
         if src is not None and src.net is not None:
             yield from src.nic.transfer(total)
-            yield from _timed(self.sim, src.net.params.latency_s,
-                              "net.lat", "net")
+            # The latency leg yields its timeout here, as Network.send
+            # does: a helper generator would be one more frame to resume.
+            sim = self.sim
+            tr = sim._active_proc.tracer
+            if tr is not None:
+                with tr.span("net.lat", "net"):
+                    yield sim.timeout(src.net.params.latency_s)
+            else:
+                yield sim.timeout(src.net.params.latency_s)
         if sizes and self.profile.per_stream_bw > 0:
             stream_time = max(sizes) / self.profile.per_stream_bw
             nic_time = (
                 total / src.nic.bytes_per_sec if src is not None else 0.0
             )
+            # The stream is jointly limited by NIC and per-stream cap; the
+            # NIC leg above already billed nic_time, pay only the excess.
             if stream_time > nic_time:
                 yield from _timed(self.sim, stream_time - nic_time,
                                   "stream.cap", "net")
@@ -173,7 +165,7 @@ class ClusterObjectStore(ObjectStore):
         else:
             osd = self.osd_for(key)
             yield from self._service(osd, self._get_fixed, len(data), src)
-        yield from self._client_leg(src, len(data))
+        yield from self._client_leg(src, (len(data),))
         self.bytes_read += len(data)
         self.backing.op_counts["get"] += 1
         return data
@@ -199,13 +191,13 @@ class ClusterObjectStore(ObjectStore):
         data = whole[offset : offset + length]
         osd = self.osd_for(key)
         yield from self._service(osd, self._get_fixed, len(data), src)
-        yield from self._client_leg(src, len(data))
+        yield from self._client_leg(src, (len(data),))
         self.bytes_read += len(data)
         self.backing.op_counts["get"] += 1
         return data
 
     def put(self, key: str, data: bytes, src: Optional[Node] = None) -> SimGen:
-        yield from self._client_leg(src, len(data))
+        yield from self._client_leg(src, (len(data),))
         yield from self._server_put(key, data, src)
 
     def _server_put(self, key: str, data: bytes,
@@ -295,7 +287,7 @@ class ClusterObjectStore(ObjectStore):
         if reads:
             yield self.sim.all_of(reads)
         sizes = [len(d) for d in values if d is not None]
-        yield from self._client_leg_many(src, sizes)
+        yield from self._client_leg(src, sizes)
         self.bytes_read += sum(sizes)
         self.backing.op_counts["get"] += len(sizes)
         return values
@@ -304,7 +296,7 @@ class ClusterObjectStore(ObjectStore):
                  src: Optional[Node] = None) -> SimGen:
         if not items:
             return
-        yield from self._client_leg_many(src, [len(d) for _k, d in items])
+        yield from self._client_leg(src, [len(d) for _k, d in items])
         writes = []
         for k, d in items:
             gen = self._server_put(k, d, src)

@@ -212,8 +212,10 @@ class RootOpObserver:
 
     Installed as ``sim._obs_ops`` (by :class:`repro.obs.Observability`)
     when any of tracing, the slow-op log, or the flight recorder is
-    enabled; the mount layer's VFS-op wrapper then routes every root
-    operation through :meth:`observe`.
+    enabled. Every public mount-layer VFS op is a root op: its own frame
+    calls :meth:`begin` when it starts running and :meth:`end` with the
+    token when it finishes, so the observer adds two calls per op and no
+    frame to the op's resume path.
 
     Sampling contract: each root op draws a sequential id and is sampled
     iff ``hash(id) < rate * 2^32`` (see :func:`is_sampled`) — a
@@ -250,49 +252,55 @@ class RootOpObserver:
         t = self.threshold
         return sum(1 for i in range(self._c_root.value) if is_sampled(i, t))
 
-    def observe(self, name: str, gen):
-        """Drive one root-op generator under sampling/slowlog/recorder."""
+    def begin(self, name: str) -> tuple:
+        """Start root op ``name`` in the running process: draw its id,
+        sample it (a sampled op gets its root span and traces the process
+        until :meth:`end`), and record ``op.start``. Returns the token
+        :meth:`end` takes."""
         sim = self.sim
         c = self._c_root
         opid = c.value
         c.value = opid + 1
+        start = sim.now
         tr = self.tracer
-        span = None
         if (tr is not None
                 and ((opid * _HASH_MULT) & _HASH_MASK) < self.threshold):
             self._c_sampled.value += 1
             proc = sim._active_proc
             prev = proc.tracer
             proc.tracer = tr
-            span = tr.span(name, ROOT_CAT, op=opid)
+            token = (name, opid, start, tr.span(name, ROOT_CAT, op=opid),
+                     proc, prev)
+        else:
+            token = (name, opid, start, None, None, None)
         rec = self.recorder
         if rec is not None:
             # FlightRecorder.record() inlined (here and for op.end): these
             # two appends run for every root op, where the call overhead
             # is measurable against the 5% always-on budget.
             rec.recorded += 1
-            rec.events.append((sim.now, "op.start",
+            rec.events.append((start, "op.start",
                                {"op": name, "id": opid,
-                                "sampled": span is not None}))
-        start = sim.now
-        ok = True
-        try:
-            return (yield from gen)
-        except BaseException:
-            ok = False
-            raise
-        finally:
-            end = sim.now
-            if span is not None:
-                span.close()
-                proc.tracer = prev
-            if rec is not None:
-                rec.recorded += 1
-                rec.events.append((end, "op.end",
-                                   {"op": name, "id": opid, "ok": ok,
-                                    "dur": end - start}))
-            if self.slowlog is not None:
-                self.slowlog.observe(name, start, end, ok, span)
+                                "sampled": token[3] is not None}))
+        return token
+
+    def end(self, token: tuple, ok: bool) -> None:
+        """Finish the root op :meth:`begin` returned ``token`` for: close
+        its root span and restore the process's tracer, record ``op.end``,
+        and feed the slow-op log. ``ok`` is False when the op raised."""
+        name, opid, start, span, proc, prev = token
+        end = self.sim.now
+        if span is not None:
+            span.close()
+            proc.tracer = prev
+        rec = self.recorder
+        if rec is not None:
+            rec.recorded += 1
+            rec.events.append((end, "op.end",
+                               {"op": name, "id": opid, "ok": ok,
+                                "dur": end - start}))
+        if self.slowlog is not None:
+            self.slowlog.observe(name, start, end, ok, span)
 
 
 # -- layer spans, recorded from outside ----------------------------------------

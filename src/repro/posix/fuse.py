@@ -24,7 +24,7 @@ FUSE ``entry_timeout``), shared by all processes using the mount.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..sim.engine import SimGen
 from ..sim.network import Node
@@ -141,235 +141,232 @@ class _MountBase(VFSClient):
         for key in [k for k in self._dcache if k.startswith(prefix)]:
             del self._dcache[key]
 
-    # -- LOOKUP traffic ------------------------------------------------------------
+    # -- root ops ------------------------------------------------------------------
+    #
+    # Every public VFS op is a root op ("vfs.<op>"). With any observability
+    # installed (``sim._obs_ops``) the op's own frame calls the root-op
+    # observer's ``begin`` when it starts running and ``end`` when it
+    # finishes; the observer samples it, opens its root span, and feeds the
+    # slow-op log and flight recorder, across ArkFS and every baseline alike
+    # (they all sit behind a mount). That frame is the op's one mount frame
+    # of its own: the LOOKUP walk runs as its loop and the dentry-cache work
+    # as its epilogue, so a resume re-enters no other mount frame but
+    # ``_request`` while a path op's request is in flight (DESIGN §10).
 
-    def _lookup_component(self, creds: Credentials, parent: str,
-                          name: str) -> SimGen:
-        """One LOOKUP request: cost + (optionally locked) daemon-side resolve."""
-        yield from self._request()
-        resolve = self._globally_locked(self.inner.lookup(creds, parent, name))
-        if not self.params.lookup_locked:
-            return (yield from resolve)
-        lock = self._dir_lock(parent)
-        req = yield from lock.acquire()
-        try:
-            return (yield from resolve)
-        finally:
-            lock.release(req)
-
-    def _walk(self, creds: Credentials, path: str,
-              include_final: bool = True) -> SimGen:
-        """Issue LOOKUPs for every non-cached component of ``path``.
-
-        Returns the normalized path. Raises what the daemon raises (ENOENT,
-        EACCES, ...) exactly as the kernel would surface it.
-        """
-        parts = pathmod.split_path(path)
-        upto = len(parts) if include_final else len(parts) - 1
-        cur = ""
-        for i in range(upto):
-            parent = "/" + "/".join(parts[:i]) if i else "/"
-            cur = parent.rstrip("/") + "/" + parts[i]
-            if self._dcache_valid(cur):
-                continue
-            yield from self._lookup_component(creds, parent, parts[i])
-            self._dcache_insert(cur)
-        return "/" + "/".join(parts)
-
-    # -- operation wrappers ----------------------------------------------------------
-
-    def _pathop(self, creds: Credentials, path: str, gen: SimGen,
+    def _pathop(self, op: str, creds: Credentials, path: str, gen: SimGen,
                 lock_parent: bool = False, walk_final: bool = True,
-                tolerate_missing_final: bool = False) -> SimGen:
-        """LOOKUP walk + one request carrying the actual operation."""
+                tolerate_missing_final: bool = False,
+                then: Optional[Callable[[str], None]] = None,
+                src: Optional[str] = None) -> SimGen:
+        """Root op ``op``: a LOOKUP for every non-cached component of
+        ``path``, then one request carrying the operation ``gen``, then
+        ``then`` (the dentry-cache epilogue) on the normalized path.
+
+        The walk surfaces what the daemon raises (ENOENT, EACCES, ...)
+        exactly as the kernel would. ``src`` is rename's source: walked
+        first (strictly) and given to ``then`` first."""
+        ob = self.sim._obs_ops
+        token = None if ob is None else ob.begin(op)
+        ok = False
         try:
-            yield from self._walk(creds, path, include_final=walk_final)
-        except NotFound:
-            if not tolerate_missing_final:
-                raise
-        yield from self._request()
-        if lock_parent:
-            parent, _name = pathmod.parent_and_name(path)
-            lock = self._dir_lock(parent)
-            req = yield from lock.acquire()
-            try:
-                return (yield from self._globally_locked(gen))
-            finally:
-                lock.release(req)
-        return (yield from self._globally_locked(gen))
+            walks = (((path, tolerate_missing_final),) if src is None
+                     else ((src, False), (path, tolerate_missing_final)))
+            for walked, tolerate in walks:
+                parts = pathmod.split_path(walked)
+                try:
+                    for i in range(len(parts) if walk_final
+                                   else len(parts) - 1):
+                        parent = "/" + "/".join(parts[:i]) if i else "/"
+                        cur = parent.rstrip("/") + "/" + parts[i]
+                        if self._dcache_valid(cur):
+                            continue
+                        # One LOOKUP request: cost + (optionally locked)
+                        # daemon-side resolve.
+                        yield from self._request()
+                        resolve = self._globally_locked(
+                            self.inner.lookup(creds, parent, parts[i]))
+                        if self.params.lookup_locked:
+                            lock = self._dir_lock(parent)
+                            req = yield from lock.acquire()
+                            try:
+                                yield from resolve
+                            finally:
+                                lock.release(req)
+                        else:
+                            yield from resolve
+                        self._dcache_insert(cur)
+                except NotFound:
+                    if not tolerate:
+                        raise
+            yield from self._request()
+            if lock_parent:
+                parent, _name = pathmod.parent_and_name(path)
+                lock = self._dir_lock(parent)
+                req = yield from lock.acquire()
+                try:
+                    result = yield from self._globally_locked(gen)
+                finally:
+                    lock.release(req)
+            else:
+                result = yield from self._globally_locked(gen)
+            if then is not None:
+                for walked, _tolerate in walks:
+                    then(pathmod.normalize(walked))
+            ok = True
+        finally:
+            if token is not None:
+                ob.end(token, ok)
+        return result
+
+    def _handleop(self, op: str, gen: SimGen, nreq: int = 1,
+                  data: bool = False) -> SimGen:
+        """Root op ``op`` without a path walk: ``nreq`` requests, then the
+        operation ``gen``. Each *data* request (``read``/``write``) also
+        runs, for clients with a global mutex (ceph-fuse, MarFS
+        interactive), a serialized section. This per-128KB serialization is
+        why ceph-fuse bulk data movement collapses under multiple
+        processes."""
+        ob = self.sim._obs_ops
+        token = None if ob is None else ob.begin(op)
+        ok = False
+        try:
+            params = self.params
+            for _ in range(nreq):
+                # _request, written out: one frame fewer under every hold.
+                self.request_count += 1
+                if params.crossing_latency > 0:
+                    tr = self.sim._active_proc.tracer
+                    if tr is not None:
+                        with tr.span("fuse.crossing", "fuse"):
+                            yield self.sim.timeout(params.crossing_latency)
+                    else:
+                        yield self.sim.timeout(params.crossing_latency)
+                if params.dispatch_cpu > 0:
+                    yield from self.node.work(params.dispatch_cpu)
+                if data and self._global_lock is not None:
+                    req = yield from self._global_lock.acquire()
+                    try:
+                        yield from self.node.work(params.effective_data_lock)
+                    finally:
+                        self._global_lock.release(req)
+            result = yield from gen
+            ok = True
+        finally:
+            if token is not None:
+                ob.end(token, ok)
+        return result
 
     # -- VFS implementation ------------------------------------------------------------
 
     def lookup(self, creds: Credentials, dir_path: str, name: str) -> SimGen:
-        return self.inner.lookup(creds, dir_path, name)
+        return self._handleop("vfs.lookup",
+                              self.inner.lookup(creds, dir_path, name),
+                              nreq=0)
 
     def mkdir(self, creds: Credentials, path: str, mode: int = 0o777) -> SimGen:
-        result = yield from self._pathop(
-            creds, path, self.inner.mkdir(creds, path, mode),
-            lock_parent=True, walk_final=False,
-        )
-        return result
+        return self._pathop("vfs.mkdir", creds, path,
+                            self.inner.mkdir(creds, path, mode),
+                            lock_parent=True, walk_final=False)
 
     def rmdir(self, creds: Credentials, path: str) -> SimGen:
-        result = yield from self._pathop(
-            creds, path, self.inner.rmdir(creds, path), lock_parent=True,
-        )
-        self._dcache_drop(pathmod.normalize(path))
-        return result
+        return self._pathop("vfs.rmdir", creds, path,
+                            self.inner.rmdir(creds, path), lock_parent=True,
+                            then=self._dcache_drop)
 
     def open(self, creds: Credentials, path: str, flags: OpenFlags,
              mode: int = 0o666) -> SimGen:
         creating = bool(flags & OpenFlags.O_CREAT)
-        handle = yield from self._pathop(
-            creds, path, self.inner.open(creds, path, flags, mode),
-            lock_parent=creating, tolerate_missing_final=creating,
-        )
-        if creating:
-            self._dcache_insert(pathmod.normalize(path))
-        return handle
+        return self._pathop("vfs.open", creds, path,
+                            self.inner.open(creds, path, flags, mode),
+                            lock_parent=creating,
+                            tolerate_missing_final=creating,
+                            then=self._dcache_insert if creating else None)
 
     def close(self, handle: FileHandle) -> SimGen:
-        yield from self._request()
-        return (yield from self.inner.close(handle))
+        return self._handleop("vfs.close", self.inner.close(handle))
 
     def unlink(self, creds: Credentials, path: str) -> SimGen:
-        result = yield from self._pathop(
-            creds, path, self.inner.unlink(creds, path), lock_parent=True,
-        )
-        self._dcache_drop(pathmod.normalize(path))
-        return result
+        return self._pathop("vfs.unlink", creds, path,
+                            self.inner.unlink(creds, path), lock_parent=True,
+                            then=self._dcache_drop)
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        return self._pathop(creds, path, self.inner.stat(creds, path))
+        return self._pathop("vfs.stat", creds, path,
+                            self.inner.stat(creds, path))
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        return self._pathop(creds, path, self.inner.lstat(creds, path))
+        return self._pathop("vfs.lstat", creds, path,
+                            self.inner.lstat(creds, path))
 
     def readdir(self, creds: Credentials, path: str) -> SimGen:
-        return self._pathop(creds, path, self.inner.readdir(creds, path))
+        return self._pathop("vfs.readdir", creds, path,
+                            self.inner.readdir(creds, path))
 
     def rename(self, creds: Credentials, src: str, dst: str) -> SimGen:
-        yield from self._walk(creds, src)
-        try:
-            yield from self._walk(creds, dst)
-        except NotFound:
-            pass
-        yield from self._request()
-        result = yield from self._globally_locked(
-            self.inner.rename(creds, src, dst))
-        self._dcache_drop(pathmod.normalize(src))
-        self._dcache_drop(pathmod.normalize(dst))
-        return result
-
-    def _data_request(self) -> SimGen:
-        """One data-path FUSE request: crossing + dispatch, and — for
-        clients with a global mutex (ceph-fuse, MarFS interactive) — a
-        serialized section per request. This per-128KB serialization is why
-        ceph-fuse bulk data movement collapses under multiple processes."""
-        yield from self._request()
-        if self._global_lock is not None:
-            req = yield from self._global_lock.acquire()
-            try:
-                yield from self.node.work(self.params.effective_data_lock)
-            finally:
-                self._global_lock.release(req)
+        # The destination may not exist yet; the source must.
+        return self._pathop("vfs.rename", creds, dst,
+                            self.inner.rename(creds, src, dst),
+                            tolerate_missing_final=True,
+                            then=self._dcache_drop, src=src)
 
     def read(self, handle: FileHandle, size: int,
              offset: Optional[int] = None) -> SimGen:
         # The kernel splits large I/O into max_request-sized FUSE requests.
         nreq = max(1, -(-size // self.params.max_request))
-        for _ in range(nreq):
-            yield from self._data_request()
-        return (yield from self.inner.read(handle, size, offset))
+        return self._handleop("vfs.read",
+                              self.inner.read(handle, size, offset), nreq,
+                              data=True)
 
     def write(self, handle: FileHandle, data: bytes,
               offset: Optional[int] = None) -> SimGen:
         nreq = max(1, -(-len(data) // self.params.max_request))
-        for _ in range(nreq):
-            yield from self._data_request()
-        return (yield from self.inner.write(handle, data, offset))
+        return self._handleop("vfs.write",
+                              self.inner.write(handle, data, offset), nreq,
+                              data=True)
 
     def fsync(self, handle: FileHandle) -> SimGen:
-        yield from self._request()
-        return (yield from self.inner.fsync(handle))
+        return self._handleop("vfs.fsync", self.inner.fsync(handle))
 
     def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.truncate(creds, path, size)))
+        return self._pathop("vfs.truncate", creds, path,
+                            self.inner.truncate(creds, path, size))
 
     def chmod(self, creds: Credentials, path: str, mode: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.chmod(creds, path, mode)))
+        return self._pathop("vfs.chmod", creds, path,
+                            self.inner.chmod(creds, path, mode))
 
     def chown(self, creds: Credentials, path: str, uid: int, gid: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.chown(creds, path, uid, gid)))
+        return self._pathop("vfs.chown", creds, path,
+                            self.inner.chown(creds, path, uid, gid))
 
     def utimens(self, creds: Credentials, path: str, atime: float,
                 mtime: float) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.utimens(creds, path, atime, mtime)))
+        return self._pathop("vfs.utimens", creds, path,
+                            self.inner.utimens(creds, path, atime, mtime))
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.access(creds, path, want)))
+        return self._pathop("vfs.access", creds, path,
+                            self.inner.access(creds, path, want))
 
     def symlink(self, creds: Credentials, target: str, linkpath: str) -> SimGen:
-        return (yield from self._pathop(
-            creds, linkpath, self.inner.symlink(creds, target, linkpath),
-            lock_parent=True, walk_final=False,
-        ))
+        return self._pathop("vfs.symlink", creds, linkpath,
+                            self.inner.symlink(creds, target, linkpath),
+                            lock_parent=True, walk_final=False)
 
     def readlink(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.readlink(creds, path)))
+        return self._pathop("vfs.readlink", creds, path,
+                            self.inner.readlink(creds, path))
 
     def statfs(self, creds: Credentials) -> SimGen:
-        yield from self._request()
-        return (yield from self.inner.statfs(creds))
+        return self._handleop("vfs.statfs", self.inner.statfs(creds))
 
     def getfacl(self, creds: Credentials, path: str) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.getfacl(creds, path)))
+        return self._pathop("vfs.getfacl", creds, path,
+                            self.inner.getfacl(creds, path))
 
     def setfacl(self, creds: Credentials, path: str, acl) -> SimGen:
-        return (yield from self._pathop(
-            creds, path, self.inner.setfacl(creds, path, acl)))
-
-
-# Every public VFS op is a root op ("vfs.<op>"): with any observability
-# installed it runs under the root-op observer, which samples it, opens its
-# root span, and feeds the slow-op log and flight recorder, across ArkFS
-# and every baseline alike (they all sit behind a mount). Without one the
-# wrapper returns the raw generator untouched — one attribute check — and
-# the names are precomputed at import time.
-_VFS_OPS = (
-    "lookup", "mkdir", "rmdir", "open", "close", "unlink", "stat", "lstat",
-    "readdir", "rename", "read", "write", "fsync", "truncate", "chmod",
-    "chown", "utimens", "access", "symlink", "readlink", "statfs",
-    "getfacl", "setfacl",
-)
-
-
-def _as_root_op(op: str, fn):
-    name = "vfs." + op
-
-    def method(self, *args, **kwargs):
-        gen = fn(self, *args, **kwargs)
-        ob = self.sim._obs_ops
-        if ob is None:
-            return gen
-        return ob.observe(name, gen)
-
-    method.__name__ = fn.__name__
-    method.__qualname__ = fn.__qualname__
-    method.__doc__ = fn.__doc__
-    return method
-
-
-for _op in _VFS_OPS:
-    setattr(_MountBase, _op, _as_root_op(_op, getattr(_MountBase, _op)))
-del _op
+        return self._pathop("vfs.setfacl", creds, path,
+                            self.inner.setfacl(creds, path, acl))
 
 
 class FuseMount(_MountBase):

@@ -145,11 +145,10 @@ class VFSClient(ABC):
 
     def create(self, creds: Credentials, path: str, mode: int = 0o666) -> SimGen:
         """creat(2): O_CREAT|O_EXCL|O_WRONLY."""
-        handle = yield from self.open(
+        return self.open(
             creds, path,
             OpenFlags.O_CREAT | OpenFlags.O_EXCL | OpenFlags.O_WRONLY, mode,
         )
-        return handle
 
     def exists(self, creds: Credentials, path: str) -> SimGen:
         from .errors import FSError, NotFound

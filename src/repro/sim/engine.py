@@ -496,7 +496,7 @@ class Simulator:
     # starts with as its ``tracer``; None unless full tracing is on.
     tracer = None
     # Root-op observer (repro.obs: sampling decision + slow-op log + flight
-    # recorder feed); consulted by the mount layer's VFS-op wrapper only.
+    # recorder feed); consulted by the mount layer's root ops only.
     _obs_ops = None
     # Flight recorder (repro.obs.recorder.FlightRecorder). Subsystems feed
     # it via ``rec = sim._recorder; if rec is not None: rec.record(...)``.

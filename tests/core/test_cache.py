@@ -493,3 +493,29 @@ def test_fetch_copies_what_is_not_immutable():
     assert type(first) is bytes and first == b"p" * ESZ
     assert run(sim, cache.read(1, 0, ESZ)) == b"p" * ESZ
     assert len(handed) == 1
+
+
+class OverCapacity(Exception):
+    """The read returned the right bytes and left more entries than the
+    cache holds: ROADMAP 1(ii), and nothing else."""
+
+
+@pytest.mark.xfail(raises=OverCapacity, strict=True, reason=(
+    "a demand read of >= 2 missing entries starts its fetches after the "
+    "read-ahead it scheduled, so _make_room does not see the reservations "
+    "(ROADMAP 1(ii))"))
+def test_cold_read_ahead_stays_within_capacity():
+    sim = Simulator()
+    store = InMemoryObjectStore(sim)
+    prt = PRT(store, data_object_size=MSZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=MSZ,
+                            capacity_bytes=2 * MSZ, max_readahead=4 * MSZ)
+    data = bytes(range(65))
+    run(sim, cache.write(1, 0, data, old_size=0))
+    run(sim, cache.drop_all())
+    assert cache.total_entries == 0
+    assert run(sim, cache.read(1, 0, 65, ra=ReadAheadState())) == data
+    sim.run()   # the read-ahead it scheduled
+    if cache.total_entries > cache.capacity:
+        raise OverCapacity(f"{cache.total_entries} entries in a cache of "
+                           f"{cache.capacity}")

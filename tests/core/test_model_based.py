@@ -326,6 +326,30 @@ def run_sequence(ops, params=DEFAULT_PARAMS):
     return cluster
 
 
+class RemovedDirListed(Exception):
+    """Every earlier op agreed with the oracle, and a client listed a
+    removed directory as empty instead of failing with ENOENT: ROADMAP
+    1(vi), and nothing else."""
+
+
+@pytest.mark.xfail(raises=RemovedDirListed, strict=True, reason=(
+    "before the parent checkpoints a removed directory's del_inode, a "
+    "stale pcache dentry lets a client acquire and load that directory "
+    "(ROADMAP 1(vi))"))
+def test_stale_dentry_does_not_reload_a_removed_directory():
+    # [mkdir /d0; c1: read /d0/f0; c0: rmdir /d0; c1: listdir /d0]
+    sim = Simulator()
+    cluster = build_arkfs(sim, n_clients=2, functional=True)
+    c0, c1 = (SyncFS(cluster.client(i), ROOT_CREDS) for i in (0, 1))
+    c0.mkdir("/d0")
+    assert fs_result(c1.read_file, "/d0/f0")[0] == "ENOENT"
+    c0.rmdir("/d0")
+    code, value = fs_result(c1.readdir, "/d0")
+    if (code, value) == ("ok", []):
+        raise RemovedDirListed("client 1 listed the removed /d0 as empty")
+    assert code == "ENOENT"
+
+
 class PackContainerLeak(Exception):
     """Every op and the final namespace agreed with the oracle, and the
     strict fsck's only errors are containers nobody references: ROADMAP

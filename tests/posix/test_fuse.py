@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import build_arkfs
+from repro.obs import Observability
 from repro.posix import (
     FUSE_DEFAULTS,
     FuseMount,
@@ -185,6 +186,56 @@ class TestLockingModel:
         fuse_t = one_create(FuseMount, FUSE_DEFAULTS)
         kernel_t = one_create(KernelMount, KERNEL_DEFAULTS)
         assert kernel_t < fuse_t
+
+
+def _frame_chain(gen):
+    """The generator frames a resume of ``gen`` re-enters, outermost
+    first: ``gen`` and each generator it is ``yield from``-ing."""
+    names = []
+    while gen is not None:
+        names.append(gen.gi_code.co_name)
+        gen = gen.gi_yieldfrom
+    return names
+
+
+class TestResumePath:
+    """A resume re-enters every suspended ``yield from`` frame, so a frame
+    that only forwards costs a Python call per event of everything below
+    it (DESIGN §10). A path op's mount frames are ``_pathop`` and, while a
+    request is in flight, ``_request``; the root-op observer adds none."""
+
+    @pytest.mark.parametrize("what", ["stat_cached", "open_create"])
+    def test_first_hold_of_a_path_op_is_two_frames_deep(self, what):
+        sim = Simulator()
+        cluster = build_arkfs(sim, n_clients=1)
+        mount = cluster.mounts[0]
+        assert isinstance(mount, FuseMount)
+
+        def setup():
+            yield from mount.mkdir(ROOT_CREDS, "/d")
+            yield from mount.write_file(ROOT_CREDS, "/d/f", b"x")
+            yield from mount.stat(ROOT_CREDS, "/d/f")   # warm the dcache
+
+        run(sim, setup())
+        Observability.of(sim).enable_recorder()
+        if what == "stat_cached":
+            gen = mount.stat(ROOT_CREDS, "/d/f")
+        else:
+            gen = mount.open(ROOT_CREDS, "/d/new",
+                             OpenFlags.O_CREAT | OpenFlags.O_WRONLY)
+        proc = sim.process(gen)
+        kickoff = proc._waiting_on
+        while proc._waiting_on is kickoff:
+            sim.step()
+        # Both first hold on a request's crossing: the op's own GETATTR
+        # (every component cached), or the LOOKUP of the new name. Before
+        # the observer's begin/end calls and the inlined walk, these were
+        # 3 (observe, _pathop, _request) and 6 frames deep (observe, open,
+        # _pathop, _walk, _lookup_component, _request).
+        chain = _frame_chain(proc._gen)
+        assert len(chain) == 2, chain
+        sim.run(until=proc)
+        assert proc.ok
 
 
 class TestDataRequests:
