@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Bytecodes per root op of one ledger repetition, in total and by function.
+
+    python scripts/bytecode_census.py --workload md_private --seed 1 [--top 25]
+
+Runs one repetition of a ledger workload (``benchmarks/ledger``, imported
+read-only) with ``sys.settrace`` opcode events switched on exactly where
+the ledger's call count is taken: the timed phases, from the hook
+``worker.repetition`` enables its profiler with. Prints the bytecodes
+executed per root op, then the ``--top`` functions and source files by
+bytecodes per op. Hash order is pinned as ``run.py`` pins it
+(``PYTHONHASHSEED=0``; the script re-executes itself to set it).
+
+Call counts overstate host time where frames are cheap and hide it where
+one frame runs long; bytecodes count the work itself. Tracing every opcode
+is slow (about 30 s for ``md_private`` on a 2-vCPU Xeon), so this is a
+tool for aiming an optimisation, not a CI step.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from typing import Dict, List, Optional
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
+
+
+class OpcodeCensus:
+    """A stand-in for the profiler ``worker.repetition`` enables and
+    disables: counts the opcodes each code object executes meanwhile."""
+
+    def __init__(self) -> None:
+        self.counts: Dict[object, int] = {}
+
+    def enable(self) -> None:
+        counts = self.counts
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                code = frame.f_code
+                counts[code] = counts.get(code, 0) + 1
+            return local
+
+        def on_call(frame, event, arg):   # every call and generator resume
+            frame.f_trace_lines = False
+            frame.f_trace_opcodes = True
+            return local
+
+        sys.settrace(on_call)
+
+    def disable(self) -> None:
+        sys.settrace(None)
+
+
+def _where(code) -> str:
+    path = os.path.relpath(code.co_filename, ROOT)
+    if path.startswith(".."):               # the standard library
+        path = os.path.basename(code.co_filename)
+    return path
+
+
+def report(counts: Dict[object, int], ops: int, top: int) -> List[str]:
+    total = sum(counts.values())
+    lines = [f"bytecodes per root op: {total / ops:.1f} "
+             f"({total} over {ops} root ops)"]
+    by_file: Dict[str, int] = {}
+    for code, n in counts.items():
+        by_file[_where(code)] = by_file.get(_where(code), 0) + n
+    for title, rows in (
+            ("function", [(f"{_where(c)}:{c.co_firstlineno} {c.co_qualname}", n)
+                          for c, n in counts.items()]),
+            ("file", list(by_file.items()))):
+        lines.append(f"\n{'per op':>9} {'share':>6}  {title}")
+        for name, n in sorted(rows, key=lambda r: -r[1])[:top]:
+            lines.append(f"{n / ops:>9.1f} {n / total:>6.1%}  {name}")
+    return lines
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    sys.path[:0] = [LEDGER, os.path.join(ROOT, "src")]
+    from workloads import WORKLOADS   # benchmarks/ledger
+
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    parser.add_argument("--workload", required=True, choices=list(WORKLOADS))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--top", type=int, default=25)
+    args = parser.parse_args(argv)
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        os.execve(sys.executable, [sys.executable] + sys.argv, env)
+
+    import worker                     # benchmarks/ledger
+
+    census = OpcodeCensus()
+    result = worker.repetition(WORKLOADS[args.workload], args.seed,
+                               profile=census)
+    print(f"{args.workload}, seed {args.seed}, timed phases of one "
+          f"repetition")
+    print("\n".join(report(census.counts, result.facts["ops"], args.top)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

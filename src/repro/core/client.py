@@ -807,7 +807,7 @@ class ArkFSClient(LeaderOps, VFSClient):
     def read(self, handle: FileHandle, size: int,
              offset: Optional[int] = None) -> SimGen:
         self._check_handle(handle)
-        if not handle.flags.wants_read:
+        if handle.flags & 1:  # not flags.wants_read, without the property
             raise BadFileHandle(detail="not open for reading")
         st: OpenState = handle.impl
         pos = handle.pos if offset is None else offset
@@ -827,7 +827,7 @@ class ArkFSClient(LeaderOps, VFSClient):
     def write(self, handle: FileHandle, data: bytes,
               offset: Optional[int] = None) -> SimGen:
         self._check_handle(handle)
-        if not handle.flags.wants_write:
+        if not 0 < handle.flags & 0o3 < 3:  # flags.wants_write, likewise
             raise BadFileHandle(detail="not open for writing")
         st: OpenState = handle.impl
         if handle.flags & OpenFlags.O_APPEND:

@@ -30,7 +30,7 @@ from ..sim.resources import Mutex
 from .lease import FencingRegistry, StaleEpochError
 from .params import ArkFSParams
 from .prt import PRT
-from .types import Dentry, Inode, ino_hex
+from .types import Dentry, Inode, compact_json, ino_hex
 
 __all__ = ["JournalOp", "Transaction", "JournalManager", "apply_ops",
            "ops_put_inode", "ops_del_inode", "ops_put_dentry",
@@ -188,7 +188,7 @@ class Transaction:
              "kind": self.kind, "ops": self.ops}
         if self.decision_key:
             d["decision"] = self.decision_key
-        return json.dumps(d, separators=(",", ":")).encode()
+        return compact_json(d).encode()
 
     @classmethod
     def from_bytes(cls, raw: bytes, seq: int = -1) -> "Transaction":

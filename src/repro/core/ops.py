@@ -182,8 +182,8 @@ class LeaderOps:
 
         Returns an info dict: the file inode payload plus the initial read
         lease (every opener starts with a read lease, Section III-D).
+        ``flags`` is the plain ``int`` of an ``OpenFlags``, tested as such.
         """
-        flags = OpenFlags(flags)
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
         self._check_dir_perm(mt, creds, X_OK)
@@ -217,9 +217,9 @@ class LeaderOps:
                 inode = mt.child_inode(dentry.ino)
                 return {"symlink": inode.symlink_target}
             inode = mt.child_inode(dentry.ino)
-            if flags.wants_read:
+            if not flags & 1:                   # OpenFlags.wants_read
                 self._check_inode_perm(inode, creds, R_OK)
-            if flags.wants_write:
+            if 0 < flags & 0o3 < 3:             # OpenFlags.wants_write
                 self._check_inode_perm(inode, creds, W_OK)
             if flags & OpenFlags.O_TRUNC and inode.size > 0:
                 old_size = inode.size

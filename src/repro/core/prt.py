@@ -31,7 +31,7 @@ from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
 from ..sim.engine import SimGen
 from ..sim.network import Node
-from .types import Dentry, Inode, PackExtent, ino_hex
+from .types import Dentry, Inode, PackExtent, compact_json, ino_hex
 
 __all__ = ["PRT"]
 
@@ -314,9 +314,8 @@ class PRT:
 
     @staticmethod
     def dump_extent_index(extents: Dict[int, PackExtent]) -> bytes:
-        return json.dumps(
-            {str(k): list(extents[k]) for k in sorted(extents)},
-            separators=(",", ":")).encode()
+        return compact_json(
+            {str(k): list(extents[k]) for k in sorted(extents)}).encode()
 
     def read_extent_index(self, ino: int,
                           src: Optional[Node] = None) -> SimGen:

@@ -38,7 +38,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .types import ino_hex
+from .types import compact_json, ino_hex
 
 __all__ = ["HASH_SPACE", "ShardRange", "ShardMap", "name_hash",
            "make_ranges"]
@@ -121,11 +121,11 @@ class ShardMap:
     # -- serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        return json.dumps({
+        return compact_json({
             "dir": ino_hex(self.dir_ino),
             "state": self.state,
             "shards": [[ino_hex(r.ino), r.lo, r.hi] for r in self.shards],
-        }, separators=(",", ":")).encode()
+        }).encode()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "ShardMap":

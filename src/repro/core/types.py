@@ -14,10 +14,15 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from ..posix.acl import Acl
-from ..posix.types import FileType, StatResult
+from ..posix.types import FILE_TYPE_OF_CODE, FileType, StatResult
 
 __all__ = ["ROOT_INO", "InoAllocator", "Inode", "Dentry", "PackExtent",
-           "ino_hex"]
+           "ino_hex", "compact_json"]
+
+#: ``json.dumps(obj, separators=(",", ":"))``, byte for byte, without
+#: building an encoder per call: every object value PRT and the journal
+#: store is encoded by it.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Fixed inode number of the root directory (UUID value 1).
 ROOT_INO = 1
@@ -124,7 +129,7 @@ class Inode:
     def to_dict(self) -> dict:
         d = {
             "ino": ino_hex(self.ino),
-            "t": self.ftype.value,
+            "t": self.ftype._value_,
             "mode": self.mode,
             "uid": self.uid,
             "gid": self.gid,
@@ -144,7 +149,7 @@ class Inode:
     def from_dict(cls, d: dict) -> "Inode":
         return cls(
             ino=int(d["ino"], 16),
-            ftype=FileType(d["t"]),
+            ftype=FILE_TYPE_OF_CODE[d["t"]],
             mode=d["mode"],
             uid=d["uid"],
             gid=d["gid"],
@@ -158,7 +163,7 @@ class Inode:
         )
 
     def to_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), separators=(",", ":")).encode()
+        return compact_json(self.to_dict()).encode()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Inode":
@@ -174,14 +179,16 @@ class Dentry:
     ftype: FileType
 
     def to_dict(self) -> dict:
-        return {"n": self.name, "ino": ino_hex(self.ino), "t": self.ftype.value}
+        return {"n": self.name, "ino": ino_hex(self.ino),
+                "t": self.ftype._value_}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dentry":
-        return cls(name=d["n"], ino=int(d["ino"], 16), ftype=FileType(d["t"]))
+        return cls(name=d["n"], ino=int(d["ino"], 16),
+                   ftype=FILE_TYPE_OF_CODE[d["t"]])
 
     def to_bytes(self) -> bytes:
-        return json.dumps(self.to_dict(), separators=(",", ":")).encode()
+        return compact_json(self.to_dict()).encode()
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Dentry":

@@ -19,6 +19,9 @@ from .types import Credentials, R_OK, W_OK, X_OK
 
 __all__ = ["Acl", "check_perm", "perm_str"]
 
+# json.dumps(obj, separators=(",", ":")) without an encoder built per call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def _validate_perm(p: int) -> int:
     if not 0 <= p <= 7:
@@ -204,7 +207,7 @@ class Acl:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), separators=(",", ":"))
+        return _compact_json(self.to_dict())
 
     @classmethod
     def from_json(cls, s: str) -> "Acl":

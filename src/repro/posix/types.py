@@ -9,6 +9,7 @@ from typing import Tuple
 
 __all__ = [
     "FileType",
+    "FILE_TYPE_OF_CODE",
     "OpenFlags",
     "StatFSResult",
     "StatResult",
@@ -25,23 +26,37 @@ R_OK, W_OK, X_OK, F_OK = 4, 2, 1, 0
 
 
 class FileType(enum.Enum):
-    """The file kinds ArkFS supports (no devices/FIFOs — archival storage)."""
+    """The file kinds ArkFS supports (no devices/FIFOs — archival storage).
 
-    REGULAR = "reg"
-    DIRECTORY = "dir"
-    SYMLINK = "sym"
+    A member's value is its on-storage code (``"reg"``); ``mode_bits`` is
+    its ``stat.S_IF*`` type. Hot paths read both as plain attributes
+    (``_value_``, ``mode_bits``) and decode through
+    :data:`FILE_TYPE_OF_CODE`: ``.value``, ``FileType(code)`` and hashing a
+    member each run Python code in ``enum.py``.
+    """
 
-    @property
-    def mode_bits(self) -> int:
-        return {
-            FileType.REGULAR: statmod.S_IFREG,
-            FileType.DIRECTORY: statmod.S_IFDIR,
-            FileType.SYMLINK: statmod.S_IFLNK,
-        }[self]
+    REGULAR = ("reg", statmod.S_IFREG)
+    DIRECTORY = ("dir", statmod.S_IFDIR)
+    SYMLINK = ("sym", statmod.S_IFLNK)
+
+    def __new__(cls, code: str, mode_bits: int) -> "FileType":
+        member = object.__new__(cls)
+        member._value_ = code
+        member.mode_bits = mode_bits
+        return member
+
+
+#: On-storage code -> member: ``FileType(code)`` as one dict lookup.
+FILE_TYPE_OF_CODE = {ftype._value_: ftype for ftype in FileType}
 
 
 class OpenFlags(enum.IntFlag):
-    """Subset of open(2) flags the archiving workloads exercise."""
+    """Subset of open(2) flags the archiving workloads exercise.
+
+    ``&`` is ``int``'s: ``flags & OpenFlags.O_CREAT`` is a plain ``int``
+    with the truth and value a flag test needs, and builds no member in
+    ``enum.py``. ``|`` still returns an ``OpenFlags``.
+    """
 
     O_RDONLY = 0
     O_WRONLY = 1
@@ -51,17 +66,21 @@ class OpenFlags(enum.IntFlag):
     O_TRUNC = 0o1000
     O_APPEND = 0o2000
 
+    __and__ = int.__and__
+    __rand__ = int.__rand__
+
     @property
     def accmode(self) -> "OpenFlags":
         return OpenFlags(self & 0o3)
 
+    # Access mode 3 is neither readable nor writable.
     @property
     def wants_read(self) -> bool:
-        return self.accmode in (OpenFlags.O_RDONLY, OpenFlags.O_RDWR)
+        return not self & 1             # access mode 0 (RDONLY) or 2 (RDWR)
 
     @property
     def wants_write(self) -> bool:
-        return self.accmode in (OpenFlags.O_WRONLY, OpenFlags.O_RDWR)
+        return 0 < self & 0o3 < 3       # access mode 1 (WRONLY) or 2 (RDWR)
 
 
 @dataclass(frozen=True)

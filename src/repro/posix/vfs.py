@@ -12,9 +12,15 @@ from abc import ABC, abstractmethod
 from typing import Any, List, Optional
 
 from ..sim.engine import SimGen, Simulator
+from .errors import AlreadyExists, FSError, NotFound, UnsupportedOperation
+from .path import join, split_path
 from .types import Credentials, OpenFlags, StatResult
 
 __all__ = ["FileHandle", "VFSClient", "SyncFS", "SyncFile"]
+
+# The helpers' flag sets, built once: each ``|`` runs Python code in enum.py.
+_CREATE = OpenFlags.O_CREAT | OpenFlags.O_EXCL | OpenFlags.O_WRONLY
+_OVERWRITE = OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_TRUNC
 
 
 class FileHandle:
@@ -125,8 +131,6 @@ class VFSClient(ABC):
 
     def statfs(self, creds: Credentials) -> SimGen:
         """statfs(2): file-system-wide usage. Default: unsupported."""
-        from .errors import UnsupportedOperation
-
         yield self.sim.timeout(0)
         raise UnsupportedOperation(detail="statfs not implemented")
 
@@ -137,22 +141,15 @@ class VFSClient(ABC):
         stat. Default implementation is an lstat of the joined path, which
         per the paper means a full path traversal per LOOKUP; file systems
         with cheaper single-component resolution override this."""
-        from .path import join
-
         return self.lstat(creds, join(dir_path, name))
 
     # -- conveniences built on the primitives -------------------------------------
 
     def create(self, creds: Credentials, path: str, mode: int = 0o666) -> SimGen:
         """creat(2): O_CREAT|O_EXCL|O_WRONLY."""
-        return self.open(
-            creds, path,
-            OpenFlags.O_CREAT | OpenFlags.O_EXCL | OpenFlags.O_WRONLY, mode,
-        )
+        return self.open(creds, path, _CREATE, mode)
 
     def exists(self, creds: Credentials, path: str) -> SimGen:
-        from .errors import FSError, NotFound
-
         try:
             yield from self.lstat(creds, path)
         except NotFound:
@@ -180,10 +177,7 @@ class VFSClient(ABC):
                    mode: int = 0o666, chunk: int = 1 << 20,
                    do_fsync: bool = False) -> SimGen:
         """Create/overwrite a file with ``data``."""
-        h = yield from self.open(
-            creds, path,
-            OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_TRUNC, mode,
-        )
+        h = yield from self.open(creds, path, _OVERWRITE, mode)
         try:
             view = memoryview(data)
             for off in range(0, len(data), chunk):
@@ -243,9 +237,6 @@ class SyncFS:
         self._run(self.client.mkdir(self.creds, path, mode))
 
     def makedirs(self, path: str, mode: int = 0o777) -> None:
-        from .errors import AlreadyExists
-        from .path import split_path
-
         parts = split_path(path)
         for i in range(1, len(parts) + 1):
             try:

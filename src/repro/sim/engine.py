@@ -444,8 +444,14 @@ class _Condition(Event):
             self._auto_value = []
             sim._schedule(self, 0)
             return
+        # add_callback per child, written out: one bound method for all.
+        on_child = self._on_child
         for ev in self.events:
-            ev.add_callback(self._on_child)
+            cbs = ev.callbacks
+            if cbs is None:
+                on_child(ev)        # already processed: fires right away
+            else:
+                cbs.append(on_child)
 
     def _on_child(self, event: Event) -> None:
         raise NotImplementedError
@@ -460,7 +466,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not Event._PENDING:   # triggered
             return
         if not event._ok:
             self.fail(event._value)
@@ -481,7 +487,7 @@ class AnyOf(_Condition):
     _NEEDS_INDEX = True
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not Event._PENDING:   # triggered
             return
         if not event._ok:
             self.fail(event._value)

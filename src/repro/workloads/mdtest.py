@@ -25,6 +25,7 @@ from .runner import WorkloadRunner
 __all__ = ["MdtestResult", "mdtest_easy", "mdtest_hard", "HARD_FILE_SIZE"]
 
 HARD_FILE_SIZE = 3901  # bytes; the IO500 mdtest-hard default the paper uses
+_CREATE = OpenFlags.O_CREAT | OpenFlags.O_EXCL | OpenFlags.O_WRONLY
 
 
 @dataclass
@@ -88,9 +89,8 @@ def mdtest_easy(
         def gen() -> SimGen:
             m = _mount_of(mounts, p)
             for i in range(files_per_proc):
-                h = yield from m.open(
-                    creds, f"{base}/dir.{p}/file.{i}",
-                    OpenFlags.O_CREAT | OpenFlags.O_EXCL | OpenFlags.O_WRONLY)
+                h = yield from m.open(creds, f"{base}/dir.{p}/file.{i}",
+                                      _CREATE)
                 yield from m.close(h)
         return gen
 
@@ -164,9 +164,7 @@ def mdtest_hard(
         def gen() -> SimGen:
             m = _mount_of(mounts, p)
             for i in range(files_per_proc):
-                h = yield from m.open(
-                    creds, path_of(p, i),
-                    OpenFlags.O_CREAT | OpenFlags.O_EXCL | OpenFlags.O_WRONLY)
+                h = yield from m.open(creds, path_of(p, i), _CREATE)
                 yield from m.write(h, payload)
                 yield from m.close(h)
         return gen

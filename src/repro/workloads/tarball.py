@@ -32,6 +32,7 @@ __all__ = ["TarWriter", "TarReader", "make_header", "parse_header",
 
 BLOCK = 512
 _WRITE_BUFFER = 1 << 20  # stream tar bytes in 1 MiB writes
+_OVERWRITE = OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_TRUNC
 
 
 def _octal(value: int, width: int) -> bytes:
@@ -189,9 +190,7 @@ class TarReader:
 def archive_from_disk(mount: VFSClient, creds: Credentials, disk: LocalDisk,
                       dataset: SyntheticDataset, tar_path: str) -> SimGen:
     """Burst buffer -> campaign storage: tar the dataset into the FS."""
-    h = yield from mount.open(
-        creds, tar_path,
-        OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_TRUNC)
+    h = yield from mount.open(creds, tar_path, _OVERWRITE)
     writer = TarWriter(mount, h)
     for image in dataset:
         yield from disk.read(image.size)          # read off the EBS volume
@@ -234,9 +233,7 @@ def extract_in_fs(mount: VFSClient, creds: Credentials, tar_path: str,
                     pass
                 seen_dirs.add(p)
             seen_dirs.add(parent)
-        hf = yield from mount.open(
-            creds, target,
-            OpenFlags.O_CREAT | OpenFlags.O_WRONLY | OpenFlags.O_TRUNC)
+        hf = yield from mount.open(creds, target, _OVERWRITE)
         if data:
             yield from mount.write(hf, data)
         yield from mount.close(hf)

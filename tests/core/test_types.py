@@ -1,8 +1,13 @@
 """Inode/Dentry serialization and the UUID inode allocator."""
 
+import json
+import stat
+
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import Dentry, Inode, InoAllocator, ROOT_INO, ino_hex
+from repro.core.journal import Transaction, ops_put_dentry, ops_put_inode
 from repro.posix import Acl, FileType
 
 
@@ -83,6 +88,44 @@ def test_inode_copy_is_deep_for_acl():
 def test_dentry_roundtrip():
     d = Dentry(name="file.txt", ino=999, ftype=FileType.REGULAR)
     assert Dentry.from_bytes(d.to_bytes()) == d
+
+
+@pytest.mark.parametrize("ftype, code, type_bits", [
+    (FileType.REGULAR, "reg", stat.S_IFREG),
+    (FileType.DIRECTORY, "dir", stat.S_IFDIR),
+    (FileType.SYMLINK, "sym", stat.S_IFLNK),
+])
+def test_every_file_type_is_stored_as_before(ftype, code, type_bits):
+    """The stored bytes are what ``json.dumps`` with compact separators
+    wrote, the code is the member's value, and ``mode_bits`` is S_IF*."""
+    assert ftype.value == code and FileType(code) is ftype
+    assert ftype.mode_bits == type_bits
+    acl = Acl.from_mode(0o750)
+    acl.set_user(99, 5)
+    inode = Inode(ino=7 << 100, ftype=ftype, mode=0o750, uid=3, gid=4,
+                  size=5, atime=0.5, mtime=1.25, ctime=2.0, acl=acl,
+                  symlink_target="/t" if ftype is FileType.SYMLINK else None)
+    dentry = Dentry(name="né", ino=7 << 100, ftype=ftype)
+    for obj in (inode, dentry):
+        raw = obj.to_bytes()
+        assert raw == json.dumps(obj.to_dict(), separators=(",", ":")).encode()
+        assert json.loads(raw)["t"] == code
+        back = type(obj).from_bytes(raw)
+        assert back == obj and back.ftype is ftype
+    assert stat.S_IFMT(inode.stat().st_mode) == type_bits
+
+
+def test_journal_record_and_acl_text_are_compact_json():
+    inode = Inode(ino=9, ftype=FileType.DIRECTORY, mode=0o755, uid=0, gid=0)
+    dentry = Dentry(name="d", ino=9, ftype=FileType.DIRECTORY)
+    txn = Transaction("t1", 1, "prepare",
+                      [ops_put_inode(inode), ops_put_dentry(1, dentry)],
+                      decision_key="x")
+    d = {"txid": "t1", "dir": ino_hex(1), "kind": "prepare", "ops": txn.ops,
+         "decision": "x"}
+    assert txn.to_bytes() == json.dumps(d, separators=(",", ":")).encode()
+    acl = Acl.from_mode(0o640)
+    assert acl.to_json() == json.dumps(acl.to_dict(), separators=(",", ":"))
 
 
 @given(ino=st.integers(1, (1 << 128) - 1), mode=st.integers(0, 0o7777),
