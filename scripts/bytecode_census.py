@@ -2,6 +2,7 @@
 """Bytecodes per root op of one ledger repetition, in total and by function.
 
     python scripts/bytecode_census.py --workload md_private --seed 1 [--top 25]
+    python scripts/bytecode_census.py --workload md_private --seed 1 --chains
 
 Runs one repetition of a ledger workload (``benchmarks/ledger``, imported
 read-only) with ``sys.settrace`` opcode events switched on exactly where
@@ -15,6 +16,14 @@ Call counts overstate host time where frames are cheap and hide it where
 one frame runs long; bytecodes count the work itself. Tracing every opcode
 is slow (about 30 s for ``md_private`` on a 2-vCPU Xeon), so this is a
 tool for aiming an optimisation, not a CI step.
+
+``--chains`` counts resume chains instead: each time a process's
+generator suspends, the frames its next resume re-enters (the generator
+and every generator it is ``yield from``-ing, outermost first). A resume
+costs one Python call per frame of its chain, so the frames re-entered
+per resume, and the most frequent chains, say which forwarding frames a
+resume still pays for (DESIGN §10). It runs under ``sys.setprofile`` and
+takes seconds.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
@@ -53,6 +62,55 @@ class OpcodeCensus:
 
     def disable(self) -> None:
         sys.settrace(None)
+
+
+class ChainCensus:
+    """A stand-in for the profiler ``worker.repetition`` enables and
+    disables: counts, at every suspension of a process's generator, the
+    chain of frames its next resume re-enters."""
+
+    def __init__(self) -> None:
+        self.counts: Dict[Tuple[str, ...], int] = {}
+
+    def enable(self) -> None:
+        from repro.sim.engine import Process
+
+        resume = Process._resume.__code__
+        counts = self.counts
+
+        def hook(frame, event, arg):
+            # Process._resume type-checks what the generator yielded: the
+            # generator is suspended by then, its chain still in place.
+            if (event == "c_call" and arg is isinstance
+                    and frame.f_code is resume):
+                gen = frame.f_locals["gen"]
+                chain = []
+                while gen is not None:
+                    code = getattr(gen, "gi_code", None)
+                    chain.append(code.co_name if code is not None
+                                 else type(gen).__name__)
+                    gen = getattr(gen, "gi_yieldfrom", None)
+                key = tuple(chain)
+                counts[key] = counts.get(key, 0) + 1
+
+        sys.setprofile(hook)
+
+    def disable(self) -> None:
+        sys.setprofile(None)
+
+
+def chain_report(counts: Dict[Tuple[str, ...], int], ops: int,
+                 top: int) -> List[str]:
+    resumes = sum(counts.values())
+    frames = sum(len(chain) * n for chain, n in counts.items())
+    lines = [f"resumes per root op: {resumes / ops:.2f}; frames re-entered "
+             f"per resume: {frames / resumes:.3f} "
+             f"({frames / ops:.2f} per root op)",
+             f"\n{'per op':>9} {'share':>6}  chain (outermost first)"]
+    for chain, n in sorted(counts.items(), key=lambda r: -r[1])[:top]:
+        lines.append(f"{n / ops:>9.2f} {n / resumes:>6.1%}  "
+                     + " > ".join(chain))
+    return lines
 
 
 def _where(code) -> str:
@@ -88,6 +146,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True, choices=list(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--chains", action="store_true",
+                        help="count resume frame chains, not bytecodes")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":
         env = dict(os.environ, PYTHONHASHSEED="0")
@@ -95,12 +155,13 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     import worker                     # benchmarks/ledger
 
-    census = OpcodeCensus()
+    census = ChainCensus() if args.chains else OpcodeCensus()
     result = worker.repetition(WORKLOADS[args.workload], args.seed,
                                profile=census)
     print(f"{args.workload}, seed {args.seed}, timed phases of one "
           f"repetition")
-    print("\n".join(report(census.counts, result.facts["ops"], args.top)))
+    show = chain_report if args.chains else report
+    print("\n".join(show(census.counts, result.facts["ops"], args.top)))
     return 0
 
 

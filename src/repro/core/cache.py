@@ -255,7 +255,7 @@ class DataObjectCache:
             victim_key = None
             dirty_batch = []
             for key, entry in self._lru.items():
-                if not entry.ready:
+                if entry.loading is not None:   # mid-fetch: not a victim
                     continue
                 if victim_key is None:
                     victim_key = key

@@ -58,6 +58,16 @@ from .types import Dentry, Inode, InoAllocator, ROOT_INO
 
 __all__ = ["ArkFSClient", "OpenState"]
 
+# What ArkFSClient._walk returns for a path (its ``want``).
+WALK_DIR = 0        # the directory the whole path names
+WALK_PARENT = 1     # (parent ino, final name)
+WALK_ENTRY = 2      # (parent ino, final name, final Dentry)
+WALK_INODE = 3      # the final target's Inode
+WALK_STAT = 4       # the final target's StatResult
+
+#: A followed final symlink is read at most this many times per walk.
+_FINAL_HOPS = 4
+
 
 class DirectoryRemoved(NotFound):
     """The directory's inode is gone from the store (ENOENT to callers)."""
@@ -209,9 +219,6 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def _charge_md_op(self) -> SimGen:
         return self.node.work(self.params.md_op_cpu)
-
-    def _charge_lookup(self) -> SimGen:
-        return self.node.work(self.params.lookup_cpu)
 
     def _charge_journal(self, n_entries: int,
                         dir_ino: Optional[int] = None) -> SimGen:
@@ -457,27 +464,127 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     # ------------------------------------------------------------- resolution
 
+    def _walk(self, creds: Optional[Credentials], path: str, want: int,
+              follow: bool = True, base: int = ROOT_INO) -> SimGen:
+        """Resolve ``path`` (taken from ``base``, the root by default) and
+        return what ``want`` asks for: the directory it names
+        (``WALK_DIR``), its parent and final name (``WALK_PARENT``), those
+        and the final dentry (``WALK_ENTRY``), or the final target's Inode
+        (``WALK_INODE``) or StatResult (``WALK_STAT``; ``follow`` says
+        whether a final symlink is followed).
+
+        The one path walker. Each component is resolved in this loop: in
+        the metatable when we lead its directory, else from the permission
+        cache, else at the directory's authority (:meth:`_lookup_component`).
+        The first two yield the lookup-CPU hold from this frame, so a
+        resume under it re-enters the op's frame and this one only (DESIGN
+        §10). Intermediate symlinks are followed (ELOOP past
+        ``symlink_max_follow``); in a followed final symlink's target an
+        intermediate symlink is ENOTDIR, and after ``_FINAL_HOPS`` final
+        symlinks the walk is ELOOP."""
+        params = self.params
+        lookup_cpu = params.lookup_cpu
+        pcache_on = params.permission_cache
+        parts = pathmod.split_path(path)
+        n = len(parts) if want == WALK_DIR else len(parts) - 1
+        cur = base
+        i = 0
+        depth = 0           # intermediate symlinks followed
+        hops = 0            # final symlinks followed
+        strict = False      # walking a final symlink's target
+        while True:
+            if i < n:
+                name = parts[i]
+            elif want == WALK_DIR:
+                return cur
+            elif not parts:
+                if want != WALK_INODE and want != WALK_STAT:
+                    raise InvalidArgument(path,
+                                          "operation needs a parent directory")
+                d = yield from self._authority_op(cur, "getattr_dir", creds)
+                break
+            elif want == WALK_PARENT:
+                return cur, parts[-1]
+            elif hops == _FINAL_HOPS:
+                raise TooManySymlinks(path)
+            else:
+                name = parts[-1]
+            now = self.sim.now
+            mt = self.metatables.get(cur)
+            if mt is not None and mt.lease_expires > now:
+                mt.last_used = now
+                if lookup_cpu > 0:
+                    yield from self.node.cpu.use(lookup_cpu)
+                self._check_dir_perm(mt, creds, X_OK)
+                dentry = mt.lookup(name)
+            else:
+                pc = pd = None
+                if pcache_on:
+                    pc = self.pcache.get(cur)
+                    pd = self.pcache_dentries.get((cur, name))
+                if (pc is not None and pc[1] > now
+                        and pd is not None and pd[1] > now):
+                    if lookup_cpu > 0:
+                        yield from self.node.cpu.use(lookup_cpu)
+                    pi = pc[0]
+                    if creds is not None and not check_perm(
+                        pi.acl, pi.mode, pi.uid, pi.gid, creds, X_OK
+                    ):
+                        raise PermissionDenied(f"dir {cur:x}")
+                    dentry = pd[0]
+                else:
+                    dentry = yield from self._lookup_component(creds, cur,
+                                                               name)
+            ftype = dentry.ftype
+            if i < n:
+                if ftype is FileType.DIRECTORY:
+                    cur = dentry.ino
+                    i += 1
+                    continue
+                if ftype is FileType.SYMLINK and not strict:
+                    depth += 1
+                    if depth > params.symlink_max_follow:
+                        raise TooManySymlinks(name)
+                    target = yield from self._authority_op(
+                        cur, "readlink", creds, name=name)
+                    tparts, cur = self._expand_symlink(target, cur)
+                    parts = tparts + parts[i + 1:]
+                    n = len(parts) if want == WALK_DIR else len(parts) - 1
+                    i = 0
+                    continue
+                raise NotADirectory(name)
+            if want == WALK_ENTRY:
+                return cur, name, dentry
+            if ftype is FileType.DIRECTORY:
+                d = yield from self._authority_op(dentry.ino, "getattr_dir",
+                                                  creds)
+                break
+            if ftype is FileType.SYMLINK and follow:
+                if hops >= params.symlink_max_follow:
+                    raise TooManySymlinks(path)
+                target = yield from self._authority_op(
+                    cur, "readlink", creds, name=name)
+                parts, cur = self._expand_symlink(target, cur)
+                n = len(parts) - 1
+                i = 0
+                hops += 1
+                strict = True
+                continue
+            d = yield from self._authority_op(cur, "getattr_child", creds,
+                                              name=name)
+            if isinstance(d, dict) and "redirect_dir" in d:
+                d = yield from self._authority_op(d["redirect_dir"],
+                                                  "getattr_dir", creds)
+            break
+        inode = Inode.from_dict(d)
+        return inode.stat() if want == WALK_STAT else inode
+
     def _lookup_component(self, creds: Optional[Credentials], dir_ino: int,
                           name: str) -> SimGen:
-        """Resolve one name in one directory (Dentry)."""
+        """Resolve one name at its directory's authority (Dentry), and keep
+        what came back in the permission cache. :meth:`_walk` tries the
+        metatable and the permission cache first."""
         now = self.sim.now
-        mt = self.metatables.get(dir_ino)
-        if mt is not None and mt.lease_expires > now:
-            mt.last_used = now
-            yield from self._charge_lookup()
-            self._check_dir_perm(mt, creds, X_OK)
-            return mt.lookup(name)
-        if self.params.permission_cache:
-            pc = self.pcache.get(dir_ino)
-            pd = self.pcache_dentries.get((dir_ino, name))
-            if pc is not None and pc[1] > now and pd is not None and pd[1] > now:
-                yield from self._charge_lookup()
-                pi = pc[0]
-                if creds is not None and not check_perm(
-                    pi.acl, pi.mode, pi.uid, pi.gid, creds, X_OK
-                ):
-                    raise PermissionDenied(f"dir {dir_ino:x}")
-                return pd[0]
         dentry_d, dir_inode_d = yield from self._authority_op(
             dir_ino, "lookup", creds, name=name)
         dentry = Dentry.from_dict(dentry_d)
@@ -486,33 +593,6 @@ class ArkFSClient(LeaderOps, VFSClient):
             self.pcache[dir_ino] = (Inode.from_dict(dir_inode_d), exp)
             self.pcache_dentries[(dir_ino, name)] = (dentry, exp)
         return dentry
-
-    def _walk_dirs(self, creds: Optional[Credentials], parts: list,
-                   depth: int = 0) -> SimGen:
-        """Resolve a component list to a directory ino, following symlinks."""
-        cur = ROOT_INO
-        parts = list(parts)
-        i = 0
-        while i < len(parts):
-            name = parts[i]
-            dentry = yield from self._lookup_component(creds, cur, name)
-            if dentry.ftype is FileType.DIRECTORY:
-                cur = dentry.ino
-                i += 1
-                continue
-            if dentry.ftype is FileType.SYMLINK:
-                depth += 1
-                if depth > self.params.symlink_max_follow:
-                    raise TooManySymlinks(name)
-                target = yield from self._authority_op(
-                    cur, "readlink", creds, name=name)
-                rest = parts[i + 1:]
-                tparts, cur = self._expand_symlink(target, cur)
-                parts = tparts + rest
-                i = 0
-                continue
-            raise NotADirectory(name)
-        return cur
 
     def _expand_symlink(self, target: str, cur: int):
         """Split a symlink target; absolute targets restart at the root."""
@@ -523,68 +603,6 @@ class ArkFSClient(LeaderOps, VFSClient):
             raise UnsupportedOperation(
                 target, "relative symlink targets with '..' are unsupported")
         return comps, cur
-
-    def _resolve_parent(self, creds: Optional[Credentials],
-                        path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-        if not parts:
-            raise InvalidArgument(path, "operation needs a parent directory")
-        parent = yield from self._walk_dirs(creds, parts[:-1])
-        return parent, parts[-1]
-
-    def _getattr_inode(self, creds: Optional[Credentials], path: str,
-                       follow: bool, depth: int = 0,
-                       as_stat: bool = False) -> SimGen:
-        """The full Inode of the path's final target, or with ``as_stat``
-        its StatResult: ``stat``/``lstat`` return this generator as is, so
-        it is their only client frame."""
-        parts = pathmod.split_path(path)
-        if not parts:
-            d = yield from self._authority_op(ROOT_INO, "getattr_dir", creds)
-        else:
-            parent = yield from self._walk_dirs(creds, parts[:-1])
-            name = parts[-1]
-            for _hop in range(4):
-                dentry = yield from self._lookup_component(creds, parent,
-                                                           name)
-                if dentry.ftype is FileType.DIRECTORY:
-                    d = yield from self._authority_op(dentry.ino,
-                                                      "getattr_dir", creds)
-                    break
-                if dentry.ftype is FileType.SYMLINK and follow:
-                    if depth >= self.params.symlink_max_follow:
-                        raise TooManySymlinks(path)
-                    target = yield from self._authority_op(
-                        parent, "readlink", creds, name=name)
-                    tparts, base = self._expand_symlink(target, parent)
-                    if not tparts:
-                        d = yield from self._authority_op(
-                            base, "getattr_dir", creds)
-                        break
-                    parent = yield from self._walk_dirs_from(creds, base,
-                                                             tparts[:-1])
-                    name = tparts[-1]
-                    depth += 1
-                    continue
-                d = yield from self._authority_op(parent, "getattr_child",
-                                                  creds, name=name)
-                if isinstance(d, dict) and "redirect_dir" in d:
-                    d = yield from self._authority_op(d["redirect_dir"],
-                                                      "getattr_dir", creds)
-                break
-            else:
-                raise TooManySymlinks(path)
-        inode = Inode.from_dict(d)
-        return inode.stat() if as_stat else inode
-
-    def _walk_dirs_from(self, creds, base: int, parts: list) -> SimGen:
-        cur = base
-        for name in parts:
-            dentry = yield from self._lookup_component(creds, cur, name)
-            if dentry.ftype is not FileType.DIRECTORY:
-                raise NotADirectory(name)
-            cur = dentry.ino
-        return cur
 
     def _drop_authority_hints(self, dir_ino: int) -> None:
         """Forget everything we believed about a removed/moved directory."""
@@ -607,7 +625,8 @@ class ArkFSClient(LeaderOps, VFSClient):
         if key is None:
             raise err
         del self.pcache_dentries[key]
-        dentry = yield from self._lookup_component(creds, *key)
+        _, _, dentry = yield from self._walk(creds, "/" + key[1], WALK_ENTRY,
+                                             base=key[0])
         if dentry.ftype is not FileType.DIRECTORY:
             raise NotADirectory(key[1])
         if dentry.ino == dir_ino:
@@ -620,7 +639,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         parts = pathmod.split_path(path)
         if not parts:
             raise AlreadyExists("/")
-        parent, name = yield from self._resolve_parent(creds, path)
+        parent, name = yield from self._walk(creds, path, WALK_PARENT)
         yield from self._authority_op(parent, "mkdir", creds, name=name,
                                       mode=mode)
 
@@ -628,17 +647,16 @@ class ArkFSClient(LeaderOps, VFSClient):
         parts = pathmod.split_path(path)
         if not parts:
             raise InvalidArgument("/", "cannot rmdir the root")
-        parent, name = yield from self._resolve_parent(creds, path)
+        parent, name = yield from self._walk(creds, path, WALK_PARENT)
         yield from self._authority_op(parent, "rmdir", creds, name=name)
         self.pcache_dentries.pop((parent, name), None)
 
     def readdir(self, creds: Credentials, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-        dir_ino = yield from self._walk_dirs(creds, parts)
+        dir_ino = yield from self._walk(creds, path, WALK_DIR)
         return (yield from self._authority_op(dir_ino, "readdir", creds))
 
     def unlink(self, creds: Credentials, path: str) -> SimGen:
-        parent, name = yield from self._resolve_parent(creds, path)
+        parent, name = yield from self._walk(creds, path, WALK_PARENT)
         ino = yield from self._authority_op(parent, "unlink", creds, name=name)
         self.pcache_dentries.pop((parent, name), None)
         if isinstance(ino, int):
@@ -651,15 +669,14 @@ class ArkFSClient(LeaderOps, VFSClient):
             if src_n == "/":
                 raise InvalidArgument(src, "cannot rename the root")
             # rename(x, x) is a no-op only if x exists (POSIX).
-            sp0, sname0 = yield from self._resolve_parent(creds, src_n)
-            yield from self._lookup_component(creds, sp0, sname0)
+            yield from self._walk(creds, src_n, WALK_ENTRY)
             return
         if src_n == "/" or dst_n == "/":
             raise InvalidArgument(src, "cannot rename the root")
         if pathmod.is_ancestor(src_n, dst_n):
             raise InvalidArgument(dst, "destination is inside the source")
-        sp, sname = yield from self._resolve_parent(creds, src_n)
-        dp, dname = yield from self._resolve_parent(creds, dst_n)
+        sp, sname = yield from self._walk(creds, src_n, WALK_PARENT)
+        dp, dname = yield from self._walk(creds, dst_n, WALK_PARENT)
         if sp == dp:
             yield from self._authority_op(sp, "rename_local", creds,
                                           src_name=sname, dst_name=dname)
@@ -733,13 +750,13 @@ class ArkFSClient(LeaderOps, VFSClient):
     # -------------------------------------------------------------- VFS: stat
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        return self._getattr_inode(creds, path, follow=True, as_stat=True)
+        return self._walk(creds, path, WALK_STAT)
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        return self._getattr_inode(creds, path, follow=False, as_stat=True)
+        return self._walk(creds, path, WALK_STAT, follow=False)
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
-        inode = yield from self._getattr_inode(creds, path, follow=True)
+        inode = yield from self._walk(creds, path, WALK_INODE)
         if want == F_OK:
             return True
         return check_perm(inode.acl, inode.mode, inode.uid, inode.gid,
@@ -754,7 +771,8 @@ class ArkFSClient(LeaderOps, VFSClient):
             raise IsADirectory("/")
         cur_path = path
         for _hop in range(self.params.symlink_max_follow):
-            parent, name = yield from self._resolve_parent(creds, cur_path)
+            parent, name = yield from self._walk(creds, cur_path,
+                                                 WALK_PARENT)
             info = yield from self._authority_op(
                 parent, "open", creds, name=name, flags=int(flags), mode=mode)
             if "symlink" in info:
@@ -899,8 +917,8 @@ class ArkFSClient(LeaderOps, VFSClient):
                 ROOT_INO, "setattr", creds, name=None, changes=changes)
             self.pcache.pop(ROOT_INO, None)
             return Inode.from_dict(result)
-        parent, name = yield from self._resolve_parent(creds, path)
-        dentry = yield from self._lookup_component(creds, parent, name)
+        parent, name, dentry = yield from self._walk(creds, path,
+                                                     WALK_ENTRY)
         if dentry.ftype is FileType.DIRECTORY:
             result = yield from self._authority_op(
                 dentry.ino, "setattr", creds, name=None, changes=changes)
@@ -926,7 +944,7 @@ class ArkFSClient(LeaderOps, VFSClient):
         yield from self._setattr(creds, path, {"times": (atime, mtime)})
 
     def getfacl(self, creds: Credentials, path: str) -> SimGen:
-        inode = yield from self._getattr_inode(creds, path, follow=True)
+        inode = yield from self._walk(creds, path, WALK_INODE)
         return inode.acl.copy() if inode.acl else Acl.from_mode(inode.mode)
 
     def setfacl(self, creds: Credentials, path: str, acl: Acl) -> SimGen:
@@ -936,12 +954,12 @@ class ArkFSClient(LeaderOps, VFSClient):
 
     def symlink(self, creds: Credentials, target: str,
                 linkpath: str) -> SimGen:
-        parent, name = yield from self._resolve_parent(creds, linkpath)
+        parent, name = yield from self._walk(creds, linkpath, WALK_PARENT)
         yield from self._authority_op(parent, "symlink", creds, name=name,
                                       target=target)
 
     def readlink(self, creds: Credentials, path: str) -> SimGen:
-        parent, name = yield from self._resolve_parent(creds, path)
+        parent, name = yield from self._walk(creds, path, WALK_PARENT)
         return (yield from self._authority_op(parent, "readlink", creds,
                                               name=name))
 

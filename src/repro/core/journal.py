@@ -122,26 +122,28 @@ def _coalesce(ops: List[JournalOp]) -> List[JournalOp]:
 
 
 def _apply_one(prt: PRT, op: JournalOp, src: Optional[Node] = None) -> SimGen:
+    """The PRT generator that applies one op, with no frame of its own: a
+    checkpoint PUT resumes only the store's frames. An unknown op raises
+    here, in the caller's frame."""
     kind = op["op"]
     if kind == "put_inode":
-        yield from prt.put_inode(Inode.from_dict(op["inode"]), src=src)
-    elif kind == "del_inode":
-        yield from prt.delete_inode(int(op["ino"], 16), src=src)
-    elif kind == "put_dentry":
-        yield from prt.put_dentry(int(op["dir"], 16),
-                                  Dentry.from_dict(op["dentry"]), src=src)
-    elif kind == "del_dentry":
-        yield from prt.delete_dentry(int(op["dir"], 16), op["name"], src=src)
-    elif kind == "extents":
-        yield from prt.apply_extent_delta(
+        return prt.put_inode(Inode.from_dict(op["inode"]), src=src)
+    if kind == "del_inode":
+        return prt.delete_inode(int(op["ino"], 16), src=src)
+    if kind == "put_dentry":
+        return prt.put_dentry(int(op["dir"], 16),
+                              Dentry.from_dict(op["dentry"]), src=src)
+    if kind == "del_dentry":
+        return prt.delete_dentry(int(op["dir"], 16), op["name"], src=src)
+    if kind == "extents":
+        return prt.apply_extent_delta(
             int(op["ino"], 16),
             set_map={int(k): tuple(v)
                      for k, v in (op.get("set") or {}).items()},
             del_list=op.get("del") or (),
             clear=bool(op.get("clear")),
             src=src)
-    else:
-        raise ValueError(f"unknown journal op {kind!r}")
+    raise ValueError(f"unknown journal op {kind!r}")
 
 
 def apply_ops(prt: PRT, ops: List[JournalOp],

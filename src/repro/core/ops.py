@@ -141,7 +141,7 @@ class LeaderOps:
         permission-caching mode caches at the requester (Section III-C).
         """
         mt = yield from self._ensure_leader(dir_ino)
-        yield from self._charge_lookup()
+        yield from self.node.work(self.params.lookup_cpu)
         self._check_dir_perm(mt, creds, X_OK)
         yield from self._wait_name_free(dir_ino, name)
         dentry = mt.lookup(name)

@@ -106,8 +106,9 @@ class PRT:
         return Inode.from_bytes(raw)
 
     def put_inode(self, inode: Inode, src: Optional[Node] = None) -> SimGen:
-        yield from self.store.put(self.key_inode(inode.ino), inode.to_bytes(),
-                                  src=src)
+        """The store's PUT generator, with no frame of its own."""
+        return self.store.put(self.key_inode(inode.ino), inode.to_bytes(),
+                              src=src)
 
     def delete_inode(self, ino: int, src: Optional[Node] = None) -> SimGen:
         try:
@@ -125,8 +126,9 @@ class PRT:
 
     def put_dentry(self, dir_ino: int, dentry: Dentry,
                    src: Optional[Node] = None) -> SimGen:
-        yield from self.store.put(self.key_dentry(dir_ino, dentry.name),
-                                  dentry.to_bytes(), src=src)
+        """The store's PUT generator, with no frame of its own."""
+        return self.store.put(self.key_dentry(dir_ino, dentry.name),
+                              dentry.to_bytes(), src=src)
 
     def delete_dentry(self, dir_ino: int, name: str,
                       src: Optional[Node] = None) -> SimGen:

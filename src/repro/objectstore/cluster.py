@@ -121,12 +121,13 @@ class ClusterObjectStore(ObjectStore):
         bandwidth cap (dominant on S3) applies per concurrent stream, not
         to the sum."""
         total = sum(sizes)
+        # The latency and stream-cap legs yield their timeouts here, as
+        # Network.send does: a helper generator would be one more frame to
+        # resume.
+        sim = self.sim
+        tr = sim._active_proc.tracer
         if src is not None and src.net is not None:
             yield from src.nic.transfer(total)
-            # The latency leg yields its timeout here, as Network.send
-            # does: a helper generator would be one more frame to resume.
-            sim = self.sim
-            tr = sim._active_proc.tracer
             if tr is not None:
                 with tr.span("net.lat", "net"):
                     yield sim.timeout(src.net.params.latency_s)
@@ -140,8 +141,11 @@ class ClusterObjectStore(ObjectStore):
             # The stream is jointly limited by NIC and per-stream cap; the
             # NIC leg above already billed nic_time, pay only the excess.
             if stream_time > nic_time:
-                yield from _timed(self.sim, stream_time - nic_time,
-                                  "stream.cap", "net")
+                if tr is not None:
+                    with tr.span("stream.cap", "net"):
+                        yield sim.timeout(stream_time - nic_time)
+                else:
+                    yield sim.timeout(stream_time - nic_time)
 
     def _service(self, osd: _OSD, fixed: float, nbytes: int,
                  src: Optional[Node] = None) -> SimGen:

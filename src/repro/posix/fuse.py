@@ -83,28 +83,14 @@ class _MountBase(VFSClient):
         self.request_count = 0
 
     # -- request cost plumbing ------------------------------------------------
-
-    def _request(self) -> SimGen:
-        """Cost of shipping one request through the mount boundary."""
-        self.request_count += 1
-        if self.params.crossing_latency > 0:
-            tr = self.sim._active_proc.tracer
-            if tr is not None:
-                with tr.span("fuse.crossing", "fuse"):
-                    yield self.sim.timeout(self.params.crossing_latency)
-            else:
-                yield self.sim.timeout(self.params.crossing_latency)
-        if self.params.dispatch_cpu > 0:
-            yield from self.node.work(self.params.dispatch_cpu)
-
-    def _globally_locked(self, gen: SimGen) -> SimGen:
-        """Run ``gen`` under the client-global mutex (ceph-fuse style);
-        without one, ``gen`` itself is what the caller iterates."""
-        if self._global_lock is None:
-            return gen
-        return self._under_global_lock(gen)
+    #
+    # A request through the mount boundary costs one crossing and the
+    # daemon's dispatch work. ``_pathop`` and ``_handleop`` each write that
+    # out at their one request site: a helper generator would be one more
+    # frame to resume under every hold of the request.
 
     def _under_global_lock(self, gen: SimGen) -> SimGen:
+        """Run ``gen`` under the client-global mutex (ceph-fuse style)."""
         req = yield from self._global_lock.acquire()
         try:
             yield from self.node.work(self.params.global_lock_service)
@@ -149,9 +135,9 @@ class _MountBase(VFSClient):
     # finishes; the observer samples it, opens its root span, and feeds the
     # slow-op log and flight recorder, across ArkFS and every baseline alike
     # (they all sit behind a mount). That frame is the op's one mount frame
-    # of its own: the LOOKUP walk runs as its loop and the dentry-cache work
-    # as its epilogue, so a resume re-enters no other mount frame but
-    # ``_request`` while a path op's request is in flight (DESIGN §10).
+    # of its own: the LOOKUP walk and every request run as its loop and the
+    # dentry-cache work as its epilogue, so a resume re-enters no other
+    # mount frame (DESIGN §10).
 
     def _pathop(self, op: str, creds: Credentials, path: str, gen: SimGen,
                 lock_parent: bool = False, walk_final: bool = True,
@@ -169,23 +155,45 @@ class _MountBase(VFSClient):
         token = None if ob is None else ob.begin(op)
         ok = False
         try:
+            params = self.params
             walks = (((path, tolerate_missing_final),) if src is None
                      else ((src, False), (path, tolerate_missing_final)))
-            for walked, tolerate in walks:
+            last = walks[-1]
+            for walk in walks:
+                walked, tolerate = walk
                 parts = pathmod.split_path(walked)
-                try:
-                    for i in range(len(parts) if walk_final
-                                   else len(parts) - 1):
+                n = len(parts) if walk_final else len(parts) - 1
+                i = 0
+                while True:
+                    if i < n:
                         parent = "/" + "/".join(parts[:i]) if i else "/"
                         cur = parent.rstrip("/") + "/" + parts[i]
                         if self._dcache_valid(cur):
+                            i += 1
                             continue
-                        # One LOOKUP request: cost + (optionally locked)
-                        # daemon-side resolve.
-                        yield from self._request()
-                        resolve = self._globally_locked(
-                            self.inner.lookup(creds, parent, parts[i]))
-                        if self.params.lookup_locked:
+                    elif walk is not last:
+                        break
+                    # One request: the LOOKUP of parts[i], or past the
+                    # last walk's components the operation's own.
+                    self.request_count += 1
+                    if params.crossing_latency > 0:
+                        tr = self.sim._active_proc.tracer
+                        if tr is not None:
+                            with tr.span("fuse.crossing", "fuse"):
+                                yield self.sim.timeout(
+                                    params.crossing_latency)
+                        else:
+                            yield self.sim.timeout(params.crossing_latency)
+                    if params.dispatch_cpu > 0:
+                        yield from self.node.work(params.dispatch_cpu)
+                    if i >= n:
+                        break
+                    # The daemon-side resolve, (optionally) dir-locked.
+                    resolve = self.inner.lookup(creds, parent, parts[i])
+                    if self._global_lock is not None:
+                        resolve = self._under_global_lock(resolve)
+                    try:
+                        if params.lookup_locked:
                             lock = self._dir_lock(parent)
                             req = yield from lock.acquire()
                             try:
@@ -194,21 +202,25 @@ class _MountBase(VFSClient):
                                 lock.release(req)
                         else:
                             yield from resolve
-                        self._dcache_insert(cur)
-                except NotFound:
-                    if not tolerate:
-                        raise
-            yield from self._request()
+                    except NotFound:
+                        if not tolerate:
+                            raise
+                        i = n       # the rest of this path is not walked
+                        continue
+                    self._dcache_insert(cur)
+                    i += 1
+            if self._global_lock is not None:
+                gen = self._under_global_lock(gen)
             if lock_parent:
                 parent, _name = pathmod.parent_and_name(path)
                 lock = self._dir_lock(parent)
                 req = yield from lock.acquire()
                 try:
-                    result = yield from self._globally_locked(gen)
+                    result = yield from gen
                 finally:
                     lock.release(req)
             else:
-                result = yield from self._globally_locked(gen)
+                result = yield from gen
             if then is not None:
                 for walked, _tolerate in walks:
                     then(pathmod.normalize(walked))
@@ -232,7 +244,7 @@ class _MountBase(VFSClient):
         try:
             params = self.params
             for _ in range(nreq):
-                # _request, written out: one frame fewer under every hold.
+                # The request, written out (see "request cost plumbing").
                 self.request_count += 1
                 if params.crossing_latency > 0:
                     tr = self.sim._active_proc.tracer

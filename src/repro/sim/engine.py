@@ -90,9 +90,6 @@ SimGen = Generator["Event", Any, Any]
 #: the pools only need to cover the per-hop working set, not the backlog.
 _TIMEOUT_POOL_MAX = 256
 
-#: Cap on the freelist of recycled process kick-off events.
-_START_POOL_MAX = 256
-
 
 class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
@@ -204,51 +201,11 @@ class Process(Event):
 
     The process event triggers when the generator returns (success, with the
     generator's return value) or raises (failure, with the exception).
+    :meth:`Simulator.process` builds one in place: a spawn is one call.
     """
 
     __slots__ = ("_gen", "_waiting_on", "_wait_epoch", "_gate_hold", "name",
                  "parent_proc", "tracer")
-
-    def __init__(self, sim: "Simulator", gen: SimGen, name: str = ""):
-        # Event.__init__ is inlined: process spawns are the hottest
-        # allocation site in RPC-bound workloads, and the extra call plus
-        # generic kick-off scheduling showed up in every profile.
-        self.sim = sim
-        self.callbacks = []
-        self._value = Event._PENDING
-        self._ok = None
-        self._scheduled = False
-        self._auto_value = None
-        self._gen = gen
-        # Bumped every time the process starts waiting on a (new) event.
-        # Interrupt delivery checks it alongside the event identity, so a
-        # pooled event object reused for a later wait of the same process
-        # can never satisfy a stale interrupt.
-        self._wait_epoch = 0
-        # The hold still owed on the queued grant the process waits on
-        # (Simulator._hold), 0 when none: processing that grant re-arms it
-        # as the hold's timer instead of resuming the generator.
-        self._gate_hold = 0
-        self.name = name or getattr(gen, "__name__", "process")
-        # The process that spawned this one (None for top-level processes).
-        # Observability uses the chain to parent spans across fan-outs.
-        parent = sim._active_proc
-        self.parent_proc: Optional["Process"] = parent
-        # The span tracer this process records into, or None: the only
-        # tracing state (repro.obs). Inherited from the spawner, so a traced
-        # operation's fan-out stays traced; a top-level process starts with
-        # the sim's full-trace tracer.
-        self.tracer = sim.tracer if parent is None else parent.tracer
-        # Kick off at the current time. The kick-off event is invisible to
-        # user code, so it is drawn from (and recycled into) a freelist
-        # (its callbacks slot is left None in the pool; the list literal
-        # below refreshes it) and appended to the ready deque directly —
-        # a delay-0 schedule lands there anyway.
-        start = sim._start_pool.pop() if sim._start_pool else Event(sim)
-        start._scheduled = True
-        sim._ready.append(start)
-        start.callbacks = [self._kickoff]
-        self._waiting_on = start
 
     @property
     def is_alive(self) -> bool:
@@ -286,23 +243,6 @@ class Process(Event):
             wake.fail(Interrupt(cause))
 
     # -- internal ---------------------------------------------------------
-
-    def _kickoff(self, event: Event) -> None:
-        """First resume, via the pooled kick-off event (it succeeded with
-        its auto value ``None``).
-
-        The run loop never touches an event after its callbacks fire, so
-        the kick-off can be reset and recycled right here; the epoch guard
-        in :meth:`interrupt` keeps a recycled object from satisfying a
-        stale interrupt aimed at a previous spawn."""
-        self._resume(event)
-        sim = self.sim
-        if len(sim._start_pool) < _START_POOL_MAX:
-            # callbacks stays None and _scheduled True: the spawn path
-            # overwrites both when it reuses the object.
-            event._value = Event._PENDING
-            event._ok = None
-            sim._start_pool.append(event)
 
     def _resume(self, event: Event) -> None:
         """The step body — every way into the generator (kick-off, awaited
@@ -349,7 +289,11 @@ class Process(Event):
                     else:
                         target = gen.send(value)
                 except StopIteration as stop:
-                    self.succeed(stop.value)
+                    # succeed(), written out: a process triggers only here.
+                    self._ok = True
+                    self._value = stop.value
+                    self._scheduled = True
+                    ready.append(self)
                     return
                 except BaseException as exc:  # noqa: BLE001 - propagate via event
                     self.fail(exc)
@@ -425,7 +369,13 @@ class _Condition(Event):
     _NEEDS_INDEX = False
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
+        # Event.__init__, written out.
+        self.sim = sim
+        self.callbacks = []
+        self._value = Event._PENDING
+        self._ok = None
+        self._scheduled = False
+        self._auto_value = None
         self.events = list(events)
         self._n_done = 0
         if self._NEEDS_INDEX:
@@ -473,7 +423,11 @@ class AllOf(_Condition):
             return
         self._n_done += 1
         if self._n_done == len(self.events):
-            self.succeed([ev._value for ev in self.events])
+            # succeed(), written out: the guard above triggers it once.
+            self._ok = True
+            self._value = [ev._value for ev in self.events]
+            self._scheduled = True
+            self.sim._ready.append(self)
 
 
 class AnyOf(_Condition):
@@ -523,8 +477,6 @@ class Simulator:
         # Freelist of engine-owned Timeout objects (resource holds, link
         # latency); see _timeout_acquire/_timeout_release.
         self._timeout_pool: list[Timeout] = []
-        # Freelist of process kick-off events (see Process._kickoff).
-        self._start_pool: list[Event] = []
         # Kernel counters (see repro.sim.stats.kernel_counters).
         self._n_steps = 0    # events processed through the run loop
         self._n_inline = 0   # events consumed inline, uncreated grants included
@@ -665,7 +617,51 @@ class Simulator:
         return t
 
     def process(self, gen: SimGen, name: str = "") -> Process:
-        return Process(self, gen, name=name)
+        """Spawn ``gen`` as a process that starts at the current time.
+
+        The process and its kick-off event are built in place, with no
+        constructor call (process spawns are the hottest allocation site
+        in RPC-bound workloads). The kick-off is invisible to user code:
+        it goes straight to the ready deque (a delay-0 schedule lands
+        there anyway), auto-succeeds with ``None`` and resumes the process
+        through its one callback, :meth:`Process._resume`."""
+        p = Process.__new__(Process)
+        p.sim = self
+        p.callbacks = []
+        p._value = PENDING = Event._PENDING
+        p._ok = None
+        p._scheduled = False
+        p._auto_value = None
+        p._gen = gen
+        # Bumped every time the process starts waiting on a (new) event.
+        # Interrupt delivery checks it alongside the event identity, so a
+        # pooled event object reused for a later wait of the same process
+        # can never satisfy a stale interrupt.
+        p._wait_epoch = 0
+        # The hold still owed on the queued grant the process waits on
+        # (Simulator._hold), 0 when none: processing that grant re-arms it
+        # as the hold's timer instead of resuming the generator.
+        p._gate_hold = 0
+        p.name = name or getattr(gen, "__name__", "process")
+        # The process that spawned this one (None for top-level processes).
+        # Observability uses the chain to parent spans across fan-outs.
+        parent = self._active_proc
+        p.parent_proc = parent
+        # The span tracer this process records into, or None: the only
+        # tracing state (repro.obs). Inherited from the spawner, so a traced
+        # operation's fan-out stays traced; a top-level process starts with
+        # the sim's full-trace tracer.
+        p.tracer = self.tracer if parent is None else parent.tracer
+        start = Event.__new__(Event)
+        start.sim = self
+        start.callbacks = [p._resume]
+        start._value = PENDING
+        start._ok = None
+        start._scheduled = True
+        start._auto_value = None
+        self._ready.append(start)
+        p._waiting_on = start
+        return p
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

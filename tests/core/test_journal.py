@@ -6,6 +6,7 @@ from repro.core import (
     PRT,
     Transaction,
     apply_ops,
+    build_arkfs,
     ops_del_dentry,
     ops_del_inode,
     ops_put_dentry,
@@ -18,6 +19,8 @@ from repro.core.types import Dentry, Inode
 from repro.objectstore import InMemoryObjectStore
 from repro.posix import FileType
 from repro.sim import Network, Node, Simulator
+
+from ..posix.test_fuse import _frame_chain
 
 
 def make_env(params=DEFAULT_PARAMS):
@@ -103,6 +106,45 @@ class TestApplyOps:
         sim, prt, _ = make_env()
         with pytest.raises(ValueError):
             sim.run_process(apply_ops(prt, [{"op": "mystery"}]))
+
+    def test_unknown_op_rejected_in_a_parallel_batch(self):
+        sim, prt, _ = make_env()
+        with pytest.raises(ValueError):
+            sim.run_process(apply_ops(prt, [ops_put_inode(inode(5)),
+                                            {"op": "mystery"}]))
+
+    def test_a_checkpoint_put_resumes_only_the_store_frames(self):
+        """A ``ckpt-op`` process runs the store's PUT generator itself:
+        the journal's and the PRT's helpers return it rather than wrap it,
+        so its client-leg hold resumes ``put`` and ``_client_leg`` only
+        (before: _apply_one, put_inode, put, _client_leg, use)."""
+        sim = Simulator()
+        cluster = build_arkfs(sim, n_clients=1)
+        node = cluster.client(0).node
+        ckpt_ops = []
+        spawn = sim.process
+
+        def process(gen, name=""):
+            proc = spawn(gen, name)
+            if name == "ckpt-op":
+                ckpt_ops.append(proc)
+            return proc
+
+        sim.process = process
+        done = spawn(apply_ops(cluster.prt, [
+            ops_put_inode(inode(5)),
+            ops_put_dentry(1, Dentry("f", 5, FileType.REGULAR)),
+        ], src=node))
+        legs = set()
+        while done.is_alive:
+            sim.step()
+            for proc in ckpt_ops:
+                chain = _frame_chain(proc._gen)
+                if proc.is_alive and "_client_leg" in chain:
+                    legs.add(tuple(chain))
+        assert len(ckpt_ops) == 2 and done.ok
+        assert ("put", "_client_leg", "use") in legs, legs
+        assert all(len(chain) <= 3 for chain in legs), legs
 
 
 class TestJournalManager:

@@ -201,11 +201,12 @@ def _frame_chain(gen):
 class TestResumePath:
     """A resume re-enters every suspended ``yield from`` frame, so a frame
     that only forwards costs a Python call per event of everything below
-    it (DESIGN §10). A path op's mount frames are ``_pathop`` and, while a
-    request is in flight, ``_request``; the root-op observer adds none."""
+    it (DESIGN §10). A path op's one mount frame is ``_pathop``: its
+    requests are written out in its loop, and the root-op observer adds
+    no frame."""
 
     @pytest.mark.parametrize("what", ["stat_cached", "open_create"])
-    def test_first_hold_of_a_path_op_is_two_frames_deep(self, what):
+    def test_first_hold_of_a_path_op_is_one_frame_deep(self, what):
         sim = Simulator()
         cluster = build_arkfs(sim, n_clients=1)
         mount = cluster.mounts[0]
@@ -228,13 +229,45 @@ class TestResumePath:
         while proc._waiting_on is kickoff:
             sim.step()
         # Both first hold on a request's crossing: the op's own GETATTR
-        # (every component cached), or the LOOKUP of the new name. Before
-        # the observer's begin/end calls and the inlined walk, these were
-        # 3 (observe, _pathop, _request) and 6 frames deep (observe, open,
-        # _pathop, _walk, _lookup_component, _request).
+        # (every component cached), or the LOOKUP of the new name. With a
+        # request helper these were 2 frames deep (_pathop, _request); before
+        # the observer's begin/end calls and the inlined walk, 3 (observe,
+        # _pathop, _request) and 6 (observe, open, _pathop, _walk,
+        # _lookup_component, _request).
         chain = _frame_chain(proc._gen)
-        assert len(chain) == 2, chain
+        assert chain == ["_pathop"], chain
         sim.run(until=proc)
+        assert proc.ok
+
+    def test_local_lookup_holds_of_a_stat_are_three_frames_deep(self):
+        sim = Simulator()
+        cluster = build_arkfs(sim, n_clients=1)
+        mount, client = cluster.mounts[0], cluster.client(0)
+
+        def setup():
+            yield from mount.mkdir(ROOT_CREDS, "/d")
+            yield from mount.write_file(ROOT_CREDS, "/d/f", b"x")
+            yield from mount.stat(ROOT_CREDS, "/d/f")   # warm the dcache
+
+        run(sim, setup())
+        proc = sim.process(mount.stat(ROOT_CREDS, "/d/f"))
+        lookups, last = [], None
+        while proc.is_alive:
+            sim.step()
+            gen = proc._gen
+            while gen.gi_yieldfrom is not None:
+                gen = gen.gi_yieldfrom
+            held = gen.gi_frame.f_locals if gen.gi_frame else {}
+            if (gen is not last and held.get("self") is client.node.cpu
+                    and held.get("hold_time") == client.params.lookup_cpu):
+                lookups.append(_frame_chain(proc._gen))
+            last = gen
+        # The op's own GETATTR resolves "d" in the root and "f" in /d, both
+        # led here: each lookup-CPU hold resumes the mount's frame and the
+        # client's walker only. With a per-component resolver and a charge
+        # helper these were 5 frames deep (_pathop, _getattr_inode,
+        # _walk_dirs, _lookup_component, use) and 4.
+        assert lookups == [["_pathop", "_walk", "use"]] * 2, lookups
         assert proc.ok
 
 

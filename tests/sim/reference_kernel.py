@@ -20,7 +20,7 @@ from repro.sim import Resource, Simulator
 class _HeapSink:
     """Stands in for the ready deque: ``append`` pushes onto the heap at
     ``now`` with the next ``seq``; always empty (falsy), so the run loop
-    only ever pops the heap and ``Process._step`` never finds a front
+    only ever pops the heap and ``Process._resume`` never finds a front
     event to consume inline."""
 
     def __init__(self, sim):
@@ -35,20 +35,12 @@ class _HeapSink:
         heapq.heappush(sim._heap, (sim.now, sim._seq, event))
 
 
-class _NoPool(list):
-    """A freelist that never keeps anything."""
-
-    def append(self, item):
-        pass
-
-
 class ReferenceSimulator(Simulator):
     """``Simulator`` with the single-heap scheduler and pooling off."""
 
     def __init__(self):
         super().__init__()
         self._ready = _HeapSink(self)
-        self._start_pool = _NoPool()
 
     def _timeout_release(self, t):
         pass

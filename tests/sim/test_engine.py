@@ -8,6 +8,8 @@ from repro.sim import (
     Simulator,
 )
 
+from .reference_kernel import ReferenceSimulator
+
 
 def test_timeout_advances_clock():
     sim = Simulator()
@@ -267,6 +269,62 @@ def test_stale_event_does_not_resume_interrupted_process():
     assert sim.now == 51
 
 
+# An interrupt is delivered by a wake-up event queued when it is requested.
+# Whatever the process waits on when that event fires decides: the process
+# must still wait on the event it waited on at the request, in the same
+# wait (DESIGN §10). Both cases below are stale, so the process runs on, on
+# the production scheduler and on the heap-only oracle alike.
+
+@pytest.mark.parametrize("kind", [Simulator, ReferenceSimulator])
+def test_an_interrupt_requested_before_the_first_step_is_stale(kind):
+    """The wake-up queues behind the process's kick-off; its first step
+    moves it on to a new wait before the delivery looks."""
+    sim = kind()
+    log = []
+
+    def sleeper():
+        log.append("started")
+        try:
+            yield sim.timeout(1)
+            log.append("slept")
+        except Interrupt:
+            log.append("interrupted")
+
+    proc = sim.process(sleeper())
+    proc.interrupt("early")
+    sim.run()
+    assert log == ["started", "slept"] and proc.ok
+
+
+@pytest.mark.parametrize("kind", [Simulator, ReferenceSimulator])
+def test_an_interrupt_requested_after_the_awaited_event_triggered_is_stale(
+        kind):
+    """The awaited event triggered first at this instant: it resumes the
+    process ahead of the wake-up, which then finds a new wait."""
+    sim = kind()
+    log = []
+    gate = sim.event()
+
+    def waiter():
+        try:
+            value = yield gate
+            log.append((value, sim.now))
+            yield sim.timeout(1)
+            log.append("slept")
+        except Interrupt:
+            log.append("interrupted")
+
+    def trigger():
+        yield sim.timeout(1)
+        gate.succeed("go")
+        proc.interrupt("late")
+
+    proc = sim.process(waiter())
+    sim.process(trigger())
+    sim.run()
+    assert log == [("go", 1.0), "slept"] and proc.ok
+
+
 def test_interrupt_on_finished_process_is_noop():
     sim = Simulator()
 
@@ -451,7 +509,7 @@ def test_every_entry_into_a_generator_is_the_one_step_body(monkeypatch):
     ran, entries, _ = _entries(monkeypatch, lambda sim, proc: sim.run())
     assert ran == ["kick-off", "resumed", "interrupted:crash", "done"]
     assert entries == [
-        ("Event", True, True),          # kick-off, via the pooled start event
+        ("Event", True, True),          # kick-off, via its start event
         ("Timeout", True, True),        # normal resume
         ("Event", False, True),         # interrupt: a failed wake-up event
         ("Timeout", True, False),       # stale: dropped by the prologue
