@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..core.cache import DataObjectCache, ReadAheadState
-from ..core.filelease import DIRECT, READ, WRITE, FileLeaseGrant, FileLeaseService
+from ..core.cache import DataObjectCache
+from ..core.datapath import LeasedDataPath, OpenState
+from ..core.filelease import READ, FileLeaseService
 from ..core.prt import PRT
 from ..core.types import InoAllocator
 from ..objectstore.base import ObjectStore
@@ -29,14 +30,8 @@ from ..objectstore.memory import InMemoryObjectStore
 from ..objectstore.profiles import MiB, RADOS_PROFILE, StoreProfile
 from ..posix import path as pathmod
 from ..posix.acl import Acl, check_perm
-from ..posix.errors import (
-    AlreadyExists,
-    BadFileHandle,
-    InvalidArgument,
-    IsADirectory,
-    NotFound,
-    UnsupportedOperation,
-)
+from ..posix.errors import (AlreadyExists, InvalidArgument, IsADirectory,
+                            UnsupportedOperation)
 from ..posix.fuse import (
     FUSE_DEFAULTS,
     KERNEL_DEFAULTS,
@@ -67,17 +62,13 @@ class CephClientParams:
     fail_reads: bool = False           # MarFS interactive-mount READ errors
 
 
-@dataclass
-class _CephOpenState:
-    size: int
-    mtime: float
-    lease: Optional[FileLeaseGrant] = None
-    ra: ReadAheadState = field(default_factory=ReadAheadState)
-    wrote: bool = False
+class CephLikeClient(LeasedDataPath, VFSClient):
+    """One client of a centralized-MDS file system (CephFS or MarFS).
 
-
-class CephLikeClient(VFSClient):
-    """One client of a centralized-MDS file system (CephFS or MarFS)."""
+    File data runs ArkFS's leased data path (:mod:`repro.core.datapath`):
+    its leases are the MDS's capabilities (``fleases``, one table for the
+    whole cluster), and size/mtime are published with an MDS round trip.
+    """
 
     def __init__(self, sim: Simulator, node: Node, mds: MDSCluster,
                  prt: PRT, caps: FileLeaseService,
@@ -86,10 +77,13 @@ class CephLikeClient(VFSClient):
         self.node = node
         self.mds = mds
         self.prt = prt
-        self.caps = caps
+        self.fleases = caps
         self.params = params
+        self._open_dirs: Dict[int, int] = {}   # stays empty: see datapath
         self.name = node.name
         self.ns = mds.namespace
+        if params.fail_reads:    # MarFS: no branch in the shared read
+            self.read = self._failed_read
         self.cache = DataObjectCache(
             sim, prt, node, entry_size=params.object_size,
             capacity_bytes=params.cache_capacity,
@@ -169,7 +163,7 @@ class CephLikeClient(VFSClient):
 
         inode = yield from self._mds(self._dirkey(path), mutate)
         yield from self.cache.invalidate(inode.ino, flush_dirty=False)
-        self.caps.forget_file(inode.ino)
+        self.fleases.forget_file(inode.ino)
         if inode.size > 0:
             # CephFS moves unlinked inodes to the stray directory and purges
             # the RADOS objects asynchronously.
@@ -241,124 +235,51 @@ class CephLikeClient(VFSClient):
                 inode = self.ns.node(tgt_ino).inode
                 if inode.is_dir:
                     raise IsADirectory(name)
-                return inode, False
-            return self.ns.create(creds, parent, name, flags, mode, now)
+                return parent, inode
+            return parent, self.ns.create(creds, parent, name, flags, mode,
+                                          now)[0]
 
-        inode, _created = yield from self._mds(self._dirkey(path), mutate)
+        parent, inode = yield from self._mds(self._dirkey(path), mutate)
         if flags & OpenFlags.O_TRUNC and inode.size > 0:
             old = inode.size
             inode.size = 0
             inode.mtime = inode.ctime = now
-            yield from self._revoke_caps(inode.ino)
-            yield from self.prt.truncate_data(inode.ino, old, 0,
-                                              src=self.node)
-        grant = yield from self.caps.acquire(inode.ino, self.name, READ)
+            yield from self._truncate_file_data(inode.ino, old, 0)
+        grant = yield from self.fleases.acquire(inode.ino, self.name, READ)
         handle = FileHandle(inode.ino, flags, creds)
-        handle.impl = _CephOpenState(size=inode.size, mtime=inode.mtime,
-                                     lease=grant)
+        handle.impl = OpenState(parent_ino=parent, name=parts[-1],
+                                size=inode.size, mtime=inode.mtime,
+                                lease=grant)
         if flags & OpenFlags.O_APPEND:
             handle.pos = inode.size
         return handle
 
-    def _revoke_caps(self, ino: int) -> SimGen:
-        st = self.caps.files.get(ino)
-        if st is None:
-            return
-        yield from self.caps._revoke_all(st, ino, but="")
-        st.version += 1
+    # Hooks of the leased data path: a capability comes from the MDS's
+    # lease table, and size/mtime are published at the MDS — except after
+    # a DIRECT write, which updates the namespace with no round trip.
 
-    def _check_handle(self, handle: FileHandle) -> None:
-        if handle.closed or not isinstance(handle.impl, _CephOpenState):
-            raise BadFileHandle(detail="handle closed or foreign")
+    def _request_lease(self, handle: FileHandle, st: OpenState,
+                       want: str) -> SimGen:
+        return self.fleases.acquire(handle.ino, self.name, want)
 
-    def _ensure_caps(self, handle: FileHandle, want: str) -> SimGen:
-        st: _CephOpenState = handle.impl
-        g = st.lease
-        now = self.sim.now
-        if (g is not None and g.expires_at > now
-                and not (want == WRITE and g.mode == READ)):
-            return g
-        grant = yield from self.caps.acquire(handle.ino, self.name, want)
-        if g is None or grant.version != g.version:
-            yield from self.cache.invalidate(handle.ino, flush_dirty=False)
-        st.lease = grant
-        return grant
+    def _publish(self, handle: FileHandle, st: OpenState) -> SimGen:
+        def mutate():
+            self.ns.update_size(handle.ino, st.size, st.mtime)
+            return True
 
-    def read(self, handle: FileHandle, size: int,
-             offset: Optional[int] = None) -> SimGen:
-        self._check_handle(handle)
-        if self.params.fail_reads:
-            # MarFS interactive mount: "MarFS returns errors when we perform
-            # this phase in our environment" (Section IV-B).
-            yield self.sim.timeout(0)
-            raise UnsupportedOperation(detail="interactive-mount read failed")
-        if not handle.flags.wants_read:
-            raise BadFileHandle(detail="not open for reading")
-        st: _CephOpenState = handle.impl
-        pos = handle.pos if offset is None else offset
-        grant = yield from self._ensure_caps(handle, READ)
-        eff = max(0, min(size, st.size - pos))
-        if eff == 0:
-            data = b""
-        elif grant.mode == DIRECT:
-            data = yield from self.prt.read_data(handle.ino, pos, eff,
-                                                 st.size, src=self.node)
-        else:
-            data = yield from self.cache.read(handle.ino, pos, eff, ra=st.ra)
-        if offset is None:
-            handle.pos = pos + len(data)
-        return data
+        return self._mds(handle.ino & 0xFFFFFFFF, mutate)
 
-    def write(self, handle: FileHandle, data: bytes,
-              offset: Optional[int] = None) -> SimGen:
-        self._check_handle(handle)
-        if not handle.flags.wants_write:
-            raise BadFileHandle(detail="not open for writing")
-        st: _CephOpenState = handle.impl
-        pos = st.size if handle.flags & OpenFlags.O_APPEND else (
-            handle.pos if offset is None else offset)
-        grant = yield from self._ensure_caps(handle, WRITE)
-        if grant.mode == DIRECT:
-            yield from self.prt.write_data(handle.ino, pos, data,
-                                           src=self.node)
-            st.size = max(st.size, pos + len(data))
-            self.ns.update_size(handle.ino, st.size, self.sim.now)
-        else:
-            yield from self.cache.write(handle.ino, pos, data,
-                                        old_size=st.size)
-            st.size = max(st.size, pos + len(data))
-            st.wrote = True
-        st.mtime = self.sim.now
-        if offset is None:
-            handle.pos = pos + len(data)
-        return len(data)
+    def _publish_direct(self, handle: FileHandle, st: OpenState):
+        self.ns.update_size(handle.ino, st.size, st.mtime)
+        return ()
 
     def fsync(self, handle: FileHandle) -> SimGen:
         self._check_handle(handle)
-        st: _CephOpenState = handle.impl
+        st: OpenState = handle.impl
         yield from self.cache.flush(handle.ino)
         if st.wrote:
-            yield from self._publish_size(handle.ino, st)
-
-    def _publish_size(self, ino: int, st: _CephOpenState) -> SimGen:
-        def mutate():
-            self.ns.update_size(ino, st.size, st.mtime)
-            return True
-
-        yield from self._mds(ino & 0xFFFFFFFF, mutate)
-        st.wrote = False
-
-    def close(self, handle: FileHandle) -> SimGen:
-        self._check_handle(handle)
-        st: _CephOpenState = handle.impl
-        if st.wrote:
-            try:
-                yield from self._publish_size(handle.ino, st)
-            except NotFound:
-                pass
-        else:
-            yield self.sim.timeout(0)
-        handle.closed = True
+            yield from self._publish(handle, st)
+            st.wrote = False
 
     def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
         parts = self._parts(path)
@@ -373,8 +294,7 @@ class CephLikeClient(VFSClient):
 
         ino, old = yield from self._mds(self._dirkey(path), mutate)
         if size < old:
-            yield from self._revoke_caps(ino)
-            yield from self.prt.truncate_data(ino, old, size, src=self.node)
+            yield from self._truncate_file_data(ino, old, size)
 
     # -- VFS: attributes ----------------------------------------------------------------
 
@@ -439,8 +359,14 @@ class CephLikeClient(VFSClient):
     def sync(self) -> SimGen:
         yield from self.cache.flush_all()
 
-    def drop_caches(self) -> SimGen:
-        yield from self.cache.drop_all()
+    def _failed_read(self, handle: FileHandle, size: int,
+                     offset: Optional[int] = None) -> SimGen:
+        """``read`` under ``fail_reads``, MarFS's interactive mount: "MarFS
+        returns errors when we perform this phase in our environment"
+        (Section IV-B)."""
+        self._check_handle(handle)
+        yield self.sim.timeout(0)
+        raise UnsupportedOperation(detail="interactive-mount read failed")
 
 
 @dataclass

@@ -20,10 +20,14 @@ slow-op log, flight recorder. ``--sample-rate R`` changes the sampling
 rate (``--trace`` implies full tracing and wins); ``--slowlog[=PATH]``
 prints the slow-op table and optionally dumps it as JSON;
 ``--flight=PATH`` dumps the flight-recorder ring per kind.
+
+``--help`` lists every flag; an unknown flag or target exits with status 2
+before anything is built.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 import time
@@ -87,8 +91,6 @@ def run_target(name: str, scale) -> None:
         print(format_tier_report(tier_ablation(scale)))
     elif name == "qos":
         print(format_qos_report(qos_ablation(scale)))
-    else:
-        raise SystemExit(f"unknown target {name!r}; pick from {TARGETS}")
     print(f"[{name}: {time.time() - t0:.1f}s wall]\n")
 
 
@@ -113,58 +115,83 @@ def format_fault_report(collected) -> str:
     return "\n".join(lines)
 
 
+class _AddTargets(argparse.Action):
+    """Adds targets in command-line order: the positionals, and the
+    ``--tier``/``--qos`` shorthands (their ``const``)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if option_string is not None:
+            values = [self.const]
+        namespace.targets = namespace.targets + list(values)
+
+
+class _SlowLog(argparse.Action):
+    """``--slowlog[=PATH]``; a target name after a bare ``--slowlog`` stays
+    a target."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value in TARGETS or value == "all":
+            namespace.targets = namespace.targets + [value]
+            value = ""
+        namespace.slowlog = value
+
+
+def parse_args(argv) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="Regenerate the paper's figures and the ablations.")
+    parser.add_argument("targets", nargs="*", action=_AddTargets,
+                        metavar="target",
+                        help=f"any of {' '.join(TARGETS)} (default: all)")
+    parser.add_argument("--small", action="store_true",
+                        help="run at the reduced scale")
+    parser.add_argument("--tier", nargs=0, action=_AddTargets, const="tier",
+                        dest="targets", help="add the tier target")
+    parser.add_argument("--qos", nargs=0, action=_AddTargets, const="qos",
+                        dest="targets", help="add the qos target")
+    parser.add_argument("--trace", metavar="PATH",
+                        help="full tracing; write Chrome trace JSON here")
+    parser.add_argument("--faults", choices=("transient",),
+                        default=os.environ.get("REPRO_FAULTS") or None,
+                        help="fault plan under the arkfs builds "
+                             "(default: $REPRO_FAULTS)")
+    parser.add_argument("--sample-rate", type=float, metavar="R",
+                        help="sampled-tracing rate in [0, 1]")
+    parser.add_argument("--slowlog", nargs="?", const="", action=_SlowLog,
+                        metavar="PATH",
+                        help="print the slow-op table (--slowlog=PATH also "
+                             "dumps it as JSON)")
+    parser.add_argument("--flight", metavar="PATH",
+                        help="dump the flight-recorder ring per kind")
+    parser.set_defaults(targets=[])
+    # Targets may follow flags (``fig4 --small fig5``): argparse consumes
+    # the positionals before the first flag and leaves the rest over.
+    args, rest = parser.parse_known_args(argv)
+    flags = [a for a in rest if a.startswith("-")]
+    if flags:
+        parser.error(f"unrecognized arguments: {' '.join(flags)}")
+    args.targets += rest
+    if args.faults not in (None, "transient"):
+        parser.error(f"unknown fault mode {args.faults!r}")
+    unknown = [t for t in args.targets if t not in TARGETS and t != "all"]
+    if unknown:
+        parser.error(f"unknown target {unknown[0]!r}; pick from {TARGETS}")
+    return args
+
+
 def main(argv) -> None:
-    args = []
-    trace_path = None
-    sample_rate = None
-    slowlog_path = None
-    want_slowlog = False
-    flight_path = None
-    fault_mode = os.environ.get("REPRO_FAULTS") or None
-    it = iter(argv)
-    for a in it:
-        if a == "--trace":
-            trace_path = next(it, None)
-            if trace_path is None:
-                raise SystemExit("--trace requires an output path")
-        elif a.startswith("--trace="):
-            trace_path = a.split("=", 1)[1]
-        elif a == "--faults":
-            fault_mode = next(it, None)
-            if fault_mode is None:
-                raise SystemExit("--faults requires a mode (transient)")
-        elif a.startswith("--faults="):
-            fault_mode = a.split("=", 1)[1]
-        elif a == "--sample-rate" or a.startswith("--sample-rate="):
-            raw = a.split("=", 1)[1] if "=" in a else next(it, None)
-            try:
-                sample_rate = float(raw)
-            except (TypeError, ValueError):
-                raise SystemExit("--sample-rate needs a float in [0, 1]")
-        elif a == "--slowlog":
-            want_slowlog = True
-        elif a.startswith("--slowlog="):
-            want_slowlog = True
-            slowlog_path = a.split("=", 1)[1]
-        elif a.startswith("--flight="):
-            flight_path = a.split("=", 1)[1]
-        elif a == "--tier":
-            args.append("tier")
-        elif a == "--qos":
-            args.append("qos")
-        elif not a.startswith("-"):
-            args.append(a)
-    if fault_mode not in (None, "transient"):
-        raise SystemExit(f"unknown fault mode {fault_mode!r}")
-    scale = SMALL if "--small" in argv else DEFAULT
+    args = parse_args(argv)
+    trace_path = args.trace
+    fault_mode = args.faults
+    scale = SMALL if args.small else DEFAULT
     BENCH_OBS.reset(tracing=trace_path is not None)
-    if sample_rate is not None:
-        BENCH_OBS.sample_rate = sample_rate
+    if args.sample_rate is not None:
+        BENCH_OBS.sample_rate = args.sample_rate
     BENCH_OBS.fault_mode = fault_mode
     if trace_path is not None:
         print("[--trace: full tracing allocates a span per instrumented "
               "step; wall-clock times are NOT comparable to untraced runs]")
-    targets = args or ["all"]
+    targets = args.targets or ["all"]
     if "all" in targets:
         targets = list(TARGETS)
     try:
@@ -183,26 +210,26 @@ def main(argv) -> None:
         if attrib:
             print(attrib)
         print(f"\n[trace: {n} events -> {trace_path}]")
-    if want_slowlog:
+    if args.slowlog is not None:
         print(format_slowlog(BENCH_OBS.collected))
-        if slowlog_path is not None:
+        if args.slowlog:
             import json
 
             doc = {kind: obs.slowlog.to_dict()
                    for kind, obs in BENCH_OBS.collected
                    if obs.slowlog is not None}
-            with open(slowlog_path, "w") as f:
+            with open(args.slowlog, "w") as f:
                 f.write(json.dumps(doc, allow_nan=False))
-            print(f"[slowlog -> {slowlog_path}]")
-    if flight_path is not None:
+            print(f"[slowlog -> {args.slowlog}]")
+    if args.flight is not None:
         import json
 
         doc = {kind: obs.recorder.to_dict()
                for kind, obs in BENCH_OBS.collected
                if obs.recorder is not None}
-        with open(flight_path, "w") as f:
+        with open(args.flight, "w") as f:
             f.write(json.dumps(doc, allow_nan=False))
-        print(f"[flight recorder -> {flight_path}]")
+        print(f"[flight recorder -> {args.flight}]")
 
 
 if __name__ == "__main__":

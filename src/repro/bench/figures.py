@@ -55,14 +55,7 @@ def fig1_mds_scalability(scale: Scale = DEFAULT,
     """Fig. 1: CephFS-K (1 MDS) create throughput vs client count,
     normalized to the 1-client rate. The paper's shape: rises slightly,
     then collapses beyond ~4 clients."""
-    out = {}
-    base = None
-    for n in scale.scal_clients:
-        rate = _creation_rate(kind, n, scale.scal_files_per_client)
-        if base is None:
-            base = rate
-        out[n] = rate / base
-    return out
+    return fig7_arkfs_scalability(scale, kinds=(kind,))[kind]
 
 
 def fig7_arkfs_scalability(

@@ -23,8 +23,7 @@ from ..baselines import (
     GoofysParams,
 )
 from ..core import DEFAULT_PARAMS, build_arkfs
-from ..obs import (DEFAULT_SAMPLE_INTERVAL, Observability, Series,
-                   install_layer_spans)
+from ..obs import Observability, Series, install_layer_spans
 from ..objectstore.profiles import (KiB, MiB, RADOS_PROFILE, S3_COLD_PROFILE,
                                     S3_PROFILE)
 from ..sim.engine import Simulator
@@ -110,16 +109,14 @@ class BenchObs:
 
     def __init__(self):
         self.tracing = False
-        self.sampling = True
-        self.sample_interval = DEFAULT_SAMPLE_INTERVAL
-        # Always-on tier (PR 7): deterministic per-root-op sampled tracing,
+        # Always-on tier: deterministic per-root-op sampled tracing,
         # slow-op attribution log, and flight recorder — cheap enough to
         # ship enabled by default on every harness build. ``tracing`` (the
         # --trace flag) still means *full* tracing and overrides the rate.
+        # Resource sampling is on for every build.
         self.sample_rate = 0.01
         self.slowlog = True
         self.recorder = True
-        self.recorder_capacity = 512
         self.collected = []  # (kind, Observability) in build order
         # Fault-injection mode for arkfs builds: None (default, no shim
         # installed at all — bit-identical results) or "transient"
@@ -161,6 +158,8 @@ def _attach_obs(kind: str, sim: Simulator, cluster) -> None:
     full tracing, install the layer boundaries on the built cluster."""
     obs = Observability.of(sim)
     if BENCH_OBS.tracing:
+        # A no-op after ``build``, which enables full tracing before the
+        # build; a caller that builds its own cluster gets it here.
         obs.enable_tracing(pid=len(BENCH_OBS.collected) + 1, pid_name=kind)
     elif BENCH_OBS.sample_rate > 0:
         obs.enable_tracing(pid=len(BENCH_OBS.collected) + 1, pid_name=kind,
@@ -170,25 +169,23 @@ def _attach_obs(kind: str, sim: Simulator, cluster) -> None:
     if BENCH_OBS.slowlog:
         obs.enable_slowlog()
     if BENCH_OBS.recorder:
-        obs.enable_recorder(capacity=BENCH_OBS.recorder_capacity)
-    if BENCH_OBS.sampling:
-        store = getattr(cluster, "store", None)
-        for osd in getattr(store, "osds", ()):
-            obs.sample_resource(f"osd{osd.index}.q", osd.queue)
-        # Tiered backend: sample both tiers' OSD queues, name-prefixed.
-        for tier_name in ("hot", "cold"):
-            tier_store = getattr(store, tier_name, None)
-            for osd in getattr(tier_store, "osds", ()):
-                obs.sample_resource(f"{tier_name}.osd{osd.index}.q",
-                                    osd.queue)
-        mds = getattr(cluster, "mds", None)
-        if mds is not None:  # cephfs / marfs metadata service
-            for m in mds.mds:
-                obs.sample_resource(f"mds{m.index}.slots", m.slots)
-        mgr = getattr(cluster, "lease_manager", None)
-        if mgr is not None:  # arkfs directory leader
-            obs.sample_resource("lease-mgr.cpu", mgr.node.cpu)
-        obs.start_sampling(BENCH_OBS.sample_interval)
+        obs.enable_recorder()
+    store = getattr(cluster, "store", None)
+    for osd in getattr(store, "osds", ()):
+        obs.sample_resource(f"osd{osd.index}.q", osd.queue)
+    # Tiered backend: sample both tiers' OSD queues, name-prefixed.
+    for tier_name in ("hot", "cold"):
+        tier_store = getattr(store, tier_name, None)
+        for osd in getattr(tier_store, "osds", ()):
+            obs.sample_resource(f"{tier_name}.osd{osd.index}.q", osd.queue)
+    mds = getattr(cluster, "mds", None)
+    if mds is not None:  # cephfs / marfs metadata service
+        for m in mds.mds:
+            obs.sample_resource(f"mds{m.index}.slots", m.slots)
+    mgr = getattr(cluster, "lease_manager", None)
+    if mgr is not None:  # arkfs directory leader
+        obs.sample_resource("lease-mgr.cpu", mgr.node.cpu)
+    obs.start_sampling()
     BENCH_OBS.collected.append((kind, obs))
 
 

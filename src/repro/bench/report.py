@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..obs import format_attribution
-from ..obs.metrics import Counter, Gauge, MetricsRegistry
 
 __all__ = ["format_table", "format_series", "format_speedups",
            "format_fanout", "merge_attributions",
@@ -85,51 +84,14 @@ def format_speedups(title: str, rows: Mapping[str, Mapping[str, float]],
     return "\n".join(out)
 
 
-#: Gauge metric name -> legacy high-water-mark key, per component scope.
-_CACHE_GAUGE_KEYS = {"fetch_batch": "max_fetch_batch",
-                     "wb_batch": "max_wb_batch",
-                     "inflight_gets": "max_inflight_gets",
-                     "inflight_puts": "max_inflight_puts"}
-_JOURNAL_GAUGE_KEYS = {"ckpt_batch": "ckpt_max_batch",
-                       "commit_fanout": "commit_max_fanout"}
-
-
-def _fanout_from_registry(reg: MetricsRegistry):
-    """Aggregate per-client ``*.cache.*`` / ``*.journal.*`` metrics into the
-    legacy flat-dict shapes ``format_fanout`` renders (summed counters,
-    maxed high-water marks across clients)."""
-    cache: Dict[str, int] = {}
-    journal: Dict[str, int] = {}
-    for dst, marker, gauge_keys in ((cache, ".cache.", _CACHE_GAUGE_KEYS),
-                                    (journal, ".journal.",
-                                     _JOURNAL_GAUGE_KEYS)):
-        for name, m in reg.items():
-            if marker not in name:
-                continue
-            suffix = name.split(marker, 1)[1]
-            if isinstance(m, Counter):
-                dst[suffix] = dst.get(suffix, 0) + m.value
-            elif isinstance(m, Gauge):
-                key = gauge_keys.get(suffix)
-                if key is not None:
-                    dst[key] = max(dst.get(key, 0), m.max_value)
-    return cache, (journal or None)
-
-
-def format_fanout(title: str, cache_stats,
+def format_fanout(title: str, cache_stats: Mapping[str, int],
                   journal_fanout: Optional[Mapping[str, int]] = None) -> str:
     """Summarize how parallel the scatter-gather I/O paths actually ran.
 
     Takes ``DataObjectCache.stats`` and (optionally)
-    ``JournalManager.fanout`` — or a whole :class:`MetricsRegistry`, whose
-    per-client cache/journal metrics are then aggregated — and renders
-    batched-vs-serial op counts plus batch-size / in-flight high-water
-    marks — the observability check that a "parallel" run really fanned
-    out."""
-    if isinstance(cache_stats, MetricsRegistry):
-        cache_stats, reg_journal = _fanout_from_registry(cache_stats)
-        if journal_fanout is None:
-            journal_fanout = reg_journal
+    ``JournalManager.fanout`` and renders batched-vs-serial op counts plus
+    batch-size / in-flight high-water marks — the observability check that
+    a "parallel" run really fanned out."""
     s = cache_stats
     out = [title]
     bg, sg = s.get("batched_gets", 0), s.get("serial_gets", 0)

@@ -10,6 +10,8 @@
 * :mod:`pack` — packed small-file containers: the writer, and the cache,
   PRT and client layers :func:`build_arkfs` picks once.
 * :mod:`filelease` — read/write leases on file data (leader-issued).
+* :mod:`datapath` — the open-file read/write/close under those leases,
+  shared with the CephFS/MarFS baselines.
 * :mod:`qos` — multi-tenant QoS: token buckets, WFQ, admission control.
 * :mod:`client` / :mod:`ops` — the ArkFS client and its leader-side ops;
   :mod:`sharded_client` — the client with :mod:`shards` (splits) enabled.
@@ -18,7 +20,8 @@
 """
 
 from .cache import DataObjectCache, ReadAheadState
-from .client import ArkFSClient, OpenState
+from .client import ArkFSClient
+from .datapath import OpenState
 from .filelease import DIRECT, READ, WRITE, FileLeaseGrant, FileLeaseService
 from .fs import ArkFSCluster, build_arkfs, mkfs
 from .fsck import FsckReport, fsck

@@ -19,7 +19,6 @@ rest before they lapse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Optional, Set, Tuple
 
@@ -28,7 +27,6 @@ from ..posix import path as pathmod
 from ..posix.acl import Acl, check_perm
 from ..posix.errors import (
     AlreadyExists,
-    BadFileHandle,
     FSError,
     InvalidArgument,
     IOFailure,
@@ -44,8 +42,9 @@ from ..posix.types import (Credentials, FileType, OpenFlags, StatFSResult,
 from ..posix.vfs import FileHandle, VFSClient
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import MessageDropped, Node, NodeDown
-from .cache import DataObjectCache, ReadAheadState
-from .filelease import DIRECT, FileLeaseGrant, READ, WRITE, FileLeaseService
+from .cache import DataObjectCache
+from .datapath import LeasedDataPath, OpenState
+from .filelease import FileLeaseService
 from .journal import JournalManager
 from .lease import LeaseGrant, LeaseRedirect, LeaseWait, StaleEpochError
 from .metatable import Metatable, RemoteTable, load_metatable
@@ -56,7 +55,7 @@ from .recovery import DECISION_ABORT, DECISION_COMMIT, recover_directory
 from .retry import RetryPolicy
 from .types import Dentry, Inode, InoAllocator, ROOT_INO
 
-__all__ = ["ArkFSClient", "OpenState"]
+__all__ = ["ArkFSClient"]
 
 # What ArkFSClient._walk returns for a path (its ``want``).
 WALK_DIR = 0        # the directory the whole path names
@@ -77,20 +76,7 @@ class DirectoryRemoved(NotFound):
         self.ino = ino
 
 
-@dataclass
-class OpenState:
-    """Per-open-file private state hung off the VFS handle."""
-
-    parent_ino: int
-    name: str
-    size: int
-    mtime: float
-    lease: Optional[FileLeaseGrant] = None
-    ra: ReadAheadState = field(default_factory=ReadAheadState)
-    wrote: bool = False
-
-
-class ArkFSClient(LeaderOps, VFSClient):
+class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
     """One ArkFS client (typically one per client node)."""
 
     # The data object cache class, or a client layer's factory for its own.
@@ -796,113 +782,32 @@ class ArkFSClient(LeaderOps, VFSClient):
             return handle
         raise TooManySymlinks(path)
 
-    def _check_handle(self, handle: FileHandle) -> None:
-        if handle.closed or not isinstance(handle.impl, OpenState):
-            raise BadFileHandle(detail="handle closed or foreign")
+    # Hooks of the leased data path (core/datapath.py): a data lease comes
+    # from the parent directory's leader, and size/mtime are published
+    # there with an ``update_inode`` op.
 
-    def _file_lease(self, handle: FileHandle, want: str,
-                    nbytes: int) -> SimGen:
-        """Ensure a valid (and sufficient) data lease for this handle; the
-        data op's one admission point (``nbytes`` is for the QoS layer)."""
-        st: OpenState = handle.impl
-        g = st.lease
-        now = self.sim.now
-        if (g is not None and g.expires_at > now
-                and not (want == WRITE and g.mode == READ)):
-            return g
-        resp = yield from self._authority_op(
+    def _request_lease(self, handle: FileHandle, st: OpenState,
+                       want: str) -> SimGen:
+        return self._authority_op(
             st.parent_ino, "flease", None, ino=handle.ino, mode=want,
             route_name=st.name)
-        grant: FileLeaseGrant = resp if isinstance(resp, FileLeaseGrant) \
-            else resp["grant"]
-        if g is None or grant.version != g.version:
-            # We may have missed a revocation while our lease was lapsed:
-            # any cached data is suspect.
-            yield from self.cache.invalidate(handle.ino, flush_dirty=False)
-        st.lease = grant
-        return grant
 
-    def read(self, handle: FileHandle, size: int,
-             offset: Optional[int] = None) -> SimGen:
-        self._check_handle(handle)
-        if handle.flags & 1:  # not flags.wants_read, without the property
-            raise BadFileHandle(detail="not open for reading")
-        st: OpenState = handle.impl
-        pos = handle.pos if offset is None else offset
-        eff = max(0, min(size, st.size - pos))
-        grant = yield from self._file_lease(handle, READ, eff)
-        if eff == 0:
-            data = b""
-        elif grant.mode == DIRECT:
-            data = yield from self.prt.read_data(handle.ino, pos, eff,
-                                                 st.size, src=self.node)
-        else:
-            data = yield from self.cache.read(handle.ino, pos, eff, ra=st.ra)
-        if offset is None:
-            handle.pos = pos + len(data)
-        return data
+    def _publish(self, handle: FileHandle, st: OpenState) -> SimGen:
+        return self._authority_op(
+            st.parent_ino, "update_inode", None, ino=handle.ino,
+            size=st.size, mtime=st.mtime, route_name=st.name)
 
-    def write(self, handle: FileHandle, data: bytes,
-              offset: Optional[int] = None) -> SimGen:
-        self._check_handle(handle)
-        if not 0 < handle.flags & 0o3 < 3:  # flags.wants_write, likewise
-            raise BadFileHandle(detail="not open for writing")
-        st: OpenState = handle.impl
-        if handle.flags & OpenFlags.O_APPEND:
-            pos = st.size
-        else:
-            pos = handle.pos if offset is None else offset
-        grant = yield from self._file_lease(handle, WRITE, len(data))
-        if grant.mode == DIRECT:
-            yield from self.prt.write_data(handle.ino, pos, data,
-                                           src=self.node)
-            st.size = max(st.size, pos + len(data))
-            st.mtime = self.sim.now
-            yield from self._authority_op(
-                st.parent_ino, "update_inode", None, ino=handle.ino,
-                size=st.size, mtime=st.mtime, route_name=st.name)
-        else:
-            yield from self.cache.write(handle.ino, pos, data,
-                                        old_size=st.size)
-            st.size = max(st.size, pos + len(data))
-            st.mtime = self.sim.now
-            st.wrote = True
-        if offset is None:
-            handle.pos = pos + len(data)
-        return len(data)
+    _publish_direct = _publish
 
     def fsync(self, handle: FileHandle) -> SimGen:
         self._check_handle(handle)
         st: OpenState = handle.impl
         yield from self.cache.flush(handle.ino)
         if st.wrote:
-            yield from self._authority_op(
-                st.parent_ino, "update_inode", None, ino=handle.ino,
-                size=st.size, mtime=st.mtime, route_name=st.name)
+            yield from self._publish(handle, st)
             st.wrote = False
         yield from self._authority_op(st.parent_ino, "fsync_dir", None,
                                       route_name=st.name)
-
-    def close(self, handle: FileHandle) -> SimGen:
-        self._check_handle(handle)
-        st: OpenState = handle.impl
-        if st.wrote:
-            # Publish size/mtime at the leader; data stays write-back cached.
-            try:
-                yield from self._authority_op(
-                    st.parent_ino, "update_inode", None, ino=handle.ino,
-                    size=st.size, mtime=st.mtime, route_name=st.name)
-            except NotFound:
-                pass  # file unlinked while open: nothing to publish
-            st.wrote = False
-        else:
-            yield self.sim.timeout(0)
-        handle.closed = True
-        n = self._open_dirs.get(st.parent_ino, 1)
-        if n <= 1:
-            self._open_dirs.pop(st.parent_ino, None)
-        else:
-            self._open_dirs[st.parent_ino] = n - 1
 
     def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
         yield from self._setattr(creds, path, {"size": size})
@@ -985,10 +890,6 @@ class ArkFSClient(LeaderOps, VFSClient):
         """Flush all dirty data and force-commit every journal (syncfs)."""
         yield from self.cache.flush_all()
         yield from self.journal.flush_all()
-
-    def drop_caches(self) -> SimGen:
-        """Flush then drop all cached data (fio's between-phase cache drop)."""
-        yield from self.cache.drop_all()
 
     # --------------------------------------------------------- background upkeep
 

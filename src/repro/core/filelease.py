@@ -117,6 +117,16 @@ class FileLeaseService:
 
     # -- the protocol -------------------------------------------------------------
 
+    def revoke_holders(self, ino: int, deleted: bool = False) -> SimGen:
+        """Make every holder flush and drop ``ino`` (truncate, unlink,
+        leases moving elsewhere), then bump its version so a holder that
+        missed the broadcast invalidates on its next grant."""
+        st = self.files.get(ino)
+        if st is None:
+            return
+        yield from self._revoke_all(st, ino, but="", deleted=deleted)
+        st.version += 1
+
     def acquire(self, ino: int, client: str, mode: str) -> SimGen:
         """Grant (or renew) a lease. Yields for revocation broadcasts."""
         if mode not in (READ, WRITE):

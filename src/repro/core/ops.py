@@ -64,7 +64,7 @@ class LeaderOps:
 
     # The client provides: sim, node, prt, params, metatables, journal,
     # fleases, alloc, _ensure_leader(), _charge_md_op(), _pending_names,
-    # cache, name.
+    # cache, name, and (from the data path) _truncate_file_data().
 
     # Journal ops a client layer adds to the record deleting a regular
     # file's inode (unlink, rename-overwrite); a tuple costs no call.
@@ -237,24 +237,9 @@ class LeaderOps:
         return {"inode": inode.to_dict(), "lease": lease, "created": created,
                 "leader": self.name}
 
-    def _truncate_file_data(self, ino: int, old_size: int,
-                            new_size: int) -> SimGen:
-        """Drop a file's data past new EOF: revoke holder caches, then
-        delete the backing objects."""
-        yield from self._revoke_all_holders(ino)
-        yield from self.prt.truncate_data(ino, old_size, new_size,
-                                          src=self.node)
-
     def _purge_file_data(self, ino: int) -> SimGen:
         """Delete a dead file's backing objects."""
         return self.prt.delete_data(ino, src=self.node)
-
-    def _revoke_all_holders(self, ino: int, deleted: bool = False) -> SimGen:
-        st = self.fleases.files.get(ino)
-        if st is None:
-            return
-        yield from self.fleases._revoke_all(st, ino, but="", deleted=deleted)
-        st.version += 1
 
     # -- unlink -----------------------------------------------------------------------------
 
@@ -276,7 +261,7 @@ class LeaderOps:
         yield from self._journal_dir_change(mt, dir_ino, [
             ops_del_dentry(dir_ino, name), ops_del_inode(dentry.ino)], after)
         if inode.ftype is FileType.REGULAR and inode.size > 0:
-            yield from self._revoke_all_holders(dentry.ino, deleted=True)
+            yield from self.fleases.revoke_holders(dentry.ino, deleted=True)
             # Data objects are purged asynchronously (UUID inode numbers mean
             # a re-created name can never collide with the dying objects).
             self.sim.process(self._purge_file_data(dentry.ino),
@@ -575,7 +560,7 @@ class LeaderOps:
                 ops.append(death_op(dentry.ino))
         self.journal.record(dir_ino, *ops)
         if inode is not None and inode.ftype is FileType.REGULAR and inode.size:
-            yield from self._revoke_all_holders(dentry.ino, deleted=True)
+            yield from self.fleases.revoke_holders(dentry.ino, deleted=True)
             yield from self._purge_file_data(dentry.ino)
         else:
             yield self.sim.timeout(0)
@@ -603,7 +588,7 @@ class LeaderOps:
         inode = mt.inodes.get(dentry.ino)
         if inode is not None:
             # File leases move with the file to the destination leader.
-            yield from self._revoke_all_holders(dentry.ino)
+            yield from self.fleases.revoke_holders(dentry.ino)
             self.fleases.forget_file(dentry.ino)
         self._touch_dir(mt)
         ops = [ops_del_dentry(dir_ino, name)]

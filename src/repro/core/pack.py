@@ -604,7 +604,7 @@ class PackClient:
 
     def _truncate_file_data(self, ino: int, old_size: int,
                             new_size: int) -> SimGen:
-        yield from self._revoke_all_holders(ino)
+        yield from self.fleases.revoke_holders(ino)
         killed = yield from self.prt.truncate_extents(ino, new_size,
                                                       src=self.node)
         for idx, ext, keep in killed:

@@ -230,7 +230,7 @@ class ShardedClient(ArkFSClient):
             # holder while the parent is still the sole authority.
             for dn in list(mt.dentries.values()):
                 if dn.ftype is FileType.REGULAR:
-                    yield from self._revoke_all_holders(dn.ino)
+                    yield from self.fleases.revoke_holders(dn.ino)
                     self.fleases.forget_file(dn.ino)
             yield from self.journal.flush(d, full=True)  # store == metatable
             shards = [ShardRange(self.alloc.new(), lo, hi)

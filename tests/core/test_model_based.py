@@ -350,6 +350,29 @@ def test_stale_dentry_does_not_reload_a_removed_directory():
     assert code == "ENOENT"
 
 
+class RemovedDirMkdirOk(Exception):
+    """Every earlier op agreed with the oracle, and a client created a
+    subdirectory inside a removed directory instead of failing with
+    ENOENT: ROADMAP 1(vi)'s second path, and nothing else."""
+
+
+@pytest.mark.xfail(raises=RemovedDirMkdirOk, strict=True, reason=(
+    "the stale pcache dentry of ROADMAP 1(vi) also lets a client mkdir "
+    "inside the removed directory"))
+def test_stale_dentry_does_not_mkdir_in_a_removed_directory():
+    # [mkdir /d0; c1: rmdir /d0/sub; c0: rmdir /d0; c1: mkdir /d0/sub]
+    sim = Simulator()
+    cluster = build_arkfs(sim, n_clients=2, functional=True)
+    c0, c1 = (SyncFS(cluster.client(i), ROOT_CREDS) for i in (0, 1))
+    c0.mkdir("/d0")
+    assert fs_result(c1.rmdir, "/d0/sub")[0] == "ENOENT"
+    c0.rmdir("/d0")
+    code, _ = fs_result(c1.mkdir, "/d0/sub")
+    if code == "ok":
+        raise RemovedDirMkdirOk("client 1 made /d0/sub in the removed /d0")
+    assert code == "ENOENT"
+
+
 class PackContainerLeak(Exception):
     """Every op and the final namespace agreed with the oracle, and the
     strict fsck's only errors are containers nobody references: ROADMAP
