@@ -16,12 +16,14 @@ Mount types:
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.cache import DataObjectCache
 from ..core.datapath import LeasedDataPath, OpenState
 from ..core.filelease import READ, FileLeaseService
+from ..core.inode_rules import permits, require_open
 from ..core.prt import PRT
 from ..core.types import InoAllocator
 from ..objectstore.base import ObjectStore
@@ -29,7 +31,7 @@ from ..objectstore.cluster import ClusterObjectStore
 from ..objectstore.memory import InMemoryObjectStore
 from ..objectstore.profiles import MiB, RADOS_PROFILE, StoreProfile
 from ..posix import path as pathmod
-from ..posix.acl import Acl, check_perm
+from ..posix.acl import Acl
 from ..posix.errors import (AlreadyExists, InvalidArgument, IsADirectory,
                             UnsupportedOperation)
 from ..posix.fuse import (
@@ -39,7 +41,7 @@ from ..posix.fuse import (
     KernelMount,
     MountParams,
 )
-from ..posix.types import Credentials, F_OK, OpenFlags
+from ..posix.types import Credentials, OpenFlags
 from ..posix.vfs import FileHandle, VFSClient
 from ..sim.engine import SimGen, Simulator
 from ..sim.network import NetParams, Network, Node
@@ -99,13 +101,9 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         yield from self._cpu()
         return (yield from self.mds.call(self.node, dir_key, mutate, weight))
 
-    def _parts(self, path: str):
-        return pathmod.split_path(path)
-
     @staticmethod
     def _dirkey(path: str) -> int:
         """Deterministic subtree-partitioning key: the parent directory."""
-        import zlib
         parts = pathmod.split_path(path)
         parent = "/" + "/".join(parts[:-1]) if len(parts) > 1 else "/"
         return zlib.crc32(parent.encode())
@@ -113,7 +111,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
     # -- VFS: namespace ---------------------------------------------------------
 
     def lookup(self, creds: Credentials, dir_path: str, name: str) -> SimGen:
-        parts = self._parts(dir_path)
+        parts = pathmod.split_path(dir_path)
 
         def mutate():
             dir_ino = self.ns.resolve(creds, parts)
@@ -122,7 +120,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         return (yield from self._mds(self._dirkey(dir_path + "/x"), mutate))
 
     def mkdir(self, creds: Credentials, path: str, mode: int = 0o777) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
         if not parts:
             raise AlreadyExists("/")
         now = self.sim.now
@@ -134,7 +132,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         yield from self._mds(self._dirkey(path), mutate)
 
     def rmdir(self, creds: Credentials, path: str) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
         if not parts:
             raise InvalidArgument("/", "cannot rmdir the root")
         now = self.sim.now
@@ -146,7 +144,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         yield from self._mds(self._dirkey(path), mutate)
 
     def readdir(self, creds: Credentials, path: str) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
 
         def mutate():
             return self.ns.readdir(creds, self.ns.resolve(creds, parts))
@@ -154,7 +152,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         return (yield from self._mds(self._dirkey(path), mutate))
 
     def unlink(self, creds: Credentials, path: str) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
         now = self.sim.now
 
         def mutate():
@@ -171,7 +169,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
                              name=f"purge:{inode.ino:x}")
 
     def rename(self, creds: Credentials, src: str, dst: str) -> SimGen:
-        sparts, dparts = self._parts(src), self._parts(dst)
+        sparts, dparts = pathmod.split_path(src), pathmod.split_path(dst)
         if not sparts or not dparts:
             raise InvalidArgument(src, "cannot rename the root")
         if pathmod.is_ancestor(pathmod.normalize(src), pathmod.normalize(dst)):
@@ -188,7 +186,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
             yield from self.prt.delete_data(removed.ino, src=self.node)
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
 
         def mutate():
             return self.ns.node(self.ns.resolve(creds, parts)).inode.stat()
@@ -196,7 +194,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         return (yield from self._mds(self._dirkey(path), mutate))
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
 
         def mutate():
             ino = self.ns.resolve(creds, parts, follow_final=False)
@@ -205,14 +203,11 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         return (yield from self._mds(self._dirkey(path), mutate))
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
 
         def mutate():
-            inode = self.ns.node(self.ns.resolve(creds, parts)).inode
-            if want == F_OK:
-                return True
-            return check_perm(inode.acl, inode.mode, inode.uid, inode.gid,
-                              creds, want)
+            return permits(self.ns.node(self.ns.resolve(creds, parts)).inode,
+                           creds, want)
 
         return (yield from self._mds(self._dirkey(path), mutate))
 
@@ -220,24 +215,19 @@ class CephLikeClient(LeasedDataPath, VFSClient):
 
     def open(self, creds: Credentials, path: str, flags: OpenFlags,
              mode: int = 0o666) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
         if not parts:
             raise IsADirectory("/")
         now = self.sim.now
 
         def mutate():
             parent, name = self.ns.resolve_parent(creds, parts)
-            # Follow a final symlink to its target file.
-            d = self.ns._dir(parent)
-            child = d.children.get(name)
-            if child is not None and self.ns.node(child).inode.is_symlink:
-                tgt_ino = self.ns.resolve(creds, parts, follow_final=True)
-                inode = self.ns.node(tgt_ino).inode
-                if inode.is_dir:
-                    raise IsADirectory(name)
-                return parent, inode
-            return parent, self.ns.create(creds, parent, name, flags, mode,
-                                          now)[0]
+            inode = self.ns.create(creds, parent, name, flags, mode, now)[0]
+            if inode.is_symlink:
+                # Follow a final symlink; its target passes the same rules.
+                inode = self.ns.node(self.ns.resolve(creds, parts)).inode
+                require_open(inode.ftype, inode, creds, flags, name)
+            return parent, inode
 
         parent, inode = yield from self._mds(self._dirkey(path), mutate)
         if flags & OpenFlags.O_TRUNC and inode.size > 0:
@@ -282,29 +272,20 @@ class CephLikeClient(LeasedDataPath, VFSClient):
             st.wrote = False
 
     def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
-        parts = self._parts(path)
-        now = self.sim.now
-
-        def mutate():
-            ino = self.ns.resolve(creds, parts)
-            inode = self.ns.node(ino).inode
-            old = inode.size
-            self.ns.setattr(creds, ino, {"size": size}, now)
-            return inode.ino, old
-
-        ino, old = yield from self._mds(self._dirkey(path), mutate)
+        inode, old = yield from self._setattr(creds, path, {"size": size})
         if size < old:
-            yield from self._truncate_file_data(ino, old, size)
+            yield from self._truncate_file_data(inode.ino, old, size)
 
     # -- VFS: attributes ----------------------------------------------------------------
 
     def _setattr(self, creds, path: str, changes: dict) -> SimGen:
-        parts = self._parts(path)
+        """One MDS round trip; returns the inode and its size before."""
+        parts = pathmod.split_path(path)
         now = self.sim.now
 
         def mutate():
             ino = self.ns.resolve(creds, parts)
-            return self.ns.setattr(creds, ino, changes, now).stat()
+            return self.ns.setattr(creds, ino, changes, now)
 
         return (yield from self._mds(self._dirkey(path), mutate))
 
@@ -319,7 +300,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         yield from self._setattr(creds, path, {"times": (atime, mtime)})
 
     def getfacl(self, creds: Credentials, path: str) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
 
         def mutate():
             inode = self.ns.node(self.ns.resolve(creds, parts)).inode
@@ -333,7 +314,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
     # -- VFS: links ------------------------------------------------------------------------
 
     def symlink(self, creds: Credentials, target: str, linkpath: str) -> SimGen:
-        parts = self._parts(linkpath)
+        parts = pathmod.split_path(linkpath)
         now = self.sim.now
 
         def mutate():
@@ -343,7 +324,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         yield from self._mds(self._dirkey(linkpath), mutate)
 
     def readlink(self, creds: Credentials, path: str) -> SimGen:
-        parts = self._parts(path)
+        parts = pathmod.split_path(path)
 
         def mutate():
             ino = self.ns.resolve(creds, parts, follow_final=False)

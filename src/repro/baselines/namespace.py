@@ -3,14 +3,14 @@
 This is the functional core shared by the CephFS and MarFS baselines: a
 plain in-memory tree of inodes mutated synchronously. All *timing* (RPC
 round trips, MDS service, lock contention) is charged by the MDS model in
-:mod:`repro.baselines.mds`; this module is pure state + POSIX checks.
+:mod:`repro.baselines.mds`; this module is pure state. Its POSIX checks are
+ArkFS's directory-leader rules, :mod:`repro.core.inode_rules`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..posix.acl import Acl, check_perm
 from ..posix.errors import (
     AlreadyExists,
     DirectoryNotEmpty,
@@ -18,11 +18,12 @@ from ..posix.errors import (
     IsADirectory,
     NotADirectory,
     NotFound,
-    NotPermitted,
-    PermissionDenied,
     TooManySymlinks,
 )
 from ..posix.types import Credentials, FileType, OpenFlags, R_OK, W_OK, X_OK
+from ..core.inode_rules import (SYMLINK_MAX_FOLLOW, apply_setattr, new_inode,
+                                require_access, require_open,
+                                require_overwrite)
 from ..core.types import Inode, InoAllocator, ROOT_INO
 
 __all__ = ["Namespace", "NSNode"]
@@ -55,13 +56,6 @@ class Namespace:
         except KeyError:
             raise NotFound(f"ino {ino:x}") from None
 
-    def _check(self, inode: Inode, creds: Optional[Credentials],
-               want: int) -> None:
-        if creds is not None and not check_perm(
-            inode.acl, inode.mode, inode.uid, inode.gid, creds, want
-        ):
-            raise PermissionDenied(f"ino {inode.ino:x}")
-
     def _dir(self, ino: int) -> NSNode:
         n = self.node(ino)
         if n.children is None:
@@ -75,12 +69,12 @@ class Namespace:
                 _depth: int = 0) -> int:
         """Walk components from ``base`` (the root by default); returns the
         final ino."""
-        if _depth > 40:
+        if _depth > SYMLINK_MAX_FOLLOW:
             raise TooManySymlinks("/".join(parts))
         cur = base
         for i, name in enumerate(parts):
             d = self._dir(cur)
-            self._check(d.inode, creds, X_OK)
+            require_access(d.inode, creds, X_OK)
             child_ino = d.children.get(name)
             if child_ino is None:
                 raise NotFound(name)
@@ -106,63 +100,49 @@ class Namespace:
 
     def lookup(self, creds, dir_ino: int, name: str) -> Inode:
         d = self._dir(dir_ino)
-        self._check(d.inode, creds, X_OK)
+        require_access(d.inode, creds, X_OK)
         child = d.children.get(name)
         if child is None:
             raise NotFound(name)
         return self.node(child).inode
 
-    def mkdir(self, creds, dir_ino: int, name: str, mode: int,
-              now: float) -> Inode:
-        d = self._dir(dir_ino)
-        self._check(d.inode, creds, W_OK | X_OK)
+    def _add(self, creds, d: NSNode, name: str, ftype: FileType, mode: int,
+             now: float, target: Optional[str] = None) -> Inode:
+        """mkdir/create/symlink's common half: W and X on ``d``, EEXIST,
+        then a new inode linked as ``name``, and ``d`` stamped changed."""
+        require_access(d.inode, creds, W_OK | X_OK)
         if name in d.children:
             raise AlreadyExists(name)
         ino = self.alloc.new()
-        inode = Inode(ino=ino, ftype=FileType.DIRECTORY,
-                      mode=(creds.apply_umask(mode) if creds else mode & 0o777),
-                      uid=creds.uid if creds else 0,
-                      gid=creds.gid if creds else 0,
-                      atime=now, mtime=now, ctime=now)
+        inode = new_inode(ino, ftype, creds, mode, now, target)
         self.nodes[ino] = NSNode(inode)
         d.children[name] = ino
-        d.inode.nlink += 1
+        if ftype is FileType.DIRECTORY:
+            d.inode.nlink += 1
         d.inode.mtime = d.inode.ctime = now
         return inode
+
+    def mkdir(self, creds, dir_ino: int, name: str, mode: int,
+              now: float) -> Inode:
+        return self._add(creds, self._dir(dir_ino), name, FileType.DIRECTORY,
+                         mode, now)
 
     def create(self, creds, dir_ino: int, name: str, flags: OpenFlags,
                mode: int, now: float) -> Tuple[Inode, bool]:
         d = self._dir(dir_ino)
-        self._check(d.inode, creds, X_OK)
+        require_access(d.inode, creds, X_OK)
         existing = d.children.get(name)
         if existing is not None:
-            if flags & OpenFlags.O_CREAT and flags & OpenFlags.O_EXCL:
-                raise AlreadyExists(name)
-            node = self.node(existing)
-            if node.inode.is_dir:
-                raise IsADirectory(name)
-            if flags.wants_read:
-                self._check(node.inode, creds, R_OK)
-            if flags.wants_write:
-                self._check(node.inode, creds, W_OK)
-            return node.inode, False
+            inode = self.node(existing).inode
+            require_open(inode.ftype, inode, creds, flags, name)
+            return inode, False
         if not flags & OpenFlags.O_CREAT:
             raise NotFound(name)
-        self._check(d.inode, creds, W_OK | X_OK)
-        ino = self.alloc.new()
-        inode = Inode(ino=ino, ftype=FileType.REGULAR,
-                      mode=(creds.apply_umask(mode) if creds else mode & 0o777),
-                      uid=creds.uid if creds else 0,
-                      gid=creds.gid if creds else 0,
-                      atime=now, mtime=now, ctime=now)
-        self.nodes[ino] = NSNode(inode)
-        d.children[name] = ino
-        d.inode.mtime = d.inode.ctime = now
-        return inode, True
+        return self._add(creds, d, name, FileType.REGULAR, mode, now), True
 
     def unlink(self, creds, dir_ino: int, name: str, now: float) -> Inode:
         d = self._dir(dir_ino)
-        self._check(d.inode, creds, W_OK | X_OK)
+        require_access(d.inode, creds, W_OK | X_OK)
         ino = d.children.get(name)
         if ino is None:
             raise NotFound(name)
@@ -176,7 +156,7 @@ class Namespace:
 
     def rmdir(self, creds, dir_ino: int, name: str, now: float) -> Inode:
         d = self._dir(dir_ino)
-        self._check(d.inode, creds, W_OK | X_OK)
+        require_access(d.inode, creds, W_OK | X_OK)
         ino = d.children.get(name)
         if ino is None:
             raise NotFound(name)
@@ -193,7 +173,7 @@ class Namespace:
 
     def readdir(self, creds, dir_ino: int) -> List[str]:
         d = self._dir(dir_ino)
-        self._check(d.inode, creds, R_OK)
+        require_access(d.inode, creds, R_OK)
         return sorted(d.children)
 
     def rename(self, creds, sp: int, sname: str, dp: int, dname: str,
@@ -201,8 +181,8 @@ class Namespace:
         """Returns the inode of an overwritten file (for data cleanup)."""
         src_dir = self._dir(sp)
         dst_dir = self._dir(dp)
-        self._check(src_dir.inode, creds, W_OK | X_OK)
-        self._check(dst_dir.inode, creds, W_OK | X_OK)
+        require_access(src_dir.inode, creds, W_OK | X_OK)
+        require_access(dst_dir.inode, creds, W_OK | X_OK)
         ino = src_dir.children.get(sname)
         if ino is None:
             raise NotFound(sname)
@@ -211,14 +191,11 @@ class Namespace:
         existing = dst_dir.children.get(dname)
         if existing is not None and existing != ino:
             ex = self.node(existing)
+            require_overwrite(moving.inode.ftype, ex.inode.ftype, dname)
             if ex.inode.is_dir:
-                if not moving.inode.is_dir:
-                    raise IsADirectory(dname)
                 if ex.children:
                     raise DirectoryNotEmpty(dname)
                 dst_dir.inode.nlink -= 1
-            elif moving.inode.is_dir:
-                raise NotADirectory(dname)
             removed = ex.inode
             del self.nodes[existing]
         if existing == ino:
@@ -235,54 +212,14 @@ class Namespace:
 
     def symlink(self, creds, dir_ino: int, name: str, target: str,
                 now: float) -> Inode:
-        d = self._dir(dir_ino)
-        self._check(d.inode, creds, W_OK | X_OK)
-        if name in d.children:
-            raise AlreadyExists(name)
-        ino = self.alloc.new()
-        inode = Inode(ino=ino, ftype=FileType.SYMLINK, mode=0o777,
-                      uid=creds.uid if creds else 0,
-                      gid=creds.gid if creds else 0, size=len(target),
-                      atime=now, mtime=now, ctime=now, symlink_target=target)
-        self.nodes[ino] = NSNode(inode)
-        d.children[name] = ino
-        d.inode.mtime = d.inode.ctime = now
-        return inode
+        return self._add(creds, self._dir(dir_ino), name, FileType.SYMLINK,
+                         0, now, target)
 
-    def setattr(self, creds, ino: int, changes: dict, now: float) -> Inode:
+    def setattr(self, creds, ino: int, changes: dict,
+                now: float) -> Tuple[Inode, int]:
+        """Returns the inode and its size before (for data cleanup)."""
         inode = self.node(ino).inode
-        if "mode" in changes:
-            self._owner(creds, inode)
-            inode.mode = changes["mode"] & 0o7777
-            if inode.acl is not None:
-                inode.acl.apply_chmod(changes["mode"])
-            inode.ctime = now
-        if "uid" in changes or "gid" in changes:
-            new_uid = changes.get("uid", inode.uid)
-            new_gid = changes.get("gid", inode.gid)
-            if creds is not None and not creds.is_root:
-                if new_uid != inode.uid or creds.uid != inode.uid or \
-                        not creds.in_group(new_gid):
-                    raise NotPermitted(f"ino {ino:x}")
-            inode.uid, inode.gid = new_uid, new_gid
-            inode.ctime = now
-        if "acl" in changes:
-            self._owner(creds, inode)
-            acl = changes["acl"]
-            inode.acl = acl if isinstance(acl, Acl) else Acl.from_dict(acl)
-            inode.ctime = now
-        if "times" in changes:
-            inode.atime, inode.mtime = changes["times"]
-            inode.ctime = now
-        if "size" in changes:
-            self._check(inode, creds, W_OK)
-            inode.size = changes["size"]
-            inode.mtime = inode.ctime = now
-        return inode
-
-    def _owner(self, creds, inode: Inode) -> None:
-        if creds is not None and not creds.is_root and creds.uid != inode.uid:
-            raise NotPermitted(f"ino {inode.ino:x}")
+        return inode, apply_setattr(inode, creds, changes, now)
 
     def update_size(self, ino: int, size: int, mtime: float) -> None:
         inode = self.node(ino).inode

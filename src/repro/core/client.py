@@ -38,13 +38,14 @@ from ..posix.errors import (
     UnsupportedOperation,
 )
 from ..posix.types import (Credentials, FileType, OpenFlags, StatFSResult,
-                           F_OK, X_OK)
+                           X_OK)
 from ..posix.vfs import FileHandle, VFSClient
 from ..sim.engine import Interrupt, SimGen, Simulator
 from ..sim.network import MessageDropped, Node, NodeDown
 from .cache import DataObjectCache
 from .datapath import LeasedDataPath, OpenState
 from .filelease import FileLeaseService
+from .inode_rules import SYMLINK_MAX_FOLLOW, permits, require_access
 from .journal import JournalManager
 from .lease import LeaseGrant, LeaseRedirect, LeaseWait, StaleEpochError
 from .metatable import Metatable, RemoteTable, load_metatable
@@ -465,7 +466,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         The first two yield the lookup-CPU hold from this frame, so a
         resume under it re-enters the op's frame and this one only (DESIGN
         §10). Intermediate symlinks are followed (ELOOP past
-        ``symlink_max_follow``); in a followed final symlink's target an
+        ``SYMLINK_MAX_FOLLOW``); in a followed final symlink's target an
         intermediate symlink is ENOTDIR, and after ``_FINAL_HOPS`` final
         symlinks the walk is ELOOP."""
         params = self.params
@@ -501,7 +502,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
                 mt.last_used = now
                 if lookup_cpu > 0:
                     yield from self.node.cpu.use(lookup_cpu)
-                self._check_dir_perm(mt, creds, X_OK)
+                require_access(mt.dir_inode, creds, X_OK)
                 dentry = mt.lookup(name)
             else:
                 pc = pd = None
@@ -529,7 +530,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
                     continue
                 if ftype is FileType.SYMLINK and not strict:
                     depth += 1
-                    if depth > params.symlink_max_follow:
+                    if depth > SYMLINK_MAX_FOLLOW:
                         raise TooManySymlinks(name)
                     target = yield from self._authority_op(
                         cur, "readlink", creds, name=name)
@@ -546,7 +547,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
                                                   creds)
                 break
             if ftype is FileType.SYMLINK and follow:
-                if hops >= params.symlink_max_follow:
+                if hops >= SYMLINK_MAX_FOLLOW:
                     raise TooManySymlinks(path)
                 target = yield from self._authority_op(
                     cur, "readlink", creds, name=name)
@@ -743,10 +744,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
         inode = yield from self._walk(creds, path, WALK_INODE)
-        if want == F_OK:
-            return True
-        return check_perm(inode.acl, inode.mode, inode.uid, inode.gid,
-                          creds, want)
+        return permits(inode, creds, want)
 
     # -------------------------------------------------------- VFS: open & data
 
@@ -756,7 +754,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         if not parts:
             raise IsADirectory("/")
         cur_path = path
-        for _hop in range(self.params.symlink_max_follow):
+        for _hop in range(SYMLINK_MAX_FOLLOW):
             parent, name = yield from self._walk(creds, cur_path,
                                                  WALK_PARENT)
             info = yield from self._authority_op(

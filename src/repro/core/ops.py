@@ -10,7 +10,9 @@ Every operation:
 
 * re-validates leadership first (raising :class:`RedirectError` if the lease
   moved, so callers can retry at the new leader),
-* performs POSIX permission checks against the metatable in local memory,
+* performs POSIX permission checks against the metatable in local memory
+  (the rules in :mod:`repro.core.inode_rules`, shared with the CephFS/MarFS
+  namespace),
 * applies the mutation to the metatable and records journal ops in the
   directory's running compound transaction.
 """
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..posix.acl import Acl, check_perm
 from ..posix.errors import (
     AlreadyExists,
     DirectoryNotEmpty,
@@ -27,13 +28,13 @@ from ..posix.errors import (
     IsADirectory,
     NotADirectory,
     NotFound,
-    NotPermitted,
-    PermissionDenied,
 )
 from ..posix.types import Credentials, FileType, OpenFlags, R_OK, W_OK, X_OK
 from ..sim.engine import SimGen
 from ..sim.network import NodeDown
 from .filelease import FileLeaseGrant
+from .inode_rules import (apply_setattr, new_inode, require_access,
+                          require_open, require_overwrite)
 from .journal import (
     ops_del_dentry,
     ops_del_inode,
@@ -71,20 +72,6 @@ class LeaderOps:
     _file_death_ops: tuple = ()
 
     # -- shared helpers ---------------------------------------------------------
-
-    def _check_dir_perm(self, mt, creds: Credentials, want: int) -> None:
-        inode = mt.dir_inode
-        if creds is not None and not check_perm(
-            inode.acl, inode.mode, inode.uid, inode.gid, creds, want
-        ):
-            raise PermissionDenied(f"dir {inode.ino:x}")
-
-    def _check_inode_perm(self, inode: Inode, creds: Credentials,
-                          want: int) -> None:
-        if creds is not None and not check_perm(
-            inode.acl, inode.mode, inode.uid, inode.gid, creds, want
-        ):
-            raise PermissionDenied(f"inode {inode.ino:x}")
 
     def _wait_name_free(self, dir_ino: int, name: str) -> SimGen:
         """Block while a 2PC rename holds this name prepared."""
@@ -142,7 +129,7 @@ class LeaderOps:
         """
         mt = yield from self._ensure_leader(dir_ino)
         yield from self.node.work(self.params.lookup_cpu)
-        self._check_dir_perm(mt, creds, X_OK)
+        require_access(mt.dir_inode, creds, X_OK)
         yield from self._wait_name_free(dir_ino, name)
         dentry = mt.lookup(name)
         return dentry.to_dict(), mt.dir_inode.to_dict()
@@ -152,7 +139,7 @@ class LeaderOps:
         """stat of a non-directory child (its inode lives in this metatable)."""
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, X_OK)
+        require_access(mt.dir_inode, creds, X_OK)
         dentry = mt.lookup(name)
         if dentry.ftype is FileType.DIRECTORY:
             # Directories are stat'ed at their own leader.
@@ -171,7 +158,7 @@ class LeaderOps:
                     requester: str = "") -> SimGen:
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, R_OK)
+        require_access(mt.dir_inode, creds, R_OK)
         return mt.names()
 
     # -- open / create -------------------------------------------------------------------
@@ -186,22 +173,16 @@ class LeaderOps:
         """
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, X_OK)
+        require_access(mt.dir_inode, creds, X_OK)
         yield from self._wait_name_free(dir_ino, name)
         now = self.sim.now
 
         dentry = mt.dentries.get(name)
         if dentry is None:
             _require(bool(flags & OpenFlags.O_CREAT), NotFound, name)
-            self._check_dir_perm(mt, creds, W_OK | X_OK)
+            require_access(mt.dir_inode, creds, W_OK | X_OK)
             ino = self.alloc.new()
-            inode = Inode(
-                ino=ino, ftype=FileType.REGULAR,
-                mode=(creds.apply_umask(mode) if creds else mode & 0o777),
-                uid=creds.uid if creds else 0,
-                gid=creds.gid if creds else 0,
-                size=0, atime=now, mtime=now, ctime=now,
-            )
+            inode = new_inode(ino, FileType.REGULAR, creds, mode, now)
             dentry = Dentry(name=name, ino=ino, ftype=FileType.REGULAR)
             mt.add(dentry, inode)
             yield from self._journal_dir_change(mt, dir_ino, [
@@ -209,18 +190,11 @@ class LeaderOps:
             self._maybe_split(mt)
             created = True
         else:
-            _require(not (flags & OpenFlags.O_EXCL and flags & OpenFlags.O_CREAT),
-                     AlreadyExists, name)
-            if dentry.ftype is FileType.DIRECTORY:
-                raise IsADirectory(name)
+            # A directory's inode is not in this table: None for one.
+            inode = mt.inodes.get(dentry.ino)
+            require_open(dentry.ftype, inode, creds, flags, name)
             if dentry.ftype is FileType.SYMLINK:
-                inode = mt.child_inode(dentry.ino)
                 return {"symlink": inode.symlink_target}
-            inode = mt.child_inode(dentry.ino)
-            if not flags & 1:                   # OpenFlags.wants_read
-                self._check_inode_perm(inode, creds, R_OK)
-            if 0 < flags & 0o3 < 3:             # OpenFlags.wants_write
-                self._check_inode_perm(inode, creds, W_OK)
             if flags & OpenFlags.O_TRUNC and inode.size > 0:
                 old_size = inode.size
                 inode.size = 0
@@ -247,7 +221,7 @@ class LeaderOps:
                    requester: str = "") -> SimGen:
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, W_OK | X_OK)
+        require_access(mt.dir_inode, creds, W_OK | X_OK)
         yield from self._wait_name_free(dir_ino, name)
         dentry = mt.dentries.get(name)
         _require(dentry is not None, NotFound, name)
@@ -275,17 +249,11 @@ class LeaderOps:
                   mode: int, requester: str = "") -> SimGen:
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, W_OK | X_OK)
+        require_access(mt.dir_inode, creds, W_OK | X_OK)
         yield from self._wait_name_free(dir_ino, name)
         _require(not mt.has(name), AlreadyExists, name)
-        now = self.sim.now
         ino = self.alloc.new()
-        child = Inode(
-            ino=ino, ftype=FileType.DIRECTORY,
-            mode=(creds.apply_umask(mode) if creds else mode & 0o777),
-            uid=creds.uid if creds else 0, gid=creds.gid if creds else 0,
-            atime=now, mtime=now, ctime=now,
-        )
+        child = new_inode(ino, FileType.DIRECTORY, creds, mode, self.sim.now)
         dentry = Dentry(name=name, ino=ino, ftype=FileType.DIRECTORY)
         mt.add(dentry, None)  # child dir inode lives in its own metatable
         yield from self._journal_dir_change(mt, dir_ino, [
@@ -307,7 +275,7 @@ class LeaderOps:
         """
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, W_OK | X_OK)
+        require_access(mt.dir_inode, creds, W_OK | X_OK)
         yield from self._wait_name_free(dir_ino, name)
         dentry = mt.dentries.get(name)
         _require(dentry is not None, NotFound, name)
@@ -382,60 +350,17 @@ class LeaderOps:
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
         if name is not None:
-            self._check_dir_perm(mt, creds, X_OK)
+            require_access(mt.dir_inode, creds, X_OK)
         inode, redirect = self._locate_inode(mt, name)
         if redirect is not None:
             return {"redirect_dir": redirect}
-        now = self.sim.now
-
-        if "mode" in changes:
-            self._require_owner(creds, inode)
-            inode.mode = changes["mode"] & 0o7777
-            if inode.acl is not None:
-                inode.acl.apply_chmod(changes["mode"])
-            inode.ctime = now
-        if "uid" in changes or "gid" in changes:
-            new_uid = changes.get("uid", inode.uid)
-            new_gid = changes.get("gid", inode.gid)
-            if creds is not None and not creds.is_root:
-                # Non-root may only change the group, to a group it is in.
-                _require(new_uid == inode.uid and creds.uid == inode.uid,
-                         NotPermitted, detail="chown requires root")
-                _require(creds.in_group(new_gid), NotPermitted,
-                         detail="not a member of the target group")
-            inode.uid, inode.gid = new_uid, new_gid
-            inode.ctime = now
-        if "acl" in changes:
-            self._require_owner(creds, inode)
-            acl = changes["acl"]
-            inode.acl = Acl.from_dict(acl) if isinstance(acl, dict) else acl
-            inode.ctime = now
-        if "times" in changes:
-            atime, mtime = changes["times"]
-            if creds is not None and not creds.is_root and creds.uid != inode.uid:
-                self._check_inode_perm(inode, creds, W_OK)
-            inode.atime, inode.mtime = atime, mtime
-            inode.ctime = now
-        if "size" in changes:
-            self._check_inode_perm(inode, creds, W_OK)
-            _require(inode.ftype is FileType.REGULAR, IsADirectory,
-                     detail="truncate on non-file")
-            new_size = changes["size"]
-            _require(new_size >= 0, InvalidArgument, detail="negative size")
-            old_size = inode.size
-            inode.size = new_size
-            inode.mtime = inode.ctime = now
-            if new_size < old_size:
-                yield from self._truncate_file_data(inode.ino, old_size,
-                                                    new_size)
-
+        old_size = apply_setattr(inode, creds, changes, self.sim.now)
+        if inode.size < old_size:
+            yield from self._truncate_file_data(inode.ino, old_size,
+                                                inode.size)
         self.journal.record(dir_ino, ops_put_inode(inode))
         yield from self._charge_journal(1, dir_ino)
         return inode.to_dict()
-
-    def _require_owner(self, creds: Credentials, inode: Inode) -> None:
-        if creds is not None and not creds.is_root and creds.uid != inode.uid:
-            raise NotPermitted(f"inode {inode.ino:x}", "not the owner")
 
     def _op_update_inode(self, creds: Credentials, dir_ino: int, ino: int,
                          size: int, mtime: float, requester: str = "") -> SimGen:
@@ -467,16 +392,12 @@ class LeaderOps:
                     target: str, requester: str = "") -> SimGen:
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, W_OK | X_OK)
+        require_access(mt.dir_inode, creds, W_OK | X_OK)
         yield from self._wait_name_free(dir_ino, name)
         _require(not mt.has(name), AlreadyExists, name)
-        now = self.sim.now
         ino = self.alloc.new()
-        inode = Inode(ino=ino, ftype=FileType.SYMLINK, mode=0o777,
-                      uid=creds.uid if creds else 0,
-                      gid=creds.gid if creds else 0,
-                      size=len(target), atime=now, mtime=now, ctime=now,
-                      symlink_target=target)
+        inode = new_inode(ino, FileType.SYMLINK, creds, 0, self.sim.now,
+                          target)
         dentry = Dentry(name=name, ino=ino, ftype=FileType.SYMLINK)
         mt.add(dentry, inode)
         yield from self._journal_dir_change(mt, dir_ino, [
@@ -488,7 +409,7 @@ class LeaderOps:
                      requester: str = "") -> SimGen:
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, X_OK)
+        require_access(mt.dir_inode, creds, X_OK)
         dentry = mt.lookup(name)
         _require(dentry.ftype is FileType.SYMLINK, InvalidArgument, name,
                  "not a symlink")
@@ -511,7 +432,7 @@ class LeaderOps:
         """Rename within one directory: one journal, trivially atomic."""
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, W_OK | X_OK)
+        require_access(mt.dir_inode, creds, W_OK | X_OK)
         yield from self._wait_name_free(dir_ino, src_name)
         yield from self._wait_name_free(dir_ino, dst_name)
         dentry = mt.dentries.get(src_name)
@@ -520,7 +441,7 @@ class LeaderOps:
             return True
         existing = mt.dentries.get(dst_name)
         if existing is not None:
-            yield from self._check_overwrite(mt, dentry, existing)
+            yield from self._check_overwrite(dentry, existing)
             yield from self._remove_overwritten(mt, dir_ino, existing)
         moved = Dentry(name=dst_name, ino=dentry.ino, ftype=dentry.ftype)
         inode = mt.inodes.get(dentry.ino)
@@ -535,16 +456,14 @@ class LeaderOps:
             ops_put_dentry(dir_ino, moved)], after)
         return True
 
-    def _check_overwrite(self, mt, src_dentry: Dentry,
+    def _check_overwrite(self, src_dentry: Dentry,
                          dst_dentry: Dentry) -> SimGen:
-        """POSIX rename-overwrite rules."""
+        """POSIX rename-overwrite rules; a replaced directory must be
+        empty, and nobody may lead it any more."""
+        require_overwrite(src_dentry.ftype, dst_dentry.ftype, dst_dentry.name)
         if dst_dentry.ftype is FileType.DIRECTORY:
-            _require(src_dentry.ftype is FileType.DIRECTORY, IsADirectory,
-                     dst_dentry.name)
-            yield from self._surrender_child(dst_dentry.ino)  # must be empty
+            yield from self._surrender_child(dst_dentry.ino)
         else:
-            _require(src_dentry.ftype is not FileType.DIRECTORY, NotADirectory,
-                     dst_dentry.name)
             yield self.sim.timeout(0)
 
     def _remove_overwritten(self, mt, dir_ino: int,
@@ -581,7 +500,7 @@ class LeaderOps:
         must find this participant (leader, and the ino it ran against)."""
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, W_OK | X_OK)
+        require_access(mt.dir_inode, creds, W_OK | X_OK)
         yield from self._wait_name_free(dir_ino, name)
         dentry = mt.dentries.get(name)
         _require(dentry is not None, NotFound, name)
@@ -618,7 +537,7 @@ class LeaderOps:
         (seq, leader, ino)."""
         mt = yield from self._ensure_leader(dir_ino)
         yield from self._charge_md_op()
-        self._check_dir_perm(mt, creds, W_OK | X_OK)
+        require_access(mt.dir_inode, creds, W_OK | X_OK)
         yield from self._wait_name_free(dir_ino, name)
         src_dentry = Dentry.from_dict(payload["dentry"])
         moved = Dentry(name=name, ino=src_dentry.ino, ftype=src_dentry.ftype)
@@ -627,7 +546,7 @@ class LeaderOps:
         existing = mt.dentries.get(name)
         extra_ops: List[Dict[str, Any]] = []
         if existing is not None:
-            yield from self._check_overwrite(mt, src_dentry, existing)
+            yield from self._check_overwrite(src_dentry, existing)
             extra_ops.append(ops_del_inode(existing.ino))
         now = self.sim.now
         dir_copy = mt.dir_inode.copy()

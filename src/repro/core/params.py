@@ -115,9 +115,6 @@ class ArkFSParams:
     lease_op_cpu: float = 2e-6    # "acquiring/extending a lease is very
                                   # lightweight" (Section III-B)
 
-    # --- misc -----------------------------------------------------------------
-    symlink_max_follow: int = 40  # ELOOP bound, as in Linux
-
     def with_(self, **kw) -> "ArkFSParams":
         """A copy with some fields replaced (e.g. ``with_(max_readahead=400*MiB)``)."""
         return replace(self, **kw)

@@ -6,16 +6,22 @@ journals) on the zero-latency functional store.
 
 import pytest
 
+from repro.baselines import build_cephfs, build_marfs
+from repro.core import build_arkfs
 from repro.posix import (
     AlreadyExists,
     DirectoryNotEmpty,
+    FSError,
     InvalidArgument,
     IsADirectory,
     NotADirectory,
     NotFound,
     OpenFlags,
+    ROOT_CREDS,
+    SyncFS,
     TooManySymlinks,
 )
+from repro.sim import Simulator
 
 
 class TestMkdir:
@@ -296,6 +302,47 @@ class TestMultiClient:
         fs.write_file("/d/f", b"x")
         fs2.unlink("/d/f")
         assert not fs.exists("/d/f")
+
+
+class DotDotTargetSplit(Exception):
+    """Setup went through, and ``open`` or ``stat`` of a symlink whose
+    relative target climbs with ``..`` did not reach the file POSIX names:
+    ROADMAP 1(x), and nothing else."""
+
+
+def _ino_or_error(call):
+    try:
+        return call()
+    except FSError as err:
+        return type(err).__name__
+
+
+@pytest.mark.xfail(raises=DotDotTargetSplit, strict=True, reason=(
+    "ROADMAP 1(x): ArkFS open follows a '..' target, ArkFS stat raises "
+    "UnsupportedOperation, CephFS/MarFS raise NotFound for both"))
+def test_dotdot_symlink_target_resolves_from_the_links_directory():
+    # /a/b/up -> ../t names /a/t, for open and for stat, on every system.
+    wrong = {}
+    for build in (build_arkfs, build_cephfs, build_marfs):
+        cluster = build(Simulator(), n_clients=1, functional=True)
+        fs = SyncFS(cluster.client(0), ROOT_CREDS)
+        fs.makedirs("/a/b")
+        fs.write_file("/a/t", b"target")
+        fs.symlink("../t", "/a/b/up")
+        want = fs.stat("/a/t").st_ino
+
+        def open_ino():
+            f = fs.open("/a/b/up", OpenFlags.O_RDONLY)
+            f.close()
+            return f.handle.ino
+
+        for verb, call in (("open", open_ino),
+                           ("stat", lambda: fs.stat("/a/b/up").st_ino)):
+            got = _ino_or_error(call)
+            if got != want:
+                wrong[build.__name__, verb] = got
+    if wrong:
+        raise DotDotTargetSplit(wrong)
 
 
 class TestStatFS:

@@ -1,10 +1,21 @@
-"""Access control through the full ArkFS stack: mode bits, ACLs, ownership."""
+"""Access control through the full stack: mode bits, ACLs, ownership and
+the setattr rules, on ArkFS and on the CephFS/MarFS baselines.
+
+The directory leader and the MDS namespace run one set of POSIX inode
+rules (``repro.core.inode_rules``), so every case here runs on both: a
+class as written runs on ArkFS (the ``cluster`` fixture of conftest.py),
+and its ``...OnCephFS`` subclass runs the same cases on a functional
+CephFS cluster.
+"""
 
 import pytest
 
+from repro.baselines import build_cephfs, build_marfs
 from repro.posix import (
     Acl,
     Credentials,
+    InvalidArgument,
+    IsADirectory,
     NotPermitted,
     OpenFlags,
     PermissionDenied,
@@ -213,6 +224,66 @@ class TestAcls:
         alice.chmod("/home/alice/f", 0o600)
         got = alice.getfacl("/home/alice/f")
         assert got.mask == 0
+
+
+class TestSetattrRules:
+    """The setattr checks CephFS/MarFS lacked before they ran the leader's
+    rules: each of these calls succeeded there."""
+
+    def test_truncate_of_a_directory_is_eisdir(self, setup):
+        cluster, root = setup
+        with pytest.raises(IsADirectory):
+            root.truncate("/home/alice", 5)
+        assert root.stat("/home/alice").st_size == 0
+
+    def test_negative_truncate_is_einval(self, setup):
+        cluster, root = setup
+        alice = as_user(cluster, ALICE)
+        alice.write_file("/home/alice/f", b"abc")
+        with pytest.raises(InvalidArgument):
+            alice.truncate("/home/alice/f", -1)
+        assert alice.stat("/home/alice/f").st_size == 3
+
+    def test_utimens_by_non_owner_needs_write_permission(self, setup):
+        cluster, root = setup
+        as_user(cluster, ALICE).write_file("/home/alice/f", b"", 0o644)
+        root.chmod("/home/alice", 0o755)
+        bob = as_user(cluster, BOB)
+        with pytest.raises(PermissionDenied):
+            bob.utimens("/home/alice/f", 1.0, 2.0)
+        root.chmod("/home/alice/f", 0o646)
+        bob.utimens("/home/alice/f", 1.0, 2.0)
+        assert bob.stat("/home/alice/f").st_mtime == 2.0
+
+
+class OnCephFS:
+    """Mixin: the cases of the class it is mixed into, on CephFS."""
+
+    @pytest.fixture
+    def cluster(self, sim):
+        return build_cephfs(sim, n_clients=2, functional=True)
+
+
+class TestModeBitsOnCephFS(OnCephFS, TestModeBits):
+    pass
+
+
+class TestOwnershipOnCephFS(OnCephFS, TestOwnership):
+    pass
+
+
+class TestAclsOnCephFS(OnCephFS, TestAcls):
+    pass
+
+
+class TestSetattrRulesOnCephFS(OnCephFS, TestSetattrRules):
+    pass
+
+
+class TestSetattrRulesOnMarFS(TestSetattrRules):
+    @pytest.fixture
+    def cluster(self, sim):
+        return build_marfs(sim, n_clients=2, functional=True)
 
 
 class TestPermissionCacheSemantics:
