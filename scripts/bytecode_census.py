@@ -3,6 +3,7 @@
 
     python scripts/bytecode_census.py --workload md_private --seed 1 [--top 25]
     python scripts/bytecode_census.py --workload md_private --seed 1 --chains
+    python scripts/bytecode_census.py --workload md_scale --seed 1 --gc
 
 Runs one repetition of a ledger workload (``benchmarks/ledger``, imported
 read-only) with ``sys.settrace`` opcode events switched on exactly where
@@ -24,13 +25,22 @@ costs one Python call per frame of its chain, so the frames re-entered
 per resume, and the most frequent chains, say which forwarding frames a
 resume still pays for (DESIGN §10). It runs under ``sys.setprofile`` and
 takes seconds.
+
+``--gc`` watches the cyclic collector instead, with the import-time heap
+frozen as ``worker.main`` freezes it: collections, seconds and objects
+freed per generation over the timed phases, the share of their CPU time
+that went to collecting, and the objects the collector tracks at their
+end, by type. Nothing freed means every collection traversed live state
+(for instance a backlog of queued requests) for nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+import time
 from typing import Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -99,6 +109,56 @@ class ChainCensus:
         sys.setprofile(None)
 
 
+class GcCensus:
+    """A stand-in for the profiler ``worker.repetition`` enables and
+    disables: times the cyclic collector's passes meanwhile and, when
+    disabled, counts the objects it tracks by type."""
+
+    def __init__(self) -> None:
+        self.collections = [0, 0, 0]
+        self.seconds = [0.0, 0.0, 0.0]
+        self.freed = [0, 0, 0]
+        self.tracked: Dict[str, int] = {}
+        self._start = 0.0
+
+    def _on_gc(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+            return
+        gen = info["generation"]
+        self.collections[gen] += 1
+        self.seconds[gen] += time.perf_counter() - self._start
+        self.freed[gen] += info["collected"]
+
+    def enable(self) -> None:
+        gc.callbacks.append(self._on_gc)
+
+    def disable(self) -> None:
+        gc.callbacks.remove(self._on_gc)
+        tracked = self.tracked
+        for obj in gc.get_objects():
+            name = type(obj).__qualname__
+            tracked[name] = tracked.get(name, 0) + 1
+
+
+def gc_report(census: GcCensus, timed_cpu_s: float, top: int) -> List[str]:
+    total_s = sum(census.seconds)
+    lines = [f"timed CPU {timed_cpu_s:.3f} s, of which cyclic GC "
+             f"{total_s:.3f} s ({total_s / timed_cpu_s:.1%}); "
+             f"objects freed {sum(census.freed)}",
+             f"\n{'gen':>3} {'collections':>11} {'seconds':>8} {'freed':>8}"]
+    for gen in range(3):
+        lines.append(f"{gen:>3} {census.collections[gen]:>11} "
+                     f"{census.seconds[gen]:>8.3f} {census.freed[gen]:>8}")
+    tracked = census.tracked
+    n = sum(tracked.values())
+    lines.append(f"\ntracked at the end: {n} objects"
+                 f"\n{'objects':>9} {'share':>6}  type")
+    for name, count in sorted(tracked.items(), key=lambda r: -r[1])[:top]:
+        lines.append(f"{count:>9} {count / n:>6.1%}  {name}")
+    return lines
+
+
 def chain_report(counts: Dict[Tuple[str, ...], int], ops: int,
                  top: int) -> List[str]:
     resumes = sum(counts.values())
@@ -146,8 +206,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True, choices=list(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--top", type=int, default=25)
-    parser.add_argument("--chains", action="store_true",
-                        help="count resume frame chains, not bytecodes")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--chains", action="store_true",
+                      help="count resume frame chains, not bytecodes")
+    mode.add_argument("--gc", action="store_true",
+                      help="time the cyclic collector, not bytecodes")
     args = parser.parse_args(argv)
     if os.environ.get("PYTHONHASHSEED") != "0":
         env = dict(os.environ, PYTHONHASHSEED="0")
@@ -155,13 +218,24 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     import worker                     # benchmarks/ledger
 
-    census = ChainCensus() if args.chains else OpcodeCensus()
+    if args.gc:
+        census = GcCensus()
+        gc.collect()
+        gc.freeze()
+    elif args.chains:
+        census = ChainCensus()
+    else:
+        census = OpcodeCensus()
     result = worker.repetition(WORKLOADS[args.workload], args.seed,
                                profile=census)
     print(f"{args.workload}, seed {args.seed}, timed phases of one "
           f"repetition")
-    show = chain_report if args.chains else report
-    print("\n".join(show(census.counts, result.facts["ops"], args.top)))
+    if args.gc:
+        lines = gc_report(census, sum(result.slices_cpu), args.top)
+    else:
+        show = chain_report if args.chains else report
+        lines = show(census.counts, result.facts["ops"], args.top)
+    print("\n".join(lines))
     return 0
 
 

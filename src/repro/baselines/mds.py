@@ -198,7 +198,12 @@ class MDSCluster:
         yield from self.net.send(target.node, client_node,
                                  self.params.rpc_bytes)
         if error is not None:
-            raise error
+            try:
+                raise error
+            finally:
+                # The traceback keeps this frame: a local that keeps the
+                # exception too would be a reference cycle.
+                error = None
         return result
 
     def _hop(self) -> SimGen:

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..sim.engine import SimGen, Simulator
 from ..sim.network import Network, Node
-from ..sim.resources import BandwidthPipe, Resource
+from ..sim.resources import BandwidthPipe, Resource, ServiceHold
 from .base import ObjectStore
 from .memory import InMemoryObjectStore
 from .profiles import DiskProfile, StoreProfile
@@ -148,17 +148,17 @@ class ClusterObjectStore(ObjectStore):
                     yield sim.timeout(stream_time - nic_time)
 
     def _service(self, osd: _OSD, fixed: float, nbytes: int,
-                 src: Optional[Node] = None) -> SimGen:
+                 src: Optional[Node] = None) -> ServiceHold:
         """Occupy an OSD service slot for ``fixed`` seconds, then move
-        ``nbytes`` through its media pipe."""
+        ``nbytes`` through its media pipe: one object, which a single-key
+        verb runs inline and a fan-out spawns as a process body, not a
+        generator stack."""
         # Tags for a fair-queueing OSD (a FIFO ignores them): the calling
         # node's tenant (``None``, the default tenant, for infrastructure
         # ops), at a cost of slot time plus the media time induced.
         tenant = src.tenant if src is not None else None
         cost = fixed + (nbytes / self.profile.media_bw if nbytes else 0.0)
-        yield from osd.queue.use(fixed, tenant, cost)
-        if nbytes > 0:
-            yield from osd.media.transfer(nbytes)
+        return ServiceHold(osd.queue, fixed, tenant, cost, osd.media, nbytes)
 
     # -- operations ------------------------------------------------------------
 

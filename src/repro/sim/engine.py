@@ -296,7 +296,11 @@ class Process(Event):
                     ready.append(self)
                     return
                 except BaseException as exc:  # noqa: BLE001 - propagate via event
-                    self.fail(exc)
+                    # Stored without this frame at the head of its
+                    # traceback: the frame holds ``self``, so process ->
+                    # exception -> traceback -> frame would be a cycle
+                    # that only the cyclic collector frees.
+                    self.fail(exc.with_traceback(exc.__traceback__.tb_next))
                     return
                 if not isinstance(target, Event):
                     gen.close()

@@ -36,7 +36,10 @@ loop, or need not exist, stays the scheduler's call; a discipline that
 must see every request (``WFQResource``) turns the grant-less arm off.
 ``Node.work``, ``BandwidthPipe.transfer`` and ``serve`` are plain
 functions returning that generator, so a hold adds one frame to the
-``yield from`` chain every resume re-enters.
+``yield from`` chain every resume re-enters. ``ServiceHold`` takes the
+same arms for a slot hold followed by a pipe transfer — an OSD request —
+as one object driven like a generator, so each of the thousands that can
+wait at once keeps that object and its request, not two suspended frames.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ from typing import Any, Deque, Optional
 
 from .engine import Event, SimGen, Simulator, SimulationError
 
-__all__ = ["Request", "Resource", "Mutex", "Store", "BandwidthPipe", "serve"]
+__all__ = ["Request", "Resource", "ServiceHold", "Mutex", "Store",
+           "BandwidthPipe", "serve"]
 
 _PENDING = Event._PENDING
 
@@ -305,6 +309,171 @@ class Resource:
             if (req.callbacks is None and not req.cancelled
                     and len(self._pool) < _REQ_POOL_MAX):
                 self._pool.append(req)
+
+
+# The arm a ServiceHold's hold in progress took (0: none in progress).
+_GRANTLESS, _REQUESTED, _TEXTBOOK = 1, 2, 3
+
+
+class ServiceHold:
+    """A queue hold, then a pipe transfer, as one object: the iterator of
+
+        yield from queue.use(hold_time, tenant, cost)
+        if nbytes > 0:
+            yield from pipe.transfer(nbytes)
+
+    driven through ``send``/``throw``/``close`` like the generator it
+    stands for, whether a process runs it as its body or a generator
+    ``yield from``-s it. An OSD request is one (``ClusterObjectStore.
+    _service``), and thousands of them can sit queued at once: each is this
+    object and the request it parks, not two suspended generator frames.
+
+    Each hold takes the arm ``Resource.use`` would take, with the same
+    events and counts: the textbook generator (``_use_textbook``) for a
+    zero hold or a traced process, else the grant-less arm or the request
+    arm, whose end — ``use``'s ``finally`` — runs in ``send`` itself.
+    ``tests/sim/test_service_hold.py`` holds it to the generator."""
+
+    __slots__ = ("queue", "hold_time", "tenant", "cost", "pipe", "nbytes",
+                 "_stage", "_arm", "_held")
+
+    def __init__(self, queue: Resource, hold_time: float,
+                 tenant: Optional[str], cost: Optional[float],
+                 pipe: "BandwidthPipe", nbytes: int):
+        self.queue = queue
+        self.hold_time = hold_time
+        self.tenant = tenant
+        self.cost = cost
+        self.pipe = pipe
+        self.nbytes = nbytes
+        # 0 not started, 1 queue hold, 2 pipe transfer, 3 finished.
+        self._stage = 0
+        self._arm = 0
+        # The hold's timeout (grant-less), request (request arm) or
+        # textbook generator.
+        self._held = None
+
+    def __iter__(self) -> "ServiceHold":
+        return self
+
+    def send(self, value: Any = None) -> Event:
+        """Resume: end the hold that ran out, then start the next one and
+        return the event it waits on, or finish (``StopIteration``)."""
+        arm = self._arm
+        if arm == _TEXTBOOK:
+            try:
+                return self._held.send(value)
+            except StopIteration:
+                self._arm = 0
+                self._held = None
+        elif arm:
+            # The hold ran out: ``_release_hold`` for these two arms,
+            # written out.
+            held = self._held
+            self._arm = 0
+            self._held = None
+            res = self.queue if self._stage == 1 else self.pipe._res
+            if arm == _GRANTLESS:
+                watch = res._watch
+                if watch is not None:
+                    watch.add(res)
+                res._in_use -= 1
+                if res._queue:
+                    res._grant_waiters()
+                res.sim._timeout_release(held)
+            else:
+                res.release(held)
+                if held.callbacks is None and len(res._pool) < _REQ_POOL_MAX:
+                    res._pool.append(held)
+        stage = self._stage
+        if stage == 0:
+            self._stage = 1
+            res = self.queue
+            hold_time = self.hold_time
+            tenant = self.tenant
+            cost = self.cost
+        elif stage == 1 and self.nbytes > 0:
+            # BandwidthPipe.transfer, written out.
+            self._stage = 2
+            pipe = self.pipe
+            nbytes = self.nbytes
+            pipe.bytes_moved += nbytes
+            res = pipe._res
+            hold_time = nbytes * res.capacity / pipe.bytes_per_sec
+            tenant = cost = None
+        else:
+            self._stage = 3
+            raise StopIteration
+        # Resource.use, written out: start the hold.
+        sim = res.sim
+        if not hold_time > 0 or sim._active_proc.tracer is not None:
+            held = res._use_textbook(hold_time, tenant, cost)
+            self._arm = _TEXTBOOK
+            self._held = held
+            return held.send(None)
+        if res._in_use < res.capacity and res._grantless_holds:
+            t = sim._hold_unobserved(hold_time)
+            if t is not None:
+                watch = res._watch
+                if watch is not None:
+                    watch.add(res)
+                res._in_use += 1
+                self._arm = _GRANTLESS
+                self._held = t
+                return t
+        req = res._request_pooled(tenant, cost)
+        self._arm = _REQUESTED
+        self._held = req
+        return sim._hold(req, hold_time)
+
+    # A resume with no value (``yield from`` resumes an iterator through
+    # ``__next__`` then) is a send.
+    __next__ = send
+
+    def throw(self, typ, val=None, tb=None) -> Event:
+        """Raise at the hold in progress: it ends as ``use``'s ``finally``
+        ends it, and the exception propagates."""
+        try:
+            textbook = self._release_hold()
+            if textbook is not None:
+                return textbook.throw(typ if val is None else val)
+            raise typ if val is None else val
+        finally:
+            # The exception's traceback keeps this frame: no local may keep
+            # the exception, or the two form a reference cycle.
+            typ = val = tb = None
+
+    def close(self) -> None:
+        textbook = self._release_hold()
+        if textbook is not None:
+            textbook.close()
+
+    def _release_hold(self) -> Optional[SimGen]:
+        """Finish. A grant-less or request-arm hold in progress ends here
+        as ``use``'s ``finally`` ends it (the slot, or the queued request,
+        goes back); a textbook hold's generator is returned, for the
+        caller to end."""
+        arm = self._arm
+        held = self._held
+        res = self.queue if self._stage == 1 else self.pipe._res
+        self._stage = 3
+        self._arm = 0
+        self._held = None
+        if arm == _TEXTBOOK:
+            return held
+        if arm == _GRANTLESS:
+            watch = res._watch
+            if watch is not None:
+                watch.add(res)
+            res._in_use -= 1
+            if res._queue:
+                res._grant_waiters()
+            res.sim._timeout_release(held)
+        elif arm == _REQUESTED:
+            res.release(held)
+            if held.callbacks is None and len(res._pool) < _REQ_POOL_MAX:
+                res._pool.append(held)
+        return None
 
 
 class Mutex(Resource):

@@ -1,7 +1,9 @@
 """Cluster object store: functional parity with the memory store plus
 timing/queueing behaviour."""
 
-from types import SimpleNamespace
+import gc
+import tracemalloc
+from types import GeneratorType, SimpleNamespace
 
 import pytest
 
@@ -238,6 +240,54 @@ def test_interrupted_while_queued_for_an_osd_slot_leaves_no_holder(
     assert "held" not in s and "victim" in s
     run(sim, s.delete("after"))                 # the slot is there to take
     assert "after" not in s
+
+
+#: What a replica write queued behind a busy OSD keeps: its process, the
+#: process's callback list, the pooled request, the request's callback list
+#: and bound method, and the one ``ServiceHold``. As a generator stack
+#: (``_service`` over ``Resource.use``) it was 7 objects and ~1 025 bytes.
+_TRACKED_PER_QUEUED_REQUEST = 6
+_BYTES_PER_QUEUED_REQUEST = 700
+
+
+def test_a_queued_replica_write_is_one_small_object():
+    """1 000 replica writes spawned behind a busy OSD slot: each adds six
+    GC-tracked objects and under 700 bytes, with no suspended generator."""
+    sim = Simulator()
+    s = ClusterObjectStore(sim, SMALL)
+    osd = s.osds[0]
+
+    def busy():
+        yield from osd.queue.use(1.0)
+
+    for _ in range(osd.queue.capacity):
+        sim.process(busy())
+    sim.run(until=0.5)                  # every slot is busy until 1.0
+
+    def generators():
+        return sum(1 for o in gc.get_objects() if isinstance(o, GeneratorType))
+
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        objects, gens = len(gc.get_objects()), generators()
+        nbytes = tracemalloc.get_traced_memory()[0]
+        for _ in range(1000):
+            sim.process(s._service(osd, SMALL.put_latency, 4096),
+                        name="put-replica0")
+        sim.run(until=0.75)
+        gc.collect()
+        per_byte = (tracemalloc.get_traced_memory()[0] - nbytes) / 1000
+        per_object = (len(gc.get_objects()) - objects) / 1000
+        new_gens = generators() - gens
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert osd.queue.queue_length == 1000
+    assert new_gens == 0
+    assert per_object <= _TRACKED_PER_QUEUED_REQUEST, per_object
+    assert per_byte < _BYTES_PER_QUEUED_REQUEST, per_byte
 
 
 def test_local_disk_read_write_cost():
