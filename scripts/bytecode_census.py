@@ -28,10 +28,12 @@ takes seconds.
 
 ``--gc`` watches the cyclic collector instead, with the import-time heap
 frozen as ``worker.main`` freezes it: collections, seconds and objects
-freed per generation over the timed phases, the share of their CPU time
-that went to collecting, and the objects the collector tracks at their
-end, by type. Nothing freed means every collection traversed live state
-(for instance a backlog of queued requests) for nothing.
+freed per generation over the timed phases, counted apart inside
+``Simulator.run`` (which pauses the collector, so none) and between runs,
+the share of their CPU time that went to collecting, and the objects the
+collector tracks at their end, by type. Nothing freed means every
+collection traversed live state (for instance a backlog of queued
+requests) for nothing.
 """
 
 from __future__ import annotations
@@ -111,26 +113,43 @@ class ChainCensus:
 
 class GcCensus:
     """A stand-in for the profiler ``worker.repetition`` enables and
-    disables: times the cyclic collector's passes meanwhile and, when
+    disables: times the cyclic collector's passes meanwhile, apart for
+    passes made inside ``Simulator.run`` and between runs, and, when
     disabled, counts the objects it tracks by type."""
 
+    WHERE = ("in run", "between")
+
     def __init__(self) -> None:
-        self.collections = [0, 0, 0]
-        self.seconds = [0.0, 0.0, 0.0]
-        self.freed = [0, 0, 0]
+        self.collections = {w: [0, 0, 0] for w in self.WHERE}
+        self.seconds = {w: [0.0, 0.0, 0.0] for w in self.WHERE}
+        self.freed = {w: [0, 0, 0] for w in self.WHERE}
         self.tracked: Dict[str, int] = {}
         self._start = 0.0
+        self._where = ""
+        self._run_code = None
+
+    def _inside_run(self) -> bool:
+        frame = sys._getframe(2)
+        while frame is not None:
+            if frame.f_code is self._run_code:
+                return True
+            frame = frame.f_back
+        return False
 
     def _on_gc(self, phase: str, info: dict) -> None:
         if phase == "start":
+            self._where = self.WHERE[not self._inside_run()]
             self._start = time.perf_counter()
             return
-        gen = info["generation"]
-        self.collections[gen] += 1
-        self.seconds[gen] += time.perf_counter() - self._start
-        self.freed[gen] += info["collected"]
+        gen, where = info["generation"], self._where
+        self.collections[where][gen] += 1
+        self.seconds[where][gen] += time.perf_counter() - self._start
+        self.freed[where][gen] += info["collected"]
 
     def enable(self) -> None:
+        from repro.sim.engine import Simulator
+
+        self._run_code = Simulator.run.__code__
         gc.callbacks.append(self._on_gc)
 
     def disable(self) -> None:
@@ -142,14 +161,19 @@ class GcCensus:
 
 
 def gc_report(census: GcCensus, timed_cpu_s: float, top: int) -> List[str]:
-    total_s = sum(census.seconds)
+    total_s = sum(sum(s) for s in census.seconds.values())
+    freed = sum(sum(f) for f in census.freed.values())
     lines = [f"timed CPU {timed_cpu_s:.3f} s, of which cyclic GC "
              f"{total_s:.3f} s ({total_s / timed_cpu_s:.1%}); "
-             f"objects freed {sum(census.freed)}",
-             f"\n{'gen':>3} {'collections':>11} {'seconds':>8} {'freed':>8}"]
+             f"objects freed {freed}",
+             f"\n{'gen':>3} {'where':>8} {'collections':>11} {'seconds':>8} "
+             f"{'freed':>8}"]
     for gen in range(3):
-        lines.append(f"{gen:>3} {census.collections[gen]:>11} "
-                     f"{census.seconds[gen]:>8.3f} {census.freed[gen]:>8}")
+        for where in census.WHERE:
+            lines.append(f"{gen:>3} {where:>8} "
+                         f"{census.collections[where][gen]:>11} "
+                         f"{census.seconds[where][gen]:>8.3f} "
+                         f"{census.freed[where][gen]:>8}")
     tracked = census.tracked
     n = sum(tracked.values())
     lines.append(f"\ntracked at the end: {n} objects"

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
@@ -306,20 +308,57 @@ def _recover_residual(sim: Simulator, cluster, survivor) -> None:
             name=f"residual-recover:{dir_ino:x}")
 
 
+# The workload, milestones and bug of the sweep a pool worker serves. The
+# WORKLOADS factories are closures, which do not pickle: each worker builds
+# its own copy from the name once, in ``_init_worker``.
+_SWEPT: Optional[Tuple[Workload, List[int], Optional[str]]] = None
+
+
+def _init_worker(workload_name: str, milestones: List[int],
+                 bug: Optional[str]) -> None:
+    global _SWEPT
+    _SWEPT = (WORKLOADS[workload_name](), milestones, bug)
+
+
+def _check_in_worker(k: int) -> CrashPointResult:
+    workload, milestones, bug = _SWEPT
+    return check_point(workload, k, milestones, bug=bug)
+
+
 def sweep(workload_name: str, stride: int = 1, bug: Optional[str] = None,
           progress: Optional[Callable[[str], None]] = None) -> CrashCheckReport:
     """Profile the workload, then check every ``stride``-th of its crash
-    points. ``stride=1`` is the exhaustive sweep."""
+    points. ``stride=1`` is the exhaustive sweep.
+
+    Each point is an independent, deterministic run, so the points are
+    checked by a process pool with one worker per usable CPU (inline on
+    one CPU). The pool forks: a worker keeps the parent's hash seed, and
+    with it the iteration order of every set the run builds. Results are
+    taken in point order, so the report and the progress lines are those
+    of a serial sweep."""
     workload = WORKLOADS[workload_name]()
     total, milestones, failure = profile(workload, bug=bug)
     report = CrashCheckReport(workload=workload_name, total_ops=total,
                               profile_failure=failure)
     points = range(1, total + 1, max(1, stride))
-    for i, k in enumerate(points):
-        if progress is not None and i % 25 == 0:
-            progress(f"crash point {k}/{total} "
-                     f"({i + 1}/{len(points)} checked)")
-        report.points.append(check_point(workload, k, milestones, bug=bug))
+    workers = len(os.sched_getaffinity(0))
+    pool = None
+    if workers > 1:
+        pool = multiprocessing.get_context("fork").Pool(
+            workers, _init_worker, (workload_name, milestones, bug))
+        results = pool.imap(_check_in_worker, points)
+    else:
+        results = (check_point(workload, k, milestones, bug=bug)
+                   for k in points)
+    try:
+        for i, k in enumerate(points):
+            if progress is not None and i % 25 == 0:
+                progress(f"crash point {k}/{total} "
+                         f"({i + 1}/{len(points)} checked)")
+            report.points.append(next(results))
+    finally:
+        if pool is not None:
+            pool.terminate()
     return report
 
 

@@ -68,6 +68,7 @@ paper figures on both and requires identical output.
 
 from __future__ import annotations
 
+import gc
 import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional, Union
@@ -728,6 +729,12 @@ class Simulator:
         The event form stops before processing the first event after the
         trigger, and also returns — with ``until`` still pending — if the
         queues drain first; the caller decides what a drained queue means.
+
+        The cyclic collector is paused while the loop runs and left as the
+        caller had it on the way out, raise or return (DESIGN §10): every
+        pass during a run walks the live simulator and frees nothing, so
+        what a run allocates is examined once, by the first young-
+        generation pass after it.
         """
         if isinstance(until, Event):
             stop, until = until, None
@@ -740,25 +747,31 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         PENDING = Event._PENDING
-        while stop._value is PENDING and (ready or heap):
-            if ready and not (heap and heap[0][0] <= self.now):
-                event = ready.popleft()
-            else:
-                if until is not None and not ready and heap[0][0] > until:
-                    self.now = until
-                    return
-                t, _seq, event = pop(heap)
-                self.now = t
-            self._n_steps += 1
-            if event._value is PENDING:
-                event._ok = True
-                event._value = event._auto_value
-            callbacks = event.callbacks
-            event.callbacks = None
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            elif callbacks:
-                self._run_multi(event, callbacks)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            while stop._value is PENDING and (ready or heap):
+                if ready and not (heap and heap[0][0] <= self.now):
+                    event = ready.popleft()
+                else:
+                    if until is not None and not ready and heap[0][0] > until:
+                        self.now = until
+                        return
+                    t, _seq, event = pop(heap)
+                    self.now = t
+                self._n_steps += 1
+                if event._value is PENDING:
+                    event._ok = True
+                    event._value = event._auto_value
+                callbacks = event.callbacks
+                event.callbacks = None
+                if len(callbacks) == 1:
+                    callbacks[0](event)
+                elif callbacks:
+                    self._run_multi(event, callbacks)
+        finally:
+            if collecting:
+                gc.enable()
         if until is not None:
             self.now = until
 

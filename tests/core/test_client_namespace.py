@@ -345,6 +345,36 @@ def test_dotdot_symlink_target_resolves_from_the_links_directory():
         raise DotDotTargetSplit(wrong)
 
 
+class SetattrActsOnTheLink(Exception):
+    """CephFS followed the symlink, and ArkFS's ``chmod`` and ``truncate``
+    of it acted on the link itself: ROADMAP 1(xi), and nothing else."""
+
+
+@pytest.mark.xfail(raises=SetattrActsOnTheLink, strict=True, reason=(
+    "ROADMAP 1(xi): ArkFS setattr walks with WALK_ENTRY, so chmod changes "
+    "the link's mode and truncate raises EISDIR"))
+def test_setattr_of_a_symlink_acts_on_its_target():
+    # chmod /l 0600 and truncate /l 2, with /l -> /t, change /t (POSIX).
+    outcome = {}
+    for build in (build_arkfs, build_cephfs):
+        cluster = build(Simulator(), n_clients=1, functional=True)
+        fs = SyncFS(cluster.client(0), ROOT_CREDS)
+        fs.write_file("/t", b"target")
+        fs.symlink("/t", "/l")
+        fs.chmod("/l", 0o600)
+        modes = (oct(fs.lstat("/l").st_mode), oct(fs.lstat("/t").st_mode))
+
+        def truncated_size():
+            fs.truncate("/l", 2)
+            return fs.stat("/t").st_size
+
+        outcome[build.__name__] = modes, _ino_or_error(truncated_size)
+    assert outcome["build_cephfs"] == (("0o120777", "0o100600"), 2)
+    if outcome["build_arkfs"] == (("0o120600", "0o100644"), "IsADirectory"):
+        raise SetattrActsOnTheLink(outcome)
+    assert outcome["build_arkfs"] == outcome["build_cephfs"]
+
+
 class TestStatFS:
     def test_statfs_reports_usage(self, fs, cluster):
         fs.write_file("/payload", b"q" * 10_000, do_fsync=True)

@@ -17,6 +17,7 @@ from repro.faults.crashcheck import (
     Step,
     _run_step,
     _StepWedged,
+    check_point,
     main as crashcheck_main,
     profile,
     sweep,
@@ -125,6 +126,29 @@ def test_exhaustive_sweep(name):
             report.violations == KNOWN.get(name):
         raise KnownViolation(report.summary())
     assert report.ok, report.summary()
+
+
+def _serial(name, stride, bug=None):
+    """The points a sweep checks, each by a direct ``check_point`` call in
+    this process, one after the other."""
+    workload = WORKLOADS[name]()
+    total, milestones, _ = profile(workload, bug=bug)
+    return [check_point(workload, k, milestones, bug=bug)
+            for k in range(1, total + 1, stride)]
+
+
+@pytest.mark.parametrize("name,stride,bug", [
+    ("mkdir", 1, None), ("rename", 37, None),
+    ("rename", 37, "pretend-fsync")])
+def test_a_parallel_sweep_equals_a_serial_one(name, stride, bug):
+    """``sweep`` checks its points in a process pool: the report is the
+    serial list point for point, flight-recorder dumps included."""
+    report = sweep(name, stride=stride, bug=bug)
+    serial = _serial(name, stride, bug)
+    assert report.points == serial
+    if bug is not None:
+        assert report.violations == [
+            (r.index, v) for r in serial for v in r.violations] != []
 
 
 # bug: (workload, stride, caught in the fault-free profile?, substring of
