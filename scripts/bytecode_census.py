@@ -4,14 +4,16 @@
     python scripts/bytecode_census.py --workload md_private --seed 1 [--top 25]
     python scripts/bytecode_census.py --workload md_private --seed 1 --chains
     python scripts/bytecode_census.py --workload md_scale --seed 1 --gc
+    python scripts/bytecode_census.py --workload seq_io --seed 1 --mem
 
 Runs one repetition of a ledger workload (``benchmarks/ledger``, imported
 read-only) with ``sys.settrace`` opcode events switched on exactly where
 the ledger's call count is taken: the timed phases, from the hook
 ``worker.repetition`` enables its profiler with. Prints the bytecodes
 executed per root op, then the ``--top`` functions and source files by
-bytecodes per op. Hash order is pinned as ``run.py`` pins it
-(``PYTHONHASHSEED=0``; the script re-executes itself to set it).
+bytecodes per op. Hash order and malloc are pinned as ``run.py`` pins
+them (``PYTHONHASHSEED=0`` and its ``MALLOC_*`` settings; the script
+re-executes itself to set them).
 
 Call counts overstate host time where frames are cheap and hide it where
 one frame runs long; bytecodes count the work itself. Tracing every opcode
@@ -34,6 +36,16 @@ the share of their CPU time that went to collecting, and the objects the
 collector tracks at their end, by type. Nothing freed means every
 collection traversed live state (for instance a backlog of queued
 requests) for nothing.
+
+``--mem`` reads the heap instead: the RSS after imports and the top-level
+packages imported, then, at every phase boundary of one repetition,
+``tracemalloc``'s current and peak traced bytes (tracing starts before
+set-up), VmRSS, VmHWM, and the gap between VmHWM and the traced peak. The
+gap is what the process holds that no live allocation explains: the
+interpreter and its imports (the first row) plus heap fragmentation — for
+instance joins that found no hole large enough among freed pieces. The
+tracer's own memory is counted in RSS and printed apart. Linux only
+(``/proc/self/status``); it takes seconds.
 """
 
 from __future__ import annotations
@@ -43,10 +55,16 @@ import gc
 import os
 import sys
 import time
+import tracemalloc
 from typing import Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LEDGER = os.path.join(ROOT, "benchmarks", "ledger")
+#: The environment ``run.py`` gives a ledger child.
+LEDGER_ENV = {"PYTHONHASHSEED": "0",
+              "MALLOC_MMAP_THRESHOLD_": str(32 << 20),
+              "MALLOC_TRIM_THRESHOLD_": str(16 << 30)}
+MiB = 1 << 20
 
 
 class OpcodeCensus:
@@ -160,6 +178,59 @@ class GcCensus:
             tracked[name] = tracked.get(name, 0) + 1
 
 
+def _vm() -> Tuple[int, int]:
+    """This process's VmRSS and VmHWM, in bytes."""
+    vm = {}
+    with open("/proc/self/status") as f:
+        for line in f:
+            key, _, value = line.partition(":")
+            if key in ("VmRSS", "VmHWM"):
+                vm[key] = int(value.split()[0]) * 1024
+    return vm["VmRSS"], vm["VmHWM"]
+
+
+class MemCensus:
+    """Heap readings at every phase boundary of one repetition, taken
+    around ``Rep.phase`` (the ledger's own boundaries)."""
+
+    def __init__(self) -> None:
+        self.rows: List[Tuple[str, int, int, int, int, int]] = []
+
+    def mark(self, label: str) -> None:
+        current, peak = tracemalloc.get_traced_memory()
+        rss, hwm = _vm()
+        self.rows.append((label, current, peak, rss, hwm,
+                          tracemalloc.get_tracemalloc_memory()))
+
+    def watch(self, rep_class) -> None:
+        phase = rep_class.phase
+        mark = self.mark
+
+        def marked_phase(rep, name, *args, **kwargs):
+            mark(f"{name} start")
+            try:
+                return phase(rep, name, *args, **kwargs)
+            finally:
+                mark(f"{name} end")
+
+        rep_class.phase = marked_phase
+
+
+def mem_report(census: MemCensus, start_rss: int,
+               packages: List[str]) -> List[str]:
+    ours = [p for p in packages if p not in sys.stdlib_module_names]
+    lines = [f"after imports: VmRSS {start_rss / MiB:.1f} MiB; packages: "
+             f"{', '.join(ours)} (+{len(packages) - len(ours)} standard "
+             f"library)",
+             f"\n{'boundary':<18} {'traced':>8} {'peak':>8} {'VmRSS':>8} "
+             f"{'VmHWM':>8} {'HWM-peak':>8} {'tracer':>8}   (MiB)"]
+    for label, current, peak, rss, hwm, tracer in census.rows:
+        lines.append(f"{label:<18} {current / MiB:>8.1f} {peak / MiB:>8.1f} "
+                     f"{rss / MiB:>8.1f} {hwm / MiB:>8.1f} "
+                     f"{(hwm - peak) / MiB:>8.1f} {tracer / MiB:>8.1f}")
+    return lines
+
+
 def gc_report(census: GcCensus, timed_cpu_s: float, top: int) -> List[str]:
     total_s = sum(sum(s) for s in census.seconds.values())
     freed = sum(sum(f) for f in census.freed.values())
@@ -235,13 +306,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                       help="count resume frame chains, not bytecodes")
     mode.add_argument("--gc", action="store_true",
                       help="time the cyclic collector, not bytecodes")
+    mode.add_argument("--mem", action="store_true",
+                      help="read the heap at phase boundaries, not bytecodes")
     args = parser.parse_args(argv)
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        env = dict(os.environ, PYTHONHASHSEED="0")
+    if any(os.environ.get(k) != v for k, v in LEDGER_ENV.items()):
+        env = dict(os.environ, **LEDGER_ENV)
         os.execve(sys.executable, [sys.executable] + sys.argv, env)
 
     import worker                     # benchmarks/ledger
 
+    if args.mem:
+        start_rss = _vm()[0]
+        packages = sorted({m.partition(".")[0] for m in sys.modules}
+                          - {"__main__"})
+        census = MemCensus()
+        census.watch(worker.Rep)
+        tracemalloc.start()
+        worker.repetition(WORKLOADS[args.workload], args.seed)
+        census.mark("end")
+        tracemalloc.stop()
+        print(f"{args.workload}, seed {args.seed}, one repetition")
+        print("\n".join(mem_report(census, start_rss, packages)))
+        return 0
     if args.gc:
         census = GcCensus()
         gc.collect()

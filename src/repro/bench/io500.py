@@ -12,10 +12,9 @@ number (``python -m repro.bench io500``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Sequence
-
-import numpy as np
 
 from ..sim.engine import Simulator
 from ..workloads import fio_seq, mdtest_easy, mdtest_hard
@@ -24,6 +23,17 @@ from .harness import DEFAULT, NET_50G, Scale, build
 __all__ = ["IO500Result", "io500_run", "io500_table"]
 
 GiB = 1024 ** 3
+
+
+def _geomean(vals: Sequence[float]) -> float:
+    """Geometric mean of positive values (0.0 for none). numpy is
+    imported here so that importing the benchmark package does not load
+    it."""
+    if not vals:
+        return 0.0
+    import numpy as np
+
+    return float(np.exp(np.mean(np.log(vals))))
 
 
 @dataclass
@@ -36,19 +46,17 @@ class IO500Result:
 
     @property
     def bw_score(self) -> float:
-        vals = [v for v in self.bw_phases.values() if v > 0]
-        return float(np.exp(np.mean(np.log(vals)))) if vals else 0.0
+        return _geomean([v for v in self.bw_phases.values() if v > 0])
 
     @property
     def md_score(self) -> float:
-        vals = [v for v in self.md_phases.values() if v > 0]
-        return float(np.exp(np.mean(np.log(vals)))) if vals else 0.0
+        return _geomean([v for v in self.md_phases.values() if v > 0])
 
     @property
     def score(self) -> float:
         if self.bw_score <= 0 or self.md_score <= 0:
             return 0.0
-        return float(np.sqrt(self.bw_score * self.md_score))
+        return math.sqrt(self.bw_score * self.md_score)
 
 
 def io500_run(kind: str, scale: Scale = DEFAULT) -> IO500Result:

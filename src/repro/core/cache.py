@@ -35,9 +35,10 @@ class CacheEntry:
       fresh entry) and ``tail`` the immutable pieces appended after it: a
       sequential writer's payloads, *borrowed* (a reference, no copy).
     * **immutable** — ``data`` is one ``bytes`` and ``tail`` is empty: what
-      a fetch got from the store, what a tail folded into, or the snapshot
-      a writeback took. The same object may be held by the store, the
-      caller of ``read`` and the cache at once; nobody can change it.
+      a fetch got from the store, what a tail folded into, a tail that
+      filled its entry, or the snapshot a writeback took. The same object
+      may be held by the store, the caller of ``read`` and the cache at
+      once; nobody can change it.
     * **in place** — ``data`` is a private ``bytearray`` capacity buffer
       that grows geometrically and takes writes as equal-length slice
       assignments. Bytes past ``size`` are zero (``size`` never shrinks,
@@ -46,11 +47,12 @@ class CacheEntry:
 
     Appends at ``size`` onto the first two states extend the tail; any
     other write copies the entry into the in-place state (copy-on-write);
-    the first read of a tail joins it into one ``bytes``, and a tail that
-    grew on an earlier join goes in place instead, so alternating appends
-    and reads stay linear; a writeback (``DataObjectCache._writeback``)
-    leaves the entry immutable and ships the very object it keeps (see
-    DESIGN "One copy per byte")."""
+    an append that fills the entry freezes it (``freeze``: one join, the
+    immutable state); the first read of a tail joins it into one ``bytes``,
+    and a tail that grew on an earlier join goes in place instead, so
+    alternating appends and reads stay linear; a writeback
+    (``DataObjectCache._writeback``) freezes the entry and ships the very
+    object it keeps (see DESIGN "One copy per byte")."""
 
     __slots__ = ("index", "data", "tail", "size", "dirty", "loading",
                  "backed")
@@ -69,6 +71,21 @@ class CacheEntry:
     def ready(self) -> bool:
         return self.loading is None
 
+    def freeze(self) -> bytes:
+        """The valid bytes as one immutable ``bytes``, adopted as ``data``
+        with the tail cleared (the immutable state), in at most one copy:
+        a base plus a tail is joined once, a single piece or an immutable
+        entry is kept as is, an in-place buffer has its valid prefix
+        copied once."""
+        d = self.data
+        if self.tail:
+            d = b"".join([d, *self.tail] if d else self.tail)
+            self.tail.clear()
+        elif type(d) is not bytes:
+            d = bytes(memoryview(d)[:self.size])
+        self.data = d
+        return d
+
     def fold(self, entry_size: int) -> None:
         """Make a tail contiguous for a reader. With no base yet this is
         the one join of a sequentially written entry; a tail on top of a
@@ -78,8 +95,7 @@ class CacheEntry:
         if self.data:
             self.unshare(min(2 * self.size, entry_size))
         else:
-            self.data = b"".join(self.tail)
-            self.tail.clear()
+            self.freeze()
 
     def unshare(self, cap: int) -> bytearray:
         """Copy-on-write: move the bytes into a private zero-padded
@@ -290,20 +306,10 @@ class DataObjectCache:
         # Clear the flag before the PUT: a write landing mid-flush re-dirties
         # the entry rather than getting silently marked clean.
         entry.dirty = False
-        # The valid bytes as one immutable object — at most one copy: none
-        # for an immutable entry or a single borrowed piece, one join for a
-        # longer tail, one for an in-place buffer. The entry keeps that
-        # object as its data, so the store shares it with the cache, and a
-        # write landing mid-flush appends to it or copies it: it cannot
-        # reach the PUT.
-        snapshot = entry.data
-        if entry.tail:
-            snapshot = b"".join([snapshot, *entry.tail] if snapshot
-                                else entry.tail)
-            entry.tail.clear()
-        elif type(snapshot) is not bytes:
-            snapshot = bytes(memoryview(snapshot)[:entry.size])
-        entry.data = snapshot
+        # The entry keeps its snapshot as its data, so the store shares it
+        # with the cache, and a write landing mid-flush appends to it or
+        # copies it: it cannot reach the PUT.
+        snapshot = entry.freeze()
         self._g_inflight_puts.add(1)
         try:
             yield from self.prt.write_object(ino, entry.index, snapshot,
@@ -558,6 +564,11 @@ class DataObjectCache:
             if type(d) is bytes and off == entry.size:
                 # Sequential append onto shared bytes: borrow the piece.
                 entry.tail.append(piece)
+                if end == self.entry_size:
+                    # The entry is full: join it now, once, so its pieces
+                    # free while the next ones can reuse their blocks
+                    # (not at fsync, when every join needs fresh heap).
+                    entry.freeze()
             else:
                 if type(d) is bytes:
                     # Overwrite or gap write: copy-on-write, in place

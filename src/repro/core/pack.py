@@ -494,9 +494,7 @@ class PackedCache(DataObjectCache):
         # A memcpy into the open container instead of a PUT; durability
         # comes from the seal, which flush/fsync paths force.
         entry.dirty = False
-        snapshot = entry.data = b"".join(
-            [entry.data, *entry.tail])[:entry.size]
-        entry.tail.clear()
+        snapshot = entry.freeze()
         full = self.pack.append(ino, entry.index, snapshot,
                                 had_plain=entry.backed)
         entry.backed = False

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 __all__ = ["ImageSpec", "SyntheticDataset", "mscoco_like"]
 
 CATEGORIES = ("train", "val", "test")
@@ -53,8 +51,12 @@ def mscoco_like(n_images: int = 41_000, seed: int = 0,
 
     Sizes are drawn log-normally in one vectorized numpy pass (41K sizes in
     a Python loop is measurable at full scale) and clamped to the
-    10 KB .. 600 KB band MS-COCO spans.
+    10 KB .. 600 KB band MS-COCO spans. numpy is imported here, not at
+    module level: only this draw needs it, so the rest of the model loads
+    without it.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     raw = rng.lognormal(mean=0.0, sigma=0.6, size=n_images)
     sizes = np.clip((raw * mean_kb * 1024).astype(np.int64),

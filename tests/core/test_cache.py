@@ -473,6 +473,74 @@ def test_alternating_appends_and_reads_settle_in_place():
     assert store.sync_get(prt.key_data(1, 0)) is entry.data
 
 
+def _entries(cache, ino):
+    return [cache._files[ino].tree.get(i) for i in range(
+        cache.cached_entries(ino))]
+
+
+def _stream(sim, cache, ino, start, pieces):
+    off = start
+    for piece in pieces:
+        run(sim, cache.write(ino, off, piece, old_size=off))
+        off += len(piece)
+
+
+class TestFillFreezes:
+    """A sequential append that fills its entry joins it there, once: a
+    full entry is one ``bytes`` before any flush, and the flush ships that
+    very object."""
+
+    def test_filled_entries_are_one_object_before_any_flush(self, env):
+        sim, store, prt, cache = env
+        pieces = [bytes([i + 1]) * 48 for i in range(7)]  # 48 ∤ ESZ
+        _stream(sim, cache, 1, 0, pieces)
+        want = b"".join(pieces)
+        full0, full1, part = _entries(cache, 1)
+        for entry in (full0, full1):
+            assert type(entry.data) is bytes and len(entry.data) == ESZ
+            assert entry.tail == [] and entry.size == ESZ
+        # The partial entry still borrows its pieces.
+        assert part.data == b"" and part.size == len(want) - 2 * ESZ
+        assert part.tail[-1] is pieces[-1]
+        run(sim, cache.flush(1))
+        for entry in (full0, full1, part):
+            got = store.sync_get(prt.key_data(1, entry.index))
+            assert got is entry.data
+            assert got == want[entry.index * ESZ:(entry.index + 1) * ESZ]
+
+    def test_a_fill_on_top_of_a_base_freezes(self, env):
+        sim, store, prt, cache = env
+        first = [b"a" * 50, b"b" * 30]
+        _stream(sim, cache, 1, 0, first)
+        run(sim, cache.flush(1))
+        (entry,) = _entries(cache, 1)
+        base = entry.data
+        assert type(base) is bytes and len(base) == 80
+        rest = [b"c" * 30, b"d" * 18]
+        _stream(sim, cache, 1, 80, rest)
+        assert type(entry.data) is bytes and len(entry.data) == ESZ
+        assert entry.tail == []
+        run(sim, cache.flush(1))
+        got = store.sync_get(prt.key_data(1, 0))
+        assert got is entry.data and got == b"".join(first + rest)
+        assert base == b"a" * 50 + b"b" * 30
+
+    def test_overwriting_a_filled_entry_copies_it(self, env):
+        sim, store, prt, cache = env
+        pieces = [b"x" * 100, b"y" * 28]
+        _stream(sim, cache, 1, 0, pieces)
+        (entry,) = _entries(cache, 1)
+        frozen = entry.data
+        assert type(frozen) is bytes and len(frozen) == ESZ
+        run(sim, cache.write(1, 10, b"Z" * 10, old_size=ESZ))
+        assert type(entry.data) is bytearray
+        assert frozen == b"x" * 100 + b"y" * 28
+        run(sim, cache.flush(1))
+        got = store.sync_get(prt.key_data(1, 0))
+        assert got is entry.data
+        assert got == b"x" * 10 + b"Z" * 10 + b"x" * 80 + b"y" * 28
+
+
 def test_fetch_copies_what_is_not_immutable():
     """A fetch keeps the object it is handed only if that is ``bytes``; a
     pack layer (or store) handing out a buffer of its own gets it copied."""
