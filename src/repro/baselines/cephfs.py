@@ -23,9 +23,9 @@ from typing import Dict, List, Optional
 from ..core.cache import DataObjectCache
 from ..core.datapath import LeasedDataPath, OpenState
 from ..core.filelease import READ, FileLeaseService
-from ..core.inode_rules import permits, require_open
+from ..core.inode_rules import FOLLOWS_FINAL, permits
 from ..core.prt import PRT
-from ..core.types import InoAllocator
+from ..core.types import Inode, InoAllocator
 from ..objectstore.base import ObjectStore
 from ..objectstore.cluster import ClusterObjectStore
 from ..objectstore.memory import InMemoryObjectStore
@@ -111,37 +111,32 @@ class CephLikeClient(LeasedDataPath, VFSClient):
     # -- VFS: namespace ---------------------------------------------------------
 
     def lookup(self, creds: Credentials, dir_path: str, name: str) -> SimGen:
-        parts = pathmod.split_path(dir_path)
+        return self._at_inode(creds, pathmod.join(dir_path, name), "lookup",
+                              Inode.stat)
+
+    def _at_parent(self, creds, path: str, fn) -> SimGen:
+        """One MDS round trip: ``fn(parent ino, name)`` of ``path``'s final
+        name, which is not followed."""
+        parts = pathmod.split_path(path)
 
         def mutate():
-            dir_ino = self.ns.resolve(creds, parts)
-            return self.ns.lookup(creds, dir_ino, name).stat()
+            return fn(*self.ns.resolve_parent(creds, parts))
 
-        return (yield from self._mds(self._dirkey(dir_path + "/x"), mutate))
+        return (yield from self._mds(self._dirkey(path), mutate))
 
     def mkdir(self, creds: Credentials, path: str, mode: int = 0o777) -> SimGen:
-        parts = pathmod.split_path(path)
-        if not parts:
+        if not pathmod.split_path(path):
             raise AlreadyExists("/")
         now = self.sim.now
-
-        def mutate():
-            parent, name = self.ns.resolve_parent(creds, parts)
-            return self.ns.mkdir(creds, parent, name, mode, now)
-
-        yield from self._mds(self._dirkey(path), mutate)
+        yield from self._at_parent(creds, path, lambda parent, name: (
+            self.ns.mkdir(creds, parent, name, mode, now)))
 
     def rmdir(self, creds: Credentials, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-        if not parts:
+        if not pathmod.split_path(path):
             raise InvalidArgument("/", "cannot rmdir the root")
         now = self.sim.now
-
-        def mutate():
-            parent, name = self.ns.resolve_parent(creds, parts)
-            return self.ns.rmdir(creds, parent, name, now)
-
-        yield from self._mds(self._dirkey(path), mutate)
+        yield from self._at_parent(creds, path, lambda parent, name: (
+            self.ns.rmdir(creds, parent, name, now)))
 
     def readdir(self, creds: Credentials, path: str) -> SimGen:
         parts = pathmod.split_path(path)
@@ -152,14 +147,9 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         return (yield from self._mds(self._dirkey(path), mutate))
 
     def unlink(self, creds: Credentials, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
         now = self.sim.now
-
-        def mutate():
-            parent, name = self.ns.resolve_parent(creds, parts)
-            return self.ns.unlink(creds, parent, name, now)
-
-        inode = yield from self._mds(self._dirkey(path), mutate)
+        inode = yield from self._at_parent(creds, path, lambda parent, name: (
+            self.ns.unlink(creds, parent, name, now)))
         yield from self.cache.invalidate(inode.ino, flush_dirty=False)
         self.fleases.forget_file(inode.ino)
         if inode.size > 0:
@@ -185,51 +175,47 @@ class CephLikeClient(LeasedDataPath, VFSClient):
         if removed is not None and removed.size > 0:
             yield from self.prt.delete_data(removed.ino, src=self.node)
 
-    def stat(self, creds: Credentials, path: str) -> SimGen:
+    def _at_inode(self, creds, path: str, verb: str, fn) -> SimGen:
+        """One MDS round trip: ``fn`` of the inode ``path`` names, a final
+        symlink followed if ``verb`` is in ``FOLLOWS_FINAL``."""
         parts = pathmod.split_path(path)
 
         def mutate():
-            return self.ns.node(self.ns.resolve(creds, parts)).inode.stat()
+            return fn(self.ns.node(self.ns.resolve(
+                creds, parts, verb in FOLLOWS_FINAL)).inode)
 
         return (yield from self._mds(self._dirkey(path), mutate))
+
+    def stat(self, creds: Credentials, path: str) -> SimGen:
+        return self._at_inode(creds, path, "stat", Inode.stat)
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-
-        def mutate():
-            ino = self.ns.resolve(creds, parts, follow_final=False)
-            return self.ns.node(ino).inode.stat()
-
-        return (yield from self._mds(self._dirkey(path), mutate))
+        return self._at_inode(creds, path, "lstat", Inode.stat)
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
-        parts = pathmod.split_path(path)
-
-        def mutate():
-            return permits(self.ns.node(self.ns.resolve(creds, parts)).inode,
-                           creds, want)
-
-        return (yield from self._mds(self._dirkey(path), mutate))
+        return self._at_inode(creds, path, "access",
+                              lambda inode: permits(inode, creds, want))
 
     # -- VFS: open / data ------------------------------------------------------------
 
     def open(self, creds: Credentials, path: str, flags: OpenFlags,
              mode: int = 0o666) -> SimGen:
         parts = pathmod.split_path(path)
-        if not parts:
-            raise IsADirectory("/")
         now = self.sim.now
+        # A final link is followed to its target's parent and name (O_CREAT
+        # makes a dangling one's target), but O_CREAT|O_EXCL finds the link.
+        follow = "open" in FOLLOWS_FINAL and not (
+            flags & OpenFlags.O_CREAT and flags & OpenFlags.O_EXCL)
 
         def mutate():
-            parent, name = self.ns.resolve_parent(creds, parts)
+            stack, name, _ = self.ns.walk(creds, parts, follow)
+            if name is None:
+                raise IsADirectory(path)
+            parent = stack[-1]
             inode = self.ns.create(creds, parent, name, flags, mode, now)[0]
-            if inode.is_symlink:
-                # Follow a final symlink; its target passes the same rules.
-                inode = self.ns.node(self.ns.resolve(creds, parts)).inode
-                require_open(inode.ftype, inode, creds, flags, name)
-            return parent, inode
+            return parent, name, inode
 
-        parent, inode = yield from self._mds(self._dirkey(path), mutate)
+        parent, name, inode = yield from self._mds(self._dirkey(path), mutate)
         if flags & OpenFlags.O_TRUNC and inode.size > 0:
             old = inode.size
             inode.size = 0
@@ -237,7 +223,7 @@ class CephLikeClient(LeasedDataPath, VFSClient):
             yield from self._truncate_file_data(inode.ino, old, 0)
         grant = yield from self.fleases.acquire(inode.ino, self.name, READ)
         handle = FileHandle(inode.ino, flags, creds)
-        handle.impl = OpenState(parent_ino=parent, name=parts[-1],
+        handle.impl = OpenState(parent_ino=parent, name=name,
                                 size=inode.size, mtime=inode.mtime,
                                 lease=grant)
         if flags & OpenFlags.O_APPEND:
@@ -272,68 +258,52 @@ class CephLikeClient(LeasedDataPath, VFSClient):
             st.wrote = False
 
     def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
-        inode, old = yield from self._setattr(creds, path, {"size": size})
+        inode, old = yield from self._setattr(creds, path, {"size": size},
+                                              "truncate")
         if size < old:
             yield from self._truncate_file_data(inode.ino, old, size)
 
     # -- VFS: attributes ----------------------------------------------------------------
 
-    def _setattr(self, creds, path: str, changes: dict) -> SimGen:
+    def _setattr(self, creds, path: str, changes: dict, verb: str) -> SimGen:
         """One MDS round trip; returns the inode and its size before."""
-        parts = pathmod.split_path(path)
         now = self.sim.now
-
-        def mutate():
-            ino = self.ns.resolve(creds, parts)
-            return self.ns.setattr(creds, ino, changes, now)
-
-        return (yield from self._mds(self._dirkey(path), mutate))
+        return (yield from self._at_inode(creds, path, verb, lambda inode: (
+            self.ns.setattr(creds, inode.ino, changes, now))))
 
     def chmod(self, creds: Credentials, path: str, mode: int) -> SimGen:
-        yield from self._setattr(creds, path, {"mode": mode})
+        yield from self._setattr(creds, path, {"mode": mode}, "chmod")
 
     def chown(self, creds: Credentials, path: str, uid: int, gid: int) -> SimGen:
-        yield from self._setattr(creds, path, {"uid": uid, "gid": gid})
+        yield from self._setattr(creds, path, {"uid": uid, "gid": gid},
+                                 "chown")
 
     def utimens(self, creds: Credentials, path: str, atime: float,
                 mtime: float) -> SimGen:
-        yield from self._setattr(creds, path, {"times": (atime, mtime)})
+        yield from self._setattr(creds, path, {"times": (atime, mtime)},
+                                 "utimens")
 
     def getfacl(self, creds: Credentials, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-
-        def mutate():
-            inode = self.ns.node(self.ns.resolve(creds, parts)).inode
-            return inode.acl.copy() if inode.acl else Acl.from_mode(inode.mode)
-
-        return (yield from self._mds(self._dirkey(path), mutate))
+        return self._at_inode(creds, path, "getfacl", lambda inode: (
+            inode.acl.copy() if inode.acl else Acl.from_mode(inode.mode)))
 
     def setfacl(self, creds: Credentials, path: str, acl: Acl) -> SimGen:
-        yield from self._setattr(creds, path, {"acl": acl})
+        yield from self._setattr(creds, path, {"acl": acl}, "setfacl")
 
     # -- VFS: links ------------------------------------------------------------------------
 
     def symlink(self, creds: Credentials, target: str, linkpath: str) -> SimGen:
-        parts = pathmod.split_path(linkpath)
         now = self.sim.now
-
-        def mutate():
-            parent, name = self.ns.resolve_parent(creds, parts)
-            return self.ns.symlink(creds, parent, name, target, now)
-
-        yield from self._mds(self._dirkey(linkpath), mutate)
+        yield from self._at_parent(creds, linkpath, lambda parent, name: (
+            self.ns.symlink(creds, parent, name, target, now)))
 
     def readlink(self, creds: Credentials, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-
-        def mutate():
-            ino = self.ns.resolve(creds, parts, follow_final=False)
-            inode = self.ns.node(ino).inode
+        def target(inode):
             if not inode.is_symlink:
                 raise InvalidArgument(path, "not a symlink")
             return inode.symlink_target
 
-        return (yield from self._mds(self._dirkey(path), mutate))
+        return self._at_inode(creds, path, "readlink", target)
 
     # -- durability -----------------------------------------------------------------------------
 

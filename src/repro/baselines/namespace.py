@@ -18,12 +18,11 @@ from ..posix.errors import (
     IsADirectory,
     NotADirectory,
     NotFound,
-    TooManySymlinks,
 )
 from ..posix.types import Credentials, FileType, OpenFlags, R_OK, W_OK, X_OK
-from ..core.inode_rules import (SYMLINK_MAX_FOLLOW, apply_setattr, new_inode,
+from ..core.inode_rules import (apply_setattr, follow_symlink, new_inode,
                                 require_access, require_open,
-                                require_overwrite)
+                                require_overwrite, up)
 from ..core.types import Inode, InoAllocator, ROOT_INO
 
 __all__ = ["Namespace", "NSNode"]
@@ -64,37 +63,55 @@ class Namespace:
 
     # -- resolution -------------------------------------------------------------
 
-    def resolve(self, creds: Optional[Credentials], parts: List[str],
-                follow_final: bool = True, base: int = ROOT_INO,
-                _depth: int = 0) -> int:
-        """Walk components from ``base`` (the root by default); returns the
-        final ino."""
-        if _depth > SYMLINK_MAX_FOLLOW:
-            raise TooManySymlinks("/".join(parts))
-        cur = base
-        for i, name in enumerate(parts):
-            d = self._dir(cur)
+    def walk(self, creds: Optional[Credentials], parts: List[str],
+             follow_final: bool = True) -> Tuple[List[int], Optional[str],
+                                                  Optional[int]]:
+        """``parts`` resolved from the root: the stack of directories down
+        to the final name's, that name (None if ``parts`` names a directory
+        by itself: no name, or a final ``..``) and its ino (None if there is
+        no such entry). Symlinks on the way are followed, a final one if
+        ``follow_final``; ``..`` pops the stack (the path rule)."""
+        stack, links, i = [ROOT_INO], 0, 0
+        while i < len(parts):
+            name = parts[i]
+            i += 1
+            if name == "..":
+                up(stack)
+                continue
+            d = self._dir(stack[-1])
             require_access(d.inode, creds, X_OK)
-            child_ino = d.children.get(name)
-            if child_ino is None:
+            ino = d.children.get(name)
+            final = i == len(parts)
+            link = None if ino is None else self.nodes[ino].inode
+            if link is not None and link.is_symlink and (follow_final
+                                                          or not final):
+                links += 1
+                parts, stack = follow_symlink(link.symlink_target, parts[i:],
+                                              stack, links)
+                i = 0
+            elif final:
+                return stack, name, ino
+            elif ino is None:
                 raise NotFound(name)
-            child = self.node(child_ino)
-            is_final = i == len(parts) - 1
-            if child.inode.is_symlink and (not is_final or follow_final):
-                target = child.inode.symlink_target or ""
-                tparts = [c for c in target.split("/") if c and c != "."]
-                # An absolute target restarts at the root, a relative one
-                # at the link's directory.
-                start = ROOT_INO if target.startswith("/") else cur
-                return self.resolve(creds, tparts + parts[i + 1:],
-                                    follow_final, start, _depth + 1)
-            cur = child_ino
-        return cur
+            else:
+                self._dir(ino)
+                stack.append(ino)
+        return stack, None, stack[-1]
+
+    def resolve(self, creds: Optional[Credentials], parts: List[str],
+                follow_final: bool = True) -> int:
+        """The ino ``parts`` names (:meth:`walk`); ENOENT if none."""
+        _, name, ino = self.walk(creds, parts, follow_final)
+        if ino is None:
+            raise NotFound(name)
+        return ino
 
     def resolve_parent(self, creds, parts: List[str]) -> Tuple[int, str]:
+        """The directory of ``parts``' final name (not followed), and it."""
         if not parts:
             raise InvalidArgument("/", "needs a parent")
-        return self.resolve(creds, parts[:-1]), parts[-1]
+        stack, name, _ = self.walk(creds, parts, follow_final=False)
+        return stack[-1], name
 
     # -- operations (synchronous state changes) -------------------------------------
 

@@ -34,7 +34,6 @@ from ..posix.errors import (
     NotADirectory,
     NotFound,
     PermissionDenied,
-    TooManySymlinks,
     UnsupportedOperation,
 )
 from ..posix.types import (Credentials, FileType, OpenFlags, StatFSResult,
@@ -45,7 +44,8 @@ from ..sim.network import MessageDropped, Node, NodeDown
 from .cache import DataObjectCache
 from .datapath import LeasedDataPath, OpenState
 from .filelease import FileLeaseService
-from .inode_rules import SYMLINK_MAX_FOLLOW, permits, require_access
+from .inode_rules import (FOLLOWS_FINAL, follow_symlink, permits,
+                          require_access, up)
 from .journal import JournalManager
 from .lease import LeaseGrant, LeaseRedirect, LeaseWait, StaleEpochError
 from .metatable import Metatable, RemoteTable, load_metatable
@@ -64,9 +64,7 @@ WALK_PARENT = 1     # (parent ino, final name)
 WALK_ENTRY = 2      # (parent ino, final name, final Dentry)
 WALK_INODE = 3      # the final target's Inode
 WALK_STAT = 4       # the final target's StatResult
-
-#: A followed final symlink is read at most this many times per walk.
-_FINAL_HOPS = 4
+WALK_OPEN = 5       # (parent's directory stack, final name, links followed)
 
 
 class DirectoryRemoved(NotFound):
@@ -452,50 +450,61 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
     # ------------------------------------------------------------- resolution
 
     def _walk(self, creds: Optional[Credentials], path: str, want: int,
-              follow: bool = True, base: int = ROOT_INO) -> SimGen:
-        """Resolve ``path`` (taken from ``base``, the root by default) and
-        return what ``want`` asks for: the directory it names
-        (``WALK_DIR``), its parent and final name (``WALK_PARENT``), those
-        and the final dentry (``WALK_ENTRY``), or the final target's Inode
-        (``WALK_INODE``) or StatResult (``WALK_STAT``; ``follow`` says
-        whether a final symlink is followed).
+              verb: str = "", base: Optional[list] = None,
+              links: int = 0) -> SimGen:
+        """Resolve ``path`` and return what ``want`` asks for (the
+        ``WALK_*`` table; ``WALK_ENTRY`` of a path that names a directory
+        by itself is ``(ino, None, None)``). A final symlink is followed
+        when ``verb`` is in ``FOLLOWS_FINAL``. With ``base``, ``path`` is a
+        symlink target (or one name) read in ``base``'s directories, after
+        ``links`` links.
 
         The one path walker. Each component is resolved in this loop: in
         the metatable when we lead its directory, else from the permission
         cache, else at the directory's authority (:meth:`_lookup_component`).
         The first two yield the lookup-CPU hold from this frame, so a
         resume under it re-enters the op's frame and this one only (DESIGN
-        §10). Intermediate symlinks are followed (ELOOP past
-        ``SYMLINK_MAX_FOLLOW``); in a followed final symlink's target an
-        intermediate symlink is ENOTDIR, and after ``_FINAL_HOPS`` final
-        symlinks the walk is ELOOP."""
+        §10). ``..`` pops the stack of resolved directories, and a
+        symlink, intermediate or final, goes on at its target (the path
+        rule: :func:`up`, :func:`follow_symlink`)."""
         params = self.params
         lookup_cpu = params.lookup_cpu
         pcache_on = params.permission_cache
-        parts = pathmod.split_path(path)
-        n = len(parts) if want == WALK_DIR else len(parts) - 1
-        cur = base
+        if base is None:
+            parts = pathmod.split_path(path)
+            stack = [ROOT_INO]
+        else:
+            parts, stack = follow_symlink(path, [], base, links)
         i = 0
-        depth = 0           # intermediate symlinks followed
-        hops = 0            # final symlinks followed
-        strict = False      # walking a final symlink's target
         while True:
+            if i == 0:          # a pass: the path, or a target and the rest
+                cur = stack[-1]
+                n = len(parts)  # components resolved as directories
+                if want != WALK_DIR and n and parts[-1] != "..":
+                    n -= 1
             if i < n:
                 name = parts[i]
+                if name == "..":
+                    cur = up(stack)
+                    i += 1
+                    continue
             elif want == WALK_DIR:
                 return cur
-            elif not parts:
-                if want != WALK_INODE and want != WALK_STAT:
+            elif n == len(parts):
+                # No final name: the path names the directory ``cur``.
+                if want == WALK_PARENT:
                     raise InvalidArgument(path,
                                           "operation needs a parent directory")
-                d = yield from self._authority_op(cur, "getattr_dir", creds)
+                if want == WALK_OPEN:
+                    raise IsADirectory(path)
+                name = dentry = None
                 break
             elif want == WALK_PARENT:
-                return cur, parts[-1]
-            elif hops == _FINAL_HOPS:
-                raise TooManySymlinks(path)
+                return cur, parts[n]
+            elif want == WALK_OPEN:
+                return stack, parts[n], links
             else:
-                name = parts[-1]
+                name = parts[n]
             now = self.sim.now
             mt = self.metatables.get(cur)
             if mt is not None and mt.lease_expires > now:
@@ -526,43 +535,30 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
             if i < n:
                 if ftype is FileType.DIRECTORY:
                     cur = dentry.ino
+                    stack.append(cur)
                     i += 1
                     continue
-                if ftype is FileType.SYMLINK and not strict:
-                    depth += 1
-                    if depth > SYMLINK_MAX_FOLLOW:
-                        raise TooManySymlinks(name)
-                    target = yield from self._authority_op(
-                        cur, "readlink", creds, name=name)
-                    tparts, cur = self._expand_symlink(target, cur)
-                    parts = tparts + parts[i + 1:]
-                    n = len(parts) if want == WALK_DIR else len(parts) - 1
-                    i = 0
-                    continue
-                raise NotADirectory(name)
-            if want == WALK_ENTRY:
-                return cur, name, dentry
-            if ftype is FileType.DIRECTORY:
-                d = yield from self._authority_op(dentry.ino, "getattr_dir",
-                                                  creds)
+                if ftype is not FileType.SYMLINK:
+                    raise NotADirectory(name)
+            elif ftype is not FileType.SYMLINK or verb not in FOLLOWS_FINAL:
                 break
-            if ftype is FileType.SYMLINK and follow:
-                if hops >= SYMLINK_MAX_FOLLOW:
-                    raise TooManySymlinks(path)
-                target = yield from self._authority_op(
-                    cur, "readlink", creds, name=name)
-                parts, cur = self._expand_symlink(target, cur)
-                n = len(parts) - 1
-                i = 0
-                hops += 1
-                strict = True
-                continue
+            links += 1
+            target = yield from self._authority_op(cur, "readlink", creds,
+                                                   name=name)
+            parts, stack = follow_symlink(target, parts[i + 1:], stack,
+                                          links)
+            i = 0
+        if want == WALK_ENTRY:
+            return cur, name, dentry
+        if dentry is None or dentry.ftype is FileType.DIRECTORY:
+            d = yield from self._authority_op(
+                cur if dentry is None else dentry.ino, "getattr_dir", creds)
+        else:
             d = yield from self._authority_op(cur, "getattr_child", creds,
                                               name=name)
             if isinstance(d, dict) and "redirect_dir" in d:
                 d = yield from self._authority_op(d["redirect_dir"],
                                                   "getattr_dir", creds)
-            break
         inode = Inode.from_dict(d)
         return inode.stat() if want == WALK_STAT else inode
 
@@ -580,16 +576,6 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
             self.pcache[dir_ino] = (Inode.from_dict(dir_inode_d), exp)
             self.pcache_dentries[(dir_ino, name)] = (dentry, exp)
         return dentry
-
-    def _expand_symlink(self, target: str, cur: int):
-        """Split a symlink target; absolute targets restart at the root."""
-        if target.startswith("/"):
-            return pathmod.split_path(target), ROOT_INO
-        comps = [c for c in target.split("/") if c and c != "."]
-        if ".." in comps:
-            raise UnsupportedOperation(
-                target, "relative symlink targets with '..' are unsupported")
-        return comps, cur
 
     def _drop_authority_hints(self, dir_ino: int) -> None:
         """Forget everything we believed about a removed/moved directory."""
@@ -612,8 +598,8 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         if key is None:
             raise err
         del self.pcache_dentries[key]
-        _, _, dentry = yield from self._walk(creds, "/" + key[1], WALK_ENTRY,
-                                             base=key[0])
+        _, _, dentry = yield from self._walk(creds, key[1], WALK_ENTRY,
+                                             base=[key[0]])
         if dentry.ftype is not FileType.DIRECTORY:
             raise NotADirectory(key[1])
         if dentry.ino == dir_ino:
@@ -631,9 +617,6 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
                                       mode=mode)
 
     def rmdir(self, creds: Credentials, path: str) -> SimGen:
-        parts = pathmod.split_path(path)
-        if not parts:
-            raise InvalidArgument("/", "cannot rmdir the root")
         parent, name = yield from self._walk(creds, path, WALK_PARENT)
         yield from self._authority_op(parent, "rmdir", creds, name=name)
         self.pcache_dentries.pop((parent, name), None)
@@ -737,48 +720,40 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
     # -------------------------------------------------------------- VFS: stat
 
     def stat(self, creds: Credentials, path: str) -> SimGen:
-        return self._walk(creds, path, WALK_STAT)
+        return self._walk(creds, path, WALK_STAT, "stat")
 
     def lstat(self, creds: Credentials, path: str) -> SimGen:
-        return self._walk(creds, path, WALK_STAT, follow=False)
+        return self._walk(creds, path, WALK_STAT, "lstat")
 
     def access(self, creds: Credentials, path: str, want: int) -> SimGen:
-        inode = yield from self._walk(creds, path, WALK_INODE)
+        inode = yield from self._walk(creds, path, WALK_INODE, "access")
         return permits(inode, creds, want)
 
     # -------------------------------------------------------- VFS: open & data
 
     def open(self, creds: Credentials, path: str, flags: OpenFlags,
              mode: int = 0o666) -> SimGen:
-        parts = pathmod.split_path(path)
-        if not parts:
-            raise IsADirectory("/")
-        cur_path = path
-        for _hop in range(SYMLINK_MAX_FOLLOW):
-            parent, name = yield from self._walk(creds, cur_path,
-                                                 WALK_PARENT)
+        stack, name, links = yield from self._walk(creds, path, WALK_OPEN)
+        while True:
+            parent = stack[-1]
             info = yield from self._authority_op(
                 parent, "open", creds, name=name, flags=int(flags), mode=mode)
-            if "symlink" in info:
-                target = info["symlink"]
-                if target.startswith("/"):
-                    cur_path = target
-                else:
-                    base, _ = pathmod.parent_and_name(
-                        pathmod.normalize(cur_path))
-                    cur_path = base.rstrip("/") + "/" + target
-                continue
-            inode = Inode.from_dict(info["inode"])
-            handle = FileHandle(inode.ino, flags, creds)
-            handle.impl = OpenState(
-                parent_ino=parent, name=name, size=inode.size,
-                mtime=inode.mtime, lease=info.get("lease"),
-            )
-            if flags & OpenFlags.O_APPEND:
-                handle.pos = inode.size
-            self._open_dirs[parent] = self._open_dirs.get(parent, 0) + 1
-            return handle
-        raise TooManySymlinks(path)
+            if "symlink" not in info:
+                break
+            # A final symlink: go on at its target, from the link's
+            # directory, under the same budget.
+            stack, name, links = yield from self._walk(
+                creds, info["symlink"], WALK_OPEN, base=stack, links=links + 1)
+        inode = Inode.from_dict(info["inode"])
+        handle = FileHandle(inode.ino, flags, creds)
+        handle.impl = OpenState(
+            parent_ino=parent, name=name, size=inode.size,
+            mtime=inode.mtime, lease=info.get("lease"),
+        )
+        if flags & OpenFlags.O_APPEND:
+            handle.pos = inode.size
+        self._open_dirs[parent] = self._open_dirs.get(parent, 0) + 1
+        return handle
 
     # Hooks of the leased data path (core/datapath.py): a data lease comes
     # from the parent directory's leader, and size/mtime are published
@@ -808,24 +783,19 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
                                       route_name=st.name)
 
     def truncate(self, creds: Credentials, path: str, size: int) -> SimGen:
-        yield from self._setattr(creds, path, {"size": size})
+        yield from self._setattr(creds, path, {"size": size}, "truncate")
 
     # --------------------------------------------------------- VFS: attributes
 
     def _setattr(self, creds: Credentials, path: str,
-                 changes: Dict[str, Any]) -> SimGen:
-        parts = pathmod.split_path(path)
-        if not parts:
-            result = yield from self._authority_op(
-                ROOT_INO, "setattr", creds, name=None, changes=changes)
-            self.pcache.pop(ROOT_INO, None)
-            return Inode.from_dict(result)
+                 changes: Dict[str, Any], verb: str) -> SimGen:
         parent, name, dentry = yield from self._walk(creds, path,
-                                                     WALK_ENTRY)
-        if dentry.ftype is FileType.DIRECTORY:
+                                                     WALK_ENTRY, verb)
+        if dentry is None or dentry.ftype is FileType.DIRECTORY:
+            ino = parent if dentry is None else dentry.ino
             result = yield from self._authority_op(
-                dentry.ino, "setattr", creds, name=None, changes=changes)
-            self.pcache.pop(dentry.ino, None)
+                ino, "setattr", creds, name=None, changes=changes)
+            self.pcache.pop(ino, None)
         else:
             result = yield from self._authority_op(
                 parent, "setattr", creds, name=name, changes=changes)
@@ -836,22 +806,25 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         return Inode.from_dict(result)
 
     def chmod(self, creds: Credentials, path: str, mode: int) -> SimGen:
-        yield from self._setattr(creds, path, {"mode": mode})
+        yield from self._setattr(creds, path, {"mode": mode}, "chmod")
 
     def chown(self, creds: Credentials, path: str, uid: int,
               gid: int) -> SimGen:
-        yield from self._setattr(creds, path, {"uid": uid, "gid": gid})
+        yield from self._setattr(creds, path, {"uid": uid, "gid": gid},
+                                 "chown")
 
     def utimens(self, creds: Credentials, path: str, atime: float,
                 mtime: float) -> SimGen:
-        yield from self._setattr(creds, path, {"times": (atime, mtime)})
+        yield from self._setattr(creds, path, {"times": (atime, mtime)},
+                                 "utimens")
 
     def getfacl(self, creds: Credentials, path: str) -> SimGen:
-        inode = yield from self._walk(creds, path, WALK_INODE)
+        inode = yield from self._walk(creds, path, WALK_INODE, "getfacl")
         return inode.acl.copy() if inode.acl else Acl.from_mode(inode.mode)
 
     def setfacl(self, creds: Credentials, path: str, acl: Acl) -> SimGen:
-        yield from self._setattr(creds, path, {"acl": acl.to_dict()})
+        yield from self._setattr(creds, path, {"acl": acl.to_dict()},
+                                 "setfacl")
 
     # ------------------------------------------------------------- VFS: links
 

@@ -1,16 +1,17 @@
-"""POSIX inode rules: the one copy ArkFS's directory leader and the
-CephFS/MarFS namespace both run.
+"""POSIX inode and path rules: the one copy ArkFS's directory leader and
+client walk and the CephFS/MarFS namespace all run.
 
-Pure functions over an :class:`~repro.core.types.Inode`: no ``yield``, no
-charge, no journal record. Where the metadata work runs (a leader's
-metatable, an MDS's tree) and what it costs stays with the caller. A
+Pure functions over an :class:`~repro.core.types.Inode` or a stack of
+resolved directory inos: no ``yield``, no charge, no journal record. Where
+the metadata work runs (a leader's metatable, an MDS's tree, a client's
+walk) and what it costs stays with the caller. A
 ``creds`` of None is an internal caller (recovery, 2PC phase 2), which
 every check lets through.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..posix.acl import Acl, check_perm
 from ..posix.errors import (
@@ -20,15 +21,45 @@ from ..posix.errors import (
     NotADirectory,
     NotPermitted,
     PermissionDenied,
+    TooManySymlinks,
 )
 from ..posix.types import Credentials, FileType, OpenFlags, R_OK, W_OK
-from .types import Inode
+from .types import Inode, ROOT_INO
 
-__all__ = ["SYMLINK_MAX_FOLLOW", "require_access", "permits", "new_inode",
-           "require_open", "require_overwrite", "apply_setattr"]
+__all__ = ["SYMLINK_MAX_FOLLOW", "FOLLOWS_FINAL", "follow_symlink", "up",
+           "require_access", "permits", "new_inode", "require_open",
+           "require_overwrite", "apply_setattr"]
 
-#: Symlinks one path resolution follows before ELOOP, as in Linux.
+#: Symlinks one resolution follows before ELOOP, intermediate and final
+#: alike, as in Linux.
 SYMLINK_MAX_FOLLOW = 40
+
+#: The verbs that act on a final symlink's target. The others (lstat,
+#: readlink, unlink, rmdir, rename, mkdir, symlink) act on the link.
+FOLLOWS_FINAL = frozenset({"open", "stat", "access", "getfacl", "chmod",
+                           "chown", "utimens", "setfacl", "truncate"})
+
+
+def follow_symlink(target: str, rest: List[str], stack: List[int],
+                   links: int) -> Tuple[List[str], List[int]]:
+    """The ``links``-th symlink of a resolution, to ``target``, with
+    ``rest`` after it: the components left and the directory stack they
+    start from. ELOOP past ``SYMLINK_MAX_FOLLOW``. An absolute target
+    starts at ``[ROOT_INO]``, a relative one at ``stack`` (the link's
+    directories); ``""`` and ``.`` are dropped, ``..`` is kept for
+    :func:`up`: never resolved lexically."""
+    if links > SYMLINK_MAX_FOLLOW:
+        raise TooManySymlinks(target)
+    parts = [c for c in target.split("/") if c and c != "."]
+    return parts + rest, [ROOT_INO] if target[:1] == "/" else stack
+
+
+def up(stack: List[int]) -> int:
+    """``..``: pop ``stack`` and return its new top; the root's is the
+    root."""
+    if len(stack) > 1:
+        stack.pop()
+    return stack[-1]
 
 
 def require_access(inode: Inode, creds: Optional[Credentials],

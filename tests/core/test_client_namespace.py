@@ -6,22 +6,16 @@ journals) on the zero-latency functional store.
 
 import pytest
 
-from repro.baselines import build_cephfs, build_marfs
-from repro.core import build_arkfs
 from repro.posix import (
     AlreadyExists,
     DirectoryNotEmpty,
-    FSError,
     InvalidArgument,
     IsADirectory,
     NotADirectory,
     NotFound,
     OpenFlags,
-    ROOT_CREDS,
-    SyncFS,
     TooManySymlinks,
 )
-from repro.sim import Simulator
 
 
 class TestMkdir:
@@ -302,173 +296,6 @@ class TestMultiClient:
         fs.write_file("/d/f", b"x")
         fs2.unlink("/d/f")
         assert not fs.exists("/d/f")
-
-
-class DotDotTargetSplit(Exception):
-    """Setup went through, and ``open`` or ``stat`` of a symlink whose
-    relative target climbs with ``..`` did not reach the file POSIX names:
-    ROADMAP 1(x), and nothing else."""
-
-
-def _ino_or_error(call):
-    try:
-        return call()
-    except FSError as err:
-        return type(err).__name__
-
-
-@pytest.mark.xfail(raises=DotDotTargetSplit, strict=True, reason=(
-    "ROADMAP 1(x): ArkFS open follows a '..' target, ArkFS stat raises "
-    "UnsupportedOperation, CephFS/MarFS raise NotFound for both"))
-def test_dotdot_symlink_target_resolves_from_the_links_directory():
-    # /a/b/up -> ../t names /a/t, for open and for stat, on every system.
-    wrong = {}
-    for build in (build_arkfs, build_cephfs, build_marfs):
-        cluster = build(Simulator(), n_clients=1, functional=True)
-        fs = SyncFS(cluster.client(0), ROOT_CREDS)
-        fs.makedirs("/a/b")
-        fs.write_file("/a/t", b"target")
-        fs.symlink("../t", "/a/b/up")
-        want = fs.stat("/a/t").st_ino
-
-        def open_ino():
-            f = fs.open("/a/b/up", OpenFlags.O_RDONLY)
-            f.close()
-            return f.handle.ino
-
-        for verb, call in (("open", open_ino),
-                           ("stat", lambda: fs.stat("/a/b/up").st_ino)):
-            got = _ino_or_error(call)
-            if got != want:
-                wrong[build.__name__, verb] = got
-    if wrong:
-        raise DotDotTargetSplit(wrong)
-
-
-class SetattrActsOnTheLink(Exception):
-    """CephFS followed the symlink, and ArkFS's ``chmod`` and ``truncate``
-    of it acted on the link itself: ROADMAP 1(xi), and nothing else."""
-
-
-@pytest.mark.xfail(raises=SetattrActsOnTheLink, strict=True, reason=(
-    "ROADMAP 1(xi): ArkFS setattr walks with WALK_ENTRY, so chmod changes "
-    "the link's mode and truncate raises EISDIR"))
-def test_setattr_of_a_symlink_acts_on_its_target():
-    # chmod /l 0600 and truncate /l 2, with /l -> /t, change /t (POSIX).
-    outcome = {}
-    for build in (build_arkfs, build_cephfs):
-        cluster = build(Simulator(), n_clients=1, functional=True)
-        fs = SyncFS(cluster.client(0), ROOT_CREDS)
-        fs.write_file("/t", b"target")
-        fs.symlink("/t", "/l")
-        fs.chmod("/l", 0o600)
-        modes = (oct(fs.lstat("/l").st_mode), oct(fs.lstat("/t").st_mode))
-
-        def truncated_size():
-            fs.truncate("/l", 2)
-            return fs.stat("/t").st_size
-
-        outcome[build.__name__] = modes, _ino_or_error(truncated_size)
-    assert outcome["build_cephfs"] == (("0o120777", "0o100600"), 2)
-    if outcome["build_arkfs"] == (("0o120600", "0o100644"), "IsADirectory"):
-        raise SetattrActsOnTheLink(outcome)
-    assert outcome["build_arkfs"] == outcome["build_cephfs"]
-
-
-def _outcomes(build, setup, verbs):
-    """``{verb: ino reached or error name}`` on one fresh cluster."""
-    cluster = build(Simulator(), n_clients=1, functional=True)
-    fs = SyncFS(cluster.client(0), ROOT_CREDS)
-    setup(fs)
-
-    def opened(path, flags=OpenFlags.O_RDONLY):
-        f = fs.open(path, flags)
-        f.close()
-        return f.handle.ino
-
-    return {verb: _ino_or_error(lambda: call(fs, opened))
-            for verb, call in verbs.items()}
-
-
-class FinalHopCap(Exception):
-    """CephFS/MarFS reached the file, and ArkFS's ``stat`` and ``access``
-    of a chain of five final links raised ELOOP while its ``open``
-    reached the file: ROADMAP 1(xii), and nothing else."""
-
-
-@pytest.mark.xfail(raises=FinalHopCap, strict=True, reason=(
-    "ROADMAP 1(xii): ArkFS _walk follows at most _FINAL_HOPS = 4 final "
-    "symlinks; open has its own hop loop"))
-def test_five_final_links_are_followed():
-    def setup(fs):
-        fs.write_file("/f", b"")
-        for i in range(5):
-            fs.symlink(f"/l{i + 1}" if i < 4 else "/f", f"/l{i}")
-
-    verbs = {"stat": lambda fs, opened: fs.stat("/l0").st_ino,
-             "access": lambda fs, opened: fs.access("/l0", 4),
-             "open": lambda fs, opened: opened("/l0")}
-    got = {b.__name__: _outcomes(b, setup, verbs)
-           for b in (build_arkfs, build_cephfs, build_marfs)}
-    for name in ("build_cephfs", "build_marfs"):
-        assert got[name]["access"] is True, got
-        assert got[name]["stat"] == got[name]["open"], got
-    ark = got["build_arkfs"]
-    if (ark["stat"] == ark["access"] == "TooManySymlinks"
-            and isinstance(ark["open"], int)):
-        raise FinalHopCap(got)
-
-
-class StrictFinalTarget(Exception):
-    """CephFS/MarFS reached ``/real/f`` both ways, and ArkFS's ``stat`` of
-    ``/l -> /alias/f`` (``/alias -> /real``) raised ENOTDIR while its
-    ``open`` reached the file: ROADMAP 1(xiii), and nothing else."""
-
-
-@pytest.mark.xfail(raises=StrictFinalTarget, strict=True, reason=(
-    "ROADMAP 1(xiii): ArkFS _walk's strict mode makes a link inside a "
-    "followed final target ENOTDIR"))
-def test_final_link_target_may_pass_a_directory_link():
-    def setup(fs):
-        fs.mkdir("/real")
-        fs.write_file("/real/f", b"")
-        fs.symlink("/real", "/alias")
-        fs.symlink("/alias/f", "/l")
-
-    verbs = {"stat": lambda fs, opened: fs.stat("/l").st_ino,
-             "open": lambda fs, opened: opened("/l"),
-             "want": lambda fs, opened: fs.stat("/real/f").st_ino}
-    got = {b.__name__: _outcomes(b, setup, verbs)
-           for b in (build_arkfs, build_cephfs, build_marfs)}
-    for name in ("build_cephfs", "build_marfs"):
-        assert got[name]["stat"] == got[name]["open"] == got[name]["want"]
-    ark = got["build_arkfs"]
-    if ark["stat"] == "NotADirectory" and ark["open"] == ark["want"]:
-        raise StrictFinalTarget(got)
-
-
-class DanglingCreateNotFound(Exception):
-    """ArkFS created the target, and CephFS/MarFS's ``open(O_CREAT)``
-    through a dangling link raised ENOENT: ROADMAP 1(xiv), and nothing
-    else."""
-
-
-@pytest.mark.xfail(raises=DanglingCreateNotFound, strict=True, reason=(
-    "ROADMAP 1(xiv): CephLikeClient.open creates under the link's name, "
-    "finds the link, and re-resolves it with the target missing"))
-def test_creat_through_a_dangling_link_creates_the_target():
-    def setup(fs):
-        fs.symlink("/nowhere", "/dl")
-
-    creat = OpenFlags.O_CREAT | OpenFlags.O_WRONLY
-    verbs = {"open": lambda fs, opened: opened("/dl", creat),
-             "made": lambda fs, opened: fs.lstat("/nowhere").st_ino}
-    got = {b.__name__: _outcomes(b, setup, verbs)
-           for b in (build_arkfs, build_cephfs, build_marfs)}
-    assert got["build_arkfs"]["open"] == got["build_arkfs"]["made"], got
-    if all(got[name] == {"open": "NotFound", "made": "NotFound"}
-           for name in ("build_cephfs", "build_marfs")):
-        raise DanglingCreateNotFound(got)
 
 
 class TestStatFS:
