@@ -201,6 +201,8 @@ class CephLikeClient(LeasedDataPath, VFSClient):
     def open(self, creds: Credentials, path: str, flags: OpenFlags,
              mode: int = 0o666) -> SimGen:
         parts = pathmod.split_path(path)
+        if not parts:
+            raise IsADirectory("/")
         now = self.sim.now
         # A final link is followed to its target's parent and name (O_CREAT
         # makes a dangling one's target), but O_CREAT|O_EXCL finds the link.

@@ -82,17 +82,18 @@ class Namespace:
             require_access(d.inode, creds, X_OK)
             ino = d.children.get(name)
             final = i == len(parts)
-            link = None if ino is None else self.nodes[ino].inode
-            if link is not None and link.is_symlink and (follow_final
-                                                          or not final):
+            if ino is None:
+                if final:
+                    return stack, name, None
+                raise NotFound(name)
+            inode = self.nodes[ino].inode
+            if inode.is_symlink and (follow_final or not final):
                 links += 1
-                parts, stack = follow_symlink(link.symlink_target, parts[i:],
+                parts, stack = follow_symlink(inode.symlink_target, parts[i:],
                                               stack, links)
                 i = 0
             elif final:
                 return stack, name, ino
-            elif ino is None:
-                raise NotFound(name)
             else:
                 self._dir(ino)
                 stack.append(ino)
