@@ -32,7 +32,7 @@ from repro.core.journal import _coalesce
 from repro.core.qos import QosClient
 from repro.core.sharded_client import ShardedClient
 from repro.objectstore.memory import InMemoryObjectStore
-from repro.posix import ROOT_CREDS, SyncFS
+from repro.posix import ROOT_CREDS, OpenFlags, SyncFS
 from repro.sim import Simulator
 
 KiB = 1024
@@ -403,6 +403,51 @@ def test_fsync_seals_before_the_tier_drain():
     assert client.pack.stats["packs_sealed"] == 1
     assert [k for k in cluster.store.tier_dirty_keys() if k[0] == "p"] == []
     assert fs.read_file("/a/f0") == b"\x09" * 40_000
+
+
+def _tiered_trio():
+    """Three clients over pack and tier, the tier ticker off: only an
+    fsync or a sync drains."""
+    params = _params(tier_enabled=True, tier_drain_interval=0)
+    sim, cluster = _build(n_clients=3, params=params)
+    fs = [SyncFS(c, ROOT_CREDS) for c in cluster.clients]
+    fs[0].mkdir("/a")
+    return sim, cluster, fs
+
+
+def _hand_off_crash_and_read(sim, cluster, fs, overwrite):
+    """c0 overwrites the head of /a/f0 without fsync; c1's read hands the
+    file off (c0 seals, commits and purges); c0 crashes and the hot tier
+    is lost; c2 reads the file once c0's leases are gone."""
+    with fs[0].open("/a/f0", OpenFlags.O_WRONLY) as f:
+        f.write(overwrite, 0)
+    fs[1].read_file("/a/f0")
+    cluster.client(0).crash()
+    cluster.store.lose_hot()
+    sim.run(until=sim.now + 2 * cluster.params.lease_period)
+    return fs[2].read_file("/a/f0")
+
+
+class HandOffPurgeLosesSyncedBytes(Exception):
+    """The file kept its synced size and the synced bytes past the
+    overwrite read as something else: ROADMAP 1(xv), and nothing else."""
+
+
+@pytest.mark.xfail(raises=HandOffPurgeLosesSyncedBytes, strict=True, reason=(
+    "a hand-off seal purges the durable plain object while the container "
+    "that replaces it is only staged hot (ROADMAP 1(xv))"))
+def test_hand_off_seal_keeps_synced_bytes_over_the_tier():
+    """A chunk synced as a plain object is packed at the hand-off: the
+    plain object may die only once its container is durable."""
+    sim, cluster, fs = _tiered_trio()
+    fs[0].write_file("/a/f0", b"\x01" * 200 * KiB, do_fsync=True)
+    fs[0].truncate("/a/f0", 60 * KiB)
+    sim.run_process(cluster.client(0).sync())
+    got = _hand_off_crash_and_read(sim, cluster, fs, b"\x02" * KiB)
+    assert len(got) == 60 * KiB
+    if got[KiB:] != b"\x01" * 59 * KiB:
+        raise HandOffPurgeLosesSyncedBytes(
+            f"bytes 1 KiB..60 KiB read as {sorted(set(got[KiB:]))}")
 
 
 def test_pack_shards_qos_client_is_all_three_layers():
