@@ -450,6 +450,26 @@ def test_hand_off_seal_keeps_synced_bytes_over_the_tier():
             f"bytes 1 KiB..60 KiB read as {sorted(set(got[KiB:]))}")
 
 
+class PlainWritebackLosesPackedBytes(Exception):
+    """The file read back as zeros where synced or handed-off bytes were:
+    ROADMAP 1(xvi), and nothing else."""
+
+
+@pytest.mark.xfail(raises=PlainWritebackLosesPackedBytes, strict=True,
+                   reason=(
+    "a plain writeback that supersedes a packed extent stages the d object "
+    "hot and deletes the extent durably (ROADMAP 1(xvi))"))
+def test_plain_writeback_keeps_packed_bytes_over_the_tier():
+    """A synced packed chunk outgrows the threshold at the hand-off: its
+    extent may die only once the plain object is durable."""
+    sim, cluster, fs = _tiered_trio()
+    fs[0].write_file("/a/f0", b"\x01" * 60 * KiB, do_fsync=True)
+    got = _hand_off_crash_and_read(sim, cluster, fs, b"\x02" * 200 * KiB)
+    if got[:60 * KiB] not in (b"\x01" * 60 * KiB, b"\x02" * 60 * KiB):
+        raise PlainWritebackLosesPackedBytes(
+            f"the first 60 KiB read as {sorted(set(got[:60 * KiB]))}")
+
+
 def test_pack_shards_qos_client_is_all_three_layers():
     """Packing is a layer over whichever client the other flags picked:
     with shards and QoS on, one class carries all three, over the packing
