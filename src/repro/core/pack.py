@@ -15,9 +15,9 @@ on the index object otherwise.
 
 Seal protocol (crash safety — each step is durable before the next):
 
-1. PUT the container object ``p<pack-id>`` (the durability milestone:
-   a crash before this loses only unfsynced data, exactly like losing the
-   dirty cache);
+1. PUT the container object ``p<pack-id>`` (the durability milestone,
+   over a tiered store too, which writes containers through to cold: a
+   crash before this loses only unfsynced data, like the dirty cache);
 2. commit the extent-index deltas (journal commit or direct RMW) — a crash
    between 1 and 2 leaves a *dangling container*: unreferenced garbage
    that fsck reports as a post-crash warning and reclaim deletes;
@@ -503,13 +503,9 @@ class PackedCache(DataObjectCache):
             yield from self.pack.seal()
 
     def flush_many(self, inos) -> SimGen:
-        """fsync: seal what the writebacks appended, then drain the tier."""
-        pairs = yield from self._collect_dirty(inos)
-        yield from self._writeback_many(pairs)
+        """fsync: the base flush, then seal what its writebacks appended."""
+        yield from super().flush_many(inos)
         yield from self.pack.flush_inos(inos)
-        drain = getattr(self.prt.store, "tier_drain_all", None)
-        if drain is not None:
-            yield from drain(src=self.node)
 
     def invalidate_many(self, inos, flush_dirty: bool = True,
                         deleted: bool = False) -> SimGen:

@@ -494,8 +494,8 @@ def _wl_all_on() -> Workload:
     tiering and QoS, each configured as in its own workload.
 
     Eight fsync'd creates cross the split threshold while the QoS buckets
-    throttle them and their bytes go into pack containers staged in the
-    hot tier. Unsynced writes, an unlink and an intra-directory rename
+    throttle them and their bytes go into pack containers written through
+    the tier. Unsynced writes, an unlink and an intra-directory rename
     follow; the advance steps let the seal, drain, demotion and
     compaction fire. The engine loses the hot tier with the victim."""
     files = {f"/x/f{i}": bytes([104 + i]) * (14_000 + 1_100 * i)

@@ -85,9 +85,16 @@ def _bug_tier_drain_reorder(cluster) -> None:
     store._drain_cold_put = reordered
 
 
+def _bug_staged_container(cluster) -> None:
+    """The tier stages pack containers hot: a seal's PUT returns with its
+    container hot-only, and a crash that loses the hot tier loses it."""
+    cluster.store._staged = lambda key: key[:1] in ("d", "p")
+
+
 SEEDED_BUGS: Dict[str, Callable] = {
     "lost-commit": _bug_lost_commit,
     "pretend-fsync": _bug_pretend_fsync,
     "fence-blind": _bug_fence_blind,
     "tier-drain-reorder": _bug_tier_drain_reorder,
+    "staged-container": _bug_staged_container,
 }

@@ -4,20 +4,20 @@ Fronts a cold, capacity-class store (S3 profile) with a small fast tier
 (RADOS profile), the Objcache shape: an elastic staging layer between fast
 local storage and cold external persistent storage.
 
-* **Write-back staging** — data-plane objects (``d`` chunks and ``p`` pack
-  containers) land in the hot tier only and are marked dirty; a background
-  drain pushes them to cold in batches. Dirty bytes are bounded
-  (``tier_dirty_max``): a writer that would exceed the bound waits for the
-  drain, never for demotion. Metadata-plane objects (inodes, dentries,
-  journal records, 2PC decisions, shard maps, extent indices) are written
-  **through**: hot and cold in parallel, durable at cold before the PUT
-  returns, so the journaling/commit protocol keeps its durability contract
-  unchanged.
+* **Write-back staging** — plain data objects (``d`` chunks) land in the
+  hot tier only and are marked dirty; a background drain pushes them to
+  cold in batches. Dirty bytes are bounded (``tier_dirty_max``): a writer
+  that would exceed the bound waits for the drain, never for demotion.
+  Everything else (inodes, dentries, journal records, 2PC decisions,
+  shard maps, extent indices, and the ``p`` pack containers an extent
+  index names) is written **through**: hot and cold in parallel, durable
+  at cold before the PUT returns, so the journal commit and the pack seal
+  keep their durability contracts unchanged.
 * **Demand promotion** — reads probe the hot tier first; on miss the object
   is served from cold and, when no larger than ``tier_promote_max``,
-  promoted (copied hot, clean) in the background. Ranged GETs (pack
-  container reads) are served as range-sized cold GETs and never promote
-  the whole container.
+  promoted (copied hot, clean) in the background. A ranged GET (a pack
+  extent) is served hot while its written-through container is resident,
+  else as a range-sized cold GET that never promotes the container.
 * **Lifecycle demotion** — when resident hot bytes exceed
   ``tier_high_watermark * tier_hot_capacity``, clean objects are evicted in
   LRU order down to the low watermark. Dirty objects are never evicted
@@ -53,11 +53,7 @@ from ..sim.resources import Mutex
 from .base import ObjectStore
 from .errors import NoSuchKey
 
-__all__ = ["TieredObjectStore", "STAGED_KINDS"]
-
-#: Key kinds that are write-back staged (data plane). Everything else is
-#: written through to cold synchronously (metadata/journal plane).
-STAGED_KINDS = frozenset(("d", "p"))
+__all__ = ["TieredObjectStore"]
 
 
 class TieredObjectStore(ObjectStore):
@@ -135,7 +131,7 @@ class TieredObjectStore(ObjectStore):
 
     @staticmethod
     def _staged(key: str) -> bool:
-        return key[:1] in STAGED_KINDS
+        return key[:1] == "d"
 
     def _touch(self, key: str) -> None:
         self._resident.move_to_end(key)

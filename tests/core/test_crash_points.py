@@ -26,27 +26,7 @@ from repro.faults.crashcheck import (
 # Victim store ops, hence crash points, per workload.
 POINTS = {"mkdir": 61, "checkpoint": 32, "rename": 223, "pack": 93,
           "shard_split": 90, "epoch_handoff": 30, "tier_drain": 109,
-          "qos_backlog": 60, "all_on": 234}
-
-
-class KnownViolation(Exception):
-    """The sweep found exactly the violations a recorded, unfixed bug
-    produces, and nothing else. Not an ``AssertionError``, so an expected
-    failure on it absorbs no other finding."""
-
-
-# Pack compaction over the tier: the compactor commits a file's extent
-# move to a fresh container that is still only staged in the hot tier,
-# then deletes the old one. A crash there loses the hot tier, and with it
-# the only copy of f9's synced bytes (ROADMAP 1(ix)).
-KNOWN = {"all_on": [
-    (k, "durability of completed step 'sync-1' broken: "
-        "/x/f9 holds 23900 bytes != expected") for k in (233, 234)]}
-SWEPT = [pytest.param(name, marks=pytest.mark.xfail(
-             raises=KnownViolation, strict=True,
-             reason="compaction publishes an undrained container "
-                    "(ROADMAP 1(ix))"))
-         if name in KNOWN else name for name in sorted(WORKLOADS)]
+          "qos_backlog": 60, "all_on": 226}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -112,7 +92,7 @@ def test_bounded_sweep_no_violations(name, stride):
     assert report.audited_commits > 0
 
 
-@pytest.mark.parametrize("name", SWEPT)
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_exhaustive_sweep(name):
     report = sweep(name)
     assert report.total_ops == len(report.points) == POINTS[name]
@@ -122,9 +102,6 @@ def test_exhaustive_sweep(name):
     # deposes managers: each build is fenced, so each commit was compared
     # against the highest token granted.
     assert report.audited_commits > 0
-    if report.profile_failure is None and \
-            report.violations == KNOWN.get(name):
-        raise KnownViolation(report.summary())
     assert report.ok, report.summary()
 
 
@@ -171,6 +148,12 @@ CAUGHT = {
     "tier-drain-reorder": ("tier_drain", 7, False,
                            "crash@8: durability of completed step "
                            "'fsync:f0' broken"),
+    # The tier stages pack containers: an fsync's seal PUT returns with
+    # the container hot-only, so only a crash that also wipes the hot
+    # tier loses it (ROADMAP 1(ix), 1(xv)).
+    "staged-container": ("all_on", 24, False,
+                         "crash@25: durability of completed step "
+                         "'fsync:f0' broken"),
 }
 
 

@@ -389,19 +389,27 @@ def test_restarted_writer_seals_into_the_new_journal():
     assert report.clean, report.summary()
 
 
-def test_fsync_seals_before_the_tier_drain():
-    """fsync with pack and tier both on: the container the writeback
-    appended to is sealed before the fsync's drain, so nothing packed is
-    left hot-only (the tier ticker is off: only fsync drains)."""
+def test_fsync_never_stages_a_container():
+    """fsync with pack and tier both on: the tier writes the container
+    the seal PUTs through to cold, so no ``p`` key is ever dirty (the
+    tier ticker is off: only fsync drains)."""
     params = _params(tier_enabled=True, tier_drain_interval=0,
                      pack_seal_age=30.0)
     sim, cluster = _build(params=params)
+    staged = []
+    note_staged = cluster.store._note_staged
+
+    def spy(key, size):
+        staged.append(key)
+        note_staged(key, size)
+
+    cluster.store._note_staged = spy
     client = cluster.client(0)
     fs = SyncFS(client, ROOT_CREDS)
     fs.mkdir("/a")
     fs.write_file("/a/f0", b"\x09" * 40_000, do_fsync=True)
     assert client.pack.stats["packs_sealed"] == 1
-    assert [k for k in cluster.store.tier_dirty_keys() if k[0] == "p"] == []
+    assert [k for k in staged if k[0] == "p"] == []
     assert fs.read_file("/a/f0") == b"\x09" * 40_000
 
 
@@ -428,26 +436,17 @@ def _hand_off_crash_and_read(sim, cluster, fs, overwrite):
     return fs[2].read_file("/a/f0")
 
 
-class HandOffPurgeLosesSyncedBytes(Exception):
-    """The file kept its synced size and the synced bytes past the
-    overwrite read as something else: ROADMAP 1(xv), and nothing else."""
-
-
-@pytest.mark.xfail(raises=HandOffPurgeLosesSyncedBytes, strict=True, reason=(
-    "a hand-off seal purges the durable plain object while the container "
-    "that replaces it is only staged hot (ROADMAP 1(xv))"))
 def test_hand_off_seal_keeps_synced_bytes_over_the_tier():
     """A chunk synced as a plain object is packed at the hand-off: the
-    plain object may die only once its container is durable."""
+    plain object may die only once its container is durable, which the
+    tier makes it before the container PUT returns (ROADMAP 1(xv))."""
     sim, cluster, fs = _tiered_trio()
     fs[0].write_file("/a/f0", b"\x01" * 200 * KiB, do_fsync=True)
     fs[0].truncate("/a/f0", 60 * KiB)
     sim.run_process(cluster.client(0).sync())
     got = _hand_off_crash_and_read(sim, cluster, fs, b"\x02" * KiB)
     assert len(got) == 60 * KiB
-    if got[KiB:] != b"\x01" * 59 * KiB:
-        raise HandOffPurgeLosesSyncedBytes(
-            f"bytes 1 KiB..60 KiB read as {sorted(set(got[KiB:]))}")
+    assert got[KiB:] == b"\x01" * 59 * KiB
 
 
 class PlainWritebackLosesPackedBytes(Exception):
