@@ -13,6 +13,7 @@ number (``python -m repro.bench io500``).
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Dict, Sequence
 
@@ -26,14 +27,8 @@ GiB = 1024 ** 3
 
 
 def _geomean(vals: Sequence[float]) -> float:
-    """Geometric mean of positive values (0.0 for none). numpy is
-    imported here so that importing the benchmark package does not load
-    it."""
-    if not vals:
-        return 0.0
-    import numpy as np
-
-    return float(np.exp(np.mean(np.log(vals))))
+    """Geometric mean of positive values (0.0 for none)."""
+    return statistics.geometric_mean(vals) if vals else 0.0
 
 
 @dataclass

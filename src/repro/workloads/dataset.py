@@ -10,6 +10,7 @@ archive/extract round trips are verifiable.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import List
 
@@ -49,21 +50,18 @@ def mscoco_like(n_images: int = 41_000, seed: int = 0,
                 mean_kb: float = 170.0) -> SyntheticDataset:
     """Generate an MS-COCO-shaped dataset (sizes tens–hundreds of KB).
 
-    Sizes are drawn log-normally in one vectorized numpy pass (41K sizes in
-    a Python loop is measurable at full scale) and clamped to the
-    10 KB .. 600 KB band MS-COCO spans. numpy is imported here, not at
-    module level: only this draw needs it, so the rest of the model loads
-    without it.
+    Sizes are drawn log-normally, one draw per image in image order, and
+    clamped to the 10 KB .. 600 KB band MS-COCO spans. The draw uses the
+    standard library's ``random.Random``, so the model imports no
+    third-party package.
     """
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    raw = rng.lognormal(mean=0.0, sigma=0.6, size=n_images)
-    sizes = np.clip((raw * mean_kb * 1024).astype(np.int64),
-                    10 * 1024, 600 * 1024)
+    rng = random.Random(seed)
+    lo, hi = 10 * 1024, 600 * 1024
     images = [
-        ImageSpec(name=f"{i:012d}.jpg", size=int(size),
+        ImageSpec(name=f"{i:012d}.jpg",
+                  size=min(max(int(rng.lognormvariate(0.0, 0.6)
+                                   * mean_kb * 1024), lo), hi),
                   category=CATEGORIES[i % len(CATEGORIES)])
-        for i, size in enumerate(sizes)
+        for i in range(n_images)
     ]
     return SyntheticDataset(images)

@@ -4,6 +4,7 @@ and the report renderers produce sane text."""
 import pytest
 
 from repro.bench import FS_KINDS, NET_50G, SMALL, build
+from repro.bench.io500 import _geomean
 from repro.bench.report import format_series, format_speedups, format_table
 from repro.posix import OpenFlags, ROOT_CREDS
 from repro.sim import Simulator
@@ -64,6 +65,14 @@ def test_no_pcache_configuration():
     sim = Simulator()
     cluster, _m = build("arkfs-no-pcache", sim, n_clients=1)
     assert not cluster.params.permission_cache
+
+
+def test_io500_geomean():
+    """IO500's score average: 0.0 with no phases, else the geometric mean."""
+    assert _geomean([]) == 0.0
+    assert _geomean([2.0, 8.0]) == 4.0
+    # exp(log(5.0)) is one ulp below 5.0.
+    assert _geomean([5.0]) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_cephfs_k16_has_16_mds():
