@@ -624,8 +624,9 @@ class DataObjectCache:
         Dirty entries go through the same batched writeback the eviction
         path uses — a lease revocation of a heavily written file must not
         serialize one PUT per entry. ``deleted`` marks a revocation that
-        precedes an unlink purge: a packing cache then retires the file's
-        extents instead of publishing them."""
+        precedes an unlink purge: a packing cache then drops the file's
+        buffered chunks instead of sealing them (the extents it already
+        sealed die at the purge, which tells their sealer)."""
         return self.invalidate_many([ino], flush_dirty=flush_dirty,
                                     deleted=deleted)
 

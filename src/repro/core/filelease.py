@@ -50,8 +50,8 @@ class FileLeaseService:
     client: it flushes + invalidates the holder's cache for ``ino``
     (locally for the leader itself, by RPC for remote holders).
     ``deleted`` tells the holder the file is being unlinked rather than
-    handed off, so its pack layer retires the extents instead of
-    publishing them.
+    handed off, so its pack layer drops the buffered chunks instead of
+    sealing them.
     """
 
     def __init__(self, sim: Simulator, lease_period: float,

@@ -211,10 +211,6 @@ class LeaderOps:
         return {"inode": inode.to_dict(), "lease": lease, "created": created,
                 "leader": self.name}
 
-    def _purge_file_data(self, ino: int) -> SimGen:
-        """Delete a dead file's backing objects."""
-        return self.prt.delete_data(ino, src=self.node)
-
     # -- unlink -----------------------------------------------------------------------------
 
     def _op_unlink(self, creds: Credentials, dir_ino: int, name: str,
@@ -238,7 +234,7 @@ class LeaderOps:
             yield from self.fleases.revoke_holders(dentry.ino, deleted=True)
             # Data objects are purged asynchronously (UUID inode numbers mean
             # a re-created name can never collide with the dying objects).
-            self.sim.process(self._purge_file_data(dentry.ino),
+            self.sim.process(self.prt.delete_data(dentry.ino, src=self.node),
                              name=f"purge:{dentry.ino:x}")
         self.fleases.forget_file(dentry.ino)
         return dentry.ino
@@ -480,7 +476,7 @@ class LeaderOps:
         self.journal.record(dir_ino, *ops)
         if inode is not None and inode.ftype is FileType.REGULAR and inode.size:
             yield from self.fleases.revoke_holders(dentry.ino, deleted=True)
-            yield from self._purge_file_data(dentry.ino)
+            yield from self.prt.delete_data(dentry.ino, src=self.node)
         else:
             yield self.sim.timeout(0)
         self.fleases.forget_file(dentry.ino)

@@ -25,11 +25,12 @@ Seal protocol (crash safety — each step is durable before the next):
    crash between 2 and 3 leaves both copies, and reads stay correct
    because the extent index *wins* over a plain object for the same chunk.
 
-Deletes and overwrites punch holes logically: per-container live-byte
-accounting feeds a background compactor that rewrites containers whose
-live ratio drops below ``pack_compact_live_ratio`` (re-appending the live
-extents into the open buffer, then purging the old container), so space
-reclamation costs bounded, amortised I/O.
+Deletes and overwrites punch holes logically: the index write that drops
+an extent tells the container's sealer, whose live-byte accounting feeds
+a background compactor that rewrites containers whose live ratio drops
+below ``pack_compact_live_ratio`` (re-appending the live extents into the
+open buffer, then purging the old container), so space reclamation costs
+bounded, amortised I/O.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
 from ..sim.engine import Interrupt, SimGen, Simulator
-from ..sim.network import Node
+from ..sim.network import Node, NodeDown
 from ..sim.resources import Mutex
 from .cache import CacheEntry, DataObjectCache
 from .journal import (JournalManager, ops_clear_extents, ops_del_extents,
@@ -100,13 +101,10 @@ class PackWriter:
         # Containers sealed while their PUT is still in flight stay
         # readable from memory (the extent map already points at them).
         self._sealing_bufs: Dict[str, bytes] = {}
-        # Live-byte accounting for containers this client sealed. Deaths
-        # are reported from several overlapping sources (the holder's
-        # revoke-for-delete, the leader's purge reading the stored index,
-        # truncate, overwrite), so the ledger is keyed by (ino, chunk) and
-        # a death is counted exactly once: a second report of the same
-        # chunk is a no-op, never a double decrement (which could drive
-        # live to zero and purge a container that still has live bytes).
+        # Live-byte accounting for containers this client sealed, fed by
+        # ``arkfs.pack_dead``. Keyed by (ino, chunk), so a death counts
+        # exactly once: a replayed index write's second report is a no-op,
+        # never a double decrement that could purge a live container.
         self._live_total: Dict[str, int] = {}    # pack id -> container size
         self._live_exts: Dict[str, Dict[Tuple[int, int], int]] = {}
 
@@ -123,10 +121,10 @@ class PackWriter:
 
     def note_dead(self, ino: int, index: int, pack_id: str,
                   keep: int = 0) -> None:
-        """Mark a chunk's container bytes dead (an overwrite, unlink or
-        truncate killed it), exactly once. ``keep`` leaves that many bytes
-        live (truncate trimming a boundary chunk). Containers this client
-        didn't seal are ignored — each client reclaims only its own."""
+        """Mark a chunk's container bytes dead (an index write or an unlink
+        purge removed it), exactly once. ``keep`` leaves that many bytes
+        live (truncate trimming a boundary chunk). Containers this ledger
+        lacks (a previous life's, or reclaimed) are ignored."""
         live = self._live_exts.get(pack_id)
         if live is None:
             return
@@ -151,18 +149,6 @@ class PackWriter:
             # Same chunk rewritten while still buffered: the old segment
             # becomes dead weight in the log.
             self._c["dead_bytes"].inc(old[1])
-        else:
-            ext = self._extents.get(ino, {}).get(index)
-            if ext is not None:
-                # sealed copy superseded by this rewrite
-                self.note_dead(ino, index, ext.pack)
-            elif ino not in self._index_loaded:
-                # The mirror was forgotten (a lease hand-off, e.g. a
-                # directory split): a container we sealed may still count
-                # the superseded copy live.
-                for pack_id, live in self._live_exts.items():
-                    if key in live:
-                        self.note_dead(ino, index, pack_id)
         off = len(self._buf)
         self._buf += data
         self._pending[key] = (off, len(data))
@@ -184,10 +170,8 @@ class PackWriter:
         if seg is not None:
             self._c["dead_bytes"].inc(seg[1])
             self._had_plain.discard(key)
-        ext = self._extents.get(ino, {}).pop(index, None)
-        if ext is not None:
-            self.note_dead(ino, index, ext.pack)
-        elif ino in self._index_loaded:
+        if (self._extents.get(ino, {}).pop(index, None) is None
+                and ino in self._index_loaded):
             return  # index known, chunk was never packed: nothing to drop
         # Else the stored index may hold an entry we never loaded: the
         # delta below handles both cases (deleting a missing one is a no-op).
@@ -200,24 +184,15 @@ class PackWriter:
                     ino, del_list=[index], src=self.node),
                 name=f"xdel:{ino:x}:{index}")
 
-    def drop_inos(self, inos, killed: bool = False) -> None:
+    def drop_inos(self, inos) -> None:
         """The caller is discarding these files' cached data unflushed:
         buffered segments become dead weight, memory extent mirrors are
-        forgotten. After a lease lapse the files still exist — their
-        *sealed* extents stay live. ``killed`` files are being deleted
-        (unlink/overwrite revocation): every sealed extent this client
-        knows of dies too. This is what lets the sealer's reclaim see
-        deaths whose index deltas still sit in a journal (the stored index
-        — all the unlinking leader can read — lags until checkpoint, and
-        the unlink's clear op means those entries never surface there)."""
+        forgotten. Their *sealed* extents die only by an index write or
+        the unlink purge, which tell the sealer."""
         for key in [k for k in self._pending if k[0] in inos]:
             _off, ln = self._pending.pop(key)
             self._c["dead_bytes"].inc(ln)
             self._had_plain.discard(key)
-        if killed:
-            for ino in inos:
-                for idx, ext in self._extents.get(ino, {}).items():
-                    self.note_dead(ino, idx, ext.pack)
         self.forget(inos)
 
     def forget(self, inos) -> None:
@@ -240,7 +215,7 @@ class PackWriter:
         """Atomically (no yields) close the open buffer and mirror its
         chunks as sealed extents, so reads stay served during the seal."""
         self._seq += 1
-        pack_id = f"{self.client_name}-{self._seq:08d}"
+        pack_id = f"{self.client_name}-{self._seq:08d}"   # names the sealer
         data = bytes(self._buf)
         pending = self._pending
         had_plain = self._had_plain
@@ -515,7 +490,7 @@ class PackedCache(DataObjectCache):
             # out so the next lease holder reads our bytes.
             yield from self.pack.publish(inos)
         else:
-            self.pack.drop_inos(inos, killed=deleted)
+            self.pack.drop_inos(inos)
 
     def discard(self, inos) -> None:
         super().discard(inos)
@@ -526,9 +501,20 @@ class PackedCache(DataObjectCache):
         self.pack.discard()
 
 
+def _tell_sealer(src: Node, sealer: str, deaths) -> SimGen:
+    """One ``arkfs.pack_dead`` notice, dropped if the sealer is down: its
+    ledger died with its memory (a previous client life's leak)."""
+    try:
+        yield from src.call(src.net.nodes[sealer], "arkfs.pack_dead", deaths)
+    except NodeDown:
+        pass
+
+
 class PackedPRT(PRT):
-    """The PRT of a packing cluster: the DIRECT data path and deletion see
-    each file's extent index."""
+    """The PRT of a packing cluster: the DIRECT data path, truncate and
+    deletion see each file's extent index, and an extent dies only by its
+    index write (:meth:`apply_extent_delta`) or its file's purge
+    (:meth:`delete_data`), which tell the container's sealer."""
 
     def read_data(self, ino: int, offset: int, length: int, file_size: int,
                   src: Optional[Node] = None) -> SimGen:
@@ -550,33 +536,82 @@ class PackedPRT(PRT):
             yield from self.apply_extent_delta(ino, del_list=unpacked,
                                                src=src)
 
-    def delete_data(self, ino: int, src: Optional[Node] = None) -> SimGen:
-        return super().delete_data(ino, src, also=[self.key_extent_index(ino)])
-
-    def truncate_extents(self, ino: int, new_size: int,
-                         src: Optional[Node] = None) -> SimGen:
-        """Drop extents past the new EOF, shorten the boundary one; returns
-        the ``(chunk index, old extent, kept bytes)`` the truncate killed."""
+    def truncate_data(self, ino: int, old_size: int, new_size: int,
+                      src: Optional[Node] = None) -> SimGen:
+        """Extents past the new EOF go and the boundary one shortens, then
+        the plain objects do."""
         cur = yield from self.read_extent_index(ino, src=src)
         bidx, kept = divmod(new_size, self.data_object_size)
-        first_dead = bidx + (kept > 0)
-        killed = [(idx, ext, 0) for idx, ext in cur.items()
-                  if idx >= first_dead]
         ext = cur.get(bidx)
-        if kept and ext is not None and ext.length > kept:
-            killed.append((bidx, ext, kept))
-        if killed:
-            yield from self.apply_extent_delta(
-                ino, del_list=[idx for idx, _ext, keep in killed if not keep],
-                set_map={idx: PackExtent(e.pack, e.offset, keep)
-                         for idx, e, keep in killed if keep}, src=src)
-        return killed
+        trim = ({bidx: ext._replace(length=kept)}
+                if kept and ext and ext.length > kept else {})
+        dead = [idx for idx in cur if idx >= bidx + (kept > 0)]
+        if dead or trim:
+            yield from self.apply_extent_delta(ino, trim, dead, src=src)
+        yield from super().truncate_data(ino, old_size, new_size, src)
+
+    def delete_data(self, ino: int, src: Optional[Node] = None) -> SimGen:
+        """The stored index, read before the purge, names what dies."""
+        old = yield from self.read_extent_index(ino, src=src)
+        n = yield from super().delete_data(
+            ino, src, also=[self.key_extent_index(ino)])
+        self._report_deaths(ino, old, {}, src)
+        return n
+
+    def apply_extent_delta(self, ino: int,
+                           set_map: Optional[Dict[int, PackExtent]] = None,
+                           del_list=(), clear: bool = False,
+                           src: Optional[Node] = None) -> SimGen:
+        """Idempotent read-modify-write on a file's extent index.
+
+        ``clear`` drops the whole index first, then ``del_list`` entries
+        are removed and ``set_map`` entries installed; the index object is
+        deleted when it ends empty. Replaying the same delta is a no-op,
+        which is what lets these ride the journal's redo log: a replay
+        finds nothing left to kill, so it reports no death twice."""
+        key = self.key_extent_index(ino)
+        old = yield from self.read_extent_index(ino, src=src)
+        cur = {} if clear else dict(old)
+        for idx in del_list:
+            cur.pop(int(idx), None)
+        for idx, ext in (set_map or {}).items():
+            cur[int(idx)] = PackExtent(*ext)
+        if cur:
+            yield from self.store.put(key, self.dump_extent_index(cur),
+                                      src=src)
+        else:
+            try:
+                yield from self.store.delete(key, src=src)
+            except NoSuchKey:
+                pass
+        self._report_deaths(ino, old, cur, src)
+        return cur
+
+    def _report_deaths(self, ino: int, old: Dict[int, PackExtent],
+                       new: Dict[int, PackExtent],
+                       src: Optional[Node]) -> None:
+        """Tell each sealer which of its extents the index write from
+        ``old`` to ``new`` removed or shortened (keeping the new length),
+        in one notice per sealer that nothing waits on."""
+        if src is None:
+            return   # a bare PRT, with no client node, tells nobody
+        deaths: Dict[str, list] = {}
+        for idx, ext in old.items():
+            now = new.get(idx)
+            if now != ext:
+                keep = now.length if now and now[:2] == ext[:2] else 0
+                sealer = ext.pack.rpartition("-")[0]   # <client>-<seq>
+                deaths.setdefault(sealer, []).append(
+                    (ino, idx, ext.pack, keep))
+        for sealer in sorted(deaths):
+            self.sim.process(_tell_sealer(src, sealer, deaths[sealer]),
+                             name="pack_dead")
 
 
 class PackClient:
     """The pack layer ``build_arkfs`` composes (:func:`pack_layer`) over
-    either client class: it owns the writer and tells it each opened file's
-    directory and the extents a truncate or an unlink kills."""
+    either client class: it owns the writer, tells it each opened file's
+    directory, and hands it the deaths of the containers it sealed."""
 
     # Without this a committed-but-uncheckpointed extent set in the same
     # journal would recreate the index after the unlink's purge.
@@ -585,7 +620,15 @@ class PackClient:
     def _new_cache(self, *args: Any, **kwargs: Any) -> PackedCache:
         self.pack = PackWriter(self.sim, self.prt, self.journal, self.node,
                                self.params, self.name, self._leads_dir)
+        self.node.register("arkfs.pack_dead", self._h_pack_dead)
         return PackedCache(*args, pack=self.pack, **kwargs)
+
+    def _h_pack_dead(self, deaths) -> SimGen:
+        """An index write or a purge on some node removed extents of
+        containers we sealed."""
+        for ino, idx, pack_id, keep in deaths:
+            self.pack.note_dead(ino, idx, pack_id, keep)
+        yield from ()
 
     def _restart_layers(self) -> None:
         super()._restart_layers()
@@ -595,23 +638,6 @@ class PackClient:
         handle = yield from super().open(creds, path, flags, mode)
         self.pack.note_file_dir(handle.ino, handle.impl.parent_ino)
         return handle
-
-    def _truncate_file_data(self, ino: int, old_size: int,
-                            new_size: int) -> SimGen:
-        yield from self.fleases.revoke_holders(ino)
-        killed = yield from self.prt.truncate_extents(ino, new_size,
-                                                      src=self.node)
-        for idx, ext, keep in killed:
-            self.pack.note_dead(ino, idx, ext.pack, keep=keep)
-        yield from self.prt.truncate_data(ino, old_size, new_size,
-                                          src=self.node)
-
-    def _purge_file_data(self, ino: int) -> SimGen:
-        # The stored index, read before the purge, names what dies.
-        exts = yield from self.prt.read_extent_index(ino, src=self.node)
-        for idx, ext in exts.items():
-            self.pack.note_dead(ino, idx, ext.pack)
-        yield from super()._purge_file_data(ino)
 
 
 @lru_cache(maxsize=None)

@@ -344,30 +344,3 @@ class PRT:
             return b""
         return (yield from self.store.get_range(
             self.key_pack(ext.pack), ext.offset + off, n, src=src))
-
-    def apply_extent_delta(self, ino: int,
-                           set_map: Optional[Dict[int, PackExtent]] = None,
-                           del_list=(), clear: bool = False,
-                           src: Optional[Node] = None) -> SimGen:
-        """Idempotent read-modify-write on a file's extent index.
-
-        ``clear`` drops the whole index first, then ``del_list`` entries
-        are removed and ``set_map`` entries installed; the index object is
-        deleted when it ends empty. Replaying the same delta is a no-op,
-        which is what lets these ride the journal's redo log."""
-        key = self.key_extent_index(ino)
-        cur = ({} if clear
-               else (yield from self.read_extent_index(ino, src=src)))
-        for idx in del_list:
-            cur.pop(int(idx), None)
-        for idx, ext in (set_map or {}).items():
-            cur[int(idx)] = PackExtent(*ext)
-        if cur:
-            yield from self.store.put(key, self.dump_extent_index(cur),
-                                      src=src)
-        else:
-            try:
-                yield from self.store.delete(key, src=src)
-            except NoSuchKey:
-                pass
-        return cur

@@ -255,3 +255,26 @@ class TestSharing:
         h.write(b"123456")
         h.close()
         assert fs2.stat("/grow.txt").st_size == 6
+
+
+class StaleWriteGrantRead(Exception):
+    """The other client read the bytes from before a closed write: ROADMAP
+    1(xvii), and nothing else."""
+
+
+@pytest.mark.xfail(raises=StaleWriteGrantRead, strict=True, reason=(
+    "a handle keeps its WRITE grant after another client's read lease "
+    "demotes it, so its next write is cached, not DIRECT (ROADMAP 1(xvii))"))
+def test_a_demoted_writer_handle_writes_direct(fs, fs2):
+    fs.write_file("/c.txt", b"old!", do_fsync=True)
+    h1 = fs.open("/c.txt", OpenFlags.O_RDWR)   # keeps client0's WRITE
+    h2 = fs2.open("/c.txt", OpenFlags.O_RDWR)  # demotes client0 to READ
+    h1.read(4)
+    h2.read(4)
+    h1.write(b"NEW!", offset=0)
+    h1.close()
+    h2.close()
+    got = fs2.read_file("/c.txt")
+    if got == b"old!":
+        raise StaleWriteGrantRead("client1 read b'old!' after the close")
+    assert got == b"NEW!"

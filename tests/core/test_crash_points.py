@@ -24,9 +24,9 @@ from repro.faults.crashcheck import (
 )
 
 # Victim store ops, hence crash points, per workload.
-POINTS = {"mkdir": 61, "checkpoint": 32, "rename": 223, "pack": 93,
+POINTS = {"mkdir": 61, "checkpoint": 32, "rename": 223, "pack": 95,
           "shard_split": 90, "epoch_handoff": 30, "tier_drain": 109,
-          "qos_backlog": 60, "all_on": 226}
+          "qos_backlog": 60, "all_on": 227}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -19,7 +19,6 @@ Two generators feed the same checker:
 
 import os
 import random
-import re
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -319,9 +318,6 @@ def run_sequence(ops, params=DEFAULT_PARAMS):
         sim.run_process(client.sync())
     sim.run(until=sim.now + 3)
     report = sim.run_process(fsck(cluster.prt))
-    if report.errors and all(_ORPHAN_CONTAINER.fullmatch(e)
-                             for e in report.errors):
-        raise PackContainerLeak(report.summary())
     assert report.clean, report.summary()
     return cluster
 
@@ -371,16 +367,6 @@ def test_stale_dentry_does_not_mkdir_in_a_removed_directory():
     if code == "ok":
         raise RemovedDirMkdirOk("client 1 made /d0/sub in the removed /d0")
     assert code == "ENOENT"
-
-
-class PackContainerLeak(Exception):
-    """Every op and the final namespace agreed with the oracle, and the
-    strict fsck's only errors are containers nobody references: ROADMAP
-    1(vii), and nothing else. Not an ``AssertionError``, so an expected
-    failure on it absorbs no other mismatch."""
-
-
-_ORPHAN_CONTAINER = re.compile(r"container \S+ has no referenced extents")
 
 
 def _split_happened(cluster) -> bool:
@@ -460,21 +446,7 @@ def test_seeded_random_sequences_sharded(seed):
 # (six pairs and all four together) plus pack and tier alone, which no
 # other seeded mode runs. Its parameters, except a split threshold low
 # enough for these small directories to split.
-#
-# Every row with pack fails the strict fsck: a container whose extents all
-# died at the hands of the *other* client is never purged ("container ...
-# has no referenced extents"), because only the sealing client keeps its
-# live ledger. One client alone, or 30 s more settling, does not change it.
-# The expected failure is that and only that (``PackContainerLeak``), so
-# the pack rows still guard every per-op and namespace check.
-# Reproduce (strict xfail; ROADMAP 1(vii)):
-#   REPRO_SEED=1 pytest tests/core/test_model_based.py -k "flags and pack"
-PACK_GC_LEAK = pytest.mark.xfail(
-    raises=PackContainerLeak, strict=True,
-    reason="cross-client pack container GC: a container whose extents "
-           "another client killed is never purged (ROADMAP 1(vii))")
-LATTICE_ROWS = [pytest.param(row, marks=PACK_GC_LEAK) if "pack" in row
-                else row for row in [*ROWS, ("pack",), ("tier",)]]
+LATTICE_ROWS = [*ROWS, ("pack",), ("tier",)]
 
 
 def _lattice_params(flags):

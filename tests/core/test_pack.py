@@ -234,6 +234,111 @@ def test_overwrite_after_split_purges_the_old_container():
     assert report.clean, report.summary()
 
 
+# Every way an extent dies, by either client, with the sealer leading the
+# directory or not: the death must reach the sealer, whose ticker then
+# purges the container. The pack id names the sealer, so a report that
+# stays with the applying client leaks a container the other one sealed.
+DEATH_KINDS = ("overwrite", "grow", "truncate", "unlink", "o_trunc")
+DEATH_ROWS = [(kind, leads, killer) for kind in DEATH_KINDS
+              for leads in ("sealer_leads", "other_leads")
+              for killer in ("by_sealer", "by_other")]
+DEATH_ROWS += [("direct", "sealer_leads", killer)
+               for killer in ("by_sealer", "by_other")]
+
+
+def _kill_extent(kind, leads, killer):
+    """client0 seals /a/f alone in one container, then ``killer`` kills
+    its extent. Returns the checks that failed after settling: the bytes
+    both clients read, a strict fsck, and the sealer's purge count."""
+    sim, cluster = _build(n_clients=2)
+    c0 = cluster.client(0)
+    fs = [SyncFS(c, ROOT_CREDS) for c in cluster.clients]
+    lead = fs[0] if leads == "sealer_leads" else fs[1]
+    lead.mkdir("/a")
+    lead.write_file("/a/lead", b"")       # takes /a's lease
+    old = b"\x01" * 60 * KiB
+    fs[0].write_file("/a/f", old, do_fsync=True)
+    assert c0._leads_dir(fs[0].stat("/a").st_ino) == (lead is fs[0])
+    _settle(sim, cluster)
+    purged = c0.pack.stats["containers_purged"]
+    k = fs[0] if killer == "by_sealer" else fs[1]
+    if kind == "overwrite":
+        expect = b"\x02" * 60 * KiB
+        with k.open("/a/f", OpenFlags.O_WRONLY) as f:
+            f.write(expect, 0)
+    elif kind == "grow":                  # past pack_threshold: plain
+        expect = b"\x02" * 200 * KiB
+        with k.open("/a/f", OpenFlags.O_WRONLY) as f:
+            f.write(expect, 0)
+    elif kind == "truncate":
+        expect = b""
+        k.truncate("/a/f", 0)
+    elif kind == "unlink":
+        expect = None
+        k.unlink("/a/f")
+    elif kind == "o_trunc":
+        expect = b"\x03" * 30 * KiB
+        k.write_file("/a/f", expect)
+    else:                                 # a contended (DIRECT) write
+        expect = b"\x02" * KiB + old[KiB:]
+        # The killer opens last: a handle opened before another client's
+        # read keeps a stale WRITE grant and never goes DIRECT (1(xvii)).
+        handles = [v.open("/a/f", OpenFlags.O_RDWR)
+                   for v in sorted(fs, key=lambda v: v is k)]
+        for h in handles:
+            h.read(4)
+        handles[-1].write(expect[:KiB], offset=0)
+        assert cluster.client(fs.index(lead)).fleases.is_direct(
+            fs[0].stat("/a/f").st_ino)
+        for h in handles:
+            h.close()
+    _settle(sim, cluster, extra=3.0)
+    failed = []
+    for i, view in enumerate(fs):
+        got = view.read_file("/a/f") if view.exists("/a/f") else None
+        if got != expect:
+            failed.append(f"client{i} read the wrong bytes")
+    report = sim.run_process(fsck(cluster.prt))
+    if not report.clean:
+        failed.append(report.summary())
+    if c0.pack.stats["containers_purged"] == purged:
+        failed.append("the sealer purged no container")
+    return failed
+
+
+@pytest.mark.parametrize("row", DEATH_ROWS, ids="-".join)
+def test_an_extent_death_reaches_its_sealer(row):
+    assert _kill_extent(*row) == []
+
+
+def _lands_away(kind, leads, killer):
+    """Does the index write that kills the extent run off the sealer? A
+    data-path kill runs at the writer; a truncate or an unlink runs at
+    the directory's leader."""
+    if kind in ("truncate", "unlink", "o_trunc"):
+        return leads == "other_leads"
+    return killer == "by_other"
+
+
+def test_seeded_own_containers_only_bug_is_caught(monkeypatch):
+    """Re-seed ROADMAP 1(vii): the applying node reports only deaths in
+    containers it sealed itself. Every row whose index write runs off the
+    sealer then leaks the container. (A crash sweep cannot catch this:
+    its ``fsck(after_crash=True)`` makes a leaked container a warning.)"""
+    report = PackedPRT._report_deaths
+
+    def own_only(self, ino, old, new, src):
+        mine = {idx: ext for idx, ext in old.items()
+                if ext.pack.startswith(src.name + "-")}
+        report(self, ino, mine, new, src)
+
+    monkeypatch.setattr(PackedPRT, "_report_deaths", own_only)
+    away = [row for row in DEATH_ROWS if _lands_away(*row)]
+    assert len(away) == 11
+    for row in away:
+        assert "the sealer purged no container" in _kill_extent(*row), row
+
+
 def test_unlink_purges_index_and_ticker_reclaims_containers():
     """Unlinking packed files deletes their extent indices; once every
     extent of a container is dead the ticker deletes the container."""
