@@ -2,7 +2,8 @@
 
 The 5 s default lease means a leader working in bursts usually extends
 instead of reloading its metatable. Very short leases force reloads
-(inode GET + dentry LIST + child-inode GETs) between bursts.
+between bursts: one read round each (inode GET beside the dentry LIST,
+then the dentry batch and one batch of child inodes).
 """
 
 import pytest

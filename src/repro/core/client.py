@@ -313,21 +313,13 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
                     mt.epoch = resp.epoch
                     mt.mgr_epoch = resp.mgr_epoch
                     return ("local", mt)
-                inode_ino, list_ino = self._dir_objects(dir_ino)
-                try:
-                    dir_inode = yield from self.prt.get_inode(inode_ino,
-                                                              src=self.node)
-                except NoSuchKey:
+                mt = yield from self._load_dir(dir_ino, resp)
+                if mt is None:
                     yield from self._mgr("lease.release", dir_ino, self.name,
                                          True)
                     raise DirectoryRemoved(dir_ino)
-                moved = yield from self._granted_elsewhere(dir_ino, list_ino)
-                if moved is not None:
-                    return moved
-                mt = yield from load_metatable(
-                    self.prt, dir_inode, self.node,
-                    resp.expires_at, resp.epoch, list_ino=list_ino,
-                    mgr_epoch=resp.mgr_epoch)
+                if not isinstance(mt, Metatable):
+                    return mt  # a subclass's route
                 self.metatables[dir_ino] = mt
                 self.remotes.pop(dir_ino, None)
                 self.pcache.pop(dir_ino, None)
@@ -348,11 +340,12 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
     def _lease_hint(self, dir_ino: int) -> Optional[Tuple[str, Any]]:
         return None
 
-    def _dir_objects(self, dir_ino: int) -> Tuple[int, Optional[int]]:
-        return dir_ino, None
-
-    def _granted_elsewhere(self, dir_ino: int, list_ino) -> SimGen:
-        yield from ()
+    def _load_dir(self, dir_ino: int, grant: LeaseGrant) -> SimGen:
+        """Load a granted directory in one read round: its metatable,
+        ``None`` when it was removed, or a subclass's own route."""
+        return load_metatable(self.prt, dir_ino, self.node,
+                              grant.expires_at, grant.epoch,
+                              mgr_epoch=grant.mgr_epoch)
 
     def _leaderless_redirect(self, dir_ino: int) -> SimGen:
         yield from ()

@@ -1,7 +1,8 @@
 """Per-directory metadata tables (Section III-C).
 
 When a client wins a directory's lease it loads the directory inode, the
-dentries, and the child *file* inodes from object storage into a metatable.
+dentries, and the child *file* inodes from object storage into a metatable,
+in one read round whatever the directory's size (:func:`load_metatable`).
 While the lease is valid, every metadata operation on that directory —
 lookup, permission check, create, unlink, stat — is a local in-memory
 operation. A *remote metatable* is just a pointer to the directory's
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..objectstore.errors import NoSuchKey
 from ..posix.errors import NotFound
 from ..posix.types import FileType
 from ..sim.engine import SimGen
@@ -108,24 +110,44 @@ class RemoteTable:
         return now < self.expires_at
 
 
-def load_metatable(prt: PRT, dir_inode: Inode, src: Optional[Node],
+def load_metatable(prt: PRT, dir_ino: int, src: Optional[Node],
                    lease_expires: float, epoch: int,
                    list_ino: Optional[int] = None,
-                   mgr_epoch: int = 0) -> SimGen:
-    """Pull a directory's metadata from object storage (lease-grant path).
+                   mgr_epoch: int = 0,
+                   dir_inode: Optional[Inode] = None) -> SimGen:
+    """Pull a directory's metadata from object storage in one read round
+    (lease-grant path): the inode GET beside the dentry LIST, then the
+    dentry batch, then one batch of child file and symlink inodes
+    (directories contribute only their dentry). A caller holding the
+    inode passes ``dir_inode``, and the LIST goes out alone. ``list_ino``
+    loads a *shard* table: dentries come from the shard's key range while
+    ``dir_ino`` names the parent directory's inode.
 
-    Loads dentries via a prefix LIST, then the inodes of child files and
-    symlinks. Directories contribute only their dentry. ``list_ino`` loads
-    a *shard* table: dentries come from the shard's key range while
-    ``dir_inode`` is the parent directory's inode.
+    Returns ``None`` when the directory inode is gone (removed), having
+    read nothing but the overlapped LIST. A child without its inode object
+    raises ``NoSuchKey``.
     """
-    mt = Metatable(dir_inode=dir_inode.copy(), lease_expires=lease_expires,
+    store = prt.store
+    prefix = prt.key_dentry_prefix(dir_ino if list_ino is None else list_ino)
+    if dir_inode is None:
+        listing = prt.sim.process(store.list(prefix, src=src),
+                                  name="mt-list")
+        try:
+            dir_inode = yield from prt.get_inode(dir_ino, src=src)
+        except NoSuchKey:
+            return None
+        keys = yield listing
+    else:
+        keys = yield from store.list(prefix, src=src)
+    mt = Metatable(dir_inode=dir_inode, lease_expires=lease_expires,
                    epoch=epoch, mgr_epoch=mgr_epoch, auth_ino=list_ino)
-    dentries = yield from prt.list_dentries(
-        list_ino if list_ino is not None else dir_inode.ino, src=src)
+    dentries = yield from prt.get_dentries(keys, src=src)
+    files = []
     for d in dentries:
         mt.dentries[d.name] = d
         if d.ftype is not FileType.DIRECTORY:
-            inode = yield from prt.get_inode(d.ino, src=src)
-            mt.inodes[d.ino] = inode
+            files.append(d.ino)
+    inodes = yield from prt.get_inodes(files, src=src)
+    for inode in inodes:
+        mt.inodes[inode.ino] = inode
     return mt

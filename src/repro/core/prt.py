@@ -138,13 +138,29 @@ class PRT:
             pass
 
     def list_dentries(self, dir_ino: int, src: Optional[Node] = None) -> SimGen:
-        """All dentries of a directory, name-sorted (metatable load path)."""
-        prefix = self.key_dentry_prefix(dir_ino)
-        keys = yield from self.store.list(prefix, src=src)
+        """All dentries of a directory, name-sorted."""
+        keys = yield from self.store.list(self.key_dentry_prefix(dir_ino),
+                                          src=src)
+        return (yield from self.get_dentries(keys, src=src))
+
+    def get_dentries(self, keys: List[str],
+                     src: Optional[Node] = None) -> SimGen:
+        """The dentries a LIST named, in one batch and in key order."""
         raws = yield from self.store.get_many(keys, src=src)
         # A dentry deleted between LIST and GET simply isn't part of the
         # load — same race a real S3 lister has.
         return [Dentry.from_bytes(raw) for raw in raws if raw is not None]
+
+    def get_inodes(self, inos: List[int],
+                   src: Optional[Node] = None) -> SimGen:
+        """Many inodes in one batch; a missing one raises ``NoSuchKey``,
+        as its own GET would."""
+        keys = list(map(self.key_inode, inos))
+        raws = yield from self.store.get_many(keys, src=src)
+        for key, raw in zip(keys, raws):
+            if raw is None:
+                raise NoSuchKey(key)
+        return [Inode.from_bytes(raw) for raw in raws]
 
     # -- shard maps ------------------------------------------------------------
 

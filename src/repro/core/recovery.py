@@ -37,19 +37,22 @@ def scan_journal(prt: PRT, dir_ino: int,
                  src: Optional[Node] = None) -> SimGen:
     """Read every committed transaction of a directory, in seq order.
 
-    Returns ``[(seq, Transaction), ...]``. Unparseable (torn) journal
-    objects are skipped: an interrupted journal PUT never made its
-    transaction durable in the first place.
+    The LIST's keys are read in one batch. Returns ``[(seq, Transaction),
+    ...]``. Missing and unparseable (torn) journal objects are skipped: an
+    interrupted journal PUT never made its transaction durable in the
+    first place.
     """
     prefix = prt.key_journal_prefix(dir_ino)
     keys = yield from prt.store.list(prefix, src=src)
+    raws = yield from prt.store.get_many(keys, src=src)
     txns: List[Tuple[int, Transaction]] = []
-    for key in keys:  # keys sort by zero-padded seq
+    for key, raw in zip(keys, raws):  # keys sort by zero-padded seq
+        if raw is None:
+            continue
         seq = int(key[len(prefix):])
         try:
-            raw = yield from prt.store.get(key, src=src)
             txns.append((seq, Transaction.from_bytes(raw, seq=seq)))
-        except (NoSuchKey, ValueError, KeyError):
+        except (ValueError, KeyError):
             continue
     return txns
 

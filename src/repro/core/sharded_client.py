@@ -8,12 +8,14 @@ from __future__ import annotations
 import zlib
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..objectstore.errors import TransientError
+from ..objectstore.errors import NoSuchKey, TransientError
 from ..posix.errors import FSError
 from ..posix.types import FileType
 from ..sim.engine import Interrupt, SimGen
 from ..sim.network import MessageDropped, NodeDown
 from .client import ArkFSClient
+from .lease import LeaseGrant
+from .metatable import load_metatable
 from .recovery import roll_forward_split
 from .shards import ShardMap, ShardRange, make_ranges
 from .types import ino_hex
@@ -112,19 +114,27 @@ class ShardedClient(ArkFSClient):
             return ("remote", pref)
         return None
 
-    def _dir_objects(self, dir_ino: int) -> Tuple[int, Optional[int]]:
-        # A shard table lists its own key range under the parent's inode.
+    def _load_dir(self, dir_ino: int, grant: LeaseGrant) -> SimGen:
+        """A shard table lists its own key range under the parent's inode.
+        A directory's shard-map GET goes out beside its inode GET, and only
+        a flat one then LISTs; a split one hands its lease back, rolling an
+        interrupted (splitting) map forward first — recovery already ran."""
         home = self._shard_home.get(dir_ino)
-        return (dir_ino, None) if home is None else (home[0], dir_ino)
-
-    def _granted_elsewhere(self, dir_ino: int, list_ino) -> SimGen:
-        """Holding a directory's lease, look for its shard map; roll an
-        interrupted (splitting) one forward — recovery already ran."""
-        if list_ino is not None:
+        if home is not None:
+            return (yield from load_metatable(
+                self.prt, home[0], self.node, grant.expires_at, grant.epoch,
+                list_ino=dir_ino, mgr_epoch=grant.mgr_epoch))
+        probe = self.sim.process(
+            self.prt.get_shard_map(dir_ino, src=self.node), name="smap-get")
+        try:
+            dir_inode = yield from self.prt.get_inode(dir_ino, src=self.node)
+        except NoSuchKey:
             return None
-        smap = yield from self.prt.get_shard_map(dir_ino, src=self.node)
+        smap = yield probe
         if smap is None:
-            return None
+            return (yield from load_metatable(
+                self.prt, dir_ino, self.node, grant.expires_at, grant.epoch,
+                mgr_epoch=grant.mgr_epoch, dir_inode=dir_inode))
         if not smap.active:
             smap = yield from roll_forward_split(self.prt, smap,
                                                  src=self.node)

@@ -277,6 +277,8 @@ class ClusterObjectStore(ObjectStore):
 
     def get_many(self, keys: Sequence[str],
                  src: Optional[Node] = None) -> SimGen:
+        if not keys:
+            return []
         values = [self.backing._data.get(k) for k in keys]
         reads = []
         for key, data in zip(keys, values):

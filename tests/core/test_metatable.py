@@ -84,7 +84,7 @@ class TestLoadMetatable:
                                                   FileType.SYMLINK)))
         sim.run_process(prt.put_inode(link))
 
-        mt = sim.run_process(load_metatable(prt, di, None,
+        mt = sim.run_process(load_metatable(prt, 50, None,
                                             lease_expires=5.0, epoch=2))
         assert mt.names() == ["ln", "reg", "sub"]
         assert mt.child_inode(51).size == 9
@@ -94,7 +94,7 @@ class TestLoadMetatable:
             mt.child_inode(52)
         assert mt.lease_expires == 5.0
         assert mt.epoch == 2
-        # The load copies the dir inode (mutations don't leak back).
+        # The loaded dir inode is a copy (mutations don't leak back).
         mt.dir_inode.mode = 0o000
         assert di.mode == 0o755
 
@@ -103,5 +103,5 @@ class TestLoadMetatable:
         prt = PRT(InMemoryObjectStore(sim), 1024)
         di = dir_inode(60)
         sim.run_process(prt.put_inode(di))
-        mt = sim.run_process(load_metatable(prt, di, None, 1.0, 1))
+        mt = sim.run_process(load_metatable(prt, 60, None, 1.0, 1))
         assert mt.is_empty
