@@ -587,3 +587,76 @@ def test_cold_read_ahead_stays_within_capacity():
     if cache.total_entries > cache.capacity:
         raise OverCapacity(f"{cache.total_entries} entries in a cache of "
                            f"{cache.capacity}")
+
+
+class _SlowPutStore(InMemoryObjectStore):
+    """A PUT lands one simulated second after it is issued."""
+
+    def put(self, key, data, src=None):
+        self.op_counts["put"] += 1
+        yield self.sim.timeout(1.0)
+        self.sync_put(key, data)
+
+
+def _in_flight_cache():
+    """Two entries, f1..f3 written by one process: the third write's
+    eviction starts f1's and f2's PUTs at 0 s; they land at 1 s."""
+    sim = Simulator()
+    store = _SlowPutStore(sim)
+    prt = PRT(store, data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=2 * ESZ, max_readahead=0)
+
+    def writer():
+        for ino in (1, 2, 3):
+            yield from cache.write(ino, 0, bytes([ino]) * 10, old_size=0)
+
+    sim.process(writer())
+    return sim, store, prt, cache
+
+
+def _at(sim, t, gen):
+    """Run ``gen`` from simulated time ``t``; the process returns what
+    ``gen`` returns."""
+    def delayed():
+        yield sim.timeout(t)
+        return (yield from gen)
+    return sim.process(delayed())
+
+
+class StaleRead(Exception):
+    """A read found the pre-writeback object: ROADMAP 1(xxi)(a)."""
+
+
+class EarlyFsync(Exception):
+    """A flush returned before the file's PUT landed: ROADMAP 1(xxi)(b)."""
+
+
+@pytest.mark.xfail(raises=StaleRead, strict=True, reason=(
+    "an entry whose PUT is in flight looks clean, so another process's "
+    "eviction drops it and a read fetches the old object (ROADMAP "
+    "1(xxi)(a))"))
+def test_an_entry_in_flight_is_not_read_stale():
+    sim, store, prt, cache = _in_flight_cache()
+    _at(sim, 0.1, cache.write(4, 0, b"\4" * 10, old_size=0))
+    read = _at(sim, 0.5, cache.read(1, 0, 10))
+    sim.run()
+    if read.value != b"\1" * 10:
+        raise StaleRead(repr(read.value))
+
+
+@pytest.mark.xfail(raises=EarlyFsync, strict=True, reason=(
+    "flush skips an entry whose PUT is in flight and returns before it "
+    "lands (ROADMAP 1(xxi)(b))"))
+def test_a_flush_waits_for_a_put_in_flight():
+    sim, store, prt, cache = _in_flight_cache()
+
+    def fsync():
+        yield from cache.flush(1)
+        return sim.now, prt.key_data(1, 0) in store
+
+    done = _at(sim, 0.5, fsync())
+    sim.run()
+    returned, stored = done.value
+    if returned < 1.0 or not stored:
+        raise EarlyFsync(f"returned at {returned} s, stored: {stored}")

@@ -407,6 +407,30 @@ def test_a_pre_crash_handle_leaves_the_new_record(sim, cluster, fs):
     assert not client._open_files
 
 
+def pre_crash_close_dirs(sim, cluster, fs):
+    """``_open_dirs`` after a pre-crash handle closes beside a new one,
+    and after the new one closes too."""
+    fs.write_file("/f", b"x", do_fsync=True)
+    h1 = fs.open("/f", OpenFlags.O_RDONLY)
+    client = cluster.client(0)
+    client.crash()
+    sim.run(until=sim.now + 2 * cluster.params.lease_period + 1)
+    client.restart()
+    h2 = fs.open("/f", OpenFlags.O_RDONLY)
+    h1.close()
+    beside = dict(client._open_dirs)
+    h2.close()
+    return beside, dict(client._open_dirs)
+
+
+@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+    "closing a pre-crash handle decrements the live _open_dirs count of "
+    "a handle opened since (ROADMAP 1(xxii))"))
+def test_a_pre_crash_handle_leaves_the_live_dir_count(sim, cluster, fs):
+    root = fs.stat("/").st_ino
+    assert pre_crash_close_dirs(sim, cluster, fs) == ({root: 1}, {})
+
+
 def _revocation_keeps_grant(self, ino, deleted=False, size=None):
     """Seeded 1(xvii): the holder drops its cache, not the grant."""
     yield from self.cache.invalidate(ino, flush_dirty=True, deleted=deleted)
