@@ -182,8 +182,10 @@ class LeasedDataPath:
             yield self.sim.timeout(0)
         handle.closed = True
         f.count -= 1
-        if not f.count and self._open_files.get(handle.ino) is f:
-            del self._open_files[handle.ino]  # not one made after a crash
+        if self._open_files.get(handle.ino) is not f:
+            return  # opened before a crash: the counts are a new life's
+        if not f.count:
+            del self._open_files[handle.ino]
         n = self._open_dirs.get(st.parent_ino, 1)
         if n <= 1:
             self._open_dirs.pop(st.parent_ino, None)

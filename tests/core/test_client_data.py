@@ -423,12 +423,29 @@ def pre_crash_close_dirs(sim, cluster, fs):
     return beside, dict(client._open_dirs)
 
 
-@pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
-    "closing a pre-crash handle decrements the live _open_dirs count of "
-    "a handle opened since (ROADMAP 1(xxii))"))
 def test_a_pre_crash_handle_leaves_the_live_dir_count(sim, cluster, fs):
     root = fs.stat("/").st_ino
     assert pre_crash_close_dirs(sim, cluster, fs) == ({root: 1}, {})
+
+
+_close = LeasedDataPath.close
+
+
+def _pre_crash_close_counts(self, handle):
+    """Seeded 1(xxii): a pre-crash handle's close decrements the live
+    ``_open_dirs`` count."""
+    stale = self._open_files.get(handle.ino) is not handle.impl.file
+    yield from _close(self, handle)
+    if stale:
+        parent = handle.impl.parent_ino
+        n = self._open_dirs.pop(parent, 1)
+        if n > 1:
+            self._open_dirs[parent] = n - 1
+
+
+def test_seeded_pre_crash_close_bug(sim, cluster, fs, monkeypatch):
+    monkeypatch.setattr(LeasedDataPath, "close", _pre_crash_close_counts)
+    assert pre_crash_close_dirs(sim, cluster, fs) == ({}, {})
 
 
 def _revocation_keeps_grant(self, ino, deleted=False, size=None):
