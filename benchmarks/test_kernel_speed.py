@@ -28,8 +28,8 @@ from repro.workloads import fio_seq
 
 #: The fig6a arkfs leg always runs at SMALL, so its kernel counts are
 #: exact at every ``REPRO_SCALE``.
-KERNEL_COUNTS = {"loop_events": 9545, "inline_events": 4332,
-                 "heap_pushes": 7617}
+KERNEL_COUNTS = {"loop_events": 9458, "inline_events": 4369,
+                 "heap_pushes": 7625}
 
 
 def _fig6a_arkfs():

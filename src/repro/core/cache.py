@@ -283,11 +283,11 @@ class DataObjectCache:
                 yield from self._wait(first.loading)
                 continue
             if len(dirty_batch) > 1:
-                # Flush a batch of dirty LRU entries concurrently (the
-                # flusher-thread pool), so eviction pressure doesn't
-                # serialize object PUTs. State may change while we wait, so
-                # re-evaluate the victim afterwards.
-                yield from self._writeback_batch(dirty_batch)
+                # Flush a batch of dirty LRU entries through the flusher
+                # pool, so eviction pressure doesn't serialize object PUTs.
+                # State may change while we wait, so re-evaluate the
+                # victim afterwards.
+                yield from self._writeback_pool(dirty_batch)
                 continue
             ino, idx = victim_key
             entry = self._lru.pop(victim_key)
@@ -325,32 +325,45 @@ class DataObjectCache:
             rec.record("cache.writeback", ino=ino, idx=entry.index,
                        bytes=entry.size)
 
-    def _writeback_batch(self, pairs) -> SimGen:
-        """Write a batch of dirty ``(ino, entry)`` pairs back concurrently
-        (one flusher-pool round)."""
-        if not pairs:
+    def _writeback_pool(self, pairs) -> SimGen:
+        """Write dirty ``(ino, entry)`` pairs back through the flusher
+        pool: ``min(len(pairs), writeback_parallel)`` flushers, each
+        taking the next pair when its own PUT lands, so a large object or
+        a busy OSD holds up only its own flusher. After a PUT fails no new
+        one starts; the failure is raised once those in flight settle,
+        and the pairs never started stay dirty."""
+        if len(pairs) <= 1:
+            if pairs:
+                self._c_serial_puts.inc()
+                yield from self._writeback(*pairs[0])
             return
-        if len(pairs) == 1:
-            self._c_serial_puts.inc()
-            yield from self._writeback(*pairs[0])
-            return
+        width = min(len(pairs), self.writeback_parallel)
         self._c_wb_batches.inc()
         self._c_batched_puts.inc(len(pairs))
-        self._g_wb_batch.track(len(pairs))
-        flushes = [
-            self.sim.process(self._writeback(ino, e),
-                             name=f"wb:{ino:x}:{e.index}")
-            for ino, e in pairs
-        ]
-        yield self.sim.all_of(flushes)
+        self._g_wb_batch.track(width)
+        queue = iter(pairs)
+        failed: list = []
+        yield self.sim.all_of([
+            self.sim.process(self._flusher(queue, failed), name="flusher")
+            for _ in range(width)])
+        if failed:
+            # Taken off the list: the traceback holds this frame, which
+            # holds ``failed``.
+            raise failed.pop(0)
 
-    def _writeback_many(self, pairs) -> SimGen:
-        """Scatter dirty entries across the flusher pool,
-        ``writeback_parallel`` PUTs at a time — the shared path behind
-        ``flush``/``flush_all``/``invalidate``/``drop_all``."""
-        for start in range(0, len(pairs), self.writeback_parallel):
-            yield from self._writeback_batch(
-                pairs[start:start + self.writeback_parallel])
+    def _flusher(self, queue, failed: list) -> SimGen:
+        """One flusher of a pool run: PUT after PUT until the queue is
+        empty or a PUT of the run has failed."""
+        for ino, entry in queue:
+            if failed:
+                return
+            try:
+                yield from self._writeback(ino, entry)
+            except Exception as exc:
+                # Kept without this frame at the head of its traceback:
+                # the frame holds ``failed``, which would close a cycle.
+                failed.append(exc.with_traceback(exc.__traceback__.tb_next))
+                return
 
     def _fetch(self, ino: int, index: int) -> SimGen:
         """Install a loading entry and fill it from storage.
@@ -598,16 +611,16 @@ class DataObjectCache:
         return pairs
 
     def flush(self, ino: int) -> SimGen:
-        """Write every dirty entry of a file back to object storage,
-        ``writeback_parallel`` PUTs at a time."""
+        """Write every dirty entry of a file back to object storage
+        through the flusher pool."""
         return self.flush_many([ino])
 
     def flush_many(self, inos) -> SimGen:
         """Flush several files' dirty entries through one flusher-pool run,
-        so the writebacks of different files share batches instead of
+        so the writebacks of different files share the pool instead of
         serializing file by file."""
         pairs = yield from self._collect_dirty(inos)
-        yield from self._writeback_many(pairs)
+        yield from self._writeback_pool(pairs)
         drain = getattr(self.prt.store, "tier_drain_all", None)
         if drain is not None:
             # Tiered backend: writebacks only staged the objects hot; the
@@ -635,7 +648,7 @@ class DataObjectCache:
         """Batched invalidation across files (flush dirty, then drop)."""
         pairs = yield from self._collect_dirty(inos)
         if flush_dirty:
-            yield from self._writeback_many(pairs)
+            yield from self._writeback_pool(pairs)
         for ino in inos:
             fc = self._files.pop(ino, None)
             if fc is None:

@@ -19,6 +19,7 @@ from repro.core import (
 from repro.core.journal import apply_ops
 from repro.core.types import Dentry, Inode
 from repro.objectstore import ClusterObjectStore, InMemoryObjectStore, StoreProfile
+from repro.objectstore.errors import StoreUnavailable
 from repro.posix import FileType, ROOT_CREDS, SyncFS
 from repro.sim import Simulator
 
@@ -172,6 +173,26 @@ class TestPrefetchDedup:
         assert cache.total_entries <= cache.capacity
 
 
+class _TimedPutStore(InMemoryObjectStore):
+    """Every PUT takes ``T``; ``slow`` takes ten times as long, ``fail``
+    fails after half of it. Records each PUT's start."""
+
+    T = 0.01
+    slow = fail = None
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.starts = []
+
+    def put(self, key, data, src=None):
+        self.starts.append((self.sim.now, key))
+        if key == self.fail:
+            yield self.sim.timeout(self.T / 2)
+            raise StoreUnavailable("injected PUT failure")
+        yield self.sim.timeout(10 * self.T if key == self.slow else self.T)
+        self.sync_put(key, data)
+
+
 class TestBatchedFlush:
     def _dirty_cache(self, writeback_parallel, n_files):
         sim = Simulator()
@@ -232,6 +253,52 @@ class TestBatchedFlush:
         for ino in (1, 2, 3):
             assert store.sync_get(prt.key_data(ino, 0)) == bytes([ino]) * ESZ
         assert cache.stats["max_wb_batch"] == 3
+
+
+    def _pool(self, n_files, slow=None, fail=None):
+        """``writeback_parallel=2`` over one dirty entry per file; the PUT
+        of file ``slow`` (``fail``) is slow (fails)."""
+        sim = Simulator()
+        store = _TimedPutStore(sim)
+        prt, cache = make_cache(sim, store, max_readahead=0,
+                                writeback_parallel=2)
+        store.slow = slow and prt.key_data(slow, 0)
+        store.fail = fail and prt.key_data(fail, 0)
+        for ino in range(1, n_files + 1):
+            run(sim, cache.write(ino, 0, bytes([ino]) * ESZ, old_size=0))
+        return sim, store, prt, cache
+
+    def test_a_slow_put_holds_up_only_its_own_flusher(self):
+        sim, store, prt, cache = self._pool(4, slow=1)
+        t0 = sim.now
+        run(sim, cache.flush_many([1, 2, 3, 4]))
+        T = store.T
+        # The other flusher writes the three fast entries meanwhile: one
+        # slow PUT in all, not a slow round and then a fast one.
+        assert sim.now - t0 == pytest.approx(10 * T)
+        assert [t - t0 for t, _ in store.starts] == pytest.approx(
+            [0, 0, T, 2 * T])
+        assert cache.stats["wb_batches"] == 1
+        assert cache.stats["batched_puts"] == 4
+        assert cache.stats["max_wb_batch"] == 2
+
+    def test_a_failed_put_stops_the_pool_after_those_in_flight(self):
+        sim, store, prt, cache = self._pool(6, fail=1)
+        t0 = sim.now
+
+        def flush():
+            try:
+                yield from cache.flush_many(range(1, 7))
+            except StoreUnavailable:
+                return sim.now - t0
+
+        # Raised once file 2's PUT, in flight beside the failure, lands.
+        assert run(sim, flush()) == pytest.approx(store.T)
+        assert [k for _, k in store.starts] == [prt.key_data(1, 0),
+                                                prt.key_data(2, 0)]
+        assert store.sync_get(prt.key_data(2, 0)) == bytes([2]) * ESZ
+        assert [cache.has_dirty(i) for i in range(1, 7)] == [
+            True, False, True, True, True, True]
 
 
 class TestParallelCheckpoint:
