@@ -254,7 +254,6 @@ class TestBatchedFlush:
             assert store.sync_get(prt.key_data(ino, 0)) == bytes([ino]) * ESZ
         assert cache.stats["max_wb_batch"] == 3
 
-
     def _pool(self, n_files, slow=None, fail=None):
         """``writeback_parallel=2`` over one dirty entry per file; the PUT
         of file ``slow`` (``fail``) is slow (fails)."""
