@@ -22,10 +22,10 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..objectstore.errors import NoSuchKey
+from ..objectstore.errors import NoSuchKey, ObjectStoreError
 from ..obs import Observability
-from ..sim.engine import Interrupt, SimGen, Simulator
-from ..sim.network import Node
+from ..sim.engine import Event, Interrupt, Process, SimGen, Simulator
+from ..sim.network import Node, RpcError
 from ..sim.resources import Mutex
 from .lease import FencingRegistry, StaleEpochError
 from .params import ArkFSParams
@@ -203,7 +203,8 @@ class _DirJournal:
     """In-memory state of one directory's journal at its current leader."""
 
     __slots__ = ("dir_ino", "running", "next_seq", "pending_seqs",
-                 "commit_lock", "ckpt_lock", "ops_recorded", "ops_committed")
+                 "commit_lock", "ckpt_lock", "ops_recorded", "ops_committed",
+                 "applying", "apply_done", "early")
 
     def __init__(self, sim: Simulator, dir_ino: int):
         self.dir_ino = dir_ino
@@ -220,6 +221,13 @@ class _DirJournal:
         # background checkpoint must not block an fsync's commit.
         self.commit_lock = Mutex(sim, name=f"jcommit:{dir_ino:x}")
         self.ckpt_lock = Mutex(sim, name=f"jckpt:{dir_ino:x}")
+        # The early-apply rule (JournalManager.apply_early): the seq whose
+        # ops the checkpoint is writing (-1: none), the event a recorder
+        # waiting for that apply parks on, and per seq the (op, PUT) pairs
+        # its recorders write themselves.
+        self.applying = -1
+        self.apply_done: Optional[Event] = None
+        self.early: Dict[int, List[Tuple[JournalOp, Process]]] = {}
 
 
 class JournalManager:
@@ -432,8 +440,18 @@ class JournalManager:
             txn = self._checkpoint_txns.get((dj.dir_ino, seq))
             if txn is None:
                 break
-            n = yield from apply_ops(self.prt, txn.ops, src=self.node)
+            dj.applying = seq
+            try:
+                n = yield from apply_ops(self.prt, txn.ops, src=self.node)
+            finally:
+                dj.applying = -1
+                done, dj.apply_done = dj.apply_done, None
+                if done is not None:
+                    done.succeed()
+            txn.ops = []  # written: no op left for a recorder to strike
             self._note_ckpt_fanout(n)
+            if seq in dj.early:
+                yield from self._land_early(dj, seq)
             # The invalidating DELETE must stick: a silently-skipped one
             # leaves a stale journal object that a later leader (whose
             # seq counter restarts at 0) would replay over newer state.
@@ -447,6 +465,19 @@ class JournalManager:
             dj.pending_seqs.pop(0)
             del self._checkpoint_txns[(dj.dir_ino, seq)]
             self._c_checkpoints.inc()
+
+    def _land_early(self, dj: _DirJournal, seq: int) -> SimGen:
+        """Wait until the ops recorders applied early from txn ``seq`` are
+        in their base objects: they are off ``txn.ops``, and the journal
+        object is their only durable copy until then. A failed PUT is
+        written here instead; if that fails too, the next round waits on
+        the same pairs."""
+        for op, put in dj.early[seq]:
+            try:
+                yield put
+            except (ObjectStoreError, RpcError):
+                yield from _apply_one(self.prt, op, src=self.node)
+        del dj.early[seq]
 
     def _commit_and_checkpoint(self, dj: _DirJournal) -> SimGen:
         req = yield from dj.commit_lock.acquire()
@@ -496,6 +527,43 @@ class JournalManager:
         elif dj.pending_seqs:
             self.sim.process(self._bg_checkpoint(dj),
                              name=f"ckpt:{dj.dir_ino:x}")
+
+    def apply_early(self, dir_ino: int, op: JournalOp) -> SimGen:
+        """Write one committed op's base object now, ahead of its
+        transaction's checkpoint (mkdir: lease acquisition loads the new
+        directory's inode object). ``op`` is the record's own op object.
+
+        The op is struck from its transaction's in-memory ops, so the
+        checkpoint writes no object twice, and that checkpoint waits for
+        this PUT before it deletes the journal object. If the checkpoint
+        is already applying the transaction, this waits for that apply
+        instead. An op no pending transaction holds (applied, superseded
+        within its transaction, or its stream discarded) needs nothing."""
+        dj = self.journals.get(self._journal_key(dir_ino))
+        held = dj is not None and self._holding(dj, op)
+        while held and held[0] == dj.applying:
+            if dj.apply_done is None:
+                dj.apply_done = self.sim.event()
+            yield dj.apply_done
+            held = self._holding(dj, op)
+        if not held:
+            return
+        seq, txn = held
+        put = self.sim.process(_apply_one(self.prt, op, src=self.node),
+                               name="early-op")
+        txn.ops = [o for o in txn.ops if o is not op]
+        dj.early.setdefault(seq, []).append((op, put))
+        yield put
+
+    def _holding(self, dj: _DirJournal,
+                 op: JournalOp) -> Optional[Tuple[int, Transaction]]:
+        """The pending (seq, transaction) whose in-memory ops hold ``op``."""
+        for seq in dj.pending_seqs:
+            txn = self._checkpoint_txns.get((dj.dir_ino, seq))
+            for o in txn.ops if txn is not None else ():
+                if o is op:
+                    return seq, txn
+        return None
 
     def flush_all(self, full: bool = False) -> SimGen:
         """Flush every journal; directories flush in parallel — that is the

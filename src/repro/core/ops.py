@@ -252,14 +252,16 @@ class LeaderOps:
         child = new_inode(ino, FileType.DIRECTORY, creds, mode, self.sim.now)
         dentry = Dentry(name=name, ino=ino, ftype=FileType.DIRECTORY)
         mt.add(dentry, None)  # child dir inode lives in its own metatable
+        put_child = ops_put_inode(child)
         yield from self._journal_dir_change(mt, dir_ino, [
-            ops_put_inode(child), ops_put_dentry(dir_ino, dentry)], nlink=+1)
+            put_child, ops_put_dentry(dir_ino, dentry)], nlink=+1)
         self._maybe_split(mt)
-        # The child's inode object must be durable before anyone can acquire
-        # the new directory's lease (lease acquisition loads it from
-        # storage), so directory creation checkpoints eagerly. File creates
-        # keep the cheap buffered path.
-        yield from self.journal.flush(dir_ino, full=True)
+        # Lease acquisition loads the new directory's inode object, so it
+        # is in the store before mkdir returns: commit the record (a group
+        # commit, as a create's fsync), then write that one object. The
+        # rest of the record's checkpoint is background work.
+        yield from self.journal.flush(dir_ino)
+        yield from self.journal.apply_early(dir_ino, put_child)
         return child.to_dict()
 
     def _op_rmdir(self, creds: Credentials, dir_ino: int, name: str,

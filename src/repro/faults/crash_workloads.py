@@ -7,7 +7,7 @@ durability promise (checked at every crash point after it returned) and
 the workload's invariants (checked at every crash point). The pieces
 several workloads share are the module-level helpers below.
 
-Durability follows the journal: mkdir checkpoints eagerly, a
+Durability follows the journal: mkdir is durable on return, a
 cross-directory rename is durable at its 2PC decision, and the rest
 buffers until the next commit or sync. Unfsynced *data* may die with the
 victim's cache while its journaled size survives (ext4's default mode),
@@ -216,10 +216,11 @@ def _rename(src, dst):
 # --------------------------------------------------------------------------
 
 def _wl_mkdir() -> Workload:
-    """Directory-tree construction: eager-flush mkdirs, nesting, rmdir.
+    """Directory-tree construction: committed mkdirs, nesting, rmdir.
 
-    Every mkdir checkpoints eagerly (the child inode must be loadable
-    before anyone acquires its lease), so each one is durable on return.
+    Every mkdir commits its record and writes the child's inode object
+    (it must be loadable before anyone acquires the child's lease) before
+    it returns, so each one is durable on return.
     rmdir buffers the parent-journal delete, so the removal becomes
     durable at the *next sync*: the milestone lives on sync-2."""
     def mk(path):

@@ -31,7 +31,10 @@ Parenting across fan-outs: the engine records which process spawned which
 (:attr:`Simulator._active_proc`). A span opened in a process whose own
 stack is empty parents onto the innermost open span of its spawner (cached
 at first use), so the per-key work inside a ``get_many`` scatter still
-hangs off the VFS read that caused them.
+hangs off the VFS read that caused them. A spawner with no span open any
+more lends the span it closed last: background work an op spawned (a
+checkpoint after fsync or mkdir) still roots at that op's root span when
+it first records after the op returned.
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ class SpanTracer:
         self._stacks: Dict[Any, List[Span]] = {}   # Process (or None) -> open
         self._tids: Dict[int, int] = {}            # id(process) -> tid
         self._spawn_parent: Dict[int, Optional[Span]] = {}
+        self._ended: Dict[Any, Span] = {}   # process key -> last bottom span
         self._procs: List[Any] = []   # keeps traced processes alive so the
         self._next_tid = 1            # id()-keyed maps above stay unambiguous
 
@@ -143,6 +147,8 @@ class SpanTracer:
         stack = self._stacks.get(key)
         if stack and stack[-1] is s:
             stack.pop()
+            if not stack:
+                self._ended[key] = s
         else:
             # Closed from another frame (generator GC'd, interrupt unwind):
             # remove the span from whichever stack holds it.
@@ -168,6 +174,13 @@ class SpanTracer:
             stack = self._stacks.get(id(p))
             if stack:
                 parent_span = stack[-1]
+                break
+            # A spawner whose spans have all closed, as an op that returned
+            # before its background work opened a span: the spawn belongs
+            # to the span it closed last, not to the spawner's own parent.
+            ended = self._ended.get(id(p))
+            if ended is not None:
+                parent_span = ended
                 break
             got = self._spawn_parent.get(id(p), _MISSING)
             if got is not _MISSING:

@@ -24,9 +24,9 @@ from repro.faults.crashcheck import (
 )
 
 # Victim store ops, hence crash points, per workload.
-POINTS = {"mkdir": 61, "checkpoint": 32, "rename": 223, "pack": 95,
-          "shard_split": 90, "epoch_handoff": 30, "tier_drain": 109,
-          "qos_backlog": 60, "all_on": 227}
+POINTS = {"mkdir": 61, "checkpoint": 33, "rename": 223, "pack": 96,
+          "shard_split": 91, "epoch_handoff": 31, "tier_drain": 111,
+          "qos_backlog": 61, "all_on": 229}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -146,7 +146,7 @@ CAUGHT = {
     # The drain marks a batch clean one round before its cold PUT: only a
     # crash that also wipes the hot tier loses it this early.
     "tier-drain-reorder": ("tier_drain", 7, False,
-                           "crash@8: durability of completed step "
+                           "crash@15: durability of completed step "
                            "'fsync:f0' broken"),
     # The tier stages pack containers: an fsync's seal PUT returns with
     # the container hot-only, so only a crash that also wipes the hot

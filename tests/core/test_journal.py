@@ -12,22 +12,25 @@ from repro.core import (
     ops_put_dentry,
     ops_put_inode,
 )
+from repro.core.fsck import fsck
 from repro.core.journal import JournalManager, _coalesce
 from repro.core.lease import FencingRegistry
 from repro.core.params import DEFAULT_PARAMS
 from repro.core.types import Dentry, Inode
-from repro.objectstore import InMemoryObjectStore
-from repro.posix import FileType
-from repro.sim import Network, Node, Simulator
+from repro.objectstore import InMemoryObjectStore, StoreUnavailable
+from repro.posix import ROOT_CREDS, FileType, SyncFS
+from repro.sim import Network, Node, NodeDown, Simulator
 
 from ..posix.test_fuse import _frame_chain
 
 
-def make_env(params=DEFAULT_PARAMS):
-    sim = Simulator()
+def make_env(params=DEFAULT_PARAMS, store=None):
+    if store is None:
+        store = InMemoryObjectStore(Simulator())
+    sim = store.sim
     net = Network(sim)
     node = Node(sim, "jnode", cores=4, net=net)
-    prt = PRT(InMemoryObjectStore(sim), params.data_object_size)
+    prt = PRT(store, params.data_object_size)
     # No lease service here: an empty registry admits every commit.
     jm = JournalManager(sim, prt, params, node, "jnode", FencingRegistry(),
                         token_of=lambda dir_ino: (1, 1),
@@ -258,6 +261,226 @@ class TestPrepare2PC:
         sim.run()  # background checkpoint drains
         assert prt.key_inode(5) in prt.store
         assert prt.store.sync_list(prt.key_journal_prefix(7)) == []
+
+# -- the early-apply rule (mkdir) -----------------------------------------------
+
+
+class _TimedStore(InMemoryObjectStore):
+    """Every PUT and DELETE takes ``T``, one that ``slow(verb, key)``
+    picks ``SLOW``; ``log`` holds each one's (start, verb, key). A request
+    whose node dies before it lands is lost."""
+
+    T = 0.001
+    SLOW = 1.0
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.slow = lambda verb, key: False
+        self.log = []
+
+    def put(self, key, data, src=None):
+        yield from self._request("put", key, src)
+        self.sync_put(key, data)
+
+    def delete(self, key, src=None):
+        yield from self._request("delete", key, src)
+        self.sync_delete(key)
+
+    def _request(self, verb, key, src):
+        self.log.append((self.sim.now, verb, key))
+        yield self.sim.timeout(self.SLOW if self.slow(verb, key) else self.T)
+        if src is not None and not src.alive:
+            raise NodeDown(f"{src.name} died with the request in flight")
+
+
+def _mkdir_record(jm, dir_ino, child_ino):
+    """Record a mkdir's ops in ``dir_ino``'s journal; returns the child's
+    ``put_inode`` op, the one mkdir applies early."""
+    child = Inode(ino=child_ino, ftype=FileType.DIRECTORY, mode=0o755,
+                  uid=0, gid=0)
+    put_child = ops_put_inode(child)
+    jm.record(dir_ino, put_child, ops_put_dentry(
+        dir_ino, Dentry("d", child_ino, FileType.DIRECTORY)))
+    return put_child
+
+
+def _starts(store, verb, key):
+    return [t for t, v, k in store.log if v == verb and k == key]
+
+
+class TestEarlyApply:
+    def test_an_early_op_is_written_once_before_the_journal_goes(self):
+        sim = Simulator()
+        store = _TimedStore(sim)
+        _, prt, jm = make_env(store=store)
+        put_child = _mkdir_record(jm, 7, 5)
+
+        def mkdir():
+            yield from jm.flush(7)
+            yield from jm.apply_early(7, put_child)
+            return sim.now
+
+        done = sim.run_process(mkdir())
+        # One commit, then one PUT: the checkpoint writes the dentry
+        # meanwhile, and no object twice.
+        assert done == pytest.approx(2 * store.T)
+        assert prt.key_inode(5) in store
+        sim.run()
+        assert _starts(store, "put", prt.key_inode(5)) == [store.T]
+        assert len(_starts(store, "put", prt.key_dentry(7, "d"))) == 1
+        (gone,) = _starts(store, "delete", prt.key_journal(7, 0))
+        assert gone >= done
+        assert not jm.is_dirty(7) and jm.journal_for(7).early == {}
+
+    def test_a_recorder_waits_for_the_apply_it_finds_running(self):
+        """The checkpoint already writes the op: the recorder waits for
+        that apply instead of writing the object a second time."""
+        sim = Simulator()
+        store = _TimedStore(sim)
+        _, prt, jm = make_env(store=store)
+        put_child = _mkdir_record(jm, 7, 5)
+        store.slow = lambda verb, key: key == prt.key_dentry(7, "d")
+        sim.run_process(jm.flush(7))
+        sim.run(until=sim.now + store.T / 2)   # the checkpoint is applying
+        assert jm.journal_for(7).applying == 0
+        sim.run_process(jm.apply_early(7, put_child))
+        assert sim.now == pytest.approx(store.T + store.SLOW)
+        assert len(_starts(store, "put", prt.key_inode(5))) == 1
+        sim.run()
+        assert not jm.is_dirty(7)
+
+    def test_a_recorder_after_the_apply_writes_nothing(self):
+        """An applied transaction has no op left to strike, although its
+        journal object is still being deleted."""
+        sim = Simulator()
+        store = _TimedStore(sim)
+        _, prt, jm = make_env(store=store)
+        put_child = _mkdir_record(jm, 7, 5)
+        store.slow = lambda verb, key: verb == "delete"
+        sim.run_process(jm.flush(7))
+        sim.run(until=sim.now + store.T + store.SLOW / 2)
+        assert _starts(store, "delete", prt.key_journal(7, 0))
+        t0 = sim.now
+        sim.run_process(jm.apply_early(7, put_child))
+        assert sim.now == t0
+        assert len(_starts(store, "put", prt.key_inode(5))) == 1
+
+    def test_a_failed_early_put_is_written_by_the_checkpoint(self):
+        sim = Simulator()
+        store = _TimedStore(sim)
+        _, prt, jm = make_env(store=store)
+        put_child = _mkdir_record(jm, 7, 5)
+        real_put, failed = store.put, []
+
+        def put(key, data, src=None):
+            if key == prt.key_inode(5) and not failed:
+                failed.append(key)
+                yield sim.timeout(store.T)
+                raise StoreUnavailable("injected PUT failure")
+            yield from real_put(key, data, src)
+
+        store.put = put
+
+        def mkdir():
+            yield from jm.flush(7)
+            yield from jm.apply_early(7, put_child)
+
+        with pytest.raises(StoreUnavailable):
+            sim.run_process(mkdir())
+        sim.run()
+        assert prt.key_inode(5) in store
+        assert prt.store.sync_list(prt.key_journal_prefix(7)) == []
+
+
+def _mkdir_cluster(n_clients):
+    sim = Simulator()
+    store = _TimedStore(sim)
+    cluster = build_arkfs(sim, n_clients=n_clients, store=store)
+    fs = SyncFS(cluster.client(0), ROOT_CREDS)
+    fs.mkdir("/p")
+    sim.run(until=sim.now + 3)   # /p's own checkpoint drains
+    return sim, store, cluster, fs, fs.stat("/p").st_ino
+
+
+def test_mkdir_behind_a_slow_checkpoint_pays_one_commit_and_one_put():
+    """/p's checkpoint of a created file is slow (its dentry PUT takes a
+    second). A mkdir in /p commits its record, writes the child's inode
+    object and returns: it waits for none of that checkpoint."""
+    sim, store, cluster, fs, p = _mkdir_cluster(1)
+    prt, client = cluster.prt, cluster.client(0)
+    store.slow = lambda verb, key: key.startswith(prt.key_dentry_prefix(p))
+    fs.write_file("/p/f", b"", do_fsync=True)
+    sim.run(until=sim.now + store.T)   # its checkpoint is in flight
+    sent = len(store.log)
+
+    def mkdir():
+        t0 = sim.now
+        yield from client.mkdir(ROOT_CREDS, "/p/d")
+        keys = [key for _t, _verb, key in store.log[sent:]]
+        return sim.now - t0, keys, [key in store for key in keys]
+
+    took, keys, landed = sim.run_process(mkdir())
+    child = fs.stat("/p/d").st_ino
+    assert keys == [prt.key_journal(p, 1), prt.key_inode(child)]
+    assert landed == [True, True]
+    assert took < 3 * store.T < store.SLOW
+
+
+def early_put_window_misses():
+    """Crash /p's leader while the child's inode PUT of a mkdir in /p is
+    still in flight (the store delays PUTs of new inode objects), after
+    the rest of /p's checkpoint has been written. Returns what went wrong:
+    the journal object gone before that PUT landed, the child not
+    loadable by the survivor, or a strict fsck error."""
+    sim, store, cluster, fs, p = _mkdir_cluster(2)
+    prt = cluster.prt
+    store.slow = lambda verb, key: key[0] == "i" and key not in store
+    sim.process(cluster.client(0).mkdir(ROOT_CREDS, "/p/d"))
+    sim.run(until=sim.now + store.SLOW / 2)
+    misses = []
+    if not store.sync_list(prt.key_journal_prefix(p)):
+        misses.append("journal object deleted before the early PUT landed")
+    cluster.client(0).crash()
+    survivor = SyncFS(cluster.client(1), ROOT_CREDS)
+    try:
+        if survivor.readdir("/p") != ["d"] or survivor.readdir("/p/d"):
+            misses.append("namespace after recovery")
+    except Exception as exc:  # noqa: BLE001 - reported, not masked
+        misses.append(f"child not loadable: {exc!r}")
+    sim.run_process(cluster.client(1).sync())
+    sim.run(until=sim.now + 3)
+    report = sim.run_process(fsck(prt))
+    misses.extend(f"fsck: {e}" for e in report.errors + report.warnings)
+    return misses
+
+
+def test_a_crash_before_the_early_put_lands_recovers_clean():
+    """The checkpoint keeps the journal object until the child's inode
+    PUT lands, so a crash in that window replays the record."""
+    assert early_put_window_misses() == []
+
+
+def _deletes_before_early_put(self, dj, seq):
+    """Seeded: the checkpoint forgets the early PUTs and deletes."""
+    del dj.early[seq]
+    return
+    yield
+
+
+SEEDED = {
+    "checkpoint deletes the journal object before the early PUT lands": [
+        (JournalManager, "_land_early", _deletes_before_early_put)],
+}
+
+
+@pytest.mark.parametrize("bug", list(SEEDED))
+def test_seeded_early_apply_bugs(bug, monkeypatch):
+    """Re-seed a broken early-apply rule: the crash window must expose it.
+    A crash sweep cannot: its store lands a PUT when it is issued."""
+    for owner, attr, broken in SEEDED[bug]:
+        monkeypatch.setattr(owner, attr, broken)
+    assert early_put_window_misses() != []
+
 
 # -- property tests -----------------------------------------------------------
 

@@ -17,7 +17,7 @@ from repro.obs import (
     sample_threshold,
 )
 from repro.obs import trace as trace_mod
-from repro.posix import ROOT_CREDS, SyncFS
+from repro.posix import ROOT_CREDS, OpenFlags, SyncFS
 from repro.sim import Simulator
 
 MiB = 1024 * 1024
@@ -150,6 +150,34 @@ class TestSampledRuns:
             while s.parent is not None:
                 s = s.parent
             assert s is roots[0]
+
+    def test_background_work_roots_at_the_op_that_spawned_it(self, obs_off):
+        """fsync's checkpoint runs on after the op returns: spans it first
+        opens then still root at that fsync's root span, not nowhere."""
+        sim = Simulator()
+        _cluster, mounts = build("arkfs", sim, n_clients=1, net=NET_50G)
+        m = mounts[0]
+        obs = Observability.of(sim)
+        obs.enable_tracing(pid_name="arkfs", sample_rate=1.0)
+
+        def loop():
+            for i in range(4):
+                h = yield from m.open(ROOT_CREDS, f"/f{i}",
+                                      OpenFlags.O_CREAT | OpenFlags.O_WRONLY)
+                yield from m.write(h, b"x" * 4096)
+                yield from m.fsync(h)
+                yield from m.close(h)
+
+        sim.run_process(loop())
+        sim.run(until=sim.now + 3)   # the background checkpoints drain
+        unrooted = []
+        for s in obs.tracer.spans:
+            root = s
+            while root.parent is not None:
+                root = root.parent
+            if root.cat != trace_mod.ROOT_CAT:
+                unrooted.append(s.name)
+        assert obs.tracer.spans and unrooted == []
 
     def test_zero_span_allocations_when_rate_zero(self, obs_off, monkeypatch):
         calls = []
