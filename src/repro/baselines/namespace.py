@@ -244,6 +244,3 @@ class Namespace:
         if size > inode.size:
             inode.size = size
         inode.mtime = max(inode.mtime, mtime)
-
-    def count_nodes(self) -> int:
-        return len(self.nodes)

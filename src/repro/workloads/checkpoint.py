@@ -40,11 +40,6 @@ class CheckpointResult:
         return (sum(self.generation_times) / len(self.generation_times)
                 if self.generation_times else 0.0)
 
-    @property
-    def checkpoint_bandwidth_mbps(self) -> float:
-        t = self.mean_generation_time
-        return self.bytes_per_generation / t / 1e6 if t > 0 else 0.0
-
 
 def _gen_dir(base: str, gen: int) -> str:
     return f"{base}/gen-{gen:05d}"

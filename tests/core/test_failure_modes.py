@@ -133,3 +133,43 @@ class TestCoordinatorCrashMidRename:
         assert "f" not in fs2.readdir("/dst")
         assert fs2.read_file("/src/f") == b"stay"
         del dst_ino_holder
+
+
+class DeadClientWrites(Exception):
+    """A crashed client issued store requests: ROADMAP 1(xxiii)."""
+
+
+@pytest.mark.xfail(raises=DeadClientWrites, strict=True, reason=(
+    "crash() stops the commit threads and the keeper, and the store never "
+    "checks that a request's node is alive, so a dead leader's in-flight "
+    "mkdir still writes the child, checkpoints and deletes its journal "
+    "(ROADMAP 1(xxiii))"))
+def test_a_crashed_client_issues_no_store_requests():
+    """Timed store, no fault plan: client 0 crashes 1.2 ms into a mkdir,
+    while its commit PUT is in flight. Nothing it starts after that may
+    reach the store."""
+    sim = Simulator()
+    cluster = build_arkfs(sim, n_clients=2)
+    client = cluster.client(0)
+    sim.run_process(client.mkdir(ROOT_CREDS, "/p"))
+    sim.run(until=sim.now + 3.0)
+    issued, store = [], cluster.store
+
+    def spy(verb, src_at):
+        inner = getattr(store, verb)
+
+        def call(*args, **kw):
+            src = kw.get("src", args[src_at] if len(args) > src_at else None)
+            if src is not None and not src.alive:
+                issued.append(f"{verb} {args[0]}")
+            return inner(*args, **kw)
+        setattr(store, verb, call)
+
+    spy("put", 2)
+    spy("delete", 1)
+    sim.process(client.mkdir(ROOT_CREDS, "/p/d"))
+    sim.run(until=sim.now + 1.2e-3)
+    client.crash()
+    sim.run(until=sim.now + 1.0)
+    if issued:
+        raise DeadClientWrites(issued)
