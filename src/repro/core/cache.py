@@ -178,6 +178,9 @@ class DataObjectCache:
         self._files: Dict[int, _FileCache] = {}
         self._lru: "OrderedDict[Tuple[int, int], CacheEntry]" = OrderedDict()
         self._reserved = 0        # cache slots claimed by scheduled prefetches
+        # Fetches in flight: in their file's tree, not in ``_lru``, so they
+        # hold no slot; only read-ahead admission counts them.
+        self._fetching = 0
         # Metrics live in the sim-wide registry, namespaced per client so
         # multiple caches in one simulation don't merge; the objects are
         # pre-bound here so a count on the hot path is one attribute bump.
@@ -246,8 +249,12 @@ class DataObjectCache:
         return fc
 
     def _touch(self, ino: int, entry: CacheEntry) -> None:
-        self._lru[(ino, entry.index)] = entry
-        self._lru.move_to_end((ino, entry.index))
+        """Make a resident entry the most recently used. One evicted while
+        its user waited stays evicted: a fetch that lands makes room at
+        once, before the processes waiting for it resume."""
+        key = (ino, entry.index)
+        if key in self._lru:
+            self._lru.move_to_end(key)
 
     def _room(self, have: int, need: int) -> int:
         """Capacity for an in-place buffer of ``have`` bytes that must hold
@@ -266,22 +273,17 @@ class DataObjectCache:
         return _turn(self.sim)
 
     def _make_room(self, need: int = 1) -> SimGen:
-        need = min(max(1, need), self.capacity)
+        """Evict LRU entries until ``need`` more fit beside the resident
+        ones (``need`` 0: down to capacity, as a landed fetch asks)."""
+        need = min(need, self.capacity)
         while len(self._lru) + need > self.capacity:
             victim_key = None
             dirty_batch = []
             for key, entry in self._lru.items():
-                if entry.loading is not None:   # mid-fetch: not a victim
-                    continue
                 if victim_key is None:
                     victim_key = key
                 if entry.dirty and len(dirty_batch) < self.writeback_parallel:
                     dirty_batch.append((key[0], entry))
-            if victim_key is None:
-                # Everything is mid-fetch; wait for one fetch to land.
-                first = next(iter(self._lru.values()))
-                yield from self._wait(first.loading)
-                continue
             if len(dirty_batch) > 1:
                 # Flush a batch of dirty LRU entries through the flusher
                 # pool, so eviction pressure doesn't serialize object PUTs.
@@ -370,7 +372,9 @@ class DataObjectCache:
 
         Idempotent under races: if another fetch (demand or read-ahead)
         installed the entry between our admission check and now, join its
-        in-flight ``loading`` event instead of issuing a second GET."""
+        in-flight ``loading`` event instead of issuing a second GET.
+        The entry holds no cache slot until its bytes land; then it
+        takes one and the cache evicts back down to capacity."""
         fc = self._file(ino)
         existing = fc.tree.get(index)
         if existing is not None:
@@ -380,23 +384,26 @@ class DataObjectCache:
         entry = CacheEntry(index)
         entry.loading = self.sim.event()
         fc.tree.set(index, entry)
-        self._touch(ino, entry)
+        self._fetching += 1
         self._g_inflight_gets.add(1)
         try:
             data = yield from self._read_chunk(ino, index, src=self.node)
         except Exception as exc:
             fc.tree.delete(index)
-            self._lru.pop((ino, index), None)
             entry.loading.fail(exc)
             raise
         finally:
+            self._fetching -= 1
             self._g_inflight_gets.add(-1)
         # Keep the store's own immutable object (``ObjectStore.get`` may
         # return what it holds); anything else is copied once, here.
         entry.data = data if type(data) is bytes else bytes(data)
         entry.size = len(data)
         ev, entry.loading = entry.loading, None
+        if self._files.get(ino) is fc:   # not invalidated or discarded
+            self._lru[(ino, index)] = entry
         ev.succeed(entry)
+        yield from self._make_room(0)
         return entry
 
     def _fetch_missing(self, ino: int, tree: RadixTree, indices) -> SimGen:
@@ -437,32 +444,41 @@ class DataObjectCache:
         return frozenset(missing)
 
     def _get_entry(self, ino: int, index: int, fetch: bool = True) -> SimGen:
-        """Return a ready entry, fetching on miss."""
+        """Return a ready entry, resident as it is returned, fetching on
+        miss. An entry waited for may be evicted before this process
+        resumes; a write into it would reach no flush, so the lookup
+        starts over."""
         entry: Optional[CacheEntry] = self._file(ino).tree.get(index)
         if entry is not None:
-            if entry.loading is not None:
-                yield from self._wait(entry.loading)
             self._c_hits.inc()
-            self._touch(ino, entry)
-            return entry
-        self._c_misses.inc()
-        yield from self._make_room()
-        if fetch:
-            self._c_serial_gets.inc()
-            entry = yield from self._fetch(ino, index)
-            return entry
-        # Caller will fully overwrite: a blank entry suffices. Nothing looked
-        # up before ``_make_room`` holds across its yields: the victim may
-        # have been this file's last entry (its ``_FileCache`` is gone from
-        # ``_files``, and an entry installed there would be unreachable and
-        # never flushed), or a fetch may have installed ``index`` meanwhile.
-        fc = self._file(ino)
-        entry = fc.tree.get(index)
-        if entry is None:
-            entry = CacheEntry(index)
-            fc.tree.set(index, entry)
-        elif entry.loading is not None:
+            if entry.loading is None:
+                self._touch(ino, entry)
+                return entry
             yield from self._wait(entry.loading)
+        else:
+            self._c_misses.inc()
+            yield from self._make_room()
+            if fetch:
+                self._c_serial_gets.inc()
+                entry = yield from self._fetch(ino, index)
+            else:
+                # Caller will fully overwrite: a blank entry suffices.
+                # Nothing looked up before ``_make_room`` holds across its
+                # yields: the victim may have been this file's last entry
+                # (its ``_FileCache`` is gone from ``_files``, and an entry
+                # installed there would be unreachable and never flushed),
+                # or a fetch may have installed ``index`` meanwhile.
+                fc = self._file(ino)
+                entry = fc.tree.get(index)
+                if entry is None:
+                    entry = CacheEntry(index)
+                    fc.tree.set(index, entry)
+                    self._lru[(ino, index)] = entry
+                    return entry
+                if entry.loading is not None:
+                    yield from self._wait(entry.loading)
+        if self._lru.get((ino, index)) is not entry:
+            return (yield from self._get_entry(ino, index, fetch))
         self._touch(ino, entry)
         return entry
 
@@ -486,14 +502,16 @@ class DataObjectCache:
         tree = self._file(ino).tree
         if ra is not None:
             ra.on_read(offset, length, self.entry_size, self.max_readahead)
-            # Kick prefetches for the window beyond this read. Slots are
-            # reserved as prefetches are scheduled (``_reserved``), so a
-            # burst of read-ahead cannot overshoot the cache capacity
-            # before its processes have installed their entries.
+            # Kick prefetches for the window beyond this read. Admission
+            # counts resident entries, fetches in flight and slots reserved
+            # as prefetches are scheduled (``_reserved``), so a burst of
+            # read-ahead is bounded before its processes start; the cache
+            # itself stays within capacity as fetches land.
             end_idx = (offset + length - 1) // self.entry_size
             ra_end = offset + length + ra.window
             ra_last_idx = (ra_end - 1) // self.entry_size
-            budget = self.capacity - len(self._lru) - self._reserved
+            budget = (self.capacity - len(self._lru) - self._fetching
+                      - self._reserved)
             for idx in range(end_idx + 1, ra_last_idx + 1):
                 if budget <= 0:
                     break
@@ -544,7 +562,7 @@ class DataObjectCache:
             fc = self._file(ino)
             if fc.tree.get(index) is not None:
                 return
-            if len(self._lru) >= self.capacity:
+            if len(self._lru) + self._fetching >= self.capacity:
                 return  # demand traffic claimed the slot; drop the prefetch
             yield from self._fetch(ino, index)
         except Exception:
@@ -659,7 +677,9 @@ class DataObjectCache:
                 if entry.dirty and flush_dirty:
                     # Re-dirtied (or fetched-then-written) while we flushed.
                     yield from self._writeback(ino, entry)
-                self._lru.pop((ino, idx), None)
+                if self._lru.get((ino, idx)) is entry:
+                    # (Not an entry a new ``_FileCache`` made meanwhile.)
+                    del self._lru[(ino, idx)]
 
     def drop_all(self) -> SimGen:
         """Flush and drop everything (e.g. fio's cache drop between phases);

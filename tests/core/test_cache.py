@@ -346,13 +346,6 @@ def test_cache_equals_a_flat_model(capacity, ops):
             if size:
                 off = a % size
                 n = 1 + b % min(size - off, 3 * MSZ)
-                if use_ra:
-                    # A demand read of several missing entries starts its
-                    # fetches after the read-ahead it has just scheduled and
-                    # overshoots ``capacity`` by up to its own width (at the
-                    # parent too; ROADMAP item 1) — keep the bound exact
-                    # here by reading ahead from single-entry reads only.
-                    n = min(n, MSZ - off % MSZ)
                 got = run(sim, cache.read(ino, off, n,
                                           ra=ras[ino] if use_ra else None))
                 assert type(got) is bytes
@@ -568,11 +561,10 @@ class OverCapacity(Exception):
     cache holds: ROADMAP 1(ii), and nothing else."""
 
 
-@pytest.mark.xfail(raises=OverCapacity, strict=True, reason=(
-    "a demand read of >= 2 missing entries starts its fetches after the "
-    "read-ahead it scheduled, so _make_room does not see the reservations "
-    "(ROADMAP 1(ii))"))
 def test_cold_read_ahead_stays_within_capacity():
+    """The read-ahead a cold read schedules starts before the read's own
+    fetches; each fetch takes its slot when it lands, so the four of them
+    leave the two entries a cache of two holds."""
     sim = Simulator()
     store = InMemoryObjectStore(sim)
     prt = PRT(store, data_object_size=MSZ)
@@ -589,6 +581,15 @@ def test_cold_read_ahead_stays_within_capacity():
                            f"{cache.capacity}")
 
 
+class _SlowGetStore(InMemoryObjectStore):
+    """A GET lands one simulated second after it is issued."""
+
+    def get(self, key, src=None):
+        self.op_counts["get"] += 1
+        yield self.sim.timeout(1.0)
+        return self.sync_get(key)
+
+
 class _SlowPutStore(InMemoryObjectStore):
     """A PUT lands one simulated second after it is issued."""
 
@@ -596,6 +597,159 @@ class _SlowPutStore(InMemoryObjectStore):
         self.op_counts["put"] += 1
         yield self.sim.timeout(1.0)
         self.sync_put(key, data)
+
+
+class _SlowStore(_SlowGetStore, _SlowPutStore):
+    """GETs and PUTs each land one simulated second after they are issued."""
+
+
+def test_cold_readers_do_not_wait_for_each_others_gets():
+    """Four processes read four one-entry files through a cache of two. A
+    GET in flight holds no slot, so all four GETs start at once and every
+    read returns when its own GET lands, not behind another's."""
+    sim = Simulator()
+    store = _SlowGetStore(sim)
+    prt = PRT(store, data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=2 * ESZ, max_readahead=0)
+    for ino in (1, 2, 3, 4):
+        store.sync_put(prt.key_data(ino, 0), bytes([ino]) * ESZ)
+
+    def reader(ino):
+        data = yield from cache.read(ino, 0, ESZ)
+        return sim.now, data
+
+    procs = [sim.process(reader(ino)) for ino in (1, 2, 3, 4)]
+    sim.run()
+    assert [p.value[0] for p in procs] == [1.0] * 4
+    assert [p.value[1] for p in procs] == [
+        bytes([ino]) * ESZ for ino in (1, 2, 3, 4)]
+    assert store.op_counts["get"] == 4
+    assert cache.total_entries == 2
+
+
+def test_waiters_on_an_evicted_fetch_lose_no_write():
+    """A reader and a writer wait for f1's fetch while f2's and f3's fill
+    a cache of two. The three land together and f3's evicts f1 before
+    the waiters resume: the reader still gets f1's bytes, no evicted
+    entry goes back on the LRU, and the write goes into a resident entry
+    (one the flush finds), not into the evicted one."""
+    sim = Simulator()
+    store = _SlowGetStore(sim)
+    prt = PRT(store, data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=2 * ESZ, max_readahead=0)
+    for ino in (1, 2, 3):
+        store.sync_put(prt.key_data(ino, 0), bytes([ino]) * ESZ)
+    reads = [sim.process(cache.read(ino, 0, ESZ)) for ino in (1, 2, 3, 1)]
+    sim.process(cache.write(1, 5, b"W" * 5, old_size=ESZ))
+    sim.run()
+    assert [r.value for r in reads] == [
+        b"\1" * ESZ, b"\2" * ESZ, b"\3" * ESZ, b"\1" * ESZ]
+    _check_cache_shape(cache, ESZ)
+    run(sim, cache.drop_all())
+    assert store.sync_get(prt.key_data(1, 0)) == (
+        b"\1" * 5 + b"W" * 5 + b"\1" * (ESZ - 10))
+
+
+def _at(sim, t, gen):
+    """Run ``gen`` from simulated time ``t``; the process returns what
+    ``gen`` returns."""
+    def delayed():
+        yield sim.timeout(t)
+        return (yield from gen)
+    return sim.process(delayed())
+
+
+def test_an_invalidation_keeps_the_entry_a_new_file_cache_made():
+    """An invalidation drops f1's ``_FileCache`` once its flush lands
+    (1.1 s) and then waits for the fetch of entry 1 that a read started
+    during the flush (it lands at 1.2 s). Meanwhile a write makes a new
+    ``_FileCache`` with its own entry 1: the invalidation must drop only
+    its own entry's LRU record, or the new one is in the tree but holds
+    no slot."""
+    sim = Simulator()
+    store = _SlowStore(sim)
+    prt = PRT(store, data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=2 * ESZ, max_readahead=0)
+    store.sync_put(prt.key_data(1, 1), b"a" * ESZ)
+    _at(sim, 0, cache.write(1, 0, b"x" * ESZ, old_size=2 * ESZ))
+    _at(sim, 0.1, cache.invalidate(1))
+    _at(sim, 0.2, cache.read(1, ESZ, ESZ))
+    _at(sim, 1.15, cache.write(1, ESZ, b"b" * ESZ, old_size=2 * ESZ))
+    sim.run()
+    _check_cache_shape(cache, ESZ)
+    assert cache.has_dirty(1)
+
+
+_make_room = DataObjectCache._make_room
+_get_entry = DataObjectCache._get_entry
+
+
+def _landing_makes_no_room(self, need=1):
+    """Seeded 1(ii): a landed fetch takes its slot and evicts nothing."""
+    if need:
+        yield from _make_room(self, need)
+
+
+def _touch_reinstates(self, ino, entry):
+    """Seeded: a touch puts an entry evicted meanwhile back on the LRU."""
+    self._lru[(ino, entry.index)] = entry
+    self._lru.move_to_end((ino, entry.index))
+
+
+def _get_entry_keeps_the_waited_entry(self, ino, index, fetch=True):
+    """Seeded: a writer keeps the entry it waited for, evicted or not."""
+    entry = self._file(ino).tree.get(index)
+    if entry is None or entry.loading is None:
+        return (yield from _get_entry(self, ino, index, fetch))
+    yield from self._wait(entry.loading)
+    self._touch(ino, entry)
+    return entry
+
+
+def _invalidation_drops_by_key(self, inos, flush_dirty=True, deleted=False):
+    """Seeded: an invalidation drops whatever LRU record has its keys."""
+    pairs = yield from self._collect_dirty(inos)
+    if flush_dirty:
+        yield from self._writeback_pool(pairs)
+    for ino in inos:
+        fc = self._files.pop(ino, None)
+        for idx, entry in list(fc.tree.items()) if fc else ():
+            if entry.loading is not None:
+                yield from self._wait(entry.loading)
+            self._lru.pop((ino, idx), None)
+
+
+SEEDED_CAPACITY_BUGS = {
+    "a landed fetch takes its slot without making room": (
+        [(DataObjectCache, "_make_room", _landing_makes_no_room)],
+        [(test_cold_read_ahead_stays_within_capacity, OverCapacity),
+         (test_cold_readers_do_not_wait_for_each_others_gets,
+          AssertionError)]),
+    "a touch reinstates an evicted entry": (
+        [(DataObjectCache, "_touch", _touch_reinstates)],
+        [(test_waiters_on_an_evicted_fetch_lose_no_write, AssertionError)]),
+    "a writer keeps the entry it waited for": (
+        [(DataObjectCache, "_get_entry", _get_entry_keeps_the_waited_entry)],
+        [(test_waiters_on_an_evicted_fetch_lose_no_write, AssertionError)]),
+    "an invalidation drops LRU records by key": (
+        [(DataObjectCache, "invalidate_many", _invalidation_drops_by_key)],
+        [(test_an_invalidation_keeps_the_entry_a_new_file_cache_made,
+          AssertionError)]),
+}
+
+
+@pytest.mark.parametrize("bug", list(SEEDED_CAPACITY_BUGS))
+def test_seeded_capacity_bugs(bug, monkeypatch):
+    """Re-seed a fixed capacity bug; every test its row names must fail."""
+    patches, must_fail = SEEDED_CAPACITY_BUGS[bug]
+    for owner, attr, broken in patches:
+        monkeypatch.setattr(owner, attr, broken)
+    for test, error in must_fail:
+        with pytest.raises(error):
+            test()
 
 
 def _in_flight_cache():
@@ -613,15 +767,6 @@ def _in_flight_cache():
 
     sim.process(writer())
     return sim, store, prt, cache
-
-
-def _at(sim, t, gen):
-    """Run ``gen`` from simulated time ``t``; the process returns what
-    ``gen`` returns."""
-    def delayed():
-        yield sim.timeout(t)
-        return (yield from gen)
-    return sim.process(delayed())
 
 
 class StaleRead(Exception):

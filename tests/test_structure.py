@@ -1,14 +1,15 @@
 """Structural rules: the shapes the simplifications left stay in place.
 
-``RULES`` is one table. Each row was a check of a CI grep step (``step``,
-added in PR ``pr``); its ``reason`` is that step's comment. ``pattern`` is
-grep's, verbatim: extended syntax, or basic with ``bre``, whole words with
-``word``. A rule reads each line of its ``paths`` (directories recursively,
-``*.py`` only with ``py``), or of one ``function`` (found with ``ast``). A
-matching ``path:line:text`` is dropped if an ``allow`` pattern matches it
-(grep -v). ``forbid``: no line matches; ``count``: ``n`` lines do;
-``require``: one does. A missing path or function fails the rule, so none
-goes blind when a file moves, and each rule must catch its ``example``.
+``RULES`` is one table. Each row is a check named by its ``step`` (most
+were CI grep steps), ``pr`` the change that added it; its ``reason`` is
+the step's comment. ``pattern`` is grep's, verbatim: extended syntax, or
+basic with ``bre``, whole words with ``word``. A rule reads each line of
+its ``paths`` (directories recursively, ``*.py`` only with ``py``), or of
+one ``function`` (found with ``ast``). A matching ``path:line:text`` is
+dropped if an ``allow`` pattern matches it (grep -v). ``forbid``: no line
+matches; ``count``: ``n`` lines do; ``require``: one does. A missing path
+or function fails the rule, so none goes blind when a file moves, and
+each rule must catch its ``example``.
 """
 
 import ast
@@ -151,6 +152,9 @@ RULES = [
         Rule("symlink-split", 41, FORBID,
              r'_FINAL_HOPS|_expand_symlink|\.split\(.?/.?\)|split_path\([a-z_.]*target|"/" \+ target',
              f"{C}client.py {C}ops.py {S}namespace.py {S}cephfs.py", 'parts = target.split("/")')),
+    *_step("One eviction loop", "the client cache evicts in _make_room alone, which counts resident "
+           "entries only: a fetch takes its slot when its bytes land and makes room through it",
+        Rule("one-eviction-loop", 50, COUNT, r"_c_evictions\.inc", f"{C}cache.py", "self._c_evictions.inc()", n=1)),
     *_step("The model imports no numpy", "the package runs on the standard library "
            "(tests/workloads/test_imports.py checks it at run time)",
         Rule("no-numpy", 43, FORBID, r"^\s*(import|from) numpy", "src/repro", "import numpy as np")),
@@ -231,7 +235,7 @@ def test_rule_holds(rule):
 def test_every_rule_catches_its_example():
     """The example, added to the rule's first path, breaks a forbid or
     count rule; it alone meets a require rule, which nothing fails."""
-    assert len({r.id for r in RULES}) == len(RULES) == 34
+    assert len({r.id for r in RULES}) == len(RULES) == 35
     blind = []
     for rule in RULES:
         path = rule.paths.split()[0]
