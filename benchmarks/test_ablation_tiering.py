@@ -20,8 +20,8 @@ from repro.bench.tiering import (REREADS, format_tier_report, tier_ablation)
 #: mount, so neither run serves a root VFS op.
 PINS = {
     "arkfs-cold": {"obs.root_ops": 0},
-    "arkfs-tier": {"obs.root_ops": 0, "tier.hits": 1560,
-                   "tier.promotions": 492, "tier.demotions": 558},
+    "arkfs-tier": {"obs.root_ops": 0, "tier.hits": 1720,
+                   "tier.promotions": 332, "tier.demotions": 574},
 }
 
 

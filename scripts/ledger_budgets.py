@@ -16,6 +16,8 @@ BUDGETS = [
      "a hand-rolled wait or a generator-stack OSD request in the store path"),
     ("BENCH_ledger_tier_aged_e2e.json", "sim_readback_s", 1.10, 4,
      "a cold read waits for a cache slot that another reader's GET holds"),
+    ("BENCH_ledger_tier_aged_e2e.json", "sim_mutate_s", 0.49, 4,
+     "staged writes wait for a drain that starts late or runs lock-step"),
     ("BENCH_ledger_md_private_e2e.json", "host_pycalls_per_op", 260.8, 1,
      "a second resume or forwarding frame per hold on the root-op path"),
     ("BENCH_ledger_md_scale_e2e.json", "host_pycalls_per_op", 281.0, 2,

@@ -80,8 +80,8 @@ class ArkFSParams:
     tier_dirty_max: int = 32 * MiB         # staged-not-drained byte bound;
                                            # writers wait for the drain (never
                                            # for demotion) beyond this
-    tier_drain_interval: float = 0.5       # background drain ticker period
-    tier_drain_batch: int = 32             # objects per drain batch
+    tier_drain_interval: float = 0.5       # maintenance (demotion) ticker
+    tier_drain_batch: int = 32             # drain pool: objects moving at once
     tier_promote_max: int = 8 * MiB        # promote whole objects up to this
                                            # size; larger ones (pack
                                            # containers) serve range GETs cold

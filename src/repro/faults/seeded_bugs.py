@@ -66,10 +66,10 @@ def _bug_fence_blind(cluster) -> None:
 
 def _bug_tier_drain_reorder(cluster) -> None:
     """Drain bookkeeping ahead of durability: the tier's cold-PUT leg holds
-    each drain batch back and only flushes the *previous* one, so every
-    batch is marked clean (and the fsync barrier returns) one round before
-    its bytes reach cold. Fault-free runs look fine (reads hit the hot
-    copy); a crash that loses the hot tier loses the last 'drained' batch,
+    each drain back and only flushes the *previous* one, so every key is
+    marked clean (and the fsync barrier returns) one drain before its
+    bytes reach cold. Fault-free runs look fine (reads hit the hot
+    copy); a crash that loses the hot tier loses the last 'drained' key,
     which the durability milestones must expose."""
     store = cluster.store  # the TieredObjectStore (unwrapped by design)
     real = store._drain_cold_put
@@ -85,16 +85,9 @@ def _bug_tier_drain_reorder(cluster) -> None:
     store._drain_cold_put = reordered
 
 
-def _bug_staged_container(cluster) -> None:
-    """The tier stages pack containers hot: a seal's PUT returns with its
-    container hot-only, and a crash that loses the hot tier loses it."""
-    cluster.store._staged = lambda key: key[:1] in ("d", "p")
-
-
 SEEDED_BUGS: Dict[str, Callable] = {
     "lost-commit": _bug_lost_commit,
     "pretend-fsync": _bug_pretend_fsync,
     "fence-blind": _bug_fence_blind,
     "tier-drain-reorder": _bug_tier_drain_reorder,
-    "staged-container": _bug_staged_container,
 }

@@ -5,9 +5,12 @@ Fronts a cold, capacity-class store (S3 profile) with a small fast tier
 local storage and cold external persistent storage.
 
 * **Write-back staging** — plain data objects (``d`` chunks) land in the
-  hot tier only and are marked dirty; a background drain pushes them to
-  cold in batches. Dirty bytes are bounded (``tier_dirty_max``): a writer
-  that would exceed the bound waits for the drain, never for demotion.
+  hot tier only and are marked dirty. Each staged write tops up one drain
+  pool: at most ``tier_drain_batch`` drainers, each of which claims the
+  next unclaimed dirty key, copies it hot -> cold and takes the next, until
+  none is left. Dirty bytes are bounded (``tier_dirty_max``): a writer that
+  would exceed the bound waits, in FIFO order, until drains free room for
+  its bytes — never for demotion.
   Everything else (inodes, dentries, journal records, 2PC decisions,
   shard maps, extent indices, and the ``p`` pack containers an extent
   index names) is written **through**: hot and cold in parallel, durable
@@ -21,12 +24,12 @@ local storage and cold external persistent storage.
 * **Lifecycle demotion** — when resident hot bytes exceed
   ``tier_high_watermark * tier_hot_capacity``, clean objects are evicted in
   LRU order down to the low watermark. Dirty objects are never evicted
-  (they exist nowhere else). Drain and demotion have one driver, the
-  tier's own ticker (:meth:`tier_maintain` every ``drain_interval``), so
-  the hot tier never stalls writers on capacity.
+  (they exist nowhere else). Demotion has one driver, the tier's own
+  ticker (:meth:`tier_maintain` every ``drain_interval``), so the hot tier
+  never stalls writers on capacity.
 
 Durability contract: hot-only state is volatile. A staged object is durable
-only once drained to cold; ``fsync``/``sync`` force a drain barrier
+only once drained to cold; ``fsync``/``sync`` wait on a drain barrier
 (:meth:`tier_drain_all`) so the POSIX contract holds. Crash recovery
 (fsck + crashcheck) treats the hot tier as lost (:meth:`lose_hot`) and must
 recover from cold + journal alone.
@@ -43,13 +46,12 @@ and converges.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs import Observability
 from ..sim.engine import Event, Interrupt, SimGen, Simulator
 from ..sim.network import Node
-from ..sim.resources import Mutex
 from .base import ObjectStore
 from .errors import NoSuchKey
 
@@ -83,22 +85,23 @@ class TieredObjectStore(ObjectStore):
 
         # Hot-resident objects, LRU order (oldest first), key -> size.
         self._resident: "OrderedDict[str, int]" = OrderedDict()
-        # Staged-but-not-drained objects, key -> write version. A re-write
-        # during a drain bumps the version so the stale drain round cannot
-        # mark the key clean.
+        # Staged-but-not-drained objects, key -> size, oldest first. A
+        # drainer owns its key until it is clean, so no re-write lands
+        # during the drain (a crash's epoch fence covers the rest).
         self._dirty: Dict[str, int] = {}
-        self._ver = 0
-        # Keys currently owned by a background round (drain batch, demotion
+        # Keys currently owned by a background round (a drainer, a demotion
         # batch, or an in-flight promotion). Client mutations on such a key
         # wait for the round's event, so a demotion can never delete bytes a
         # concurrent writer just staged and a promotion can never overwrite
         # newer data with stale cold bytes.
         self._inflight: Dict[str, Event] = {}
-        # Writers blocked on the dirty-bytes bound.
-        self._drain_waiters: List[Event] = []
-        self._drain_lock = Mutex(sim, name="tier:drain")
+        # Writers blocked on the dirty-bytes bound, FIFO: (incoming, event).
+        self._stalled: "deque[Tuple[int, Event]]" = deque()
+        # The drain pool: running drainers, and the barriers waiting for it
+        # to empty (woken with a drainer's failure, or None).
+        self._drainers = 0
+        self._drain_exits: List[Event] = []
         self._demote_busy = False
-        self._drain_kicked = False
         # Bumped by lose_hot(); stale drain rounds check it before touching
         # bookkeeping that the crash already reset.
         self._epoch = 0
@@ -184,55 +187,39 @@ class TieredObjectStore(ObjectStore):
             self._g_hot.set(self.hot_bytes)
 
     def _note_staged(self, key: str, size: int) -> None:
-        """Bookkeeping after a staged PUT landed hot: resident + dirty."""
-        prev = self._dirty.get(key)
-        if prev is not None:
-            # Re-write of a still-dirty key: replace its pending bytes.
-            old_size = self._resident.get(key, 0)
-            self.staged_dirty_bytes += size - old_size
-        else:
-            self.staged_dirty_bytes += size
-        self._ver += 1
-        self._dirty[key] = self._ver
+        """Bookkeeping after a staged PUT landed hot: resident + dirty (a
+        re-write of a still-dirty key replaces its pending bytes)."""
+        self.staged_dirty_bytes += size - self._dirty.get(key, 0)
+        self._dirty[key] = size
         self._account_resident(key, size)
         self._g_dirty.set(self.staged_dirty_bytes)
 
-    def _mark_clean(self, key: str, ver: int, size: int) -> None:
-        """Drain completed for (key, ver); keep dirty if re-written since."""
-        if self._dirty.get(key) != ver:
-            return
-        del self._dirty[key]
-        self.staged_dirty_bytes -= size
+    def _mark_clean(self, key: str) -> None:
+        """The key's staged bytes are in cold, or deleted: no longer dirty."""
+        self.staged_dirty_bytes -= self._dirty.pop(key, 0)
         self._g_dirty.set(self.staged_dirty_bytes)
+        if self._stalled:
+            self._wake_writers()
 
-    def _release_drain_waiters(self) -> None:
-        waiters, self._drain_waiters = self._drain_waiters, []
-        for ev in waiters:
-            if not ev.triggered:
-                ev.succeed()
+    def _wake_writers(self, everyone: bool = False) -> None:
+        """Wake, in FIFO order, the stalled writers whose bytes now fit."""
+        room = self.dirty_max - self.staged_dirty_bytes
+        stalled = self._stalled
+        while stalled and (everyone or not self._dirty
+                           or stalled[0][0] <= room):
+            incoming, ev = stalled.popleft()
+            room -= incoming
+            ev.succeed()
 
     def _stage_backpressure(self, incoming: int) -> SimGen:
         """Bound dirty bytes: wait for the drain, never for demotion."""
         while (self._dirty
                and self.staged_dirty_bytes + incoming > self.dirty_max):
             self._c_stage_stalls.inc()
-            self._kick_drain()
+            self._top_up()  # restarts the pool after a failed drain
             ev = self.sim.event()
-            self._drain_waiters.append(ev)
+            self._stalled.append((incoming, ev))
             yield ev
-
-    def _kick_drain(self) -> None:
-        if self._drain_kicked:
-            return
-        self._drain_kicked = True
-
-        def kicked() -> SimGen:
-            try:
-                yield from self._drain_rounds(src=None, drain_all=False)
-            finally:
-                self._drain_kicked = False
-
-        self.sim.process(kicked(), name="tier:kick")
 
     # -- reads --------------------------------------------------------------
 
@@ -323,6 +310,7 @@ class TieredObjectStore(ObjectStore):
             try:
                 yield from self._hot_put(key, data, src=src)
                 self._note_staged(key, len(data))
+                self._top_up(ev)
                 self._c_staged_puts.inc()
                 self._c_staged_bytes.inc(len(data))
             finally:
@@ -366,8 +354,7 @@ class TieredObjectStore(ObjectStore):
             was_dirty = key in self._dirty
             if in_hot:
                 if was_dirty:
-                    self._mark_clean(key, self._dirty[key],
-                                     self._resident.get(key, 0))
+                    self._mark_clean(key)
                 self._unaccount_resident(key)
                 try:
                     yield from self.hot.delete(key, src=src)
@@ -453,6 +440,8 @@ class TieredObjectStore(ObjectStore):
                 self._note_staged(k, len(v))
                 self._c_staged_puts.inc()
                 self._c_staged_bytes.inc(len(v))
+            if staged:
+                self._top_up(ev)
             for k, v in through:
                 self._account_resident(k, len(v))
                 self._c_writethrough_puts.inc()
@@ -477,8 +466,7 @@ class TieredObjectStore(ObjectStore):
                 if k in self._resident:
                     hot_keys.append(k)
                     if k in self._dirty:
-                        self._mark_clean(k, self._dirty[k],
-                                         self._resident.get(k, 0))
+                        self._mark_clean(k)
                     self._unaccount_resident(k)
             procs = []
             if hot_keys:
@@ -504,70 +492,87 @@ class TieredObjectStore(ObjectStore):
             return
 
     def tier_maintain(self) -> SimGen:
-        """One maintenance round: drain a batch, then demote if over the
-        high watermark. The tier's own ticker is its only background
-        caller."""
-        yield from self._drain_rounds(src=None, drain_all=False)
+        """One maintenance round: top up the drain pool, wait for the drains
+        in flight, then demote if over the high watermark. The tier's own
+        ticker is its only background caller."""
+        self._top_up()
+        draining = [self._inflight[k] for k in self._dirty
+                    if k in self._inflight]
+        if draining:
+            yield self.sim.all_of(draining)
         yield from self._demote()
 
     def tier_drain_all(self, src: Optional[Node] = None) -> SimGen:
         """Drain barrier: every object staged *before* this call is durable
-        in cold when it returns (the fsync/sync contract)."""
+        in cold when it returns (the fsync/sync contract). A drainer's
+        failure is raised here, with its key left dirty. Drains are the
+        tier's own traffic, so ``src`` pays no leg of them."""
         while self._dirty:
-            yield from self._drain_rounds(src=src, drain_all=True)
+            self._top_up()
+            if self._drainers:  # wait for the pool to empty or to fail
+                ev = self.sim.event()
+                self._drain_exits.append(ev)
+            else:  # a writer owns every dirty key; its staged write tops up
+                ev = next(self._inflight[k] for k in self._dirty
+                          if k in self._inflight)
+            err = yield ev
+            if err is not None:
+                raise err
 
-    def _drain_rounds(self, src: Optional[Node], drain_all: bool) -> SimGen:
-        req = yield from self._drain_lock.acquire()
-        try:
-            while self._dirty:
-                n = yield from self._drain_batch(src)
-                if not drain_all:
+    def _top_up(self, mine: Optional[Event] = None) -> None:
+        """Start drainers up to ``drain_batch`` in all, at most one per
+        dirty key no round owns but the caller (``mine``)."""
+        want = self.drain_batch - self._drainers
+        if want <= 0:
+            return
+        free = 0
+        for key in self._dirty:
+            if self._inflight.get(key, mine) is mine:
+                free += 1
+                if free == want:
                     break
-                if n == 0:
-                    # Every dirty key is owned by an in-flight writer round;
-                    # wait for one to finish, then re-derive the batch.
-                    evs = [self._inflight[k] for k in self._dirty
-                           if k in self._inflight]
-                    if evs:
-                        yield evs[0]
-        finally:
-            self._drain_lock.release(req)
+        self._drainers += free
+        for _ in range(free):
+            self.sim.process(self._drainer(), name="tier:drain")
 
-    def _drain_batch(self, src: Optional[Node]) -> SimGen:
-        """Push up to ``drain_batch`` dirty objects hot -> cold. Returns the
-        number of keys attempted (0 = all dirty keys claimed elsewhere)."""
-        batch = [(k, v) for k, v in self._dirty.items()
-                 if k not in self._inflight][: self.drain_batch]
-        if not batch:
-            return 0
-        epoch = self._epoch
-        ev = self.sim.event()
-        for key, _ in batch:
-            self._inflight[key] = ev
+    def _drainer(self) -> SimGen:
+        """One member of the drain pool: claim the next unclaimed dirty key,
+        copy it hot -> cold, mark it clean under the epoch fence, and repeat
+        until no unclaimed key is left or a drain fails."""
+        err: Optional[Exception] = None
+        inflight = self._inflight
         try:
-            keys = [k for k, _ in batch]
-            values = yield from self.hot.get_many(keys, src=src)
-            items = [(k, v) for (k, _), v in zip(batch, values)
-                     if v is not None]
-            if items:
-                yield from self._drain_cold_put(items, src)
-            if self._epoch == epoch:
-                sizes = {k: len(v) for k, v in items}
-                for key, ver in batch:
-                    # A key whose hot bytes vanished (deleted mid-round)
-                    # has nothing left to drain either.
-                    size = sizes.get(key, self._resident.get(key, 0))
-                    self._mark_clean(key, ver, size)
-                self._c_drained_objects.inc(len(items))
-                self._c_drained_bytes.inc(sum(len(v) for _, v in items))
+            while True:
+                for key in self._dirty:
+                    if key not in inflight:
+                        break
+                else:
+                    return
+                epoch = self._epoch
+                ev = inflight[key] = self.sim.event()
+                try:
+                    try:
+                        data = yield from self.hot.get(key)
+                    except NoSuchKey:
+                        if self._epoch == epoch:
+                            raise
+                        continue  # a crash wiped the hot tier under us
+                    yield from self._drain_cold_put([(key, data)], None)
+                    if self._epoch == epoch:
+                        self._mark_clean(key)
+                        self._c_drained_objects.inc()
+                        self._c_drained_bytes.inc(len(data))
+                finally:
+                    self._unclaim((key,), ev)
+        except Exception as exc:  # the key stays dirty; a barrier raises it
+            err = exc
+            self._wake_writers(everyone=True)  # they restart the pool
         finally:
-            for key, _ in batch:
-                if self._inflight.get(key) is ev:
-                    del self._inflight[key]
-            if not ev.triggered:
-                ev.succeed()
-            self._release_drain_waiters()
-        return len(batch)
+            self._drainers -= 1
+            if err is not None or not self._drainers:
+                exits, self._drain_exits = self._drain_exits, []
+                for ev in exits:
+                    ev.succeed(err)
 
     def _drain_cold_put(self, items: Sequence[Tuple[str, bytes]],
                         src: Optional[Node]) -> SimGen:
@@ -646,7 +651,7 @@ class TieredObjectStore(ObjectStore):
             del self._inflight[key]
             if not ev.triggered:
                 ev.succeed()
-        self._release_drain_waiters()
+        self._wake_writers(everyone=True)
 
     def stop(self) -> None:
         if self._ticker is not None and self._ticker.alive:

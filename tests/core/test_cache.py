@@ -805,3 +805,39 @@ def test_a_flush_waits_for_a_put_in_flight():
     returned, stored = done.value
     if returned < 1.0 or not stored:
         raise EarlyFsync(f"returned at {returned} s, stored: {stored}")
+
+
+class PrefetchCountedTwice(Exception):
+    """Read-ahead left free slots unused: ROADMAP 1(xxvi)."""
+
+
+@pytest.mark.xfail(raises=PrefetchCountedTwice, strict=True, reason=(
+    "read-ahead admission counts a prefetch in flight twice, once in "
+    "_fetching and once in _reserved (ROADMAP 1(xxvi))"))
+def test_read_ahead_fills_the_free_slots():
+    """Entry 0 is resident and a first read from offset 0 has four
+    prefetches in flight, so a cache of eight has three free slots. The
+    second sequential read's window names three entries past those in
+    flight: it must prefetch all three."""
+    sim = Simulator()
+    store = _SlowGetStore(sim)
+    prt = PRT(store, data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=8 * ESZ, max_readahead=4 * ESZ)
+    for idx in range(16):
+        store.sync_put(prt.key_data(1, idx), bytes([idx]) * ESZ)
+    run(sim, cache.read(1, 0, ESZ))
+    ra = ReadAheadState()
+
+    def reader():
+        yield from cache.read(1, 0, ESZ, ra=ra)
+        first = cache.stats["prefetches"]
+        yield from cache.read(1, ESZ, 3 * ESZ, ra=ra)
+        return first, cache.stats["prefetches"] - first
+
+    first, second = run(sim, reader())
+    assert first == 4
+    free = cache.capacity - 1 - first
+    if second != free:
+        raise PrefetchCountedTwice(
+            f"{second} prefetches for {free} free slots")

@@ -25,7 +25,7 @@ from repro.faults.crashcheck import (
 
 # Victim store ops, hence crash points, per workload.
 POINTS = {"mkdir": 61, "checkpoint": 33, "rename": 223, "pack": 96,
-          "shard_split": 91, "epoch_handoff": 31, "tier_drain": 111,
+          "shard_split": 91, "epoch_handoff": 31, "tier_drain": 95,
           "qos_backlog": 61, "all_on": 229}
 
 
@@ -143,17 +143,11 @@ CAUGHT = {
     # Writeback reports done without the PUT: the victim reads its own
     # cache, so only a crash exposes the lost fsync'd bytes.
     "pretend-fsync": ("rename", 37, False, "crash@1: rename content for f0"),
-    # The drain marks a batch clean one round before its cold PUT: only a
-    # crash that also wipes the hot tier loses it this early.
+    # A drainer marks its key clean one drain before the key's cold PUT:
+    # only a crash that also wipes the hot tier loses it this early.
     "tier-drain-reorder": ("tier_drain", 7, False,
                            "crash@15: durability of completed step "
                            "'fsync:f0' broken"),
-    # The tier stages pack containers: an fsync's seal PUT returns with
-    # the container hot-only, so only a crash that also wipes the hot
-    # tier loses it (ROADMAP 1(ix), 1(xv)).
-    "staged-container": ("all_on", 24, False,
-                         "crash@25: durability of completed step "
-                         "'fsync:f0' broken"),
 }
 
 

@@ -496,8 +496,7 @@ def test_restarted_writer_seals_into_the_new_journal():
 
 def test_fsync_never_stages_a_container():
     """fsync with pack and tier both on: the tier writes the container
-    the seal PUTs through to cold, so no ``p`` key is ever dirty (the
-    tier ticker is off: only fsync drains)."""
+    the seal PUTs through to cold, so no ``p`` key is ever dirty."""
     params = _params(tier_enabled=True, tier_drain_interval=0,
                      pack_seal_age=30.0)
     sim, cluster = _build(params=params)
@@ -518,14 +517,69 @@ def test_fsync_never_stages_a_container():
     assert fs.read_file("/a/f0") == b"\x09" * 40_000
 
 
-def _tiered_trio():
-    """Three clients over pack and tier, the tier ticker off: only an
-    fsync or a sync drains."""
+def _tiered_trio(staged=None):
+    """Three clients over pack and tier, the tier ticker off. Each drain's
+    cold PUT takes a second, as over a real cold tier, and one in flight
+    when the hot tier is lost dies with it: a staged write starts its
+    drain at once, but a crash just after an op still loses what the op
+    staged, and an fsync or a sync waits for the drain.
+    ``staged`` replaces the tier's rule for which keys it stages."""
     params = _params(tier_enabled=True, tier_drain_interval=0)
     sim, cluster = _build(n_clients=3, params=params)
+    tier = cluster.store
+    cold_put = tier._drain_cold_put
+
+    def slow_cold_put(items, src):
+        epoch = tier._epoch
+        yield sim.timeout(1.0)
+        if tier._epoch == epoch:
+            yield from cold_put(items, src)
+
+    tier._drain_cold_put = slow_cold_put
+    if staged is not None:
+        tier._staged = staged
     fs = [SyncFS(c, ROOT_CREDS) for c in cluster.clients]
     fs[0].mkdir("/a")
     return sim, cluster, fs
+
+
+def _crash_c0(sim, cluster):
+    """c0 crashes and the hot tier is lost; its leases run out."""
+    cluster.client(0).crash()
+    cluster.store.lose_hot()
+    sim.run(until=sim.now + 2 * cluster.params.lease_period)
+
+
+class FsyncedContainerLost(Exception):
+    """An fsync'd packed file did not survive losing the hot tier."""
+
+
+def _fsync_packed_crash_and_read(staged=None):
+    sim, cluster, fs = _tiered_trio(staged)
+    data = b"\x05" * 20 * KiB
+    fs[0].write_file("/a/f0", data, do_fsync=True)
+    assert cluster.client(0).pack.stats["packs_sealed"] == 1
+    _crash_c0(sim, cluster)
+    got = fs[2].read_file("/a/f0")
+    if got != data:
+        raise FsyncedContainerLost(f"read {sorted(set(got))}")
+
+
+def test_fsynced_container_survives_losing_the_hot_tier():
+    """The tier writes the container an fsync seals through to cold, so
+    the file survives a crash that loses the hot tier as soon as the
+    fsync returns (ROADMAP 1(ix))."""
+    _fsync_packed_crash_and_read()
+
+
+def test_seeded_staged_container_bug_is_caught():
+    """Re-seed 1(ix): the tier stages pack containers, so the seal PUT
+    returns with its container hot-only. A crash sweep cannot see it:
+    over its zero-latency store, the drain the seal starts lands before
+    the victim's next op."""
+    with pytest.raises(FsyncedContainerLost):
+        _fsync_packed_crash_and_read(
+            staged=lambda key: key[:1] in ("d", "p"))
 
 
 def _hand_off_crash_and_read(sim, cluster, fs, overwrite):
@@ -535,9 +589,7 @@ def _hand_off_crash_and_read(sim, cluster, fs, overwrite):
     with fs[0].open("/a/f0", OpenFlags.O_WRONLY) as f:
         f.write(overwrite, 0)
     fs[1].read_file("/a/f0")
-    cluster.client(0).crash()
-    cluster.store.lose_hot()
-    sim.run(until=sim.now + 2 * cluster.params.lease_period)
+    _crash_c0(sim, cluster)
     return fs[2].read_file("/a/f0")
 
 

@@ -2,9 +2,10 @@
 demotion, batched verbs, and the retry / partial-batch interplay.
 
 All tests run the tier over two InMemoryObjectStores (zero-latency) with
-``drain_interval=0`` so nothing drains unless the test says so — the
-background machinery is driven explicitly via ``tier_maintain`` /
-``tier_drain_all`` or the dirty-bound kick.
+``drain_interval=0``, so no ticker runs: a staged write starts the drain
+pool, and demotion is driven explicitly via ``tier_maintain``. A staged
+key is still dirty when its PUT returns (its drainer has not reached
+cold yet); ``tier_drain_all`` is the barrier that waits for it.
 """
 
 import pytest
@@ -107,6 +108,73 @@ class TestStaging:
     def test_disabled_ticker_builds_no_process(self):
         sim, _hot, _cold, tier = make_tier(drain_interval=0)
         assert tier._ticker is None
+
+
+class _SlowColdStore(InMemoryObjectStore):
+    """A cold store whose PUTs take ``delay(key)`` simulated seconds. It
+    records when each PUT lands and the most PUTs in flight at once."""
+
+    def __init__(self, sim, delay=lambda key: 1.0):
+        super().__init__(sim)
+        self.delay = delay
+        self.landed = []
+        self.in_flight = self.peak = 0
+
+    def put(self, key, data, src=None):
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        yield self.sim.timeout(self.delay(key))
+        self.sync_put(key, data)
+        self.in_flight -= 1
+        self.landed.append(self.sim.now)
+
+    def put_many(self, items, src=None):
+        return ObjectStore.put_many(self, items, src=src)
+
+
+def make_slow_tier(delay=lambda key: 1.0, **kw):
+    sim = Simulator()
+    cold = _SlowColdStore(sim, delay)
+    tier = TieredObjectStore(sim, InMemoryObjectStore(sim), cold,
+                             drain_interval=0, **kw)
+    return sim, cold, tier
+
+
+class TestDrainPool:
+    """One drain pool: it starts with the first staged write, keeps at
+    most ``drain_batch`` cold PUTs in flight, and wakes a stalled writer
+    as soon as a drain frees room for its bytes."""
+
+    def test_first_staged_put_starts_a_drain(self):
+        # No ticker and no fsync: only the staged PUT can start the drain.
+        sim, cold, tier = make_slow_tier()
+        run(sim, tier.put("d0001/0000000000", b"x" * 10))
+        sim.run(until=1.0 + 1e-9)
+        assert cold.sync_get("d0001/0000000000") == b"x" * 10
+        assert cold.landed == [pytest.approx(1.0)]
+        assert tier.tier_dirty_keys() == []
+
+    def test_pool_keeps_drain_batch_puts_in_flight(self):
+        sim, cold, tier = make_slow_tier(drain_batch=2)
+        for i in range(5):
+            run(sim, tier.put(f"d0001/{i:010d}", b"x" * 10))
+        sim.run(until=10.0)
+        assert cold.landed == pytest.approx([1, 1, 2, 2, 3])
+        assert cold.peak == 2
+        assert tier.tier_dirty_keys() == []
+
+    def test_stalled_writer_resumes_on_the_first_drain_that_fits(self):
+        # Three staged keys fill the bound; the first drains in 1 s, the
+        # others take 5 s. The writer needs one key's room, not three.
+        slow = {"d0001/0000000000": 1.0}
+        sim, cold, tier = make_slow_tier(
+            delay=lambda key: slow.get(key, 5.0), dirty_max=300)
+        for i in range(3):
+            run(sim, tier.put(f"d0001/{i:010d}", b"x" * 100))
+        run(sim, tier.put("d0002/0000000000", b"y" * 100))
+        assert sim.now == pytest.approx(1.0)
+        assert tier.stats["stage_stalls"] == 1
+        assert tier.staged_dirty_bytes == 300
 
 
 class TestPromotion:

@@ -155,6 +155,10 @@ RULES = [
     *_step("One eviction loop", "the client cache evicts in _make_room alone, which counts resident "
            "entries only: a fetch takes its slot when its bytes land and makes room through it",
         Rule("one-eviction-loop", 50, COUNT, r"_c_evictions\.inc", f"{C}cache.py", "self._c_evictions.inc()", n=1)),
+    *_step("One drain path", "the tier moves staged objects to cold through its one drain pool, "
+           "whose drainers count each object they drain",
+        Rule("one-drain-path", 52, COUNT, r"_c_drained_objects\.inc", "src/repro/objectstore/tiered.py",
+             "self._c_drained_objects.inc(len(items))", n=1)),
     *_step("The model imports no numpy", "the package runs on the standard library "
            "(tests/workloads/test_imports.py checks it at run time)",
         Rule("no-numpy", 43, FORBID, r"^\s*(import|from) numpy", "src/repro", "import numpy as np")),
@@ -235,7 +239,7 @@ def test_rule_holds(rule):
 def test_every_rule_catches_its_example():
     """The example, added to the rule's first path, breaks a forbid or
     count rule; it alone meets a require rule, which nothing fails."""
-    assert len({r.id for r in RULES}) == len(RULES) == 35
+    assert len({r.id for r in RULES}) == len(RULES) == 36
     blind = []
     for rule in RULES:
         path = rule.paths.split()[0]
