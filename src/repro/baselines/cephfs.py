@@ -370,12 +370,11 @@ def build_cephfs(
     cluster = CephFSCluster(sim=sim, net=net, store=store, mds=mds)
     registry: Dict[str, CephLikeClient] = {}
 
-    def revoke_cb(holder: str, ino: int, deleted: bool = False,
-                  size: Optional[int] = None) -> SimGen:
+    def revoke_cb(holder: str, ino: int, size: Optional[int] = None) -> SimGen:
         client = registry[holder]
         # Cap revocation: an MDS-to-client message, then the holder's side.
         yield from net.send(mds.mds[0].node, client.node, 128)
-        yield from client._revoked(ino, deleted, size)
+        yield from client._revoked(ino, size)
 
     caps = FileLeaseService(sim, client_params.caps_lease, revoke_cb)
     for i in range(n_clients):

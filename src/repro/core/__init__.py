@@ -7,8 +7,6 @@
 * :mod:`metatable` — per-directory metadata tables and remote pointers.
 * :mod:`journal` — per-directory compound-transaction journaling + 2PC.
 * :mod:`cache` — the write-back data object cache with adaptive read-ahead.
-* :mod:`pack` — packed small-file containers: the writer, and the cache,
-  PRT and client layers :func:`build_arkfs` picks once.
 * :mod:`filelease` — read/write leases on file data (leader-issued).
 * :mod:`datapath` — the open-file read/write/close under those leases,
   shared with the CephFS/MarFS baselines.
@@ -29,24 +27,20 @@ from .journal import (
     JournalManager,
     Transaction,
     apply_ops,
-    ops_clear_extents,
     ops_del_dentry,
-    ops_del_extents,
     ops_del_inode,
     ops_put_dentry,
     ops_put_inode,
-    ops_set_extents,
 )
 from .lease import LeaseGrant, LeaseManager, LeaseRedirect, LeaseWait
 from .metatable import Metatable, RemoteTable, load_metatable
 from .ops import RedirectError
-from .pack import PackClient, PackedCache, PackedPRT, PackWriter
 from .params import DEFAULT_PARAMS, ArkFSParams
 from .prt import PRT
 from .qos import QosManager, TenantBusy, TokenBucket, WFQResource
 from .radix import RadixTree
 from .recovery import recover_directory, resolve_decision, scan_journal
-from .types import Dentry, Inode, InoAllocator, PackExtent, ROOT_INO, ino_hex
+from .types import Dentry, Inode, InoAllocator, ROOT_INO, ino_hex
 
 __all__ = [
     "ArkFSClient",
@@ -69,11 +63,6 @@ __all__ = [
     "Metatable",
     "OpenState",
     "PRT",
-    "PackClient",
-    "PackExtent",
-    "PackWriter",
-    "PackedCache",
-    "PackedPRT",
     "QosManager",
     "READ",
     "ROOT_INO",
@@ -92,13 +81,10 @@ __all__ = [
     "ino_hex",
     "load_metatable",
     "mkfs",
-    "ops_clear_extents",
     "ops_del_dentry",
-    "ops_del_extents",
     "ops_del_inode",
     "ops_put_dentry",
     "ops_put_inode",
-    "ops_set_extents",
     "recover_directory",
     "resolve_decision",
     "scan_journal",

@@ -54,8 +54,7 @@ class CacheEntry:
     (``DataObjectCache._writeback``) freezes the entry and ships the very
     object it keeps (see DESIGN "One copy per byte")."""
 
-    __slots__ = ("index", "data", "tail", "size", "dirty", "loading",
-                 "backed")
+    __slots__ = ("index", "data", "tail", "size", "dirty", "loading")
 
     def __init__(self, index: int):
         self.index = index
@@ -64,8 +63,6 @@ class CacheEntry:
         self.size = 0
         self.dirty = False
         self.loading: Optional[Event] = None  # set while a fetch is in flight
-        self.backed = False  # a plain ``d`` object exists for this chunk
-                             # (kept by a packing cache: a seal purges it)
 
     @property
     def ready(self) -> bool:
@@ -162,8 +159,6 @@ class DataObjectCache:
         self.sim = sim
         self.prt = prt
         self.node = node
-        # Where a fetch finds a chunk: bound once, so a layer costs no call.
-        self._read_chunk = prt.read_object
         self.entry_size = entry_size
         self.capacity = max(1, capacity_bytes // entry_size)
         self.max_readahead = max_readahead
@@ -387,7 +382,7 @@ class DataObjectCache:
         self._fetching += 1
         self._g_inflight_gets.add(1)
         try:
-            data = yield from self._read_chunk(ino, index, src=self.node)
+            data = yield from self.prt.read_object(ino, index, src=self.node)
         except Exception as exc:
             fc.tree.delete(index)
             entry.loading.fail(exc)
@@ -648,21 +643,15 @@ class DataObjectCache:
     def flush_all(self) -> SimGen:
         yield from self.flush_many(list(self._files))
 
-    def invalidate(self, ino: int, flush_dirty: bool = True,
-                   deleted: bool = False) -> SimGen:
+    def invalidate(self, ino: int, flush_dirty: bool = True) -> SimGen:
         """Drop a file's entries (read/write lease revocation path).
 
         Dirty entries go through the same batched writeback the eviction
         path uses — a lease revocation of a heavily written file must not
-        serialize one PUT per entry. ``deleted`` marks a revocation that
-        precedes an unlink purge: a packing cache then drops the file's
-        buffered chunks instead of sealing them (the extents it already
-        sealed die at the purge, which tells their sealer)."""
-        return self.invalidate_many([ino], flush_dirty=flush_dirty,
-                                    deleted=deleted)
+        serialize one PUT per entry."""
+        return self.invalidate_many([ino], flush_dirty=flush_dirty)
 
-    def invalidate_many(self, inos, flush_dirty: bool = True,
-                        deleted: bool = False) -> SimGen:
+    def invalidate_many(self, inos, flush_dirty: bool = True) -> SimGen:
         """Batched invalidation across files (flush dirty, then drop)."""
         pairs = yield from self._collect_dirty(inos)
         if flush_dirty:

@@ -78,9 +78,6 @@ class DirectoryRemoved(NotFound):
 class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
     """One ArkFS client (typically one per client node)."""
 
-    # The data object cache class, or a client layer's factory for its own.
-    _new_cache = DataObjectCache
-
     def __init__(self, sim: Simulator, node: Node, prt: PRT,
                  params: ArkFSParams, lease_service,
                  alloc: InoAllocator, retry: Optional[RetryPolicy] = None):
@@ -108,7 +105,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
 
         self._retry = retry or RetryPolicy.from_params(sim, params)
         self.journal = self._new_journal()
-        self.cache = self._new_cache(
+        self.cache = DataObjectCache(
             sim, prt, node,
             entry_size=params.data_object_size,
             capacity_bytes=params.cache_capacity_bytes,
@@ -345,9 +342,6 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         yield from ()
 
     def _crash_layers(self) -> None:
-        pass
-
-    def _restart_layers(self) -> None:
         pass
 
     def _ensure_leader(self, dir_ino: int) -> SimGen:
@@ -617,8 +611,7 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         ino = yield from self._authority_op(parent, "unlink", creds, name=name)
         self.pcache_dentries.pop((parent, name), None)
         if isinstance(ino, int):
-            yield from self.cache.invalidate(ino, flush_dirty=False,
-                                             deleted=True)
+            yield from self.cache.invalidate(ino, flush_dirty=False)
 
     def rename(self, creds: Credentials, src: str, dst: str) -> SimGen:
         src_n, dst_n = pathmod.normalize(src), pathmod.normalize(dst)
@@ -914,16 +907,15 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         except NodeDown:
             pass  # manager down: the lease will simply lapse
 
-    def _revoke_holder(self, holder: str, ino: int, deleted: bool = False,
+    def _revoke_holder(self, holder: str, ino: int,
                        size: Optional[int] = None) -> SimGen:
         """FileLeaseService callback: make one holder flush + drop a file."""
         if holder == self.name:
-            return (yield from self._revoked(ino, deleted, size))
+            return (yield from self._revoked(ino, size))
         target = self.node.net.nodes.get(holder)
         if target is None:
             raise NodeDown(holder)
-        yield from self.node.call(target, "arkfs.cache_invalidate", ino,
-                                  deleted, size)
+        yield from self.node.call(target, "arkfs.cache_invalidate", ino, size)
 
     # ------------------------------------------------------------ failure injection
 
@@ -956,6 +948,5 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         self.node.restart()
         self.journal = self._new_journal()
         self.journal.start_threads()
-        self._restart_layers()
         self._keeper = self.sim.process(self._lease_keeper(),
                                         name=f"{self.name}.keeper")

@@ -76,13 +76,11 @@ class LeasedDataPath:
             handle.pos = f.size
         return f
 
-    def _revoked(self, ino: int, deleted: bool = False,
-                 size: Optional[int] = None) -> SimGen:
-        """A holder's side of a revocation (``deleted``: by an unlink;
-        ``size``: a truncate's): flush and drop the cached file, expire the
-        record's lease and give the record the truncate's size."""
-        yield from self.cache.invalidate(ino, flush_dirty=True,
-                                         deleted=deleted)
+    def _revoked(self, ino: int, size: Optional[int] = None) -> SimGen:
+        """A holder's side of a revocation (``size``: a truncate's): flush
+        and drop the cached file, expire the record's lease and give the
+        record the truncate's size."""
+        yield from self.cache.invalidate(ino, flush_dirty=True)
         f = self._open_files.get(ino)
         if f is not None:
             f.lease = replace(f.lease, expires_at=0.0)

@@ -46,18 +46,15 @@ class _FileState:
 class FileLeaseService:
     """Leader-side lease table for the files in directories this client leads.
 
-    ``revoke_cb(holder_name, ino, deleted, size)`` is provided by the
-    owning client: the holder flushes and drops its cached ``ino`` and
-    expires its lease (locally for the leader itself, by RPC for remote
-    holders). ``deleted`` tells the holder the file is being unlinked
-    rather than handed off, so its pack layer drops the buffered chunks
-    instead of sealing them. ``size`` is a truncate's new size (else
-    None), which the holder's open file takes.
+    ``revoke_cb(holder_name, ino, size)`` is provided by the owning
+    client: the holder flushes and drops its cached ``ino`` and expires
+    its lease (locally for the leader itself, by RPC for remote holders).
+    ``size`` is a truncate's new size (else None), which the holder's open
+    file takes.
     """
 
     def __init__(self, sim: Simulator, lease_period: float,
-                 revoke_cb: Callable[[str, int, bool, Optional[int]],
-                                     SimGen]):
+                 revoke_cb: Callable[[str, int, Optional[int]], SimGen]):
         self.sim = sim
         self.lease_period = lease_period
         self.revoke_cb = revoke_cb
@@ -87,7 +84,7 @@ class FileLeaseService:
                     rec.record("lease.revoke", ino=ino, holder=c,
                                expired=True)
                 try:
-                    yield from self.revoke_cb(c, ino, False, None)
+                    yield from self.revoke_cb(c, ino, None)
                 except NodeDown:
                     pass  # crashed writer: directory-lease fencing covers it
             del st.holders[c]
@@ -97,7 +94,6 @@ class FileLeaseService:
             st.version += 1
 
     def _revoke_all(self, st: _FileState, ino: int, but: str,
-                    deleted: bool = False,
                     size: Optional[int] = None) -> SimGen:
         rec = self.sim._recorder
         for holder in list(st.holders):
@@ -105,10 +101,9 @@ class FileLeaseService:
                 continue
             self.stats["revocations"] += 1
             if rec is not None:
-                rec.record("lease.revoke", ino=ino, holder=holder,
-                           deleted=deleted)
+                rec.record("lease.revoke", ino=ino, holder=holder)
             try:
-                yield from self.revoke_cb(holder, ino, deleted, size)
+                yield from self.revoke_cb(holder, ino, size)
             except NodeDown:
                 # Dead holder: its lease will lapse; fencing at the
                 # directory-lease level guarantees it cannot resurface
@@ -120,16 +115,14 @@ class FileLeaseService:
 
     # -- the protocol -------------------------------------------------------------
 
-    def revoke_holders(self, ino: int, deleted: bool = False,
-                       size: Optional[int] = None) -> SimGen:
+    def revoke_holders(self, ino: int, size: Optional[int] = None) -> SimGen:
         """Make every holder flush and drop ``ino`` (truncate to ``size``,
         unlink, leases moving elsewhere), then bump its version so a holder
         that missed the broadcast invalidates on its next grant."""
         st = self.files.get(ino)
         if st is None:
             return
-        yield from self._revoke_all(st, ino, but="", deleted=deleted,
-                                    size=size)
+        yield from self._revoke_all(st, ino, but="", size=size)
         st.version += 1
 
     def acquire(self, ino: int, client: str, mode: str) -> SimGen:

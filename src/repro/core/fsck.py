@@ -11,11 +11,6 @@ written back — e.g. after ``client.sync()`` plus checkpoint drain):
 * directory nlink equals 2 + number of child directories;
 * file sizes are consistent with their data objects: no object extends
   past EOF, no data object belongs to a nonexistent inode;
-* packed extents are sound: every extent index belongs to an existing
-  file, references an existing container within its bounds, and no chunk
-  has both a packed extent and a plain data object; containers nobody
-  references are garbage, and mostly-dead containers (live ratio below
-  ``pack_live_warn``) are flagged as compaction debt;
 * shard maps are sound: every map belongs to an existing directory, every
   shard-range dentry hashes into its shard's range (the map is a total
   partition), and an *active* map coexists with no parent-range dentries —
@@ -53,8 +48,6 @@ class FsckReport:
     n_inodes: int = 0
     n_dentries: int = 0
     n_data_objects: int = 0
-    n_containers: int = 0
-    n_extents: int = 0
 
     @property
     def clean(self) -> bool:
@@ -64,16 +57,14 @@ class FsckReport:
         status = "CLEAN" if self.clean else f"{len(self.errors)} ERRORS"
         lines = [f"fsck: {status} — {self.n_inodes} inodes, "
                  f"{self.n_dentries} dentries, "
-                 f"{self.n_data_objects} data objects, "
-                 f"{self.n_containers} containers, "
-                 f"{self.n_extents} extents"]
+                 f"{self.n_data_objects} data objects"]
         lines += [f"  ERROR: {e}" for e in self.errors]
         lines += [f"  warn:  {w}" for w in self.warnings]
         return "\n".join(lines)
 
 
 def fsck(prt: PRT, src: Optional[Node] = None,
-         after_crash: bool = False, pack_live_warn: float = 0.5) -> SimGen:
+         after_crash: bool = False) -> SimGen:
     """Run the full consistency scan; returns an :class:`FsckReport`.
 
     ``after_crash=True`` relaxes exactly the checks a crash is *allowed*
@@ -92,8 +83,6 @@ def fsck(prt: PRT, src: Optional[Node] = None,
     dentries: List[tuple] = []         # (dir_ino, Dentry)
     data_owners: Dict[int, List[int]] = {}   # file ino -> [object indices]
     data_sizes: Dict[tuple, int] = {}
-    containers: Dict[str, int] = {}          # pack id -> container size
-    extent_maps: Dict[int, dict] = {}        # file ino -> {idx: PackExtent}
     shard_maps: Dict[int, ShardMap] = {}     # parent dir ino -> map
     journal_keys: List[str] = []
     decision_keys: List[str] = []
@@ -129,17 +118,6 @@ def fsck(prt: PRT, src: Optional[Node] = None,
             data_owners.setdefault(ino, []).append(int(idx))
             size = yield from store.head(key, src=src)
             data_sizes[(ino, int(idx))] = size
-        elif kind == "p":
-            size = yield from store.head(key, src=src)
-            containers[key[1:]] = size
-        elif kind == "x":
-            raw = yield from store.get(key, src=src)
-            try:
-                extents = PRT.parse_extent_index(raw)
-            except Exception:
-                report.errors.append(f"unparseable extent index {key}")
-                continue
-            extent_maps[int(key[1:], 16)] = extents
         elif kind == "s":
             raw = yield from store.get(key, src=src)
             try:
@@ -159,8 +137,6 @@ def fsck(prt: PRT, src: Optional[Node] = None,
     report.n_inodes = len(inodes)
     report.n_dentries = len(dentries)
     report.n_data_objects = sum(len(v) for v in data_owners.values())
-    report.n_containers = len(containers)
-    report.n_extents = sum(len(m) for m in extent_maps.values())
 
     # -- shard maps ------------------------------------------------------------
     # A sharded directory's dentries live in its shards' key ranges; for the
@@ -280,55 +256,6 @@ def fsck(prt: PRT, src: Optional[Node] = None,
             elif start + length > inode.size:
                 data_garbage(
                     f"file {ino:x}: data object {idx} extends past EOF")
-
-    # -- packed containers & extent indices -------------------------------------------
-    # Same crash relaxation as plain data objects: a seal that died between
-    # its container PUT and the index commit leaves an unreferenced
-    # container; one that died between the index commit and the stale-object
-    # purge leaves a chunk with both copies (reads stay correct — the
-    # extent wins). Structural breakage (an index under a non-file, an
-    # extent past its container's end) stays a hard error.
-    live_bytes: Dict[str, int] = {}
-    for ino, extents in sorted(extent_maps.items()):
-        inode = inodes.get(ino)
-        if inode is None:
-            data_garbage(f"extent index for nonexistent inode {ino:x}")
-            continue
-        if not inode.is_file:
-            report.errors.append(f"extent index under non-file {ino:x}")
-            continue
-        for idx, ext in sorted(extents.items()):
-            csize = containers.get(ext.pack)
-            if csize is None:
-                data_garbage(
-                    f"file {ino:x}: extent {idx} references missing "
-                    f"container {ext.pack}")
-                continue
-            if ext.offset + ext.length > csize:
-                report.errors.append(
-                    f"file {ino:x}: extent {idx} extends past the end of "
-                    f"container {ext.pack}")
-            live_bytes[ext.pack] = live_bytes.get(ext.pack, 0) + ext.length
-            start = idx * osz
-            if start >= inode.size and ext.length > 0:
-                data_garbage(
-                    f"file {ino:x}: extent {idx} lies past EOF "
-                    f"(size {inode.size})")
-            elif start + ext.length > inode.size:
-                data_garbage(f"file {ino:x}: extent {idx} extends past EOF")
-            if data_sizes.get((ino, idx), 0) > 0:
-                data_garbage(
-                    f"file {ino:x}: chunk {idx} has both a packed extent "
-                    f"and a plain data object")
-
-    for pack_id, csize in sorted(containers.items()):
-        live = live_bytes.get(pack_id, 0)
-        if live == 0:
-            data_garbage(f"container {pack_id} has no referenced extents")
-        elif csize > 0 and live / csize < pack_live_warn:
-            report.warnings.append(
-                f"container {pack_id} live ratio {live / csize:.2f} "
-                f"below {pack_live_warn:.2f} (compaction debt)")
 
     # -- journals & decisions --------------------------------------------------------------
     for key in journal_keys:

@@ -34,8 +34,7 @@ from .types import Dentry, Inode, compact_json, ino_hex
 
 __all__ = ["JournalOp", "Transaction", "JournalManager", "apply_ops",
            "ops_put_inode", "ops_del_inode", "ops_put_dentry",
-           "ops_del_dentry", "ops_set_extents", "ops_del_extents",
-           "ops_clear_extents"]
+           "ops_del_dentry"]
 
 JournalOp = Dict[str, Any]
 
@@ -58,25 +57,6 @@ def ops_del_dentry(dir_ino: int, name: str) -> JournalOp:
     return {"op": "del_dentry", "dir": ino_hex(dir_ino), "name": name}
 
 
-def ops_set_extents(ino: int, set_map) -> JournalOp:
-    """Install/replace packed-extent entries in a file's extent index."""
-    return {"op": "extents", "ino": ino_hex(ino),
-            "set": {str(int(k)): list(v) for k, v in set_map.items()}}
-
-
-def ops_del_extents(ino: int, del_list) -> JournalOp:
-    """Remove packed-extent entries (chunk rewritten as a plain object)."""
-    return {"op": "extents", "ino": ino_hex(ino),
-            "del": sorted(int(i) for i in del_list)}
-
-
-def ops_clear_extents(ino: int) -> JournalOp:
-    """Drop a file's whole extent index (unlink/overwrite purge). Without
-    this op, a committed-but-uncheckpointed ``set`` would recreate the
-    index object after the purge already deleted it."""
-    return {"op": "extents", "ino": ino_hex(ino), "clear": True}
-
-
 def _coalesce(ops: List[JournalOp]) -> List[JournalOp]:
     """Final-state coalescing: within one transaction only the last action
     per object matters (this is what makes compound transactions cheap)."""
@@ -91,30 +71,6 @@ def _coalesce(ops: List[JournalOp]) -> List[JournalOp]:
             key = ("e", op["dir"], op["dentry"]["n"])
         elif kind == "del_dentry":
             key = ("e", op["dir"], op["name"])
-        elif kind == "extents":
-            # Extent deltas MERGE rather than last-wins: each op names only
-            # the chunks it touched, so dropping earlier ones would lose
-            # index entries. A ``clear`` resets the accumulated state.
-            key = ("x", op["ino"])
-            prev = final.get(key)
-            if prev is None or op.get("clear"):
-                final[key] = {
-                    "op": "extents", "ino": op["ino"],
-                    "set": dict(op.get("set") or {}),
-                    "del": sorted(int(i) for i in op.get("del") or ()),
-                    "clear": bool(op.get("clear")),
-                }
-                continue
-            sets = prev["set"]
-            dels = set(prev["del"])
-            for k, v in (op.get("set") or {}).items():
-                sets[str(int(k))] = v
-                dels.discard(int(k))
-            for i in op.get("del") or ():
-                sets.pop(str(int(i)), None)
-                dels.add(int(i))
-            prev["del"] = sorted(dels)
-            continue
         else:
             raise ValueError(f"unknown journal op {kind!r}")
         final[key] = op
@@ -135,14 +91,6 @@ def _apply_one(prt: PRT, op: JournalOp, src: Optional[Node] = None) -> SimGen:
                               Dentry.from_dict(op["dentry"]), src=src)
     if kind == "del_dentry":
         return prt.delete_dentry(int(op["dir"], 16), op["name"], src=src)
-    if kind == "extents":
-        return prt.apply_extent_delta(
-            int(op["ino"], 16),
-            set_map={int(k): tuple(v)
-                     for k, v in (op.get("set") or {}).items()},
-            del_list=op.get("del") or (),
-            clear=bool(op.get("clear")),
-            src=src)
     raise ValueError(f"unknown journal op {kind!r}")
 
 

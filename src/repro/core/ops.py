@@ -67,10 +67,6 @@ class LeaderOps:
     # fleases, alloc, _ensure_leader(), _charge_md_op(), _pending_names,
     # cache, name, and (from the data path) _truncate_file_data().
 
-    # Journal ops a client layer adds to the record deleting a regular
-    # file's inode (unlink, rename-overwrite); a tuple costs no call.
-    _file_death_ops: tuple = ()
-
     # -- shared helpers ---------------------------------------------------------
 
     def _wait_name_free(self, dir_ino: int, name: str) -> SimGen:
@@ -224,14 +220,10 @@ class LeaderOps:
         _require(dentry.ftype is not FileType.DIRECTORY, IsADirectory, name)
         inode = mt.child_inode(dentry.ino)
         mt.remove(name)
-        after = []
-        if dentry.ftype is FileType.REGULAR:
-            for death_op in self._file_death_ops:
-                after.append(death_op(dentry.ino))
         yield from self._journal_dir_change(mt, dir_ino, [
-            ops_del_dentry(dir_ino, name), ops_del_inode(dentry.ino)], after)
+            ops_del_dentry(dir_ino, name), ops_del_inode(dentry.ino)])
         if inode.ftype is FileType.REGULAR and inode.size > 0:
-            yield from self.fleases.revoke_holders(dentry.ino, deleted=True)
+            yield from self.fleases.revoke_holders(dentry.ino)
             # Data objects are purged asynchronously (UUID inode numbers mean
             # a re-created name can never collide with the dying objects).
             self.sim.process(self.prt.delete_data(dentry.ino, src=self.node),
@@ -473,13 +465,9 @@ class LeaderOps:
         is the shard, not the parent directory ``mt.dir_ino`` names."""
         inode = mt.inodes.get(dentry.ino)
         mt.remove(dentry.name)
-        ops = [ops_del_inode(dentry.ino)]
-        if inode is not None and inode.ftype is FileType.REGULAR:
-            for death_op in self._file_death_ops:
-                ops.append(death_op(dentry.ino))
-        self.journal.record(dir_ino, *ops)
+        self.journal.record(dir_ino, ops_del_inode(dentry.ino))
         if inode is not None and inode.ftype is FileType.REGULAR and inode.size:
-            yield from self.fleases.revoke_holders(dentry.ino, deleted=True)
+            yield from self.fleases.revoke_holders(dentry.ino)
             yield from self.prt.delete_data(dentry.ino, src=self.node)
         else:
             yield self.sim.timeout(0)

@@ -47,20 +47,6 @@ class ArkFSParams:
     # --- permission caching mode (Section III-C) ----------------------------
     permission_cache: bool = True          # ArkFS-pcache vs ArkFS-no-pcache
 
-    # --- packed small-file containers (archiving / Table 2) -----------------
-    pack_enabled: bool = False             # off by default: runs stay
-                                           # structurally identical to a build
-                                           # without the pack subsystem
-    pack_threshold: int = 256 * KiB        # chunks smaller than this are
-                                           # appended to a container object
-                                           # instead of PUT individually
-    pack_target_size: int = 8 * MiB        # seal the open container once it
-                                           # reaches this many bytes
-    pack_seal_age: float = 1.0             # ... or once its oldest byte is
-                                           # this old (seconds)
-    pack_compact_live_ratio: float = 0.5   # rewrite a sealed container when
-                                           # live/total drops below this
-
     # --- elastic metadata plane: directory sharding -------------------------
     shards_enabled: bool = False           # off by default: runs stay
                                            # structurally identical to a build
@@ -83,8 +69,7 @@ class ArkFSParams:
     tier_drain_interval: float = 0.5       # maintenance (demotion) ticker
     tier_drain_batch: int = 32             # drain pool: objects moving at once
     tier_promote_max: int = 8 * MiB        # promote whole objects up to this
-                                           # size; larger ones (pack
-                                           # containers) serve range GETs cold
+                                           # size on a cold GET miss
 
     # --- multi-tenant QoS plane ---------------------------------------------
     qos_enabled: bool = False              # off by default: runs stay

@@ -8,30 +8,24 @@ block-granularity POSIX I/O into whole/ranged object REST operations:
 * ``j<uuid>/<seq>``      — one committed journal transaction of the directory
 * ``d<uuid>/<index>``    — one data object of a file (fixed-size chunks)
 * ``t<txid>``            — a two-phase-commit decision record
-* ``p<pack-id>``         — a sealed small-file container (packed chunks)
-* ``x<uuid>``            — a file's extent index: chunk → container extent
 * ``s<uuid>``            — a sharded directory's hash-range shard map
 
 File data is split into ``data_object_size`` chunks ("The PRT module divides
 the file data into multiple objects if the file size exceeds the maximum
 object size defined by the object storage"). Missing chunks read as zeros
-(sparse files). With packing enabled, a chunk may instead live as a
-``(pack, offset, length)`` extent inside a container object; the extent
-index *wins* over a plain ``d`` object for the same chunk (the seal
-protocol deletes the stale plain object only after the index commit).
+(sparse files).
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..objectstore.base import ObjectStore
 from ..objectstore.errors import NoSuchKey
 from ..obs import Observability
 from ..sim.engine import SimGen
 from ..sim.network import Node
-from .types import Dentry, Inode, PackExtent, compact_json, ino_hex
+from .types import Dentry, Inode, ino_hex
 
 __all__ = ["PRT"]
 
@@ -45,8 +39,8 @@ class PRT:
         self.store = store
         self.sim = store.sim
         self.data_object_size = data_object_size
-        # Purge fan-out observability (unlink / truncate / container reclaim
-        # all funnel through ``_purge``).
+        # Purge fan-out observability (unlink and truncate both funnel
+        # through ``_purge``).
         m = Observability.of(self.sim).metrics.scope("prt.purge")
         self._c_batched_deletes = m.counter("batched_deletes")
         self._c_serial_deletes = m.counter("serial_deletes")
@@ -86,14 +80,6 @@ class PRT:
     @staticmethod
     def key_decision(txid: str) -> str:
         return f"t{txid}"
-
-    @staticmethod
-    def key_pack(pack_id: str) -> str:
-        return "p" + pack_id
-
-    @staticmethod
-    def key_extent_index(ino: int) -> str:
-        return "x" + ino_hex(ino)
 
     @staticmethod
     def key_shard_map(dir_ino: int) -> str:
@@ -226,22 +212,16 @@ class PRT:
         yield from self.store.put(self.key_data(ino, index), data, src=src)
 
     def read_data(self, ino: int, offset: int, length: int, file_size: int,
-                  src: Optional[Node] = None,
-                  extents: Optional[Dict[int, PackExtent]] = None) -> SimGen:
-        """Translate a POSIX read into ranged GETs; zero-fills holes. A
-        chunk in ``extents`` is read from its container instead."""
+                  src: Optional[Node] = None) -> SimGen:
+        """Translate a POSIX read into ranged GETs; zero-fills holes."""
         if offset >= file_size:
             return b""
         length = min(length, file_size - offset)
         parts = []
         for idx, off, n in self.chunk_range(offset, length):
-            ext = extents.get(idx) if extents else None
             try:
-                if ext is not None:
-                    piece = yield from self.read_extent(ext, off, n, src=src)
-                else:
-                    piece = yield from self.store.get_range(
-                        self.key_data(ino, idx), off, n, src=src)
+                piece = yield from self.store.get_range(
+                    self.key_data(ino, idx), off, n, src=src)
             except NoSuchKey:
                 piece = b""
             if len(piece) < n:
@@ -252,11 +232,9 @@ class PRT:
         return parts[0] if len(parts) == 1 else b"".join(parts)
 
     def write_data(self, ino: int, offset: int, data: bytes,
-                   src: Optional[Node] = None,
-                   extents: Optional[Dict[int, PackExtent]] = None) -> SimGen:
+                   src: Optional[Node] = None) -> SimGen:
         """Translate a POSIX write into object PUTs (read-modify-write at
-        the edges when a piece only partially covers an existing object).
-        A chunk in ``extents`` takes its RMW base from its container."""
+        the edges when a piece only partially covers an existing object)."""
         if type(data) is not bytes:
             # ``put`` may retain what it is given: hand it immutable bytes.
             data = bytes(data)
@@ -267,14 +245,7 @@ class PRT:
             if off == 0 and n == self.data_object_size:
                 yield from self.write_object(ino, idx, piece, src=src)
                 continue
-            ext = extents.get(idx) if extents else None
-            if ext is not None:
-                try:
-                    old = yield from self.read_extent(ext, src=src)
-                except NoSuchKey:
-                    old = b""
-            else:
-                old = yield from self.read_object(ino, idx, src=src)
+            old = yield from self.read_object(ino, idx, src=src)
             merged = b"".join((old[:off].ljust(off, b"\x00"), piece,
                                old[off + n :]))
             yield from self.write_object(ino, idx, merged, src=src)
@@ -298,21 +269,18 @@ class PRT:
                 yield from self.write_object(
                     ino, idx, old[: new_size % osz], src=src)
 
-    def delete_data(self, ino: int, src: Optional[Node] = None,
-                    also=()) -> SimGen:
-        """Remove every data object of a file, and the keys in ``also`` in
-        the same batched purge; returns count deleted."""
+    def delete_data(self, ino: int, src: Optional[Node] = None) -> SimGen:
+        """Remove every data object of a file; returns count deleted."""
         keys = yield from self.store.list(self.key_data_prefix(ino),
                                           src=src)
-        n = yield from self._purge([*keys, *also], src=src)
-        return n
+        return (yield from self._purge(keys, src=src))
 
     def _purge(self, keys: List[str], src: Optional[Node] = None) -> SimGen:
         """Batched deletion.
 
-        Every purge path (unlink, truncate, dead-container reclaim) funnels
-        here so deletions ride ``delete_many`` fan-out instead of one RTT
-        per key, and show up in the ``prt.purge`` metrics."""
+        Every purge path (unlink, truncate) funnels here so deletions ride
+        ``delete_many`` fan-out instead of one RTT per key, and show up in
+        the ``prt.purge`` metrics."""
         if not keys:
             return 0
         if len(keys) == 1:
@@ -322,41 +290,3 @@ class PRT:
             self._c_batched_deletes.inc(len(keys))
             self._g_purge_batch.track(len(keys))
         return (yield from self.store.delete_many(keys, src=src))
-
-    # -- packed extents ----------------------------------------------------------
-
-    @staticmethod
-    def parse_extent_index(raw: bytes) -> Dict[int, PackExtent]:
-        d = json.loads(raw)
-        return {int(k): PackExtent(v[0], v[1], v[2]) for k, v in d.items()}
-
-    @staticmethod
-    def dump_extent_index(extents: Dict[int, PackExtent]) -> bytes:
-        return compact_json(
-            {str(k): list(extents[k]) for k in sorted(extents)}).encode()
-
-    def read_extent_index(self, ino: int,
-                          src: Optional[Node] = None) -> SimGen:
-        """The file's chunk → container extent map; ``{}`` when absent."""
-        try:
-            raw = yield from self.store.get(self.key_extent_index(ino),
-                                            src=src)
-        except NoSuchKey:
-            return {}
-        return self.parse_extent_index(raw)
-
-    def read_extent(self, ext: PackExtent, off: int = 0,
-                    length: Optional[int] = None,
-                    src: Optional[Node] = None) -> SimGen:
-        """Ranged GET of (part of) one packed chunk from its container.
-
-        ``off`` is relative to the chunk start (extents always cover a
-        chunk prefix); the range is clamped to the extent. Raises
-        ``NoSuchKey`` if the container is gone (callers treat that as a
-        hole or retry against a fresh index)."""
-        n = ext.length - off if length is None else min(length,
-                                                        ext.length - off)
-        if n <= 0:
-            return b""
-        return (yield from self.store.get_range(
-            self.key_pack(ext.pack), ext.offset + off, n, src=src))

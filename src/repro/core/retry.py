@@ -9,7 +9,7 @@ client SDK absorbs those with capped exponential backoff. A cluster has one
   a store layer the builder installs directly above whatever can raise
   :class:`~repro.objectstore.errors.TransientError` (each fault shim, a
   caller-supplied backend). Nothing above that layer wraps a store call:
-  journal, cache, pack, PRT, tier and client call plain verbs, so a path
+  journal, cache, PRT, tier and client call plain verbs, so a path
   cannot forget the wrapper, and a transient costs backoff time instead of
   killing a background thread or leaking out of a VFS call.
 * **What is not a store verb** — by the client itself: lease RPCs that a

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from ..posix.acl import Acl
 from ..posix.types import FILE_TYPE_OF_CODE, FileType, StatResult
 
-__all__ = ["ROOT_INO", "InoAllocator", "Inode", "Dentry", "PackExtent",
-           "ino_hex", "compact_json"]
+__all__ = ["ROOT_INO", "InoAllocator", "Inode", "Dentry", "ino_hex",
+           "compact_json"]
 
 #: ``json.dumps(obj, separators=(",", ":"))``, byte for byte, without
 #: building an encoder per call: every object value PRT and the journal
@@ -48,18 +48,6 @@ class InoAllocator:
             if ino not in self._seen and ino != 0:
                 self._seen.add(ino)
                 return ino
-
-
-class PackExtent(NamedTuple):
-    """Where one packed chunk lives inside a sealed container object.
-
-    The extent index object ``x<file-uuid>`` maps chunk index →
-    ``[pack_id, offset, length]``; the container itself is ``p<pack_id>``.
-    """
-
-    pack: str
-    offset: int
-    length: int
 
 
 @dataclass

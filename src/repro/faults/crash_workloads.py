@@ -63,11 +63,8 @@ class Workload:
 # --------------------------------------------------------------------------
 
 # Each subsystem's sweep configuration: small enough that its background
-# machinery (seal and compaction, split, drain and demotion, throttling)
-# fires within a few steps. ``all_on`` takes all four at once.
-PACK = dict(pack_enabled=True, pack_threshold=64 * KiB,
-            pack_target_size=192 * KiB, pack_seal_age=0.5,
-            pack_compact_live_ratio=0.8)
+# machinery (split, drain and demotion, throttling) fires within a few
+# steps. ``all_on`` takes all three at once.
 SHARDS = dict(shards_enabled=True, shard_split_threshold=6, shard_fanout=4)
 TIER = dict(tier_enabled=True, tier_hot_capacity=192 * KiB,
             tier_high_watermark=0.75, tier_low_watermark=0.5,
@@ -155,7 +152,7 @@ def all_of(*checks):
 
 def exact_or_zeros(files: Dict[str, bytes], exact=()):
     """Invariant: a surviving name reads its content or zeros (bytes that
-    lived only in the victim's cache, open pack buffer or lost hot tier),
+    lived only in the victim's cache or lost hot tier),
     never torn or foreign bytes. A path in ``exact`` reads its content."""
     def invariants(fs, violations):
         for path, data in files.items():
@@ -298,42 +295,6 @@ def _wl_checkpoint() -> Workload:
     steps += [Step("sync", gen=_sync, durable=reads_exactly(s, *s)),
               Step("advance-ckpt", advance=2.5)]
     return Workload("checkpoint", setup=mkdirs("/c"), steps=steps)
-
-
-def _wl_pack() -> Workload:
-    """Packed small-file containers: crash points across append, size/age
-    seal (container PUT + extent-index commit + stale-object purge),
-    dead-extent accounting and background reclaim/compaction.
-
-    Small targets force several seals out of eight ~40 KB files (one chunk
-    each), and the unlinks drop two containers' live ratios so the
-    compactor runs inside the last advance."""
-    files = {f"/p/f{i}": bytes([97 + i]) * (40_000 + 1_000 * i)
-             for i in range(8)}
-    f = list(files)
-
-    def durable(i):
-        return (torn_unlink(files, f[i]) if i in (1, 5)
-                else reads_exactly(files, f[i]))
-
-    steps = [Step(f"fsync:f{i}", gen=wr(f[i], files[f[i]], True),
-                  durable=durable(i)) for i in range(4)]
-    # Let the age-based seal and the commit threads fire mid-workload.
-    steps.append(Step("advance-seal", advance=1.0))
-    steps += [Step(f"write:f{i}", gen=wr(f[i], files[f[i]]))
-              for i in range(4, 8)]
-    steps += [
-        Step("sync-1", gen=_sync, durable=all_of(*map(durable, range(4, 8)))),
-        Step("unlink:f1", gen=_unlink(f[1])),
-        Step("unlink:f5", gen=_unlink(f[5])),
-        Step("sync-2", gen=_sync, durable=absent(f[1], f[5])),
-        # The maintenance ticker reclaims dead containers / compacts
-        # low-live-ratio ones during this window.
-        Step("advance-compact", advance=2.0),
-        Step("sync-3", gen=_sync)]
-    return Workload("pack", setup=mkdirs("/p"), steps=steps,
-                    invariants=exact_or_zeros(files),
-                    params=DEFAULT_PARAMS.with_(**PACK))
 
 
 def _wl_shard_split() -> Workload:
@@ -491,42 +452,38 @@ def _wl_qos_backlog() -> Workload:
 
 
 def _wl_all_on() -> Workload:
-    """Every optional subsystem in one directory: packing, sharding,
-    tiering and QoS, each configured as in its own workload.
+    """Every optional subsystem in one directory: sharding, tiering and
+    QoS, each configured as in its own workload.
 
     Eight fsync'd creates cross the split threshold while the QoS buckets
-    throttle them and their bytes go into pack containers written through
-    the tier. Unsynced writes, an unlink and an intra-directory rename
-    follow; the advance steps let the seal, drain, demotion and
-    compaction fire. The engine loses the hot tier with the victim."""
+    throttle them and their bytes stage in the tier's hot store. Unsynced
+    writes, unlinks and an intra-directory rename follow; the advance
+    steps let the split, drain and demotion fire. The engine loses the hot
+    tier with the victim."""
     files = {f"/x/f{i}": bytes([104 + i]) * (14_000 + 1_100 * i)
              for i in range(10)}
     f = list(files)
     files["/x/g2"] = files[f[2]]
     steps = [_sharded_fsync("/x", files, i) for i in range(8)]
-    steps.append(Step("advance-seal-split", advance=1.5))
+    steps.append(Step("advance-split", advance=1.5))
     steps += [Step(f"write:f{i}", gen=wr(f[i], files[f[i]])) for i in (8, 9)]
     steps += [Step("unlink:f1", gen=_unlink(f[1])),
               Step("rename:f2", gen=_rename(f[2], "/x/g2")),
               Step("sync-1", gen=_sync, durable=all_of(
                   reads_exactly(files, "/x/g2", f[9]), absent(f[1], f[2]),
                   torn_unlink(files, f[8]))),
-              # f8 shares its container with f9: its death leaves the
-              # container half live, so the compactor rewrites it.
               Step("unlink:f8", gen=_unlink(f[8])),
-              Step("advance-drain-compact", advance=2.0),
+              Step("advance-drain", advance=2.0),
               Step("sync-2", gen=_sync)]
     return Workload("all_on", setup=mkdirs("/x"), steps=steps,
                     invariants=one_listing("/x", files, f[2], "/x/g2"),
-                    params=DEFAULT_PARAMS.with_(**PACK, **SHARDS, **TIER,
-                                                **QOS))
+                    params=DEFAULT_PARAMS.with_(**SHARDS, **TIER, **QOS))
 
 
 WORKLOADS: Dict[str, Callable[[], Workload]] = {
     "mkdir": _wl_mkdir,
     "rename": _wl_rename,
     "checkpoint": _wl_checkpoint,
-    "pack": _wl_pack,
     "shard_split": _wl_shard_split,
     "epoch_handoff": _wl_epoch_handoff,
     "tier_drain": _wl_tier_drain,

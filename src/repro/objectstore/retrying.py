@@ -3,7 +3,7 @@
 Installed by the cluster builder directly above whatever can raise
 :class:`~repro.objectstore.errors.TransientError` — each fault shim, or a
 caller-supplied backend — so everything above it (tier, PRT, journal, cache,
-pack, client) calls plain store verbs and never sees a transient that the
+client) calls plain store verbs and never sees a transient that the
 retry budget could absorb. Every verb is idempotent under blind retry: PUTs
 carry full state, an injected transient means the op did *not* apply, and
 the batched verbs settle every item before raising (see ``base.py``), so a

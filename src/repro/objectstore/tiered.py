@@ -12,15 +12,14 @@ local storage and cold external persistent storage.
   would exceed the bound waits, in FIFO order, until drains free room for
   its bytes — never for demotion.
   Everything else (inodes, dentries, journal records, 2PC decisions,
-  shard maps, extent indices, and the ``p`` pack containers an extent
-  index names) is written **through**: hot and cold in parallel, durable
-  at cold before the PUT returns, so the journal commit and the pack seal
-  keep their durability contracts unchanged.
+  shard maps) is written **through**: hot and cold in parallel, durable
+  at cold before the PUT returns, so the journal commit keeps its
+  durability contract unchanged.
 * **Demand promotion** — reads probe the hot tier first; on miss the object
   is served from cold and, when no larger than ``tier_promote_max``,
-  promoted (copied hot, clean) in the background. A ranged GET (a pack
-  extent) is served hot while its written-through container is resident,
-  else as a range-sized cold GET that never promotes the container.
+  promoted (copied hot, clean) in the background. A ranged GET (a DIRECT
+  read of part of a ``d`` object) is served hot while the object is
+  resident, else as a range-sized cold GET that never promotes it.
 * **Lifecycle demotion** — when resident hot bytes exceed
   ``tier_high_watermark * tier_hot_capacity``, clean objects are evicted in
   LRU order down to the low watermark. Dirty objects are never evicted
@@ -245,8 +244,8 @@ class TieredObjectStore(ObjectStore):
             data = yield from self.hot.get_range(key, offset, length, src=src)
             self._c_hit_bytes.inc(len(data))
             return data
-        # Pack-container path: fetch exactly the range from cold; whole-
-        # container promotion would blow the hot budget for one extent.
+        # A DIRECT read of part of a ``d`` object: fetch exactly the range
+        # from cold, without promoting the whole object for it.
         self._c_misses.inc()
         data = yield from self.cold.get_range(key, offset, length, src=src)
         self._c_cold_get_bytes.inc(len(data))

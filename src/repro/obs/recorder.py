@@ -6,7 +6,7 @@ enable_recorder` installs one)::
 
     rec = sim._recorder
     if rec is not None:
-        rec.record("pack.seal", pack=pack_id, bytes=n)
+        rec.record("lease.revoke", ino=ino, holder=holder)
 
 so a disabled recorder costs one attribute check per hook site — the same
 zero-cost-off rule the span tracer and fault hooks follow. Recording
@@ -15,10 +15,10 @@ cannot perturb any simulated outcome.
 
 Recorded event kinds (one hook site each): root-op start/end (mount
 layer), store retries and give-ups, fault injections (transient, crash,
-message drop/delay, partial batch), lease revocations, journal commits,
-cache writebacks, and pack seals/compactions. The ring keeps the most
-recent ``capacity`` events; :meth:`FlightRecorder.to_dict` reports how
-many were dropped, so a dump is honest about its window.
+message drop/delay, partial batch), lease revocations, journal commits
+and cache writebacks. The ring keeps the most recent ``capacity``
+events; :meth:`FlightRecorder.to_dict` reports how many were dropped, so
+a dump is honest about its window.
 
 Dumps happen on crashcheck failures (``repro.faults.crashcheck``), on
 benchmark failures (``benchmarks/conftest.py``), or on demand

@@ -335,8 +335,6 @@ LAYER_SPANS = (
                                 "_writeback": "cache.writeback"}),
     ("clients.journal", "journal", {"_commit_locked": "journal.commit",
                                     "_checkpoint_locked": "journal.ckpt"}),
-    ("clients.pack", "pack", {"seal": "pack.seal",
-                              "compact": "pack.compact"}),
 )
 
 

@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import PRT, DataObjectCache, PackedCache, ReadAheadState
-from repro.objectstore import InMemoryObjectStore
+from repro.core import PRT, DataObjectCache, ReadAheadState
+from repro.objectstore import (InMemoryObjectStore, RestAPIRegistry,
+                               RestObjectStore)
 from repro.objectstore.errors import StoreUnavailable
 from repro.sim import Simulator
 
@@ -536,19 +537,26 @@ class TestFillFreezes:
 
 def test_fetch_copies_what_is_not_immutable():
     """A fetch keeps the object it is handed only if that is ``bytes``; a
-    pack layer (or store) handing out a buffer of its own gets it copied."""
+    REST backend (outside input) handing out a buffer of its own gets it
+    copied."""
     sim = Simulator()
-    prt = PRT(InMemoryObjectStore(sim), data_object_size=ESZ)
     handed = []
 
-    class Pack:
-        def fetch_chunk(self, ino, index):
-            yield sim.timeout(0)
-            handed.append(bytearray(b"p" * ESZ))
-            return handed[-1]
+    def rest_get(key):
+        yield sim.timeout(0)
+        handed.append(bytearray(b"p" * ESZ))
+        return handed[-1]
 
-    cache = PackedCache(sim, prt, node=None, entry_size=ESZ,
-                        capacity_bytes=8 * ESZ, max_readahead=0, pack=Pack())
+    def rest_nothing(*_args):
+        yield sim.timeout(0)
+        return []
+
+    reg = (RestAPIRegistry().register("get", rest_get)
+           .register("put", rest_nothing).register("delete", rest_nothing)
+           .register("list", rest_nothing))
+    prt = PRT(RestObjectStore(sim, reg), data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=8 * ESZ, max_readahead=0)
     first = run(sim, cache.read(1, 0, ESZ))
     handed[0][:] = b"!" * ESZ
     assert type(first) is bytes and first == b"p" * ESZ
@@ -709,7 +717,7 @@ def _get_entry_keeps_the_waited_entry(self, ino, index, fetch=True):
     return entry
 
 
-def _invalidation_drops_by_key(self, inos, flush_dirty=True, deleted=False):
+def _invalidation_drops_by_key(self, inos, flush_dirty=True):
     """Seeded: an invalidation drops whatever LRU record has its keys."""
     pairs = yield from self._collect_dirty(inos)
     if flush_dirty:

@@ -448,9 +448,9 @@ def test_seeded_pre_crash_close_bug(sim, cluster, fs, monkeypatch):
     assert pre_crash_close_dirs(sim, cluster, fs) == ({}, {})
 
 
-def _revocation_keeps_grant(self, ino, deleted=False, size=None):
+def _revocation_keeps_grant(self, ino, size=None):
     """Seeded 1(xvii): the holder drops its cache, not the grant."""
-    yield from self.cache.invalidate(ino, flush_dirty=True, deleted=deleted)
+    yield from self.cache.invalidate(ino, flush_dirty=True)
 
 
 def _no_truncated(self, ino, size):
@@ -461,9 +461,9 @@ def _no_truncated(self, ino, size):
 _revoked = LeasedDataPath._revoked
 
 
-def _sizeless_revocation(self, ino, deleted=False, size=None):
+def _sizeless_revocation(self, ino, size=None):
     """Seeded 1(xviii): a truncate's revocation does not carry its size."""
-    return _revoked(self, ino, deleted)
+    return _revoked(self, ino)
 
 
 def _open_keeps_record(self, handle, parent_ino, name, inode, grant):

@@ -13,7 +13,7 @@ class Recorder:
         self.sim = sim
         self.revoked = []
 
-    def __call__(self, holder, ino, deleted=False, size=None):
+    def __call__(self, holder, ino, size=None):
         self.revoked.append((holder, ino))
         yield self.sim.timeout(0.001)
 

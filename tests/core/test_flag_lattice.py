@@ -1,8 +1,8 @@
 """Composition smoke: optional subsystems enabled together.
 
-ROADMAP item 1(a) in its cheapest form. Each of the six pairs of
-``pack``/``shards``/``tier``/``qos`` plus all four together runs one short
-mixed script on a fenced ring of two lease managers; the final namespace and
+ROADMAP item 1(a) in its cheapest form. Each of the three pairs of
+``shards``/``tier``/``qos`` plus all three together runs one short mixed
+script on a fenced ring of two lease managers; the final namespace and
 file bytes must equal the all-off run's, a strict ``fsck`` must be clean and
 the fencing auditor must have seen no stale-epoch commit. A combination that
 fails is recorded as ``xfail(strict=True)`` with its reproduction under
@@ -21,11 +21,9 @@ from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
 
 # Small enough thresholds that the script crosses each subsystem's
-# interesting boundary: packed and plain chunks, one split, hot-tier
-# demotions, a throttled op bucket.
+# interesting boundary: one split, hot-tier demotions, a throttled op
+# bucket.
 FLAGS = {
-    "pack": dict(pack_enabled=True, pack_threshold=64 * KiB,
-                 pack_target_size=192 * KiB, pack_seal_age=0.5),
     "shards": dict(shards_enabled=True, shard_split_threshold=8,
                    shard_fanout=4),
     "tier": dict(tier_enabled=True, tier_hot_capacity=192 * KiB,
@@ -69,7 +67,7 @@ def run_script(flags) -> dict:
     fs0.write_file("/a/f0", _blob(15, 50 * KiB), do_fsync=True)  # overwrite
     for c in cluster.clients:
         sim.run_process(c.sync())
-    sim.run(until=sim.now + 3)                  # checkpoints, seals, drains
+    sim.run(until=sim.now + 3)                  # checkpoints, drains
 
     seen = {}
 

@@ -443,10 +443,10 @@ def test_seeded_random_sequences_sharded(seed):
 
 
 # The flag lattice under the oracle: every row of the composition smoke
-# (six pairs and all four together) plus pack and tier alone, which no
-# other seeded mode runs. Its parameters, except a split threshold low
-# enough for these small directories to split.
-LATTICE_ROWS = [*ROWS, ("pack",), ("tier",)]
+# (three pairs and all three together) plus tier alone, which no other
+# seeded mode runs. Its parameters, except a split threshold low enough
+# for these small directories to split.
+LATTICE_ROWS = [*ROWS, ("tier",)]
 
 
 def _lattice_params(flags):

@@ -1,19 +1,19 @@
 """Acceptance criterion: an optional subsystem left off ⇒ bit-identical results.
 
-``pack_enabled``, ``shards_enabled``, ``tier_enabled`` and ``qos_enabled``
-all default to ``False``, and a default build must stay structurally
-identical to one that predates the subsystem — the same pattern
-``faults=None`` pins for fault injection. Off means *absent*, not idle: no
-pack layer (:class:`PackClient`, ``PackedCache``, ``PackedPRT``),
-:class:`ShardedClient`, :class:`TieredObjectStore` or :class:`QosManager`
-is constructed, and what the plain classes keep of them is an empty hook
-that adds zero simulation events. Pinned from four angles:
+``shards_enabled``, ``tier_enabled`` and ``qos_enabled`` all default to
+``False``, and a default build must stay structurally identical to one
+that predates the subsystem — the same pattern ``faults=None`` pins for
+fault injection. Off means *absent*, not idle: no :class:`ShardedClient`,
+:class:`TieredObjectStore` or :class:`QosManager` is constructed, and what
+the plain classes keep of them is an empty hook that adds zero simulation
+events. Pinned from four angles:
 
 * repeated default builds replay to identical clocks, network totals,
   store op counts and store *bytes* on the realistic store — on the three
   paper workload shapes the BENCH figures regenerate (fig4 mdtest-easy
   metadata, fig6a fio streaming, table2 tar small-file archiving) and on
-  the two shapes that *would* engage pack and shards were they on;
+  a small-file shape and the wide-directory shape that *would* engage
+  shards were they on;
 * per subsystem, the default build constructs no such layer;
 * per subsystem, an off run leaves no artefacts or metrics behind;
 * per subsystem, the same workload with the flag ON does change the
@@ -27,8 +27,8 @@ from typing import Any, Callable, Dict
 
 import pytest
 
-from repro.core import (DEFAULT_PARAMS, PRT, ArkFSClient, DataObjectCache,
-                        PackClient, QosManager, WFQResource, build_arkfs)
+from repro.core import (DEFAULT_PARAMS, ArkFSClient, QosManager, WFQResource,
+                        build_arkfs)
 from repro.core.qos import QosClient
 from repro.obs import Observability
 from repro.objectstore import TieredObjectStore
@@ -81,9 +81,8 @@ def _table2_tar(cluster, sim):
 
 
 def _small_files(cluster, sim):
-    """Small-file-heavy (everything far below pack_threshold, so packing
-    WOULD engage if it were on), plus rename/unlink/truncate and a
-    checkpoint drain."""
+    """Small-file-heavy (every file far below one data object), plus
+    rename/unlink/truncate and a checkpoint drain."""
     fs = SyncFS(cluster.client(0), ROOT_CREDS)
     fs.mkdir("/w")
     fs.mkdir("/w/sub")
@@ -174,28 +173,6 @@ class Subsystem:
     on_control: Callable[[Any, Any], None]  # (off evidence, on evidence)
     reader: int = 0                         # client that reads back
     on_params: Dict[str, Any] = field(default_factory=dict)
-
-
-def _pack_absent(cluster, sim):
-    assert type(cluster.prt) is PRT
-    for client in cluster.clients:
-        assert type(client.cache) is DataObjectCache
-        assert not isinstance(client, PackClient)
-        assert not hasattr(client, "pack")
-
-
-def _pack_no_artifacts(cluster, sim):
-    """No container/index objects in the store and no pack metric scopes
-    registered."""
-    keys = backing_of(cluster).sync_list("")
-    assert not [k for k in keys if k[0] in ("p", "x")]
-    assert not [k for k in _metrics(sim)["counters"] if ".pack." in k]
-
-
-def _pack_on_control(off_kinds, on_kinds):
-    assert "p" not in off_kinds and "x" not in off_kinds
-    assert "p" in on_kinds and "x" in on_kinds
-    assert "d" not in on_kinds   # everything was sub-threshold
 
 
 #: What only a ShardedClient carries.
@@ -292,17 +269,6 @@ def _tar_read_back(fs):
 
 
 SUBSYSTEMS = {
-    "pack": Subsystem(
-        flag="pack_enabled", shape="small_files",
-        absent=_pack_absent, no_artifacts=_pack_no_artifacts,
-        on_params=dict(pack_threshold=64 * 1024,
-                       pack_target_size=256 * 1024, pack_seal_age=0.5),
-        reader=1,
-        read_back=lambda fs: {name: fs.read_file(name) for name in
-                              ("/w/sub/moved", "/w/f2", "/w/f3", "/w/f7")},
-        observe=lambda cluster, sim: sorted(
-            {k[0] for k in backing_of(cluster).sync_list("")}),
-        on_control=_pack_on_control),
     "shards": Subsystem(
         flag="shards_enabled", shape="wide_dir",
         absent=_shards_absent, no_artifacts=_shards_no_artifacts,

@@ -201,13 +201,13 @@ class TestPromotion:
 
     def test_range_get_never_promotes(self):
         sim, hot, cold, tier = make_tier()
-        cold.sync_put("p/pack1", b"0123456789" * 10)
-        out = run(sim, tier.get_range("p/pack1", 10, 5))
+        cold.sync_put("d0003/0000000000", b"0123456789" * 10)
+        out = run(sim, tier.get_range("d0003/0000000000", 10, 5))
         assert out == b"01234"
         settle(sim)
         assert tier.stats["promotions"] == 0
         assert tier.stats["cold_get_bytes"] == 5
-        assert "p/pack1" not in hot
+        assert "d0003/0000000000" not in hot
 
     def test_promoted_copy_is_clean_not_dirty(self):
         sim, hot, cold, tier = make_tier()
@@ -263,10 +263,10 @@ class TestBatchedVerbs:
         run(sim, tier.put_many([
             ("d0001/0000000000", b"a" * 10),
             ("i0001", b"meta"),
-            ("p/pack1", b"b" * 20),
+            ("j0001/000000000001", b"b" * 20),
         ]))
         assert tier.tier_dirty_keys() == ["d0001/0000000000"]
-        assert "i0001" in cold and "p/pack1" in cold
+        assert "i0001" in cold and "j0001/000000000001" in cold
         assert "d0001/0000000000" not in cold
         assert tier.stats["staged_puts"] == 1
         assert tier.stats["writethrough_puts"] == 2

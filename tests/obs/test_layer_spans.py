@@ -5,8 +5,9 @@ records, and ``install_layer_spans`` puts a dispatcher on each such method
 of a built cluster's instances. These tests keep the table from rotting:
 it lands on the components every harness build has, a row naming a
 missing method fails at install, removal leaves the instances as they
-were, and a full trace of the archiving scenario (Table II) and of the
-packing ablation (A8) has spans from every layer.
+were, and full traces of the archiving scenario (Table II) and of a
+plain data-path run (truncate, unlink, DIRECT reads and writes) have spans
+from every layer.
 """
 
 from dataclasses import replace
@@ -15,8 +16,7 @@ import pytest
 
 from repro.bench import BENCH_OBS, FS_KINDS, NET_50G, SMALL, build
 from repro.bench.figures import table2_archiving
-from repro.core import DEFAULT_PARAMS, build_arkfs
-from repro.objectstore.profiles import KiB
+from repro.core import build_arkfs
 from repro.obs import (
     LAYER_SPANS,
     Observability,
@@ -24,14 +24,13 @@ from repro.obs import (
     remove_layer_spans,
 )
 from repro.obs import trace as trace_mod
-from repro.posix import ROOT_CREDS, SyncFS
+from repro.posix import OpenFlags, ROOT_CREDS, SyncFS
 from repro.sim import Simulator
 
 ARKFS_ROWS = {"store", "clients.prt", "clients.cache", "clients.journal"}
 #: The components each build offers the table, by file-system kind.
 ROWS = {
     **{kind: ARKFS_ROWS for kind in FS_KINDS if kind.startswith("arkfs")},
-    "arkfs-pack": ARKFS_ROWS | {"clients.pack"},
     **{kind: {"store", "mds", "clients.prt", "clients.cache"}
        for kind in ("cephfs-k", "cephfs-k16", "cephfs-f", "marfs")},
     "s3fs": {"store"},
@@ -39,8 +38,7 @@ ROWS = {
 }
 
 #: The layer-span prefixes of a full trace.
-LAYERS = ("vfs.", "rpc:lease.", "journal.", "prt.", "cache.", "store.",
-          "pack.")
+LAYERS = ("vfs.", "rpc:lease.", "journal.", "prt.", "cache.", "store.")
 
 
 @pytest.fixture
@@ -55,10 +53,6 @@ def traced(monkeypatch):
 
 
 def _build(kind: str):
-    if kind == "arkfs-pack":
-        sim = Simulator()
-        return build_arkfs(sim, n_clients=2, net_params=NET_50G,
-                           params=DEFAULT_PARAMS.with_(pack_enabled=True))
     return build(kind, Simulator(), n_clients=2, net=NET_50G)[0]
 
 
@@ -98,36 +92,45 @@ def _prefixes(tracer):
     return {p for p in LAYERS for s in tracer.spans if s.name.startswith(p)}
 
 
-def test_full_traces_of_table2_and_a8_cover_every_layer(traced):
+def test_full_traces_of_table2_and_the_data_path_cover_every_layer(traced):
     tiny = replace(SMALL, tar_procs=2, tar_nodes=2, tar_images_per_proc=4,
                    tar_image_kb=20.0)
     table2_archiving(tiny, kinds=("arkfs",))
     [(_kind, obs)] = BENCH_OBS.collected
     table2 = _prefixes(obs.tracer)
 
-    # A8's reclaim path on a small population: packed writes, unlinks,
-    # then the packer's age seal and compaction.
+    # The PRT's own data path: written and synced files, then a truncate,
+    # an unlink, and a write and a read of a file two clients hold open
+    # for writing (DIRECT mode: no client cache, straight to the PRT).
     sim = Simulator()
-    tracer = Observability.of(sim).enable_tracing(pid_name="a8")
-    cluster = build_arkfs(sim, n_clients=1, functional=True,
-                          params=DEFAULT_PARAMS.with_(
-                              pack_enabled=True, pack_threshold=128 * KiB,
-                              pack_target_size=512 * KiB, pack_seal_age=0.5,
-                              pack_compact_live_ratio=0.8))
+    tracer = Observability.of(sim).enable_tracing(pid_name="data-path")
+    cluster = build_arkfs(sim, n_clients=2, functional=True)
     install_layer_spans(cluster)
     fs = SyncFS(cluster.mounts[0], ROOT_CREDS)
+    fs2 = SyncFS(cluster.mounts[1], ROOT_CREDS)
     fs.mkdir("/a")
-    for i in range(6):
+    for i in range(3):
         fs.write_file(f"/a/f{i}", bytes([i + 1]) * 50_000)
     sim.run_process(cluster.client(0).sync())
-    for i in range(1, 6):
-        fs.unlink(f"/a/f{i}")
+    fs.truncate("/a/f1", 1_000)
+    fs.unlink("/a/f2")
+    h1 = fs.open("/a/f0", OpenFlags.O_RDWR)
+    h2 = fs2.open("/a/f0", OpenFlags.O_RDWR)
+    h1.read(4)
+    h2.read(4)
+    h2.write(b"NEW!", offset=0)
+    assert cluster.client(0).fleases.is_direct(fs.stat("/a/f0").st_ino)
+    assert h1.read(4, offset=0) == b"NEW!"
+    h1.close()
+    h2.close()
     sim.run(until=sim.now + 3)
-    a8 = _prefixes(tracer)
-    assert cluster.client(0).pack.stats["compactions"] > 0
+    data_path = _prefixes(tracer)
+    prt_spans = {s.name for s in tracer.spans if s.name.startswith("prt.")}
 
-    assert set(LAYERS) - {"prt.", "pack."} <= table2
-    assert {"vfs.", "prt.", "pack."} <= a8
+    assert set(LAYERS) - {"prt."} <= table2
+    assert {"vfs.", "prt."} <= data_path
+    assert prt_spans == {"prt.read_data", "prt.write_data",
+                         "prt.truncate_data", "prt.delete_data"}
 
 
 def test_full_trace_records_build_time_background_tracks(traced):

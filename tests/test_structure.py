@@ -67,7 +67,7 @@ RULES = [
         Rule("retry-admission", 28, COUNT, r"retry\.call(", f"{C}qos.py", "self.retry.call(op)", n=1, bre=True,
              function="QosClient._admitted_op"),
         Rule("retry-plumbing", 24, FORBID, r"_retry\b|\bretry *[:=]|RetryPolicy", f"{C}prt.py {C}cache.py {C}journal.py "
-             f"{C}pack.py src/repro/objectstore/tiered.py", "def f(self, retry=None):")),
+             "src/repro/objectstore/tiered.py", "def f(self, retry=None):")),
     *_step("One performance record", "each benchmark asserts its own exact counters and the ledger records host "
            "time: no second perf record (the brackets keep the pattern from matching itself)",
         Rule("one-perf-record", 25, FORBID, r"perf_tren[d]|perf_baselin[e]|benchmark[.]pedanti[c]|extra_inf[o]|--benchmark[-]",
@@ -116,19 +116,10 @@ RULES = [
         Rule("qos-state", 28, FORBID,
              r"self\.qos\b|_qos_depth|TenantBusy|throttle_bytes|enter_op|release_tenant|from \.qos|_authority_op_(where|qos|core)",
              f"{C}client.py {C}ops.py {C}sharded_client.py {C}datapath.py", "if self.qos:")),
-    *_step("Pack state lives in one module", "packing is three layers build_arkfs picks once (core/pack.py), "
-           "the only reader of pack_enabled; an extent's death goes to its sealer, whose handler alone calls note_dead",
-        Rule("pack-state", 29, FORBID,
-             r"pack_enabled|PackWriter|\bpack\b|_pack\b|note_file_dir|note_dead_extent|ops_clear_extents",
-             f"{C}client.py {C}ops.py {C}cache.py {C}sharded_client.py {C}qos.py {C}datapath.py", "if p.pack_enabled:"),
-        Rule("pack-flag-in-core", 29, FORBID, "pack_enabled", "src/repro/core", "if p.pack_enabled:", bre=True,
-             allow=(r"src/repro/core/(params|fs)\.py",)),
-        Rule("pack-flag-read", 29, FORBID, r"\.pack_enabled\b", "src/repro", "on = p.pack_enabled",
-             allow=(r"src/repro/core/fs\.py",)),
-        Rule("extent-death", 44, FORBID, "note_dead|apply_extent_delta", "src/repro", "w.note_dead(pid, ext)",
-             word=True, allow=(r"^src/repro/core/pack\.py:",
-                               r"^src/repro/core/journal\.py:[0-9]+: +return prt\.apply_extent_delta\($")),
-        Rule("no-kill-list", 44, FORBID, "killed", f"{C}pack.py", "self.killed = set()", bre=True, word=True)),
+    *_step("No packed small-file containers", "packing left whole: chunks live only as their own d "
+           "objects, so no half of the extent index outlives the module",
+        Rule("no-extent-index", 53, FORBID, r'pack_enabled|PackExtent|key_pack|key_extent_index|apply_extent_delta|"extents"',
+             "src/repro", 'return {"op": "extents", "ino": ino_hex(ino)}')),
     *_step("One path-keyed namespace", "S3FS and goofys share PathKeyedClient and keep only their data "
            "paths; Bucket never asks for a store class",
         Rule("s3-namespace-verbs", 31, FORBID,
@@ -239,7 +230,7 @@ def test_rule_holds(rule):
 def test_every_rule_catches_its_example():
     """The example, added to the rule's first path, breaks a forbid or
     count rule; it alone meets a require rule, which nothing fails."""
-    assert len({r.id for r in RULES}) == len(RULES) == 36
+    assert len({r.id for r in RULES}) == len(RULES) == 32
     blind = []
     for rule in RULES:
         path = rule.paths.split()[0]
