@@ -691,6 +691,43 @@ def test_an_invalidation_keeps_the_entry_a_new_file_cache_made():
     assert cache.has_dirty(1)
 
 
+class LostWrite(Exception):
+    """An fsync returned and the store holds older bytes: ROADMAP
+    1(xxvii)."""
+
+
+@pytest.mark.xfail(raises=LostWrite, strict=True, reason=(
+    "eviction takes a lone dirty victim off the LRU before its PUT and "
+    "deletes it from its tree when the PUT lands, with any write made "
+    "meanwhile (ROADMAP 1(xxvii))"))
+def test_an_overwrite_of_an_eviction_in_flight_survives_fsync():
+    """f1 is the head of a cache of two and its only dirty entry. A write
+    of f3 at 0 s evicts it with a PUT that lands at 1 s. Another process
+    overwrites f1 at 0.5 s and fsyncs it at 1.5 s: the store must then
+    hold the overwrite."""
+    sim = Simulator()
+    store = _SlowPutStore(sim)
+    prt = PRT(store, data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=2 * ESZ, max_readahead=0)
+    run(sim, cache.write(2, 0, b"\2" * 10, old_size=0))
+    run(sim, cache.flush(2))
+    run(sim, cache.write(1, 0, b"\1" * 10, old_size=0))
+    run(sim, cache.read(2, 0, 10))
+
+    def overwrite_then_fsync():
+        yield from cache.write(1, 0, b"N" * 10, old_size=10)
+        yield sim.timeout(1.0)
+        yield from cache.flush(1)
+
+    _at(sim, 0, cache.write(3, 0, b"\3" * 10, old_size=0))
+    _at(sim, 0.5, overwrite_then_fsync())
+    sim.run()
+    stored = store.sync_get(prt.key_data(1, 0))
+    if stored != b"N" * 10:
+        raise LostWrite(repr(stored))
+
+
 _make_room = DataObjectCache._make_room
 _get_entry = DataObjectCache._get_entry
 
