@@ -20,6 +20,8 @@ BUDGETS = [
      "staged writes wait for a drain that starts late or runs lock-step"),
     ("BENCH_ledger_md_private_e2e.json", "host_pycalls_per_op", 260.8, 1,
      "a second resume or forwarding frame per hold on the root-op path"),
+    ("BENCH_ledger_md_shared_e2e.json", "sim_op_p99_us", 1190, 2,
+     "eviction writes back dirty entries behind a clean head"),
     ("BENCH_ledger_md_scale_e2e.json", "host_pycalls_per_op", 281.0, 2,
      "a second object per queued hold on the OSD backlog"),
     ("BENCH_ledger_md_scale_e2e.json", "host_peak_mb", 65, 1,

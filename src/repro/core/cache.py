@@ -269,27 +269,24 @@ class DataObjectCache:
 
     def _make_room(self, need: int = 1) -> SimGen:
         """Evict LRU entries until ``need`` more fit beside the resident
-        ones (``need`` 0: down to capacity, as a landed fetch asks)."""
+        ones (``need`` 0: down to capacity, as a landed fetch asks). A
+        clean head is evicted at once. A dirty one is written back with
+        the next dirty entries, ``writeback_parallel`` in all, and judged
+        again: it stays on the LRU through its PUT, so a write meanwhile
+        leaves it dirty, to be written again, never deleted."""
         need = min(need, self.capacity)
         while len(self._lru) + need > self.capacity:
-            victim_key = None
-            dirty_batch = []
-            for key, entry in self._lru.items():
-                if victim_key is None:
-                    victim_key = key
-                if entry.dirty and len(dirty_batch) < self.writeback_parallel:
-                    dirty_batch.append((key[0], entry))
-            if len(dirty_batch) > 1:
-                # Flush a batch of dirty LRU entries through the flusher
-                # pool, so eviction pressure doesn't serialize object PUTs.
-                # State may change while we wait, so re-evaluate the
-                # victim afterwards.
-                yield from self._writeback_pool(dirty_batch)
-                continue
-            ino, idx = victim_key
-            entry = self._lru.pop(victim_key)
+            (ino, idx), entry = next(iter(self._lru.items()))
             if entry.dirty:
-                yield from self._writeback(ino, entry)
+                run = []
+                for (i, _), e in self._lru.items():
+                    if e.dirty:
+                        run.append((i, e))
+                        if len(run) == self.writeback_parallel:
+                            break
+                yield from self._writeback_pool(run)
+                continue
+            del self._lru[ino, idx]
             fc = self._files.get(ino)
             if fc is not None:
                 fc.tree.delete(idx)

@@ -696,10 +696,6 @@ class LostWrite(Exception):
     1(xxvii)."""
 
 
-@pytest.mark.xfail(raises=LostWrite, strict=True, reason=(
-    "eviction takes a lone dirty victim off the LRU before its PUT and "
-    "deletes it from its tree when the PUT lands, with any write made "
-    "meanwhile (ROADMAP 1(xxvii))"))
 def test_an_overwrite_of_an_eviction_in_flight_survives_fsync():
     """f1 is the head of a cache of two and its only dirty entry. A write
     of f3 at 0 s evicts it with a PUT that lands at 1 s. Another process
@@ -726,6 +722,27 @@ def test_an_overwrite_of_an_eviction_in_flight_survives_fsync():
     stored = store.sync_get(prt.key_data(1, 0))
     if stored != b"N" * 10:
         raise LostWrite(repr(stored))
+
+
+def test_a_cold_read_waits_for_no_writeback_behind_a_clean_head():
+    """A cache of three holds a clean head and two dirty entries behind
+    it. A cold read of a fourth object evicts the head: it returns at
+    once and issues no PUT, where writing the two back first would take
+    a second of 1 s PUTs."""
+    sim = Simulator()
+    store = _SlowPutStore(sim)
+    prt = PRT(store, data_object_size=ESZ)
+    cache = DataObjectCache(sim, prt, node=None, entry_size=ESZ,
+                            capacity_bytes=3 * ESZ, max_readahead=0)
+    store.sync_put(prt.key_data(4, 0), b"\4" * ESZ)
+    run(sim, cache.write(1, 0, b"\1" * 10, old_size=0))
+    run(sim, cache.flush(1))
+    for ino in (2, 3):
+        run(sim, cache.write(ino, 0, bytes([ino]) * 10, old_size=0))
+    start, puts = sim.now, store.op_counts["put"]
+    assert run(sim, cache.read(4, 0, ESZ)) == b"\4" * ESZ
+    assert (sim.now - start, store.op_counts["put"] - puts) == (0, 0)
+    assert cache.has_dirty(2) and cache.has_dirty(3)
 
 
 _make_room = DataObjectCache._make_room
@@ -767,6 +784,31 @@ def _invalidation_drops_by_key(self, inos, flush_dirty=True):
             self._lru.pop((ino, idx), None)
 
 
+def _make_room_pops_a_lone_victim(self, need=1):
+    """Seeded 1(xxvii): a dirty head leaves the LRU before its PUT and
+    its tree after it, with whatever a write put in it meanwhile."""
+    while len(self._lru) + min(need, self.capacity) > self.capacity:
+        (ino, idx), entry = self._lru.popitem(last=False)
+        yield from self._writeback(ino, entry)
+        fc = self._files.get(ino)
+        if fc is not None:
+            fc.tree.delete(idx)
+            if not fc.tree:
+                del self._files[ino]
+        self._c_evictions.inc()
+
+
+def _make_room_starves(self, need=1):
+    """Seeded: while two LRU entries are dirty, eviction writes them back
+    before it looks at the head, clean or not."""
+    while len(self._lru) + min(need, self.capacity) > self.capacity:
+        dirty = [(ino, e) for (ino, _), e in self._lru.items() if e.dirty]
+        if len(dirty) < 2:
+            break
+        yield from self._writeback_pool(dirty[:self.writeback_parallel])
+    yield from _make_room(self, need)
+
+
 SEEDED_CAPACITY_BUGS = {
     "a landed fetch takes its slot without making room": (
         [(DataObjectCache, "_make_room", _landing_makes_no_room)],
@@ -782,6 +824,14 @@ SEEDED_CAPACITY_BUGS = {
     "an invalidation drops LRU records by key": (
         [(DataObjectCache, "invalidate_many", _invalidation_drops_by_key)],
         [(test_an_invalidation_keeps_the_entry_a_new_file_cache_made,
+          AssertionError)]),
+    "a lone dirty victim leaves the LRU before its PUT": (
+        [(DataObjectCache, "_make_room", _make_room_pops_a_lone_victim)],
+        [(test_an_overwrite_of_an_eviction_in_flight_survives_fsync,
+          LostWrite)]),
+    "eviction writes dirty entries back while the head is clean": (
+        [(DataObjectCache, "_make_room", _make_room_starves)],
+        [(test_a_cold_read_waits_for_no_writeback_behind_a_clean_head,
           AssertionError)]),
 }
 

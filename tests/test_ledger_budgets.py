@@ -29,7 +29,7 @@ def _write(directory, scale, over=None):
 def test_values_under_their_bounds_pass(tmp_path):
     _write(tmp_path, 0.9)
     lines, ok = budgets.check(tmp_path)
-    assert ok and len(lines) == len(ROWS) == 13
+    assert ok and len(lines) == len(ROWS) == 14
     assert all(line.startswith("ok ") for line in lines)
 
 
