@@ -21,7 +21,6 @@ from .harness import (
     build,
 )
 from .tiering import format_tier_report, tier_ablation, tier_aged_read
-from .qos import format_qos_report, qos_ablation, qos_run
 from .report import (
     format_attribution_merged,
     format_fanout,
@@ -54,9 +53,6 @@ __all__ = [
     "format_speedups",
     "format_table",
     "format_tier_report",
-    "format_qos_report",
-    "qos_ablation",
-    "qos_run",
     "tier_ablation",
     "tier_aged_read",
     "io500_run",

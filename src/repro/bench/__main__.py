@@ -1,10 +1,9 @@
 """Command-line figure regeneration: ``python -m repro.bench [targets...]``.
 
-Targets: fig1 fig4 fig5 fig6a fig6b fig7 table2 io500 tier qos
+Targets: fig1 fig4 fig5 fig6a fig6b fig7 table2 io500 tier
 (default: all). ``--tier`` is shorthand for adding the ``tier`` target —
 the A10 hot/cold tiering ablation (aged-read latency, hit rate, cold GET
-savings) — and ``--qos`` likewise adds the ``qos`` target, the A11
-multi-tenant QoS ablation (slow-tenant isolation, abuser capping).
+savings).
 Pass ``--small`` for the reduced scale. Pass ``--trace out.json`` to record
 cross-layer spans for every simulated cluster the run builds: the file is
 Chrome trace-event JSON (load it at https://ui.perfetto.dev), and a
@@ -45,16 +44,14 @@ from . import (
     format_attribution_merged,
     format_series,
     format_slowlog,
-    format_qos_report,
     format_table,
     format_tier_report,
-    qos_ablation,
     table2_archiving,
     tier_ablation,
 )
 
 TARGETS = ("fig1", "fig4", "fig5", "fig6a", "fig6b", "fig7", "table2",
-           "io500", "tier", "qos")
+           "io500", "tier")
 
 
 def run_target(name: str, scale) -> None:
@@ -89,8 +86,6 @@ def run_target(name: str, scale) -> None:
         print(io500_table(scale=scale))
     elif name == "tier":
         print(format_tier_report(tier_ablation(scale)))
-    elif name == "qos":
-        print(format_qos_report(qos_ablation(scale)))
     print(f"[{name}: {time.time() - t0:.1f}s wall]\n")
 
 
@@ -117,7 +112,7 @@ def format_fault_report(collected) -> str:
 
 class _AddTargets(argparse.Action):
     """Adds targets in command-line order: the positionals, and the
-    ``--tier``/``--qos`` shorthands (their ``const``)."""
+    ``--tier`` shorthand (its ``const``)."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         if option_string is not None:
@@ -147,8 +142,6 @@ def parse_args(argv) -> argparse.Namespace:
                         help="run at the reduced scale")
     parser.add_argument("--tier", nargs=0, action=_AddTargets, const="tier",
                         dest="targets", help="add the tier target")
-    parser.add_argument("--qos", nargs=0, action=_AddTargets, const="qos",
-                        dest="targets", help="add the qos target")
     parser.add_argument("--trace", metavar="PATH",
                         help="full tracing; write Chrome trace JSON here")
     parser.add_argument("--faults", choices=("transient",),

@@ -68,14 +68,6 @@ class Scale:
     tar_images_per_proc: int = 600
     tar_image_kb: float = 50.0
 
-    # archive-as-a-service / QoS (A11): a tenant population fronted by a
-    # few gateway clients, plus one abusive tenant hammering a dedicated
-    # gateway with concurrent zero-think streams.
-    qos_tenants: int = 2000
-    qos_streams: int = 4
-    qos_ops_per_stream: int = 120
-    qos_abusive_procs: int = 8
-
 
 DEFAULT = Scale()
 
@@ -88,8 +80,6 @@ SMALL = Scale(
     fio_procs=4, fio_nodes=2, fio_file=32 * MiB,
     scal_clients=(1, 2, 4, 8, 16, 32, 64), scal_files_per_client=25,
     tar_procs=8, tar_nodes=2, tar_images_per_proc=150, tar_image_kb=50.0,
-    qos_tenants=200, qos_streams=3, qos_ops_per_stream=60,
-    qos_abusive_procs=6,
 )
 
 
@@ -196,7 +186,6 @@ FS_KINDS = (
     "arkfs-s3-ra400",   # ArkFS with 400 MB read-ahead on S3
     "arkfs-cold",       # ArkFS on the cold-S3 profile (single tier)
     "arkfs-tier",       # ArkFS, hot RADOS tier over the cold-S3 tier
-    "arkfs-qos",        # ArkFS with the multi-tenant QoS plane (A11)
     "cephfs-k",         # kernel mount, 1 MDS
     "cephfs-k16",       # kernel mount, 16 MDSs
     "cephfs-f",         # ceph-fuse mount, 1 MDS
@@ -226,7 +215,7 @@ def build(kind: str, sim: Simulator, n_clients: int,
 def _build(kind: str, sim: Simulator, n_clients: int,
            net: NetParams, cache_capacity: int, client_cores: int):
     if kind in ("arkfs", "arkfs-no-pcache", "arkfs-s3", "arkfs-s3-ra400",
-                "arkfs-cold", "arkfs-tier", "arkfs-qos"):
+                "arkfs-cold", "arkfs-tier"):
         params = DEFAULT_PARAMS.with_(
             permission_cache=(kind != "arkfs-no-pcache"),
             cache_capacity_bytes=cache_capacity,
@@ -248,22 +237,6 @@ def _build(kind: str, sim: Simulator, n_clients: int,
             profile = RADOS_PROFILE
             cold_profile = S3_COLD_PROFILE
             params = params.with_(tier_enabled=True)
-        elif kind == "arkfs-qos":
-            # Multi-tenant QoS plane (A11): per-tenant token buckets tight
-            # enough that an abusive tenant is visibly capped, admission
-            # bounded so its concurrency hits EAGAIN backpressure.
-            # Rates sized so a Zipf-hot victim tenant never throttles
-            # (each fs op is ~5 authority ops, ~2 MiB/s of small-file
-            # ingest per hot tenant) while the abuser's big-object
-            # concurrent streams hit the byte bucket hard.
-            params = params.with_(
-                qos_enabled=True,
-                qos_ops_rate=1000.0,
-                qos_ops_burst=32.0,
-                qos_bytes_rate=8 * MiB,
-                qos_bytes_burst=1 * MiB,
-                qos_max_inflight=4,
-            )
         faults = None
         if BENCH_OBS.fault_mode == "transient":
             from ..faults import FaultPlan

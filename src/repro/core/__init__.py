@@ -10,7 +10,6 @@
 * :mod:`filelease` — read/write leases on file data (leader-issued).
 * :mod:`datapath` — the open-file read/write/close under those leases,
   shared with the CephFS/MarFS baselines.
-* :mod:`qos` — multi-tenant QoS: token buckets, WFQ, admission control.
 * :mod:`client` / :mod:`ops` — the ArkFS client and its leader-side ops;
   :mod:`sharded_client` — the client with :mod:`shards` (splits) enabled.
 * :mod:`recovery` — journal replay after client / manager failures.
@@ -37,7 +36,6 @@ from .metatable import Metatable, RemoteTable, load_metatable
 from .ops import RedirectError
 from .params import DEFAULT_PARAMS, ArkFSParams
 from .prt import PRT
-from .qos import QosManager, TenantBusy, TokenBucket, WFQResource
 from .radix import RadixTree
 from .recovery import recover_directory, resolve_decision, scan_journal
 from .types import Dentry, Inode, InoAllocator, ROOT_INO, ino_hex
@@ -63,17 +61,13 @@ __all__ = [
     "Metatable",
     "OpenState",
     "PRT",
-    "QosManager",
     "READ",
     "ROOT_INO",
     "RadixTree",
     "ReadAheadState",
     "RedirectError",
     "RemoteTable",
-    "TenantBusy",
-    "TokenBucket",
     "Transaction",
-    "WFQResource",
     "WRITE",
     "apply_ops",
     "build_arkfs",

@@ -85,8 +85,8 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         one, its only member): ``node_for(dir_ino)`` routes lease RPCs and
         ``fencing`` is the registry journal commits are checked against.
         ``retry`` is the cluster's one retry policy, used here only for what
-        is not a store verb: lease RPCs, QoS admission, and counting the
-        whole-op redispatch (store verbs are retried beneath ``prt.store``)."""
+        is not a store verb: lease RPCs and counting the whole-op
+        redispatch (store verbs are retried beneath ``prt.store``)."""
         self.sim = sim
         self.node = node
         self.prt = prt
@@ -129,13 +129,6 @@ class ArkFSClient(LeaderOps, LeasedDataPath, VFSClient):
         self.journal.start_threads()
         self._keeper = sim.process(self._lease_keeper(),
                                    name=f"{self.name}.keeper")
-
-    def bind_tenant(self, tenant: str) -> None:
-        """Attribute subsequent ops from this client to ``tenant`` (the
-        gateway model: one client fronting many tenants, switching between
-        ops). Here it only tags the node's store requests; the QoS layer
-        (:class:`~repro.core.qos.QosClient`) also meters the client's ops."""
-        self.node.tenant = tenant
 
     def _leads_dir(self, dir_ino: int) -> bool:
         """Do we currently hold this directory's metatable lease?"""

@@ -87,10 +87,8 @@ class LeasedDataPath:
             if size is not None:
                 yield from self._truncated(ino, size)
 
-    def _file_lease(self, handle: FileHandle, want: str,
-                    nbytes: int) -> SimGen:
-        """Ensure a valid, sufficient data lease for this handle's file: the
-        data op's one admission point (``nbytes`` is for a client layer)."""
+    def _file_lease(self, handle: FileHandle, want: str) -> SimGen:
+        """Ensure a valid, sufficient data lease for this handle's file."""
         st: OpenState = handle.impl
         f = st.file
         g = f.lease
@@ -115,8 +113,7 @@ class LeasedDataPath:
         st: OpenState = handle.impl
         f = st.file
         pos = handle.pos if offset is None else offset
-        grant = yield from self._file_lease(handle, READ,
-                                            max(0, min(size, f.size - pos)))
+        grant = yield from self._file_lease(handle, READ)
         eff = max(0, min(size, f.size - pos))  # a grant may bring a size
         if eff == 0:
             data = b""
@@ -136,7 +133,7 @@ class LeasedDataPath:
             raise BadFileHandle(detail="not open for writing")
         st: OpenState = handle.impl
         f = st.file
-        grant = yield from self._file_lease(handle, WRITE, len(data))
+        grant = yield from self._file_lease(handle, WRITE)
         if handle.flags & OpenFlags.O_APPEND:
             pos = f.size
         else:

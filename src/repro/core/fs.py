@@ -10,7 +10,6 @@ model — ArkFS is implemented with FUSE, so benchmarks mount it that way).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import List, Optional
 
 from ..objectstore.base import ObjectStore
@@ -24,12 +23,10 @@ from ..posix.fuse import FUSE_DEFAULTS, FuseMount, MountParams
 from ..posix.types import FileType
 from ..sim.engine import Simulator
 from ..sim.network import NetParams, Network, Node
-from ..sim.resources import Resource
 from .client import ArkFSClient
 from .lease import LeaseManager, LeaseManagerCluster
 from .params import ArkFSParams, DEFAULT_PARAMS
 from .prt import PRT
-from .qos import QosManager, WFQResource, qos_layer
 from .retry import RetryPolicy
 from .sharded_client import ShardedClient
 from .types import Inode, InoAllocator, ROOT_INO
@@ -55,7 +52,6 @@ class ArkFSCluster:
     prt: PRT
     params: ArkFSParams
     lease_service: LeaseManagerCluster   # the manager ring (>= 1 members)
-    qos: object = None                   # QosManager when params.qos_enabled
     clients: List[ArkFSClient] = field(default_factory=list)
     mounts: List[FuseMount] = field(default_factory=list)
 
@@ -109,24 +105,15 @@ def build_arkfs(
     this parameter. A caller-supplied ``store`` always gets the retry layer.
     """
     net = Network(sim, net_params or NetParams())
-    # Multi-tenant QoS plane: built first, because it decides the queue
-    # discipline the stores' OSD queues and the lease managers' CPUs are
-    # built with — tenant-weighted fair queueing instead of the default
-    # FIFO. Nothing downstream asks which one it got.
-    qos = None
-    queue = Resource
-    if params.qos_enabled:
-        qos = QosManager(sim, params)
-        queue = partial(WFQResource, weight_of=qos.weight_of)
     # The cluster's one retry policy (``store_retry_*``). Store verbs get
     # it as a store layer, below; clients keep it for what is not a store
-    # verb (lease RPCs, QoS admission).
+    # verb (lease RPCs).
     retry = RetryPolicy.from_params(sim, params)
 
     def backend(profile: StoreProfile) -> ObjectStore:
         if functional:
             return InMemoryObjectStore(sim)
-        return ClusterObjectStore(sim, profile, net=net, queue=queue)
+        return ClusterObjectStore(sim, profile, net=net)
 
     def shim(inner: ObjectStore, foreign: bool = False) -> ObjectStore:
         """The fault shim and, riding directly above it, the retry layer
@@ -173,25 +160,18 @@ def build_arkfs(
     mgr_names = (["lease-mgr"] if n_lease_managers <= 1 else
                  [f"lease-mgr{i}" for i in range(n_lease_managers)])
     service = LeaseManagerCluster(
-        sim, [Node(sim, name, cores=4, net=net, queue=queue)
-              for name in mgr_names], params)
-    if qos is not None:
-        # Handlers tag their CPU work with the tenant of the client named
-        # on the lease RPC.
-        for m in service.managers:
-            m.tenants = qos.client_tenant
+        sim, [Node(sim, name, cores=4, net=net) for name in mgr_names],
+        params)
 
     alloc = InoAllocator(seed=seed)
     cluster = ArkFSCluster(sim=sim, net=net, store=store, prt=prt,
-                           params=params, lease_service=service, qos=qos)
+                           params=params, lease_service=service)
     names = [f"client{i}" for i in range(n_clients)]
-    # Directory sharding and QoS tenancy are client classes, chosen
-    # once; shard-lease placement hashes over the same population everywhere.
+    # Directory sharding is a client class, chosen once; shard-lease
+    # placement hashes over the same population everywhere.
     client_class, layers = ArkFSClient, {}
     if params.shards_enabled:
         client_class, layers["peers"] = ShardedClient, names
-    if qos is not None:
-        client_class, layers["qos"] = qos_layer(client_class), qos
     for name in names:
         node = Node(sim, name, cores=client_cores, net=net)
         client = client_class(sim, node, prt, params, service, alloc,

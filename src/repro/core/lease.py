@@ -162,10 +162,6 @@ class LeaseManager:
                                                       managers=[self])
         self.index = index
         self.leases: Dict[int, _LeaseState] = {}
-        # Client name -> tenant, tagging handler CPU for a tenant-weighted
-        # ``node.cpu`` (build_arkfs shares the QoS plane's registry; an
-        # unlisted client is its own tenant, and a FIFO ignores the tag).
-        self.tenants: Dict[str, str] = {}
         self.stats = {"acquire": 0, "extend": 0, "redirect": 0, "release": 0,
                       "wait": 0, "recovery_grants": 0}
         node.register("lease.acquire", self._h_acquire)
@@ -189,9 +185,8 @@ class LeaseManager:
 
     # -- handlers ------------------------------------------------------------------
 
-    def _work(self, client: Optional[str] = None) -> SimGen:
-        cpu = self.params.lease_op_cpu
-        return self.node.cpu.use(cpu, self.tenants.get(client, client), cpu)
+    def _work(self) -> SimGen:
+        return self.node.cpu.use(self.params.lease_op_cpu)
 
     def _grant(self, dir_ino: int, st: _LeaseState, rs: "_RangeState",
                fresh: bool, needs_recovery: bool) -> LeaseGrant:
@@ -200,7 +195,7 @@ class LeaseManager:
                           needs_recovery=needs_recovery, mgr_epoch=rs.epoch)
 
     def _h_acquire(self, dir_ino: int, client: str) -> SimGen:
-        yield from self._work(client)
+        yield from self._work()
         now = self.sim.now
         rs = self.cluster.range_for(dir_ino)
         if rs.owner != self.index:
@@ -286,7 +281,7 @@ class LeaseManager:
         return self._grant(dir_ino, st, rs, fresh=True, needs_recovery=False)
 
     def _h_release(self, dir_ino: int, client: str, clean: bool) -> SimGen:
-        yield from self._work(client)
+        yield from self._work()
         if self.cluster.range_for(dir_ino).owner != self.index:
             return False  # deposed: this manager's state for the dir is void
         st = self.leases.get(dir_ino)
@@ -301,7 +296,7 @@ class LeaseManager:
 
     def _h_recovered(self, dir_ino: int, client: str) -> SimGen:
         """The recovering leader finished journal replay; renew its lease."""
-        yield from self._work(client)
+        yield from self._work()
         if self.cluster.range_for(dir_ino).owner != self.index:
             return False
         st = self.leases.get(dir_ino)

@@ -71,19 +71,6 @@ class ArkFSParams:
     tier_promote_max: int = 8 * MiB        # promote whole objects up to this
                                            # size on a cold GET miss
 
-    # --- multi-tenant QoS plane ---------------------------------------------
-    qos_enabled: bool = False              # off by default: runs stay
-                                           # structurally identical to a build
-                                           # without the QoS subsystem
-    qos_default_weight: float = 1.0        # WFQ weight for unregistered tenants
-    qos_ops_rate: float = 2000.0           # per-tenant metadata ops/s
-    qos_ops_burst: float = 64.0            # ... with this much burst credit
-    qos_bytes_rate: float = 256 * MiB      # per-tenant data bytes/s
-    qos_bytes_burst: float = 16 * MiB
-    qos_max_inflight: int = 32             # admission control: concurrent
-                                           # admitted ops per tenant; overflow
-                                           # is EAGAIN (TenantBusy) + retry
-
     # --- transient-failure handling (client-side store SDK behavior) --------
     store_retry_limit: int = 6             # retries per op before giving up
     store_retry_base: float = 1e-3         # first backoff; doubles per retry

@@ -13,9 +13,8 @@ client SDK absorbs those with capped exponential backoff. A cluster has one
   cannot forget the wrapper, and a transient costs backoff time instead of
   killing a background thread or leaking out of a VFS call.
 * **What is not a store verb** — by the client itself: lease RPCs that a
-  fault plan dropped (``MessageDropped``), its QoS layer's admission
-  (``TenantBusy``), and :meth:`RetryPolicy.note_retry` for the whole-op
-  redispatch that follows a verb exhausting its budget.
+  fault plan dropped (``MessageDropped``), and :meth:`RetryPolicy.note_retry`
+  for the whole-op redispatch that follows a verb exhausting its budget.
 
 Retries are observable: every retry increments ``store.retry.attempts`` and
 records the backoff slept in the ``store.retry.backoff`` histogram (one

@@ -63,16 +63,13 @@ class Workload:
 # --------------------------------------------------------------------------
 
 # Each subsystem's sweep configuration: small enough that its background
-# machinery (split, drain and demotion, throttling) fires within a few
-# steps. ``all_on`` takes all three at once.
+# machinery (split, drain and demotion) fires within a few steps.
+# ``all_on`` takes both at once.
 SHARDS = dict(shards_enabled=True, shard_split_threshold=6, shard_fanout=4)
 TIER = dict(tier_enabled=True, tier_hot_capacity=192 * KiB,
             tier_high_watermark=0.75, tier_low_watermark=0.5,
             tier_dirty_max=128 * KiB, tier_drain_interval=0.4,
             tier_drain_batch=4, tier_promote_max=64 * KiB)
-QOS = dict(qos_enabled=True, qos_ops_rate=60.0, qos_ops_burst=4.0,
-           qos_bytes_rate=64 * KiB, qos_bytes_burst=16 * KiB,
-           qos_max_inflight=4)
 
 
 def mkdirs(*paths):
@@ -409,54 +406,12 @@ def _wl_tier_drain() -> Workload:
                     params=DEFAULT_PARAMS.with_(**TIER))
 
 
-def _wl_qos_backlog() -> Workload:
-    """Multi-tenant QoS plane: crash points while ops sit queued behind
-    admission and token-bucket throttles.
-
-    Tight per-tenant rates put every victim op into a throttle sleep, and
-    the burst step keeps several fsyncs in flight, so at the crash the
-    victim holds admission slots and a token deficit. ``client.crash()``
-    releases the dead tenant's accounting; the survivor (its own tenant)
-    must recover without spurious EAGAINs, and every fsync that returned
-    is durable."""
-    files = {f"/q/f{i}": bytes([103 + i]) * (12_000 + 900 * i)
-             for i in range(8)}
-    f = list(files)
-
-    def burst(c):
-        # Concurrent fsyncs from one gateway: the admission slots fill and
-        # the ops/bytes buckets run a deficit, so the sweep lands crash
-        # points while requests are queued *inside* the QoS plane.
-        procs = [c.sim.process(wr(f[i], files[f[i]], True)(c),
-                               name=f"burst:f{i}") for i in range(2, 6)]
-        yield c.sim.all_of(procs)
-
-    steps = [Step(f"fsync:f{i}", gen=wr(f[i], files[f[i]], True),
-                  durable=reads_exactly(files, f[i])) for i in range(2)]
-    steps.append(Step("burst:f2-f5", gen=burst,
-                      durable=reads_exactly(files, *f[2:6])))
-    steps += [Step(f"write:f{i}", gen=wr(f[i], files[f[i]]))
-              for i in range(6, 8)]
-    steps += [
-        Step("sync-1", gen=_sync, durable=reads_exactly(files, *f[6:])),
-        # A scratch file with no presence contract of its own: its unlink
-        # can become durable at any later crash point without
-        # contradicting an earlier step's durability closure.
-        Step("fsync:tmp", gen=wr("/q/tmp", b"\x7f" * 9_000, True)),
-        Step("unlink:tmp", gen=_unlink("/q/tmp")),
-        Step("sync-2", gen=_sync, durable=absent("/q/tmp")),
-        Step("advance-settle", advance=1.0)]
-    return Workload("qos_backlog", setup=mkdirs("/q"), steps=steps,
-                    invariants=exact_or_zeros(files),
-                    params=DEFAULT_PARAMS.with_(**QOS))
-
-
 def _wl_all_on() -> Workload:
-    """Every optional subsystem in one directory: sharding, tiering and
-    QoS, each configured as in its own workload.
+    """Every optional subsystem in one directory: sharding and tiering,
+    each configured as in its own workload.
 
-    Eight fsync'd creates cross the split threshold while the QoS buckets
-    throttle them and their bytes stage in the tier's hot store. Unsynced
+    Eight fsync'd creates cross the split threshold while their bytes
+    stage in the tier's hot store. Unsynced
     writes, unlinks and an intra-directory rename follow; the advance
     steps let the split, drain and demotion fire. The engine loses the hot
     tier with the victim."""
@@ -477,7 +432,7 @@ def _wl_all_on() -> Workload:
               Step("sync-2", gen=_sync)]
     return Workload("all_on", setup=mkdirs("/x"), steps=steps,
                     invariants=one_listing("/x", files, f[2], "/x/g2"),
-                    params=DEFAULT_PARAMS.with_(**SHARDS, **TIER, **QOS))
+                    params=DEFAULT_PARAMS.with_(**SHARDS, **TIER))
 
 
 WORKLOADS: Dict[str, Callable[[], Workload]] = {
@@ -487,6 +442,5 @@ WORKLOADS: Dict[str, Callable[[], Workload]] = {
     "shard_split": _wl_shard_split,
     "epoch_handoff": _wl_epoch_handoff,
     "tier_drain": _wl_tier_drain,
-    "qos_backlog": _wl_qos_backlog,
     "all_on": _wl_all_on,
 }

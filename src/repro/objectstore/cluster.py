@@ -15,7 +15,7 @@ staging volume in the archiving workload and the S3FS disk cache.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..sim.engine import SimGen, Simulator
 from ..sim.network import Network, Node
@@ -41,11 +41,10 @@ def _timed(sim: Simulator, delay: float, name: str, cat: str) -> SimGen:
 class _OSD:
     """One storage daemon: a service-slot queue plus a media pipe."""
 
-    def __init__(self, sim: Simulator, index: int, profile: StoreProfile,
-                 queue: Callable[..., Resource] = Resource):
+    def __init__(self, sim: Simulator, index: int, profile: StoreProfile):
         self.index = index
-        self.queue = queue(sim, capacity=profile.osd_queue_depth,
-                           name=f"osd{index}.q")
+        self.queue = Resource(sim, capacity=profile.osd_queue_depth,
+                              name=f"osd{index}.q")
         # FIFO at full rate: a lone stream gets the whole device, while the
         # aggregate under contention still caps at media_bw.
         self.media = BandwidthPipe(sim, profile.media_bw,
@@ -54,18 +53,13 @@ class _OSD:
 
 
 class ClusterObjectStore(ObjectStore):
-    """An object store sharded over ``profile.n_osds`` simulated OSDs.
-
-    ``queue`` is the OSD service queues' discipline: a
-    :class:`~repro.sim.resources.Resource` class or factory (FIFO by
-    default; tenant-weighted when the QoS plane builds the store)."""
+    """An object store sharded over ``profile.n_osds`` simulated OSDs."""
 
     def __init__(
         self,
         sim: Simulator,
         profile: StoreProfile,
         net: Optional[Network] = None,
-        queue: Callable[..., Resource] = Resource,
     ):
         self.sim = sim
         self.profile = profile
@@ -74,8 +68,7 @@ class ClusterObjectStore(ObjectStore):
         self._get_fixed = profile.get_latency + profile.first_byte_latency
         self.net = net
         self.backing = InMemoryObjectStore(sim)
-        self.osds = [_OSD(sim, i, profile, queue)
-                     for i in range(profile.n_osds)]
+        self.osds = [_OSD(sim, i, profile) for i in range(profile.n_osds)]
         self.bytes_read = 0
         self.bytes_written = 0
         self._pending_creates: set = set()
@@ -147,42 +140,35 @@ class ClusterObjectStore(ObjectStore):
                 else:
                     yield sim.timeout(stream_time - nic_time)
 
-    def _service(self, osd: _OSD, fixed: float, nbytes: int,
-                 src: Optional[Node] = None) -> ServiceHold:
+    def _service(self, osd: _OSD, fixed: float, nbytes: int) -> ServiceHold:
         """Occupy an OSD service slot for ``fixed`` seconds, then move
         ``nbytes`` through its media pipe: one object, which a single-key
         verb runs inline and a fan-out spawns as a process body, not a
         generator stack."""
-        # Tags for a fair-queueing OSD (a FIFO ignores them): the calling
-        # node's tenant (``None``, the default tenant, for infrastructure
-        # ops), at a cost of slot time plus the media time induced.
-        tenant = src.tenant if src is not None else None
-        cost = fixed + (nbytes / self.profile.media_bw if nbytes else 0.0)
-        return ServiceHold(osd.queue, fixed, tenant, cost, osd.media, nbytes)
+        return ServiceHold(osd.queue, fixed, osd.media, nbytes)
 
     # -- operations ------------------------------------------------------------
 
     def get(self, key: str, src: Optional[Node] = None) -> SimGen:
         data = self.backing.sync_get(key)  # raise NoSuchKey before paying cost
         if self.profile.erasure is not None:
-            yield from self._ec_gather(key, len(data), src)
+            yield from self._ec_gather(key, len(data))
         else:
             osd = self.osd_for(key)
-            yield from self._service(osd, self._get_fixed, len(data), src)
+            yield from self._service(osd, self._get_fixed, len(data))
         yield from self._client_leg(src, (len(data),))
         self.bytes_read += len(data)
         self.backing.op_counts["get"] += 1
         return data
 
-    def _ec_gather(self, key: str, nbytes: int,
-                   src: Optional[Node] = None) -> SimGen:
+    def _ec_gather(self, key: str, nbytes: int) -> SimGen:
         """Read the k data shards in parallel and decode the stripe."""
         k, _m = self.profile.erasure
         shard = -(-nbytes // k)
         reads = []
         for osd in self.shards_for(key)[:k]:
             reads.append(self.sim.process(
-                self._service(osd, self._get_fixed, shard, src),
+                self._service(osd, self._get_fixed, shard),
                 name=f"ec-read{osd.index}"))
         yield self.sim.all_of(reads)
         yield from _timed(self.sim, self.profile.ec_encode_latency,
@@ -194,7 +180,7 @@ class ClusterObjectStore(ObjectStore):
         whole = self.backing.sync_get(key)
         data = whole[offset : offset + length]
         osd = self.osd_for(key)
-        yield from self._service(osd, self._get_fixed, len(data), src)
+        yield from self._service(osd, self._get_fixed, len(data))
         yield from self._client_leg(src, (len(data),))
         self.bytes_read += len(data)
         self.backing.op_counts["get"] += 1
@@ -202,10 +188,9 @@ class ClusterObjectStore(ObjectStore):
 
     def put(self, key: str, data: bytes, src: Optional[Node] = None) -> SimGen:
         yield from self._client_leg(src, (len(data),))
-        yield from self._server_put(key, data, src)
+        yield from self._server_put(key, data)
 
-    def _server_put(self, key: str, data: bytes,
-                    src: Optional[Node] = None) -> SimGen:
+    def _server_put(self, key: str, data: bytes) -> SimGen:
         """Backend side of a PUT (replication / EC fan-out, no client leg)."""
         writes = []
         if self.profile.erasure is not None:
@@ -215,15 +200,14 @@ class ClusterObjectStore(ObjectStore):
                               "ec.encode", "cpu")
             for osd in self.shards_for(key):
                 writes.append(self.sim.process(
-                    self._service(osd, self.profile.put_latency, shard, src),
+                    self._service(osd, self.profile.put_latency, shard),
                     name=f"ec-write{osd.index}"))
         else:
             # Primary-copy replication: all replicas written in parallel,
             # the request completes when the slowest acknowledges.
             for osd in self.replicas_for(key):
                 writes.append(self.sim.process(
-                    self._service(osd, self.profile.put_latency, len(data),
-                                  src),
+                    self._service(osd, self.profile.put_latency, len(data)),
                     name=f"put-replica{osd.index}"))
         yield self.sim.all_of(writes)
         self.backing.sync_put(key, data)
@@ -233,14 +217,14 @@ class ClusterObjectStore(ObjectStore):
     def delete(self, key: str, src: Optional[Node] = None) -> SimGen:
         self.backing.sync_head(key)  # existence check (NoSuchKey)
         osd = self.osd_for(key)
-        yield from self._service(osd, self.profile.delete_latency, 0, src)
+        yield from self._service(osd, self.profile.delete_latency, 0)
         self.backing.sync_delete(key)
         self.backing.op_counts["delete"] += 1
 
     def head(self, key: str, src: Optional[Node] = None) -> SimGen:
         size = self.backing.sync_head(key)
         osd = self.osd_for(key)
-        yield from self._service(osd, self.profile.head_latency, 0, src)
+        yield from self._service(osd, self.profile.head_latency, 0)
         self.backing.op_counts["head"] += 1
         return size
 
@@ -260,7 +244,7 @@ class ClusterObjectStore(ObjectStore):
         # concurrent exclusive creates cannot both win.
         if key in self.backing or key in self._pending_creates:
             osd = self.osd_for(key)
-            yield from self._service(osd, self.profile.put_latency, 0, src)
+            yield from self._service(osd, self.profile.put_latency, 0)
             return False
         self._pending_creates.add(key)
         try:
@@ -285,10 +269,10 @@ class ClusterObjectStore(ObjectStore):
             if data is None:
                 continue
             if self.profile.erasure is not None:
-                gen = self._ec_gather(key, len(data), src)
+                gen = self._ec_gather(key, len(data))
             else:
-                gen = self._service(self.osd_for(key),
-                                    self._get_fixed, len(data), src)
+                gen = self._service(self.osd_for(key), self._get_fixed,
+                                    len(data))
             reads.append(self.sim.process(gen, name=f"mget:{key}"))
         if reads:
             yield self.sim.all_of(reads)
@@ -305,7 +289,7 @@ class ClusterObjectStore(ObjectStore):
         yield from self._client_leg(src, [len(d) for _k, d in items])
         writes = []
         for k, d in items:
-            gen = self._server_put(k, d, src)
+            gen = self._server_put(k, d)
             writes.append(self.sim.process(gen, name=f"mput:{k}"))
         yield self.sim.all_of(writes)
 
@@ -315,7 +299,7 @@ class ClusterObjectStore(ObjectStore):
         deletes = []
         for k in present:
             gen = self._service(self.osd_for(k),
-                                self.profile.delete_latency, 0, src)
+                                self.profile.delete_latency, 0)
             deletes.append(self.sim.process(gen, name=f"mdel:{k}"))
         if deletes:
             yield self.sim.all_of(deletes)

@@ -62,20 +62,14 @@ class Node:
         cores: int = 1,
         net: Optional["Network"] = None,
         nic_bps: Optional[float] = None,
-        queue: Callable[..., Resource] = Resource,
     ):
         self.sim = sim
         self.name = name
-        # ``queue`` is the CPU's queue discipline (a Resource class/factory).
-        self.cpu = queue(sim, capacity=cores, name=f"{name}.cpu")
+        self.cpu = Resource(sim, capacity=cores, name=f"{name}.cpu")
         self.net = net
         bw = nic_bps if nic_bps is not None else (net.params.bandwidth_bps if net else 10e9 / 8)
         self.nic = BandwidthPipe(sim, bw, name=f"{name}.nic")
         self.alive = True
-        # QoS tenant attribution: set by the client's bind_tenant; tags this
-        # node's store requests for tenant-weighted OSD queues (a FIFO
-        # ignores it) and names the tenant the QoS client layer meters.
-        self.tenant: Optional[str] = None
         self._handlers: Dict[str, Callable[..., SimGen]] = {}
         if net is not None:
             net.attach(self)

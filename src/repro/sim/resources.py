@@ -15,10 +15,7 @@ polled every tick.
 
 This module is the only place that knows how to wait for and hold a queue:
 ``Resource.use`` for a timed hold, ``Resource.acquire`` for a hold across
-arbitrary work. The queue discipline (FIFO here, tenant-weighted fair
-queueing in ``repro.core.qos.WFQResource``) is the resource's class, chosen
-where the resource is built; callers tag every ``use`` and a FIFO ignores
-the tags.
+arbitrary work. Every queue is FIFO.
 
 ``Resource.use`` — 60 % of all scheduled events in the metadata workloads
 are its grant + hold — has two bodies with one schedule. ``_use_textbook``
@@ -32,8 +29,7 @@ request and no grant event: the slot is taken, the hold's end is already
 scheduled, and the ``finally`` gives the slot back as ``release`` would.
 If so (or the resource is full) it requests, and the grant event becomes
 the hold's timer (``Simulator._hold``). Whether a grant may skip the run
-loop, or need not exist, stays the scheduler's call; a discipline that
-must see every request (``WFQResource``) turns the grant-less arm off.
+loop, or need not exist, stays the scheduler's call.
 ``Node.work``, ``BandwidthPipe.transfer`` and ``serve`` are plain
 functions returning that generator, so a hold adds one frame to the
 ``yield from`` chain every resume re-enters. ``ServiceHold`` takes the
@@ -102,12 +98,6 @@ class Resource:
     queue depth.
     """
 
-    #: Whether ``use`` may take a free slot without a request when the
-    #: scheduler proves nobody could observe the grant. A discipline that
-    #: must see every request (``WFQResource``: its tags advance on every
-    #: hold) says no.
-    _grantless_holds = True
-
     def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
         if capacity < 1:
             raise SimulationError("resource capacity must be >= 1")
@@ -144,11 +134,9 @@ class Resource:
             self._queue.append(req)
         return req
 
-    def _request_pooled(self, tenant: Optional[str] = None,
-                        cost: Optional[float] = None) -> Request:
+    def _request_pooled(self) -> Request:
         """Internal variant of :meth:`request` for :meth:`use`: may return a
-        recycled Request object (never exposed to user code). A FIFO has no
-        use for the tenant tags."""
+        recycled Request object (never exposed to user code)."""
         watch = self._watch
         if watch is not None:
             watch.add(self)
@@ -229,12 +217,8 @@ class Resource:
             raise
         return req
 
-    def use(self, hold_time: float, tenant: Optional[str] = None,
-            cost: Optional[float] = None) -> SimGen:
+    def use(self, hold_time: float) -> SimGen:
         """Generator helper: acquire, hold for ``hold_time``, release.
-
-        ``tenant`` and ``cost`` tag the request for a fair-queueing
-        discipline; a FIFO ignores them.
 
         Resumes the caller once, when the hold ends: the schedule (same
         events, same order) of :meth:`_use_textbook`, which it runs instead
@@ -242,9 +226,9 @@ class Resource:
         there is nothing to hold."""
         sim = self.sim
         if not hold_time > 0 or sim._active_proc.tracer is not None:
-            yield from self._use_textbook(hold_time, tenant, cost)
+            yield from self._use_textbook(hold_time)
             return
-        if self._in_use < self.capacity and self._grantless_holds:
+        if self._in_use < self.capacity:
             t = sim._hold_unobserved(hold_time)
             if t is not None:
                 # Nothing could observe this grant: no request, no grant
@@ -264,7 +248,7 @@ class Resource:
                         self._grant_waiters()
                     sim._timeout_release(t)
                 return
-        req = self._request_pooled(tenant, cost)
+        req = self._request_pooled()
         try:
             # The grant is the hold's timer: processed, it is re-armed.
             yield sim._hold(req, hold_time)
@@ -278,15 +262,14 @@ class Resource:
             if req.callbacks is None and len(self._pool) < _REQ_POOL_MAX:
                 self._pool.append(req)
 
-    def _use_textbook(self, hold_time: float, tenant: Optional[str] = None,
-                      cost: Optional[float] = None) -> SimGen:
+    def _use_textbook(self, hold_time: float) -> SimGen:
         """The definition of ``use``: wait for the grant, then for the hold.
 
         With tracing on, a contended acquisition gets a queue-wait span and
         the hold gets a span in the resource's attribution category."""
         sim = self.sim
         tr = sim._active_proc.tracer
-        req = self._request_pooled(tenant, cost)
+        req = self._request_pooled()
         try:
             if req.granted or tr is None:
                 yield req
@@ -318,7 +301,7 @@ _GRANTLESS, _REQUESTED, _TEXTBOOK = 1, 2, 3
 class ServiceHold:
     """A queue hold, then a pipe transfer, as one object: the iterator of
 
-        yield from queue.use(hold_time, tenant, cost)
+        yield from queue.use(hold_time)
         if nbytes > 0:
             yield from pipe.transfer(nbytes)
 
@@ -334,16 +317,13 @@ class ServiceHold:
     arm, whose end — ``use``'s ``finally`` — runs in ``send`` itself.
     ``tests/sim/test_service_hold.py`` holds it to the generator."""
 
-    __slots__ = ("queue", "hold_time", "tenant", "cost", "pipe", "nbytes",
-                 "_stage", "_arm", "_held")
+    __slots__ = ("queue", "hold_time", "pipe", "nbytes", "_stage", "_arm",
+                 "_held")
 
     def __init__(self, queue: Resource, hold_time: float,
-                 tenant: Optional[str], cost: Optional[float],
                  pipe: "BandwidthPipe", nbytes: int):
         self.queue = queue
         self.hold_time = hold_time
-        self.tenant = tenant
-        self.cost = cost
         self.pipe = pipe
         self.nbytes = nbytes
         # 0 not started, 1 queue hold, 2 pipe transfer, 3 finished.
@@ -390,8 +370,6 @@ class ServiceHold:
             self._stage = 1
             res = self.queue
             hold_time = self.hold_time
-            tenant = self.tenant
-            cost = self.cost
         elif stage == 1 and self.nbytes > 0:
             # BandwidthPipe.transfer, written out.
             self._stage = 2
@@ -400,18 +378,17 @@ class ServiceHold:
             pipe.bytes_moved += nbytes
             res = pipe._res
             hold_time = nbytes * res.capacity / pipe.bytes_per_sec
-            tenant = cost = None
         else:
             self._stage = 3
             raise StopIteration
         # Resource.use, written out: start the hold.
         sim = res.sim
         if not hold_time > 0 or sim._active_proc.tracer is not None:
-            held = res._use_textbook(hold_time, tenant, cost)
+            held = res._use_textbook(hold_time)
             self._arm = _TEXTBOOK
             self._held = held
             return held.send(None)
-        if res._in_use < res.capacity and res._grantless_holds:
+        if res._in_use < res.capacity:
             t = sim._hold_unobserved(hold_time)
             if t is not None:
                 watch = res._watch
@@ -421,7 +398,7 @@ class ServiceHold:
                 self._arm = _GRANTLESS
                 self._held = t
                 return t
-        req = res._request_pooled(tenant, cost)
+        req = res._request_pooled()
         self._arm = _REQUESTED
         self._held = req
         return sim._hold(req, hold_time)

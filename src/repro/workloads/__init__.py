@@ -1,7 +1,6 @@
 """Benchmark workloads: mdtest (IO500 easy/hard), fio-style sequential
-bandwidth, a ustar tar archiver over the VFS API, the synthetic
-MS-COCO-like dataset for the Table II archiving scenarios, and the
-multi-tenant archive-as-a-service mix for the QoS ablation (A11)."""
+bandwidth, a ustar tar archiver over the VFS API, and the synthetic
+MS-COCO-like dataset for the Table II archiving scenarios."""
 
 from .checkpoint import CheckpointResult, checkpoint_restart
 from .dataset import ImageSpec, SyntheticDataset, mscoco_like
@@ -15,7 +14,6 @@ from .pftool import (
     parallel_list,
 )
 from .runner import WorkloadRunner, run_phase
-from .tenants import TenantLoadResult, archive_service, zipf_ranks
 from .tarball import (
     BLOCK,
     TarReader,
@@ -36,12 +34,10 @@ __all__ = [
     "MdtestResult",
     "PFToolStats",
     "SyntheticDataset",
-    "TenantLoadResult",
     "TarReader",
     "TarWriter",
     "WorkloadRunner",
     "archive_from_disk",
-    "archive_service",
     "archive_to_disk",
     "checkpoint_restart",
     "extract_in_fs",
@@ -55,5 +51,4 @@ __all__ = [
     "parallel_list",
     "parse_header",
     "run_phase",
-    "zipf_ranks",
 ]

@@ -28,7 +28,7 @@ def test_help_exits_0_without_building_a_cluster(no_runs, capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for flag in ("--small", "--trace", "--faults", "--sample-rate",
-                 "--slowlog", "--flight", "--tier", "--qos"):
+                 "--slowlog", "--flight", "--tier"):
         assert flag in out
     assert BENCH_OBS.collected == []
 
@@ -37,7 +37,7 @@ def test_help_exits_0_without_building_a_cluster(no_runs, capsys):
     (["--slowlog", "fig4"], ["fig4"], ""),
     (["--slowlog=slow.json", "fig4"], ["fig4"], "slow.json"),
     (["--tier", "fig4"], ["tier", "fig4"], None),
-    (["fig4", "--qos"], ["fig4", "qos"], None),
+    (["fig4", "--tier"], ["fig4", "tier"], None),
     (["fig4", "--small", "fig5"], ["fig4", "fig5"], None),
 ])
 def test_targets_keep_command_line_order(argv, targets, slowlog):

@@ -26,7 +26,7 @@ from repro.faults.crashcheck import (
 # Victim store ops, hence crash points, per workload.
 POINTS = {"mkdir": 61, "checkpoint": 33, "rename": 223,
           "shard_split": 91, "epoch_handoff": 31, "tier_drain": 95,
-          "qos_backlog": 61, "all_on": 149}
+          "all_on": 149}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))

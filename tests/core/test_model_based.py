@@ -44,17 +44,6 @@ SHARD_PARAMS = DEFAULT_PARAMS.with_(shards_enabled=True,
                                     shard_split_threshold=3,
                                     shard_fanout=4)
 
-# QoS mode: rates low enough that the op bucket actually throttles during
-# a sequence (each fs op is several authority ops), proving the plane's
-# delays and tenant-tagged queues change *when* ops run but never their
-# semantics. In-flight stays loose: the SyncFS clients run one op at a
-# time, so a tight cap would never fire here (admission is exercised by
-# tests/core/test_qos_isolation.py) while a cap of 1 would make every
-# EAGAIN an oracle divergence.
-QOS_PARAMS = DEFAULT_PARAMS.with_(qos_enabled=True,
-                                  qos_ops_rate=40.0,
-                                  qos_ops_burst=4.0)
-
 # Found by hypothesis: client 1's permission cache still maps /d0 to the
 # directory client 0 removed, and its final stat('/d0') must resolve the
 # new one. In the second, client 0 leads the old directory when client 1
@@ -442,9 +431,8 @@ def test_seeded_random_sequences_sharded(seed):
             f"seed {seed} never split a directory"
 
 
-# The flag lattice under the oracle: every row of the composition smoke
-# (three pairs and all three together) plus tier alone, which no other
-# seeded mode runs. Its parameters, except a split threshold low enough
+# The flag lattice under the oracle: the composition smoke's row (both
+# subsystems together) plus tier alone, which no other seeded mode runs. Its parameters, except a split threshold low enough
 # for these small directories to split.
 LATTICE_ROWS = [*ROWS, ("tier",)]
 
@@ -472,42 +460,3 @@ def test_seeded_random_sequences_flags(flags, seed):
                    f"tests/core/test_model_based.py -k 'flags and "
                    f"{'+'.join(flags)}'")
         raise
-
-
-def _qos_throttled(cluster) -> bool:
-    """Did the op bucket actually delay anything during the sequence?"""
-    from repro.obs import Observability
-
-    snap = Observability.of(cluster.sim).metrics.to_dict()
-    return snap["counters"].get("qos.throttle_ops", 0) > 0
-
-
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-@given(ops=st.lists(op_st, max_size=40))
-@example(ops=STALE_DENTRY)
-@example(ops=STALE_DENTRY_FORWARDED)
-def test_arkfs_agrees_with_oracle_qos(ops):
-    """The same oracle agreement with the QoS plane on and rates low
-    enough to throttle mid-sequence: token-bucket sleeps and WFQ-ordered
-    queues must be semantically invisible."""
-    run_sequence(ops, params=QOS_PARAMS)
-
-
-@pytest.mark.parametrize("seed", _seeds())
-def test_seeded_random_sequences_qos(seed):
-    """Seeded long sequences under active throttling: same flat oracle,
-    QoS must be invisible. Replay any failure verbatim with
-    ``REPRO_SEED=<seed> pytest -k seeded_random_sequences_qos``."""
-    print(f"model-based qos sequence seed: REPRO_SEED={seed}")
-    ops = random_ops(random.Random(seed), 120)
-    try:
-        cluster = run_sequence(ops, params=QOS_PARAMS)
-    except AssertionError as e:
-        e.add_note(f"replay with REPRO_SEED={seed} pytest "
-                   f"tests/core/test_model_based.py -k seeded_random_sequences_qos")
-        raise
-    if not os.environ.get("REPRO_SEED"):
-        # The mode must actually throttle, not vacuously pass under-rate.
-        assert _qos_throttled(cluster), f"seed {seed} never throttled"

@@ -1,12 +1,11 @@
 """Acceptance criterion: an optional subsystem left off ⇒ bit-identical results.
 
-``shards_enabled``, ``tier_enabled`` and ``qos_enabled`` all default to
-``False``, and a default build must stay structurally identical to one
-that predates the subsystem — the same pattern ``faults=None`` pins for
-fault injection. Off means *absent*, not idle: no :class:`ShardedClient`,
-:class:`TieredObjectStore` or :class:`QosManager` is constructed, and what
-the plain classes keep of them is an empty hook that adds zero simulation
-events. Pinned from four angles:
+``shards_enabled`` and ``tier_enabled`` both default to ``False``, and a
+default build must stay structurally identical to one that predates the
+subsystem — the same pattern ``faults=None`` pins for fault injection. Off
+means *absent*, not idle: no :class:`ShardedClient` or
+:class:`TieredObjectStore` is constructed, and what the plain classes keep
+of them is an empty hook that adds zero simulation events. Pinned from four angles:
 
 * repeated default builds replay to identical clocks, network totals,
   store op counts and store *bytes* on the realistic store — on the three
@@ -27,14 +26,11 @@ from typing import Any, Callable, Dict
 
 import pytest
 
-from repro.core import (DEFAULT_PARAMS, ArkFSClient, QosManager, WFQResource,
-                        build_arkfs)
-from repro.core.qos import QosClient
+from repro.core import DEFAULT_PARAMS, ArkFSClient, build_arkfs
 from repro.obs import Observability
 from repro.objectstore import TieredObjectStore
 from repro.posix import ROOT_CREDS, SyncFS
 from repro.sim import Simulator
-from repro.sim.resources import Resource
 
 # -- workload shapes -----------------------------------------------------------
 
@@ -230,40 +226,6 @@ def _tier_on_control(off_store, tier):
     assert not isinstance(off_store, TieredObjectStore)
 
 
-#: What only a client with the QoS layer carries.
-QOS_ATTRS = ("qos", "_qos_depth")
-
-
-def _qos_absent(cluster, sim):
-    assert cluster.qos is None
-    for client in cluster.clients:
-        assert not isinstance(client, QosClient)
-        assert [a for a in QOS_ATTRS if hasattr(client, a)] == []
-    # FIFO queues everywhere: plain Resources, never the WFQ subclass.
-    mgr_cpu = cluster.lease_manager.node.cpu
-    assert type(mgr_cpu) is Resource and not isinstance(mgr_cpu, WFQResource)
-    assert cluster.lease_manager.tenants == {}
-    for osd in cluster.store.osds:
-        assert type(osd.queue) is Resource
-    assert not [k for k in _metrics(sim)["counters"] if k.startswith("qos.")]
-
-
-def _qos_no_artifacts(cluster, sim):
-    snap = _metrics(sim)
-    assert not [k for k in snap["counters"] if k.startswith("qos.")]
-    assert not [k for k in snap["histograms"] if k.startswith("tenant.")]
-
-
-def _qos_on_control(off, on):
-    on_cluster, on_sim = on
-    assert isinstance(on_cluster.qos, QosManager)
-    assert all(isinstance(c, QosClient) for c in on_cluster.clients)
-    assert isinstance(on_cluster.lease_manager.node.cpu, WFQResource)
-    assert on_cluster.lease_manager.tenants is on_cluster.qos.client_tenant
-    assert _metrics(on_sim)["counters"]["qos.admitted"] > 0
-    assert off[0].qos is None
-
-
 def _tar_read_back(fs):
     return {f"/tar/img{i}": fs.read_file(f"/tar/img{i}") for i in range(10)}
 
@@ -285,12 +247,6 @@ SUBSYSTEMS = {
         read_back=_tar_read_back,
         observe=lambda cluster, sim: cluster.store,
         on_control=_tier_on_control),
-    "qos": Subsystem(
-        flag="qos_enabled", shape="table2",
-        absent=_qos_absent, no_artifacts=_qos_no_artifacts,
-        read_back=_tar_read_back,
-        observe=lambda cluster, sim: (cluster, sim),
-        on_control=_qos_on_control),
 }
 
 _each_subsystem = pytest.mark.parametrize("name", sorted(SUBSYSTEMS))

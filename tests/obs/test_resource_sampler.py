@@ -12,7 +12,6 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.qos import WFQResource
 from repro.obs import Observability, Series, chrome_trace_events
 from repro.sim import BandwidthPipe, Resource, Simulator
 
@@ -61,19 +60,16 @@ def full_scan_loop(sim, sampled, series, interval):
 
 # -- a schedule of requests, releases and cancellations -----------------------
 
-def _client(sim, target, start, hold, patience, tenant):
+def _client(sim, target, start, hold, patience, raw):
     yield sim.timeout(start)
     if isinstance(target, BandwidthPipe):
         # hold doubles as the byte count; 0 is a zero-duration transfer.
         yield from target.transfer(int(hold * 1e6))
         return
-    if patience is None and tenant is None:
+    if patience is None and not raw:
         yield from target.use(hold)  # pooled requests, zero holds included
         return
-    if isinstance(target, WFQResource):
-        req = target.request(tenant, 1.0 + hold)
-    else:
-        req = target.request()
+    req = target.request()
     if not req.granted:
         if patience is None:
             yield req
@@ -88,7 +84,7 @@ def _client(sim, target, start, hold, patience, tenant):
 
 def _build(sim):
     return [("cpu", Resource(sim, capacity=2, name="n.cpu")),
-            ("wfq", WFQResource(sim, capacity=1, name="osd.q")),
+            ("osd", Resource(sim, capacity=1, name="osd.q")),
             ("pipe", BandwidthPipe(sim, 1e6, lanes=2, name="n.nic")),
             ("idle", Resource(sim, capacity=4, name="idle"))]
 
@@ -107,9 +103,9 @@ def _run(schedule, until, reference):
         for label, res in sampled:
             obs.sample_resource(label, res)
         obs.start_sampling(INTERVAL)
-    for which, start, hold, patience, tenant in schedule:
+    for which, start, hold, patience, raw in schedule:
         sim.process(_client(sim, sampled[which][1], start, hold, patience,
-                            tenant))
+                            raw))
     sim.run(until=until)
     if not reference:
         series = {name: m for name, m in obs.metrics.items()
@@ -127,7 +123,7 @@ _OPS = st.tuples(
     st.floats(0, 0.2).map(lambda x: round(x, 4)),        # start
     st.sampled_from([0.0, 1e-4, 1e-3, 3e-3, 0.011]),     # hold
     st.sampled_from([None, None, 5e-4, 4e-3]),           # patience
-    st.sampled_from([None, "a", "b"]),                   # tenant
+    st.sampled_from([False, True, True]),                # request/release
 )
 
 
@@ -148,13 +144,13 @@ def test_equal_to_full_scan_beyond_max_points():
     """The real ``MAX_POINTS``, three decimations deep, busy and idle."""
     # Bursts of four requests per resource, so queues form and drain.
     schedule = [(i % 3, round((i // 12) * 0.16, 4), (i % 5) * 1.5e-3,
-                 [None, 6e-3][i % 2], [None, "a", "b"][i % 3])
+                 [None, 6e-3][i % 2], i % 3 != 0)
                 for i in range(900)]
     until = (2 * Series.MAX_POINTS + 2500) * INTERVAL
     got = _run(schedule, until, reference=False)
     want = _run(schedule, until, reference=True)
     assert _data(got) == _data(want)
-    qdepth = got["wfq.qdepth"].values
+    qdepth = got["osd.qdepth"].values
     assert len(qdepth) < Series.MAX_POINTS and len(set(qdepth)) > 1
     assert set(got["idle.util"].values) == {0.0}
 

@@ -4,9 +4,9 @@
 start without a grant event (``Simulator._hold_unobserved`` returned a
 timeout) and ``oracle_grantless`` the same for any subclass of it — the
 heap-only oracle must never agree; ``requests`` is the number of
-``Request`` objects constructed, ``WFQRequest`` included, and ``timeouts``
-the number of ``Timeout`` objects the kernel constructed (a pooled object
-is constructed once).
+``Request`` objects constructed, and ``timeouts`` the number of
+``Timeout`` objects the kernel constructed (a pooled object is constructed
+once).
 """
 
 from contextlib import contextmanager

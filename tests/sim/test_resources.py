@@ -255,10 +255,6 @@ def _via_use(res, tag, hold):
     return res.use(hold)
 
 
-def _via_tagged_use(res, tag, hold):
-    return res.use(hold, tag, hold)
-
-
 def _via_acquire(res, tag, hold):
     req = yield from res.acquire()
     try:
@@ -274,7 +270,7 @@ _ALONE = {"victim": 1.0, "waiter": 1.2}
 
 
 def _interrupt_scenario(body, interrupt_at, make_sim=Simulator,
-                        make_res=Resource, via=_via_use, starts=None):
+                        via=_via_use, starts=None):
     """A capacity-1 resource with a holder (0 → 1.0), a victim queued behind
     it asking for a 5.0 hold, and a waiter queued behind the victim asking
     for 1.0. The victim is interrupted at ``interrupt_at``; returns what
@@ -282,7 +278,7 @@ def _interrupt_scenario(body, interrupt_at, make_sim=Simulator,
     ``starts`` replaces the cast: who takes part, and when each arrives."""
     with textbook_use(body == "textbook"):
         sim = make_sim()
-        res = make_res(sim, capacity=1, name="r.cpu")
+        res = Resource(sim, capacity=1, name="r.cpu")
         log = []
 
         def state():
@@ -391,13 +387,6 @@ def test_fused_use_runs_the_textbook_schedule_under_interrupts(interrupt_at):
         assert oracle[2]["inline_events"] == 0
 
 
-def _wfq(sim, capacity, name):
-    from repro.core.qos import WFQResource
-
-    return WFQResource(sim, capacity=capacity, name=name,
-                       weight_of=lambda tenant: 1.0)
-
-
 #: The two windows in which a process waiting for a slot can be interrupted,
 #: and what everybody must see: still queued behind the holder (0.5), and
 #: granted by the holder's release but not yet resumed (1.0). Either way the
@@ -413,16 +402,15 @@ _WAIT_WINDOWS = pytest.mark.parametrize("interrupt_at, log", [
 
 
 @_WAIT_WINDOWS
-@pytest.mark.parametrize("make_res", [Resource, _wfq])
 def test_acquire_interrupted_while_waiting_never_holds_the_mutex(
-        make_res, interrupt_at, log):
+        interrupt_at, log):
     """``acquire`` hands the request to its caller only by returning, so an
     interrupt before that must cancel it or give the slot back itself — the
     caller has no ``finally`` yet. (The hand-rolled copies this replaced
     left the mutex held by the dead waiter.) The waiter's own ``acquire``
     is granted, and the scenario ends with ``in_use == queue_length == 0``."""
     seen, end, _ = _interrupt_scenario("textbook", interrupt_at,
-                                       make_res=make_res, via=_via_acquire)
+                                       via=_via_acquire)
     assert seen == log
     assert end == 2.0
 
@@ -432,37 +420,6 @@ def test_acquire_interrupted_while_holding_is_the_callers_release():
     assert seen == [("holder", "done", 1.0, 1, 1),
                     ("victim", "interrupted", 1.5, 1, 0),
                     ("waiter", "done", 2.5, 0, 0)]
-
-
-@BODIES
-@_WAIT_WINDOWS
-def test_tagged_use_on_wfq_interrupted_while_waiting(body, interrupt_at, log):
-    """The same two windows for ``use(hold, tenant, cost)`` on a
-    ``WFQResource``: both bodies cancel or hand back, and agree event for
-    event (``use_wfq``, which this replaced, leaked the slot)."""
-    result = _interrupt_scenario(body, interrupt_at, make_res=_wfq,
-                                 via=_via_tagged_use)
-    assert result[0] == log and result[1] == 2.0
-    assert result == _interrupt_scenario("textbook", interrupt_at,
-                                         make_res=_wfq, via=_via_tagged_use)
-
-
-def test_wfq_recycles_use_requests_with_fresh_tags():
-    """``use`` on a WFQResource drains the request freelist it fills, and a
-    recycled request carries the new call's tags."""
-    sim = Simulator()
-    res = _wfq(sim, 1, "osd.q")
-
-    def user():
-        yield from res.use(1.0, "a", 2.0)
-        first = res._pool[-1]
-        assert (first.tenant, first.cost) == ("a", 2.0)
-        yield from res.use(1.0, "b", 3.0)
-        assert res._pool == [first]
-        assert (first.tenant, first.cost, first.start) == ("b", 3.0, 0.0)
-
-    sim.run_process(user())
-    assert len(res._pool) == 1 and res.in_use == 0
 
 
 def test_abandoned_hold_timeout_is_not_reused_while_armed():
@@ -666,48 +623,6 @@ def test_use_samples_its_request_and_release():
             assert census["grantless"] == grantless
 
 
-def test_wfq_tags_and_grant_order_unchanged_through_use():
-    """``WFQResource`` supplies its own request/release; ``use`` must route
-    through them (default-tenant tag at cost 1.0, lowest finish tag first)
-    identically in both bodies."""
-    from repro.core.qos import WFQResource
-
-    def run(body):
-        with textbook_use(body == "textbook"):
-            sim = Simulator()
-            res = WFQResource(sim, capacity=1, name="osd.q",
-                              weight_of=lambda t: 4.0 if t == "gold" else 1.0)
-            order = []
-
-            def untagged(i):
-                yield from res.use(1e-3)
-                order.append((sim.now, "-", i))
-
-            def tagged(i):
-                yield from res.use(1e-3, "gold", 1.0)
-                order.append((sim.now, "gold", i))
-
-            for i in range(4):
-                sim.process(untagged(i))
-                sim.process(tagged(i))
-            sim.run()
-            return order, dict(res._last_finish), res._vtime, \
-                kernel_counters(sim)
-
-    fused, textbook = run("fused"), run("textbook")
-    assert fused == textbook
-    order, last_finish, _vtime, _ = fused
-    # Untagged calls were tagged as the default tenant, one cost unit each.
-    assert last_finish[None] == 4.0 and last_finish["gold"] == 1.0
-    # First come is served at once; then gold's four cheap tags (0.25 each)
-    # are dispatched ahead of the rest of the default tenant's.
-    assert [who for _, who, _ in order] == \
-        ["-", "gold", "gold", "gold", "gold", "-", "-", "-"]
-    # FIFO within each tenant.
-    assert [i for _, who, i in order if who == "-"] == [0, 1, 2, 3]
-    assert [i for _, who, i in order if who == "gold"] == [0, 1, 2, 3]
-
-
 # -- the grant-less arm: taken only when nothing could observe the grant ------
 
 def _alone(body, make_sim=Simulator, capacity=1, users=((1.0, 1.0),)):
@@ -863,36 +778,6 @@ def test_grantless_arm_not_taken_on_a_full_resource():
     assert done == [(0, 2.5, 1, 0), (1, 3.5, 0, 0)]     # not (1, 2.0, ...)
     assert (seen["grantless"], seen["requests"]) == (1, 1)
     assert (done, counters) == _alone("textbook", users=users)[:2]
-
-
-def test_grantless_arm_never_taken_on_a_fair_queue():
-    """A ``WFQResource`` tags every hold — alone on an idle simulator
-    included — so its finish tags and virtual time advance as they always
-    did, and the next arrivals are ordered against them."""
-    def run(body):
-        with textbook_use(body == "textbook"), hold_census() as seen:
-            sim = Simulator()
-            res = _wfq(sim, 1, "osd.q")
-            tags = []
-
-            def user(arrival, tenant, cost):
-                yield sim.timeout(arrival)
-                yield from res.use(1.0, tenant, cost)
-                tags.append((sim.now, tenant, dict(res._last_finish),
-                             res._vtime))
-
-            sim.process(user(1.0, "a", 2.0))
-            sim.process(user(3.0, "a", 2.0))
-            sim.process(user(5.0, "b", 1.0))
-            sim.run()
-            return tags, kernel_counters(sim), dict(seen)
-
-    tags, counters, seen = run("fused")
-    assert tags == [(2.0, "a", {"a": 2.0}, 0.0),
-                    (4.0, "a", {"a": 4.0}, 2.0),
-                    (6.0, "b", {"a": 4.0, "b": 3.0}, 2.0)]
-    assert seen["grantless"] == 0 and seen["requests"] == 1     # pooled
-    assert (tags, counters) == run("textbook")[:2]
 
 
 def test_grantless_arm_not_taken_for_a_traced_op_or_a_zero_hold():

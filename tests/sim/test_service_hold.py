@@ -13,7 +13,6 @@ import itertools
 
 import pytest
 
-from repro.core.qos import WFQResource
 from repro.obs import Observability
 from repro.sim import BandwidthPipe, Interrupt, Resource, Simulator
 from repro.sim.resources import ServiceHold
@@ -23,8 +22,8 @@ from .hold_census import hold_census
 from .reference_kernel import ReferenceSimulator
 
 
-def _definition(queue, hold_time, tenant, cost, pipe, nbytes):
-    yield from queue.use(hold_time, tenant, cost)
+def _definition(queue, hold_time, pipe, nbytes):
+    yield from queue.use(hold_time)
     if nbytes > 0:
         yield from pipe.transfer(nbytes)
 
@@ -35,16 +34,11 @@ def _definition(queue, hold_time, tenant, cost, pipe, nbytes):
 _STRIKES = (None, 0.5e-3, 2.5e-3, 3.5e-3)
 
 
-def _scene(make_sim, body, fair, full, nbytes, traced, spawned, strike,
-           how):
+def _scene(make_sim, body, full, nbytes, traced, spawned, strike, how):
     sim = make_sim()
     tracer = (Observability.of(sim).enable_tracing(pid_name="t")
               if traced else None)
-    if fair:
-        queue = WFQResource(sim, capacity=1, name="osd0.q",
-                            weight_of={"a": 1.0, "b": 3.0}.get)
-    else:
-        queue = Resource(sim, capacity=1, name="osd0.q")
+    queue = Resource(sim, capacity=1, name="osd0.q")
     pipe = BandwidthPipe(sim, 1e6, name="osd0.media")   # 1000 B = 1 ms
     log = []
 
@@ -53,11 +47,11 @@ def _scene(make_sim, body, fair, full, nbytes, traced, spawned, strike,
                 pipe.queue_length, pipe.bytes_moved)
 
     def holder():
-        yield from queue.use(1e-3, "a", 1.0)
+        yield from queue.use(1e-3)
 
     def victim():
         try:
-            hold = body(queue, 2e-3, "b", 2.0 + nbytes / 1e6, pipe, nbytes)
+            hold = body(queue, 2e-3, pipe, nbytes)
             if spawned:
                 procs["hold"] = sim.process(hold, name="put-replica0")
                 yield procs["hold"]
@@ -71,7 +65,7 @@ def _scene(make_sim, body, fair, full, nbytes, traced, spawned, strike,
         # Queues behind the victim's slot hold; a slot handed back early is
         # granted to it at that instant.
         yield sim.timeout(0.5e-3)
-        yield from queue.use(1e-3, "a", 1.0)
+        yield from queue.use(1e-3)
         log.append(("waiter",) + state())
 
     def streamer():
@@ -107,22 +101,20 @@ def _scene(make_sim, body, fair, full, nbytes, traced, spawned, strike,
     assert (pipe._res.in_use, pipe.queue_length) == (0, 0)
     spans = ([(s.name, s.cat, s.start, s.end, s.tid) for s in tracer.spans]
              if traced else None)
-    tags = (dict(queue._last_finish), queue._vtime) if fair else None
-    return log, spans, tags, kernel_counters(sim)
+    return log, spans, kernel_counters(sim)
 
 
 _CASES = [c for c in itertools.product(
-    (Simulator, ReferenceSimulator), (False, True), (False, True), (0, 1000),
+    (Simulator, ReferenceSimulator), (False, True), (0, 1000),
     (False, True), (False, True), _STRIKES, ("interrupt", "close"))
-    if c[6] is not None or c[7] == "interrupt"]
+    if c[5] is not None or c[6] == "interrupt"]
 
 
 def test_the_hold_object_is_its_generator_definition(monkeypatch):
-    """Over FIFO and fair queues, free and full, zero-byte and data holds,
-    traced and untraced, spawned and ``yield from``-ed, struck (interrupt
-    or close) while queued, holding the slot or moving the bytes: every
-    run's per-event trace, spans, fair-queue tags and kernel counters are
-    the definition's. Untraced, the object takes the fused arms (the
+    """Over free and full queues, zero-byte and data holds, traced and
+    untraced, spawned and ``yield from``-ed, struck (interrupt or close)
+    while queued, holding the slot or moving the bytes: every run's
+    per-event trace, spans and kernel counters are the definition's. Untraced, the object takes the fused arms (the
     grant-less one included) and never runs the textbook generator."""
     textbook = Resource._use_textbook
     textbook_runs = []
@@ -139,7 +131,7 @@ def test_the_hold_object_is_its_generator_definition(monkeypatch):
         with hold_census() as seen:
             got = _scene(case[0], ServiceHold, *case[1:])
         assert got == expected, case
-        traced = case[4]
+        traced = case[3]
         # Traced runs record the textbook holds' spans; untraced ones run
         # no textbook hold at all (every hold here is positive).
         assert (got[1] is not None and got[1] != []) == traced, case
@@ -153,7 +145,7 @@ def test_an_exhausted_hold_behaves_like_a_finished_generator():
     sim = Simulator()
     queue = Resource(sim, capacity=1, name="osd0.q")
     pipe = BandwidthPipe(sim, 1e6, name="osd0.media")
-    hold = ServiceHold(queue, 1e-3, None, 1e-3, pipe, 0)
+    hold = ServiceHold(queue, 1e-3, pipe, 0)
     proc = sim.process(hold)
     sim.run()
     assert proc.ok and proc.value is None

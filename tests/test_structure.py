@@ -58,14 +58,12 @@ def _step(step, reason, *rules):
 
 RULES = [
     *_step("Store retry lives in one layer", "store retry is one ObjectStore layer (objectstore/retrying.py) above "
-           "each fault shim; RetryPolicy.call is kept for lease RPCs and QoS admission only",
+           "each fault shim; RetryPolicy.call is kept for lease RPCs only",
         Rule("retry-wrapper", 24, FORBID, r"retry\.call\(|\._call\(lambda", "src/repro", "self.retry.call(lambda: get(k))",
-             py=True, allow=(r"src/repro/(objectstore/retrying|core/retry|core/client|core/qos)\.py",)),
-        Rule("retry-two-calls", 28, COUNT, r"retry\.call(", f"{C}client.py {C}qos.py", "self.retry.call(op)", n=2, bre=True),
+             py=True, allow=(r"src/repro/(objectstore/retrying|core/retry|core/client)\.py",)),
+        Rule("retry-two-calls", 28, COUNT, r"retry\.call(", f"{C}client.py", "self.retry.call(op)", n=1, bre=True),
         Rule("retry-lease-rpc", 24, COUNT, r"retry\.call(", f"{C}client.py", "self.retry.call(op)", n=1, bre=True,
              function="ArkFSClient._mgr"),
-        Rule("retry-admission", 28, COUNT, r"retry\.call(", f"{C}qos.py", "self.retry.call(op)", n=1, bre=True,
-             function="QosClient._admitted_op"),
         Rule("retry-plumbing", 24, FORBID, r"_retry\b|\bretry *[:=]|RetryPolicy", f"{C}prt.py {C}cache.py {C}journal.py "
              "src/repro/objectstore/tiered.py", "def f(self, retry=None):")),
     *_step("One performance record", "each benchmark asserts its own exact counters and the ledger records host "
@@ -76,11 +74,9 @@ RULES = [
            "ClusterObjectStore._service builds without being a generator itself",
         Rule("osd-request-object", 38, FORBID, "yield", "src/repro/objectstore/cluster.py", "yield from q.use(hold)",
              bre=True, function="ClusterObjectStore._service")),
-    *_step("One definition of a queue hold", "sim/resources.py alone waits for and holds a queue, and build_arkfs "
-           "picks the queue class: no hand-rolled hold, no QoS handle in the store or the lease manager",
-        Rule("queue-hold", 21, FORBID, r"use_wfq|def _lock\(|def _acquire\(", "src/repro", "def _lock(self, res):"),
-        Rule("queue-no-qos", 21, FORBID, r"\.qos\b|core\.qos|import.*\bqos\b", f"src/repro/objectstore {C}lease.py",
-             "from repro.core.qos import q")),
+    *_step("One definition of a queue hold", "sim/resources.py alone waits for and holds a queue: no "
+           "hand-rolled hold",
+        Rule("queue-hold", 21, FORBID, r"def _lock\(|def _acquire\(", "src/repro", "def _lock(self, res):")),
     *_step("One inline rule, in one module", "the inline rule and the queues it reads belong to sim/engine.py; "
            "other modules ask a Simulator method",
         Rule("scheduler-internals", 23, FORBID, r"sim\._(ready|heap|cb_pending)", "src/repro", "if sim._ready:",
@@ -111,15 +107,14 @@ RULES = [
         Rule("shard-state", 27, FORBID,
              r"_split_busy|_shard_maps|_shard_home|_splitters|_dir_inflight|shard_ctx|\bpeers\b|from \.shards|roll_forward_split|make_ranges",
              f"{C}client.py {C}ops.py {C}datapath.py", "self._shard_maps = {}")),
-    *_step("QoS state lives in one module", "QoS tenancy is QosClient, a layer build_arkfs picks once, and an "
-           "authority op is one function",
-        Rule("qos-state", 28, FORBID,
-             r"self\.qos\b|_qos_depth|TenantBusy|throttle_bytes|enter_op|release_tenant|from \.qos|_authority_op_(where|qos|core)",
-             f"{C}client.py {C}ops.py {C}sharded_client.py {C}datapath.py", "if self.qos:")),
     *_step("No packed small-file containers", "packing left whole: chunks live only as their own d "
            "objects, so no half of the extent index outlives the module",
         Rule("no-extent-index", 53, FORBID, r'pack_enabled|PackExtent|key_pack|key_extent_index|apply_extent_delta|"extents"',
              "src/repro", 'return {"op": "extents", "ino": ino_hex(ino)}')),
+    *_step("No multi-tenant plane", "QoS left whole: every queue is FIFO, a hold carries no tenant or cost "
+           "tag, and no client binds a tenant",
+        Rule("no-qos", 56, FORBID, r"[Qq][Oo][Ss]|[Tt]enant|WFQ|wfq|_grantless_holds", "src/repro",
+             "client.bind_tenant(t)")),
     *_step("One path-keyed namespace", "S3FS and goofys share PathKeyedClient and keep only their data "
            "paths; Bucket never asks for a store class",
         Rule("s3-namespace-verbs", 31, FORBID,
@@ -230,7 +225,7 @@ def test_rule_holds(rule):
 def test_every_rule_catches_its_example():
     """The example, added to the rule's first path, breaks a forbid or
     count rule; it alone meets a require rule, which nothing fails."""
-    assert len({r.id for r in RULES}) == len(RULES) == 32
+    assert len({r.id for r in RULES}) == len(RULES) == 30
     blind = []
     for rule in RULES:
         path = rule.paths.split()[0]
